@@ -7,7 +7,6 @@ from .complexes import (
     SimplicialComplex,
     as_face,
     boundary,
-    from_facets,
     join,
     simplex_on,
 )
@@ -32,7 +31,6 @@ from .homology import (
     is_shellable,
     leray_number,
     reduced_betti,
-    shedding_leray_inequality_check,
     verify_shedding_sequence,
 )
 from .hypergraphs import (
@@ -44,8 +42,6 @@ from .hypergraphs import (
     gamma_si,
     gamma_strong,
     gamma_tilde,
-    mes_equal_check,
-    neighbor_inequality_check,
     nc_bound_order,
     nc_facet_order,
     non_cover_complex,
@@ -55,7 +51,6 @@ from .invariants import (
     CollapseCertificate,
     FacetOrdering,
     canonical_ordering,
-    claim_inequality_check,
     collapsibility_number,
     collapsibility_number_with_certificate,
     d_of_ordering,
@@ -65,6 +60,12 @@ from .invariants import (
     mk,
     mk_chain,
     mk_prime,
+)
+from .reports import (
+    claim_inequality_check,
+    mes_equal_check,
+    neighbor_inequality_check,
+    shedding_leray_inequality_check,
     tancer_inequality_check,
 )
 

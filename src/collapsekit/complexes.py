@@ -16,6 +16,7 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, NamedTuple
 
@@ -46,18 +47,11 @@ class Face(int):
 
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "Face":
-        m = 0
-        for v in vertices:
-            if not 0 <= v <= MAX_VERTEX:
-                raise VertexRangeError(
-                    f"vertex label {v!r} outside 0..{MAX_VERTEX}"
-                )
-            m |= 1 << v
-        return cls(m)
+        return cls(mask_of(vertices))
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.bit_length()) if (self >> v) & 1)
+        return vertices_of(self)
 
     @property
     def dim(self) -> int:
@@ -72,6 +66,35 @@ class Face(int):
 
 EMPTY_FACE = Face(0)
 
+#: Wraps a mask already known to be in range, skipping the check.
+_face = functools.partial(int.__new__, Face)
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask of a collection of vertex labels, each checked to lie in
+    0..MAX_VERTEX."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v <= MAX_VERTEX:
+            raise VertexRangeError(
+                f"vertex label {v!r} outside 0..{MAX_VERTEX}"
+            )
+        m |= 1 << v
+    return m
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """The vertex labels of a bitmask, increasing."""
+    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def subsets(mask: int, sizes: Iterable[int]) -> Iterator[int]:
+    """The sub-masks of `mask` whose size is in `sizes`, size by size, each
+    size in itertools.combinations order over the increasing vertices."""
+    bits = [1 << v for v in vertices_of(mask)]
+    for r in sizes:
+        yield from map(sum, itertools.combinations(bits, r))
+
 
 def as_face(obj) -> Face:
     """Coerce an int mask or an iterable of vertex labels to a Face."""
@@ -79,7 +102,7 @@ def as_face(obj) -> Face:
         return obj
     if isinstance(obj, int):
         return Face(obj)
-    return Face.of(obj)
+    return Face(mask_of(obj))
 
 
 class FreePair(NamedTuple):
@@ -88,10 +111,6 @@ class FreePair(NamedTuple):
 
     free_face: Face
     facet: Face
-
-
-def _vertices_of_mask(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
 
 def _antichain(masks: Iterable[int]) -> list[int]:
@@ -112,7 +131,8 @@ class SimplicialComplex:
     """A finite simplicial complex given by its canonical facet list.
 
     Construction canonicalizes: duplicates and non-maximal input faces are
-    dropped, facets are sorted by increasing bitmask value.  Instances are
+    dropped, facets are sorted by increasing bitmask value.  Input faces are
+    int masks (a Face is one) or iterables of vertex labels.  Instances are
     immutable, hashable and safe to share.
     """
 
@@ -122,12 +142,18 @@ class SimplicialComplex:
 
     def __init__(self, facets: Iterable = ()):
         masks = _antichain(
-            int(f) if type(f) is Face else int(as_face(f)) for f in facets
+            f if isinstance(f, int) else mask_of(f) for f in facets
         )
+        # a negative or too-wide mask is never dropped as non-maximal (only
+        # another such mask contains it), so the extremes show any
+        if masks and (masks[0] < 0 or masks[-1] > _FULL):
+            raise VertexRangeError(
+                f"face mask out of range (labels must be 0..{MAX_VERTEX})"
+            )
         if masks == [0]:
             # identified with the empty complex
             masks = []
-        object.__setattr__(self, "facets", tuple(map(Face, masks)))
+        object.__setattr__(self, "facets", tuple(map(_face, masks)))
         object.__setattr__(self, "_hash", hash(self.facets))
 
     def __setattr__(self, *a):
@@ -144,7 +170,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return _vertices_of_mask(self.vertex_mask)
+        return vertices_of(self.vertex_mask)
 
     @property
     def dim(self) -> int:
@@ -185,13 +211,10 @@ class SimplicialComplex:
             raise ValueError("dimension must be >= -1")
         if k == -1:
             return {EMPTY_FACE} if self.facets else set()
-        out: set[Face] = set()
+        out: set[int] = set()
         for f in self.facets:
-            vs = f.vertices
-            if len(vs) >= k + 1:
-                for comb in itertools.combinations(vs, k + 1):
-                    out.add(Face.of(comb))
-        return out
+            out.update(subsets(f, (k + 1,)))
+        return set(map(_face, out))
 
     def all_faces(self, include_empty: bool = True) -> Iterator[Face]:
         """Every face, each exactly once (empty face included iff the complex
@@ -201,15 +224,10 @@ class SimplicialComplex:
             seen.add(0)
             yield EMPTY_FACE
         for f in self.facets:
-            vs = f.vertices
-            for r in range(1, len(vs) + 1):
-                for comb in itertools.combinations(vs, r):
-                    m = 0
-                    for v in comb:
-                        m |= 1 << v
-                    if m not in seen:
-                        seen.add(m)
-                        yield Face(m)
+            for m in subsets(f, range(1, f.bit_count() + 1)):
+                if m not in seen:
+                    seen.add(m)
+                    yield _face(m)
 
     def num_faces(self) -> int:
         """Number of nonempty faces."""
@@ -230,9 +248,7 @@ class SimplicialComplex:
             return self
         if not any(s & ~f == 0 for f in self.facets):
             raise NotAFaceError(f"{as_face(sigma)!r} is not a face of the complex")
-        return SimplicialComplex(
-            Face(f & ~s) for f in self.facets if s & ~f == 0
-        )
+        return SimplicialComplex(f & ~s for f in self.facets if s & ~f == 0)
 
     def deletion(self, sigma) -> "SimplicialComplex":
         """del(sigma, X) = faces of X not containing sigma.
@@ -246,9 +262,9 @@ class SimplicialComplex:
         cand: list[int] = []
         for f in self.facets:
             if s & ~f:
-                cand.append(int(f))
+                cand.append(f)
             else:
-                cand.extend(f & ~(1 << v) for v in _vertices_of_mask(s))
+                cand.extend(f & ~(1 << v) for v in vertices_of(s))
         return SimplicialComplex(cand)
 
     def induced(self, subset) -> "SimplicialComplex":
@@ -292,18 +308,13 @@ class SimplicialComplex:
             pairs.append(FreePair(EMPTY_FACE, self.facets[0]))
         seen: set[int] = set()
         for f in self.facets:
-            vs = f.vertices
-            for r in range(1, min(d, len(vs)) + 1):
-                for comb in itertools.combinations(vs, r):
-                    m = 0
-                    for v in comb:
-                        m |= 1 << v
-                    if m in seen:
-                        continue
-                    seen.add(m)
-                    holders = [g for g in self.facets if m & ~g == 0]
-                    if len(holders) == 1:
-                        pairs.append(FreePair(Face(m), holders[0]))
+            for m in subsets(f, range(1, min(d, f.bit_count()) + 1)):
+                if m in seen:
+                    continue
+                seen.add(m)
+                holders = [g for g in self.facets if m & ~g == 0]
+                if len(holders) == 1:
+                    pairs.append(FreePair(_face(m), holders[0]))
         pairs.sort(key=lambda p: (p.free_face.bit_count(),
                                   p.free_face.vertices, p.facet.vertices))
         return pairs
@@ -322,8 +333,8 @@ class SimplicialComplex:
         if not self.is_free_pair(pair):
             raise NotFreeError(f"{pair!r} is not a free pair of the complex")
         gamma, sigma = int(pair.free_face), int(pair.facet)
-        cand = [int(f) for f in self.facets if int(f) != sigma]
-        cand.extend(sigma & ~(1 << v) for v in _vertices_of_mask(gamma))
+        cand = [f for f in self.facets if f != sigma]
+        cand.extend(sigma & ~(1 << v) for v in vertices_of(gamma))
         return SimplicialComplex(cand)
 
     def skeleton(self, n: int) -> "SimplicialComplex":
@@ -333,12 +344,9 @@ class SimplicialComplex:
         cand: list[int] = []
         for f in self.facets:
             if f.dim <= n:
-                cand.append(int(f))
+                cand.append(f)
             else:
-                cand.extend(
-                    int(Face.of(c))
-                    for c in itertools.combinations(f.vertices, n + 1)
-                )
+                cand.extend(subsets(f, (n + 1,)))
         return SimplicialComplex(cand)
 
     def pure_skeleton(self, n: int) -> "SimplicialComplex":
@@ -348,12 +356,6 @@ class SimplicialComplex:
         return SimplicialComplex(self.faces(n))
 
 
-def from_facets(raw: Iterable) -> SimplicialComplex:
-    """Build a complex from raw vertex sets (duplicates and non-maximal sets
-    are removed)."""
-    return SimplicialComplex(raw)
-
-
 def simplex_on(vertices) -> SimplicialComplex:
     return SimplicialComplex([as_face(vertices)])
 
@@ -361,12 +363,9 @@ def simplex_on(vertices) -> SimplicialComplex:
 def boundary(sigma) -> SimplicialComplex:
     """The boundary complex of a single face: all its proper subsets."""
     s = as_face(sigma)
-    vs = s.vertices
-    if len(vs) <= 1:
+    if s.bit_count() <= 1:
         return SimplicialComplex()
-    return SimplicialComplex(
-        Face.of(c) for c in itertools.combinations(vs, len(vs) - 1)
-    )
+    return SimplicialComplex(subsets(s, (s.bit_count() - 1,)))
 
 
 def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
@@ -377,4 +376,4 @@ def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
         return y
     if y.is_empty:
         return x
-    return SimplicialComplex(Face(f | g) for f in x.facets for g in y.facets)
+    return SimplicialComplex(f | g for f in x.facets for g in y.facets)

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Face, SimplicialComplex
+from .complexes import SimplicialComplex
 from .homology import is_k_vertex_decomposable
 from .hypergraphs import Hypergraph
 
@@ -60,10 +60,10 @@ def _random_complex(rng: random.Random, n: int, m: int, max_size: int
     facets = []
     for _ in range(m):
         size = rng.randint(1, min(max_size, n))
-        facets.append(Face.of(rng.sample(verts, size)))
+        facets.append(rng.sample(verts, size))
     x = SimplicialComplex(facets)
     if x.is_empty:  # m == 0 shouldn't happen, but never emit the empty complex
-        x = SimplicialComplex([Face.of([1])])
+        x = SimplicialComplex([(1,)])
     return x
 
 
@@ -142,7 +142,7 @@ def _random_kvd(rng: random.Random, n: int, m: int, max_size: int, k: int
         verts = list(range(1, n + 1))
         count = rng.randint(1, m)
         x = SimplicialComplex(
-            Face.of(rng.sample(verts, size)) for _ in range(count)
+            rng.sample(verts, size) for _ in range(count)
         )
         if x.is_empty or not x.is_pure():
             continue

@@ -5,21 +5,21 @@ complex, computed by fraction-free (Bareiss) integer elimination for the
 rational field, or by modular elimination for a prime field.  Torsion is out
 of scope; only ranks are ever needed.
 
-On top of that: Leray numbers (two cross-checked routes), homological
-connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
-decomposability with replayable shedding witnesses.
+On top of that: Leray numbers (the link criterion, with the
+induced-subcomplex brute force as its oracle), homological connectivity,
+both Cohen-Macaulay predicates, shellability and k-vertex decomposability
+with replayable shedding witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .complexes import Face, SimplicialComplex, as_face
-from .errors import Budget, HypothesisNotMetError, NotPureError
+from .complexes import Face, SimplicialComplex, subsets
+from .errors import Budget, NotPureError
 
-#: Above this many vertices the brute-force Leray route is refused.
+#: Above this many vertices the induced-subcomplex Leray route is refused.
 LERAY_VERTEX_CAP = 14
 
 Field = Union[str, int]  # "Q" or a prime modulus
@@ -129,6 +129,11 @@ class BettiVector:
                 return i
         return -1
 
+    def vanishes_through(self, n: int) -> bool:
+        """True iff the rank is zero in every degree i <= n (vacuously for
+        n < -1)."""
+        return n < -1 or not (self.rank_neg1 or any(self.ranks[:n + 1]))
+
 
 def _boundary_matrix(
     lower: list[Face], upper: list[Face]
@@ -195,44 +200,34 @@ def is_homologically_connected(
     n < -1 is vacuously true; at n = -1 the empty complex fails (its degree
     -1 rank is nonzero).
     """
-    if n < -1:
-        return True
-    b = reduced_betti(x, field)
-    if b.rank_neg1:
-        return False
-    return all(b.ranks[i] == 0 for i in range(min(n, len(b.ranks) - 1) + 1))
+    return n < -1 or reduced_betti(x, field).vanishes_through(n)
 
 
 def leray_number(
-    x: SimplicialComplex,
-    field: Field = "Q",
-    method: str = "both",
-    vertex_cap: int = LERAY_VERTEX_CAP,
+    x: SimplicialComplex, field: Field = "Q", method: str = "links"
 ) -> int:
     """Least k such that reduced homology vanishes in degrees >= k for every
     induced subcomplex.
 
-    method "induced" is the brute force over all vertex subsets (the oracle,
-    refused above `vertex_cap` vertices); "links" uses the equivalent link
-    criterion (L >= d iff some link has nonzero homology in degree d-1) and
-    scales past the cap; "both" runs the two and insists they agree.
+    method "links" uses the equivalent link criterion (L >= d iff some link
+    has nonzero homology in degree d-1); "induced" is the brute force over
+    all vertex subsets, the test oracle, refused above LERAY_VERTEX_CAP
+    vertices; "both" runs the two and insists they agree.
     """
     if method not in ("both", "induced", "links"):
         raise ValueError(f"unknown leray method {method!r}")
     cache = _BettiCache(field)
     results = {}
     if method in ("both", "induced"):
-        verts = x.vertices
-        if len(verts) > vertex_cap:
+        n = len(x.vertices)
+        if n > LERAY_VERTEX_CAP:
             raise ValueError(
-                f"brute-force Leray refused above {vertex_cap} vertices; "
-                "use method='links'"
+                f"brute-force Leray refused above {LERAY_VERTEX_CAP} "
+                "vertices; use method='links'"
             )
         best = -1
-        for r in range(len(verts) + 1):
-            for comb in itertools.combinations(verts, r):
-                sub = x.induced(Face.of(comb))
-                best = max(best, cache.get(sub).top_nonzero_degree())
+        for sub in subsets(x.vertex_mask, range(n + 1)):
+            best = max(best, cache.get(x.induced(sub)).top_nonzero_degree())
         results["induced"] = best + 1
     if method in ("both", "links"):
         best = -1
@@ -251,14 +246,8 @@ def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q") -> bool:
     if not x.is_pure():
         return False
     cache = _BettiCache(field)
-    for sigma in x.all_faces():
-        lk = x.link(sigma)
-        b = cache.get(lk)
-        n = lk.dim - 1
-        if n >= -1:
-            if b.rank_neg1 or any(b.ranks[i] for i in range(n + 1)):
-                return False
-    return True
+    return all(cache.get(lk).vanishes_through(lk.dim - 1)
+               for lk in map(x.link, x.all_faces()))
 
 
 def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
@@ -267,16 +256,8 @@ def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
     if not x.is_pure():
         return False
     cache = _BettiCache(field)
-    verts = x.vertices
-    for r in range(1, len(verts) + 1):
-        for comb in itertools.combinations(verts, r):
-            sub = x.induced(Face.of(comb))
-            b = cache.get(sub)
-            n = sub.dim - 1
-            if n >= -1:
-                if b.rank_neg1 or any(b.ranks[i] for i in range(n + 1)):
-                    return False
-    return True
+    subs = map(x.induced, subsets(x.vertex_mask, range(1, len(x.vertices) + 1)))
+    return all(cache.get(sub).vanishes_through(sub.dim - 1) for sub in subs)
 
 
 def is_shellable(
@@ -416,25 +397,3 @@ def verify_shedding_sequence(
         return consume(y.link(face), after_del)
 
     return consume(x, 0) == len(witness)
-
-
-def shedding_leray_inequality_check(
-    x: SimplicialComplex, sigma, field: Field = "Q"
-) -> bool:
-    """L(X) >= max(L(del), L(lk) + k + 1) for a shedding k-face whose
-    deletion is Cohen-Macaulay; hypothesis failures raise, they are never
-    reported as False."""
-    s = as_face(sigma)
-    if s not in x or s.dim < 0:
-        raise HypothesisNotMetError("sigma must be a nonempty face of x")
-    if not x.is_pure():
-        raise HypothesisNotMetError("x must be pure")
-    dele = x.deletion(s)
-    if not _is_shedding_face(x, s):
-        raise HypothesisNotMetError("sigma is not a shedding face")
-    if not is_cohen_macaulay(dele, field):
-        raise HypothesisNotMetError("deletion(sigma, x) is not Cohen-Macaulay")
-    k = s.dim
-    lhs = leray_number(x, field)
-    rhs = max(leray_number(dele, field), leray_number(x.link(s), field) + k + 1)
-    return lhs >= rhs

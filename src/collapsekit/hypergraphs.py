@@ -14,31 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import Face, SimplicialComplex, as_face
-from .errors import HypothesisNotMetError, IsolatedVertexError, UndominatableError
-from .invariants import FacetOrdering, mes
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
-
-
-def _subsets_by_size(pool: tuple[int, ...]):
-    for r in range(len(pool) + 1):
-        for comb in itertools.combinations(pool, r):
-            yield _mask(comb), comb
+from .complexes import (
+    Face,
+    SimplicialComplex,
+    as_face,
+    mask_of,
+    subsets,
+    vertices_of,
+)
+from .errors import IsolatedVertexError, UndominatableError
+from .invariants import FacetOrdering
 
 
 class Hypergraph:
@@ -54,7 +39,7 @@ class Hypergraph:
     def __init__(self, n: int, edges):
         if n < 1:
             raise ValueError("a hypergraph needs at least one vertex")
-        vmask = _mask(range(1, n + 1))
+        vmask = (1 << (n + 1)) - 2
         masks = []
         seen = set()
         for e in edges:
@@ -73,7 +58,7 @@ class Hypergraph:
         )
         nbr = [0] * (n + 1)
         for m in masks:
-            for v in _bits(m):
+            for v in vertices_of(m):
                 nbr[v] |= m & ~(1 << v)
         object.__setattr__(self, "_nbr", tuple(nbr))
 
@@ -92,14 +77,14 @@ class Hypergraph:
 
     @property
     def vertex_mask(self) -> int:
-        return _mask(range(1, self.n + 1))
+        return (1 << (self.n + 1)) - 2
 
     # -- neighborhoods -----------------------------------------------------
 
     def neighbors(self, v: int) -> set[int]:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
-        return set(_bits(self._nbr[v]))
+        return set(vertices_of(self._nbr[v]))
 
     def neighbors_set(self, subset) -> set[int]:
         m = 0
@@ -107,16 +92,21 @@ class Hypergraph:
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} outside 1..{self.n}")
             m |= self._nbr[v]
-        return set(_bits(m))
+        return set(vertices_of(m))
 
     def _nbr_mask(self, mask: int) -> int:
         m = 0
-        for v in _bits(mask):
+        for v in vertices_of(mask):
             m |= self._nbr[v]
         return m
 
     def isolated_vertices(self) -> set[int]:
         return {v for v in range(1, self.n + 1) if not self._nbr[v]}
+
+    def _forbid_isolated(self) -> None:
+        iso = self.isolated_vertices()
+        if iso:
+            raise IsolatedVertexError(f"isolated vertices {sorted(iso)}")
 
     def induced(self, subset) -> "Hypergraph":
         """Induced sub-hypergraph, keeping the ambient vertex count: edges
@@ -143,11 +133,11 @@ class Hypergraph:
     def minimal_covers(self):
         """All inclusion-minimal covers, as sorted vertex tuples."""
         out = []
-        for m, comb in _subsets_by_size(tuple(range(1, self.n + 1))):
+        for m in subsets(self.vertex_mask, range(self.n + 1)):
             if self.is_cover(m) and not any(
-                self.is_cover(m & ~(1 << v)) for v in comb
+                self.is_cover(m & ~(1 << v)) for v in vertices_of(m)
             ):
-                out.append(comb)
+                out.append(vertices_of(m))
         return out
 
 
@@ -167,8 +157,8 @@ def non_cover_complex(h: Hypergraph) -> SimplicialComplex:
         raise ValueError("edgeless hypergraph: every set is a cover, NC is empty")
     vmask = h.vertex_mask
     minimal = [e for e in h.edges
-               if not any(int(f) & ~int(e) == 0 and f != e for f in h.edges)]
-    return SimplicialComplex(Face(vmask & ~e) for e in minimal)
+               if not any(f & ~e == 0 and f != e for f in h.edges)]
+    return SimplicialComplex(vmask & ~e for e in minimal)
 
 
 def nc_facet_order(h: Hypergraph) -> FacetOrdering:
@@ -180,7 +170,7 @@ def nc_facet_order(h: Hypergraph) -> FacetOrdering:
     vmask = h.vertex_mask
 
     def edge_key(facet: Face):
-        return tuple(sorted(Face(vmask & ~facet).vertices, reverse=True))
+        return vertices_of(vmask & ~facet)[::-1]
 
     ordered = sorted(nc.facets, key=edge_key)
     return FacetOrdering(nc, ordered)
@@ -205,14 +195,16 @@ def gamma_A(h: Hypergraph, target) -> DominationResult:
     a = int(as_face(target))
     if a & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    pool = tuple(v for v in range(1, h.n + 1) if not (a >> v) & 1)
-    if a & ~h._nbr_mask(_mask(pool)):
+    pool = h.vertex_mask & ~a
+    if a & ~h._nbr_mask(pool):
         raise UndominatableError(
-            f"target {sorted(_bits(a))} cannot be dominated from its complement"
+            f"target {list(vertices_of(a))} cannot be dominated from its "
+            "complement"
         )
-    for m, comb in _subsets_by_size(pool):
+    for m in subsets(pool, range(pool.bit_count() + 1)):
         if a & ~h._nbr_mask(m) == 0:
-            return DominationResult(len(comb), comb, tuple(_bits(a)))
+            return DominationResult(m.bit_count(), vertices_of(m),
+                                    vertices_of(a))
     raise AssertionError("unreachable: feasibility checked above")
 
 
@@ -224,20 +216,8 @@ def gamma_i(h: Hypergraph) -> DominationResult:
     independent set, i.e. on the complement of a minimal cover; only those
     are enumerated.
     """
-    if h.isolated_vertices():
-        raise IsolatedVertexError(
-            f"isolated vertices {sorted(h.isolated_vertices())}"
-        )
-    best = None
-    for cover in h.minimal_covers():
-        ind = h.vertex_mask & ~_mask(cover)
-        res = gamma_A(h, ind)
-        if best is None or res.value > best.value:
-            best = res
-    if best is None:
-        # no edges means no isolated-vertex-free instance reaches here
-        raise ValueError("hypergraph has no edges")
-    return best
+    h._forbid_isolated()
+    return _maximizing_cover(h)[1]
 
 
 # -- Kim-Kim parameters ----------------------------------------------------
@@ -261,34 +241,28 @@ def gamma_strong(h: Hypergraph, w) -> DominationResult:
     wm = int(as_face(w))
     if wm & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    pool = tuple(range(1, h.n + 1))
-    if not strongly_dominates(h, _mask(pool), wm):
+    if not strongly_dominates(h, h.vertex_mask, wm):
         raise UndominatableError(
-            f"{sorted(_bits(wm))} cannot be strongly dominated"
+            f"{list(vertices_of(wm))} cannot be strongly dominated"
         )
-    for m, comb in _subsets_by_size(pool):
+    for m in subsets(h.vertex_mask, range(h.n + 1)):
         if strongly_dominates(h, m, wm):
-            return DominationResult(len(comb), comb, tuple(_bits(wm)))
+            return DominationResult(m.bit_count(), vertices_of(m),
+                                    vertices_of(wm))
     raise AssertionError("unreachable: feasibility checked above")
 
 
 def gamma_tilde(h: Hypergraph) -> DominationResult:
     """Strong total domination number: gamma(H; V)."""
-    if h.isolated_vertices():
-        raise IsolatedVertexError(
-            f"isolated vertices {sorted(h.isolated_vertices())}"
-        )
-    return gamma_strong(h, Face(h.vertex_mask))
+    h._forbid_isolated()
+    return gamma_strong(h, h.vertex_mask)
 
 
 def gamma_si(h: Hypergraph) -> DominationResult:
     """Strong independence domination number: max of gamma(H; I) over
     strongly independent I (monotone, so maximal ones suffice)."""
-    if h.isolated_vertices():
-        raise IsolatedVertexError(
-            f"isolated vertices {sorted(h.isolated_vertices())}"
-        )
-    strongly_ind = [m for m, _ in _subsets_by_size(tuple(range(1, h.n + 1)))
+    h._forbid_isolated()
+    strongly_ind = [m for m in subsets(h.vertex_mask, range(h.n + 1))
                     if h.is_strongly_independent(m)]
     si_set = set(strongly_ind)
     best = DominationResult(0, (), ())
@@ -304,10 +278,7 @@ def gamma_si(h: Hypergraph) -> DominationResult:
 
 def gamma_E(h: Hypergraph) -> DominationResult:
     """Edgewise domination: fewest edges whose union strongly dominates V."""
-    if h.isolated_vertices():
-        raise IsolatedVertexError(
-            f"isolated vertices {sorted(h.isolated_vertices())}"
-        )
+    h._forbid_isolated()
     vmask = h.vertex_mask
     union_all = 0
     for e in h.edges:
@@ -321,41 +292,26 @@ def gamma_E(h: Hypergraph) -> DominationResult:
                 u |= e
             if strongly_dominates(h, u, vmask):
                 witness = tuple(tuple(e.vertices) for e in fam)
-                return DominationResult(r, witness, tuple(_bits(vmask)))
+                return DominationResult(r, witness, vertices_of(vmask))
     raise AssertionError("unreachable: feasibility checked above")
 
 
-# -- probes used by property suites ---------------------------------------
-
-def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
-    """|N(S) & complement(D)| - |S| <= |complement(D)| - gamma_{complement(D)}
-    for S inside a minimal cover D."""
-    dm = int(as_face(cover))
-    sm = int(as_face(subset))
-    d_verts = tuple(_bits(dm))
-    if not (h.is_cover(dm)
-            and not any(h.is_cover(dm & ~(1 << v)) for v in d_verts)):
-        raise HypothesisNotMetError("D must be an inclusion-minimal cover")
-    if sm & ~dm:
-        raise HypothesisNotMetError("S must be a subset of D")
-    dbar = h.vertex_mask & ~dm
-    lhs = (h._nbr_mask(sm) & dbar).bit_count() - sm.bit_count()
-    rhs = dbar.bit_count() - gamma_A(h, dbar).value
-    return lhs <= rhs
+def _maximizing_cover(h: Hypergraph) -> tuple[tuple[int, ...], DominationResult]:
+    """The first minimal cover D (in `minimal_covers` order) maximizing
+    gamma over its complement, with that gamma_A result.  V itself is a
+    cover, so some minimal cover exists."""
+    best = None
+    for cover in h.minimal_covers():
+        res = gamma_A(h, h.vertex_mask & ~mask_of(cover))
+        if best is None or res.value > best[1].value:
+            best = cover, res
+    return best
 
 
 def maximizing_minimal_cover(h: Hypergraph) -> tuple[int, ...]:
     """The lexicographically-first minimal cover D maximizing gamma over its
     complement (the cover realizing gamma_i)."""
-    best_val = -1
-    best = None
-    for cover in h.minimal_covers():
-        val = gamma_A(h, h.vertex_mask & ~_mask(cover)).value
-        if val > best_val:
-            best_val, best = val, cover
-    if best is None:
-        raise ValueError("hypergraph has no cover (no edges?)")
-    return best
+    return _maximizing_cover(h)[0]
 
 
 def cover_initial_relabeling(h: Hypergraph, cover) -> tuple["Hypergraph", dict[int, int]]:
@@ -369,29 +325,3 @@ def cover_initial_relabeling(h: Hypergraph, cover) -> tuple["Hypergraph", dict[i
         h.n, ([perm[v] for v in e.vertices] for e in h.edges)
     )
     return relabeled, perm
-
-
-def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
-    """After relabeling the maximizing minimal cover D to {1..|D|}: if the
-    two faces of NC(H) have the same complement inside D and the induced
-    sub-hypergraph on that complement contains an edge, their minimal
-    exclusion sequences under the NC facet order must coincide."""
-    d = maximizing_minimal_cover(h)
-    relabeled, perm = cover_initial_relabeling(h, d)
-    dm = _mask(range(1, len(d) + 1))
-    g1 = _mask(perm[v] for v in as_face(gamma).vertices)
-    g2 = _mask(perm[v] for v in as_face(gamma_prime).vertices)
-    nc = non_cover_complex(relabeled)
-    if Face(g1) not in nc or Face(g2) not in nc:
-        raise HypothesisNotMetError("both faces must lie in NC(H)")
-    vmask = relabeled.vertex_mask
-    c1 = (vmask & ~g1) & dm
-    c2 = (vmask & ~g2) & dm
-    if c1 != c2:
-        raise HypothesisNotMetError("complements must agree inside the cover")
-    if not any(int(e) & ~c1 == 0 for e in relabeled.edges):
-        raise HypothesisNotMetError(
-            "induced sub-hypergraph on the cover part contains no edge"
-        )
-    order = nc_facet_order(relabeled)
-    return mes(Face(g1), order) == mes(Face(g2), order)

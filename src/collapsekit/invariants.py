@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .complexes import Face, FreePair, SimplicialComplex, as_face
+from .complexes import FreePair, SimplicialComplex, as_face, vertices_of
 from .errors import Budget, NotAFaceError
 
 
@@ -90,13 +90,7 @@ def collapsibility_number(
     Terminates because a complex of dimension n is always (n+1)-collapsible.
     `lower` lets callers seed the search, e.g. with the Leray number.
     """
-    budget = budget or Budget()
-    d = max(lower, 0)
-    while True:
-        ok, _ = is_d_collapsible(x, d, budget)
-        if ok:
-            return d
-        d += 1
+    return collapsibility_number_with_certificate(x, budget, lower)[0]
 
 
 def collapsibility_number_with_certificate(
@@ -104,6 +98,7 @@ def collapsibility_number_with_certificate(
     budget: Optional[Budget] = None,
     lower: int = 0,
 ) -> tuple[int, Optional[CollapseCertificate]]:
+    """The collapsibility number with a certificate that replays it."""
     budget = budget or Budget()
     d = max(lower, 0)
     while True:
@@ -160,7 +155,7 @@ def mes(gamma, ordering: FacetOrdering) -> tuple[int, ...]:
         if prev:
             seq.append(min(prev))
         else:
-            seq.append(min(Face(excluded).vertices))
+            seq.append(vertices_of(excluded)[0])
     return tuple(seq)
 
 
@@ -246,39 +241,3 @@ def mk_chain(
     """[M_0(x), ..., M_{k_max}(x)] computed with one shared memo table."""
     engine = _MkEngine(budget)
     return [engine.m(x, k) for k in range(k_max + 1)]
-
-
-def tancer_inequality_check(
-    x: SimplicialComplex, v, budget: Optional[Budget] = None
-) -> bool:
-    """C(X) <= max(C(del(v,X)), C(lk(v,X)) + 1) for a vertex v; evaluated by
-    exact search on both sides (a test probe, expected always true)."""
-    budget = budget or Budget()
-    vv = as_face(v)
-    if vv.bit_count() != 1:
-        raise ValueError("expected a single vertex")
-    lhs = collapsibility_number(x, budget)
-    rhs = max(
-        collapsibility_number(x.deletion(vv), budget),
-        collapsibility_number(x.link(vv), budget) + 1,
-    )
-    return lhs <= rhs
-
-
-def claim_inequality_check(
-    x: SimplicialComplex, sigma, budget: Optional[Budget] = None
-) -> bool:
-    """C(X) <= max(C(del(s,X)), C(lk(s,X)) + k + 1) for a k-face s."""
-    budget = budget or Budget()
-    s = as_face(sigma)
-    if s not in x:
-        raise NotAFaceError(f"{s!r} is not a face of the complex")
-    k = s.dim
-    if k < 0:
-        raise ValueError("sigma must be nonempty")
-    lhs = collapsibility_number(x, budget)
-    rhs = max(
-        collapsibility_number(x.deletion(s), budget),
-        collapsibility_number(x.link(s), budget) + k + 1,
-    )
-    return lhs <= rhs

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .complexes import Face, SimplicialComplex
+from .complexes import SimplicialComplex, mask_of
 from .hypergraphs import Hypergraph
 
 Instance = Union[SimplicialComplex, Hypergraph]
@@ -48,7 +48,7 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
     dropped = []
     seen = set()
     for r in raw:
-        m = int(Face.of(r))
+        m = mask_of(r)
         if m not in kept or m in seen:
             dropped.append(sorted(set(r)))
         seen.add(m)
@@ -58,7 +58,7 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
         extra = [v for v in declared if v not in have]
         # isolated vertices must be represented as singleton facets
         if extra:
-            x = SimplicialComplex(list(x.facets) + [Face.of([v]) for v in extra])
+            x = SimplicialComplex(list(x.facets) + [(v,) for v in extra])
     return x, dropped
 
 

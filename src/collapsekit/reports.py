@@ -1,5 +1,5 @@
-"""Invariant reports, the theorem-verification registry, and conjecture
-search.
+"""Invariant reports, the theorem probes and their verification registry,
+and conjecture search.
 
 Reports are plain dicts serialized as sorted-key JSON, so identical
 (instance, flags, seed) give byte-identical output.  Every witness placed in
@@ -17,28 +17,44 @@ from dataclasses import replace
 from typing import Optional
 
 from . import hypergraphs as hg
-from .complexes import Face, FreePair, SimplicialComplex
-from .errors import Budget, HypothesisNotMetError
+from .complexes import (
+    Face,
+    FreePair,
+    SimplicialComplex,
+    as_face,
+    mask_of,
+    vertices_of,
+)
+from .errors import (
+    Budget,
+    BudgetExceededError,
+    HypothesisNotMetError,
+    IsolatedVertexError,
+    NotAFaceError,
+    NotPureError,
+    UndominatableError,
+)
 from .generators import GeneratorSpec, generate
 from .homology import (
+    Field,
+    _is_shedding_face,
     is_cohen_macaulay,
     is_cohen_macaulay_induced,
     is_k_vertex_decomposable,
     is_shellable,
     leray_number,
     reduced_betti,
-    shedding_leray_inequality_check,
 )
 from .hypergraphs import Hypergraph, nc_facet_order, non_cover_complex
 from .invariants import (
+    CollapseCertificate,
     FacetOrdering,
     canonical_ordering,
-    claim_inequality_check,
+    collapsibility_number,
     collapsibility_number_with_certificate,
     d_of_ordering,
     mes,
     mk_chain,
-    tancer_inequality_check,
     _MkEngine,
 )
 from .io import instance_to_json, instance_to_obj
@@ -56,9 +72,7 @@ def _serialize_certificate(cert) -> dict:
     }
 
 
-def certificate_from_obj(obj) -> "CollapseCertificate":
-    from .invariants import CollapseCertificate
-
+def certificate_from_obj(obj) -> CollapseCertificate:
     steps = tuple(
         FreePair(Face.of(g), Face.of(s)) for g, s in obj["steps"]
     )
@@ -199,8 +213,9 @@ def compute(
 ) -> dict:
     """Evaluate the requested invariants and return a report dict.
 
-    Budget exhaustion on one invariant is recorded per-invariant and does not
-    abort the rest.
+    Budget exhaustion and unmet hypotheses (isolated vertices, an
+    undominatable target, a non-pure complex) are recorded per invariant
+    and do not abort the rest.
     """
     registry = registry_for(inst)
     if which is None or which == ["all"]:
@@ -212,18 +227,16 @@ def compute(
     values: dict = {}
     witnesses: dict = {}
     exhausted = []
+    not_applicable = {}
     used = 0
     for name in which:
         budget = Budget(budget_limit)
         try:
             registry[name](inst, budget, field, values, witnesses)
-        except Exception as exc:  # budget or infeasibility, flagged per-invariant
-            from .errors import BudgetExceededError
-
-            if isinstance(exc, BudgetExceededError):
-                exhausted.append(name)
-            else:
-                raise
+        except BudgetExceededError:
+            exhausted.append(name)
+        except (IsolatedVertexError, UndominatableError, NotPureError) as exc:
+            not_applicable[name] = str(exc)
         used += budget.used
     report = {
         "schema": SCHEMA_VERSION,
@@ -234,6 +247,8 @@ def compute(
                    "exhausted": exhausted},
         "field": field if isinstance(field, str) else str(field),
     }
+    if not_applicable:
+        report["not_applicable"] = not_applicable
     if seed is not None:
         report["seed"] = seed
     return report
@@ -241,6 +256,109 @@ def compute(
 
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# -- probes: one instance of a claim, checked exactly -----------------------
+
+def claim_inequality_check(
+    x: SimplicialComplex, sigma, budget: Optional[Budget] = None
+) -> bool:
+    """C(X) <= max(C(del(s,X)), C(lk(s,X)) + k + 1) for a k-face s."""
+    budget = budget or Budget()
+    s = as_face(sigma)
+    if s not in x:
+        raise NotAFaceError(f"{s!r} is not a face of the complex")
+    k = s.dim
+    if k < 0:
+        raise ValueError("sigma must be nonempty")
+    lhs = collapsibility_number(x, budget)
+    rhs = max(
+        collapsibility_number(x.deletion(s), budget),
+        collapsibility_number(x.link(s), budget) + k + 1,
+    )
+    return lhs <= rhs
+
+
+def tancer_inequality_check(
+    x: SimplicialComplex, v, budget: Optional[Budget] = None
+) -> bool:
+    """C(X) <= max(C(del(v,X)), C(lk(v,X)) + 1) for a vertex v: the claim
+    inequality at k = 0."""
+    vv = as_face(v)
+    if vv.bit_count() != 1:
+        raise ValueError("expected a single vertex")
+    return claim_inequality_check(x, vv, budget)
+
+
+def shedding_leray_inequality_check(
+    x: SimplicialComplex, sigma, field: Field = "Q"
+) -> bool:
+    """L(X) >= max(L(del), L(lk) + k + 1) for a shedding k-face whose
+    deletion is Cohen-Macaulay; hypothesis failures raise, they are never
+    reported as False."""
+    s = as_face(sigma)
+    if s not in x or s.dim < 0:
+        raise HypothesisNotMetError("sigma must be a nonempty face of x")
+    if not x.is_pure():
+        raise HypothesisNotMetError("x must be pure")
+    dele = x.deletion(s)
+    if not _is_shedding_face(x, s):
+        raise HypothesisNotMetError("sigma is not a shedding face")
+    if not is_cohen_macaulay(dele, field):
+        raise HypothesisNotMetError("deletion(sigma, x) is not Cohen-Macaulay")
+    k = s.dim
+    lhs = leray_number(x, field)
+    rhs = max(leray_number(dele, field), leray_number(x.link(s), field) + k + 1)
+    return lhs >= rhs
+
+
+def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
+    """|N(S) & complement(D)| - |S| <= |complement(D)| - gamma_{complement(D)}
+    for S inside a minimal cover D."""
+    dm = int(as_face(cover))
+    sm = int(as_face(subset))
+    if not (h.is_cover(dm) and not any(
+            h.is_cover(dm & ~(1 << v)) for v in vertices_of(dm))):
+        raise HypothesisNotMetError("D must be an inclusion-minimal cover")
+    if sm & ~dm:
+        raise HypothesisNotMetError("S must be a subset of D")
+    dbar = h.vertex_mask & ~dm
+    lhs = (h._nbr_mask(sm) & dbar).bit_count() - sm.bit_count()
+    rhs = dbar.bit_count() - hg.gamma_A(h, dbar).value
+    return lhs <= rhs
+
+
+def _cover_relabeling(h: Hypergraph):
+    """h relabeled so its maximizing minimal cover D is {1..|D|}: returns
+    the relabeled hypergraph, the permutation, the mask of {1..|D|} and the
+    relabeled NC(H)."""
+    d = hg.maximizing_minimal_cover(h)
+    relabeled, perm = hg.cover_initial_relabeling(h, d)
+    return (relabeled, perm, (1 << (len(d) + 1)) - 2,
+            non_cover_complex(relabeled))
+
+
+def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
+    """After relabeling the maximizing minimal cover D to {1..|D|}: if the
+    two faces of NC(H) have the same complement inside D and the induced
+    sub-hypergraph on that complement contains an edge, their minimal
+    exclusion sequences under the NC facet order must coincide."""
+    relabeled, perm, dm, nc = _cover_relabeling(h)
+    g1 = mask_of(perm[v] for v in as_face(gamma).vertices)
+    g2 = mask_of(perm[v] for v in as_face(gamma_prime).vertices)
+    if g1 not in nc or g2 not in nc:
+        raise HypothesisNotMetError("both faces must lie in NC(H)")
+    vmask = relabeled.vertex_mask
+    c1 = (vmask & ~g1) & dm
+    c2 = (vmask & ~g2) & dm
+    if c1 != c2:
+        raise HypothesisNotMetError("complements must agree inside the cover")
+    if relabeled.is_independent(c1):
+        raise HypothesisNotMetError(
+            "induced sub-hypergraph on the cover part contains no edge"
+        )
+    order = nc_facet_order(relabeled)
+    return mes(g1, order) == mes(g2, order)
 
 
 # -- theorem registry ------------------------------------------------------
@@ -353,7 +471,7 @@ def _thm_link_del_commute(x: SimplicialComplex, rng, budget) -> str:
         if sigma == 0:
             continue
         for tau in faces:
-            if int(sigma) & int(tau):
+            if sigma & tau:
                 continue
             lhs = x.deletion(sigma).link(tau) if tau in x.deletion(sigma) else None
             rhs = x.link(tau).deletion(sigma)
@@ -375,29 +493,24 @@ def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
     for cover in h.minimal_covers():
         for r in range(len(cover) + 1):
             for s in itertools.combinations(cover, r):
-                _chk(hg.neighbor_inequality_check(h, cover, s), h,
+                _chk(neighbor_inequality_check(h, cover, s), h,
                      f"neighbor inequality fails: D={cover}, S={s}")
     return "pass"
 
 
 def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
     try:
-        d = hg.maximizing_minimal_cover(h)
+        relabeled, _, dm, nc = _cover_relabeling(h)
     except ValueError:
         return "skip"
-    relabeled, perm = hg.cover_initial_relabeling(h, d)
-    nc = non_cover_complex(relabeled)
     if nc.is_empty:
         return "skip"
-    dm = 0
-    for v in range(1, len(d) + 1):
-        dm |= 1 << v
     order = nc_facet_order(relabeled)
     vmask = relabeled.vertex_mask
     groups: dict[int, set] = {}
     for gamma in nc.all_faces():
-        key = (vmask & ~int(gamma)) & dm
-        if not any(int(e) & ~key == 0 for e in relabeled.edges):
+        key = (vmask & ~gamma) & dm
+        if relabeled.is_independent(key):
             continue  # hypothesis: the cover part must contain an edge
         groups.setdefault(key, set()).add(mes(gamma, order))
     for key, seqs in groups.items():
@@ -468,8 +581,6 @@ def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_gamma_monotone(h: Hypergraph, rng, budget) -> str:
-    from .errors import UndominatableError
-
     verts = list(range(1, h.n + 1))
     rng.shuffle(verts)
     prev = -1

@@ -177,6 +177,35 @@ def test_report_budget_exhaustion_is_flagged():
     assert "C" not in report["values"]
 
 
+def test_report_records_isolated_vertices_as_not_applicable(tmp_path):
+    h = Hypergraph(4, [(1, 2), (2, 3)])
+    report = compute(h)
+    gammas = ["gamma_E", "gamma_i", "gamma_si", "gamma_tilde"]
+    assert sorted(report["not_applicable"]) == gammas
+    assert all(report["not_applicable"][g] == "isolated vertices [4]"
+               for g in gammas)
+    assert sorted(report["values"]) == ["nc_C", "nc_d", "nc_leray"]
+    inst = tmp_path / "h.json"
+    inst.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3]]}))
+    assert main(["compute", str(inst),
+                 "--out", str(tmp_path / "r.json")]) == EXIT_OK
+
+
+def test_report_records_non_pure_complexes_as_not_applicable():
+    report = compute(SimplicialComplex([(1, 2, 3), (3, 4)]))
+    assert sorted(report["not_applicable"]) == [
+        "kvd0", "kvd1", "kvd2", "shellable"]
+    assert report["values"]["cohen_macaulay"] is False
+    assert report["values"]["C"] == 1
+    assert report["budget"]["exhausted"] == []
+
+
+def test_report_leray_above_the_brute_force_vertex_cap():
+    path = SimplicialComplex([(i, i + 1) for i in range(1, 16)])
+    assert len(path.vertices) == 16
+    assert compute(path, ["leray"])["values"] == {"leray": 1}
+
+
 def test_verify_passes_on_registered_theorems():
     for theorem in ("tancer", "euler", "open-faces-simplex"):
         summary = verify(theorem, GeneratorSpec(kind=THEOREMS[theorem][0],

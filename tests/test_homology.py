@@ -113,6 +113,11 @@ def test_leray_vertex_cap():
     assert leray_number(wide, method="links") == 1
 
 
+def test_leray_default_route_scales_past_the_vertex_cap():
+    path = SimplicialComplex([(i, i + 1) for i in range(1, 16)])
+    assert leray_number(path) == 1
+
+
 def test_leray_unknown_method():
     with pytest.raises(ValueError):
         leray_number(THREE_CYCLE, method="nerve")
