@@ -6,12 +6,21 @@ transposition table prunes repeated states), the minimal-exclusion-sequence
 bound d(X, ord) for a facet ordering, and the recursive M_0 / M_k / M'_k
 upper bounds.
 
+M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
+M'_k(lk sigma) + k + 1), evaluated by branch and bound with two exact
+rules: the link term is computed first and the deletion is skipped when the
+link term alone already reaches the best candidate so far, since a max is
+never below its terms; and the scan stops once the best candidate equals
+k + 1, the least value any candidate can take.  Neither rule changes a
+value (see `_MkEngine`).
+
 All searches are exact and carry explicit node budgets; running out of
 budget raises, it never reads as "false".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -168,10 +177,24 @@ def d_of_ordering(x: SimplicialComplex, ordering: FacetOrdering) -> int:
 
 
 class _MkEngine:
-    """Memoized evaluation of M_k and M'_k.
+    """Memoized branch-and-bound evaluation of M_k and M'_k.
 
     One engine per top-level call: links and deletions of a complex share
     vertex labels, which is all the label-sensitive memo keys need.
+
+    M'_k(y) is the min over the open k-faces s of y of
+    max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,
+    0 for k = 0 and M_{k-1}(y) for k > 0.  Two rules prune that min, and
+    both are exact:
+
+    - the link term is evaluated first; when it is already >= the best
+      candidate so far, the deletion is skipped, because the candidate's
+      max is at least its link term and so cannot lower the min;
+    - the scan stops once the best candidate equals k + 1, because every
+      candidate is >= its link term >= k + 1.
+
+    Pruning acts only inside one node's min, so every memo entry is an
+    exact value and the budget is spent once per expanded node.
     """
 
     def __init__(self, budget: Optional[Budget] = None):
@@ -193,26 +216,18 @@ class _MkEngine:
         if key in self._memo:
             return self._memo[key]
         self.budget.spend()
-        if k == 0:
-            open_vertices = sorted(y.open_faces(0), key=lambda f: f.vertices)
-            if not open_vertices:
-                val = 0
-            else:
-                val = min(
-                    max(self.m_prime(y.link(v), 0) + 1,
-                        self.m_prime(y.deletion(v), 0))
-                    for v in open_vertices
-                )
+        open_k = sorted(y.open_faces(k))
+        if not open_k:
+            val = 0 if k == 0 else self.m(y, k - 1)
         else:
-            open_k = sorted(y.open_faces(k), key=lambda f: f.vertices)
-            if not open_k:
-                val = self.m(y, k - 1)
-            else:
-                val = min(
-                    max(self.m_prime(y.deletion(s), k),
-                        self.m_prime(y.link(s), k) + k + 1)
-                    for s in open_k
-                )
+            # the first candidate always passes, so val ends an int
+            val = math.inf
+            for s in open_k:
+                cand = self.m_prime(y.link(s), k) + k + 1
+                if cand < val:
+                    val = min(val, max(cand, self.m_prime(y.deletion(s), k)))
+                    if val == k + 1:
+                        break
         self._memo[key] = val
         return val
 
@@ -224,12 +239,17 @@ def m0(x: SimplicialComplex, budget: Optional[Budget] = None) -> int:
 
 
 def mk(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
+    """M_k(x) = min(M'_k(x), M_{k-1}(x)), with M_0 = M'_0; an upper bound
+    on the collapsibility number that never increases with k."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return _MkEngine(budget).m(x, k)
 
 
 def mk_prime(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
+    """M'_k(x): the min over open k-faces s of
+    max(M'_k(lk s) + k + 1, M'_k(del s)); 0 (k = 0) or M_{k-1}(x) (k > 0)
+    when x has no open k-face."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return _MkEngine(budget).m_prime(x, k)

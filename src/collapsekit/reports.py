@@ -672,7 +672,11 @@ def conjecture_search(
         if chain[k] < chain[k - 1]:
             # recompute with fresh memo tables before reporting
             again = mk_chain(x, k, Budget(budget_limit))
-            assert again == chain
+            if again != chain:
+                raise RuntimeError(
+                    f"M_k chain of trial {i} is not reproducible: "
+                    f"{chain} then {again}"
+                )
             found.append({
                 "instance": instance_to_obj(x),
                 f"M{k - 1}": chain[k - 1],

@@ -1,9 +1,13 @@
 """Golden reports: `compute` JSON must stay byte-identical.
 
 Each case pins the sha256 of `report_json(compute(...))`, the budget's
-`used_total` included, as produced before the single-mask-representation
-refactor of the library.  A change that alters any value, witness, key or
-node count fails here.
+`used_total` included.  The digests were taken before the
+single-mask-representation refactor of the library, and re-pinned when the
+M_k / M'_k engine gained its branch-and-bound pruning: that spends fewer
+search nodes, so `used_total` fell in the cases that compute M_k (three-cycle,
+tetra-boundary, tetra-boundary-gf2, v6f10-6, random-complex-1/2/3/4/6),
+while every other byte of those reports stayed the same.  A change that
+alters any value, witness, key or node count fails here.
 """
 
 import hashlib
@@ -36,21 +40,21 @@ CASES = [
     ("triangle", NAMED_EXAMPLES["triangle"], None, "Q",
      "79610c3cea387732600030d0313263943a63b610bc4524865470a88e2b7b05bb"),
     ("three-cycle", NAMED_EXAMPLES["three-cycle"], None, "Q",
-     "89920b92aa991f8026bd817a0e9816efce7fa4550b1488ddefd8b72b927ff4a6"),
+     "32de6fd78ae9b5e786ba2370e2abee183dbe4a682a9fa4dab88ebd7ed65eb845"),
     ("tetra-boundary", NAMED_EXAMPLES["tetra-boundary"], None, "Q",
-     "b7b00e9a1425aa43b564ef1c14b3364945ba79489a38239cdbb9e46513b9ab41"),
+     "40a699594643211215a64d0fb268a5cb3d0b865e648188c4839df9a601935fb3"),
     ("v6f10-6", NAMED_EXAMPLES["v6f10-6"], GOLDEN, "Q",
-     "a62cc79415311e02d6f1a302dce9f8ffd4ee37177001a066eae183dd71cb08b4"),
+     "b535f9ba845644de833d155afc3dd33184a735ce8d6ff5f628a0a500f2ecfb11"),
     ("random-complex-1", lambda: _complex(1), CHAIN, "Q",
-     "92729fe1fb514e98e0f713c8b6d7a9674144c062454713e6f24032f56fa964ae"),
+     "7702cfef6f4e62f848305f8e873472af7d24d36600bd6b8ae5897bc9f72159ee"),
     ("random-complex-2", lambda: _complex(2), CHAIN, "Q",
-     "6c8f8130eaac902ff5c2b09189de3b84fe080742b9b5df02dba6f77579d0abfe"),
+     "d3dfd9a2b7f7086734c7dadc12637166d89bbd314bd7a5e1fcd378fb003caefd"),
     ("random-complex-3", lambda: _complex(3), CHAIN, "Q",
-     "455b53ee8525ff79d7f569af61deddf6aecd504e83beed347a6c7948d5c5b751"),
+     "a70bfe028e842cc7f2ffdbba7ec581569ba881b5c2cdf18fa40a0b68678d903b"),
     ("random-complex-4", lambda: _complex(4), CHAIN, "Q",
-     "412160f275f09a3e60249f864cad42fb643c40a9f010d31cd30a977760f20b14"),
+     "86913edce563c24ee372233c6d8e5c35039dc1b07a7800fa5d85af9937b87333"),
     ("random-complex-6", lambda: _complex(6), CHAIN, "Q",
-     "5ed5a54f37353883e2e62ae8fd65f073be326d312826b7b50875771d9f41ce92"),
+     "69783bdc5ccea4db716a48d19990eda8b9921e2e8a0aeb996438a57f362e69fa"),
     ("random-hypergraph-1", lambda: _hypergraph(1), None, "Q",
      "b073509ff80dbb0a1a8b9098845f184b4adf8cb2d132bf454aa563a4f4283250"),
     ("random-hypergraph-2", lambda: _hypergraph(2), None, "Q",
@@ -62,7 +66,7 @@ CASES = [
     ("star-family-3", lambda: star_family(3, (1, 1, 1)), None, "Q",
      "6f434afd010916465143c89fa9b0d23e45ac24a69a06c28a5082cccf04e4fc15"),
     ("tetra-boundary-gf2", NAMED_EXAMPLES["tetra-boundary"], None, "gf2",
-     "96f9ae2e1446edf6d693a176b92137b1edd863575d8911525f1454474e22965c"),
+     "77c012eef1156f827df6ec21421f9256816510a3c25efbdde8e6f366e6cc5878"),
 ]
 
 

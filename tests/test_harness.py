@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from collapsekit import SimplicialComplex, Hypergraph
+from collapsekit import Hypergraph, SimplicialComplex, reports
 from collapsekit.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -224,6 +224,14 @@ def test_conjecture_search_finds_the_golden_gap():
     found = conjecture_search(1, spec, trials=1)
     assert len(found) == 1
     assert found[0]["M0"] == 3 and found[0]["M1"] == 2
+
+
+def test_conjecture_search_raises_when_a_chain_does_not_repeat(monkeypatch):
+    chains = iter([[3, 2], [3, 3]])
+    monkeypatch.setattr(reports, "mk_chain", lambda x, k, budget: next(chains))
+    spec = GeneratorSpec(kind="named-example", name="v6f10-6")
+    with pytest.raises(RuntimeError, match="not reproducible"):
+        conjecture_search(1, spec, trials=1)
 
 
 def test_conjecture_search_rejects_k_zero():
