@@ -281,16 +281,18 @@ class SimplicialComplex:
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        facets = [int(f) for f in self.facets]
+        facets = self.facets
         out = set()
+        # link(sigma) is always inside the induced complement, whose faces
+        # are the F - sigma for facets F; equality fails iff some facet F
+        # has F | sigma in no facet
         for sigma in self.faces(k):
-            s = int(sigma)
-            # link(sigma) is always inside the induced complement; equality
-            # fails iff some facet g of the induced complement has
-            # sigma | g outside the complex
-            for g in _antichain(f & ~s for f in facets):
-                gs = g | s
-                if not any(gs & ~f == 0 for f in facets):
+            for f in facets:
+                fs = f | sigma
+                for g in facets:
+                    if fs & ~g == 0:
+                        break
+                else:
                     out.add(sigma)
                     break
         return out
@@ -299,24 +301,22 @@ class SimplicialComplex:
         """All free pairs (gamma, sigma) with |gamma| <= d.
 
         gamma = sigma is allowed (every facet is free in itself); gamma empty
-        qualifies exactly when the complex is a simplex.
+        qualifies exactly when the complex is a simplex.  Pairs come smallest
+        gamma first, ties broken by gamma's vertex tuple.
         """
         if d < 0:
             raise ValueError("d must be >= 0")
-        pairs: list[FreePair] = []
-        if self.is_simplex:
-            pairs.append(FreePair(EMPTY_FACE, self.facets[0]))
-        seen: set[int] = set()
+        # face -> its only facet, or None once a second facet holds it
+        holder: dict[int, Face | None] = {}
         for f in self.facets:
             for m in subsets(f, range(1, min(d, f.bit_count()) + 1)):
-                if m in seen:
-                    continue
-                seen.add(m)
-                holders = [g for g in self.facets if m & ~g == 0]
-                if len(holders) == 1:
-                    pairs.append(FreePair(_face(m), holders[0]))
-        pairs.sort(key=lambda p: (p.free_face.bit_count(),
-                                  p.free_face.vertices, p.facet.vertices))
+                holder[m] = None if m in holder else f
+        # a free face has one facet, so the face alone orders the pairs
+        free = sorted((m.bit_count(), vertices_of(m), m, g)
+                      for m, g in holder.items() if g is not None)
+        pairs = [FreePair(_face(m), g) for _, _, m, g in free]
+        if self.is_simplex:
+            pairs.insert(0, FreePair(EMPTY_FACE, self.facets[0]))
         return pairs
 
     def is_free_pair(self, pair: FreePair) -> bool:

@@ -25,18 +25,47 @@ LERAY_VERTEX_CAP = 14
 Field = Union[str, int]  # "Q" or a prime modulus
 
 
+#: Miller-Rabin with the first twelve primes as bases is exact below
+#: 3.18e23 (Sorenson and Webster 2017), so larger moduli are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_MODULUS = 1 << 78
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < _MAX_MODULUS, in O(log p) steps, so a
+    huge modulus costs no trial division."""
+    if p < 2:
+        return False
+    if p in _PRIME_BASES or any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _parse_field(field: Field) -> Optional[int]:
     """None for the rationals, else the prime modulus."""
     if field in ("Q", "rational", None):
         return None
-    if isinstance(field, str):
-        if field.lower().startswith("gf"):
-            field = int(field[2:])
-        else:
-            field = int(field)
-    p = int(field)
-    if p < 2:
-        raise ValueError(f"not a valid prime field: {field!r}")
+    text = str(field)
+    try:
+        p = int(text[2:] if text.lower().startswith("gf") else text)
+    except ValueError:
+        p = 0
+    if p >= _MAX_MODULUS or not _is_prime(p):
+        raise ValueError(f"not a valid prime field: {field!r} (use Q, or "
+                         f"gf<p> with p a prime below 2^78)")
     return p
 
 

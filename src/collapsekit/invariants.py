@@ -6,6 +6,15 @@ transposition table prunes repeated states), the minimal-exclusion-sequence
 bound d(X, ord) for a facet ordering, and the recursive M_0 / M_k / M'_k
 upper bounds.
 
+The collapsibility number C(X) is searched upward from a homology floor:
+one more than the top degree of nonzero reduced homology of X over GF(2).
+The floor is exact.  A d-collapsible complex is d-Leray over every field
+(Wegner 1975), so H~_i(X; F) = 0 for all i >= d; and
+dim H~_i(X; GF(2)) >= dim H~_i(X; Q), so GF(2) gives the higher floor,
+with the cheaper modular rank.  Every d below the floor would fail, so
+skipping those searches changes no value and no certificate.  A cone is
+contractible, so its floor is 0 and needs no rank.
+
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by branch and bound with two exact
 rules: the link term is computed first and the deletion is skipped when the
@@ -20,12 +29,15 @@ budget raises, it never reads as "false".
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .complexes import FreePair, SimplicialComplex, as_face, vertices_of
 from .errors import Budget, NotAFaceError
+from .homology import reduced_betti
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,19 @@ def is_d_collapsible(
     return False, None
 
 
+def _homology_floor(x: SimplicialComplex) -> int:
+    """One more than the top degree of nonzero reduced homology of x over
+    GF(2), or 0 when there is none.
+
+    A cone (some vertex in every facet) is contractible, so its floor is 0
+    without a rank: this keeps a large simplex, or any cone, from costing
+    a boundary matrix over all of its faces.
+    """
+    if functools.reduce(operator.and_, x.facets, -1):
+        return 0
+    return reduced_betti(x, 2).top_nonzero_degree() + 1
+
+
 def collapsibility_number(
     x: SimplicialComplex,
     budget: Optional[Budget] = None,
@@ -97,7 +122,9 @@ def collapsibility_number(
     """Least d such that x is d-collapsible.
 
     Terminates because a complex of dimension n is always (n+1)-collapsible.
-    `lower` lets callers seed the search, e.g. with the Leray number.
+    `lower` lets callers seed the search, e.g. with the Leray number; the
+    search never starts below the homology floor (see
+    `collapsibility_number_with_certificate`).
     """
     return collapsibility_number_with_certificate(x, budget, lower)[0]
 
@@ -107,9 +134,18 @@ def collapsibility_number_with_certificate(
     budget: Optional[Budget] = None,
     lower: int = 0,
 ) -> tuple[int, Optional[CollapseCertificate]]:
-    """The collapsibility number with a certificate that replays it."""
+    """The collapsibility number with a certificate that replays it.
+
+    The search starts at d = max(lower, t + 1, 0), where t is the top degree
+    of nonzero reduced homology of x over GF(2) (-1 if none).  No d <= t can
+    succeed: a d-collapsible complex has H~_i = 0 for i >= d over every
+    field (Wegner 1975), and GF(2) Betti numbers are at least the rational
+    ones.  The value and certificate are those of the plain d = 0, 1, ...
+    loop; only the nodes spent on doomed searches are saved.  On a cone t is
+    -1 and no rank is computed (see `_homology_floor`).
+    """
     budget = budget or Budget()
-    d = max(lower, 0)
+    d = max(lower, _homology_floor(x), 0)
     while True:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:

@@ -38,6 +38,7 @@ from .generators import GeneratorSpec, generate
 from .homology import (
     Field,
     _is_shedding_face,
+    _parse_field,
     is_cohen_macaulay,
     is_cohen_macaulay_induced,
     is_k_vertex_decomposable,
@@ -217,6 +218,8 @@ def compute(
     undominatable target, a non-pure complex) are recorded per invariant
     and do not abort the rest.
     """
+    # a bad field fails here, also when no requested invariant reads it
+    _parse_field(field)
     registry = registry_for(inst)
     if which is None or which == ["all"]:
         which = list(registry)

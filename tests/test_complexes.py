@@ -20,6 +20,8 @@ from collapsekit import (
     simplex_on,
 )
 
+from conftest import all_complexes
+
 V6F10_6 = SimplicialComplex(
     [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6),
      (2, 4, 5), (2, 5, 6), (3, 4, 6), (3, 5, 6), (4, 5, 6)]
@@ -221,14 +223,24 @@ def test_open_vertices_of_three_cycle():
     assert cyc.open_faces(0) == {Face.of([v]) for v in (1, 2, 3)}
 
 
+def open_faces_oracle(x, k):
+    """The definition: k-faces whose link is not the induced complement."""
+    vm = x.vertex_mask
+    return {s for s in x.faces(k) if x.link(s) != x.induced(Face(vm & ~s))}
+
+
 @given(nonempty_complexes, st.integers(min_value=0, max_value=2))
 def test_open_faces_match_link_vs_induced(x, k):
-    vm = x.vertex_mask
-    expected = {
-        s for s in x.faces(k)
-        if x.link(s) != x.induced(Face(vm & ~s))
-    }
-    assert x.open_faces(k) == expected
+    assert x.open_faces(k) == open_faces_oracle(x, k)
+
+
+def test_open_faces_match_link_vs_induced_on_every_small_complex():
+    pairs = 0
+    for x in all_complexes(5):
+        for k in range(x.dim + 1):
+            assert x.open_faces(k) == open_faces_oracle(x, k), (x, k)
+            pairs += 1
+    assert pairs == 21_945
 
 
 # -- free pairs and collapse ----------------------------------------------
@@ -237,6 +249,27 @@ def test_free_pairs_of_a_simplex_include_empty_face():
     x = simplex_on((1, 2))
     pairs = x.free_pairs(2)
     assert FreePair(Face(0), Face.of([1, 2])) in pairs
+
+
+def free_pairs_oracle(x):
+    """Every face checked against every facet, in the order free_pairs
+    promises: size, then vertex tuple."""
+    pairs = [FreePair(Face(0), x.facets[0])] if x.is_simplex else []
+    faces = sorted(x.all_faces(include_empty=False),
+                   key=lambda f: (f.bit_count(), f.vertices))
+    for gamma in faces:
+        holders = [f for f in x.facets if gamma.issubset(f)]
+        if len(holders) == 1:
+            pairs.append(FreePair(gamma, holders[0]))
+    return pairs
+
+
+def test_free_pairs_match_the_holder_scan_on_every_small_complex():
+    for x in all_complexes(5):
+        every = free_pairs_oracle(x)
+        for d in range(6):
+            want = [p for p in every if p.free_face.bit_count() <= d]
+            assert x.free_pairs(d) == want, (x, d)
 
 
 def test_free_pair_detection():

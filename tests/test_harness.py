@@ -305,3 +305,23 @@ def test_cli_field_flag(tmp_path):
     report = json.loads(out.read_text())
     assert report["values"]["betti"]["field"] == "GF2"
     assert report["values"]["betti"]["ranks"] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("field", ["4", "gf9"])
+@pytest.mark.parametrize("which", ["betti", "C"])
+def test_cli_rejects_a_non_prime_field(tmp_path, capsys, field, which):
+    inst = tmp_path / "x.json"
+    out = tmp_path / "r.json"
+    main(["generate", "--kind", "named-example", "--name", "three-cycle",
+          "--out", str(inst)])
+    capsys.readouterr()
+    assert main(["compute", str(inst), "--invariants", which,
+                 "--field", field, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: not a valid prime field: {field!r}")
+    assert not out.exists()
+
+
+def test_compute_rejects_a_non_prime_field_before_any_invariant():
+    with pytest.raises(ValueError, match="not a valid prime field: 6"):
+        compute(SimplicialComplex([(1, 2)]), ["C"], field=6)

@@ -1,6 +1,9 @@
 """Reduced homology ranks, Leray numbers, Cohen-Macaulayness, shellability
 and k-vertex decomposability."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from collapsekit import (
     simplex_on,
     verify_shedding_sequence,
 )
+from collapsekit.homology import _is_prime
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 TETRA_BOUNDARY = boundary((1, 2, 3, 4))
@@ -72,6 +76,35 @@ def test_betti_rank_accessor():
 def test_betti_over_gf2_matches_on_torsion_free_cases():
     for x in (THREE_CYCLE, TETRA_BOUNDARY, V6F10_6):
         assert reduced_betti(x, "gf2").ranks == reduced_betti(x, "Q").ranks
+
+
+@pytest.mark.parametrize("field", [4, 6, "gf9", "GF1", 0, "foo", "gf",
+                                   2 ** 89 - 1])
+def test_non_prime_fields_are_rejected(field):
+    message = re.escape(f"not a valid prime field: {field!r}")
+    with pytest.raises(ValueError, match=message):
+        reduced_betti(THREE_CYCLE, field)
+    with pytest.raises(ValueError, match=message):
+        leray_number(THREE_CYCLE, field)
+
+
+@pytest.mark.parametrize("field", [2, 3, "gf5", "GF7", 97, 2 ** 61 - 1])
+def test_prime_fields_are_accepted(field):
+    assert reduced_betti(THREE_CYCLE, field).ranks == (0, 1)
+
+
+def test_primality_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+    assert all(_is_prime(p) == trial(p) for p in range(-2, 20_000))
+    # strong pseudoprimes to the bases 2; 2, 3; ...; 2..23 and 2..31, and
+    # Carmichael numbers (6k+1)(12k+1)(18k+1) with no factor below 41
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              56052361, 118901521, 172947529):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 18 + 3)
 
 
 @given(complexes)

@@ -10,6 +10,7 @@ from collapsekit import (
     BudgetExceededError,
     CollapseCertificate,
     FacetOrdering,
+    Hypergraph,
     NotAFaceError,
     SimplicialComplex,
     as_face,
@@ -25,9 +26,13 @@ from collapsekit import (
     mk,
     mk_chain,
     mk_prime,
+    non_cover_complex,
     simplex_on,
     tancer_inequality_check,
 )
+from collapsekit import invariants
+
+from conftest import all_complexes
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 
@@ -102,6 +107,65 @@ def test_tampered_certificate_fails():
 def test_budget_raises_instead_of_lying():
     with pytest.raises(BudgetExceededError):
         is_d_collapsible(THREE_CYCLE, 2, Budget(1))
+
+
+# -- the homology floor ----------------------------------------------------
+
+def plain_collapsibility_number(x):
+    """The search without the floor: d = 0, 1, ... until one succeeds."""
+    d = 0
+    while True:
+        ok, cert = is_d_collapsible(x, d)
+        if ok:
+            return d, cert
+        d += 1
+
+
+def test_floored_search_matches_the_plain_loop_on_every_small_complex():
+    for x in all_complexes(5):
+        assert (collapsibility_number_with_certificate(x)
+                == plain_collapsibility_number(x)), x
+
+
+def _nodes_of_the_last_search(x):
+    floored, last = Budget(), Budget()
+    c, _ = collapsibility_number_with_certificate(x, floored)
+    assert is_d_collapsible(x, c, last)[0]
+    return c, floored.used, last.used
+
+
+def test_homology_floor_needs_no_rank_on_a_cone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cone is acyclic; the floor needs no rank")
+
+    monkeypatch.setattr(invariants, "reduced_betti", refuse)
+    # ranks over all faces would cost 2^24 and 2 * 2^16 faces here
+    assert collapsibility_number(simplex_on(range(24))) == 0
+    glued = SimplicialComplex([range(16), range(15, 31)])
+    assert collapsibility_number(glued) == 1
+    assert collapsibility_number(SimplicialComplex()) == 0
+
+
+def test_homology_floor_reads_gf2_torsion():
+    # the 6-vertex real projective plane: H~ vanishes over Q, while over
+    # GF(2) H~_2 != 0, so no search below d = 3 is run
+    rp2 = SimplicialComplex(
+        [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+         (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
+    c, spent, last = _nodes_of_the_last_search(rp2)
+    assert c == 3 and spent == last
+
+
+def test_homology_floor_skips_the_doomed_searches():
+    # NC(H) for the random-hypergraph generator's seed 36 (n=8, m=9,
+    # max_size=3) has H~_4 != 0, so C >= 5 before any search; without the
+    # floor the searches at d = 0..4 spend 49,379 nodes
+    h = Hypergraph(8, [(1, 2), (1, 3), (1, 8), (2, 3, 8), (2, 5), (2, 6, 8),
+                       (2, 7), (3, 5, 7), (4, 8)])
+    nc = non_cover_complex(h)
+    c, cert = collapsibility_number_with_certificate(nc, Budget(1000))
+    assert c == 5 and cert.replay(nc)
+    assert _nodes_of_the_last_search(nc) == (5, 19, 19)
 
 
 # -- facet orderings and mes ----------------------------------------------
