@@ -13,7 +13,9 @@ The floor is exact.  A d-collapsible complex is d-Leray over every field
 dim H~_i(X; GF(2)) >= dim H~_i(X; Q), so GF(2) gives the higher floor,
 with the cheaper modular rank.  Every d below the floor would fail, so
 skipping those searches changes no value and no certificate.  A cone is
-contractible, so its floor is 0 and needs no rank.
+contractible, so its floor is 0 and needs no rank.  The floor is skipped
+(taken as 0) when a bound on its rank work exceeds what is left of the
+node budget, so the budget still bounds every call.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by branch and bound with two exact
@@ -101,15 +103,34 @@ def is_d_collapsible(
     return False, None
 
 
-def _homology_floor(x: SimplicialComplex) -> int:
+def _floor_work(x: SimplicialComplex) -> int:
+    """An upper bound on the steps `reduced_betti(x, 2)` takes: every facet
+    subset it lists, plus rows * columns * rank for each boundary matrix.
+    The number of faces on j vertices is bounded by both C(n, j) and the
+    sum of C(|F|, j) over the facets F."""
+    n = x.vertex_mask.bit_count()
+    sizes = [f.bit_count() for f in x.facets]
+    f = [min(math.comb(n, j), sum(math.comb(s, j) for s in sizes))
+         for j in range(1, max(sizes, default=0) + 1)]
+    listed = sum(1 << s for s in sizes)
+    return listed + sum(a * b * min(a, b) for a, b in zip(f, f[1:]))
+
+
+def _homology_floor(x: SimplicialComplex, budget: Budget) -> int:
     """One more than the top degree of nonzero reduced homology of x over
-    GF(2), or 0 when there is none.
+    GF(2), or 0 when there is none or when it is not affordable.
 
     A cone (some vertex in every facet) is contractible, so its floor is 0
-    without a rank: this keeps a large simplex, or any cone, from costing
-    a boundary matrix over all of its faces.
+    without a rank.  Otherwise the rank runs only when `_floor_work` is at
+    most the nodes left in the budget (a step, one matrix entry or one
+    subset, costs far less than a search node).  The floor is an
+    optimisation, so 0 is always a valid answer, and a large complex that
+    the search empties in a few nodes (a big simplex plus a point) must not
+    cost a boundary matrix over all of its faces.
     """
     if functools.reduce(operator.and_, x.facets, -1):
+        return 0
+    if _floor_work(x) > budget.limit - budget.used:
         return 0
     return reduced_betti(x, 2).top_nonzero_degree() + 1
 
@@ -141,11 +162,13 @@ def collapsibility_number_with_certificate(
     succeed: a d-collapsible complex has H~_i = 0 for i >= d over every
     field (Wegner 1975), and GF(2) Betti numbers are at least the rational
     ones.  The value and certificate are those of the plain d = 0, 1, ...
-    loop; only the nodes spent on doomed searches are saved.  On a cone t is
-    -1 and no rank is computed (see `_homology_floor`).
+    loop; only the nodes spent on doomed searches are saved.  On a cone, or
+    when the rank would cost more steps than the budget has nodes left, the
+    floor is not computed and the search starts at max(lower, 0) (see
+    `_homology_floor`).
     """
     budget = budget or Budget()
-    d = max(lower, _homology_floor(x), 0)
+    d = max(lower, _homology_floor(x, budget), 0)
     while True:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:

@@ -31,6 +31,7 @@ from collapsekit import (
     tancer_inequality_check,
 )
 from collapsekit import invariants
+from collapsekit.reports import compute
 
 from conftest import all_complexes
 
@@ -127,6 +128,14 @@ def test_floored_search_matches_the_plain_loop_on_every_small_complex():
                 == plain_collapsibility_number(x)), x
 
 
+def test_floor_work_bounds_the_rank_work_on_every_small_complex():
+    for x in all_complexes(5):
+        f = [len(x.faces(k)) for k in range(x.dim + 1)]
+        listed = sum(1 << g.bit_count() for g in x.facets)
+        work = sum(a * b * min(a, b) for a, b in zip(f, f[1:]))
+        assert listed + work <= invariants._floor_work(x), x
+
+
 def _nodes_of_the_last_search(x):
     floored, last = Budget(), Budget()
     c, _ = collapsibility_number_with_certificate(x, floored)
@@ -146,6 +155,22 @@ def test_homology_floor_needs_no_rank_on_a_cone(monkeypatch):
     assert collapsibility_number(SimplicialComplex()) == 0
 
 
+def test_homology_floor_stays_within_the_budget(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rank would not fit in the budget")
+
+    monkeypatch.setattr(invariants, "reduced_betti", refuse)
+    # not cones, so only the budget keeps the floor from ranking 2^24 and
+    # 2 * 2^16 faces; the search empties each in a few dozen nodes
+    big = SimplicialComplex([range(24), (30,)])
+    assert collapsibility_number(big, Budget(1000)) == 1
+    assert collapsibility_number(big) == 1
+    assert compute(big, ["C"], budget_limit=1000)["values"]["C"] == 1
+    assert tancer_inequality_check(big, (30,), Budget(1000))
+    apart = SimplicialComplex([range(16), range(16, 32)])
+    assert collapsibility_number(apart) == 1
+
+
 def test_homology_floor_reads_gf2_torsion():
     # the 6-vertex real projective plane: H~ vanishes over Q, while over
     # GF(2) H~_2 != 0, so no search below d = 3 is run
@@ -159,11 +184,13 @@ def test_homology_floor_reads_gf2_torsion():
 def test_homology_floor_skips_the_doomed_searches():
     # NC(H) for the random-hypergraph generator's seed 36 (n=8, m=9,
     # max_size=3) has H~_4 != 0, so C >= 5 before any search; without the
-    # floor the searches at d = 0..4 spend 49,379 nodes
+    # floor the searches at d = 0..4 spend 49,379 nodes.  The default
+    # budget: its rank bound (373,570 steps) exceeds a 1,000-node budget,
+    # which would skip the floor; the node counts below pin the skip
     h = Hypergraph(8, [(1, 2), (1, 3), (1, 8), (2, 3, 8), (2, 5), (2, 6, 8),
                        (2, 7), (3, 5, 7), (4, 8)])
     nc = non_cover_complex(h)
-    c, cert = collapsibility_number_with_certificate(nc, Budget(1000))
+    c, cert = collapsibility_number_with_certificate(nc)
     assert c == 5 and cert.replay(nc)
     assert _nodes_of_the_last_search(nc) == (5, 19, 19)
 
