@@ -22,7 +22,11 @@ from .complexes import (
     subsets,
     vertices_of,
 )
-from .errors import IsolatedVertexError, UndominatableError
+from .errors import (
+    HypothesisNotMetError,
+    IsolatedVertexError,
+    UndominatableError,
+)
 from .invariants import FacetOrdering
 
 
@@ -154,7 +158,8 @@ def non_cover_complex(h: Hypergraph) -> SimplicialComplex:
     """NC(H): vertex sets missing some edge entirely.  Facets are the
     complements of the inclusion-minimal edges."""
     if not h.edges:
-        raise ValueError("edgeless hypergraph: every set is a cover, NC is empty")
+        raise HypothesisNotMetError(
+            "edgeless hypergraph: every set is a cover, NC is empty")
     vmask = h.vertex_mask
     minimal = [e for e in h.edges
                if not any(f & ~e == 0 and f != e for f in h.edges)]
@@ -164,16 +169,25 @@ def non_cover_complex(h: Hypergraph) -> SimplicialComplex:
 def nc_facet_order(h: Hypergraph) -> FacetOrdering:
     """Order the facets of NC(H) by their complementary edges written as
     strictly decreasing vertex sequences, compared lexicographically."""
-    nc = non_cover_complex(h)
+    return _nc_facet_order(h, non_cover_complex(h))
+
+
+def _nc_facet_order(h: Hypergraph, nc: SimplicialComplex) -> FacetOrdering:
     if nc.is_empty:
-        raise ValueError("NC(H) is empty; no facet order")
+        raise HypothesisNotMetError("NC(H) is empty; no facet order")
     vmask = h.vertex_mask
+    return FacetOrdering(
+        nc, sorted(nc.facets, key=lambda f: vertices_of(vmask & ~f)[::-1]))
 
-    def edge_key(facet: Face):
-        return vertices_of(vmask & ~facet)[::-1]
 
-    ordered = sorted(nc.facets, key=edge_key)
-    return FacetOrdering(nc, ordered)
+def _cover_relabeling(h: Hypergraph):
+    """h relabeled so its maximizing minimal cover D is {1..|D|}: returns
+    the relabeled hypergraph, the permutation, the mask of {1..|D|} and the
+    facet order of the relabeled NC(H)."""
+    d = maximizing_minimal_cover(h)
+    relabeled, perm = cover_initial_relabeling(h, d)
+    return (relabeled, perm, (1 << (len(d) + 1)) - 2,
+            nc_facet_order(relabeled))
 
 
 def nc_bound_order(h: Hypergraph):
@@ -185,9 +199,8 @@ def nc_bound_order(h: Hypergraph):
     the d bound can fail even though C(NC) itself is label-invariant.
     Returns (nc, ordering) for the relabeled copy.
     """
-    relabeled, _ = cover_initial_relabeling(h, maximizing_minimal_cover(h))
-    nc = non_cover_complex(relabeled)
-    return nc, nc_facet_order(relabeled)
+    order = _cover_relabeling(h)[3]
+    return order.complex, order
 
 
 def gamma_A(h: Hypergraph, target) -> DominationResult:

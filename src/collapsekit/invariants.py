@@ -238,8 +238,10 @@ def d_of_ordering(x: SimplicialComplex, ordering: FacetOrdering) -> int:
 class _MkEngine:
     """Memoized branch-and-bound evaluation of M_k and M'_k.
 
-    One engine per top-level call: links and deletions of a complex share
-    vertex labels, which is all the label-sensitive memo keys need.
+    One engine per report, or per `mk` / `mk_chain` call: links and
+    deletions of a complex share vertex labels, which is all the
+    label-sensitive memo keys need.  The memo holds exact values only, so
+    a report can hand the engine each invariant's budget in turn.
 
     M'_k(y) is the min over the open k-faces s of y of
     max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,

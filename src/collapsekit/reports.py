@@ -8,6 +8,7 @@ a report re-validates against the instance through the library predicates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -46,7 +47,7 @@ from .homology import (
     leray_number,
     reduced_betti,
 )
-from .hypergraphs import Hypergraph, nc_facet_order, non_cover_complex
+from .hypergraphs import Hypergraph, non_cover_complex
 from .invariants import (
     CollapseCertificate,
     FacetOrdering,
@@ -61,16 +62,6 @@ from .invariants import (
 from .io import instance_to_json, instance_to_obj
 
 SCHEMA_VERSION = 1
-
-
-def _serialize_certificate(cert) -> dict:
-    return {
-        "claimed_d": cert.claimed_d,
-        "steps": [
-            [list(p.free_face.vertices), list(p.facet.vertices)]
-            for p in cert.steps
-        ],
-    }
 
 
 def certificate_from_obj(obj) -> CollapseCertificate:
@@ -92,97 +83,106 @@ def _descriptor(inst) -> dict:
 
 # -- invariant registry ----------------------------------------------------
 
-def _inv_C(x, budget, field, values, witnesses):
-    d, cert = collapsibility_number_with_certificate(x, budget)
-    values["C"] = d
-    witnesses["collapse_certificate"] = _serialize_certificate(cert)
+class _Evaluation:
+    """What the invariants of one report share: the instance, the field,
+    the running invariant's budget, the witnesses and, each built once on
+    first use, the M_k engine and the complex the collapse invariants read
+    (the instance, or NC(H) for a hypergraph) with its facet order."""
+
+    def __init__(self, inst, field):
+        self.inst = inst
+        self.field = field
+        self.budget: Optional[Budget] = None
+        self.witnesses: dict = {}
+        # the NC invariants of a hypergraph report under prefixed keys
+        self.prefix = "" if isinstance(inst, SimplicialComplex) else "nc_"
+
+    @functools.cached_property
+    def engine(self) -> _MkEngine:
+        return _MkEngine()
+
+    @functools.cached_property
+    def complex(self) -> SimplicialComplex:
+        return non_cover_complex(self.inst) if self.prefix else self.inst
+
+    @functools.cached_property
+    def facet_order(self) -> FacetOrdering:
+        if self.prefix:
+            return hg._nc_facet_order(self.inst, self.complex)
+        return canonical_ordering(self.inst)
+
+    def mk(self, k: int) -> int:
+        self.engine.budget = self.budget
+        return self.engine.m(self.inst, k)
 
 
-def _inv_mk(k):
-    def run(x, budget, field, values, witnesses):
-        values[f"M{k}"] = mk_chain(x, k, budget)[k]
-    return run
+def _inv_C(ev):
+    d, cert = collapsibility_number_with_certificate(ev.complex, ev.budget)
+    ev.witnesses[ev.prefix + "collapse_certificate"] = {
+        "claimed_d": cert.claimed_d,
+        "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
+                  for p in cert.steps],
+    }
+    return d
 
 
-def _inv_d_mes(x, budget, field, values, witnesses):
-    ordering = canonical_ordering(x)
-    values["d_mes"] = d_of_ordering(x, ordering)
-    witnesses["facet_ordering"] = [list(f.vertices)
-                                   for f in ordering.ordered_facets]
+def _inv_d(ev):
+    order = ev.facet_order
+    ev.witnesses[ev.prefix + "facet_ordering"] = [
+        list(f.vertices) for f in order.ordered_facets]
+    return d_of_ordering(order.complex, order)
 
 
-def _inv_leray(x, budget, field, values, witnesses):
-    values["leray"] = leray_number(x, field)
+def _inv_betti(ev):
+    b = reduced_betti(ev.inst, ev.field)
+    return {"field": b.coefficient_field, "rank_neg1": b.rank_neg1,
+            "ranks": list(b.ranks)}
 
 
-def _inv_betti(x, budget, field, values, witnesses):
-    b = reduced_betti(x, field)
-    values["betti"] = {"field": b.coefficient_field,
-                       "rank_neg1": b.rank_neg1,
-                       "ranks": list(b.ranks)}
-
-
-def _inv_shellable(x, budget, field, values, witnesses):
-    ok, order = is_shellable(x, budget)
-    values["shellable"] = ok
+def _inv_shellable(ev):
+    ok, order = is_shellable(ev.inst, ev.budget)
     if ok:
-        witnesses["shelling_order"] = [list(f.vertices) for f in order]
-
-
-def _inv_cm(x, budget, field, values, witnesses):
-    values["cohen_macaulay"] = is_cohen_macaulay(x, field)
+        ev.witnesses["shelling_order"] = [list(f.vertices) for f in order]
+    return ok
 
 
 def _inv_kvd(k):
-    def run(x, budget, field, values, witnesses):
-        ok, wit = is_k_vertex_decomposable(x, k, budget)
-        values[f"kvd{k}"] = ok
+    def run(ev):
+        ok, wit = is_k_vertex_decomposable(ev.inst, k, ev.budget)
         if ok:
-            witnesses[f"shedding_sequence_k{k}"] = [
+            ev.witnesses[f"shedding_sequence_k{k}"] = [
                 [list(w.face.vertices), w.dim_bound] for w in wit
             ]
+        return ok
     return run
 
 
 def _inv_gamma(name, fn):
-    def run(h, budget, field, values, witnesses):
-        res = fn(h)
-        values[name] = res.value
-        witnesses[name + "_witness"] = {
+    def run(ev):
+        res = fn(ev.inst)
+        ev.witnesses[name + "_witness"] = {
             "witness": [list(w) if isinstance(w, tuple) else w
                         for w in res.witness],
             "target": list(res.target),
         }
+        return res.value
     return run
 
 
-def _inv_nc(name):
-    def run(h, budget, field, values, witnesses):
-        nc = non_cover_complex(h)
-        if name == "nc_C":
-            d, cert = collapsibility_number_with_certificate(nc, budget)
-            values["nc_C"] = d
-            witnesses["nc_collapse_certificate"] = _serialize_certificate(cert)
-        elif name == "nc_d":
-            order = nc_facet_order(h)
-            values["nc_d"] = d_of_ordering(nc, order)
-            witnesses["nc_facet_ordering"] = [list(f.vertices)
-                                              for f in order.ordered_facets]
-        elif name == "nc_leray":
-            values["nc_leray"] = leray_number(nc, field)
-    return run
+def _inv_leray(ev):
+    return leray_number(ev.complex, ev.field)
 
 
 COMPLEX_INVARIANTS = {
     "C": _inv_C,
-    "M0": _inv_mk(0),
-    "M1": _inv_mk(1),
-    "M2": _inv_mk(2),
-    "d_mes": _inv_d_mes,
+    "M0": lambda ev: ev.mk(0),
+    "M1": lambda ev: ev.mk(1),
+    "M2": lambda ev: ev.mk(2),
+    "d_mes": _inv_d,
     "leray": _inv_leray,
     "betti": _inv_betti,
     "shellable": _inv_shellable,
-    "cohen_macaulay": _inv_cm,
+    "cohen_macaulay": lambda ev: is_cohen_macaulay(ev.inst, ev.field),
     "kvd0": _inv_kvd(0),
     "kvd1": _inv_kvd(1),
     "kvd2": _inv_kvd(2),
@@ -193,16 +193,10 @@ HYPERGRAPH_INVARIANTS = {
     "gamma_tilde": _inv_gamma("gamma_tilde", hg.gamma_tilde),
     "gamma_si": _inv_gamma("gamma_si", hg.gamma_si),
     "gamma_E": _inv_gamma("gamma_E", hg.gamma_E),
-    "nc_C": _inv_nc("nc_C"),
-    "nc_d": _inv_nc("nc_d"),
-    "nc_leray": _inv_nc("nc_leray"),
+    "nc_C": _inv_C,
+    "nc_d": _inv_d,
+    "nc_leray": _inv_leray,
 }
-
-
-def registry_for(inst) -> dict:
-    if isinstance(inst, SimplicialComplex):
-        return COMPLEX_INVARIANTS
-    return HYPERGRAPH_INVARIANTS
 
 
 def compute(
@@ -214,13 +208,16 @@ def compute(
 ) -> dict:
     """Evaluate the requested invariants and return a report dict.
 
-    Budget exhaustion and unmet hypotheses (isolated vertices, an
-    undominatable target, a non-pure complex) are recorded per invariant
+    The invariants share one M_k engine and one NC(H), but each spends its
+    own budget of `budget_limit` nodes.  Budget exhaustion and unmet
+    hypotheses (isolated vertices, an undominatable target, a non-pure
+    complex, no NC(H) or no facet order on it) are recorded per invariant
     and do not abort the rest.
     """
     # a bad field fails here, also when no requested invariant reads it
     _parse_field(field)
-    registry = registry_for(inst)
+    ev = _Evaluation(inst, field)
+    registry = HYPERGRAPH_INVARIANTS if ev.prefix else COMPLEX_INVARIANTS
     if which is None or which == ["all"]:
         which = list(registry)
     unknown = [name for name in which if name not in registry]
@@ -228,24 +225,24 @@ def compute(
         raise KeyError(f"unknown invariant(s) {unknown}; "
                        f"known: {sorted(registry)}")
     values: dict = {}
-    witnesses: dict = {}
     exhausted = []
     not_applicable = {}
     used = 0
     for name in which:
-        budget = Budget(budget_limit)
+        ev.budget = Budget(budget_limit)
         try:
-            registry[name](inst, budget, field, values, witnesses)
+            values[name] = registry[name](ev)
         except BudgetExceededError:
             exhausted.append(name)
-        except (IsolatedVertexError, UndominatableError, NotPureError) as exc:
+        except (IsolatedVertexError, UndominatableError, NotPureError,
+                HypothesisNotMetError) as exc:
             not_applicable[name] = str(exc)
-        used += budget.used
+        used += ev.budget.used
     report = {
         "schema": SCHEMA_VERSION,
         "instance": _descriptor(inst),
         "values": values,
-        "witnesses": witnesses,
+        "witnesses": ev.witnesses,
         "budget": {"limit_per_invariant": budget_limit, "used_total": used,
                    "exhausted": exhausted},
         "field": field if isinstance(field, str) else str(field),
@@ -331,25 +328,15 @@ def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
     return lhs <= rhs
 
 
-def _cover_relabeling(h: Hypergraph):
-    """h relabeled so its maximizing minimal cover D is {1..|D|}: returns
-    the relabeled hypergraph, the permutation, the mask of {1..|D|} and the
-    relabeled NC(H)."""
-    d = hg.maximizing_minimal_cover(h)
-    relabeled, perm = hg.cover_initial_relabeling(h, d)
-    return (relabeled, perm, (1 << (len(d) + 1)) - 2,
-            non_cover_complex(relabeled))
-
-
 def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
     """After relabeling the maximizing minimal cover D to {1..|D|}: if the
     two faces of NC(H) have the same complement inside D and the induced
     sub-hypergraph on that complement contains an edge, their minimal
     exclusion sequences under the NC facet order must coincide."""
-    relabeled, perm, dm, nc = _cover_relabeling(h)
+    relabeled, perm, dm, order = hg._cover_relabeling(h)
     g1 = mask_of(perm[v] for v in as_face(gamma).vertices)
     g2 = mask_of(perm[v] for v in as_face(gamma_prime).vertices)
-    if g1 not in nc or g2 not in nc:
+    if g1 not in order.complex or g2 not in order.complex:
         raise HypothesisNotMetError("both faces must lie in NC(H)")
     vmask = relabeled.vertex_mask
     c1 = (vmask & ~g1) & dm
@@ -360,7 +347,6 @@ def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
         raise HypothesisNotMetError(
             "induced sub-hypergraph on the cover part contains no edge"
         )
-    order = nc_facet_order(relabeled)
     return mes(g1, order) == mes(g2, order)
 
 
@@ -503,15 +489,12 @@ def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
 
 def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
     try:
-        relabeled, _, dm, nc = _cover_relabeling(h)
-    except ValueError:
+        relabeled, _, dm, order = hg._cover_relabeling(h)
+    except ValueError:  # edgeless H, empty NC(H) or an undominatable cover
         return "skip"
-    if nc.is_empty:
-        return "skip"
-    order = nc_facet_order(relabeled)
     vmask = relabeled.vertex_mask
     groups: dict[int, set] = {}
-    for gamma in nc.all_faces():
+    for gamma in order.complex.all_faces():
         key = (vmask & ~gamma) & dm
         if relabeled.is_independent(key):
             continue  # hypothesis: the cover part must contain an edge
@@ -568,8 +551,7 @@ def _thm_euler(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
-    nc = non_cover_complex(h)
-    l = leray_number(nc) if not nc.is_empty else 0
+    l = leray_number(non_cover_complex(h))
     max_edge = max(e.bit_count() for e in h.edges)
     ge = hg.gamma_E(h).value
     _chk(l <= h.n - ge - 1, h, f"L={l} > n-gamma_E-1={h.n - ge - 1}")

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,23 @@ def test_benchmark_instance_attributes():
     assert type(h.edges) is tuple
     assert all(type(e) is collapsekit.Face for e in h.edges)
     assert x.facets[0].vertices == (1, 2, 3)
+
+
+def test_traced_report_records_every_layer_and_builds_nc_once():
+    """A report under the benchmark's tracer: the spans it reads see the
+    report path, and NC(H) is built once for all three NC invariants."""
+    from collapsekit.generators import star_family
+
+    h = star_family(3, (1, 1, 1))
+    t = tracer.Tracer()
+    t.install(collapsekit, time.perf_counter)
+    try:
+        t.active = True
+        collapsekit.reports.compute(h)
+    finally:
+        t.active = False
+        t.uninstall()
+    assert t.spans["hypergraphs.non_cover_complex"].calls == 1
+    for name in ("reports.compute", "hypergraphs.gamma",
+                 "invariants.collapse_search", "homology.leray_number"):
+        assert t.spans[name].calls > 0, name

@@ -200,6 +200,38 @@ def test_report_records_non_pure_complexes_as_not_applicable():
     assert report["budget"]["exhausted"] == []
 
 
+def test_report_on_an_empty_nc_leaves_out_only_nc_d():
+    # the one edge is all of V, so NC(H) is the empty complex
+    report = compute(Hypergraph(2, [(1, 2)]))
+    assert report["not_applicable"] == {
+        "nc_d": "NC(H) is empty; no facet order"}
+    assert report["values"]["nc_C"] == 0
+    assert report["values"]["nc_leray"] == 0
+    cert = report["witnesses"]["nc_collapse_certificate"]
+    assert cert == {"claimed_d": 0, "steps": []}
+    assert report["budget"]["exhausted"] == []
+
+
+def test_report_on_an_edgeless_hypergraph_records_every_invariant():
+    report = compute(Hypergraph(3, []))
+    assert report["values"] == {} and report["witnesses"] == {}
+    na = report["not_applicable"]
+    assert sorted(na) == sorted(reports.HYPERGRAPH_INVARIANTS)
+    for name in ("nc_C", "nc_d", "nc_leray"):
+        assert na[name].startswith("edgeless hypergraph")
+
+
+@pytest.mark.parametrize("obj", [{"n": 2, "edges": [[1, 2]]},
+                                 {"n": 3, "edges": []}])
+def test_cli_compute_on_hypergraphs_without_an_nc(tmp_path, obj):
+    inst = tmp_path / "h.json"
+    inst.write_text(json.dumps(obj))
+    out = tmp_path / "r.json"
+    assert main(["compute", str(inst), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert "nc_d" in report["not_applicable"]
+
+
 def test_report_leray_above_the_brute_force_vertex_cap():
     path = SimplicialComplex([(i, i + 1) for i in range(1, 16)])
     assert len(path.vertices) == 16

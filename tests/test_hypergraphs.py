@@ -136,6 +136,16 @@ def test_nc_facet_order_on_empty_nc_raises():
         nc_facet_order(Hypergraph(3, [(1, 2, 3)]))
 
 
+def test_missing_nc_or_facet_order_is_an_unmet_hypothesis():
+    # reports record these per invariant instead of aborting
+    with pytest.raises(HypothesisNotMetError, match="edgeless"):
+        non_cover_complex(Hypergraph(3, []))
+    with pytest.raises(HypothesisNotMetError, match="NC\\(H\\) is empty"):
+        nc_facet_order(Hypergraph(2, [(1, 2)]))
+    with pytest.raises(HypothesisNotMetError, match="NC\\(H\\) is empty"):
+        nc_bound_order(Hypergraph(3, [(1, 2, 3)]))
+
+
 # -- gamma_A and gamma_i ---------------------------------------------------
 
 def test_gamma_A_four_cycle():

@@ -1,5 +1,6 @@
 """Differential test of the branch-and-bound M_k / M'_k engine against the
-plain recursion it prunes.
+plain recursion it prunes, and of a report's shared engine against fresh
+ones.
 
 The oracle below evaluates both children at every open face, exactly as the
 definition reads; it is memoized but never pruned, and lives only here.
@@ -7,8 +8,9 @@ definition reads; it is memoized but never pruned, and lives only here.
 
 import pytest
 
-from collapsekit import Budget, mk, mk_chain, mk_prime
+from collapsekit import Budget, BudgetExceededError, mk, mk_chain, mk_prime
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate
+from collapsekit.reports import compute
 
 from conftest import all_complexes
 
@@ -78,3 +80,36 @@ def test_golden_chain_stays_within_its_node_count():
     b = Budget()
     assert mk_chain(NAMED_EXAMPLES["v6f10-6"](), 2, b) == [3, 2, 2]
     assert b.used <= 1_000
+
+
+# -- one engine per report -------------------------------------------------
+
+CHAIN = ["M0", "M1", "M2"]
+
+
+def test_report_chain_equals_fresh_mk_on_every_complex_on_four_vertices():
+    for x in all_complexes(4) + [NAMED_EXAMPLES["v6f10-6"]()]:
+        values = compute(x, CHAIN)["values"]
+        assert values == {f"M{k}": mk(x, k) for k in range(3)}, x
+
+
+def test_report_chain_spends_what_one_chain_spends():
+    x = NAMED_EXAMPLES["v6f10-6"]()
+    b = Budget()
+    mk_chain(x, 2, b)
+    assert b.used == 146
+    assert compute(x, CHAIN)["budget"]["used_total"] == 146
+
+
+def test_shared_engine_finds_every_value_a_fresh_engine_finds():
+    """Each M_k keeps its own budget; reusing what an earlier one left, even
+    one that ran out, never loses a value a fresh run would find."""
+    x = NAMED_EXAMPLES["v6f10-6"]()
+    for limit in range(1, 161):
+        report = compute(x, CHAIN, budget_limit=limit)
+        for k in range(3):
+            try:
+                want = mk(x, k, Budget(limit))
+            except BudgetExceededError:
+                continue
+            assert report["values"][f"M{k}"] == want, (limit, k)
