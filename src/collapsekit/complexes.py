@@ -84,8 +84,14 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """The vertex labels of a bitmask, increasing."""
-    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+    """The vertex labels of a non-negative bitmask, increasing.  Walks the
+    set bits only, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def subsets(mask: int, sizes: Iterable[int]) -> Iterator[int]:

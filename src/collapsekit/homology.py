@@ -1,11 +1,12 @@
 """Exact reduced simplicial homology and the invariants built on it.
 
 Betti numbers come from ranks of boundary matrices of the augmented chain
-complex, computed by fraction-free (Bareiss) integer elimination for the
-rational field, or by modular elimination for a prime field.  Torsion is out
-of scope; only ranks are ever needed.
+complex: fraction-free (Bareiss) integer elimination for the rational field,
+an XOR basis over int bitsets for GF(2), and dense modular elimination for
+any other prime field.  Torsion is out of scope; only ranks are ever needed.
 
-On top of that: Leray numbers (the link criterion, with the
+On top of that: Leray numbers (a top-down scan of the links that stops at
+the first nonzero degree and screens rational ranks over GF(2), with the
 induced-subcomplex brute force as its oracle), homological connectivity,
 both Cohen-Macaulay predicates, shellability and k-vertex decomposability
 with replayable shedding witnesses.
@@ -131,6 +132,37 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def _rank_gf2(lower: list[int], upper: list[int]) -> int:
+    """Rank over GF(2) of the boundary map from the faces `upper` to the
+    faces `lower`.  Each column is an int bitset over the lower faces'
+    indices, reduced against an XOR basis keyed by its top bit."""
+    bit = {f: 1 << i for i, f in enumerate(lower)}
+    basis: dict[int, int] = {}
+    for f in upper:
+        col, m = 0, f
+        while m:
+            low = m & -m
+            col |= bit[f ^ low]
+            m ^= low
+        while col:
+            top = col.bit_length()
+            if top not in basis:
+                basis[top] = col
+                break
+            col ^= basis[top]
+    return len(basis)
+
+
+def _rank(lower: list[Face], upper: list[Face], p: Optional[int]) -> int:
+    """Rank of the boundary map from `upper` to `lower` over Q (p None) or
+    GF(p).  On edges it is a graph's incidence matrix, totally unimodular,
+    so its rank is the same over every field and GF(2) computes it."""
+    if p == 2 or upper[0].bit_count() == 2:
+        return _rank_gf2(lower, upper)
+    mat = _boundary_matrix(lower, upper)
+    return _rank_bareiss(mat) if p is None else _rank_mod_p(mat, p)
+
+
 @dataclass(frozen=True)
 class BettiVector:
     """Reduced Betti numbers over a fixed coefficient field.
@@ -195,10 +227,7 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q") -> BettiVector:
     # augmented d_0: every vertex maps to the empty face
     ranks_of_boundary = [1 if counts[0] else 0]
     for k in range(1, dim + 1):
-        mat = _boundary_matrix(by_dim[k - 1], by_dim[k])
-        ranks_of_boundary.append(
-            _rank_bareiss(mat) if p is None else _rank_mod_p(mat, p)
-        )
+        ranks_of_boundary.append(_rank(by_dim[k - 1], by_dim[k], p))
     ranks_of_boundary.append(0)
     betti = tuple(
         counts[k] - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
@@ -232,20 +261,86 @@ def is_homologically_connected(
     return n < -1 or reduced_betti(x, field).vanishes_through(n)
 
 
+def _top_degree_from(
+    y: SimplicialComplex, floor: int, p: Optional[int]
+) -> int:
+    """The top degree t >= floor in which y has nonzero reduced homology over
+    Q (p None) or GF(p), or -1 if there is none.
+
+    Degrees are walked down from dim(y), each step needing one new boundary
+    rank, since b_t = f_t - r_t - r_{t+1}.  Over Q a degree is screened with
+    GF(2) ranks first; Bareiss runs only when the screen reads nonzero.
+    """
+    screen = 2 if p is None else p
+    top = y.dim
+    faces: dict[int, list[Face]] = {}
+    ranks: dict[tuple[int, Optional[int]], int] = {}
+
+    def faces_of(k: int) -> list[Face]:
+        if k not in faces:
+            faces[k] = list(y.faces(k))
+        return faces[k]
+
+    def rank(k: int, q: Optional[int]) -> int:
+        """Rank of the boundary map out of the k-faces."""
+        if (k, q) not in ranks:
+            # augmented: d_0 maps every vertex to the empty face
+            ranks[k, q] = (1 if k == 0 else 0 if k > top
+                           else _rank(faces_of(k - 1), faces_of(k), q))
+        return ranks[k, q]
+
+    for t in range(top, floor - 1, -1):
+        f = len(faces_of(t))
+        if (f - rank(t, screen) - rank(t + 1, screen)
+                and f - rank(t, p) - rank(t + 1, p)):
+            return t
+    return -1
+
+
+def _leray_by_links(x: SimplicialComplex, p: Optional[int]) -> int:
+    # dim lk(m) = (size of the largest facet holding m) - |m| - 1
+    reach: dict[int, int] = {}
+    for f in x.facets:
+        s = f.bit_count()
+        for m in subsets(f, range(s + 1)):
+            if reach.get(m, 0) < s:
+                reach[m] = s
+    best, cap = 0, x.dim + 1
+    for m in sorted(reach, key=int.bit_count, reverse=True):
+        if best == cap:
+            break
+        if reach[m] - m.bit_count() > best:  # dim(lk m) + 1 > best
+            best = max(best, _top_degree_from(x.link(m), best, p) + 1)
+    return best
+
+
 def leray_number(
     x: SimplicialComplex, field: Field = "Q", method: str = "links"
 ) -> int:
     """Least k such that reduced homology vanishes in degrees >= k for every
     induced subcomplex.
 
-    method "links" uses the equivalent link criterion (L >= d iff some link
-    has nonzero homology in degree d-1); "induced" is the brute force over
-    all vertex subsets, the test oracle, refused above LERAY_VERTEX_CAP
-    vertices; "both" runs the two and insists they agree.
+    method "links" uses the equivalent link criterion: L is one more than
+    the top degree of nonzero reduced homology over all links lk(gamma),
+    gamma a face (the empty face gives x itself).  It scans the faces
+    largest first, so the small links come first and the running best L
+    rises early.  A link of dimension D can only raise L to D + 1, so links
+    with D + 1 <= best are skipped, the others are walked down from degree
+    D to degree best and stop at the first nonzero one, and the scan ends
+    once best = dim(x) + 1, which no link exceeds.  Over Q each degree is
+    screened over GF(2) first: the rank over GF(2) of an integer matrix is
+    at most its rank over Q, so b_t over GF(2) >= b_t over Q, a zero GF(2)
+    Betti number is a zero rational one, and Bareiss runs only to confirm a
+    nonzero.  The value is exactly that of the full Betti vector of every
+    link.
+
+    "induced" is the brute force over all vertex subsets, the test oracle,
+    refused above LERAY_VERTEX_CAP vertices; "both" runs the two and insists
+    they agree.
     """
     if method not in ("both", "induced", "links"):
         raise ValueError(f"unknown leray method {method!r}")
-    cache = _BettiCache(field)
+    p = _parse_field(field)
     results = {}
     if method in ("both", "induced"):
         n = len(x.vertices)
@@ -254,15 +349,13 @@ def leray_number(
                 f"brute-force Leray refused above {LERAY_VERTEX_CAP} "
                 "vertices; use method='links'"
             )
+        cache = _BettiCache(field)
         best = -1
         for sub in subsets(x.vertex_mask, range(n + 1)):
             best = max(best, cache.get(x.induced(sub)).top_nonzero_degree())
         results["induced"] = best + 1
     if method in ("both", "links"):
-        best = -1
-        for gamma in x.all_faces():
-            best = max(best, cache.get(x.link(gamma)).top_nonzero_degree())
-        results["links"] = best + 1
+        results["links"] = _leray_by_links(x, p)
     if method == "both" and results["induced"] != results["links"]:
         raise AssertionError(
             f"leray routes disagree: {results} on {x!r}"

@@ -378,11 +378,12 @@ def _random_orderings(x: SimplicialComplex, rng: random.Random, count: int):
 def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     gi = hg.gamma_i(h).value
     bound = h.n - gi - 1
-    if non_cover_complex(h).is_empty:
+    # the d bound needs the maximizing cover relabeled to an initial segment
+    try:
+        nc, order = hg.nc_bound_order(h)
+    except HypothesisNotMetError:  # NC(H) is empty
         _chk(0 <= bound, h, f"NC empty but bound {bound} < 0")
         return "pass"
-    # the d bound needs the maximizing cover relabeled to an initial segment
-    nc, order = hg.nc_bound_order(h)
     d = d_of_ordering(nc, order)
     c, _ = collapsibility_number_with_certificate(nc, budget)
     _chk(c <= d <= bound, h, f"C={c}, d={d}, |V|-gamma_i-1={bound}")

@@ -19,6 +19,7 @@ from collapsekit import (
     join,
     simplex_on,
 )
+from collapsekit.complexes import MAX_VERTEX, vertices_of
 
 from conftest import all_complexes
 
@@ -56,6 +57,17 @@ def test_face_construction_and_accessors():
     assert int(f) == 0b1110
     assert repr(f) == "Face{1,2,3}"
     assert Face.of([]).dim == -1
+
+
+def test_vertices_of_matches_the_bit_position_scan():
+    def scan(mask):
+        return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+    top = 1 << MAX_VERTEX
+    wide = [top, top | 1, top | 0b1011_0110, (top << 1) - 1, top | (top >> 1)]
+    for mask in [*range(1 << 12), *wide]:
+        assert vertices_of(mask) == scan(mask), mask
+    assert vertices_of(top) == (127,)
 
 
 def test_face_rejects_out_of_range():

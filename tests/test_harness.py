@@ -1,10 +1,17 @@
 """Generators, file formats, reports and the CLI."""
 
 import json
+import random
 
 import pytest
 
-from collapsekit import Hypergraph, SimplicialComplex, reports
+from collapsekit import (
+    Budget,
+    Hypergraph,
+    SimplicialComplex,
+    hypergraphs,
+    reports,
+)
 from collapsekit.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -244,6 +251,31 @@ def test_verify_passes_on_registered_theorems():
                                                 seed=1, n=5, m=5), trials=10)
         assert summary["fails"] == 0
         assert summary["passes"] + summary["skips"] == 10
+
+
+def test_nc_bound_builds_nc_once_per_trial(monkeypatch):
+    calls = []
+    real = hypergraphs.non_cover_complex
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(hypergraphs, "non_cover_complex", counted)
+    monkeypatch.setattr(reports, "non_cover_complex", counted)
+    assert verify("nc-bound", trials=5)["passes"] == 5
+    assert len(calls) == 5
+
+
+def test_nc_bound_summaries_and_the_empty_nc_case():
+    for seed in range(20):
+        spec = GeneratorSpec(kind="random-hypergraph", seed=seed)
+        assert verify("nc-bound", spec, trials=5) == {
+            "theorem": "nc-bound", "trials": 5,
+            "passes": 5, "fails": 0, "skips": 0}
+    # NC(H) is empty: the check reduces to 0 <= n - gamma_i - 1
+    h = Hypergraph(2, [[1, 2]])
+    assert reports._thm_nc_bound(h, random.Random(0), Budget()) == "pass"
 
 
 def test_verify_unknown_theorem():

@@ -2,6 +2,7 @@
 and k-vertex decomposability."""
 
 import math
+import random
 import re
 
 import pytest
@@ -19,11 +20,22 @@ from collapsekit import (
     is_shellable,
     join,
     leray_number,
+    non_cover_complex,
     reduced_betti,
     simplex_on,
     verify_shedding_sequence,
 )
-from collapsekit.homology import _is_prime
+from collapsekit import homology
+from collapsekit.generators import star_family
+from collapsekit.homology import (
+    _boundary_matrix,
+    _is_prime,
+    _rank_bareiss,
+    _rank_gf2,
+    _rank_mod_p,
+)
+
+from conftest import all_complexes
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 TETRA_BOUNDARY = boundary((1, 2, 3, 4))
@@ -31,6 +43,11 @@ V6F10_6 = SimplicialComplex(
     [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6),
      (2, 4, 5), (2, 5, 6), (3, 4, 6), (3, 5, 6), (4, 5, 6)]
 )
+#: The 6-vertex real projective plane: acyclic over Q, while over GF(2)
+#: its H~_1 and H~_2 are nonzero.
+RP2 = SimplicialComplex(
+    [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+     (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
 
 vertex = st.integers(min_value=0, max_value=6)
 raw_facets = st.lists(
@@ -125,7 +142,85 @@ def test_homological_connectivity():
     assert not is_homologically_connected(SimplicialComplex(), -1)
 
 
+def dense_betti(x, p=None):
+    """Reduced Betti numbers in degrees >= 0 from dense elimination of every
+    boundary matrix: Bareiss over Q (p None), modular over GF(p)."""
+    by_dim = [sorted(x.faces(k)) for k in range(x.dim + 1)]
+    mats = [_boundary_matrix(lo, up) for lo, up in zip(by_dim, by_dim[1:])]
+    r = [1] + [_rank_bareiss(m) if p is None else _rank_mod_p(m, p)
+               for m in mats] + [0]
+    return tuple(len(by_dim[k]) - r[k] - r[k + 1] for k in range(x.dim + 1))
+
+
+def test_rank_gf2_matches_dense_elimination_on_every_small_complex():
+    for x in all_complexes(5):
+        by_dim = [sorted(x.faces(k)) for k in range(x.dim + 1)]
+        for lo, up in zip(by_dim, by_dim[1:]):
+            assert (_rank_gf2(lo, up)
+                    == _rank_mod_p(_boundary_matrix(lo, up), 2)), x
+        assert reduced_betti(x, 2).ranks == dense_betti(x, 2), x
+        assert reduced_betti(x).ranks == dense_betti(x), x
+
+
+def test_betti_of_rp2_sees_the_torsion():
+    assert reduced_betti(RP2).ranks == (0, 0, 0) == dense_betti(RP2)
+    assert reduced_betti(RP2, 2).ranks == (0, 1, 1) == dense_betti(RP2, 2)
+
+
 # -- Leray numbers ---------------------------------------------------------
+
+def full_link_leray(x, p=None):
+    """The link criterion with the full dense Betti vector of every link:
+    the route `leray_number(method="links")` had before its top-down scan,
+    kept as that scan's oracle."""
+    top = -1
+    for gamma in x.all_faces():
+        betti = dense_betti(x.link(gamma), p)
+        top = max([top] + [t for t, b in enumerate(betti) if b])
+    return top + 1
+
+
+def _random_complexes(count, n, seed):
+    rng = random.Random(seed)
+    return [SimplicialComplex(rng.sample(range(1, n + 1), rng.randint(1, n))
+                              for _ in range(rng.randint(1, 8)))
+            for _ in range(count)]
+
+
+def test_leray_scan_matches_the_full_link_scan_over_q():
+    for x in all_complexes(5):
+        assert leray_number(x) == full_link_leray(x), x
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_leray_scan_matches_the_full_link_scan_on_n6(p):
+    field = "Q" if p is None else p
+    for x in all_complexes(4) + _random_complexes(200, 6, seed=0):
+        assert leray_number(x, field) == full_link_leray(x, p), x
+
+
+def test_leray_of_rp2_rejects_the_gf2_screen_over_q():
+    # over Q the GF(2) screen reads H~_2 != 0 on RP2 itself; only the exact
+    # rank shows it is 0, so L stays at 2 (from the hexagon vertex links)
+    assert leray_number(RP2) == 2 == full_link_leray(RP2)
+    assert leray_number(RP2, method="both") == 2
+    assert leray_number(RP2, 2) == 3 == full_link_leray(RP2, 2)
+    assert leray_number(RP2, 2, method="both") == 3
+
+
+def test_leray_of_star_family_nc_needs_few_exact_ranks(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _rank_bareiss(rows)
+
+    monkeypatch.setattr(homology, "_rank_bareiss", counted)
+    # the full link scan makes 1,927 Bareiss ranks on star_family(5)
+    assert leray_number(non_cover_complex(star_family(5, (1,) * 5))) == 4
+    assert len(calls) <= 10
+    assert leray_number(non_cover_complex(star_family(6, (1,) * 6))) == 5
+
 
 def test_leray_goldens():
     assert leray_number(simplex_on((1, 2, 3))) == 0
