@@ -4,12 +4,16 @@ Betti numbers come from ranks of boundary matrices of the augmented chain
 complex: fraction-free (Bareiss) integer elimination for the rational field,
 an XOR basis over int bitsets for GF(2), and dense modular elimination for
 any other prime field.  Torsion is out of scope; only ranks are ever needed.
+One private object per complex, `_Chains`, lists the faces and ranks the
+boundary maps on first use, so every homology question here (a Betti
+vector, the top nonzero degree, "acyclic below the top") pays only for the
+degrees it reads.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree and screens rational ranks over GF(2), with the
-induced-subcomplex brute force as its oracle), homological connectivity,
-both Cohen-Macaulay predicates, shellability and k-vertex decomposability
-with replayable shedding witnesses.
+induced-subcomplex brute force `_leray_induced` as its oracle), homological
+connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
+decomposability with replayable shedding witnesses.
 """
 
 from __future__ import annotations
@@ -68,11 +72,6 @@ def _parse_field(field: Field) -> Optional[int]:
         raise ValueError(f"not a valid prime field: {field!r} (use Q, or "
                          f"gf<p> with p a prime below 2^78)")
     return p
-
-
-def _field_tag(field: Field) -> str:
-    p = _parse_field(field)
-    return "Q" if p is None else f"GF{p}"
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -211,6 +210,65 @@ def _boundary_matrix(
     return rows
 
 
+class _Chains:
+    """The augmented chain complex of one complex, with its faces listed and
+    its boundary ranks computed on first use and kept.
+
+    `rank(k, q)` is the rank over Q (q None) or GF(q) of the boundary map out
+    of the k-faces; the augmented d_0 sends every vertex to the empty face.
+    Since b_t = f_t - r_t - r_{t+1}, a question about a few degrees costs
+    only the ranks next to them.  Faces stay sorted: Bareiss runs faster on
+    the sorted boundary matrices.
+    """
+
+    __slots__ = ("x", "dim", "_faces", "_ranks")
+
+    def __init__(self, x: SimplicialComplex):
+        self.x = x
+        self.dim = x.dim
+        self._faces: dict[int, list[Face]] = {}
+        self._ranks: dict[tuple[int, Optional[int]], int] = {}
+
+    def faces(self, k: int) -> list[Face]:
+        fs = self._faces.get(k)
+        if fs is None:
+            fs = self._faces[k] = sorted(self.x.faces(k))
+        return fs
+
+    def rank(self, k: int, q: Optional[int]) -> int:
+        r = self._ranks.get((k, q))
+        if r is None:
+            r = self._ranks[k, q] = (
+                1 if k == 0 else 0 if k > self.dim
+                else _rank(self.faces(k - 1), self.faces(k), q))
+        return r
+
+    def betti(self, t: int, q: Optional[int]) -> int:
+        """The reduced Betti number in degree 0 <= t <= dim."""
+        return len(self.faces(t)) - self.rank(t, q) - self.rank(t + 1, q)
+
+    def nonzero(self, t: int, p: Optional[int]) -> bool:
+        """True iff b_t != 0 over Q (p None) or GF(p).
+
+        Over Q the degree is screened over GF(2) first: the rank over GF(2)
+        of an integer matrix is at most its rank over Q, so b_t over GF(2) >=
+        b_t over Q, a zero GF(2) Betti number is a zero rational one, and
+        Bareiss runs only to confirm a nonzero.
+        """
+        if p is None and not self.betti(t, 2):
+            return False
+        return self.betti(t, p) != 0
+
+    def top_degree(self, floor: int, p: Optional[int]) -> int:
+        """The top degree t >= floor with b_t != 0, or -1 if there is none.
+        Degrees are walked down from dim, so the walk stops at the first
+        nonzero one."""
+        for t in range(self.dim, floor - 1, -1):
+            if self.nonzero(t, p):
+                return t
+        return -1
+
+
 def reduced_betti(x: SimplicialComplex, field: Field = "Q") -> BettiVector:
     """Reduced Betti numbers of x over the chosen field.
 
@@ -218,36 +276,12 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q") -> BettiVector:
     empty face, so its degree -1 rank is 1.
     """
     p = _parse_field(field)
-    tag = _field_tag(field)
+    tag = "Q" if p is None else f"GF{p}"
     if x.is_empty:
         return BettiVector(tag, 1, ())
-    dim = x.dim
-    by_dim: list[list[Face]] = [sorted(x.faces(k)) for k in range(dim + 1)]
-    counts = [len(fs) for fs in by_dim]
-    # augmented d_0: every vertex maps to the empty face
-    ranks_of_boundary = [1 if counts[0] else 0]
-    for k in range(1, dim + 1):
-        ranks_of_boundary.append(_rank(by_dim[k - 1], by_dim[k], p))
-    ranks_of_boundary.append(0)
-    betti = tuple(
-        counts[k] - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
-        for k in range(dim + 1)
-    )
-    return BettiVector(tag, 1 - ranks_of_boundary[0], betti)
-
-
-class _BettiCache:
-    """Per-evaluation cache of Betti vectors, keyed on exact facet tuples."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self._memo: dict[tuple, BettiVector] = {}
-
-    def get(self, y: SimplicialComplex) -> BettiVector:
-        key = y.facets
-        if key not in self._memo:
-            self._memo[key] = reduced_betti(y, self.field)
-        return self._memo[key]
+    chains = _Chains(x)
+    return BettiVector(tag, 0, tuple(chains.betti(t, p)
+                                     for t in range(chains.dim + 1)))
 
 
 def is_homologically_connected(
@@ -261,43 +295,23 @@ def is_homologically_connected(
     return n < -1 or reduced_betti(x, field).vanishes_through(n)
 
 
-def _top_degree_from(
-    y: SimplicialComplex, floor: int, p: Optional[int]
-) -> int:
-    """The top degree t >= floor in which y has nonzero reduced homology over
-    Q (p None) or GF(p), or -1 if there is none.
+def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
+    """Least k such that reduced homology vanishes in degrees >= k for every
+    induced subcomplex.
 
-    Degrees are walked down from dim(y), each step needing one new boundary
-    rank, since b_t = f_t - r_t - r_{t+1}.  Over Q a degree is screened with
-    GF(2) ranks first; Bareiss runs only when the screen reads nonzero.
+    It uses the equivalent link criterion: L is one more than the top degree
+    of nonzero reduced homology over all links lk(gamma), gamma a face (the
+    empty face gives x itself).  The faces are scanned largest first, so the
+    small links come first and the running best L rises early.  A link of
+    dimension D can only raise L to D + 1, so links with D + 1 <= best are
+    skipped, the others are walked down from degree D to degree best and
+    stop at the first nonzero one (`_Chains.top_degree`, which screens
+    rational ranks over GF(2)), and the scan ends once best = dim(x) + 1,
+    which no link exceeds.  A link met before is skipped too: its top
+    degree is already below best.  The value is exactly that of the full
+    Betti vector of every link; `_leray_induced` is the test oracle.
     """
-    screen = 2 if p is None else p
-    top = y.dim
-    faces: dict[int, list[Face]] = {}
-    ranks: dict[tuple[int, Optional[int]], int] = {}
-
-    def faces_of(k: int) -> list[Face]:
-        if k not in faces:
-            faces[k] = list(y.faces(k))
-        return faces[k]
-
-    def rank(k: int, q: Optional[int]) -> int:
-        """Rank of the boundary map out of the k-faces."""
-        if (k, q) not in ranks:
-            # augmented: d_0 maps every vertex to the empty face
-            ranks[k, q] = (1 if k == 0 else 0 if k > top
-                           else _rank(faces_of(k - 1), faces_of(k), q))
-        return ranks[k, q]
-
-    for t in range(top, floor - 1, -1):
-        f = len(faces_of(t))
-        if (f - rank(t, screen) - rank(t + 1, screen)
-                and f - rank(t, p) - rank(t + 1, p)):
-            return t
-    return -1
-
-
-def _leray_by_links(x: SimplicialComplex, p: Optional[int]) -> int:
+    p = _parse_field(field)
     # dim lk(m) = (size of the largest facet holding m) - |m| - 1
     reach: dict[int, int] = {}
     for f in x.facets:
@@ -306,80 +320,58 @@ def _leray_by_links(x: SimplicialComplex, p: Optional[int]) -> int:
             if reach.get(m, 0) < s:
                 reach[m] = s
     best, cap = 0, x.dim + 1
+    seen: set[tuple[Face, ...]] = set()
     for m in sorted(reach, key=int.bit_count, reverse=True):
         if best == cap:
             break
         if reach[m] - m.bit_count() > best:  # dim(lk m) + 1 > best
-            best = max(best, _top_degree_from(x.link(m), best, p) + 1)
+            lk = x.link(m)
+            if lk.facets not in seen:
+                seen.add(lk.facets)
+                best = max(best, _Chains(lk).top_degree(best, p) + 1)
     return best
 
 
-def leray_number(
-    x: SimplicialComplex, field: Field = "Q", method: str = "links"
-) -> int:
-    """Least k such that reduced homology vanishes in degrees >= k for every
-    induced subcomplex.
+def _leray_induced(x: SimplicialComplex, field: Field = "Q") -> int:
+    """The Leray number by brute force: one more than the top nonzero degree
+    of the full Betti vector of every induced subcomplex.  The oracle for
+    `leray_number`, refused above LERAY_VERTEX_CAP vertices."""
+    n = len(x.vertices)
+    if n > LERAY_VERTEX_CAP:
+        raise ValueError(
+            f"brute-force Leray refused above {LERAY_VERTEX_CAP} vertices")
+    return 1 + max(reduced_betti(x.induced(sub), field).top_nonzero_degree()
+                   for sub in subsets(x.vertex_mask, range(n + 1)))
 
-    method "links" uses the equivalent link criterion: L is one more than
-    the top degree of nonzero reduced homology over all links lk(gamma),
-    gamma a face (the empty face gives x itself).  It scans the faces
-    largest first, so the small links come first and the running best L
-    rises early.  A link of dimension D can only raise L to D + 1, so links
-    with D + 1 <= best are skipped, the others are walked down from degree
-    D to degree best and stop at the first nonzero one, and the scan ends
-    once best = dim(x) + 1, which no link exceeds.  Over Q each degree is
-    screened over GF(2) first: the rank over GF(2) of an integer matrix is
-    at most its rank over Q, so b_t over GF(2) >= b_t over Q, a zero GF(2)
-    Betti number is a zero rational one, and Bareiss runs only to confirm a
-    nonzero.  The value is exactly that of the full Betti vector of every
-    link.
 
-    "induced" is the brute force over all vertex subsets, the test oracle,
-    refused above LERAY_VERTEX_CAP vertices; "both" runs the two and insists
-    they agree.
-    """
-    if method not in ("both", "induced", "links"):
-        raise ValueError(f"unknown leray method {method!r}")
+def _acyclic_below_top(complexes, field: Field) -> bool:
+    """True iff every complex has zero reduced homology in each degree below
+    its dimension (the empty complex vacuously).  Stops at the first
+    nonzero degree, lowest degree first, and checks a repeated complex
+    once."""
     p = _parse_field(field)
-    results = {}
-    if method in ("both", "induced"):
-        n = len(x.vertices)
-        if n > LERAY_VERTEX_CAP:
-            raise ValueError(
-                f"brute-force Leray refused above {LERAY_VERTEX_CAP} "
-                "vertices; use method='links'"
-            )
-        cache = _BettiCache(field)
-        best = -1
-        for sub in subsets(x.vertex_mask, range(n + 1)):
-            best = max(best, cache.get(x.induced(sub)).top_nonzero_degree())
-        results["induced"] = best + 1
-    if method in ("both", "links"):
-        results["links"] = _leray_by_links(x, p)
-    if method == "both" and results["induced"] != results["links"]:
-        raise AssertionError(
-            f"leray routes disagree: {results} on {x!r}"
-        )
-    return next(iter(results.values()))
+    seen: set[tuple[Face, ...]] = set()
+    for y in complexes:
+        if y.facets in seen:
+            continue
+        seen.add(y.facets)
+        chains = _Chains(y)
+        if any(chains.nonzero(t, p) for t in range(chains.dim)):
+            return False
+    return True
 
 
 def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q") -> bool:
     """Pure, and every link is homologically (dim(link) - 1)-connected."""
-    if not x.is_pure():
-        return False
-    cache = _BettiCache(field)
-    return all(cache.get(lk).vanishes_through(lk.dim - 1)
-               for lk in map(x.link, x.all_faces()))
+    return x.is_pure() and _acyclic_below_top(map(x.link, x.all_faces()),
+                                              field)
 
 
 def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
     """The alternative predicate: pure, and every induced subcomplex is
     homologically (dim - 1)-connected."""
-    if not x.is_pure():
-        return False
-    cache = _BettiCache(field)
-    subs = map(x.induced, subsets(x.vertex_mask, range(1, len(x.vertices) + 1)))
-    return all(cache.get(sub).vanishes_through(sub.dim - 1) for sub in subs)
+    subs = subsets(x.vertex_mask, range(1, len(x.vertices) + 1))
+    return x.is_pure() and _acyclic_below_top(map(x.induced, subs), field)
 
 
 def is_shellable(

@@ -290,7 +290,13 @@ def gamma_si(h: Hypergraph) -> DominationResult:
 
 
 def gamma_E(h: Hypergraph) -> DominationResult:
-    """Edgewise domination: fewest edges whose union strongly dominates V."""
+    """Edgewise domination: fewest edges whose union strongly dominates V.
+
+    The empty family counts, as B = {} does in `gamma_strong`, so gamma_E is
+    0 when every vertex has its singleton edge.  Kim and Kim's definition
+    (JCTA 2021) is unchecked here; their bound L(NC(H)) <= n - gamma_E - 1
+    holds on Hypergraph(2, [[1], [1, 2], [2]]) (L = 1) only with r from 0.
+    """
     h._forbid_isolated()
     vmask = h.vertex_mask
     union_all = 0
@@ -298,7 +304,7 @@ def gamma_E(h: Hypergraph) -> DominationResult:
         union_all |= e
     if not strongly_dominates(h, union_all, vmask):
         raise UndominatableError("V cannot be strongly dominated edgewise")
-    for r in range(1, len(h.edges) + 1):
+    for r in range(len(h.edges) + 1):
         for fam in itertools.combinations(h.edges, r):
             u = 0
             for e in fam:

@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 
 from .complexes import FreePair, SimplicialComplex, as_face, vertices_of
 from .errors import Budget, NotAFaceError
-from .homology import reduced_betti
+from .homology import _Chains
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def is_d_collapsible(
 
 
 def _floor_work(x: SimplicialComplex) -> int:
-    """An upper bound on the steps `reduced_betti(x, 2)` takes: every facet
-    subset it lists, plus rows * columns * rank for each boundary matrix.
-    The number of faces on j vertices is bounded by both C(n, j) and the
-    sum of C(|F|, j) over the facets F."""
+    """An upper bound on the steps the floor's GF(2) ranks take: every
+    facet subset listed, plus rows * columns * rank for each boundary
+    matrix.  The number of faces on j vertices is bounded by both C(n, j)
+    and the sum of C(|F|, j) over the facets F."""
     n = x.vertex_mask.bit_count()
     sizes = [f.bit_count() for f in x.facets]
     f = [min(math.comb(n, j), sum(math.comb(s, j) for s in sizes))
@@ -132,43 +132,38 @@ def _homology_floor(x: SimplicialComplex, budget: Budget) -> int:
         return 0
     if _floor_work(x) > budget.limit - budget.used:
         return 0
-    return reduced_betti(x, 2).top_nonzero_degree() + 1
+    return _Chains(x).top_degree(0, 2) + 1
 
 
 def collapsibility_number(
-    x: SimplicialComplex,
-    budget: Optional[Budget] = None,
-    lower: int = 0,
+    x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> int:
     """Least d such that x is d-collapsible.
 
     Terminates because a complex of dimension n is always (n+1)-collapsible.
-    `lower` lets callers seed the search, e.g. with the Leray number; the
-    search never starts below the homology floor (see
+    The search never starts below the homology floor (see
     `collapsibility_number_with_certificate`).
     """
-    return collapsibility_number_with_certificate(x, budget, lower)[0]
+    return collapsibility_number_with_certificate(x, budget)[0]
 
 
 def collapsibility_number_with_certificate(
-    x: SimplicialComplex,
-    budget: Optional[Budget] = None,
-    lower: int = 0,
+    x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> tuple[int, Optional[CollapseCertificate]]:
     """The collapsibility number with a certificate that replays it.
 
-    The search starts at d = max(lower, t + 1, 0), where t is the top degree
-    of nonzero reduced homology of x over GF(2) (-1 if none).  No d <= t can
-    succeed: a d-collapsible complex has H~_i = 0 for i >= d over every
-    field (Wegner 1975), and GF(2) Betti numbers are at least the rational
-    ones.  The value and certificate are those of the plain d = 0, 1, ...
+    The search starts at d = t + 1, where t is the top degree of nonzero
+    reduced homology of x over GF(2) (-1 if none).  No d <= t can succeed:
+    a d-collapsible complex has H~_i = 0 for i >= d over every field
+    (Wegner 1975), and GF(2) Betti numbers are at least the rational ones.
+    The value and certificate are those of the plain d = 0, 1, ...
     loop; only the nodes spent on doomed searches are saved.  On a cone, or
     when the rank would cost more steps than the budget has nodes left, the
-    floor is not computed and the search starts at max(lower, 0) (see
+    floor is not computed and the search starts at 0 (see
     `_homology_floor`).
     """
     budget = budget or Budget()
-    d = max(lower, _homology_floor(x, budget), 0)
+    d = _homology_floor(x, budget)
     while True:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:

@@ -39,6 +39,7 @@ from .generators import GeneratorSpec, generate
 from .homology import (
     Field,
     _is_shedding_face,
+    _leray_induced,
     _parse_field,
     is_cohen_macaulay,
     is_cohen_macaulay_induced,
@@ -507,7 +508,8 @@ def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_leray_methods(x: SimplicialComplex, rng, budget) -> str:
-    leray_number(x, method="both")  # raises on disagreement
+    links, induced = leray_number(x), _leray_induced(x)
+    _chk(links == induced, x, f"Leray by links {links} != induced {induced}")
     return "pass"
 
 

@@ -1,6 +1,7 @@
-"""Shared test tooling: exhaustive enumeration of small complexes."""
+"""Shared test tooling: exhaustive enumeration of small complexes and
+hypergraphs."""
 
-from collapsekit import SimplicialComplex
+from collapsekit import Hypergraph, SimplicialComplex
 
 
 def all_complexes(n: int) -> list[SimplicialComplex]:
@@ -25,3 +26,14 @@ def all_complexes(n: int) -> list[SimplicialComplex]:
 
     extend(list(masks), [])
     return out
+
+
+def all_hypergraphs(n: int) -> list[Hypergraph]:
+    """Every hypergraph on the vertices 1..n with at least one edge, once
+    each: the 2^(2^n - 1) - 1 nonempty families of nonempty subsets of 1..n.
+    A vertex in no edge, or only in the singleton edge on itself, is
+    isolated; callers that need no isolated vertex filter on
+    `isolated_vertices`."""
+    masks = range(2, 1 << (n + 1), 2)  # non-empty subsets of 1..n
+    return [Hypergraph(n, [m for i, m in enumerate(masks) if family >> i & 1])
+            for family in range(1, 1 << len(masks))]

@@ -278,6 +278,16 @@ def test_nc_bound_summaries_and_the_empty_nc_case():
     assert reports._thm_nc_bound(h, random.Random(0), Budget()) == "pass"
 
 
+def test_leray_methods_records_a_disagreement_as_a_counterexample(monkeypatch):
+    monkeypatch.setattr(reports, "_leray_induced", lambda x: 99)
+    summary = verify("leray-methods", trials=3)
+    assert (summary["passes"], summary["fails"]) == (0, 1)
+    cx = summary["counterexample"]
+    assert cx["trial"] == 0
+    assert cx["detail"].startswith("Leray by links ")
+    assert cx["detail"].endswith(" != induced 99")
+
+
 def test_verify_unknown_theorem():
     with pytest.raises(KeyError):
         verify("flat-earth")

@@ -26,10 +26,12 @@ from collapsekit import (
     verify_shedding_sequence,
 )
 from collapsekit import homology
+from collapsekit.complexes import subsets
 from collapsekit.generators import star_family
 from collapsekit.homology import (
     _boundary_matrix,
     _is_prime,
+    _leray_induced,
     _rank_bareiss,
     _rank_gf2,
     _rank_mod_p,
@@ -171,8 +173,8 @@ def test_betti_of_rp2_sees_the_torsion():
 
 def full_link_leray(x, p=None):
     """The link criterion with the full dense Betti vector of every link:
-    the route `leray_number(method="links")` had before its top-down scan,
-    kept as that scan's oracle."""
+    the link route `leray_number` had before its top-down scan, kept as that
+    scan's oracle."""
     top = -1
     for gamma in x.all_faces():
         betti = dense_betti(x.link(gamma), p)
@@ -202,10 +204,9 @@ def test_leray_scan_matches_the_full_link_scan_on_n6(p):
 def test_leray_of_rp2_rejects_the_gf2_screen_over_q():
     # over Q the GF(2) screen reads H~_2 != 0 on RP2 itself; only the exact
     # rank shows it is 0, so L stays at 2 (from the hexagon vertex links)
-    assert leray_number(RP2) == 2 == full_link_leray(RP2)
-    assert leray_number(RP2, method="both") == 2
-    assert leray_number(RP2, 2) == 3 == full_link_leray(RP2, 2)
-    assert leray_number(RP2, 2, method="both") == 3
+    assert leray_number(RP2) == 2 == full_link_leray(RP2) == _leray_induced(RP2)
+    assert (leray_number(RP2, 2) == 3 == full_link_leray(RP2, 2)
+            == _leray_induced(RP2, 2))
 
 
 def test_leray_of_star_family_nc_needs_few_exact_ranks(monkeypatch):
@@ -231,14 +232,14 @@ def test_leray_goldens():
 
 def test_leray_methods_agree_individually():
     for x in (THREE_CYCLE, TETRA_BOUNDARY, V6F10_6):
-        assert leray_number(x, method="induced") == leray_number(x, method="links")
+        assert _leray_induced(x) == leray_number(x)
 
 
 def test_leray_vertex_cap():
     wide = SimplicialComplex([(v,) for v in range(15)])
     with pytest.raises(ValueError):
-        leray_number(wide, method="induced")
-    assert leray_number(wide, method="links") == 1
+        _leray_induced(wide)
+    assert leray_number(wide) == 1
 
 
 def test_leray_default_route_scales_past_the_vertex_cap():
@@ -246,15 +247,36 @@ def test_leray_default_route_scales_past_the_vertex_cap():
     assert leray_number(path) == 1
 
 
-def test_leray_unknown_method():
-    with pytest.raises(ValueError):
-        leray_number(THREE_CYCLE, method="nerve")
-
-
 @given(complexes)
 @settings(max_examples=25, deadline=None)
 def test_leray_routes_always_agree(x):
-    leray_number(x, method="both")  # raises AssertionError on disagreement
+    assert leray_number(x) == _leray_induced(x)
+    assert leray_number(x, 2) == _leray_induced(x, 2)
+
+
+def test_leray_scan_skips_repeated_links(monkeypatch):
+    links, ranked = [], []
+    link = SimplicialComplex.link
+
+    def counted_link(self, sigma):
+        lk = link(self, sigma)
+        links.append(lk.facets)
+        return lk
+
+    class Counted(homology._Chains):
+        __slots__ = ()
+
+        def __init__(self, y):
+            ranked.append(y.facets)
+            super().__init__(y)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counted_link)
+    monkeypatch.setattr(homology, "_Chains", Counted)
+    # three triangles on the edge 12: the edges 13, 14 and 15 all have the
+    # link {2}, and so do 23, 24, 25 with {1}
+    fan = SimplicialComplex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+    assert leray_number(fan) == 1
+    assert sorted(ranked) == sorted(set(links)) and len(links) > len(ranked)
 
 
 # -- Cohen-Macaulay --------------------------------------------------------
@@ -266,6 +288,24 @@ def test_cohen_macaulay_goldens():
     assert not is_cohen_macaulay(SimplicialComplex([(1, 2, 3), (3, 4)]))
     # two disjoint edges: pure but disconnected in dimension 1
     assert not is_cohen_macaulay(SimplicialComplex([(1, 2), (3, 4)]))
+
+
+def dense_acyclic_below_top(complexes, p=None):
+    """Zero reduced homology below the top degree of each complex, read off
+    its dense Betti vector: the oracle for both Cohen-Macaulay predicates."""
+    return all(not any(dense_betti(y, p)[:y.dim]) for y in complexes)
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_cohen_macaulay_matches_dense_betti_on_every_small_complex(p):
+    field = "Q" if p is None else p
+    for x in all_complexes(5):
+        links = map(x.link, x.all_faces())
+        subs = map(x.induced, subsets(x.vertex_mask, range(1, 6)))
+        assert is_cohen_macaulay(x, field) == (
+            x.is_pure() and dense_acyclic_below_top(links, p)), x
+        assert is_cohen_macaulay_induced(x, field) == (
+            x.is_pure() and dense_acyclic_below_top(subs, p)), x
 
 
 @given(complexes)

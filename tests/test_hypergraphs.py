@@ -1,12 +1,14 @@
 """Hypergraphs, covers, the non-cover complex and the domination numbers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsekit import (
+    Budget,
     Face,
     HypothesisNotMetError,
     Hypergraph,
@@ -28,6 +30,9 @@ from collapsekit import (
 )
 from collapsekit.generators import star_family
 from collapsekit.hypergraphs import cover_initial_relabeling, maximizing_minimal_cover
+from collapsekit.reports import THEOREMS
+
+from conftest import all_hypergraphs
 
 C4 = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])  # 4-cycle
 
@@ -228,6 +233,30 @@ def test_gamma_E_witness_is_a_dominating_edge_family():
     res = gamma_E(C4)
     union = Face.of(v for e in res.witness for v in e)
     assert strongly_dominates(C4, union, Face(C4.vertex_mask))
+
+
+def test_gamma_E_admits_the_empty_family():
+    # every vertex has its singleton edge, so the empty union dominates V;
+    # NC(H) is two points with L = 1, and L <= n - gamma_E - 1 needs 0
+    h = Hypergraph(2, [[1], [1, 2], [2]])
+    res = gamma_E(h)
+    assert (res.value, res.witness) == (0, ())
+    assert strongly_dominates(h, 0, Face(h.vertex_mask))
+    assert not strongly_dominates(C4, 0, Face(C4.vertex_mask))
+
+
+@pytest.mark.parametrize("theorem", ["kim-kim", "nc-bound", "gamma-si-eq",
+                                     "gamma-monotone"])
+def test_hypergraph_probes_hold_on_every_hypergraph_up_to_3_vertices(theorem):
+    probe = THEOREMS[theorem][1]
+    checked = 0
+    for n in (1, 2, 3):
+        for h in all_hypergraphs(n):
+            if h.isolated_vertices():
+                continue
+            assert probe(h, random.Random(0), Budget()) in ("pass", "skip"), h
+            checked += 1
+    assert checked == 4 + 96  # n = 2 and n = 3; on n = 1 vertex 1 is isolated
 
 
 # -- star family (gap between the parameters) -----------------------------
