@@ -239,12 +239,6 @@ class SimplicialComplex:
         """Number of nonempty faces."""
         return sum(1 for _ in self.all_faces(include_empty=False))
 
-    def facet_count_by_dim(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in self.facets:
-            out[f.dim] = out.get(f.dim, 0) + 1
-        return out
-
     # -- structural operations --------------------------------------------
 
     def link(self, sigma) -> "SimplicialComplex":

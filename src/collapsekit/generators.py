@@ -40,7 +40,8 @@ NAMED_EXAMPLES = {
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate; identical spec implies identical instance."""
+    """What to generate; identical spec implies identical instance.  The
+    random hypergraph kinds drop isolated vertices (see `_drop_isolated`)."""
 
     kind: str  # random-complex | random-hypergraph | random-graph |
     #            star-family | named-example | random-kvd
@@ -51,7 +52,6 @@ class GeneratorSpec:
     leaves: tuple[int, ...] = ()   # star-family: leaves per star
     name: str = ""             # named-example
     k: int = 1                 # random-kvd: decomposability parameter
-    no_isolated: bool = True   # hypergraph kinds: drop isolated vertices
 
 
 def _random_complex(rng: random.Random, n: int, m: int, max_size: int
@@ -67,17 +67,14 @@ def _random_complex(rng: random.Random, n: int, m: int, max_size: int
     return x
 
 
-def _random_hypergraph(rng: random.Random, n: int, m: int, max_size: int,
-                       no_isolated: bool) -> Hypergraph:
+def _random_hypergraph(rng: random.Random, n: int, m: int, max_size: int
+                       ) -> Hypergraph:
     verts = list(range(1, n + 1))
     edges = []
     for _ in range(m):
         size = rng.randint(1, min(max_size, n))
         edges.append(tuple(sorted(rng.sample(verts, size))))
-    h = Hypergraph(n, edges)
-    if no_isolated:
-        h = _drop_isolated(h)
-    return h
+    return _drop_isolated(Hypergraph(n, edges))
 
 
 def _drop_isolated(h: Hypergraph) -> Hypergraph:
@@ -103,16 +100,12 @@ def _drop_isolated(h: Hypergraph) -> Hypergraph:
     return _drop_isolated(out) if out.isolated_vertices() else out
 
 
-def _random_graph(rng: random.Random, n: int, m: int, no_isolated: bool
-                  ) -> Hypergraph:
+def _random_graph(rng: random.Random, n: int, m: int) -> Hypergraph:
     verts = list(range(1, n + 1))
     edges = []
     for _ in range(m):
         edges.append(tuple(sorted(rng.sample(verts, 2))))
-    h = Hypergraph(n, edges)
-    if no_isolated:
-        h = _drop_isolated(h)
-    return h
+    return _drop_isolated(Hypergraph(n, edges))
 
 
 def star_family(n: int, leaves: tuple[int, ...]) -> Hypergraph:
@@ -161,10 +154,9 @@ def generate(spec: GeneratorSpec) -> Instance:
     if spec.kind == "random-complex":
         return _random_complex(rng, spec.n, spec.m, spec.max_size)
     if spec.kind == "random-hypergraph":
-        return _random_hypergraph(rng, spec.n, spec.m, spec.max_size,
-                                  spec.no_isolated)
+        return _random_hypergraph(rng, spec.n, spec.m, spec.max_size)
     if spec.kind == "random-graph":
-        return _random_graph(rng, spec.n, spec.m, spec.no_isolated)
+        return _random_graph(rng, spec.n, spec.m)
     if spec.kind == "star-family":
         leaves = spec.leaves or (1,) * spec.n
         return star_family(spec.n, leaves)

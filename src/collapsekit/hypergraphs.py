@@ -4,6 +4,8 @@ Vertices are 1-based: V = {1, ..., n}.  Subsets are passed around as Python
 sets/iterables at the API surface and handled as bitmasks internally.  All
 optimizers are increasing-cardinality exhaustive searches with early exit;
 exactness over speed, and every result carries a re-checkable witness.
+gamma_A, gamma_strong and gamma_E are one least-set search, `_least`, over
+vertex bits or edges.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
 singleton edge {v} exists (so "isolated" means what it does for graphs).
@@ -11,10 +13,13 @@ singleton edge {v} exists (so "isolated" means what it does for graphs).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .complexes import (
+    MAX_VERTEX,
     Face,
     SimplicialComplex,
     as_face,
@@ -26,6 +31,7 @@ from .errors import (
     HypothesisNotMetError,
     IsolatedVertexError,
     UndominatableError,
+    VertexRangeError,
 )
 from .invariants import FacetOrdering
 
@@ -38,11 +44,13 @@ class Hypergraph:
     to inclusion-minimal ones).
     """
 
-    __slots__ = ("n", "edges", "_nbr")
+    __slots__ = ("n", "edges", "_nbr", "_strong")
 
     def __init__(self, n: int, edges):
         if n < 1:
             raise ValueError("a hypergraph needs at least one vertex")
+        if n > MAX_VERTEX:
+            raise VertexRangeError(f"vertex count {n} exceeds {MAX_VERTEX}")
         vmask = (1 << (n + 1)) - 2
         masks = []
         seen = set()
@@ -60,11 +68,13 @@ class Hypergraph:
             self, "edges", tuple(sorted((Face(m) for m in masks),
                                         key=lambda f: f.vertices))
         )
-        nbr = [0] * (n + 1)
+        strong = [[] for _ in range(n + 1)]  # e - {v} for the edges e at v
         for m in masks:
             for v in vertices_of(m):
-                nbr[v] |= m & ~(1 << v)
-        object.__setattr__(self, "_nbr", tuple(nbr))
+                strong[v].append(m & ~(1 << v))
+        object.__setattr__(self, "_strong", tuple(map(tuple, strong)))
+        object.__setattr__(self, "_nbr", tuple(
+            functools.reduce(operator.or_, s, 0) for s in strong))
 
     def __setattr__(self, *a):
         raise AttributeError("Hypergraph is immutable")
@@ -129,20 +139,28 @@ class Hypergraph:
         return not any(int(e) & ~i == 0 for e in self.edges)
 
     def is_strongly_independent(self, subset) -> bool:
-        i = int(as_face(subset))
-        return self.is_independent(i) and all(
-            (int(e) & i).bit_count() <= 1 for e in self.edges
-        )
+        return self._strongly_independent(int(as_face(subset)))
+
+    def _strongly_independent(self, i: int) -> bool:
+        """No edge inside i, and no edge meeting i twice."""
+        return all(e & ~i and (e & i).bit_count() <= 1 for e in self.edges)
+
+    def _strongly_dominates(self, b: int, w: int) -> bool:
+        """Every vertex v of w has an edge e with e - {v} inside b."""
+        strong = self._strong
+        return all(any(s & ~b == 0 for s in strong[v])
+                   for v in vertices_of(w))
+
+    def _is_minimal_cover(self, m: int) -> bool:
+        """m meets every edge, and each vertex of m is the only vertex of m
+        in some edge, so none can be dropped."""
+        return all(e & m for e in self.edges) and all(
+            any(e & m == 1 << v for e in self.edges) for v in vertices_of(m))
 
     def minimal_covers(self):
         """All inclusion-minimal covers, as sorted vertex tuples."""
-        out = []
-        for m in subsets(self.vertex_mask, range(self.n + 1)):
-            if self.is_cover(m) and not any(
-                self.is_cover(m & ~(1 << v)) for v in vertices_of(m)
-            ):
-                out.append(vertices_of(m))
-        return out
+        masks = subsets(self.vertex_mask, range(self.n + 1))
+        return [vertices_of(m) for m in masks if self._is_minimal_cover(m)]
 
 
 @dataclass(frozen=True)
@@ -203,22 +221,29 @@ def nc_bound_order(h: Hypergraph):
     return order.complex, order
 
 
+def _least(items, dominated):
+    """The first combination of `items`, fewest first and then in
+    itertools.combinations order, whose union u has `dominated(u)`; None
+    when even the union of all items falls short (`dominated` is monotone).
+    """
+    if not dominated(functools.reduce(operator.or_, items, 0)):
+        return None
+    return next(combo for r in range(len(items) + 1)
+                for combo in itertools.combinations(items, r)
+                if dominated(functools.reduce(operator.or_, combo, 0)))
+
+
 def gamma_A(h: Hypergraph, target) -> DominationResult:
     """Minimum W inside the complement of the target with target <= N(W)."""
     a = int(as_face(target))
     if a & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    pool = h.vertex_mask & ~a
-    if a & ~h._nbr_mask(pool):
-        raise UndominatableError(
-            f"target {list(vertices_of(a))} cannot be dominated from its "
-            "complement"
-        )
-    for m in subsets(pool, range(pool.bit_count() + 1)):
-        if a & ~h._nbr_mask(m) == 0:
-            return DominationResult(m.bit_count(), vertices_of(m),
-                                    vertices_of(a))
-    raise AssertionError("unreachable: feasibility checked above")
+    w = _least([1 << v for v in vertices_of(h.vertex_mask & ~a)],
+               lambda m: a & ~h._nbr_mask(m) == 0)
+    if w is None:
+        raise UndominatableError(f"target {list(vertices_of(a))} cannot be "
+                                 "dominated from its complement")
+    return DominationResult(len(w), vertices_of(sum(w)), vertices_of(a))
 
 
 def gamma_i(h: Hypergraph) -> DominationResult:
@@ -235,18 +260,11 @@ def gamma_i(h: Hypergraph) -> DominationResult:
 
 # -- Kim-Kim parameters ----------------------------------------------------
 
-def strongly_totally_dominates_vertex(h: Hypergraph, b, v: int) -> bool:
-    """Some subset of b - {v}, together with v, forms an edge."""
-    bm = int(as_face(b)) & ~(1 << v)
-    return any((e >> v) & 1 and int(e) & ~(bm | (1 << v)) == 0 for e in h.edges)
-
-
 def strongly_dominates(h: Hypergraph, b, w) -> bool:
-    bm = int(as_face(b))
-    return all(
-        strongly_totally_dominates_vertex(h, bm, v)
-        for v in as_face(w).vertices
-    )
+    """Every vertex v of w lies in an edge e with e - {v} inside b."""
+    wm = int(as_face(w))
+    return (not wm & ~h.vertex_mask
+            and h._strongly_dominates(int(as_face(b)), wm))
 
 
 def gamma_strong(h: Hypergraph, w) -> DominationResult:
@@ -254,15 +272,12 @@ def gamma_strong(h: Hypergraph, w) -> DominationResult:
     wm = int(as_face(w))
     if wm & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    if not strongly_dominates(h, h.vertex_mask, wm):
+    b = _least([1 << v for v in range(1, h.n + 1)],
+               lambda m: h._strongly_dominates(m, wm))
+    if b is None:
         raise UndominatableError(
-            f"{list(vertices_of(wm))} cannot be strongly dominated"
-        )
-    for m in subsets(h.vertex_mask, range(h.n + 1)):
-        if strongly_dominates(h, m, wm):
-            return DominationResult(m.bit_count(), vertices_of(m),
-                                    vertices_of(wm))
-    raise AssertionError("unreachable: feasibility checked above")
+            f"{list(vertices_of(wm))} cannot be strongly dominated")
+    return DominationResult(len(b), vertices_of(sum(b)), vertices_of(wm))
 
 
 def gamma_tilde(h: Hypergraph) -> DominationResult:
@@ -273,20 +288,16 @@ def gamma_tilde(h: Hypergraph) -> DominationResult:
 
 def gamma_si(h: Hypergraph) -> DominationResult:
     """Strong independence domination number: max of gamma(H; I) over
-    strongly independent I (monotone, so maximal ones suffice)."""
+    strongly independent I (monotone, so maximal ones suffice).  The empty
+    set is strongly independent, so some maximal I exists."""
     h._forbid_isolated()
     strongly_ind = [m for m in subsets(h.vertex_mask, range(h.n + 1))
-                    if h.is_strongly_independent(m)]
+                    if h._strongly_independent(m)]
     si_set = set(strongly_ind)
-    best = DominationResult(0, (), ())
-    for m in strongly_ind:
-        if any((m | (1 << v)) in si_set and not (m >> v) & 1
-               for v in range(1, h.n + 1)):
-            continue  # not maximal
-        res = gamma_strong(h, m)
-        if res.value > best.value:
-            best = res
-    return best
+    return max((gamma_strong(h, m) for m in strongly_ind
+                if not any((m | (1 << v)) in si_set and not (m >> v) & 1
+                           for v in range(1, h.n + 1))),  # maximal only
+               key=lambda res: res.value)
 
 
 def gamma_E(h: Hypergraph) -> DominationResult:
@@ -299,32 +310,20 @@ def gamma_E(h: Hypergraph) -> DominationResult:
     """
     h._forbid_isolated()
     vmask = h.vertex_mask
-    union_all = 0
-    for e in h.edges:
-        union_all |= e
-    if not strongly_dominates(h, union_all, vmask):
+    fam = _least(h.edges, lambda u: h._strongly_dominates(u, vmask))
+    if fam is None:
         raise UndominatableError("V cannot be strongly dominated edgewise")
-    for r in range(len(h.edges) + 1):
-        for fam in itertools.combinations(h.edges, r):
-            u = 0
-            for e in fam:
-                u |= e
-            if strongly_dominates(h, u, vmask):
-                witness = tuple(tuple(e.vertices) for e in fam)
-                return DominationResult(r, witness, vertices_of(vmask))
-    raise AssertionError("unreachable: feasibility checked above")
+    return DominationResult(len(fam), tuple(tuple(e.vertices) for e in fam),
+                            vertices_of(vmask))
 
 
 def _maximizing_cover(h: Hypergraph) -> tuple[tuple[int, ...], DominationResult]:
     """The first minimal cover D (in `minimal_covers` order) maximizing
     gamma over its complement, with that gamma_A result.  V itself is a
     cover, so some minimal cover exists."""
-    best = None
-    for cover in h.minimal_covers():
-        res = gamma_A(h, h.vertex_mask & ~mask_of(cover))
-        if best is None or res.value > best[1].value:
-            best = cover, res
-    return best
+    return max(((cover, gamma_A(h, h.vertex_mask & ~mask_of(cover)))
+                for cover in h.minimal_covers()),
+               key=lambda pair: pair[1].value)
 
 
 def maximizing_minimal_cover(h: Hypergraph) -> tuple[int, ...]:

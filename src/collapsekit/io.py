@@ -4,7 +4,9 @@ Complex files:   {"vertices": [int...], "facets": [[int...]...]}
 Hypergraph files: {"n": int, "edges": [[int...]...]}   (1-based vertices)
 
 Facet lists need not be pre-canonicalized; the complex loader canonicalizes
-and reports what it removed.
+and reports what it removed.  A field of the wrong type (a count or label
+that is not an integer, facets or edges that are not lists of lists) raises
+ValueError naming the bad value.
 """
 
 from __future__ import annotations
@@ -39,10 +41,28 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(instance_to_obj(inst), sort_keys=True)
 
 
+def _is_label(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _label_list(value, what: str) -> list:
+    """`value` if it is a list of integer vertex labels, else ValueError."""
+    if not isinstance(value, list) or not all(map(_is_label, value)):
+        raise ValueError(
+            f"{what} {value!r} is not a list of integer vertex labels")
+    return value
+
+
+def _label_lists(value, what: str, each: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} {value!r} is not a list of vertex lists")
+    return [_label_list(r, each) for r in value]
+
+
 def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
     """Returns the canonicalized complex and the raw facets that were dropped
     (duplicates / non-maximal)."""
-    raw = obj["facets"]
+    raw = _label_lists(obj["facets"], "facets", "facet")
     x = SimplicialComplex(raw)
     kept = {int(f) for f in x.facets}
     dropped = []
@@ -54,6 +74,7 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
         seen.add(m)
     declared = obj.get("vertices")
     if declared is not None:
+        _label_list(declared, "vertices")
         have = set(x.vertices)
         extra = [v for v in declared if v not in have]
         # isolated vertices must be represented as singleton facets
@@ -63,12 +84,17 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
 
 
 def hypergraph_from_obj(obj: dict) -> Hypergraph:
-    return Hypergraph(obj["n"], obj["edges"])
+    n = obj["n"]
+    if not _is_label(n):
+        raise ValueError(f"n {n!r} is not an integer vertex count")
+    return Hypergraph(n, _label_lists(obj["edges"], "edges", "edge"))
 
 
 def load_instance(path: str) -> Instance:
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     if "edges" in obj:
         return hypergraph_from_obj(obj)
     if "facets" in obj:

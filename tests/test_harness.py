@@ -369,6 +369,26 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("obj, named", [
+    ({"n": "3", "edges": [[1, 2], [2, 3]]}, "'3'"),
+    ({"n": 3.0, "edges": [[1, 2], [2, 3]]}, "3.0"),
+    ({"n": 3, "edges": [[1, "2"]]}, "[1, '2']"),
+    ({"facets": [[1, "a"]]}, "[1, 'a']"),
+    ({"facets": 5}, "5"),
+    ({"n": 128, "edges": [[1, 2]]}, "128"),
+])
+def test_cli_compute_rejects_malformed_files(tmp_path, capsys, obj, named):
+    # exit 1 means "counterexample found", so bad input must exit 2
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["compute", str(inst)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
 def test_cli_field_flag(tmp_path):
     inst = tmp_path / "x.json"
     out = tmp_path / "r.json"

@@ -28,8 +28,15 @@ from collapsekit import (
     non_cover_complex,
     strongly_dominates,
 )
+from collapsekit.complexes import as_face, mask_of, subsets, vertices_of
+from collapsekit.errors import VertexRangeError
 from collapsekit.generators import star_family
-from collapsekit.hypergraphs import cover_initial_relabeling, maximizing_minimal_cover
+from collapsekit.hypergraphs import (
+    DominationResult,
+    _maximizing_cover,
+    cover_initial_relabeling,
+    maximizing_minimal_cover,
+)
 from collapsekit.reports import THEOREMS
 
 from conftest import all_hypergraphs
@@ -64,6 +71,13 @@ def test_construction_rejects_bad_edges():
         Hypergraph(3, [(1, 4)])
     with pytest.raises(ValueError):
         Hypergraph(0, [])
+
+
+def test_construction_bounds_the_vertex_count():
+    # labels are bits of a mask, so 127 is the largest vertex
+    assert Hypergraph(127, [(1, 127)]).n == 127
+    with pytest.raises(VertexRangeError):
+        Hypergraph(128, [(1, 2)])
 
 
 def test_neighbors_exclude_self():
@@ -257,6 +271,161 @@ def test_hypergraph_probes_hold_on_every_hypergraph_up_to_3_vertices(theorem):
             assert probe(h, random.Random(0), Budget()) in ("pass", "skip"), h
             checked += 1
     assert checked == 4 + 96  # n = 2 and n = 3; on n = 1 vertex 1 is isolated
+
+
+# -- the plain domination loops, kept as a test-only oracle ----------------
+# One exhaustive scan per parameter, each subset or edge family tested from
+# scratch; the library answers all of them with one least-set search.
+
+def strongly_totally_dominates_vertex(h, b, v):
+    """Some subset of b - {v}, together with v, forms an edge."""
+    bm = int(as_face(b)) & ~(1 << v)
+    return any((e >> v) & 1 and int(e) & ~(bm | (1 << v)) == 0
+               for e in h.edges)
+
+
+def oracle_strongly_dominates(h, b, w):
+    bm = int(as_face(b))
+    return all(strongly_totally_dominates_vertex(h, bm, v)
+               for v in as_face(w).vertices)
+
+
+def oracle_gamma_A(h, target):
+    a = int(as_face(target))
+    if a & ~h.vertex_mask:
+        raise ValueError("target outside the vertex set")
+    pool = h.vertex_mask & ~a
+    if a & ~h._nbr_mask(pool):
+        raise UndominatableError(
+            f"target {list(vertices_of(a))} cannot be dominated from its "
+            "complement")
+    for m in subsets(pool, range(pool.bit_count() + 1)):
+        if a & ~h._nbr_mask(m) == 0:
+            return DominationResult(m.bit_count(), vertices_of(m),
+                                    vertices_of(a))
+    raise AssertionError("unreachable: feasibility checked above")
+
+
+def oracle_minimal_covers(h):
+    return [vertices_of(m) for m in subsets(h.vertex_mask, range(h.n + 1))
+            if h.is_cover(m)
+            and not any(h.is_cover(m & ~(1 << v)) for v in vertices_of(m))]
+
+
+def oracle_maximizing_cover(h):
+    best = None
+    for cover in oracle_minimal_covers(h):
+        res = oracle_gamma_A(h, h.vertex_mask & ~mask_of(cover))
+        if best is None or res.value > best[1].value:
+            best = cover, res
+    return best
+
+
+def oracle_gamma_i(h):
+    h._forbid_isolated()
+    return oracle_maximizing_cover(h)[1]
+
+
+def oracle_gamma_strong(h, w):
+    wm = int(as_face(w))
+    if wm & ~h.vertex_mask:
+        raise ValueError("target outside the vertex set")
+    if not oracle_strongly_dominates(h, h.vertex_mask, wm):
+        raise UndominatableError(
+            f"{list(vertices_of(wm))} cannot be strongly dominated")
+    for m in subsets(h.vertex_mask, range(h.n + 1)):
+        if oracle_strongly_dominates(h, m, wm):
+            return DominationResult(m.bit_count(), vertices_of(m),
+                                    vertices_of(wm))
+    raise AssertionError("unreachable: feasibility checked above")
+
+
+def oracle_gamma_tilde(h):
+    h._forbid_isolated()
+    return oracle_gamma_strong(h, h.vertex_mask)
+
+
+def oracle_gamma_si(h):
+    h._forbid_isolated()
+    strongly_ind = [
+        m for m in subsets(h.vertex_mask, range(h.n + 1))
+        if not any(int(e) & ~m == 0 for e in h.edges)
+        and all((int(e) & m).bit_count() <= 1 for e in h.edges)]
+    si_set = set(strongly_ind)
+    best = DominationResult(0, (), ())
+    for m in strongly_ind:
+        if any((m | (1 << v)) in si_set and not (m >> v) & 1
+               for v in range(1, h.n + 1)):
+            continue  # not maximal
+        res = oracle_gamma_strong(h, m)
+        if res.value > best.value:
+            best = res
+    return best
+
+
+def oracle_gamma_E(h):
+    h._forbid_isolated()
+    vmask = h.vertex_mask
+    union_all = 0
+    for e in h.edges:
+        union_all |= e
+    if not oracle_strongly_dominates(h, union_all, vmask):
+        raise UndominatableError("V cannot be strongly dominated edgewise")
+    for r in range(len(h.edges) + 1):
+        for fam in itertools.combinations(h.edges, r):
+            u = 0
+            for e in fam:
+                u |= e
+            if oracle_strongly_dominates(h, u, vmask):
+                witness = tuple(tuple(e.vertices) for e in fam)
+                return DominationResult(r, witness, vertices_of(vmask))
+    raise AssertionError("unreachable: feasibility checked above")
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def agree_with_oracle(h, targets):
+    """Every domination parameter of h, and gamma_A, gamma_strong and
+    strongly_dominates on each target, match the oracle exactly: value,
+    witness, target, error type and message."""
+    for new, old in ((gamma_i, oracle_gamma_i),
+                     (gamma_tilde, oracle_gamma_tilde),
+                     (gamma_si, oracle_gamma_si),
+                     (gamma_E, oracle_gamma_E),
+                     (_maximizing_cover, oracle_maximizing_cover)):
+        assert outcome(new, h) == outcome(old, h), (h, new.__name__)
+    assert h.minimal_covers() == oracle_minimal_covers(h), h
+    for w in targets:
+        assert outcome(gamma_A, h, w) == outcome(oracle_gamma_A, h, w), (h, w)
+        assert (outcome(gamma_strong, h, w)
+                == outcome(oracle_gamma_strong, h, w)), (h, w)
+        for b in targets:
+            assert (strongly_dominates(h, b, w)
+                    == oracle_strongly_dominates(h, b, w)), (h, b, w)
+
+
+def test_domination_matches_the_oracle_on_every_hypergraph_up_to_3_vertices():
+    # isolated vertices included; the target 1 << (n + 1) lies outside V
+    for n in (1, 2, 3):
+        targets = list(range(0, 1 << (n + 1), 2)) + [1 << (n + 1)]
+        for h in all_hypergraphs(n):
+            agree_with_oracle(h, targets)
+
+
+def test_domination_matches_the_oracle_on_random_hypergraphs():
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(6, 8)
+        h = Hypergraph(n, [rng.sample(range(1, n + 1), rng.randint(1, 3))
+                           for _ in range(rng.randint(5, 12))])
+        agree_with_oracle(h, [rng.randrange(0, 1 << (n + 1), 2)
+                              for _ in range(4)])
 
 
 # -- star family (gap between the parameters) -----------------------------

@@ -1,6 +1,8 @@
 """Collapsibility numbers, certificates, minimal exclusion sequences and the
 M_k hierarchy."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,8 @@ from collapsekit import (
     simplex_on,
     tancer_inequality_check,
 )
-from collapsekit import invariants
+from collapsekit import invariants, reports
+from collapsekit.generators import v6f10_6
 from collapsekit.reports import compute
 
 from conftest import all_complexes
@@ -296,6 +299,36 @@ def test_tancer_and_claim_inequalities(x, data):
     assert tancer_inequality_check(x, [v])
     sigma = data.draw(st.sampled_from(sorted(x.all_faces(include_empty=False))))
     assert claim_inequality_check(x, sigma)
+
+
+@pytest.mark.parametrize("theorem", ["claim", "tancer"])
+def test_claim_and_tancer_compute_c_of_the_trial_once(monkeypatch, theorem):
+    x = v6f10_6()
+    seen = []
+    real = reports.collapsibility_number
+
+    def counted(y, budget=None):
+        seen.append(y)
+        return real(y, budget)
+
+    monkeypatch.setattr(reports, "collapsibility_number", counted)
+    probe = reports.THEOREMS[theorem][1]
+    assert probe(x, random.Random(0), Budget()) == "pass"
+    assert seen.count(x) == 1 and len(seen) > 1
+
+
+def test_claim_and_tancer_name_the_first_failing_face(monkeypatch):
+    # C(X) = 9 against 0 for every link and deletion: both fail at once
+    monkeypatch.setattr(reports, "collapsibility_number",
+                        lambda y, budget=None: 9 if y == THREE_CYCLE else 0)
+    with pytest.raises(reports.Counterexample) as tancer:
+        reports._thm_tancer(THREE_CYCLE, random.Random(0), Budget())
+    assert tancer.value.detail == "Tancer inequality fails at vertex 1"
+    with pytest.raises(reports.Counterexample) as claim:
+        reports._thm_claim(THREE_CYCLE, random.Random(0), Budget())
+    assert claim.value.detail == "claim inequality fails at Face{1}"
+    assert not claim_inequality_check(THREE_CYCLE, (1, 2))
+    assert not tancer_inequality_check(THREE_CYCLE, (3,))
 
 
 def test_claim_check_rejects_non_face():
