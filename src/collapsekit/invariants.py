@@ -18,12 +18,15 @@ contractible, so its floor is 0 and needs no rank.  The floor is skipped
 node budget, so the budget still bounds every call.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
-M'_k(lk sigma) + k + 1), evaluated by branch and bound with two exact
-rules: the link term is computed first and the deletion is skipped when the
-link term alone already reaches the best candidate so far, since a max is
-never below its terms; and the scan stops once the best candidate equals
-k + 1, the least value any candidate can take.  Neither rule changes a
-value (see `_MkEngine`).
+M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
+call carries a cutoff beta and returns the exact value when it is below
+beta, and otherwise a lower bound that is >= beta.  A sub-call only has to
+say whether its candidate can beat the best one so far, so it gets that
+best as its cutoff; M_k passes M_{k-1} as the cutoff for M'_k.  Only
+candidates that a bound shows cannot lower the min are dropped, so every
+value below the cutoff is exact, and the public functions start with no
+cutoff.  Memo entries are (value, exact) pairs, and a bound entry answers
+only a caller whose cutoff it reaches (see `_MkEngine`).
 
 All searches are exact and carry explicit node budgets; running out of
 budget raises, it never reads as "false".
@@ -231,60 +234,92 @@ def d_of_ordering(x: SimplicialComplex, ordering: FacetOrdering) -> int:
 
 
 class _MkEngine:
-    """Memoized branch-and-bound evaluation of M_k and M'_k.
+    """Memoized cutoff evaluation of M_k and M'_k.
 
     One engine per report, or per `mk` / `mk_chain` call: links and
     deletions of a complex share vertex labels, which is all the
-    label-sensitive memo keys need.  The memo holds exact values only, so
-    a report can hand the engine each invariant's budget in turn.
+    label-sensitive memo keys need.
 
     M'_k(y) is the min over the open k-faces s of y of
     max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,
-    0 for k = 0 and M_{k-1}(y) for k > 0.  Two rules prune that min, and
-    both are exact:
+    0 for k = 0 and M_{k-1}(y) for k > 0.  `m(y, k, beta)` and
+    `m_prime(y, k, beta)` take a cutoff beta and return the exact value
+    when it is below beta, and otherwise a lower bound on it that is
+    >= beta: a caller that only asks "is it below beta?" gets a true
+    answer without the exact value.  With cut = min(beta, best candidate
+    so far), a node
 
-    - the link term is evaluated first; when it is already >= the best
-      candidate so far, the deletion is skipped, because the candidate's
-      max is at least its link term and so cannot lower the min;
-    - the scan stops once the best candidate equals k + 1, because every
-      candidate is >= its link term >= k + 1.
+    - returns k + 1 at once when it has open k-faces and beta <= k + 1,
+      since every candidate is >= its link term >= k + 1;
+    - asks the link for cutoff cut - k - 1, because a link term at or
+      above cut cannot lower the min below cut (a max is never below its
+      terms), and runs the deletion, with cutoff cut, only when the link
+      term is below cut;
+    - stops the scan once the best candidate equals k + 1;
+    - returns beta itself when no candidate beats beta: every candidate,
+      and so their min, is then >= beta.
 
-    Pruning acts only inside one node's min, so every memo entry is an
-    exact value and the budget is spent once per expanded node.
+    M_k(y) = min(M'_k(y), M_{k-1}(y)) takes M_{k-1} first and passes
+    min(beta, M_{k-1}) as the cutoff for M'_k.  A candidate is skipped
+    only when a bound shows it is >= cut, so every value below the cutoff
+    is exact, and the public functions call with beta = inf.
+
+    The memo maps a node to (value, exact).  A lookup returns an exact
+    entry, or a bound entry when its bound is >= the caller's beta; any
+    other bound entry is expanded again.  Entries are written only when a
+    node finishes, so each is true whatever budget the engine had, and a
+    report can hand the engine each invariant's budget in turn.  The
+    budget is spent once per expanded node.
     """
 
     def __init__(self, budget: Optional[Budget] = None):
         self.budget = budget or Budget()
-        self._memo: dict[tuple, int] = {}
+        self._memo: dict[tuple, tuple[int, bool]] = {}
 
-    def m(self, y: SimplicialComplex, k: int) -> int:
+    def _known(self, key: tuple, beta) -> Optional[int]:
+        """The memoized answer for key under cutoff beta, if there is one."""
+        hit = self._memo.get(key)
+        if hit is not None and (hit[1] or hit[0] >= beta):
+            return hit[0]
+        return None
+
+    def m(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
         if k == 0:
-            return self.m_prime(y, 0)
+            return self.m_prime(y, 0, beta)
         key = (y.facets, k, "m")
-        if key in self._memo:
-            return self._memo[key]
-        val = min(self.m_prime(y, k), self.m(y, k - 1))
-        self._memo[key] = val
+        val = self._known(key, beta)
+        if val is None:
+            prev = self.m(y, k - 1, beta)
+            val = min(prev, self.m_prime(y, k, min(beta, prev)))
+            self._memo[key] = (val, val < beta)
         return val
 
-    def m_prime(self, y: SimplicialComplex, k: int) -> int:
+    def m_prime(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
         key = (y.facets, k, "mp")
-        if key in self._memo:
-            return self._memo[key]
+        val = self._known(key, beta)
+        if val is not None:
+            return val
         self.budget.spend()
         open_k = sorted(y.open_faces(k))
         if not open_k:
-            val = 0 if k == 0 else self.m(y, k - 1)
+            val = 0 if k == 0 else self.m(y, k - 1, beta)
+        elif beta <= k + 1:
+            val = k + 1
         else:
-            # the first candidate always passes, so val ends an int
-            val = math.inf
+            # best: the least candidate below beta; every candidate cut
+            # off is >= beta or >= best
+            best = math.inf
             for s in open_k:
-                cand = self.m_prime(y.link(s), k) + k + 1
-                if cand < val:
-                    val = min(val, max(cand, self.m_prime(y.deletion(s), k)))
-                    if val == k + 1:
+                cut = min(beta, best)
+                cand = self.m_prime(y.link(s), k, cut - k - 1) + k + 1
+                if cand < cut:
+                    cand = max(cand, self.m_prime(y.deletion(s), k, cut))
+                if cand < cut:
+                    best = cand
+                    if best == k + 1:
                         break
-        self._memo[key] = val
+            val = min(best, beta)
+        self._memo[key] = (val, val < beta)
         return val
 
 
@@ -315,5 +350,7 @@ def mk_chain(
     x: SimplicialComplex, k_max: int, budget: Optional[Budget] = None
 ) -> list[int]:
     """[M_0(x), ..., M_{k_max}(x)] computed with one shared memo table."""
+    if k_max < 0:
+        raise ValueError("k must be >= 0")
     engine = _MkEngine(budget)
     return [engine.m(x, k) for k in range(k_max + 1)]

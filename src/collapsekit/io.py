@@ -4,9 +4,10 @@ Complex files:   {"vertices": [int...], "facets": [[int...]...]}
 Hypergraph files: {"n": int, "edges": [[int...]...]}   (1-based vertices)
 
 Facet lists need not be pre-canonicalized; the complex loader canonicalizes
-and reports what it removed.  A field of the wrong type (a count or label
-that is not an integer, facets or edges that are not lists of lists) raises
-ValueError naming the bad value.
+and reports what it removed.  A missing field raises ValueError naming it,
+and a field of the wrong type (a count or label that is not an integer,
+facets or edges that are not lists of lists) raises ValueError naming the
+bad value.
 """
 
 from __future__ import annotations
@@ -59,10 +60,17 @@ def _label_lists(value, what: str, each: str) -> list:
     return [_label_list(r, each) for r in value]
 
 
+def _field(obj: dict, name: str, kind: str):
+    """obj[name], or a ValueError naming the missing field."""
+    if name not in obj:
+        raise ValueError(f"{kind} file has no {name!r} field")
+    return obj[name]
+
+
 def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
     """Returns the canonicalized complex and the raw facets that were dropped
     (duplicates / non-maximal)."""
-    raw = _label_lists(obj["facets"], "facets", "facet")
+    raw = _label_lists(_field(obj, "facets", "complex"), "facets", "facet")
     x = SimplicialComplex(raw)
     kept = {int(f) for f in x.facets}
     dropped = []
@@ -84,10 +92,11 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
 
 
 def hypergraph_from_obj(obj: dict) -> Hypergraph:
-    n = obj["n"]
+    n = _field(obj, "n", "hypergraph")
     if not _is_label(n):
         raise ValueError(f"n {n!r} is not an integer vertex count")
-    return Hypergraph(n, _label_lists(obj["edges"], "edges", "edge"))
+    edges = _field(obj, "edges", "hypergraph")
+    return Hypergraph(n, _label_lists(edges, "edges", "edge"))
 
 
 def load_instance(path: str) -> Instance:
@@ -95,9 +104,9 @@ def load_instance(path: str) -> Instance:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if "edges" in obj:
+    if "edges" in obj or "n" in obj:
         return hypergraph_from_obj(obj)
-    if "facets" in obj:
+    if "facets" in obj or "vertices" in obj:
         return complex_from_obj(obj)[0]
     raise ValueError(f"{path}: neither a complex nor a hypergraph file")
 

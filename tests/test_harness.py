@@ -376,6 +376,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     ({"facets": [[1, "a"]]}, "[1, 'a']"),
     ({"facets": 5}, "5"),
     ({"n": 128, "edges": [[1, 2]]}, "128"),
+    # a missing field is named, not reported as a bare KeyError
+    ({"edges": [[1, 2]]}, "no 'n' field"),
+    ({"n": 3}, "no 'edges' field"),
+    ({"vertices": [1, 2]}, "no 'facets' field"),
 ])
 def test_cli_compute_rejects_malformed_files(tmp_path, capsys, obj, named):
     # exit 1 means "counterexample found", so bad input must exit 2

@@ -281,6 +281,8 @@ def test_mk_rejects_negative_k():
         mk(THREE_CYCLE, -1)
     with pytest.raises(ValueError):
         mk_prime(THREE_CYCLE, -1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        mk_chain(THREE_CYCLE, -1)
 
 
 @given(complexes)

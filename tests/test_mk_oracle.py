@@ -1,15 +1,26 @@
-"""Differential test of the branch-and-bound M_k / M'_k engine against the
-plain recursion it prunes, and of a report's shared engine against fresh
-ones.
+"""Differential tests of the cutoff M_k / M'_k engine against the exact
+engine it replaced and the plain recursion both prune, and of a report's
+shared engine against fresh ones.
 
-The oracle below evaluates both children at every open face, exactly as the
-definition reads; it is memoized but never pruned, and lives only here.
+`PlainMk` evaluates both children at every open face, exactly as the
+definition reads; it is memoized but never pruned.  `ExactMk` is the
+branch-and-bound engine that solved every sub-call exactly before the
+cutoff search: its memo holds exact values only.  Both live only here.
+
+The ≤ 4-vertex universe runs in the suite.  From the repo root,
+`PYTHONPATH=src python tests/test_mk_oracle.py 5` runs the cutoff engine
+against `ExactMk` on all 7,580 complexes on ≤ 5 vertices (about 25 s).
 """
+
+import math
+import sys
 
 import pytest
 
 from collapsekit import Budget, BudgetExceededError, mk, mk_chain, mk_prime
-from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate
+from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
+from collapsekit.hypergraphs import non_cover_complex
+from collapsekit.invariants import _MkEngine
 from collapsekit.reports import compute
 
 from conftest import all_complexes
@@ -47,18 +58,68 @@ class PlainMk:
         return self.memo[key]
 
 
+class ExactMk(PlainMk):
+    """Branch and bound inside each node, every sub-call solved exactly:
+    the link term comes first, the deletion is skipped when the link term
+    already reaches the best candidate, and the scan stops at k + 1."""
+
+    def m_prime(self, y, k):
+        key = (y.facets, k, "mp")
+        if key not in self.memo:
+            open_k = sorted(y.open_faces(k))
+            if not open_k:
+                val = 0 if k == 0 else self.m(y, k - 1)
+            else:
+                val = math.inf
+                for s in open_k:
+                    cand = self.m_prime(y.link(s), k) + k + 1
+                    if cand < val:
+                        val = min(val, max(cand, self.m_prime(y.deletion(s), k)))
+                        if val == k + 1:
+                            break
+            self.memo[key] = val
+        return self.memo[key]
+
+
+def _exact(x):
+    """[M_0..M_K_MAX] and [M'_0..M'_K_MAX] of x by the exact engine."""
+    oracle = ExactMk()
+    return ([oracle.m(x, k) for k in range(K_MAX + 1)],
+            [oracle.m_prime(x, k) for k in range(K_MAX + 1)])
+
+
+def _cutoff(x):
+    """The same lists by the cutoff engine, one fresh engine per value."""
+    return ([mk(x, k) for k in range(K_MAX + 1)],
+            [mk_prime(x, k) for k in range(K_MAX + 1)])
+
+
 def _assert_matches_oracle(x):
-    oracle = PlainMk()
-    want_m = [oracle.m(x, k) for k in range(K_MAX + 1)]
-    want_mp = [oracle.m_prime(x, k) for k in range(K_MAX + 1)]
-    assert [mk(x, k) for k in range(K_MAX + 1)] == want_m, x
-    assert [mk_prime(x, k) for k in range(K_MAX + 1)] == want_mp, x
-    assert mk_chain(x, K_MAX) == want_m, x
+    want = _exact(x)
+    plain = PlainMk()
+    assert ([plain.m(x, k) for k in range(K_MAX + 1)],
+            [plain.m_prime(x, k) for k in range(K_MAX + 1)]) == want, x
+    assert _cutoff(x) == want, x
+    assert mk_chain(x, K_MAX) == want[0], x
 
 
 def test_every_complex_on_four_vertices_matches_the_oracle():
     for x in all_complexes(4):
         _assert_matches_oracle(x)
+
+
+def test_a_reused_engine_never_reads_a_bound_as_a_value():
+    """M_k leaves M'_k's entry as a bound when M_{k-1} cut it off, and M_2
+    leaves M_0 entries cut off below the answer; a later exact question on
+    the same engine must expand them again."""
+    for x in all_complexes(4):
+        for k in range(K_MAX + 1):
+            engine = _MkEngine()
+            assert engine.m(x, k) == mk(x, k), (x, k)
+            assert engine.m_prime(x, k) == mk_prime(x, k), (x, k)
+        engine = _MkEngine()
+        assert [engine.m(x, k) for k in range(K_MAX, -1, -1)] == [
+            mk(x, k) for k in range(K_MAX, -1, -1)], x
 
 
 # 230 specs, 206 distinct complexes; checking them takes about 12 s
@@ -79,7 +140,21 @@ def test_random_complexes_match_the_oracle(chunk):
 def test_golden_chain_stays_within_its_node_count():
     b = Budget()
     assert mk_chain(NAMED_EXAMPLES["v6f10-6"](), 2, b) == [3, 2, 2]
-    assert b.used <= 1_000
+    assert b.used <= 100
+
+
+def _star_nc(n):
+    return non_cover_complex(star_family(n, (1,) * n))
+
+
+def test_star_five_m1_is_cut_off_early():
+    # the exact-subcall engine spends 176,320 nodes here; the cutoff one 388
+    assert mk(_star_nc(5), 1, Budget(1_000)) == 4
+
+
+def test_star_six_chain_fits_a_small_budget():
+    # 2,231 nodes; the exact-subcall engine ran for minutes on M_1
+    assert mk_chain(_star_nc(6), 2, Budget(10_000)) == [5, 5, 5]
 
 
 # -- one engine per report -------------------------------------------------
@@ -97,8 +172,9 @@ def test_report_chain_spends_what_one_chain_spends():
     x = NAMED_EXAMPLES["v6f10-6"]()
     b = Budget()
     mk_chain(x, 2, b)
-    assert b.used == 146
-    assert compute(x, CHAIN)["budget"]["used_total"] == 146
+    # 146 nodes before the cutoff search, 95 with it
+    assert b.used == 95
+    assert compute(x, CHAIN)["budget"]["used_total"] == 95
 
 
 def test_shared_engine_finds_every_value_a_fresh_engine_finds():
@@ -113,3 +189,14 @@ def test_shared_engine_finds_every_value_a_fresh_engine_finds():
             except BudgetExceededError:
                 continue
             assert report["values"][f"M{k}"] == want, (limit, k)
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    universe = all_complexes(n)
+    bad = [x for x in universe if _cutoff(x) != _exact(x)]
+    print(f"{len(universe)} complexes on <= {n} vertices, "
+          f"{len(bad)} mismatches")
+    for x in bad:
+        print(x)
+    sys.exit(1 if bad else 0)
