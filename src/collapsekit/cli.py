@@ -148,7 +148,9 @@ def main(argv=None) -> int:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -144,7 +144,21 @@ def _random_kvd(rng: random.Random, n: int, m: int, max_size: int, k: int
             return x
 
 
+#: The least valid value of each spec field a random kind draws from.
+_LEAST = {
+    "random-complex": {"n": 1, "m": 0, "max_size": 1},
+    "random-hypergraph": {"n": 1, "m": 0, "max_size": 1},
+    "random-graph": {"n": 2, "m": 0},
+    "random-kvd": {"n": 2, "m": 1, "max_size": 2, "k": 0},
+}
+
+
 def generate(spec: GeneratorSpec) -> Instance:
+    for name, least in _LEAST.get(spec.kind, {}).items():
+        value = getattr(spec, name)
+        if value < least:
+            raise ValueError(f"{spec.kind} needs {name} >= {least}, "
+                             f"got {value}")
     rng = random.Random(spec.seed)
     if spec.kind == "named-example":
         try:

@@ -1,9 +1,10 @@
 """Exact reduced simplicial homology and the invariants built on it.
 
-Betti numbers come from ranks of boundary matrices of the augmented chain
-complex: fraction-free (Bareiss) integer elimination for the rational field,
-an XOR basis over int bitsets for GF(2), and dense modular elimination for
-any other prime field.  Torsion is out of scope; only ranks are ever needed.
+Betti numbers come from ranks of the boundary maps of the augmented chain
+complex, found by column reduction against pivots keyed by their top row
+(Edelsbrunner, Letscher and Zomorodian 2002): an XOR basis over int bitsets
+for GF(2), and sparse signed columns for Q and every odd prime field.
+Torsion is out of scope; only ranks are ever needed.
 One private object per complex, `_Chains`, lists the faces and ranks the
 boundary maps on first use, so every homology question here (a Betti
 vector, the top nonzero degree, "acyclic below the top") pays only for the
@@ -18,6 +19,7 @@ decomposability with replayable shedding witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -74,63 +76,6 @@ def _parse_field(field: Field) -> Optional[int]:
     return p
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    a = [row[:] for row in rows]
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        for r in range(row + 1, m):
-            f = a[r][col]
-            # zero-pivot rows still need rescaling for the exact division
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * p - a[row][c] * f) // prev
-            a[r][col] = 0
-        prev = p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    a = [[v % p for v in row] for row in rows]
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        arow = a[row]
-        for r in range(row + 1, m):
-            f = a[r][col]
-            if f:
-                f = f * inv % p
-                ar = a[r]
-                for c in range(col, n):
-                    ar[c] = (ar[c] - f * arow[c]) % p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
 def _rank_gf2(lower: list[int], upper: list[int]) -> int:
     """Rank over GF(2) of the boundary map from the faces `upper` to the
     faces `lower`.  Each column is an int bitset over the lower faces'
@@ -152,14 +97,48 @@ def _rank_gf2(lower: list[int], upper: list[int]) -> int:
     return len(basis)
 
 
+def _rank_signed(lower: list[int], upper: list[int], p: Optional[int]) -> int:
+    """Rank over Q (p None) or GF(p) of the boundary map from the faces
+    `upper` to the faces `lower`, as `_rank_gf2` but with signed entries.
+
+    Each column is a dict {lower-face index: entry} with the alternating
+    signs, reduced by a*col - b*pivot against the pivot with its top row.
+    Over GF(p) the entries are taken mod p; over Q the column is divided by
+    the gcd of its entries, so the rank stays exact with no fractions.
+    """
+    index = {f: i for i, f in enumerate(lower)}
+    pivots: dict[int, dict[int, int]] = {}
+    for f in upper:
+        col, m, sign = {}, f, 1
+        while m:
+            low = m & -m
+            col[index[f ^ low]] = sign
+            m, sign = m ^ low, -sign
+        while col:
+            top = max(col)
+            piv = pivots.get(top)
+            if piv is None:
+                pivots[top] = col
+                break
+            a, b = piv[top], col[top]
+            new = {r: a * v for r, v in col.items()}
+            for r, v in piv.items():
+                new[r] = new.get(r, 0) - b * v
+            if p is not None:
+                col = {r: v % p for r, v in new.items() if v % p}
+            else:
+                g = math.gcd(*new.values())
+                col = {r: v // g for r, v in new.items() if v}
+    return len(pivots)
+
+
 def _rank(lower: list[Face], upper: list[Face], p: Optional[int]) -> int:
     """Rank of the boundary map from `upper` to `lower` over Q (p None) or
     GF(p).  On edges it is a graph's incidence matrix, totally unimodular,
     so its rank is the same over every field and GF(2) computes it."""
     if p == 2 or upper[0].bit_count() == 2:
         return _rank_gf2(lower, upper)
-    mat = _boundary_matrix(lower, upper)
-    return _rank_bareiss(mat) if p is None else _rank_mod_p(mat, p)
+    return _rank_signed(lower, upper, p)
 
 
 @dataclass(frozen=True)
@@ -189,26 +168,6 @@ class BettiVector:
                 return i
         return -1
 
-    def vanishes_through(self, n: int) -> bool:
-        """True iff the rank is zero in every degree i <= n (vacuously for
-        n < -1)."""
-        return n < -1 or not (self.rank_neg1 or any(self.ranks[:n + 1]))
-
-
-def _boundary_matrix(
-    lower: list[Face], upper: list[Face]
-) -> list[list[int]]:
-    """Rows indexed by (k-1)-faces, columns by k-faces, entries the usual
-    alternating signs."""
-    index = {int(f): i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for col, f in enumerate(upper):
-        vs = f.vertices
-        for i in range(len(vs)):
-            sub = int(f) & ~(1 << vs[i])
-            rows[index[sub]][col] = -1 if i % 2 else 1
-    return rows
-
 
 class _Chains:
     """The augmented chain complex of one complex, with its faces listed and
@@ -217,8 +176,8 @@ class _Chains:
     `rank(k, q)` is the rank over Q (q None) or GF(q) of the boundary map out
     of the k-faces; the augmented d_0 sends every vertex to the empty face.
     Since b_t = f_t - r_t - r_{t+1}, a question about a few degrees costs
-    only the ranks next to them.  Faces stay sorted: Bareiss runs faster on
-    the sorted boundary matrices.
+    only the ranks next to them.  Faces stay sorted, so a rank does the same
+    reduction on every run.
     """
 
     __slots__ = ("x", "dim", "_faces", "_ranks")
@@ -253,7 +212,7 @@ class _Chains:
         Over Q the degree is screened over GF(2) first: the rank over GF(2)
         of an integer matrix is at most its rank over Q, so b_t over GF(2) >=
         b_t over Q, a zero GF(2) Betti number is a zero rational one, and
-        Bareiss runs only to confirm a nonzero.
+        the rational rank runs only to confirm a nonzero.
         """
         if p is None and not self.betti(t, 2):
             return False
@@ -290,9 +249,16 @@ def is_homologically_connected(
     """True iff the reduced homology vanishes in every degree i <= n.
 
     n < -1 is vacuously true; at n = -1 the empty complex fails (its degree
-    -1 rank is nonzero).
+    -1 rank is nonzero).  Degrees are read from 0 up and the walk stops at
+    the first nonzero one, screened over GF(2) as in `_Chains.nonzero`.
     """
-    return n < -1 or reduced_betti(x, field).vanishes_through(n)
+    p = _parse_field(field)
+    if n < -1:
+        return True
+    if x.is_empty:
+        return False
+    chains = _Chains(x)
+    return not any(chains.nonzero(t, p) for t in range(min(n, x.dim) + 1))
 
 
 def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
@@ -437,9 +403,13 @@ class SheddingWitness(NamedTuple):
     dim_bound: int
 
 
-def _is_shedding_face(y: SimplicialComplex, sigma: Face) -> bool:
+def _shedding_deletion(
+    y: SimplicialComplex, sigma: Face
+) -> Optional[SimplicialComplex]:
+    """del(sigma, y) if sigma is a shedding face of y (the deletion is pure
+    of y's dimension), else None."""
     dele = y.deletion(sigma)
-    return dele.is_pure() and dele.dim == y.dim
+    return dele if dele.is_pure() and dele.dim == y.dim else None
 
 
 def is_k_vertex_decomposable(
@@ -471,9 +441,10 @@ def is_k_vertex_decomposable(
             candidates.extend(sorted(y.faces(j), key=lambda f: f.vertices))
         result = None
         for sigma in candidates:
-            if not _is_shedding_face(y, sigma):
+            dele = _shedding_deletion(y, sigma)
+            if dele is None:
                 continue
-            sub_del = rec(y.deletion(sigma))
+            sub_del = rec(dele)
             if sub_del is None:
                 continue
             sub_lk = rec(y.link(sigma))
@@ -503,9 +474,10 @@ def verify_shedding_sequence(
         face, bound = witness[pos]
         if bound != k or face.dim > k or face.dim < 0:
             return None
-        if face not in y or not _is_shedding_face(y, face):
+        dele = _shedding_deletion(y, face) if face in y else None
+        if dele is None:
             return None
-        after_del = consume(y.deletion(face), pos + 1)
+        after_del = consume(dele, pos + 1)
         if after_del is None:
             return None
         return consume(y.link(face), after_del)

@@ -37,9 +37,9 @@ from .errors import (
 from .generators import GeneratorSpec, generate
 from .homology import (
     Field,
-    _is_shedding_face,
     _leray_induced,
     _parse_field,
+    _shedding_deletion,
     is_cohen_macaulay,
     is_cohen_macaulay_induced,
     is_k_vertex_decomposable,
@@ -306,8 +306,8 @@ def shedding_leray_inequality_check(
         raise HypothesisNotMetError("sigma must be a nonempty face of x")
     if not x.is_pure():
         raise HypothesisNotMetError("x must be pure")
-    dele = x.deletion(s)
-    if not _is_shedding_face(x, s):
+    dele = _shedding_deletion(x, s)
+    if dele is None:
         raise HypothesisNotMetError("sigma is not a shedding face")
     if not is_cohen_macaulay(dele, field):
         raise HypothesisNotMetError("deletion(sigma, x) is not Cohen-Macaulay")
@@ -462,17 +462,18 @@ def _thm_claim(x: SimplicialComplex, rng, budget) -> str:
 
 def _thm_link_del_commute(x: SimplicialComplex, rng, budget) -> str:
     faces = sorted(x.all_faces())
+    links: dict[Face, SimplicialComplex] = {}
     for sigma in faces:
         if sigma == 0:
             continue
+        dele = x.deletion(sigma)
         for tau in faces:
-            if sigma & tau:
+            if sigma & tau or tau not in dele:
                 continue
-            lhs = x.deletion(sigma).link(tau) if tau in x.deletion(sigma) else None
-            rhs = x.link(tau).deletion(sigma)
-            if lhs is None:
-                continue
-            _chk(lhs == rhs, x,
+            lk = links.get(tau)
+            if lk is None:
+                lk = links[tau] = x.link(tau)
+            _chk(dele.link(tau) == lk.deletion(sigma), x,
                  f"link/deletion commutativity fails for {sigma!r},{tau!r}")
     return "pass"
 

@@ -369,6 +369,38 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "--kind", "random-graph", "--n", "1"], "n >= 2, got 1"),
+    (["generate", "--kind", "random-kvd", "--m", "0"], "m >= 1, got 0"),
+    (["generate", "--kind", "random-kvd", "--max-size", "1"],
+     "max_size >= 2, got 1"),
+    (["generate", "--kind", "random-hypergraph", "--n", "0"],
+     "n >= 1, got 0"),
+    (["generate", "--kind", "random-complex", "--max-size", "0"],
+     "max_size >= 1, got 0"),
+    (["verify", "--theorem", "claim", "--n", "0"], "n >= 1, got 0"),
+])
+def test_cli_rejects_degenerate_generator_specs(capsys, argv, named):
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
+def test_cli_names_an_unknown_invariant_unquoted(tmp_path, capsys):
+    inst = tmp_path / "x.json"
+    main(["generate", "--kind", "named-example", "--name", "triangle",
+          "--out", str(inst)])
+    capsys.readouterr()
+    assert main(["compute", str(inst), "--invariants", "C,foo"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: unknown invariant(s) ['foo']")
+
+
 @pytest.mark.parametrize("obj, named", [
     ({"n": "3", "edges": [[1, 2], [2, 3]]}, "'3'"),
     ({"n": 3.0, "edges": [[1, 2], [2, 3]]}, "3.0"),

@@ -29,12 +29,10 @@ from collapsekit import homology
 from collapsekit.complexes import subsets
 from collapsekit.generators import star_family
 from collapsekit.homology import (
-    _boundary_matrix,
     _is_prime,
     _leray_induced,
-    _rank_bareiss,
     _rank_gf2,
-    _rank_mod_p,
+    _rank_signed,
 )
 
 from conftest import all_complexes
@@ -144,12 +142,94 @@ def test_homological_connectivity():
     assert not is_homologically_connected(SimplicialComplex(), -1)
 
 
+@pytest.mark.parametrize("field", ["Q", 2])
+def test_homological_connectivity_matches_the_full_betti_vector(field):
+    for x in all_complexes(4) + [SimplicialComplex(), RP2]:
+        b = reduced_betti(x, field)
+        for n in range(-2, x.dim + 2):
+            expected = all(b.rank(i) == 0 for i in range(-1, n + 1))
+            assert is_homologically_connected(x, n, field) == expected, (x, n)
+
+
+# -- dense elimination: the oracle for the sparse rank kernels -------------
+
+def boundary_matrix(lower, upper):
+    """Rows indexed by (k-1)-faces, columns by k-faces, entries the usual
+    alternating signs."""
+    index = {int(f): i for i, f in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for col, f in enumerate(upper):
+        vs = f.vertices
+        for i in range(len(vs)):
+            sub = int(f) & ~(1 << vs[i])
+            rows[index[sub]][col] = -1 if i % 2 else 1
+    return rows
+
+
+def rank_bareiss(rows):
+    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    if not rows or not rows[0]:
+        return 0
+    m, n = len(rows), len(rows[0])
+    a = [row[:] for row in rows]
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        p = a[row][col]
+        for r in range(row + 1, m):
+            f = a[r][col]
+            # zero-pivot rows still need rescaling for the exact division
+            for c in range(col + 1, n):
+                a[r][c] = (a[r][c] * p - a[row][c] * f) // prev
+            a[r][col] = 0
+        prev = p
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over GF(p) by Gaussian elimination."""
+    if not rows or not rows[0]:
+        return 0
+    m, n = len(rows), len(rows[0])
+    a = [[v % p for v in row] for row in rows]
+    rank = 0
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], p - 2, p)
+        arow = a[row]
+        for r in range(row + 1, m):
+            f = a[r][col]
+            if f:
+                f = f * inv % p
+                ar = a[r]
+                for c in range(col, n):
+                    ar[c] = (ar[c] - f * arow[c]) % p
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
 def dense_betti(x, p=None):
     """Reduced Betti numbers in degrees >= 0 from dense elimination of every
     boundary matrix: Bareiss over Q (p None), modular over GF(p)."""
     by_dim = [sorted(x.faces(k)) for k in range(x.dim + 1)]
-    mats = [_boundary_matrix(lo, up) for lo, up in zip(by_dim, by_dim[1:])]
-    r = [1] + [_rank_bareiss(m) if p is None else _rank_mod_p(m, p)
+    mats = [boundary_matrix(lo, up) for lo, up in zip(by_dim, by_dim[1:])]
+    r = [1] + [rank_bareiss(m) if p is None else rank_mod_p(m, p)
                for m in mats] + [0]
     return tuple(len(by_dim[k]) - r[k] - r[k + 1] for k in range(x.dim + 1))
 
@@ -159,14 +239,39 @@ def test_rank_gf2_matches_dense_elimination_on_every_small_complex():
         by_dim = [sorted(x.faces(k)) for k in range(x.dim + 1)]
         for lo, up in zip(by_dim, by_dim[1:]):
             assert (_rank_gf2(lo, up)
-                    == _rank_mod_p(_boundary_matrix(lo, up), 2)), x
+                    == rank_mod_p(boundary_matrix(lo, up), 2)), x
         assert reduced_betti(x, 2).ranks == dense_betti(x, 2), x
         assert reduced_betti(x).ranks == dense_betti(x), x
+
+
+def test_rank_signed_matches_dense_elimination():
+    # every boundary matrix of the <= 5-vertex universe, of 300 seeded random
+    # complexes on 6 to 8 vertices and of RP2, edges included (in production
+    # they take the GF(2) rank); about 15,800 matrices
+    xs = all_complexes(5) + [RP2] + [
+        y for n in (6, 7, 8) for y in _random_complexes(100, n, seed=n)]
+    for x in xs:
+        by_dim = [sorted(x.faces(k)) for k in range(x.dim + 1)]
+        for lo, up in zip(by_dim, by_dim[1:]):
+            mat = boundary_matrix(lo, up)
+            assert _rank_signed(lo, up, None) == rank_bareiss(mat), x
+            assert _rank_signed(lo, up, 3) == rank_mod_p(mat, 3), x
+            assert _rank_signed(lo, up, 5) == rank_mod_p(mat, 5), x
 
 
 def test_betti_of_rp2_sees_the_torsion():
     assert reduced_betti(RP2).ranks == (0, 0, 0) == dense_betti(RP2)
     assert reduced_betti(RP2, 2).ranks == (0, 1, 1) == dense_betti(RP2, 2)
+    # its ten triangles are independent over Q and GF(3), not over GF(2)
+    edges, triangles = sorted(RP2.faces(1)), sorted(RP2.faces(2))
+    assert _rank_signed(edges, triangles, None) == 10
+    assert _rank_signed(edges, triangles, 3) == 10
+    assert _rank_gf2(edges, triangles) == 9
+
+
+def test_betti_of_star_family_nc_vanishes_over_q():
+    x = non_cover_complex(star_family(6, (1,) * 6))
+    assert reduced_betti(x).ranks == (0,) * (x.dim + 1)
 
 
 # -- Leray numbers ---------------------------------------------------------
@@ -212,12 +317,13 @@ def test_leray_of_rp2_rejects_the_gf2_screen_over_q():
 def test_leray_of_star_family_nc_needs_few_exact_ranks(monkeypatch):
     calls = []
 
-    def counted(rows):
-        calls.append(len(rows))
-        return _rank_bareiss(rows)
+    def counted(lower, upper, p):
+        if p is None:
+            calls.append(len(upper))
+        return _rank_signed(lower, upper, p)
 
-    monkeypatch.setattr(homology, "_rank_bareiss", counted)
-    # the full link scan makes 1,927 Bareiss ranks on star_family(5)
+    monkeypatch.setattr(homology, "_rank_signed", counted)
+    # the full link scan makes 1,927 rational ranks on star_family(5)
     assert leray_number(non_cover_complex(star_family(5, (1,) * 5))) == 4
     assert len(calls) <= 10
     assert leray_number(non_cover_complex(star_family(6, (1,) * 6))) == 5
