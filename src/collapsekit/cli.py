@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
 from .generators import GeneratorSpec, NAMED_EXAMPLES, generate
 from .io import instance_to_json, load_instance
 from .reports import (
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
                         help="comma-separated names, or 'all'")
     p_comp.add_argument("--field", default="rational",
                         help="rational | gf2 | gf<p>")
-    p_comp.add_argument("--budget", type=int, default=10_000_000)
+    p_comp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_comp.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run a theorem check over trials")
@@ -93,14 +93,14 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--max-vertices", type=int, default=None,
                        dest="max_vertices")
-    p_ver.add_argument("--budget", type=int, default=10_000_000)
+    p_ver.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_ver.add_argument("--out", default=None)
     _add_generator_args(p_ver, kind_default=None)  # None: theorem's default
 
     p_search = sub.add_parser("search", help="look for M_k < M_{k-1}")
     p_search.add_argument("--k", type=int, required=True)
     p_search.add_argument("--trials", type=int, default=100)
-    p_search.add_argument("--budget", type=int, default=10_000_000)
+    p_search.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_search.add_argument("--out", default=None)
     _add_generator_args(p_search)
 

@@ -1,4 +1,11 @@
-"""Shared exceptions and the search-node budget."""
+"""Shared exceptions, the search-node budget and the depth-first walker.
+
+`_depth_first` is the one backtracking search behind `is_d_collapsible`
+and `is_shellable`.  It keeps its own stack instead of recursing, so a
+path of any length (a collapse of thousands of steps) stays within
+Python's recursion limit, and it spends the caller's `Budget` once per
+state entered.
+"""
 
 
 class VertexRangeError(ValueError):
@@ -68,3 +75,35 @@ class Budget:
 
     def __repr__(self):
         return f"Budget(limit={self.limit}, used={self.used})"
+
+
+def _depth_first(start, is_goal, key, moves, budget: Budget):
+    """The moves along the first path from `start` to a goal state, in
+    depth-first order, or None when no path reaches one.
+
+    `moves(state)` lazily yields (move, next state) pairs, tried in order.
+    One budget unit is spent per state entered, before its goal test.  A
+    state whose key already failed is skipped without expanding it again,
+    so the key must determine whether a goal is reachable.  The stack holds
+    one [key, moves left, move taken] entry per open state.
+    """
+    dead = set()
+    stack = []
+    state = start
+    while True:
+        budget.spend()
+        if is_goal(state):
+            return [entry[2] for entry in stack]
+        k = key(state)
+        if k not in dead:
+            stack.append([k, moves(state), None])
+        while stack:
+            top = stack[-1]
+            step = next(top[1], None)
+            if step is not None:
+                top[2], state = step
+                break
+            dead.add(top[0])
+            stack.pop()
+        else:
+            return None

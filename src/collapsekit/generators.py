@@ -144,6 +144,11 @@ def _random_kvd(rng: random.Random, n: int, m: int, max_size: int, k: int
             return x
 
 
+#: The kinds that build a Hypergraph; every other kind builds a complex.
+_HYPERGRAPH_KINDS = frozenset({"random-hypergraph", "random-graph",
+                               "star-family"})
+
+
 #: The least valid value of each spec field a random kind draws from.
 _LEAST = {
     "random-complex": {"n": 1, "m": 0, "max_size": 1},

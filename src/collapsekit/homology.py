@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .complexes import Face, SimplicialComplex, subsets
-from .errors import Budget, NotPureError
+from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex Leray route is refused.
 LERAY_VERTEX_CAP = 14
@@ -369,30 +369,18 @@ def is_shellable(
             for m in inters
         )
 
-    dead: set[frozenset] = set()
-    order: list[int] = []
-
-    def search(chosen: tuple[int, ...]) -> bool:
-        budget.spend()
-        if len(chosen) == n:
-            return True
-        key = frozenset(chosen)
-        if key in dead:
-            return False
+    def moves(chosen: tuple[int, ...]):
         for cand in range(n):
             if cand in chosen:
                 continue
             if not chosen or can_extend(chosen, cand):
-                order.append(cand)
-                if search(chosen + (cand,)):
-                    return True
-                order.pop()
-        dead.add(key)
-        return False
+                yield cand, chosen + (cand,)
 
-    if search(()):
-        return True, tuple(facets[i] for i in order)
-    return False, None
+    order = _depth_first((), lambda chosen: len(chosen) == n, frozenset,
+                         moves, budget)
+    if order is None:
+        return False, None
+    return True, tuple(facets[i] for i in order)
 
 
 class SheddingWitness(NamedTuple):

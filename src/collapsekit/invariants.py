@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .complexes import FreePair, SimplicialComplex, as_face, vertices_of
-from .errors import Budget, NotAFaceError
+from .errors import Budget, NotAFaceError, _depth_first
 from .homology import _Chains
 
 
@@ -72,21 +72,15 @@ def is_d_collapsible(
     """Decide whether some sequence of elementary d-collapses empties x.
 
     Free pairs are tried smallest free face first (ties broken by vertex
-    tuple) so runs are deterministic and certificates small.
+    tuple) so runs are deterministic and certificates small.  The search is
+    `errors._depth_first` with a complex's facets as its key, so a
+    certificate may have any length.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     budget = budget or Budget()
-    dead: set[tuple] = set()
-    steps: list[FreePair] = []
 
-    def search(y: SimplicialComplex) -> bool:
-        budget.spend()
-        if y.is_empty:
-            return True
-        key = y.facets
-        if key in dead:
-            return False
+    def moves(y: SimplicialComplex):
         pairs = y.free_pairs(d)
         # collapses at free faces smaller than d are confluent: performing
         # one never loses d-collapsibility, so take the first without
@@ -94,16 +88,13 @@ def is_d_collapsible(
         if pairs and pairs[0].free_face.bit_count() < d:
             pairs = pairs[:1]
         for pair in pairs:
-            steps.append(pair)
-            if search(y.collapse(pair)):
-                return True
-            steps.pop()
-        dead.add(key)
-        return False
+            yield pair, y.collapse(pair)
 
-    if search(x):
-        return True, CollapseCertificate(tuple(steps), d)
-    return False, None
+    steps = _depth_first(x, operator.attrgetter("is_empty"),
+                         operator.attrgetter("facets"), moves, budget)
+    if steps is None:
+        return False, None
+    return True, CollapseCertificate(tuple(steps), d)
 
 
 def _floor_work(x: SimplicialComplex) -> int:

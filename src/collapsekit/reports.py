@@ -2,7 +2,7 @@
 and conjecture search.
 
 Reports are plain dicts serialized as sorted-key JSON, so identical
-(instance, flags, seed) give byte-identical output.  Every witness placed in
+(instance, flags) give byte-identical output.  Every witness placed in
 a report re-validates against the instance through the library predicates.
 """
 
@@ -26,6 +26,7 @@ from .complexes import (
     mask_of,
 )
 from .errors import (
+    DEFAULT_NODE_BUDGET,
     Budget,
     BudgetExceededError,
     HypothesisNotMetError,
@@ -34,7 +35,7 @@ from .errors import (
     NotPureError,
     UndominatableError,
 )
-from .generators import GeneratorSpec, generate
+from .generators import _HYPERGRAPH_KINDS, GeneratorSpec, generate
 from .homology import (
     Field,
     _leray_induced,
@@ -202,9 +203,8 @@ HYPERGRAPH_INVARIANTS = {
 def compute(
     inst,
     which: Optional[list[str]] = None,
-    budget_limit: int = 10_000_000,
+    budget_limit: int = DEFAULT_NODE_BUDGET,
     field="Q",
-    seed: Optional[int] = None,
 ) -> dict:
     """Evaluate the requested invariants and return a report dict.
 
@@ -249,8 +249,6 @@ def compute(
     }
     if not_applicable:
         report["not_applicable"] = not_applicable
-    if seed is not None:
-        report["seed"] = seed
     return report
 
 
@@ -610,21 +608,39 @@ THEOREMS = {
 }
 
 
+def _check_run(what: str, spec: GeneratorSpec, trials: int,
+               hypergraph: bool):
+    """Reject a run before its first trial: a negative trial count, or a
+    spec whose kind builds the wrong type of instance for `what`."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
+    builds = spec.kind in _HYPERGRAPH_KINDS
+    if hypergraph and not builds:
+        raise ValueError(f"{what} runs on hypergraphs; kind {spec.kind} "
+                         f"does not build one")
+    if builds and not hypergraph:
+        raise ValueError(f"{what} runs on simplicial complexes; kind "
+                         f"{spec.kind} builds a hypergraph")
+
+
 def verify(
     theorem: str,
     spec: Optional[GeneratorSpec] = None,
     trials: int = 100,
-    budget_limit: int = 10_000_000,
+    budget_limit: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Run `trials` independent random instances through one theorem check.
 
     Any failure stops the run and attaches the counterexample instance to
-    the summary.
+    the summary.  A negative trial count, or a spec whose kind builds the
+    wrong type of instance for the theorem, raises ValueError first.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
     default_kind, fn = THEOREMS[theorem]
     spec = spec or GeneratorSpec(kind=default_kind)
+    _check_run(f"theorem {theorem}", spec, trials,
+               default_kind in _HYPERGRAPH_KINDS)
     summary = {"theorem": theorem, "trials": trials,
                "passes": 0, "fails": 0, "skips": 0}
     for i in range(trials):
@@ -651,13 +667,15 @@ def conjecture_search(
     k: int,
     spec: Optional[GeneratorSpec] = None,
     trials: int = 100,
-    budget_limit: int = 10_000_000,
+    budget_limit: int = DEFAULT_NODE_BUDGET,
 ) -> list[dict]:
     """Look for complexes with M_k < M_{k-1}.  An empty list is an honest
-    outcome; every candidate re-verifies with a fresh memo table."""
+    outcome; every candidate re-verifies with a fresh memo table.  The spec
+    must build complexes and `trials` must be >= 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = spec or GeneratorSpec(kind="random-complex")
+    _check_run("conjecture search", spec, trials, False)
     found = []
     for i in range(trials):
         x = _trial_instance(spec, i)

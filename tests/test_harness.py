@@ -19,6 +19,7 @@ from collapsekit.cli import (
     main,
 )
 from collapsekit.generators import (
+    _HYPERGRAPH_KINDS,
     GeneratorSpec,
     NAMED_EXAMPLES,
     generate,
@@ -49,6 +50,14 @@ def test_identical_spec_identical_instance():
     for kind in ("random-complex", "random-hypergraph", "random-graph"):
         spec = GeneratorSpec(kind=kind, seed=42, n=6, m=7)
         assert generate(spec) == generate(spec)
+
+
+@pytest.mark.parametrize("kind", [
+    "random-complex", "random-hypergraph", "random-graph", "star-family",
+    "named-example", "random-kvd"])
+def test_hypergraph_kinds_are_the_kinds_that_build_hypergraphs(kind):
+    inst = generate(GeneratorSpec(kind=kind, name="triangle"))
+    assert isinstance(inst, Hypergraph) == (kind in _HYPERGRAPH_KINDS)
 
 
 def test_different_seeds_usually_differ():
@@ -379,6 +388,17 @@ def test_cli_usage_errors(tmp_path, capsys):
     (["generate", "--kind", "random-complex", "--max-size", "0"],
      "max_size >= 1, got 0"),
     (["verify", "--theorem", "claim", "--n", "0"], "n >= 1, got 0"),
+    # the wrong type of instance for the run; exit 1 would read as a
+    # counterexample
+    (["verify", "--theorem", "nc-bound", "--kind", "random-complex",
+      "--trials", "1"], "theorem nc-bound runs on hypergraphs; "
+                        "kind random-complex"),
+    (["verify", "--theorem", "euler", "--kind", "random-hypergraph"],
+     "theorem euler runs on simplicial complexes; kind random-hypergraph"),
+    (["search", "--k", "1", "--kind", "random-hypergraph"],
+     "search runs on simplicial complexes; kind random-hypergraph"),
+    (["verify", "--theorem", "euler", "--trials", "-3"], "trials must be >= 0"),
+    (["search", "--k", "1", "--trials", "-2"], "trials must be >= 0"),
 ])
 def test_cli_rejects_degenerate_generator_specs(capsys, argv, named):
     capsys.readouterr()
@@ -387,6 +407,19 @@ def test_cli_rejects_degenerate_generator_specs(capsys, argv, named):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and named in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "euler", "--kind", "named-example",
+     "--name", "triangle", "--trials", "2"],
+    ["verify", "--theorem", "nc-bound", "--kind", "star-family",
+     "--trials", "1"],
+    ["verify", "--theorem", "euler", "--trials", "0"],
+])
+def test_cli_runs_a_kind_of_the_right_type(tmp_path, argv):
+    out = tmp_path / "summary.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["fails"] == 0
 
 
 def test_cli_names_an_unknown_invariant_unquoted(tmp_path, capsys):
