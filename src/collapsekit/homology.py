@@ -14,19 +14,27 @@ On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree and screens rational ranks over GF(2), with the
 induced-subcomplex brute force `_leray_induced` as its oracle), homological
 connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
-decomposability with replayable shedding witnesses.
+decomposability with replayable shedding witnesses.  The Leray scan and
+the link Cohen-Macaulay test read only the links of closed faces (the
+intersections of facets): every other link is a cone, with no reduced
+homology.  Each such link is ranked through the nerve of its facets when
+that has fewer vertices and no more faces, else through itself; by the
+nerve theorem both have the same reduced homology over every field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .complexes import Face, SimplicialComplex, subsets
+from .complexes import Face, SimplicialComplex, subsets, vertices_of
 from .errors import Budget, NotPureError, _depth_first
 
-#: Above this many vertices the induced-subcomplex Leray route is refused.
+#: Above this many vertices the induced-subcomplex routes (the Leray oracle
+#: and the induced Cohen-Macaulay test) are refused.
 LERAY_VERTEX_CAP = 14
 
 Field = Union[str, int]  # "Q" or a prime modulus
@@ -132,7 +140,7 @@ def _rank_signed(lower: list[int], upper: list[int], p: Optional[int]) -> int:
     return len(pivots)
 
 
-def _rank(lower: list[Face], upper: list[Face], p: Optional[int]) -> int:
+def _rank(lower: list[int], upper: list[int], p: Optional[int]) -> int:
     """Rank of the boundary map from `upper` to `lower` over Q (p None) or
     GF(p).  On edges it is a graph's incidence matrix, totally unimodular,
     so its rank is the same over every field and GF(2) computes it."""
@@ -170,7 +178,8 @@ class BettiVector:
 
 
 class _Chains:
-    """The augmented chain complex of one complex, with its faces listed and
+    """The augmented chain complex of one complex, given by its facets (any
+    list of masks whose subsets are the faces), with its faces listed and
     its boundary ranks computed on first use and kept.
 
     `rank(k, q)` is the rank over Q (q None) or GF(q) of the boundary map out
@@ -180,18 +189,19 @@ class _Chains:
     reduction on every run.
     """
 
-    __slots__ = ("x", "dim", "_faces", "_ranks")
+    __slots__ = ("facets", "dim", "_faces", "_ranks")
 
-    def __init__(self, x: SimplicialComplex):
-        self.x = x
-        self.dim = x.dim
-        self._faces: dict[int, list[Face]] = {}
+    def __init__(self, facets: Sequence[int]):
+        self.facets = facets
+        self.dim = max((f.bit_count() for f in facets), default=0) - 1
+        self._faces: dict[int, list[int]] = {}
         self._ranks: dict[tuple[int, Optional[int]], int] = {}
 
-    def faces(self, k: int) -> list[Face]:
+    def faces(self, k: int) -> list[int]:
         fs = self._faces.get(k)
         if fs is None:
-            fs = self._faces[k] = sorted(self.x.faces(k))
+            fs = self._faces[k] = sorted(
+                {m for f in self.facets for m in subsets(f, (k + 1,))})
         return fs
 
     def rank(self, k: int, q: Optional[int]) -> int:
@@ -218,11 +228,11 @@ class _Chains:
             return False
         return self.betti(t, p) != 0
 
-    def top_degree(self, floor: int, p: Optional[int]) -> int:
-        """The top degree t >= floor with b_t != 0, or -1 if there is none.
-        Degrees are walked down from dim, so the walk stops at the first
-        nonzero one."""
-        for t in range(self.dim, floor - 1, -1):
+    def top_degree(self, top: int, floor: int, p: Optional[int]) -> int:
+        """The top degree floor <= t <= top with b_t != 0, or -1 if there is
+        none.  Degrees are walked down from top (at most dim), so the walk
+        stops at the first nonzero one."""
+        for t in range(min(top, self.dim), floor - 1, -1):
             if self.nonzero(t, p):
                 return t
         return -1
@@ -238,7 +248,7 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q") -> BettiVector:
     tag = "Q" if p is None else f"GF{p}"
     if x.is_empty:
         return BettiVector(tag, 1, ())
-    chains = _Chains(x)
+    chains = _Chains(x.facets)
     return BettiVector(tag, 0, tuple(chains.betti(t, p)
                                      for t in range(chains.dim + 1)))
 
@@ -257,8 +267,81 @@ def is_homologically_connected(
         return True
     if x.is_empty:
         return False
-    chains = _Chains(x)
+    chains = _Chains(x.facets)
     return not any(chains.nonzero(t, p) for t in range(min(n, x.dim) + 1))
+
+
+def _closed_links(
+    x: SimplicialComplex
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(dim, facets) of the link of every closed face of x, largest face
+    first, each distinct facet family once.
+
+    Write c(sigma) for the intersection of the facets that hold sigma; sigma
+    is closed when c(sigma) = sigma.  The closed faces are the intersections
+    of nonempty families of facets, so closing the facet list under & finds
+    them all, the empty face included exactly when x is not a cone.  Any
+    other face has a cone link, since every facet of lk(sigma) contains the
+    nonempty c(sigma) - sigma, and a cone has no reduced homology in any
+    degree: the links skipped here read zero in every question
+    `leray_number` and `is_cohen_macaulay` ask.  The facets of lk(sigma)
+    are the F - sigma for the facets F holding sigma, in facet order and
+    already an antichain, so the family is also the dedup key.
+    """
+    facets = x.facets
+    # vertex -> the facets holding it, in facet order, and the closed faces
+    # holding it; a new facet meets only the closed faces through its
+    # vertices, so a big sparse complex costs no facets x faces product
+    holders: dict[int, list[int]] = {}
+    through: dict[int, set[int]] = {}
+    for f in facets:
+        vs = vertices_of(f)
+        new = {f & c for c in set().union(*(through.get(v, ()) for v in vs))}
+        new.add(f)
+        for c in new:
+            for v in vertices_of(c):
+                through.setdefault(v, set()).add(c)
+        for v in vs:
+            holders.setdefault(v, []).append(f)
+    closed = set().union(*through.values())
+    if facets and not functools.reduce(operator.and_, facets):
+        closed.add(0)
+    seen: set[tuple[int, ...]] = set()
+    for s in sorted(closed, key=int.bit_count, reverse=True):
+        held = holders[(s & -s).bit_length() - 1] if s else facets
+        lk = tuple(f ^ s for f in held if s & ~f == 0)
+        if lk not in seen:
+            seen.add(lk)
+            yield max(map(int.bit_count, lk)) - 1, lk
+
+
+def _nerve(facets: Sequence[int]) -> tuple[int, ...]:
+    """The nerve of a complex's cover by its facets: one vertex i per facet
+    F_i, and the face T_v = {i : v in F_i} for each vertex v (a T_v inside
+    another is kept; `_Chains` only reads the faces under it).
+
+    Intersections of simplices are simplices or empty, so by the nerve
+    theorem (Borsuk 1948; Bjorner, Handbook of Combinatorics 1995) the nerve
+    is homotopy equivalent to the complex and has its reduced homology over
+    every field.
+    """
+    cover: dict[int, int] = {}
+    for i, f in enumerate(facets):
+        for v in vertices_of(f):
+            cover[v] = cover.get(v, 0) | 1 << i
+    return tuple(set(cover.values()))
+
+
+def _link_chains(lk: tuple[int, ...]) -> _Chains:
+    """`_Chains` of the complex with facets lk, or of its nerve (`_nerve`)
+    when that has fewer vertices and no more faces to list, bounded by the
+    sum of 2^|facet| (a vertex in many facets makes a big nerve simplex)."""
+    if len(lk) < functools.reduce(operator.or_, lk, 0).bit_count():
+        nerve = _nerve(lk)
+        if (sum(1 << t.bit_count() for t in nerve)
+                <= sum(1 << f.bit_count() for f in lk)):
+            return _Chains(nerve)
+    return _Chains(lk)
 
 
 def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
@@ -266,35 +349,28 @@ def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
     induced subcomplex.
 
     It uses the equivalent link criterion: L is one more than the top degree
-    of nonzero reduced homology over all links lk(gamma), gamma a face (the
-    empty face gives x itself).  The faces are scanned largest first, so the
-    small links come first and the running best L rises early.  A link of
-    dimension D can only raise L to D + 1, so links with D + 1 <= best are
-    skipped, the others are walked down from degree D to degree best and
-    stop at the first nonzero one (`_Chains.top_degree`, which screens
-    rational ranks over GF(2)), and the scan ends once best = dim(x) + 1,
-    which no link exceeds.  A link met before is skipped too: its top
-    degree is already below best.  The value is exactly that of the full
-    Betti vector of every link; `_leray_induced` is the test oracle.
+    of nonzero reduced homology over all links lk(sigma), sigma a face (the
+    empty face gives x itself).  Only the closed faces are visited (sigma
+    the intersection of the facets holding it; `_closed_links`): any other
+    link is a cone and has no reduced homology.  Each distinct link is
+    ranked once, through its facet nerve when that has fewer vertices and
+    no more faces, else through itself (`_link_chains`; the nerve theorem
+    gives both the same homology).  The faces are scanned largest first,
+    so the small links come first and the running best L rises early.  A
+    link of dimension D can only raise L to D + 1, so links with D + 1 <=
+    best are skipped, the others are walked down from degree D to degree
+    best and stop at the first nonzero one (`_Chains.top_degree`, which
+    screens rational ranks over GF(2)), and the scan ends once best =
+    dim(x) + 1, which no link exceeds.  The value is exactly that of the
+    full Betti vector of every link; `_leray_induced` is the test oracle.
     """
     p = _parse_field(field)
-    # dim lk(m) = (size of the largest facet holding m) - |m| - 1
-    reach: dict[int, int] = {}
-    for f in x.facets:
-        s = f.bit_count()
-        for m in subsets(f, range(s + 1)):
-            if reach.get(m, 0) < s:
-                reach[m] = s
     best, cap = 0, x.dim + 1
-    seen: set[tuple[Face, ...]] = set()
-    for m in sorted(reach, key=int.bit_count, reverse=True):
+    for d, lk in _closed_links(x):
         if best == cap:
             break
-        if reach[m] - m.bit_count() > best:  # dim(lk m) + 1 > best
-            lk = x.link(m)
-            if lk.facets not in seen:
-                seen.add(lk.facets)
-                best = max(best, _Chains(lk).top_degree(best, p) + 1)
+        if d + 1 > best:
+            best = max(best, _link_chains(lk).top_degree(d, best, p) + 1)
     return best
 
 
@@ -310,34 +386,44 @@ def _leray_induced(x: SimplicialComplex, field: Field = "Q") -> int:
                    for sub in subsets(x.vertex_mask, range(n + 1)))
 
 
-def _acyclic_below_top(complexes, field: Field) -> bool:
-    """True iff every complex has zero reduced homology in each degree below
-    its dimension (the empty complex vacuously).  Stops at the first
-    nonzero degree, lowest degree first, and checks a repeated complex
-    once."""
-    p = _parse_field(field)
-    seen: set[tuple[Face, ...]] = set()
-    for y in complexes:
-        if y.facets in seen:
-            continue
-        seen.add(y.facets)
-        chains = _Chains(y)
-        if any(chains.nonzero(t, p) for t in range(chains.dim)):
-            return False
-    return True
-
-
 def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q") -> bool:
-    """Pure, and every link is homologically (dim(link) - 1)-connected."""
-    return x.is_pure() and _acyclic_below_top(map(x.link, x.all_faces()),
-                                              field)
+    """Pure, and every link is homologically (dim(link) - 1)-connected.
+
+    Only the links of closed faces are read (`_closed_links`; any other
+    link is a cone, acyclic in every degree), each through itself or its
+    facet nerve as in `leray_number`, and always against the link's own
+    dimension.  Degrees are walked up from 0 and the walk stops at the
+    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.
+    """
+    p = _parse_field(field)
+    if not x.is_pure():
+        return False
+    for d, lk in _closed_links(x):
+        if d > 0:
+            chains = _link_chains(lk)
+            if any(chains.nonzero(t, p) for t in range(d)):
+                return False
+    return True
 
 
 def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
     """The alternative predicate: pure, and every induced subcomplex is
-    homologically (dim - 1)-connected."""
-    subs = subsets(x.vertex_mask, range(1, len(x.vertices) + 1))
-    return x.is_pure() and _acyclic_below_top(map(x.induced, subs), field)
+    homologically (dim - 1)-connected, read from degree 0 up as in
+    `is_cohen_macaulay`.  It reads all 2^n induced subcomplexes, so a pure
+    complex is refused above LERAY_VERTEX_CAP vertices."""
+    p = _parse_field(field)
+    if not x.is_pure():
+        return False
+    n = len(x.vertices)
+    if n > LERAY_VERTEX_CAP:
+        raise ValueError(
+            f"induced Cohen-Macaulay test refused above {LERAY_VERTEX_CAP} "
+            f"vertices")
+    for sub in subsets(x.vertex_mask, range(1, n + 1)):
+        chains = _Chains(x.induced(sub).facets)
+        if any(chains.nonzero(t, p) for t in range(chains.dim)):
+            return False
+    return True
 
 
 def is_shellable(

@@ -126,7 +126,7 @@ def _homology_floor(x: SimplicialComplex, budget: Budget) -> int:
         return 0
     if _floor_work(x) > budget.limit - budget.used:
         return 0
-    return _Chains(x).top_degree(0, 2) + 1
+    return _Chains(x.facets).top_degree(x.dim, 0, 2) + 1
 
 
 def collapsibility_number(

@@ -1,7 +1,9 @@
 """Reduced homology ranks, Leray numbers, Cohen-Macaulayness, shellability
 and k-vertex decomposability."""
 
+import functools
 import math
+import operator
 import random
 import re
 
@@ -103,6 +105,12 @@ def test_non_prime_fields_are_rejected(field):
         reduced_betti(THREE_CYCLE, field)
     with pytest.raises(ValueError, match=message):
         leray_number(THREE_CYCLE, field)
+    # also where no rank is needed: a non-pure complex is not CM
+    non_pure = SimplicialComplex([(1, 2, 3), (3, 4)])
+    with pytest.raises(ValueError, match=message):
+        is_cohen_macaulay(non_pure, field)
+    with pytest.raises(ValueError, match=message):
+        is_cohen_macaulay_induced(non_pure, field)
 
 
 @pytest.mark.parametrize("field", [2, 3, "gf5", "GF7", 97, 2 ** 61 - 1])
@@ -329,6 +337,24 @@ def test_leray_of_star_family_nc_needs_few_exact_ranks(monkeypatch):
     assert leray_number(non_cover_complex(star_family(6, (1,) * 6))) == 5
 
 
+def test_leray_of_star_family_nc_builds_few_chain_complexes(monkeypatch):
+    built = []
+
+    class Counted(homology._Chains):
+        __slots__ = ()
+
+        def __init__(self, facets):
+            built.append(facets)
+            super().__init__(facets)
+
+    monkeypatch.setattr(homology, "_Chains", Counted)
+    # one per distinct closed-face link met above best; the scan over every
+    # face, which ranked each link itself, built 640 here
+    assert leray_number(non_cover_complex(star_family(5, (1,) * 5))) == 4
+    assert len(built) <= 130
+    assert leray_number(non_cover_complex(star_family(7, (1,) * 7))) == 6
+
+
 def test_leray_goldens():
     assert leray_number(simplex_on((1, 2, 3))) == 0
     assert leray_number(THREE_CYCLE) == 2
@@ -348,6 +374,19 @@ def test_leray_vertex_cap():
     assert leray_number(wide) == 1
 
 
+def test_induced_cohen_macaulay_vertex_cap():
+    wide = SimplicialComplex([(v,) for v in range(15)])
+    with pytest.raises(ValueError, match="above 14 vertices"):
+        is_cohen_macaulay_induced(wide)
+    # a non-pure complex needs no enumeration and is answered at any size
+    assert not is_cohen_macaulay_induced(SimplicialComplex(
+        [(v,) for v in range(15)] + [(1, 2)]))
+    # points are Cohen-Macaulay in both senses; the link test has no cap
+    assert is_cohen_macaulay_induced(SimplicialComplex(
+        [(v,) for v in range(14)]))
+    assert is_cohen_macaulay(wide)
+
+
 def test_leray_default_route_scales_past_the_vertex_cap():
     path = SimplicialComplex([(i, i + 1) for i in range(1, 16)])
     assert leray_number(path) == 1
@@ -361,28 +400,86 @@ def test_leray_routes_always_agree(x):
 
 
 def test_leray_scan_skips_repeated_links(monkeypatch):
-    links, ranked = [], []
-    link = SimplicialComplex.link
+    ranked = []
+    link_chains = homology._link_chains
 
-    def counted_link(self, sigma):
-        lk = link(self, sigma)
-        links.append(lk.facets)
-        return lk
+    def counted(lk):
+        ranked.append(lk)
+        return link_chains(lk)
 
-    class Counted(homology._Chains):
-        __slots__ = ()
+    def no_link(self, sigma):
+        raise AssertionError("the Leray scan builds no link")
 
-        def __init__(self, y):
-            ranked.append(y.facets)
-            super().__init__(y)
-
-    monkeypatch.setattr(SimplicialComplex, "link", counted_link)
-    monkeypatch.setattr(homology, "_Chains", Counted)
-    # three triangles on the edge 12: the edges 13, 14 and 15 all have the
-    # link {2}, and so do 23, 24, 25 with {1}
+    monkeypatch.setattr(homology, "_link_chains", counted)
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    # three triangles on the edge 12: 12 is the only closed face below a
+    # facet, so its link {3, 4, 5} is the one ranked; every other link
+    # (the edges 13, 14, ... and the vertices, and x itself) is a cone
     fan = SimplicialComplex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
     assert leray_number(fan) == 1
-    assert sorted(ranked) == sorted(set(links)) and len(links) > len(ranked)
+    assert ranked == [(0b1000, 0b10000, 0b100000)]
+    for x in all_complexes(4) + [RP2, V6F10_6]:
+        for p in (None, 2):
+            ranked.clear()
+            leray_number(x, "Q" if p is None else p)
+            # each family once, and no cone: a link of a non-closed face
+            # sigma has c - sigma in all its facets, c the intersection of
+            # the facets that hold sigma
+            assert len(ranked) == len(set(ranked)), x
+            assert all(functools.reduce(operator.and_, lk) == 0
+                       for lk in ranked), x
+
+
+def _closed(x, sigma):
+    """True iff sigma is the intersection of the facets that hold it."""
+    return sigma == functools.reduce(
+        operator.and_, (f for f in x.facets if sigma & ~f == 0))
+
+
+def test_links_of_non_closed_faces_are_acyclic():
+    for x in all_complexes(5):
+        for sigma in x.all_faces():
+            if not _closed(x, sigma):
+                b = reduced_betti(x.link(sigma))
+                assert (b.rank_neg1, any(b.ranks)) == (0, False), (x, sigma)
+
+
+def _trimmed(rank_neg1, ranks):
+    """A reduced Betti vector from degree -1 up, trailing zeros dropped."""
+    out = [rank_neg1, *ranks]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_nerve_has_the_homology_of_every_link(p):
+    field = "Q" if p is None else p
+    for x in all_complexes(4) + _random_complexes(200, 6, seed=0) + [RP2]:
+        for sigma in x.all_faces():
+            lk = x.link(sigma)
+            b = reduced_betti(lk, field)
+            nerve = homology._Chains(homology._nerve(lk.facets))
+            via_nerve = _trimmed(int(nerve.dim < 0), [
+                nerve.betti(t, p) for t in range(nerve.dim + 1)])
+            assert via_nerve == _trimmed(b.rank_neg1, b.ranks), (x, sigma)
+
+
+def test_link_chains_takes_the_nerve_only_when_it_is_smaller():
+    # three 5-vertex simplices glued in a cycle: 3 nerve vertices, and the
+    # nerve is the hollow triangle (with the vertices of private vertices)
+    cycle = SimplicialComplex([range(1, 6), range(5, 10), [9, 10, 11, 12, 1]])
+    assert sorted(homology._link_chains(cycle.facets).facets) == [
+        0b1, 0b10, 0b11, 0b100, 0b101, 0b110]
+    assert leray_number(cycle) == 2 == full_link_leray(cycle)
+    # 13 facets on 27 vertices, but 12 of them hold vertex 1, so the nerve
+    # would be an 11-simplex with 4,096 faces where the complex has at most
+    # 12 * 32 + 4; at 30 such facets it would have 2^30
+    rng = random.Random(5)
+    fan = SimplicialComplex([[1, *rng.sample(range(2, 26), 4)]
+                             for _ in range(12)] + [[30, 31]])
+    assert homology._link_chains(fan.facets).facets == fan.facets
+    assert leray_number(fan) == 2 == full_link_leray(fan)
 
 
 # -- Cohen-Macaulay --------------------------------------------------------
