@@ -17,7 +17,7 @@ import json
 import sys
 
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError
-from .generators import GeneratorSpec, NAMED_EXAMPLES, generate
+from .generators import KINDS, GeneratorSpec, NAMED_EXAMPLES, generate
 from .io import instance_to_json, load_instance
 from .reports import (
     THEOREMS,
@@ -55,10 +55,7 @@ def _spec_from_args(args) -> GeneratorSpec:
 
 
 def _add_generator_args(p, kind_default="random-complex"):
-    p.add_argument("--kind", default=kind_default,
-                   choices=["random-complex", "random-hypergraph",
-                            "random-graph", "star-family", "named-example",
-                            "random-kvd"])
+    p.add_argument("--kind", default=kind_default, choices=KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6, help="vertex / star count")
     p.add_argument("--m", type=int, default=8, help="facet / edge count")
@@ -91,8 +88,6 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run a theorem check over trials")
     p_ver.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
     p_ver.add_argument("--trials", type=int, default=100)
-    p_ver.add_argument("--max-vertices", type=int, default=None,
-                       dest="max_vertices")
     p_ver.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_ver.add_argument("--out", default=None)
     _add_generator_args(p_ver, kind_default=None)  # None: theorem's default
@@ -128,8 +123,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if args.kind is None:
                 args.kind = THEOREMS[args.theorem][0]
-            if args.max_vertices is not None:
-                args.n = args.max_vertices
             spec = _spec_from_args(args)
             summary = verify(args.theorem, spec, args.trials,
                              budget_limit=args.budget)

@@ -102,6 +102,15 @@ def subsets(mask: int, sizes: Iterable[int]) -> Iterator[int]:
         yield from map(sum, itertools.combinations(bits, r))
 
 
+def faces_of(facets: Iterable[int], sizes: Iterable[int]) -> set[int]:
+    """The faces of the complex with these facets whose size is in `sizes`
+    (read once per facet: a range or a tuple), each once."""
+    out: set[int] = set()
+    for f in facets:
+        out.update(subsets(f, sizes))
+    return out
+
+
 def as_face(obj) -> Face:
     """Coerce an int mask or an iterable of vertex labels to a Face."""
     if isinstance(obj, Face):
@@ -215,29 +224,18 @@ class SimplicialComplex:
         nonempty complex)."""
         if k < -1:
             raise ValueError("dimension must be >= -1")
-        if k == -1:
-            return {EMPTY_FACE} if self.facets else set()
-        out: set[int] = set()
-        for f in self.facets:
-            out.update(subsets(f, (k + 1,)))
-        return set(map(_face, out))
+        return set(map(_face, faces_of(self.facets, (k + 1,))))
 
     def all_faces(self, include_empty: bool = True) -> Iterator[Face]:
         """Every face, each exactly once (empty face included iff the complex
-        is nonempty)."""
-        seen: set[int] = set()
+        is nonempty, and then first)."""
         if include_empty and self.facets:
-            seen.add(0)
             yield EMPTY_FACE
-        for f in self.facets:
-            for m in subsets(f, range(1, f.bit_count() + 1)):
-                if m not in seen:
-                    seen.add(m)
-                    yield _face(m)
+        yield from map(_face, faces_of(self.facets, range(1, self.dim + 2)))
 
     def num_faces(self) -> int:
         """Number of nonempty faces."""
-        return sum(1 for _ in self.all_faces(include_empty=False))
+        return len(faces_of(self.facets, range(1, self.dim + 2)))
 
     # -- structural operations --------------------------------------------
 
@@ -286,14 +284,14 @@ class SimplicialComplex:
         # link(sigma) is always inside the induced complement, whose faces
         # are the F - sigma for facets F; equality fails iff some facet F
         # has F | sigma in no facet
-        for sigma in self.faces(k):
+        for sigma in faces_of(facets, (k + 1,)):
             for f in facets:
                 fs = f | sigma
                 for g in facets:
                     if fs & ~g == 0:
                         break
                 else:
-                    out.add(sigma)
+                    out.add(_face(sigma))
                     break
         return out
 
@@ -341,19 +339,14 @@ class SimplicialComplex:
         """All faces of dimension <= n."""
         if n > self.dim:
             raise ValueError(f"skeleton dimension {n} exceeds dim {self.dim}")
-        cand: list[int] = []
-        for f in self.facets:
-            if f.dim <= n:
-                cand.append(f)
-            else:
-                cand.extend(subsets(f, (n + 1,)))
-        return SimplicialComplex(cand)
+        low = [f for f in self.facets if f.dim < n]
+        return SimplicialComplex(faces_of(self.facets, (n + 1,)).union(low))
 
     def pure_skeleton(self, n: int) -> "SimplicialComplex":
         """The subcomplex spanned by the n-dimensional faces."""
         if n > self.dim:
             raise ValueError(f"skeleton dimension {n} exceeds dim {self.dim}")
-        return SimplicialComplex(self.faces(n))
+        return SimplicialComplex(faces_of(self.facets, (n + 1,)))
 
 
 def simplex_on(vertices) -> SimplicialComplex:

@@ -43,8 +43,7 @@ class GeneratorSpec:
     """What to generate; identical spec implies identical instance.  The
     random hypergraph kinds drop isolated vertices (see `_drop_isolated`)."""
 
-    kind: str  # random-complex | random-hypergraph | random-graph |
-    #            star-family | named-example | random-kvd
+    kind: str  # one of KINDS
     seed: int = 0
     n: int = 6                 # vertex count (random kinds)
     m: int = 8                 # facet / edge count target
@@ -144,6 +143,30 @@ def _random_kvd(rng: random.Random, n: int, m: int, max_size: int, k: int
             return x
 
 
+def _named_example(spec: GeneratorSpec, rng: random.Random) -> Instance:
+    try:
+        return NAMED_EXAMPLES[spec.name]()
+    except KeyError:
+        raise ValueError(f"unknown named example {spec.name!r}") from None
+
+
+#: How each kind builds its instance from the spec and a random.Random
+#: seeded with spec.seed.
+_BUILDERS = {
+    "random-complex": lambda s, r: _random_complex(r, s.n, s.m, s.max_size),
+    "random-hypergraph":
+        lambda s, r: _random_hypergraph(r, s.n, s.m, s.max_size),
+    "random-graph": lambda s, r: _random_graph(r, s.n, s.m),
+    "star-family": lambda s, r: star_family(s.n, s.leaves or (1,) * s.n),
+    "named-example": _named_example,
+    "random-kvd": lambda s, r: _random_kvd(r, s.n, s.m, s.max_size, s.k),
+}
+
+#: Every generator kind.  The SEEDLESS_KINDS ignore the seed, so every
+#: trial of one of them builds the same instance.
+KINDS = tuple(_BUILDERS)
+SEEDLESS_KINDS = frozenset({"star-family", "named-example"})
+
 #: The kinds that build a Hypergraph; every other kind builds a complex.
 _HYPERGRAPH_KINDS = frozenset({"random-hypergraph", "random-graph",
                                "star-family"})
@@ -159,26 +182,12 @@ _LEAST = {
 
 
 def generate(spec: GeneratorSpec) -> Instance:
+    build = _BUILDERS.get(spec.kind)
+    if build is None:
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
     for name, least in _LEAST.get(spec.kind, {}).items():
         value = getattr(spec, name)
         if value < least:
             raise ValueError(f"{spec.kind} needs {name} >= {least}, "
                              f"got {value}")
-    rng = random.Random(spec.seed)
-    if spec.kind == "named-example":
-        try:
-            return NAMED_EXAMPLES[spec.name]()
-        except KeyError:
-            raise ValueError(f"unknown named example {spec.name!r}") from None
-    if spec.kind == "random-complex":
-        return _random_complex(rng, spec.n, spec.m, spec.max_size)
-    if spec.kind == "random-hypergraph":
-        return _random_hypergraph(rng, spec.n, spec.m, spec.max_size)
-    if spec.kind == "random-graph":
-        return _random_graph(rng, spec.n, spec.m)
-    if spec.kind == "star-family":
-        leaves = spec.leaves or (1,) * spec.n
-        return star_family(spec.n, leaves)
-    if spec.kind == "random-kvd":
-        return _random_kvd(rng, spec.n, spec.m, spec.max_size, spec.k)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    return build(spec, random.Random(spec.seed))

@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .complexes import Face, SimplicialComplex, subsets, vertices_of
+from .complexes import Face, SimplicialComplex, faces_of, subsets, vertices_of
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -200,8 +200,7 @@ class _Chains:
     def faces(self, k: int) -> list[int]:
         fs = self._faces.get(k)
         if fs is None:
-            fs = self._faces[k] = sorted(
-                {m for f in self.facets for m in subsets(f, (k + 1,))})
+            fs = self._faces[k] = sorted(faces_of(self.facets, (k + 1,)))
         return fs
 
     def rank(self, k: int, q: Optional[int]) -> int:
@@ -374,16 +373,23 @@ def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
     return best
 
 
+def _induced_subcomplexes(
+    x: SimplicialComplex, what: str
+) -> Iterator[SimplicialComplex]:
+    """x[A] for every vertex subset A of x.  There are 2^n of them, so
+    `what` is refused above LERAY_VERTEX_CAP vertices."""
+    n = len(x.vertices)
+    if n > LERAY_VERTEX_CAP:
+        raise ValueError(f"{what} refused above {LERAY_VERTEX_CAP} vertices")
+    return map(x.induced, subsets(x.vertex_mask, range(n + 1)))
+
+
 def _leray_induced(x: SimplicialComplex, field: Field = "Q") -> int:
     """The Leray number by brute force: one more than the top nonzero degree
     of the full Betti vector of every induced subcomplex.  The oracle for
     `leray_number`, refused above LERAY_VERTEX_CAP vertices."""
-    n = len(x.vertices)
-    if n > LERAY_VERTEX_CAP:
-        raise ValueError(
-            f"brute-force Leray refused above {LERAY_VERTEX_CAP} vertices")
-    return 1 + max(reduced_betti(x.induced(sub), field).top_nonzero_degree()
-                   for sub in subsets(x.vertex_mask, range(n + 1)))
+    return 1 + max(reduced_betti(y, field).top_nonzero_degree()
+                   for y in _induced_subcomplexes(x, "brute-force Leray"))
 
 
 def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q") -> bool:
@@ -414,13 +420,8 @@ def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
     p = _parse_field(field)
     if not x.is_pure():
         return False
-    n = len(x.vertices)
-    if n > LERAY_VERTEX_CAP:
-        raise ValueError(
-            f"induced Cohen-Macaulay test refused above {LERAY_VERTEX_CAP} "
-            f"vertices")
-    for sub in subsets(x.vertex_mask, range(1, n + 1)):
-        chains = _Chains(x.induced(sub).facets)
+    for y in _induced_subcomplexes(x, "induced Cohen-Macaulay test"):
+        chains = _Chains(y.facets)
         if any(chains.nonzero(t, p) for t in range(chains.dim)):
             return False
     return True

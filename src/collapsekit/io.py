@@ -110,8 +110,3 @@ def load_instance(path: str) -> Instance:
         return complex_from_obj(obj)[0]
     raise ValueError(f"{path}: neither a complex nor a hypergraph file")
 
-
-def dump_instance(inst: Instance, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(instance_to_json(inst))
-        fh.write("\n")

@@ -35,7 +35,8 @@ from .errors import (
     NotPureError,
     UndominatableError,
 )
-from .generators import _HYPERGRAPH_KINDS, GeneratorSpec, generate
+from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
+                         generate)
 from .homology import (
     Field,
     _leray_induced,
@@ -330,6 +331,14 @@ def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
     return lhs <= rhs
 
 
+def _mes_class(relabeled: Hypergraph, dm: int, gamma: int) -> tuple[int, bool]:
+    """The mes-equal class of a face gamma of NC(H), H relabeled so its
+    maximizing minimal cover is dm: gamma's complement inside the cover,
+    and whether that complement holds an edge (the claim's hypothesis)."""
+    key = relabeled.vertex_mask & ~gamma & dm
+    return key, not relabeled.is_independent(key)
+
+
 def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
     """After relabeling the maximizing minimal cover D to {1..|D|}: if the
     two faces of NC(H) have the same complement inside D and the induced
@@ -340,12 +349,10 @@ def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
     g2 = mask_of(perm[v] for v in as_face(gamma_prime).vertices)
     if g1 not in order.complex or g2 not in order.complex:
         raise HypothesisNotMetError("both faces must lie in NC(H)")
-    vmask = relabeled.vertex_mask
-    c1 = (vmask & ~g1) & dm
-    c2 = (vmask & ~g2) & dm
-    if c1 != c2:
+    c1, has_edge = _mes_class(relabeled, dm, g1)
+    if c1 != _mes_class(relabeled, dm, g2)[0]:
         raise HypothesisNotMetError("complements must agree inside the cover")
-    if relabeled.is_independent(c1):
+    if not has_edge:
         raise HypothesisNotMetError(
             "induced sub-hypergraph on the cover part contains no edge"
         )
@@ -370,11 +377,14 @@ def _chk(cond: bool, inst, detail: str):
         raise Counterexample(inst, detail)
 
 
-def _random_orderings(x: SimplicialComplex, rng: random.Random, count: int):
-    for _ in range(count):
+def _check_m0_le_d(x: SimplicialComplex, m0_: int, rng: random.Random):
+    """M0(X) <= d(X, <) for three facet orders < drawn from rng."""
+    for _ in range(3):
         perm = list(x.facets)
         rng.shuffle(perm)
-        yield FacetOrdering(x, perm)
+        order = FacetOrdering(x, perm)
+        d = d_of_ordering(x, order)
+        _chk(m0_ <= d, x, f"M0={m0_} > d={d} for {order!r}")
 
 
 def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
@@ -398,17 +408,12 @@ def _thm_mk_chain(x: SimplicialComplex, rng, budget) -> str:
     m0_, m1_, m2_ = mk_chain(x, 2, budget)
     _chk(l <= c <= m2_ <= m1_ <= m0_, x,
          f"L={l}, C={c}, M2={m2_}, M1={m1_}, M0={m0_}")
-    for order in _random_orderings(x, rng, 3):
-        d = d_of_ordering(x, order)
-        _chk(m0_ <= d, x, f"M0={m0_} > d={d} for {order!r}")
+    _check_m0_le_d(x, m0_, rng)
     return "pass"
 
 
 def _thm_m0_le_mes(x: SimplicialComplex, rng, budget) -> str:
-    m0_ = mk_chain(x, 0, budget)[0]
-    for order in _random_orderings(x, rng, 3):
-        d = d_of_ordering(x, order)
-        _chk(m0_ <= d, x, f"M0={m0_} > d={d}")
+    _check_m0_le_d(x, mk_chain(x, 0, budget)[0], rng)
     return "pass"
 
 
@@ -497,13 +502,11 @@ def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
         relabeled, _, dm, order = hg._cover_relabeling(h)
     except ValueError:  # edgeless H, empty NC(H) or an undominatable cover
         return "skip"
-    vmask = relabeled.vertex_mask
     groups: dict[int, set] = {}
     for gamma in order.complex.all_faces():
-        key = (vmask & ~gamma) & dm
-        if relabeled.is_independent(key):
-            continue  # hypothesis: the cover part must contain an edge
-        groups.setdefault(key, set()).add(mes(gamma, order))
+        key, has_edge = _mes_class(relabeled, dm, gamma)
+        if has_edge:
+            groups.setdefault(key, set()).add(mes(gamma, order))
     for key, seqs in groups.items():
         _chk(len(seqs) == 1, h,
              f"mes not constant on cover-complement class {key:b}: {seqs}")
@@ -633,7 +636,9 @@ def verify(
 
     Any failure stops the run and attaches the counterexample instance to
     the summary.  A negative trial count, or a spec whose kind builds the
-    wrong type of instance for the theorem, raises ValueError first.
+    wrong type of instance for the theorem, raises ValueError first.  A
+    seedless kind (`SEEDLESS_KINDS`: star-family, named-example) repeats
+    one instance in every trial; only the trial's rng varies.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
@@ -671,11 +676,14 @@ def conjecture_search(
 ) -> list[dict]:
     """Look for complexes with M_k < M_{k-1}.  An empty list is an honest
     outcome; every candidate re-verifies with a fresh memo table.  The spec
-    must build complexes and `trials` must be >= 0."""
+    must build complexes and `trials` must be >= 0.  A seedless kind
+    (`SEEDLESS_KINDS`) builds one instance, so it runs one trial at most."""
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = spec or GeneratorSpec(kind="random-complex")
     _check_run("conjecture search", spec, trials, False)
+    if spec.kind in SEEDLESS_KINDS:
+        trials = min(trials, 1)
     found = []
     for i in range(trials):
         x = _trial_instance(spec, i)

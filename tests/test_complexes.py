@@ -19,7 +19,8 @@ from collapsekit import (
     join,
     simplex_on,
 )
-from collapsekit.complexes import MAX_VERTEX, vertices_of
+from collapsekit.complexes import MAX_VERTEX, mask_of, vertices_of
+from collapsekit.homology import _Chains
 
 from conftest import all_complexes
 
@@ -144,6 +145,28 @@ def test_faces_by_dimension():
     assert x.faces(2) == {Face.of([1, 2, 3])}
     assert x.faces(3) == set()
     assert SimplicialComplex().faces(-1) == set()
+
+
+def test_face_listers_match_brute_force_on_every_small_complex():
+    for x in all_complexes(5):
+        brute = {mask_of(f) for f in brute_faces(x)}
+        closed = brute | {0} if x.facets else brute
+        by_size = {}
+        for m in closed:
+            by_size.setdefault(m.bit_count(), set()).add(m)
+        chains = _Chains(x.facets)
+        for k in range(-1, x.dim + 2):
+            expected = by_size.get(k + 1, set())
+            assert x.faces(k) == expected, (x, k)
+            assert chains.faces(k) == sorted(expected), (x, k)
+        listed = list(x.all_faces())
+        assert len(listed) == len(set(listed)) and set(listed) == closed
+        assert (listed[:1] == [0]) == bool(x.facets), x
+        assert set(x.all_faces(include_empty=False)) == brute
+        for n in range(x.dim + 1):
+            assert x.skeleton(n) == SimplicialComplex(
+                m for m in brute if m.bit_count() <= n + 1), (x, n)
+            assert x.pure_skeleton(n) == SimplicialComplex(by_size[n + 1])
 
 
 @given(raw_facets)

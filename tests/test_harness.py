@@ -20,6 +20,7 @@ from collapsekit.cli import (
 )
 from collapsekit.generators import (
     _HYPERGRAPH_KINDS,
+    KINDS,
     GeneratorSpec,
     NAMED_EXAMPLES,
     generate,
@@ -52,12 +53,20 @@ def test_identical_spec_identical_instance():
         assert generate(spec) == generate(spec)
 
 
-@pytest.mark.parametrize("kind", [
-    "random-complex", "random-hypergraph", "random-graph", "star-family",
-    "named-example", "random-kvd"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_hypergraph_kinds_are_the_kinds_that_build_hypergraphs(kind):
     inst = generate(GeneratorSpec(kind=kind, name="triangle"))
     assert isinstance(inst, Hypergraph) == (kind in _HYPERGRAPH_KINDS)
+
+
+def test_every_theorem_default_kind_is_a_kind():
+    assert {kind for kind, _ in THEOREMS.values()} <= set(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_generates_every_kind(kind, capsys):
+    assert main(["generate", "--kind", kind, "--name", "triangle"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_different_seeds_usually_differ():
@@ -307,6 +316,12 @@ def test_conjecture_search_finds_the_golden_gap():
     found = conjecture_search(1, spec, trials=1)
     assert len(found) == 1
     assert found[0]["M0"] == 3 and found[0]["M1"] == 2
+
+
+def test_conjecture_search_runs_a_seedless_kind_once():
+    spec = GeneratorSpec(kind="named-example", name="v6f10-6")
+    found = conjecture_search(1, spec, trials=5)
+    assert [c["trial"] for c in found] == [0]
 
 
 def test_conjecture_search_raises_when_a_chain_does_not_repeat(monkeypatch):

@@ -33,11 +33,12 @@ from collapsekit.errors import VertexRangeError
 from collapsekit.generators import star_family
 from collapsekit.hypergraphs import (
     DominationResult,
+    _cover_relabeling,
     _maximizing_cover,
     cover_initial_relabeling,
     maximizing_minimal_cover,
 )
-from collapsekit.reports import THEOREMS
+from collapsekit.reports import THEOREMS, _mes_class
 
 from conftest import all_hypergraphs
 
@@ -504,6 +505,42 @@ def test_mes_equal_check_rejects_unqualified_pairs():
         mes_equal_check(C4, (1,), (1, 2))
     with pytest.raises(HypothesisNotMetError):
         mes_equal_check(C4, (1, 2, 3), (1,))  # not a face of NC
+
+
+def test_mes_equal_theorem_and_probe_agree_up_to_3_vertices():
+    """The mes-equal theorem groups NC faces by `_mes_class`; every pair it
+    groups passes `mes_equal_check`, and every face whose class holds no
+    edge makes the probe refuse, on every hypergraph on <= 3 vertices."""
+    pairs = refused = 0
+    for n in (1, 2, 3):
+        for h in all_hypergraphs(n):
+            if h.isolated_vertices():
+                continue
+            assert THEOREMS["mes-equal"][1](h, None, Budget()) in (
+                "pass", "skip")
+            try:
+                relabeled, perm, dm, order = _cover_relabeling(h)
+            except ValueError:  # the theorem skips these
+                continue
+            inv = {new: old for old, new in perm.items()}
+            groups = {}
+            for gamma in order.complex.all_faces():
+                key, has_edge = _mes_class(relabeled, dm, gamma)
+                assert key == relabeled.vertex_mask & ~gamma & dm
+                assert has_edge == any(e & ~key == 0 for e in relabeled.edges)
+                original = [inv[v] for v in gamma.vertices]
+                if has_edge:
+                    groups.setdefault(key, []).append(original)
+                else:
+                    with pytest.raises(HypothesisNotMetError):
+                        mes_equal_check(h, original, original)
+                    refused += 1
+            for members in groups.values():
+                for a, b in itertools.combinations_with_replacement(
+                        members, 2):
+                    assert mes_equal_check(h, a, b), (h, a, b)
+                    pairs += 1
+    assert (pairs, refused) == (699, 49)
 
 
 @given(random_hypergraphs())
