@@ -129,6 +129,18 @@ def _homology_floor(x: SimplicialComplex, budget: Budget) -> int:
     return _Chains(x.facets).top_degree(x.dim, 0, 2) + 1
 
 
+def _collapsible_within(y: SimplicialComplex, d: int, budget: Budget) -> bool:
+    """Whether C(y) <= d, for d >= 0, asked with one collapse search at d.
+
+    Exact: d-collapsibility is monotone in d (a d-collapse is also a
+    (d+1)-collapse), so C(y) <= d iff y is d-collapsible.  The homology
+    floor is a lower bound for C(y) (Wegner 1975, see `_homology_floor`),
+    so a d below it answers no without a search; a floor skipped as
+    unaffordable reads 0 and only leaves the answer to the search.
+    """
+    return d >= _homology_floor(y, budget) and is_d_collapsible(y, d, budget)[0]
+
+
 def collapsibility_number(
     x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> int:

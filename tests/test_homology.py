@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsekit import (
+    Budget,
     NotPureError,
     SimplicialComplex,
     boundary,
@@ -24,10 +25,11 @@ from collapsekit import (
     leray_number,
     non_cover_complex,
     reduced_betti,
+    shedding_leray_inequality_check,
     simplex_on,
     verify_shedding_sequence,
 )
-from collapsekit import homology
+from collapsekit import homology, reports
 from collapsekit.complexes import subsets
 from collapsekit.generators import star_family
 from collapsekit.homology import (
@@ -606,6 +608,42 @@ def test_kvd_witnesses_replay(x):
         ok, wit = is_k_vertex_decomposable(pure, k)
         if ok:
             assert verify_shedding_sequence(pure, k, wit)
+
+
+# -- the shedding Leray probe ----------------------------------------------
+
+SHED_FIELD_CASES = [
+    (SimplicialComplex([(1, 2, 3), (2, 3, 4)]), (1,)),       # shedding
+    (SimplicialComplex([(1, 2, 3), (2, 3, 4)]), (1, 2, 3)),  # not shedding
+    (SimplicialComplex([(1, 2, 3), (3, 4)]), (1,)),          # not pure
+]
+
+
+@pytest.mark.parametrize("x,sigma", SHED_FIELD_CASES)
+def test_shedding_leray_probe_rejects_a_bad_field_first(x, sigma):
+    # a bad field must never read as an unmet hypothesis, which callers
+    # take as "skip"
+    with pytest.raises(ValueError, match="not a valid prime field"):
+        shedding_leray_inequality_check(x, sigma, "gf4")
+
+
+def test_shed_leray_trial_ranks_the_trial_complex_at_most_once(monkeypatch):
+    ranked = []
+    real = reports.leray_number
+
+    def counted(y, field="Q"):
+        ranked.append(y)
+        return real(y, field)
+
+    monkeypatch.setattr(reports, "leray_number", counted)
+    run = reports.THEOREMS["shed-leray"][1]
+    assert run(V6F10_6, random.Random(0), Budget()) == "pass"
+    assert ranked.count(V6F10_6) == 1
+    # no face of a simplex is a shedding face: a skip ranks nothing
+    ranked.clear()
+    tri = simplex_on((1, 2, 3))
+    assert run(tri, random.Random(0), Budget()) == "skip"
+    assert ranked == []
 
 
 def test_cone_over_three_cycle():

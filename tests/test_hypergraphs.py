@@ -28,6 +28,7 @@ from collapsekit import (
     non_cover_complex,
     strongly_dominates,
 )
+from collapsekit import hypergraphs as hg
 from collapsekit.complexes import as_face, mask_of, subsets, vertices_of
 from collapsekit.errors import VertexRangeError
 from collapsekit.generators import star_family
@@ -466,6 +467,22 @@ def test_neighbor_inequality_validates_hypotheses():
         neighbor_inequality_check(C4, (1, 2, 3), ())  # not minimal
     with pytest.raises(HypothesisNotMetError):
         neighbor_inequality_check(C4, (1, 3), (2,))  # S outside D
+
+
+def test_neighbor_theorem_dominates_each_cover_complement_once(monkeypatch):
+    targets = []
+    real = hg.gamma_A
+
+    def counted(h, target):
+        targets.append(target)
+        return real(h, target)
+
+    monkeypatch.setattr(hg, "gamma_A", counted)
+    run = THEOREMS["neighbor-inequality"][1]
+    for h in (C4, Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])):
+        targets.clear()
+        assert run(h, random.Random(0), None) == "pass"
+        assert len(targets) == len(h.minimal_covers())
 
 
 def test_cover_initial_relabeling():

@@ -1,7 +1,15 @@
-"""Collapsibility numbers, certificates, minimal exclusion sequences and the
-M_k hierarchy."""
+"""Collapsibility numbers, certificates, minimal exclusion sequences, the
+M_k hierarchy, and the claim probe decided at its thresholds against the
+full-C loop it replaced.
+
+The <= 4-vertex universe runs in the suite.  From the repo root,
+`PYTHONPATH=src python tests/test_invariants.py 5` runs the claim
+differential on all 7,580 complexes on <= 5 vertices (about 4 minutes).
+"""
 
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +19,7 @@ from collapsekit import (
     Budget,
     BudgetExceededError,
     CollapseCertificate,
+    Face,
     FacetOrdering,
     Hypergraph,
     NotAFaceError,
@@ -305,18 +314,28 @@ def test_tancer_and_claim_inequalities(x, data):
 
 @pytest.mark.parametrize("theorem", ["claim", "tancer"])
 def test_claim_and_tancer_compute_c_of_the_trial_once(monkeypatch, theorem):
+    # C is computed for the trial complex only; each face costs at most two
+    # threshold searches, one on its link and one on its deletion
     x = v6f10_6()
-    seen = []
-    real = reports.collapsibility_number
+    c = collapsibility_number(x)
+    seen, searched = [], []
+    real = invariants.is_d_collapsible
 
-    def counted(y, budget=None):
+    def counted(y, d, budget=None):
+        searched.append(y)
+        return real(y, d, budget)
+
+    def known_c(y, budget=None):
         seen.append(y)
-        return real(y, budget)
+        return c
 
-    monkeypatch.setattr(reports, "collapsibility_number", counted)
+    monkeypatch.setattr(reports, "collapsibility_number", known_c)
+    monkeypatch.setattr(invariants, "is_d_collapsible", counted)
     probe = reports.THEOREMS[theorem][1]
     assert probe(x, random.Random(0), Budget()) == "pass"
-    assert seen.count(x) == 1 and len(seen) > 1
+    n_faces = len(x.faces(0)) if theorem == "tancer" else x.num_faces()
+    assert seen == [x]
+    assert len(searched) <= 2 * n_faces
 
 
 def test_claim_and_tancer_name_the_first_failing_face(monkeypatch):
@@ -338,3 +357,87 @@ def test_claim_check_rejects_non_face():
         claim_inequality_check(THREE_CYCLE, (1, 2, 3))
     with pytest.raises(ValueError):
         tancer_inequality_check(THREE_CYCLE, (1, 2))
+
+
+# -- the claim decided at its thresholds, against the full-C loop ----------
+
+def full_c_first_claim_failure(x, faces):
+    """The loop the threshold questions replaced: the first face s with
+    C(X) > max(C(del s), C(lk s) + k + 1), every C computed in full.  C(X)
+    is read through `reports.collapsibility_number`, so a test can raise it
+    and make the claim fail; the links and deletions use the real C."""
+    lhs = reports.collapsibility_number(x, Budget())
+    for s in faces:
+        rhs = max(collapsibility_number(x.deletion(s)),
+                  collapsibility_number(x.link(s)) + s.dim + 1)
+        if lhs > rhs:
+            return s
+    return None
+
+
+def claim_differential(n):
+    """Run `_first_claim_failure` against the full-C loop on every complex
+    on <= n vertices, with C(X) raised by 0, 1 and 2, for the claim's faces
+    (dimension <= 2) and for Tancer's (the vertices).  Also check that
+    `_collapsible_within(y, d)` equals C(y) <= d for every link and deletion
+    of those faces, d = 0..dim(y) + 2.  Returns (cases, failing, mismatches)."""
+    cases = failing = 0
+    mismatches = []
+    for x in all_complexes(n):
+        c = collapsibility_number(x)
+        claim = sorted(x.all_faces(include_empty=False))
+        claim = [s for s in claim if s.dim <= 2]
+        tancer = [Face(1 << v) for v in x.vertices]
+        for y in {z for s in claim for z in (x.link(s), x.deletion(s))}:
+            cy = collapsibility_number(y)
+            for d in range(y.dim + 3):
+                if invariants._collapsible_within(y, d, Budget()) != (cy <= d):
+                    mismatches.append((y, d))
+        for raised in (0, 1, 2):
+            def raised_c(y, budget=None, raised=raised):
+                return c + raised if y == x else collapsibility_number(y)
+
+            with mock.patch.object(reports, "collapsibility_number", raised_c):
+                for faces in (claim, tancer):
+                    want = full_c_first_claim_failure(x, faces)
+                    got = reports._first_claim_failure(x, faces, Budget())
+                    cases += 1
+                    failing += want is not None
+                    if got != want:
+                        mismatches.append((x, raised, want, got))
+    return cases, failing, mismatches
+
+
+def test_threshold_claim_matches_the_full_c_loop_on_every_small_complex():
+    cases, failing, mismatches = claim_differential(4)
+    assert mismatches == []
+    # the raised C(X) makes the claim fail often enough to test something
+    assert 0 < failing < cases
+
+
+def test_a_face_below_threshold_costs_no_search(monkeypatch):
+    # the 3-cycle has C = 2, so t = 0 at a vertex and t = -1 at an edge:
+    # the edges hold without a question, and no question is asked below 0
+    asked = []
+    real = invariants._collapsible_within
+
+    def recorded(y, d, budget):
+        asked.append(d)
+        return real(y, d, budget)
+
+    monkeypatch.setattr(reports, "_collapsible_within", recorded)
+    edges = sorted(THREE_CYCLE.faces(1))
+    assert reports._first_claim_failure(THREE_CYCLE, edges, Budget()) is None
+    assert asked == []
+    assert claim_inequality_check(THREE_CYCLE, (1,))
+    assert asked and min(asked) >= 0
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    cases, failing, mismatches = claim_differential(n)
+    print(f"{len(all_complexes(n))} complexes on <= {n} vertices: {cases} "
+          f"cases, {failing} failing, {len(mismatches)} mismatches")
+    for bad in mismatches:
+        print(bad)
+    sys.exit(1 if mismatches else 0)
