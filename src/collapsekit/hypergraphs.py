@@ -4,8 +4,10 @@ Vertices are 1-based: V = {1, ..., n}.  Subsets are passed around as Python
 sets/iterables at the API surface and handled as bitmasks internally.  All
 optimizers are increasing-cardinality exhaustive searches with early exit;
 exactness over speed, and every result carries a re-checkable witness.
-gamma_A, gamma_strong and gamma_E are one least-set search, `_least`, over
-vertex bits or edges.
+The domination searches are plain fewest-first scans over int masks: each
+target vertex gets its requirement masks once (its neighbourhood, or its
+edge remainders e - {v} for strong domination), and each candidate is
+tested against them.  Strong independence is read from neighbourhoods.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
 singleton edge {v} exists (so "isolated" means what it does for graphs).
@@ -145,22 +147,27 @@ class Hypergraph:
         """No edge inside i, and no edge meeting i twice."""
         return all(e & ~i and (e & i).bit_count() <= 1 for e in self.edges)
 
-    def _strongly_dominates(self, b: int, w: int) -> bool:
-        """Every vertex v of w has an edge e with e - {v} inside b."""
-        strong = self._strong
-        return all(any(s & ~b == 0 for s in strong[v])
-                   for v in vertices_of(w))
-
     def _is_minimal_cover(self, m: int) -> bool:
-        """m meets every edge, and each vertex of m is the only vertex of m
-        in some edge, so none can be dropped."""
-        return all(e & m for e in self.edges) and all(
-            any(e & m == 1 << v for e in self.edges) for v in vertices_of(m))
+        """m meets every edge, and the vertices that are the only vertex of
+        m in some edge make up all of m, so none can be dropped."""
+        private = 0
+        for e in self.edges:
+            hit = e & m
+            if not hit:
+                return False
+            if not hit & (hit - 1):
+                private |= hit
+        return private == m
 
     def minimal_covers(self):
-        """All inclusion-minimal covers, as sorted vertex tuples."""
-        masks = subsets(self.vertex_mask, range(self.n + 1))
-        return [vertices_of(m) for m in masks if self._is_minimal_cover(m)]
+        """All inclusion-minimal covers, as sorted vertex tuples, in
+        `subsets` order.  Each vertex of a minimal cover has an edge of its
+        own, so only vertices on some edge and at most one per edge are
+        tried."""
+        pool = functools.reduce(operator.or_, self.edges, 0)
+        sizes = range(min(pool.bit_count(), len(self.edges)) + 1)
+        return [vertices_of(m) for m in subsets(pool, sizes)
+                if self._is_minimal_cover(m)]
 
 
 @dataclass(frozen=True)
@@ -221,29 +228,67 @@ def nc_bound_order(h: Hypergraph):
     return order.complex, order
 
 
-def _least(items, dominated):
-    """The first combination of `items`, fewest first and then in
-    itertools.combinations order, whose union u has `dominated(u)`; None
-    when even the union of all items falls short (`dominated` is monotone).
-    """
-    if not dominated(functools.reduce(operator.or_, items, 0)):
+# -- the fewest-first scans -------------------------------------------------
+# A domination question is a set of requirements (meet, wholes), one per
+# target vertex, computed once per target: a candidate B satisfies it
+# when B meets `meet` or holds one of the masks in `wholes`.  Every mask in
+# a requirement lies inside the candidate pool.
+
+def _satisfies(b: int, need) -> bool:
+    for meet, wholes in need:
+        if not meet & b:
+            for s in wholes:
+                if not s & ~b:
+                    break
+            else:
+                return False
+    return True
+
+
+def _fewest(need) -> int | None:
+    """The first B satisfying every requirement, fewest vertices first and
+    then in `subsets` order; None when even the whole pool falls short.
+
+    A least B only holds vertices some requirement names (dropping any other
+    keeps it satisfied), and `subsets` order restricted to those vertices is
+    unchanged, so only they are scanned."""
+    useful = 0
+    for meet, wholes in need:
+        useful |= functools.reduce(operator.or_, wholes, meet)
+    if not _satisfies(useful, need):
         return None
-    return next(combo for r in range(len(items) + 1)
-                for combo in itertools.combinations(items, r)
-                if dominated(functools.reduce(operator.or_, combo, 0)))
+    return next(b for b in subsets(useful, range(useful.bit_count() + 1))
+                if _satisfies(b, need))
+
+
+def _strong_need(h: Hypergraph, w: int) -> set:
+    """The requirements for strongly dominating the vertices of w: v needs
+    some e - {v} inside B, met by one neighbour when e is a pair; a vertex
+    with a singleton edge needs nothing."""
+    need = set()
+    for v in vertices_of(w):
+        ends = h._strong[v]
+        if 0 in ends:
+            continue
+        meet = functools.reduce(
+            operator.or_, (s for s in ends if not s & (s - 1)), 0)
+        need.add((meet, tuple(s for s in ends
+                              if s & (s - 1) and not s & meet)))
+    return need
 
 
 def gamma_A(h: Hypergraph, target) -> DominationResult:
-    """Minimum W inside the complement of the target with target <= N(W)."""
+    """Minimum W inside the complement of the target with target <= N(W):
+    every target vertex has a neighbour in W."""
     a = int(as_face(target))
     if a & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    w = _least([1 << v for v in vertices_of(h.vertex_mask & ~a)],
-               lambda m: a & ~h._nbr_mask(m) == 0)
+    pool = h.vertex_mask & ~a
+    w = _fewest({(h._nbr[v] & pool, ()) for v in vertices_of(a)})
     if w is None:
         raise UndominatableError(f"target {list(vertices_of(a))} cannot be "
                                  "dominated from its complement")
-    return DominationResult(len(w), vertices_of(sum(w)), vertices_of(a))
+    return DominationResult(w.bit_count(), vertices_of(w), vertices_of(a))
 
 
 def gamma_i(h: Hypergraph) -> DominationResult:
@@ -264,7 +309,7 @@ def strongly_dominates(h: Hypergraph, b, w) -> bool:
     """Every vertex v of w lies in an edge e with e - {v} inside b."""
     wm = int(as_face(w))
     return (not wm & ~h.vertex_mask
-            and h._strongly_dominates(int(as_face(b)), wm))
+            and _satisfies(int(as_face(b)), _strong_need(h, wm)))
 
 
 def gamma_strong(h: Hypergraph, w) -> DominationResult:
@@ -272,12 +317,11 @@ def gamma_strong(h: Hypergraph, w) -> DominationResult:
     wm = int(as_face(w))
     if wm & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    b = _least([1 << v for v in range(1, h.n + 1)],
-               lambda m: h._strongly_dominates(m, wm))
+    b = _fewest(_strong_need(h, wm))
     if b is None:
         raise UndominatableError(
             f"{list(vertices_of(wm))} cannot be strongly dominated")
-    return DominationResult(len(b), vertices_of(sum(b)), vertices_of(wm))
+    return DominationResult(b.bit_count(), vertices_of(b), vertices_of(wm))
 
 
 def gamma_tilde(h: Hypergraph) -> DominationResult:
@@ -289,19 +333,30 @@ def gamma_tilde(h: Hypergraph) -> DominationResult:
 def gamma_si(h: Hypergraph) -> DominationResult:
     """Strong independence domination number: max of gamma(H; I) over
     strongly independent I (monotone, so maximal ones suffice).  The empty
-    set is strongly independent, so some maximal I exists."""
+    set is strongly independent, so some maximal I exists.
+
+    I is strongly independent when none of its vertices has a singleton
+    edge and none is a neighbour of another, and maximal when every other
+    vertex without a singleton edge is a neighbour of I."""
     h._forbid_isolated()
-    strongly_ind = [m for m in subsets(h.vertex_mask, range(h.n + 1))
-                    if h._strongly_independent(m)]
-    si_set = set(strongly_ind)
-    return max((gamma_strong(h, m) for m in strongly_ind
-                if not any((m | (1 << v)) in si_set and not (m >> v) & 1
-                           for v in range(1, h.n + 1))),  # maximal only
-               key=lambda res: res.value)
+    free = h.vertex_mask
+    for v in range(1, h.n + 1):
+        if 0 in h._strong[v]:
+            free &= ~(1 << v)
+    best = None
+    for i in subsets(free, range(free.bit_count() + 1)):
+        reach = h._nbr_mask(i)
+        if reach & i or free & ~(i | reach):
+            continue
+        res = gamma_strong(h, i)
+        if best is None or res.value > best.value:
+            best = res
+    return best
 
 
 def gamma_E(h: Hypergraph) -> DominationResult:
-    """Edgewise domination: fewest edges whose union strongly dominates V.
+    """Edgewise domination: fewest edges whose union strongly dominates V,
+    the edge families tried fewest first, in itertools.combinations order.
 
     The empty family counts, as B = {} does in `gamma_strong`, so gamma_E is
     0 when every vertex has its singleton edge.  Kim and Kim's definition
@@ -310,9 +365,12 @@ def gamma_E(h: Hypergraph) -> DominationResult:
     """
     h._forbid_isolated()
     vmask = h.vertex_mask
-    fam = _least(h.edges, lambda u: h._strongly_dominates(u, vmask))
-    if fam is None:
+    need = _strong_need(h, vmask)
+    if not _satisfies(functools.reduce(operator.or_, h.edges, 0), need):
         raise UndominatableError("V cannot be strongly dominated edgewise")
+    fam = next(fam for r in range(len(h.edges) + 1)
+               for fam in itertools.combinations(h.edges, r)
+               if _satisfies(functools.reduce(operator.or_, fam, 0), need))
     return DominationResult(len(fam), tuple(tuple(e.vertices) for e in fam),
                             vertices_of(vmask))
 
@@ -337,6 +395,9 @@ def cover_initial_relabeling(h: Hypergraph, cover) -> tuple["Hypergraph", dict[i
     the initial segment {1..|D|} (order preserved inside the cover and inside
     its complement)."""
     d = sorted(as_face(cover).vertices)
+    outside = [v for v in d if not 1 <= v <= h.n]
+    if outside:
+        raise ValueError(f"cover vertices {outside} outside 1..{h.n}")
     rest = [v for v in range(1, h.n + 1) if v not in set(d)]
     perm = {old: new + 1 for new, old in enumerate(d + rest)}
     relabeled = Hypergraph(

@@ -413,14 +413,17 @@ def _check_m0_le_d(x: SimplicialComplex, m0_: int, rng: random.Random):
 
 
 def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
-    gi = hg.gamma_i(h).value
-    bound = h.n - gi - 1
-    # the d bound needs the maximizing cover relabeled to an initial segment
+    # one maximizing cover gives gamma_i and, relabeled to an initial
+    # segment, the facet order the d bound needs (as in `nc_bound_order`)
+    h._forbid_isolated()
+    cover, gi = hg._maximizing_cover(h)
+    bound = h.n - gi.value - 1
     try:
-        nc, order = hg.nc_bound_order(h)
+        order = hg.nc_facet_order(hg.cover_initial_relabeling(h, cover)[0])
     except HypothesisNotMetError:  # NC(H) is empty
         _chk(0 <= bound, h, f"NC empty but bound {bound} < 0")
         return "pass"
+    nc = order.complex
     d = d_of_ordering(nc, order)
     c, _ = collapsibility_number_with_certificate(nc, budget)
     _chk(c <= d <= bound, h, f"C={c}, d={d}, |V|-gamma_i-1={bound}")

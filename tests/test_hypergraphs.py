@@ -1,7 +1,16 @@
-"""Hypergraphs, covers, the non-cover complex and the domination numbers."""
+"""Hypergraphs, covers, the non-cover complex and the domination numbers.
+
+The suite checks the domination numbers against a plain oracle on every
+hypergraph on <= 3 vertices and on every one on 4 vertices with edges of at
+most two vertices.  From the repo root,
+`PYTHONPATH=src python tests/test_hypergraphs.py 4` checks them on all
+32,767 hypergraphs on 4 vertices (about 3 minutes).
+"""
 
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -277,7 +286,8 @@ def test_hypergraph_probes_hold_on_every_hypergraph_up_to_3_vertices(theorem):
 
 # -- the plain domination loops, kept as a test-only oracle ----------------
 # One exhaustive scan per parameter, each subset or edge family tested from
-# scratch; the library answers all of them with one least-set search.
+# scratch; the library scans candidates against requirement masks computed
+# once per target.
 
 def strongly_totally_dominates_vertex(h, b, v):
     """Some subset of b - {v}, together with v, forms an edge."""
@@ -420,6 +430,29 @@ def test_domination_matches_the_oracle_on_every_hypergraph_up_to_3_vertices():
             agree_with_oracle(h, targets)
 
 
+def oracle_differential(hypergraphs, targets):
+    """Run `agree_with_oracle` on each hypergraph.  Returns (checked,
+    mismatches)."""
+    checked, mismatches = 0, []
+    for h in hypergraphs:
+        try:
+            agree_with_oracle(h, targets)
+        except AssertionError as exc:
+            mismatches.append(exc)
+        checked += 1
+    return checked, mismatches
+
+
+def test_domination_matches_the_oracle_on_every_4_vertex_graph():
+    # every family of edges with one or two vertices: loops and graph edges;
+    # targets of each size, a non-interval pair and one outside 1..4
+    small = [m for m in range(2, 1 << 5, 2) if m.bit_count() <= 2]
+    families = [Hypergraph(4, [m for i, m in enumerate(small) if f >> i & 1])
+                for f in range(1, 1 << len(small))]
+    targets = [0, 0b10, 0b1100, 0b10010, 0b11100, 0b11110, 1 << 5]
+    assert oracle_differential(families, targets) == (1023, [])
+
+
 def test_domination_matches_the_oracle_on_random_hypergraphs():
     for seed in range(50):
         rng = random.Random(seed)
@@ -428,6 +461,27 @@ def test_domination_matches_the_oracle_on_random_hypergraphs():
                            for _ in range(rng.randint(5, 12))])
         agree_with_oracle(h, [rng.randrange(0, 1 << (n + 1), 2)
                               for _ in range(4)])
+
+
+def test_early_exit_searches_stop_at_the_least_size(monkeypatch):
+    # on 60 vertices a scan of every subset would never end; the searches
+    # stop at sizes 1 and 2 after drawing a few dozen candidates
+    star = Hypergraph(60, [(1, v) for v in range(2, 61)])
+    drawn = []
+    real = hg.subsets
+
+    def counted(mask, sizes):
+        for m in real(mask, sizes):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(hg, "subsets", counted)
+    leaves = range(2, 61)
+    assert gamma_A(star, leaves) == DominationResult(1, (1,), tuple(leaves))
+    assert gamma_tilde(star) == DominationResult(2, (1, 2), tuple(range(1, 61)))
+    assert gamma_E(star) == DominationResult(1, ((1, 2),), tuple(range(1, 61)))
+    assert gamma_strong(star, [1]) == DominationResult(1, (2,), (1,))
+    assert len(drawn) < 100
 
 
 # -- star family (gap between the parameters) -----------------------------
@@ -485,12 +539,43 @@ def test_neighbor_theorem_dominates_each_cover_complement_once(monkeypatch):
         assert len(targets) == len(h.minimal_covers())
 
 
+def test_nc_bound_theorem_finds_the_maximizing_cover_once(monkeypatch):
+    calls = []
+    real = hg._maximizing_cover
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(hg, "_maximizing_cover", counted)
+    run = THEOREMS["nc-bound"][1]
+    # the last one has an empty NC(H)
+    for h in (C4, Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)]),
+              Hypergraph(3, [(1, 2, 3)])):
+        calls.clear()
+        assert run(h, random.Random(0), Budget()) == "pass"
+        assert calls == [h]
+    # isolated vertices are refused before any cover is looked at
+    calls.clear()
+    with pytest.raises(IsolatedVertexError):
+        run(Hypergraph(3, [(1, 2)]), random.Random(0), Budget())
+    assert calls == []
+
+
 def test_cover_initial_relabeling():
     d = maximizing_minimal_cover(C4)
     relabeled, perm = cover_initial_relabeling(C4, d)
     assert sorted(perm[v] for v in d) == list(range(1, len(d) + 1))
     assert relabeled.n == C4.n
     assert len(relabeled.edges) == len(C4.edges)
+
+
+def test_cover_initial_relabeling_rejects_vertices_outside_the_hypergraph():
+    h = Hypergraph(3, [[1, 2], [2, 3]])
+    for cover, outside in (([0, 2], [0]), ([2, 4], [4]), ([0, 5, 1], [0, 5])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cover vertices {outside} outside 1..3")):
+            cover_initial_relabeling(h, cover)
 
 
 def test_mes_equal_check_on_qualifying_pairs():
@@ -590,3 +675,15 @@ def test_main_bound_needs_the_cover_relabeling():
     assert d_of_ordering(raw, nc_facet_order(h)) == 4
     nc, order = nc_bound_order(h)
     assert d_of_ordering(nc, order) == 3
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+    # every target inside 1..n and one outside, as in the <= 3 vertex test
+    targets = list(range(0, 1 << (n + 1), 2)) + [1 << (n + 1)]
+    checked, mismatches = oracle_differential(all_hypergraphs(n), targets)
+    print(f"{checked} hypergraphs on {n} vertices: "
+          f"{len(mismatches)} disagree with the oracle")
+    for bad in mismatches:
+        print(bad)
+    sys.exit(1 if mismatches else 0)
