@@ -111,6 +111,24 @@ def faces_of(facets: Iterable[int], sizes: Iterable[int]) -> set[int]:
     return out
 
 
+def _free_faces_by_size(facets: Iterable[Face],
+                        sizes: Iterable[int]) -> Iterator[dict[int, Face]]:
+    """For each r in `sizes`, lazily, the free faces on r vertices of the
+    complex with these facets: {face: the only facet holding it}.
+
+    Each facet's vertex bits are listed once, however many sizes are read,
+    and a size is scanned only when its map is asked for."""
+    held = [(f, [1 << v for v in vertices_of(f)]) for f in facets]
+    for r in sizes:
+        # face -> its only facet, or None once a second facet holds it
+        holder: dict[int, Face | None] = {}
+        for f, bits in held:
+            if len(bits) >= r:
+                for m in map(sum, itertools.combinations(bits, r)):
+                    holder[m] = None if m in holder else f
+        yield {m: g for m, g in holder.items() if g is not None}
+
+
 def as_face(obj) -> Face:
     """Coerce an int mask or an iterable of vertex labels to a Face."""
     if isinstance(obj, Face):
@@ -304,17 +322,13 @@ class SimplicialComplex:
         """
         if d < 0:
             raise ValueError("d must be >= 0")
-        # face -> its only facet, or None once a second facet holds it
-        holder: dict[int, Face | None] = {}
-        for f in self.facets:
-            for m in subsets(f, range(1, min(d, f.bit_count()) + 1)):
-                holder[m] = None if m in holder else f
-        # a free face has one facet, so the face alone orders the pairs
-        free = sorted((m.bit_count(), vertices_of(m), m, g)
-                      for m, g in holder.items() if g is not None)
-        pairs = [FreePair(_face(m), g) for _, _, m, g in free]
+        pairs = []
         if self.is_simplex:
-            pairs.insert(0, FreePair(EMPTY_FACE, self.facets[0]))
+            pairs.append(FreePair(EMPTY_FACE, self.facets[0]))
+        for free in _free_faces_by_size(self.facets, range(1, d + 1)):
+            # a free face has one facet, so the face alone orders the pairs
+            pairs.extend(FreePair(_face(m), free[m])
+                         for m in sorted(free, key=vertices_of))
         return pairs
 
     def is_free_pair(self, pair: FreePair) -> bool:

@@ -103,12 +103,16 @@ class Hypergraph:
         return set(vertices_of(self._nbr[v]))
 
     def neighbors_set(self, subset) -> set[int]:
-        m = 0
-        for v in as_face(subset).vertices:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} outside 1..{self.n}")
-            m |= self._nbr[v]
-        return set(vertices_of(m))
+        return set(vertices_of(self._nbr_mask(self._vertex_set(subset))))
+
+    def _vertex_set(self, subset) -> int:
+        """The mask of `subset`, which must lie in 1..n."""
+        m = int(as_face(subset))
+        out = m & ~self.vertex_mask
+        if out:
+            v = (out & -out).bit_length() - 1
+            raise ValueError(f"vertex {v} outside 1..{self.n}")
+        return m
 
     def _nbr_mask(self, mask: int) -> int:
         m = 0
@@ -133,15 +137,15 @@ class Hypergraph:
     # -- covers and independence -------------------------------------------
 
     def is_cover(self, subset) -> bool:
-        b = int(as_face(subset))
+        b = self._vertex_set(subset)
         return all(e & b for e in self.edges)
 
     def is_independent(self, subset) -> bool:
-        i = int(as_face(subset))
+        i = self._vertex_set(subset)
         return not any(int(e) & ~i == 0 for e in self.edges)
 
     def is_strongly_independent(self, subset) -> bool:
-        return self._strongly_independent(int(as_face(subset)))
+        return self._strongly_independent(self._vertex_set(subset))
 
     def _strongly_independent(self, i: int) -> bool:
         """No edge inside i, and no edge meeting i twice."""

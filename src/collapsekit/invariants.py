@@ -6,6 +6,11 @@ transposition table prunes repeated states), the minimal-exclusion-sequence
 bound d(X, ord) for a facet ordering, and the recursive M_0 / M_k / M'_k
 upper bounds.
 
+The d-collapse search scans each state's free faces one size at a time and
+stops at the first size that has one.  Below d that size yields one forced
+move, its lexicographically least face (collapses there are confluent); at
+d every free face is a branch.
+
 The collapsibility number C(X) is searched upward from a homology floor:
 one more than the top degree of nonzero reduced homology of X over GF(2).
 The floor is exact.  A d-collapsible complex is d-Leray over every field
@@ -40,7 +45,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .complexes import FreePair, SimplicialComplex, as_face, vertices_of
+from .complexes import (EMPTY_FACE, FreePair, SimplicialComplex, _face,
+                        _free_faces_by_size, as_face, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
 from .homology import _Chains
 
@@ -71,9 +77,12 @@ def is_d_collapsible(
 ) -> tuple[bool, Optional[CollapseCertificate]]:
     """Decide whether some sequence of elementary d-collapses empties x.
 
-    Free pairs are tried smallest free face first (ties broken by vertex
-    tuple) so runs are deterministic and certificates small.  The search is
-    `errors._depth_first` with a complex's facets as its key, so a
+    Each state's moves come from `_collapse_moves`: the free faces are
+    scanned one size at a time, smallest first, and the scan stops at the
+    first size that has one.  Below d that size gives a single forced move,
+    its lexicographically least face; at d every free face is a branch, in
+    vertex-tuple order.  Runs are deterministic and certificates small.  The
+    search is `errors._depth_first` with a complex's facets as its key, so a
     certificate may have any length.
     """
     if d < 0:
@@ -81,13 +90,7 @@ def is_d_collapsible(
     budget = budget or Budget()
 
     def moves(y: SimplicialComplex):
-        pairs = y.free_pairs(d)
-        # collapses at free faces smaller than d are confluent: performing
-        # one never loses d-collapsibility, so take the first without
-        # branching; only size-d free faces require backtracking
-        if pairs and pairs[0].free_face.bit_count() < d:
-            pairs = pairs[:1]
-        for pair in pairs:
+        for pair in _collapse_moves(y, d):
             yield pair, y.collapse(pair)
 
     steps = _depth_first(x, operator.attrgetter("is_empty"),
@@ -95,6 +98,37 @@ def is_d_collapsible(
     if steps is None:
         return False, None
     return True, CollapseCertificate(tuple(steps), d)
+
+
+def _collapse_moves(y: SimplicialComplex, d: int) -> list[FreePair]:
+    """The free pairs the d-collapse search tries at y, in order: the first
+    pair of `y.free_pairs(d)` when its free face has fewer than d vertices,
+    else all of them, found without listing the larger sizes.
+
+    Collapses at free faces smaller than d are confluent: performing one
+    never loses d-collapsibility, so the least is taken without branching;
+    only size-d free faces require backtracking.  A simplex has the single
+    move (empty face, itself).
+    """
+    if y.is_simplex:
+        return [FreePair(EMPTY_FACE, y.facets[0])]
+    for r, free in enumerate(_free_faces_by_size(y.facets, range(1, d + 1)),
+                             1):
+        if not free:
+            continue
+        if r == d:
+            return [FreePair(_face(m), free[m])
+                    for m in sorted(free, key=vertices_of)]
+        # of two faces of one size, a comes first in vertex-tuple order
+        # iff the lowest vertex of a ^ b is in a
+        it = iter(free)
+        least = next(it)
+        for m in it:
+            diff = m ^ least
+            if m & diff & -diff:
+                least = m
+        return [FreePair(_face(least), free[least])]
+    return []
 
 
 def _floor_work(x: SimplicialComplex) -> int:

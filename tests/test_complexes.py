@@ -19,8 +19,10 @@ from collapsekit import (
     join,
     simplex_on,
 )
-from collapsekit.complexes import MAX_VERTEX, mask_of, vertices_of
+from collapsekit.complexes import (MAX_VERTEX, _free_faces_by_size, mask_of,
+                                  vertices_of)
 from collapsekit.homology import _Chains
+from collapsekit.invariants import _collapse_moves
 
 from conftest import all_complexes
 
@@ -305,6 +307,27 @@ def test_free_pairs_match_the_holder_scan_on_every_small_complex():
         for d in range(6):
             want = [p for p in every if p.free_face.bit_count() <= d]
             assert x.free_pairs(d) == want, (x, d)
+
+
+def test_free_faces_by_size_match_the_oracle_size_by_size():
+    for x in all_complexes(5):
+        every = free_pairs_oracle(x)
+        sizes = _free_faces_by_size(x.facets, range(1, 6))
+        for r, free in enumerate(sizes, 1):
+            want = {p.free_face: p.facet for p in every
+                    if p.free_face.bit_count() == r}
+            assert free == want, (x, r)
+
+
+def test_collapse_moves_keep_the_first_pair_below_d():
+    """The search's moves are `free_pairs(d)`, cut to its first pair when
+    that pair's free face is smaller than d."""
+    for x in all_complexes(5):
+        for d in range(6):
+            want = x.free_pairs(d)
+            if want and want[0].free_face.bit_count() < d:
+                want = want[:1]
+            assert _collapse_moves(x, d) == want, (x, d)
 
 
 def test_free_pair_detection():

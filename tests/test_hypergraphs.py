@@ -128,6 +128,22 @@ def test_strong_independence():
     assert not h.is_strongly_independent((1, 2, 3))
 
 
+@pytest.mark.parametrize("subset, bad", [((1, 9), 9), ((0, 2), 0),
+                                         ((9,), 9), ((0, 9), 0)])
+@pytest.mark.parametrize("predicate", ["is_cover", "is_independent",
+                                       "is_strongly_independent",
+                                       "neighbors_set"])
+def test_vertex_predicates_reject_vertices_outside_the_range(
+        predicate, subset, bad):
+    """The lowest vertex outside 1..n is named, as `neighbors_set` always
+    did; before, the other three answered as if it were harmless
+    (`is_cover((1, 9))` read True on the edge (1, 2))."""
+    h = Hypergraph(3, [(1, 2)])
+    with pytest.raises(ValueError,
+                       match=re.escape(f"vertex {bad} outside 1..3")):
+        getattr(h, predicate)(subset)
+
+
 # -- non-cover complex -----------------------------------------------------
 
 def test_nc_facets_are_minimal_edge_complements():

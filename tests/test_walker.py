@@ -21,6 +21,8 @@ from collapsekit import (
 )
 from collapsekit.errors import _depth_first
 from collapsekit.generators import GeneratorSpec, NAMED_EXAMPLES, generate
+from collapsekit.hypergraphs import non_cover_complex
+from collapsekit.invariants import _homology_floor, collapsibility_number
 
 from conftest import all_complexes
 
@@ -143,6 +145,23 @@ def test_random_complexes_match_the_oracle(chunk):
 def test_goldens_match_the_oracle():
     for name in ("v6f10-6", "tetra-boundary"):
         _assert_matches_oracle(NAMED_EXAMPLES[name]())
+
+
+def test_non_cover_complexes_match_the_oracle_up_to_their_c():
+    """NC(H) of random n=8 hypergraphs, the nc-leray instances, reach
+    C = 5, past D_MAX: every d from the homology floor to C is checked."""
+    reached = set()
+    for seed in range(100):
+        x = non_cover_complex(generate(GeneratorSpec(
+            kind="random-hypergraph", seed=seed, n=8, m=9, max_size=3)))
+        c = collapsibility_number(x)
+        reached.add(c)
+        for d in range(_homology_floor(x, Budget()), c + 1):
+            b_walk, b_oracle = Budget(), Budget()
+            assert (is_d_collapsible(x, d, b_walk)
+                    == recursive_is_d_collapsible(x, d, b_oracle)), (x, d)
+            assert b_walk.used == b_oracle.used, (x, d)
+    assert reached == {1, 2, 3, 4, 5}
 
 
 def _outcome(call, limit):
