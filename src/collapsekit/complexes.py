@@ -10,7 +10,8 @@ Conventions pinned here and relied on everywhere else:
 * the empty complex is the empty facet list; a complex "containing only the
   empty face" is identified with it (the collapse terminal state),
 * (empty face, sigma) is a free pair exactly when the complex is a simplex,
-  which makes simplices 0-collapsible,
+  which makes simplices 0-collapsible: the free-face scan starts at size
+  0, and only a simplex has a single facet holding the empty face,
 * canonicalization never relabels vertices; equality is label-sensitive.
 """
 
@@ -127,6 +128,23 @@ def _free_faces_by_size(facets: Iterable[Face],
                 for m in map(sum, itertools.combinations(bits, r)):
                     holder[m] = None if m in holder else f
         yield {m: g for m, g in holder.items() if g is not None}
+
+
+def _is_free(facets: Iterable[int], gamma: int, sigma: int) -> bool:
+    """Whether (gamma, sigma) is a free pair of the complex with these
+    facets: sigma is a facet and the only facet holding gamma."""
+    return [f for f in facets if gamma & ~f == 0] == [sigma]
+
+
+def _collapsed(facets: Iterable[int], gamma: int,
+               sigma: int) -> tuple[int, ...]:
+    """The canonical facets left by collapsing the free pair (gamma, sigma):
+    sigma goes, and each sigma - v (v in gamma) that no remaining facet
+    holds comes in.  The empty face never stays (it is the empty complex)."""
+    rest = [f for f in facets if f != sigma]
+    cut = [t for t in (sigma & ~(1 << v) for v in vertices_of(gamma))
+           if t and not any(t & ~f == 0 for f in rest)]
+    return tuple(sorted(rest + cut))
 
 
 def as_face(obj) -> Face:
@@ -322,32 +340,20 @@ class SimplicialComplex:
         """
         if d < 0:
             raise ValueError("d must be >= 0")
-        pairs = []
-        if self.is_simplex:
-            pairs.append(FreePair(EMPTY_FACE, self.facets[0]))
-        for free in _free_faces_by_size(self.facets, range(1, d + 1)):
-            # a free face has one facet, so the face alone orders the pairs
-            pairs.extend(FreePair(_face(m), free[m])
-                         for m in sorted(free, key=vertices_of))
-        return pairs
+        # a free face has one facet, so the face alone orders the pairs
+        return [FreePair(_face(m), free[m])
+                for free in _free_faces_by_size(self.facets, range(d + 1))
+                for m in sorted(free, key=vertices_of)]
 
     def is_free_pair(self, pair: FreePair) -> bool:
-        gamma, sigma = int(pair.free_face), int(pair.facet)
-        if gamma & ~sigma:
-            return False
-        if sigma not in {int(f) for f in self.facets}:
-            return False
-        holders = sum(1 for f in self.facets if gamma & ~f == 0)
-        return holders == 1
+        return _is_free(self.facets, int(pair.free_face), int(pair.facet))
 
     def collapse(self, pair: FreePair) -> "SimplicialComplex":
         """Elementary collapse: remove the interval [gamma, sigma]."""
         if not self.is_free_pair(pair):
             raise NotFreeError(f"{pair!r} is not a free pair of the complex")
-        gamma, sigma = int(pair.free_face), int(pair.facet)
-        cand = [f for f in self.facets if f != sigma]
-        cand.extend(sigma & ~(1 << v) for v in vertices_of(gamma))
-        return SimplicialComplex(cand)
+        return SimplicialComplex(
+            _collapsed(self.facets, int(pair.free_face), int(pair.facet)))
 
     def skeleton(self, n: int) -> "SimplicialComplex":
         """All faces of dimension <= n."""

@@ -66,8 +66,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"search exceeded node budget of {self.limit}"

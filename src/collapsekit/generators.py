@@ -94,9 +94,7 @@ def _drop_isolated(h: Hypergraph) -> Hypergraph:
         for e in h.edges
         if all(v in relabel for v in e.vertices)
     ]
-    out = Hypergraph(len(keep), edges)
-    # singleton-only incidences can leave fresh isolated vertices
-    return _drop_isolated(out) if out.isolated_vertices() else out
+    return Hypergraph(len(keep), edges)
 
 
 def _random_graph(rng: random.Random, n: int, m: int) -> Hypergraph:

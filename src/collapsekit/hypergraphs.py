@@ -128,12 +128,6 @@ class Hypergraph:
         if iso:
             raise IsolatedVertexError(f"isolated vertices {sorted(iso)}")
 
-    def induced(self, subset) -> "Hypergraph":
-        """Induced sub-hypergraph, keeping the ambient vertex count: edges
-        entirely inside the subset."""
-        s = int(as_face(subset))
-        return Hypergraph(self.n, (e for e in self.edges if int(e) & ~s == 0))
-
     # -- covers and independence -------------------------------------------
 
     def is_cover(self, subset) -> bool:
@@ -185,14 +179,13 @@ class DominationResult:
 
 def non_cover_complex(h: Hypergraph) -> SimplicialComplex:
     """NC(H): vertex sets missing some edge entirely.  Facets are the
-    complements of the inclusion-minimal edges."""
+    complements of the inclusion-minimal edges (V - e lies in V - f iff f
+    lies in e, so canonicalizing drops the other complements)."""
     if not h.edges:
         raise HypothesisNotMetError(
             "edgeless hypergraph: every set is a cover, NC is empty")
     vmask = h.vertex_mask
-    minimal = [e for e in h.edges
-               if not any(f & ~e == 0 and f != e for f in h.edges)]
-    return SimplicialComplex(vmask & ~e for e in minimal)
+    return SimplicialComplex(vmask & ~e for e in h.edges)
 
 
 def nc_facet_order(h: Hypergraph) -> FacetOrdering:

@@ -45,8 +45,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .complexes import (EMPTY_FACE, FreePair, SimplicialComplex, _face,
-                        _free_faces_by_size, as_face, vertices_of)
+from .complexes import (FreePair, SimplicialComplex, _collapsed, _face,
+                        _free_faces_by_size, _is_free, as_face, faces_of,
+                        vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
 from .homology import _Chains
 
@@ -62,14 +63,14 @@ class CollapseCertificate:
         """True iff replaying the steps from `source` is valid at every step,
         every free face has at most claimed_d vertices, and the terminal
         complex is empty."""
-        current = source
+        facets = source.facets
         for pair in self.steps:
-            if pair.free_face.bit_count() > self.claimed_d:
+            gamma, sigma = int(pair.free_face), int(pair.facet)
+            if (gamma.bit_count() > self.claimed_d
+                    or not _is_free(facets, gamma, sigma)):
                 return False
-            if not current.is_free_pair(pair):
-                return False
-            current = current.collapse(pair)
-        return current.is_empty
+            facets = _collapsed(facets, gamma, sigma)
+        return not facets
 
 
 def is_d_collapsible(
@@ -82,43 +83,41 @@ def is_d_collapsible(
     first size that has one.  Below d that size gives a single forced move,
     its lexicographically least face; at d every free face is a branch, in
     vertex-tuple order.  Runs are deterministic and certificates small.  The
-    search is `errors._depth_first` with a complex's facets as its key, so a
-    certificate may have any length.
+    search is `errors._depth_first` over facet tuples, each its own key, so
+    a certificate may have any length; only its steps become `FreePair`s.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     budget = budget or Budget()
 
-    def moves(y: SimplicialComplex):
-        for pair in _collapse_moves(y, d):
-            yield pair, y.collapse(pair)
+    def moves(facets: tuple[int, ...]):
+        for gamma, sigma in _collapse_moves(facets, d):
+            yield (gamma, sigma), _collapsed(facets, gamma, sigma)
 
-    steps = _depth_first(x, operator.attrgetter("is_empty"),
-                         operator.attrgetter("facets"), moves, budget)
+    steps = _depth_first(x.facets, operator.not_, lambda facets: facets,
+                         moves, budget)
     if steps is None:
         return False, None
-    return True, CollapseCertificate(tuple(steps), d)
+    return True, CollapseCertificate(
+        tuple(FreePair(_face(g), _face(s)) for g, s in steps), d)
 
 
-def _collapse_moves(y: SimplicialComplex, d: int) -> list[FreePair]:
-    """The free pairs the d-collapse search tries at y, in order: the first
-    pair of `y.free_pairs(d)` when its free face has fewer than d vertices,
-    else all of them, found without listing the larger sizes.
+def _collapse_moves(facets: tuple[int, ...], d: int) -> list[tuple[int, int]]:
+    """The free pairs (gamma, sigma), as masks, the d-collapse search tries
+    at these facets, in order: the least free face of the smallest size
+    that has one when that size is below d, else every free face of size
+    d, found without listing the larger sizes.
 
     Collapses at free faces smaller than d are confluent: performing one
     never loses d-collapsibility, so the least is taken without branching;
-    only size-d free faces require backtracking.  A simplex has the single
-    move (empty face, itself).
+    only size-d free faces require backtracking.  The scan starts at size
+    0, so a simplex has the single move (empty face, itself).
     """
-    if y.is_simplex:
-        return [FreePair(EMPTY_FACE, y.facets[0])]
-    for r, free in enumerate(_free_faces_by_size(y.facets, range(1, d + 1)),
-                             1):
+    for r, free in enumerate(_free_faces_by_size(facets, range(d + 1))):
         if not free:
             continue
         if r == d:
-            return [FreePair(_face(m), free[m])
-                    for m in sorted(free, key=vertices_of)]
+            return [(m, free[m]) for m in sorted(free, key=vertices_of)]
         # of two faces of one size, a comes first in vertex-tuple order
         # iff the lowest vertex of a ^ b is in a
         it = iter(free)
@@ -127,7 +126,7 @@ def _collapse_moves(y: SimplicialComplex, d: int) -> list[FreePair]:
             diff = m ^ least
             if m & diff & -diff:
                 least = m
-        return [FreePair(_face(least), free[least])]
+        return [(least, free[least])]
     return []
 
 
@@ -232,6 +231,22 @@ def canonical_ordering(x: SimplicialComplex) -> FacetOrdering:
     return FacetOrdering(x, x.facets)
 
 
+def _mes_bits(g: int, ordered: tuple[int, ...]) -> Optional[list[int]]:
+    """The mes of face g under these ordered facets as vertex bits (see
+    `mes`), or None when no facet holds g."""
+    seq: list[int] = []
+    used = 0
+    for f in ordered:
+        excluded = g & ~f
+        if not excluded:
+            return seq
+        pick = excluded & used or excluded
+        bit = pick & -pick
+        seq.append(bit)
+        used |= bit
+    return None
+
+
 def mes(gamma, ordering: FacetOrdering) -> tuple[int, ...]:
     """Minimal exclusion sequence of a face under a facet ordering.
 
@@ -240,34 +255,20 @@ def mes(gamma, ordering: FacetOrdering) -> tuple[int, ...]:
     length j-1 and entry k is the least previously-used vertex still excluded
     from facet_k, falling back to the least excluded vertex overall.
     """
-    g = int(as_face(gamma))
-    facets = ordering.ordered_facets
-    j = None
-    for idx, f in enumerate(facets):
-        if g & ~f == 0:
-            j = idx + 1
-            break
-    if j is None:
+    bits = _mes_bits(int(as_face(gamma)), ordering.ordered_facets)
+    if bits is None:
         raise NotAFaceError(f"{as_face(gamma)!r} is not a face of the complex")
-    if j == 1:
-        return ()
-    seq: list[int] = []
-    for k in range(1, j):
-        excluded = g & ~facets[k - 1]
-        prev = [v for v in seq if (excluded >> v) & 1]
-        if prev:
-            seq.append(min(prev))
-        else:
-            seq.append(vertices_of(excluded)[0])
-    return tuple(seq)
+    return tuple(b.bit_length() - 1 for b in bits)
 
 
 def d_of_ordering(x: SimplicialComplex, ordering: FacetOrdering) -> int:
-    """max over all faces of the number of distinct vertices in their mes."""
-    best = 0
-    for gamma in x.all_faces():
-        best = max(best, len(set(mes(gamma, ordering))))
-    return best
+    """max over all faces of the number of distinct vertices in their mes,
+    for an ordering of x's own facets."""
+    if ordering.complex != x:
+        raise ValueError("the ordering is of another complex")
+    ordered = ordering.ordered_facets
+    return max((len(set(_mes_bits(g, ordered)))
+                for g in faces_of(x.facets, range(x.dim + 2))), default=0)
 
 
 class _MkEngine:

@@ -19,7 +19,8 @@ from collapsekit import (
     join,
     simplex_on,
 )
-from collapsekit.complexes import (MAX_VERTEX, _free_faces_by_size, mask_of,
+from collapsekit.complexes import (MAX_VERTEX, _collapsed,
+                                  _free_faces_by_size, _is_free, mask_of,
                                   vertices_of)
 from collapsekit.homology import _Chains
 from collapsekit.invariants import _collapse_moves
@@ -310,24 +311,62 @@ def test_free_pairs_match_the_holder_scan_on_every_small_complex():
 
 
 def test_free_faces_by_size_match_the_oracle_size_by_size():
+    """Size 0 included: the empty face is free exactly on a simplex."""
     for x in all_complexes(5):
         every = free_pairs_oracle(x)
-        sizes = _free_faces_by_size(x.facets, range(1, 6))
-        for r, free in enumerate(sizes, 1):
+        sizes = _free_faces_by_size(x.facets, range(6))
+        for r, free in enumerate(sizes):
             want = {p.free_face: p.facet for p in every
                     if p.free_face.bit_count() == r}
             assert free == want, (x, r)
 
 
 def test_collapse_moves_keep_the_first_pair_below_d():
-    """The search's moves are `free_pairs(d)`, cut to its first pair when
-    that pair's free face is smaller than d."""
+    """The search's moves are the mask pairs of `free_pairs(d)`, cut to its
+    first pair when that pair's free face is smaller than d."""
     for x in all_complexes(5):
         for d in range(6):
             want = x.free_pairs(d)
             if want and want[0].free_face.bit_count() < d:
                 want = want[:1]
-            assert _collapse_moves(x, d) == want, (x, d)
+            want = [(int(g), int(s)) for g, s in want]
+            assert _collapse_moves(x.facets, d) == want, (x, d)
+
+
+def holder_count_is_free(facets, gamma, sigma):
+    """The free test `is_free_pair` made before `_is_free`."""
+    if gamma & ~sigma:
+        return False
+    if sigma not in {int(f) for f in facets}:
+        return False
+    holders = sum(1 for f in facets if gamma & ~f == 0)
+    return holders == 1
+
+
+def test_is_free_matches_the_holder_count_on_every_small_complex():
+    """Every face (and one non-face) against every facet and against faces
+    that are not facets: each facet less its lowest vertex, and the whole
+    vertex set."""
+    for x in all_complexes(5):
+        vm = x.vertex_mask
+        gammas = list(x.all_faces()) + [vm | 1]
+        sigmas = list(x.facets) + [f & (f - 1) for f in x.facets] + [vm]
+        for gamma in gammas:
+            for sigma in sigmas:
+                assert (_is_free(x.facets, gamma, sigma)
+                        == holder_count_is_free(x.facets, gamma, sigma)), (
+                    x, gamma, sigma)
+
+
+def test_collapsed_matches_canonicalizing_the_collapse():
+    """For every free pair, `_collapsed` is the canonical facet tuple of
+    the facets less sigma plus every sigma - v, v in gamma."""
+    for x in all_complexes(5):
+        for gamma, sigma in x.free_pairs(5):
+            cand = [f for f in x.facets if f != sigma]
+            cand += [sigma & ~(1 << v) for v in vertices_of(gamma)]
+            want = SimplicialComplex(cand).facets
+            assert _collapsed(x.facets, gamma, sigma) == want, (x, gamma)
 
 
 def test_free_pair_detection():

@@ -20,6 +20,7 @@ from collapsekit.cli import (
 )
 from collapsekit.generators import (
     _HYPERGRAPH_KINDS,
+    _drop_isolated,
     KINDS,
     GeneratorSpec,
     NAMED_EXAMPLES,
@@ -43,6 +44,8 @@ from collapsekit.reports import (
     report_json,
     verify,
 )
+
+from conftest import all_hypergraphs
 
 
 # -- generators ------------------------------------------------------------
@@ -92,6 +95,14 @@ def test_random_hypergraphs_have_no_isolated_vertices():
     for s in range(30):
         h = generate(GeneratorSpec(kind="random-hypergraph", seed=s, n=6, m=5))
         assert not h.isolated_vertices()
+
+
+def test_dropping_isolated_vertices_once_leaves_none():
+    """One pass suffices: an edge on two or more vertices gives each of its
+    vertices a neighbour, so it survives whole."""
+    for n in range(1, 5):
+        for h in all_hypergraphs(n):
+            assert not _drop_isolated(h).isolated_vertices(), h
 
 
 def test_random_graph_edges_are_pairs():

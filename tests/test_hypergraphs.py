@@ -152,6 +152,17 @@ def test_nc_facets_are_minimal_edge_complements():
     assert nc == SimplicialComplex([(3, 4), (1, 2)])
 
 
+def test_nc_matches_the_minimal_edge_filter_on_every_small_hypergraph():
+    """Canonicalizing the complements of all edges gives the complements of
+    the minimal edges, the construction `non_cover_complex` used before."""
+    for n in range(1, 5):
+        for h in all_hypergraphs(n):
+            minimal = [e for e in h.edges
+                       if not any(f & ~e == 0 and f != e for f in h.edges)]
+            want = SimplicialComplex(h.vertex_mask & ~e for e in minimal)
+            assert non_cover_complex(h) == want, h
+
+
 def test_nc_of_edgeless_hypergraph_raises():
     with pytest.raises(ValueError):
         non_cover_complex(Hypergraph(3, []))

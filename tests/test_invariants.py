@@ -42,6 +42,7 @@ from collapsekit import (
     tancer_inequality_check,
 )
 from collapsekit import invariants, reports
+from collapsekit.complexes import vertices_of
 from collapsekit.generators import v6f10_6
 from collapsekit.reports import compute
 
@@ -79,6 +80,24 @@ def test_three_cycle_needs_two():
 def test_boundary_of_tetrahedron_needs_three():
     bd = boundary((1, 2, 3, 4))
     assert collapsibility_number(bd) == 3
+
+
+def test_collapse_search_builds_no_complex(monkeypatch):
+    """The search walks facet masks: no state becomes a SimplicialComplex,
+    whether it fails (d = 1) or succeeds (d = 2)."""
+    k6 = simplex_on(range(1, 7)).skeleton(1)
+    built = []
+    init = SimplicialComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+    assert not is_d_collapsible(k6, 1)[0]
+    ok, cert = is_d_collapsible(k6, 2)
+    assert built == []
+    assert ok and cert.replay(k6)
 
 
 def test_path_is_one_collapsible():
@@ -239,6 +258,64 @@ def test_mes_reuses_previously_excluded_vertices():
     # vertex 2 again, and a previously used vertex is preferred
     assert mes((2, 3), order) == (2, 2)
     assert d_of_ordering(x, order) == 1
+
+
+def test_d_of_ordering_refuses_an_ordering_of_another_complex():
+    tri = simplex_on((1, 2, 3))
+    with pytest.raises(ValueError, match="another complex"):
+        d_of_ordering(THREE_CYCLE, canonical_ordering(tri))
+    with pytest.raises(ValueError, match="another complex"):
+        d_of_ordering(tri, canonical_ordering(THREE_CYCLE))
+    # an equal complex built apart is the same complex
+    same = SimplicialComplex(THREE_CYCLE.facets)
+    assert d_of_ordering(same, canonical_ordering(THREE_CYCLE)) == 2
+
+
+def index_search_mes(gamma, ordering):
+    """`mes` as it was before the shared bit walk: an index search for the
+    first facet holding gamma, then a scan of the earlier entries."""
+    g = int(as_face(gamma))
+    facets = ordering.ordered_facets
+    j = None
+    for idx, f in enumerate(facets):
+        if g & ~f == 0:
+            j = idx + 1
+            break
+    if j is None:
+        raise NotAFaceError(f"{as_face(gamma)!r} is not a face of the complex")
+    if j == 1:
+        return ()
+    seq: list[int] = []
+    for k in range(1, j):
+        excluded = g & ~facets[k - 1]
+        prev = [v for v in seq if (excluded >> v) & 1]
+        if prev:
+            seq.append(min(prev))
+        else:
+            seq.append(vertices_of(excluded)[0])
+    return tuple(seq)
+
+
+def test_mes_and_d_match_the_index_search_on_every_small_complex():
+    """The canonical order and two seeded random orders of every complex
+    on <= 5 vertices: every face's mes, a non-face's error, and d."""
+    rng = random.Random(2009)
+    for x in all_complexes(5):
+        orders = [canonical_ordering(x)]
+        for _ in range(2):
+            perm = list(x.facets)
+            rng.shuffle(perm)
+            orders.append(FacetOrdering(x, perm))
+        for order in orders:
+            want_d = 0
+            for gamma in x.all_faces():
+                want = index_search_mes(gamma, order)
+                assert mes(gamma, order) == want, (x, order, gamma)
+                want_d = max(want_d, len(set(want)))
+            assert d_of_ordering(x, order) == want_d, (x, order)
+            if not x.is_simplex:
+                with pytest.raises(NotAFaceError):
+                    mes(x.vertex_mask, order)
 
 
 @given(complexes, st.randoms(use_true_random=False))
