@@ -112,20 +112,30 @@ def faces_of(facets: Iterable[int], sizes: Iterable[int]) -> set[int]:
     return out
 
 
-def _free_faces_by_size(facets: Iterable[Face],
-                        sizes: Iterable[int]) -> Iterator[dict[int, Face]]:
+def _free_faces_by_size(facets: Iterable[Face], sizes: Iterable[int],
+                        bits: dict[int, list[int]] | None = None
+                        ) -> Iterator[dict[int, Face]]:
     """For each r in `sizes`, lazily, the free faces on r vertices of the
     complex with these facets: {face: the only facet holding it}.
 
     Each facet's vertex bits are listed once, however many sizes are read,
-    and a size is scanned only when its map is asked for."""
-    held = [(f, [1 << v for v in vertices_of(f)]) for f in facets]
+    and a size is scanned only when its map is asked for.  `bits` (facet ->
+    its vertex bits) keeps those lists across calls: a collapse keeps every
+    facet but one, so a search that passes one dict lists each facet once."""
+    if bits is None:
+        bits = {}
+    held = []
+    for f in facets:
+        b = bits.get(f)
+        if b is None:
+            b = bits[f] = [1 << v for v in vertices_of(f)]
+        held.append((f, b))
     for r in sizes:
         # face -> its only facet, or None once a second facet holds it
         holder: dict[int, Face | None] = {}
-        for f, bits in held:
-            if len(bits) >= r:
-                for m in map(sum, itertools.combinations(bits, r)):
+        for f, fbits in held:
+            if len(fbits) >= r:
+                for m in map(sum, itertools.combinations(fbits, r)):
                     holder[m] = None if m in holder else f
         yield {m: g for m, g in holder.items() if g is not None}
 
@@ -142,9 +152,13 @@ def _collapsed(facets: Iterable[int], gamma: int,
     sigma goes, and each sigma - v (v in gamma) that no remaining facet
     holds comes in.  The empty face never stays (it is the empty complex)."""
     rest = [f for f in facets if f != sigma]
-    cut = [t for t in (sigma & ~(1 << v) for v in vertices_of(gamma))
-           if t and not any(t & ~f == 0 for f in rest)]
-    return tuple(sorted(rest + cut))
+    while gamma:
+        low = gamma & -gamma
+        gamma ^= low
+        t = sigma & ~low
+        if t and not any(t & ~f == 0 for f in rest):
+            rest.append(t)
+    return tuple(sorted(rest))
 
 
 def as_face(obj) -> Face:

@@ -12,7 +12,9 @@ degrees it reads.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree and screens rational ranks over GF(2), with the
-induced-subcomplex brute force `_leray_induced` as its oracle), homological
+induced-subcomplex brute force `_leray_induced` as its oracle), the
+one-degree question "is L(X; GF(2)) > t?" (`has_link_homology`, which
+shares its link ranks with the Leray scan through a cache), homological
 connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
 decomposability with replayable shedding witnesses.  The Leray scan and
 the link Cohen-Macaulay test read only the links of closed faces (the
@@ -343,7 +345,51 @@ def _link_chains(lk: tuple[int, ...]) -> _Chains:
     return _Chains(lk)
 
 
-def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
+def _cached(cache: Optional[dict], key, make):
+    """make(key), kept in `cache` under key when a cache is given.
+
+    A link cache maps each link's facets to its `_Chains` (`_link_chains`)
+    and a complex to its list of `_closed_links` (a complex never equals a
+    facet tuple, so the two kinds of key never meet), so the questions
+    asked about one complex list its links once and share every rank
+    taken."""
+    if cache is None:
+        return make(key)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = make(key)
+    return hit
+
+
+def _links_of(x: SimplicialComplex, cache: Optional[dict]):
+    """`_closed_links(x)`, listed once per cache."""
+    if cache is None:
+        return _closed_links(x)
+    return _cached(cache, x, lambda x: list(_closed_links(x)))
+
+
+def has_link_homology(x: SimplicialComplex, t: int,
+                      cache: Optional[dict] = None) -> bool:
+    """Whether the link of some face of x has nonzero reduced homology over
+    GF(2) in degree t, that is, whether L(x; GF(2)) > t.
+
+    Only the closed-face links can (`_closed_links`), and only those of
+    dimension >= t; each is ranked in degree t alone, through itself or its
+    facet nerve (`_link_chains`), and the scan stops at the first nonzero.
+    Degree -1 is nonzero for every complex (the link of a facet, or of the
+    empty face of the empty complex, is {empty face}).  A link cache
+    (`_cached`) shared with `leray_number` lists the links once, and since
+    a rational degree is screened over GF(2) first, the Leray scan reuses
+    the ranks taken here.
+    """
+    if t < 0:
+        return t == -1
+    return any(d >= t and _cached(cache, lk, _link_chains).nonzero(t, 2)
+               for d, lk in _links_of(x, cache))
+
+
+def leray_number(x: SimplicialComplex, field: Field = "Q",
+                 cache: Optional[dict] = None) -> int:
     """Least k such that reduced homology vanishes in degrees >= k for every
     induced subcomplex.
 
@@ -362,14 +408,17 @@ def leray_number(x: SimplicialComplex, field: Field = "Q") -> int:
     screens rational ranks over GF(2)), and the scan ends once best =
     dim(x) + 1, which no link exceeds.  The value is exactly that of the
     full Betti vector of every link; `_leray_induced` is the test oracle.
+    A link cache (`_cached`) keeps the links and ranks for later questions
+    about x, and reuses those listed and taken by `has_link_homology`.
     """
     p = _parse_field(field)
     best, cap = 0, x.dim + 1
-    for d, lk in _closed_links(x):
+    for d, lk in _links_of(x, cache):
         if best == cap:
             break
         if d + 1 > best:
-            best = max(best, _link_chains(lk).top_degree(d, best, p) + 1)
+            best = max(best, _cached(cache, lk, _link_chains)
+                       .top_degree(d, best, p) + 1)
     return best
 
 

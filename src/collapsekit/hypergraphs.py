@@ -7,7 +7,8 @@ exactness over speed, and every result carries a re-checkable witness.
 The domination searches are plain fewest-first scans over int masks: each
 target vertex gets its requirement masks once (its neighbourhood, or its
 edge remainders e - {v} for strong domination), and each candidate is
-tested against them.  Strong independence is read from neighbourhoods.
+tested against them; each candidate tested spends one unit of the
+caller's `Budget`.  Strong independence is read from neighbourhoods.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
 singleton edge {v} exists (so "isolated" means what it does for graphs).
@@ -30,6 +31,7 @@ from .complexes import (
     vertices_of,
 )
 from .errors import (
+    Budget,
     HypothesisNotMetError,
     IsolatedVertexError,
     UndominatableError,
@@ -157,15 +159,20 @@ class Hypergraph:
                 private |= hit
         return private == m
 
-    def minimal_covers(self):
+    def minimal_covers(self, budget: Budget | None = None):
         """All inclusion-minimal covers, as sorted vertex tuples, in
         `subsets` order.  Each vertex of a minimal cover has an edge of its
         own, so only vertices on some edge and at most one per edge are
-        tried."""
+        tried, one budget unit each."""
+        budget = budget or Budget()
         pool = functools.reduce(operator.or_, self.edges, 0)
         sizes = range(min(pool.bit_count(), len(self.edges)) + 1)
-        return [vertices_of(m) for m in subsets(pool, sizes)
-                if self._is_minimal_cover(m)]
+        covers = []
+        for m in subsets(pool, sizes):
+            budget.spend()
+            if self._is_minimal_cover(m):
+                covers.append(vertices_of(m))
+        return covers
 
 
 @dataclass(frozen=True)
@@ -242,9 +249,10 @@ def _satisfies(b: int, need) -> bool:
     return True
 
 
-def _fewest(need) -> int | None:
+def _fewest(need, budget: Budget) -> int | None:
     """The first B satisfying every requirement, fewest vertices first and
     then in `subsets` order; None when even the whole pool falls short.
+    Each B tested spends one budget unit.
 
     A least B only holds vertices some requirement names (dropping any other
     keeps it satisfied), and `subsets` order restricted to those vertices is
@@ -254,8 +262,10 @@ def _fewest(need) -> int | None:
         useful |= functools.reduce(operator.or_, wholes, meet)
     if not _satisfies(useful, need):
         return None
-    return next(b for b in subsets(useful, range(useful.bit_count() + 1))
-                if _satisfies(b, need))
+    for b in subsets(useful, range(useful.bit_count() + 1)):
+        budget.spend()
+        if _satisfies(b, need):
+            return b
 
 
 def _strong_need(h: Hypergraph, w: int) -> set:
@@ -274,30 +284,33 @@ def _strong_need(h: Hypergraph, w: int) -> set:
     return need
 
 
-def gamma_A(h: Hypergraph, target) -> DominationResult:
+def gamma_A(h: Hypergraph, target,
+            budget: Budget | None = None) -> DominationResult:
     """Minimum W inside the complement of the target with target <= N(W):
-    every target vertex has a neighbour in W."""
+    every target vertex has a neighbour in W.  One budget unit per W
+    tested."""
     a = int(as_face(target))
     if a & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
     pool = h.vertex_mask & ~a
-    w = _fewest({(h._nbr[v] & pool, ()) for v in vertices_of(a)})
+    w = _fewest({(h._nbr[v] & pool, ()) for v in vertices_of(a)},
+                budget or Budget())
     if w is None:
         raise UndominatableError(f"target {list(vertices_of(a))} cannot be "
                                  "dominated from its complement")
     return DominationResult(w.bit_count(), vertices_of(w), vertices_of(a))
 
 
-def gamma_i(h: Hypergraph) -> DominationResult:
+def gamma_i(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
     """Independence domination number: max over independent sets I of
     gamma_I.
 
     gamma_A is monotone in A, so the max is attained on a maximal
     independent set, i.e. on the complement of a minimal cover; only those
-    are enumerated.
+    are enumerated.  Every cover and every W tested spends a budget unit.
     """
     h._forbid_isolated()
-    return _maximizing_cover(h)[1]
+    return _maximizing_cover(h, budget)[1]
 
 
 # -- Kim-Kim parameters ----------------------------------------------------
@@ -309,51 +322,58 @@ def strongly_dominates(h: Hypergraph, b, w) -> bool:
             and _satisfies(int(as_face(b)), _strong_need(h, wm)))
 
 
-def gamma_strong(h: Hypergraph, w) -> DominationResult:
-    """gamma(H; W): minimum B (anywhere in V) strongly dominating W."""
+def gamma_strong(h: Hypergraph, w,
+                 budget: Budget | None = None) -> DominationResult:
+    """gamma(H; W): minimum B (anywhere in V) strongly dominating W.  One
+    budget unit per B tested."""
     wm = int(as_face(w))
     if wm & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    b = _fewest(_strong_need(h, wm))
+    b = _fewest(_strong_need(h, wm), budget or Budget())
     if b is None:
         raise UndominatableError(
             f"{list(vertices_of(wm))} cannot be strongly dominated")
     return DominationResult(b.bit_count(), vertices_of(b), vertices_of(wm))
 
 
-def gamma_tilde(h: Hypergraph) -> DominationResult:
+def gamma_tilde(h: Hypergraph,
+                budget: Budget | None = None) -> DominationResult:
     """Strong total domination number: gamma(H; V)."""
     h._forbid_isolated()
-    return gamma_strong(h, h.vertex_mask)
+    return gamma_strong(h, h.vertex_mask, budget)
 
 
-def gamma_si(h: Hypergraph) -> DominationResult:
+def gamma_si(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
     """Strong independence domination number: max of gamma(H; I) over
     strongly independent I (monotone, so maximal ones suffice).  The empty
     set is strongly independent, so some maximal I exists.
 
     I is strongly independent when none of its vertices has a singleton
     edge and none is a neighbour of another, and maximal when every other
-    vertex without a singleton edge is a neighbour of I."""
+    vertex without a singleton edge is a neighbour of I.  Every I and every
+    B tested spends a budget unit."""
     h._forbid_isolated()
+    budget = budget or Budget()
     free = h.vertex_mask
     for v in range(1, h.n + 1):
         if 0 in h._strong[v]:
             free &= ~(1 << v)
     best = None
     for i in subsets(free, range(free.bit_count() + 1)):
+        budget.spend()
         reach = h._nbr_mask(i)
         if reach & i or free & ~(i | reach):
             continue
-        res = gamma_strong(h, i)
+        res = gamma_strong(h, i, budget)
         if best is None or res.value > best.value:
             best = res
     return best
 
 
-def gamma_E(h: Hypergraph) -> DominationResult:
+def gamma_E(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
     """Edgewise domination: fewest edges whose union strongly dominates V,
-    the edge families tried fewest first, in itertools.combinations order.
+    the edge families tried fewest first, in itertools.combinations order,
+    one budget unit each.
 
     The empty family counts, as B = {} does in `gamma_strong`, so gamma_E is
     0 when every vertex has its singleton edge.  Kim and Kim's definition
@@ -361,23 +381,30 @@ def gamma_E(h: Hypergraph) -> DominationResult:
     holds on Hypergraph(2, [[1], [1, 2], [2]]) (L = 1) only with r from 0.
     """
     h._forbid_isolated()
+    budget = budget or Budget()
     vmask = h.vertex_mask
     need = _strong_need(h, vmask)
     if not _satisfies(functools.reduce(operator.or_, h.edges, 0), need):
         raise UndominatableError("V cannot be strongly dominated edgewise")
-    fam = next(fam for r in range(len(h.edges) + 1)
-               for fam in itertools.combinations(h.edges, r)
-               if _satisfies(functools.reduce(operator.or_, fam, 0), need))
+    for fam in itertools.chain.from_iterable(
+            itertools.combinations(h.edges, r)
+            for r in range(len(h.edges) + 1)):
+        budget.spend()
+        if _satisfies(functools.reduce(operator.or_, fam, 0), need):
+            break
     return DominationResult(len(fam), tuple(tuple(e.vertices) for e in fam),
                             vertices_of(vmask))
 
 
-def _maximizing_cover(h: Hypergraph) -> tuple[tuple[int, ...], DominationResult]:
+def _maximizing_cover(
+    h: Hypergraph, budget: Budget | None = None
+) -> tuple[tuple[int, ...], DominationResult]:
     """The first minimal cover D (in `minimal_covers` order) maximizing
     gamma over its complement, with that gamma_A result.  V itself is a
     cover, so some minimal cover exists."""
-    return max(((cover, gamma_A(h, h.vertex_mask & ~mask_of(cover)))
-                for cover in h.minimal_covers()),
+    budget = budget or Budget()
+    return max(((cover, gamma_A(h, h.vertex_mask & ~mask_of(cover), budget))
+                for cover in h.minimal_covers(budget)),
                key=lambda pair: pair[1].value)
 
 

@@ -3,24 +3,30 @@
 Contains the collapsibility number (depth-first backtracking over free-pair
 choices: the choice of collapse can matter, so dead ends are revisited and a
 transposition table prunes repeated states), the minimal-exclusion-sequence
-bound d(X, ord) for a facet ordering, and the recursive M_0 / M_k / M'_k
-upper bounds.
+bound d(X, ord) for a facet ordering with the collapse that proves it, and
+the recursive M_0 / M_k / M'_k upper bounds.
 
 The d-collapse search scans each state's free faces one size at a time and
 stops at the first size that has one.  Below d that size yields one forced
 move, its lexicographically least face (collapses there are confluent); at
 d every free face is a branch.
 
-The collapsibility number C(X) is searched upward from a homology floor:
-one more than the top degree of nonzero reduced homology of X over GF(2).
-The floor is exact.  A d-collapsible complex is d-Leray over every field
-(Wegner 1975), so H~_i(X; F) = 0 for all i >= d; and
+The collapsibility number C(X) is decided between a homology floor and a
+certified ceiling.  The floor f is one more than the top degree of nonzero
+reduced homology of X over GF(2).  A d-collapsible complex is d-Leray over
+every field (Wegner 1975), so H~_i(X; F) = 0 for all i >= d; and
 dim H~_i(X; GF(2)) >= dim H~_i(X; Q), so GF(2) gives the higher floor,
-with the cheaper modular rank.  Every d below the floor would fail, so
-skipping those searches changes no value and no certificate.  A cone is
-contractible, so its floor is 0 and needs no rank.  The floor is skipped
-(taken as 0) when a bound on its rank work exceeds what is left of the
-node budget, so the budget still bounds every call.
+with the cheaper modular rank.  A cone is contractible, so its floor is 0
+and needs no rank, and the floor is skipped (taken as 0) when a bound on
+its rank work exceeds what is left of the node budget.  The search at f
+runs first; when it fails, the ceiling u = d(X, ord) comes with the
+collapse of Matousek and Tancer (DCG 42, 2009) as its certificate, built
+without search and always replayed.  C = u at once when f + 1 >= u, or
+when some link has nonzero GF(2) homology in degree u - 1, for then the
+Leray number, itself at most C, is u; otherwise d = f + 1, ..., u - 1 are
+searched, and u is the answer if none succeeds.  Only searches that must
+fail, or whose answer a bound already gives, are skipped, so every value
+is the plain upward loop's.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -43,13 +49,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .complexes import (FreePair, SimplicialComplex, _collapsed, _face,
                         _free_faces_by_size, _is_free, as_face, faces_of,
                         vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
-from .homology import _Chains
+from .homology import _Chains, has_link_homology
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,10 @@ def is_d_collapsible(
         raise ValueError("d must be >= 0")
     budget = budget or Budget()
 
+    bits: dict[int, list[int]] = {}
+
     def moves(facets: tuple[int, ...]):
-        for gamma, sigma in _collapse_moves(facets, d):
+        for gamma, sigma in _collapse_moves(facets, d, bits):
             yield (gamma, sigma), _collapsed(facets, gamma, sigma)
 
     steps = _depth_first(x.facets, operator.not_, lambda facets: facets,
@@ -102,18 +110,22 @@ def is_d_collapsible(
         tuple(FreePair(_face(g), _face(s)) for g, s in steps), d)
 
 
-def _collapse_moves(facets: tuple[int, ...], d: int) -> list[tuple[int, int]]:
+def _collapse_moves(facets: tuple[int, ...], d: int,
+                    bits: Optional[dict[int, list[int]]] = None
+                    ) -> list[tuple[int, int]]:
     """The free pairs (gamma, sigma), as masks, the d-collapse search tries
     at these facets, in order: the least free face of the smallest size
     that has one when that size is below d, else every free face of size
-    d, found without listing the larger sizes.
+    d, found without listing the larger sizes.  `bits` is the search's
+    facet -> vertex bits dict (see `_free_faces_by_size`).
 
     Collapses at free faces smaller than d are confluent: performing one
     never loses d-collapsibility, so the least is taken without branching;
     only size-d free faces require backtracking.  The scan starts at size
     0, so a simplex has the single move (empty face, itself).
     """
-    for r, free in enumerate(_free_faces_by_size(facets, range(d + 1))):
+    for r, free in enumerate(_free_faces_by_size(facets, range(d + 1),
+                                                 bits)):
         if not free:
             continue
         if r == d:
@@ -180,7 +192,7 @@ def collapsibility_number(
     """Least d such that x is d-collapsible.
 
     Terminates because a complex of dimension n is always (n+1)-collapsible.
-    The search never starts below the homology floor (see
+    The value lies between the homology floor and the mes ceiling (see
     `collapsibility_number_with_certificate`).
     """
     return collapsibility_number_with_certificate(x, budget)[0]
@@ -191,23 +203,58 @@ def collapsibility_number_with_certificate(
 ) -> tuple[int, Optional[CollapseCertificate]]:
     """The collapsibility number with a certificate that replays it.
 
-    The search starts at d = t + 1, where t is the top degree of nonzero
-    reduced homology of x over GF(2) (-1 if none).  No d <= t can succeed:
-    a d-collapsible complex has H~_i = 0 for i >= d over every field
-    (Wegner 1975), and GF(2) Betti numbers are at least the rational ones.
-    The value and certificate are those of the plain d = 0, 1, ...
-    loop; only the nodes spent on doomed searches are saved.  On a cone, or
-    when the rank would cost more steps than the budget has nodes left, the
-    floor is not computed and the search starts at 0 (see
-    `_homology_floor`).
+    C(x) lies between two bounds that need no search.  The floor f is one
+    more than the top degree of nonzero reduced homology of x over GF(2)
+    (0 if there is none): a d-collapsible complex has H~_i = 0 for i >= d
+    over every field (Wegner 1975), and GF(2) Betti numbers are at least
+    the rational ones.  On a cone, or when the rank would cost more steps
+    than the budget has nodes left, f is 0 (see `_homology_floor`).  The
+    ceiling u is d(x, canonical_ordering(x)), with the collapse of Matousek
+    and Tancer (DCG 42, 2009) as its certificate (`_mes_certificate`).  C
+    is decided in four steps:
+
+    1. search at f; if x is f-collapsible, that search's certificate;
+    2. else build the ceiling certificate, which claims u; if it is not
+       built or does not replay, search d = f + 1, f + 2, ... instead;
+    3. (u, ceiling) at once when f + 1 >= u, or when some link of x has
+       nonzero GF(2) homology in degree u - 1 (`has_link_homology`), for
+       then the Leray number, itself at most C, is u;
+    4. else search d = f + 1, ..., u - 1, and (u, ceiling) if none succeeds.
+
+    The value is that of the plain d = 0, 1, ... loop, and so is the
+    certificate wherever C is f or below u; where C = u > f the certificate
+    is the ceiling's collapse.
     """
-    budget = budget or Budget()
-    d = _homology_floor(x, budget)
-    while True:
+    return _collapsibility(x, budget or Budget(), lambda: _mes_certificate(
+        x, canonical_ordering(x)))
+
+
+def _collapsibility(
+    x: SimplicialComplex, budget: Budget,
+    ceiling: Callable[[], Optional[CollapseCertificate]],
+    links: Optional[dict] = None,
+) -> tuple[int, CollapseCertificate]:
+    """`collapsibility_number_with_certificate` with its ceiling built by
+    `ceiling()`, called only once the search at the floor has failed, and
+    `links` the link cache handed to `has_link_homology`."""
+    f = _homology_floor(x, budget)
+    ok, cert = is_d_collapsible(x, f, budget)
+    if ok:
+        return f, cert
+    top = ceiling()
+    if top is not None and top.replay(x):
+        u = top.claimed_d
+        if f + 1 >= u or has_link_homology(x, u - 1, links):
+            return u, top
+    else:
+        top, u = None, math.inf
+    d = f + 1
+    while d < u:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:
             return d, cert
         d += 1
+    return u, top
 
 
 class FacetOrdering:
@@ -269,6 +316,55 @@ def d_of_ordering(x: SimplicialComplex, ordering: FacetOrdering) -> int:
     ordered = ordering.ordered_facets
     return max((len(set(_mes_bits(g, ordered)))
                 for g in faces_of(x.facets, range(x.dim + 2))), default=0)
+
+
+def _mes_certificate(x: SimplicialComplex,
+                     ordering: FacetOrdering) -> Optional[CollapseCertificate]:
+    """A collapse of x at free faces of at most d(x, ordering) vertices
+    (Matousek and Tancer, DCG 42, 2009), or None where it gets stuck.
+
+    With F_1, ..., F_m the ordered facets and M(G) the set of mes(G), the
+    stages run j = m, ..., 1.  At stage j the facets G of the current
+    complex private to F_j (inside F_j and no earlier facet) are taken
+    largest first, ties by mask; the first with (M(G), G) free is collapsed,
+    and the stage repeats until no private facet is left.  A stage whose
+    private facets are all held back returns None.  A face tau with
+    M(G) <= tau <= G has M(tau) = M(G) (its mes walk meets the same
+    excluded vertices), so the steps' intervals cover every face once and
+    the largest |M(G)| over the steps, the claimed d, is d(x, ordering).
+    Like `d_of_ordering` it spends no search nodes: it never backtracks.
+    """
+    ordered = ordering.ordered_facets
+    # face -> (-j, -|G|, G, M(G)), with F_{j+1} the first facet holding G:
+    # sorted, the current stage's facets come first, in the order tried
+    info: dict[int, tuple[int, int, int, int]] = {}
+
+    def of(g: int) -> tuple[int, int, int, int]:
+        hit = info.get(g)
+        if hit is None:
+            bits = _mes_bits(g, ordered)
+            hit = info[g] = (-len(bits), -g.bit_count(), g,
+                             functools.reduce(operator.or_, bits, 0))
+        return hit
+
+    # a collapse keeps every face's first facet or lowers it (G - v lies in
+    # every facet that G does), so the stage is the least -j of the facets
+    facets = x.facets
+    steps: list[tuple[int, int]] = []
+    while facets:
+        ranked = sorted(map(of, facets))
+        for j, _, g, m in ranked:
+            if j != ranked[0][0]:
+                return None
+            if _is_free(facets, m, g):
+                break
+        else:
+            return None
+        steps.append((m, g))
+        facets = _collapsed(facets, m, g)
+    return CollapseCertificate(
+        tuple(FreePair(_face(m), _face(g)) for m, g in steps),
+        max((m.bit_count() for m, _ in steps), default=0))
 
 
 class _MkEngine:

@@ -59,7 +59,9 @@ from .invariants import (
     d_of_ordering,
     mes,
     mk_chain,
+    _collapsibility,
     _collapsible_within,
+    _mes_certificate,
     _MkEngine,
 )
 from .io import instance_to_json, instance_to_obj
@@ -88,15 +90,18 @@ def _descriptor(inst) -> dict:
 
 class _Evaluation:
     """What the invariants of one report share: the instance, the field,
-    the running invariant's budget, the witnesses and, each built once on
-    first use, the M_k engine and the complex the collapse invariants read
-    (the instance, or NC(H) for a hypergraph) with its facet order."""
+    the running invariant's budget, the witnesses, the link cache of the
+    complex the collapse invariants read (the instance, or NC(H) for a
+    hypergraph: its closed-face links and their ranks, shared by C's
+    threshold question and the Leray number), and, each built once on
+    first use, the M_k engine and that complex with its facet order."""
 
     def __init__(self, inst, field):
         self.inst = inst
         self.field = field
         self.budget: Optional[Budget] = None
         self.witnesses: dict = {}
+        self.links: dict = {}
         # the NC invariants of a hypergraph report under prefixed keys
         self.prefix = "" if isinstance(inst, SimplicialComplex) else "nc_"
 
@@ -120,7 +125,12 @@ class _Evaluation:
 
 
 def _inv_C(ev):
-    d, cert = collapsibility_number_with_certificate(ev.complex, ev.budget)
+    # the facet order is read only once the search at the floor has
+    # failed: an empty NC(H) has none, and C = 0
+    x = ev.complex
+    d, cert = _collapsibility(
+        x, ev.budget,
+        lambda: _mes_certificate(x, ev.facet_order), ev.links)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
         "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
@@ -162,7 +172,7 @@ def _inv_kvd(k):
 
 def _inv_gamma(name, fn):
     def run(ev):
-        res = fn(ev.inst)
+        res = fn(ev.inst, ev.budget)
         ev.witnesses[name + "_witness"] = {
             "witness": [list(w) if isinstance(w, tuple) else w
                         for w in res.witness],
@@ -173,7 +183,7 @@ def _inv_gamma(name, fn):
 
 
 def _inv_leray(ev):
-    return leray_number(ev.complex, ev.field)
+    return leray_number(ev.complex, ev.field, ev.links)
 
 
 COMPLEX_INVARIANTS = {
@@ -425,7 +435,13 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
         return "pass"
     nc = order.complex
     d = d_of_ordering(nc, order)
-    c, _ = collapsibility_number_with_certificate(nc, budget)
+    # the collapse behind C <= d is C's ceiling under this order, checked
+    # here unless C replayed and returned it
+    ceiling = _mes_certificate(nc, order)
+    c, cert = _collapsibility(nc, budget, lambda: ceiling)
+    _chk(ceiling is not None and ceiling.claimed_d == d
+         and (cert is ceiling or ceiling.replay(nc)), h,
+         f"the mes collapse does not replay at d={d} for {order!r}")
     _chk(c <= d <= bound, h, f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"
 

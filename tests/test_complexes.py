@@ -321,6 +321,35 @@ def test_free_faces_by_size_match_the_oracle_size_by_size():
             assert free == want, (x, r)
 
 
+def test_free_faces_by_size_list_each_facet_once_per_bits_dict(
+        monkeypatch):
+    """A bits dict handed from call to call lists a facet's vertex bits
+    once: after a collapse only the new facets are listed, and the free
+    faces are those of a fresh scan."""
+    from collapsekit import complexes
+    x = SimplicialComplex([(1, 2, 3), (3, 4), (2, 4, 5)])
+    bits = {}
+    want = [dict(m) for m in _free_faces_by_size(x.facets, range(4))]
+    assert [dict(m) for m in _free_faces_by_size(x.facets, range(4), bits)
+            ] == want
+    assert set(bits) == set(x.facets)
+    after = _collapsed(x.facets, 0b10, 0b1110)  # (1, 123) leaves 23
+    new = set(after) - set(bits)
+    assert new == {0b1100}
+    listed = []
+    real = complexes.vertices_of
+
+    def counted(mask):
+        listed.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(complexes, "vertices_of", counted)
+    got = [dict(m) for m in _free_faces_by_size(after, range(4), bits)]
+    assert sorted(listed) == sorted(new)
+    monkeypatch.undo()
+    assert got == [dict(m) for m in _free_faces_by_size(after, range(4))]
+
+
 def test_collapse_moves_keep_the_first_pair_below_d():
     """The search's moves are the mask pairs of `free_pairs(d)`, cut to its
     first pair when that pair's free face is smaller than d."""

@@ -30,6 +30,7 @@ from collapsekit import (
     verify_shedding_sequence,
 )
 from collapsekit import homology, reports
+from collapsekit.homology import has_link_homology
 from collapsekit.complexes import subsets
 from collapsekit.generators import star_family
 from collapsekit.homology import (
@@ -430,6 +431,58 @@ def test_leray_scan_skips_repeated_links(monkeypatch):
             assert len(ranked) == len(set(ranked)), x
             assert all(functools.reduce(operator.and_, lk) == 0
                        for lk in ranked), x
+
+
+def test_threshold_question_reads_the_gf2_leray_number():
+    """has_link_homology(x, t) says L(x; GF(2)) > t: it holds at t = L - 1
+    and fails above, on every complex on <= 5 vertices and on RP2 (L = 3
+    over GF(2), 1 over Q)."""
+    for x in all_complexes(5) + [RP2, SimplicialComplex()]:
+        top = leray_number(x, "GF2") - 1
+        for t in range(top, x.dim + 3):
+            assert has_link_homology(x, t) == (t == top), (x, t)
+    assert has_link_homology(RP2, 2) and not has_link_homology(RP2, 3)
+
+
+def test_threshold_question_shares_its_ranks_with_the_leray_scan(
+        monkeypatch):
+    """With one cache, the closed links are listed once and each link is
+    built once across both questions, and the Leray scan over Q takes
+    fewer GF(2) ranks than alone: it reuses those the threshold question
+    took."""
+    nc = non_cover_complex(star_family(4, (2,) * 4))
+    ranked, built, listed = [], [], []
+    rank_gf2, link_chains = homology._rank_gf2, homology._link_chains
+    closed_links = homology._closed_links
+
+    def count_rank(lower, upper):
+        ranked.append(upper)
+        return rank_gf2(lower, upper)
+
+    def count_link(lk):
+        built.append(lk)
+        return link_chains(lk)
+
+    def count_listing(x):
+        listed.append(x)
+        return closed_links(x)
+
+    monkeypatch.setattr(homology, "_rank_gf2", count_rank)
+    monkeypatch.setattr(homology, "_link_chains", count_link)
+    monkeypatch.setattr(homology, "_closed_links", count_listing)
+    want = leray_number(nc)
+    alone = len(ranked)
+    ranked.clear()
+    built.clear()
+    listed.clear()
+    cache = {}
+    assert has_link_homology(nc, want - 1, cache)
+    assert not has_link_homology(nc, want, cache)
+    ranked.clear()
+    assert leray_number(nc, "Q", cache) == want
+    assert len(ranked) < alone
+    assert listed == [nc]
+    assert built and len(built) == len(set(built)) == len(cache) - 1
 
 
 def _closed(x, sigma):

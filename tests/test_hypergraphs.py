@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from collapsekit import (
     Budget,
+    BudgetExceededError,
     Face,
     HypothesisNotMetError,
     Hypergraph,
@@ -48,7 +49,7 @@ from collapsekit.hypergraphs import (
     cover_initial_relabeling,
     maximizing_minimal_cover,
 )
-from collapsekit.reports import THEOREMS, _mes_class
+from collapsekit.reports import THEOREMS, _mes_class, compute
 
 from conftest import all_hypergraphs
 
@@ -511,6 +512,29 @@ def test_early_exit_searches_stop_at_the_least_size(monkeypatch):
     assert len(drawn) < 100
 
 
+def test_domination_scans_draw_on_the_budget():
+    """Every scan spends one unit per candidate tested: a star on 18
+    vertices has 2^18 cover candidates, so gamma_i in a report with a
+    1,000-node budget runs out instead of scanning them all."""
+    star = Hypergraph(18, [(1, v) for v in range(2, 19)])
+    report = compute(star, ["gamma_i"], budget_limit=1000)
+    assert report["budget"]["exhausted"] == ["gamma_i"]
+    assert report["values"] == {}
+    with pytest.raises(BudgetExceededError):
+        star.minimal_covers(Budget(1000))
+    # each scan draws: a budget of one candidate is too small for any of
+    # them on the 4-cycle, and a generous one changes no value
+    for fn in (gamma_i, gamma_tilde, gamma_si, gamma_E,
+               lambda h, b: gamma_A(h, [1, 3], b),
+               lambda h, b: gamma_strong(h, [1, 2], b)):
+        with pytest.raises(BudgetExceededError):
+            fn(C4, Budget(1))
+        b = Budget(1000)
+        assert fn(C4, b) == fn(C4, None) and b.used > 1
+    b = Budget(1000)
+    assert C4.minimal_covers(b) == C4.minimal_covers() and b.used > 1
+
+
 # -- star family (gap between the parameters) -----------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -587,6 +611,28 @@ def test_nc_bound_theorem_finds_the_maximizing_cover_once(monkeypatch):
     with pytest.raises(IsolatedVertexError):
         run(Hypergraph(3, [(1, 2)]), random.Random(0), Budget())
     assert calls == []
+
+
+def test_nc_bound_theorem_replays_the_mes_collapse(monkeypatch):
+    """The probe checks the collapse behind C <= d under the relabeled
+    order, so a collapse that is not built, claims another d or does not
+    replay is a counterexample."""
+    from collapsekit import CollapseCertificate, reports
+    run = THEOREMS["nc-bound"][1]
+    h = Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+    assert run(h, random.Random(0), Budget()) == "pass"
+    real = reports._mes_certificate
+
+    def truncated(x, ordering):
+        cert = real(x, ordering)
+        return CollapseCertificate(cert.steps[:-1], cert.claimed_d)
+
+    for broken in (lambda x, ordering: None,
+                   lambda x, ordering: CollapseCertificate((), 0),
+                   truncated):
+        monkeypatch.setattr(reports, "_mes_certificate", broken)
+        with pytest.raises(reports.Counterexample, match="mes collapse"):
+            run(h, random.Random(0), Budget())
 
 
 def test_cover_initial_relabeling():

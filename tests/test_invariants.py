@@ -154,9 +154,18 @@ def plain_collapsibility_number(x):
 
 
 def test_floored_search_matches_the_plain_loop_on_every_small_complex():
+    """C between its floor and the mes ceiling: the plain loop's value, a
+    certificate that replays at it, and the plain loop's certificate
+    wherever C is the floor or below the ceiling (at C = u > floor the
+    certificate is the ceiling's collapse)."""
     for x in all_complexes(5):
-        assert (collapsibility_number_with_certificate(x)
-                == plain_collapsibility_number(x)), x
+        want, want_cert = plain_collapsibility_number(x)
+        c, cert = collapsibility_number_with_certificate(x)
+        assert c == want and cert.claimed_d == c and cert.replay(x), x
+        floor = invariants._homology_floor(x, Budget())
+        u = d_of_ordering(x, canonical_ordering(x))
+        if c == floor or c < u:
+            assert cert == want_cert, x
 
 
 def test_floor_work_bounds_the_rank_work_on_every_small_complex():
@@ -224,6 +233,82 @@ def test_homology_floor_skips_the_doomed_searches():
     c, cert = collapsibility_number_with_certificate(nc)
     assert c == 5 and cert.replay(nc)
     assert _nodes_of_the_last_search(nc) == (5, 19, 19)
+
+
+def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
+    """No ceiling, or one that does not replay: C still answers, through
+    the searches above the floor, with the plain loop's certificate.  The
+    search at the floor fails on each of these: v6f10-6 (floor 0, C = 2,
+    ceiling 3), three triangles around a vertex (a cone, C = 2 = ceiling)
+    and NC(star_family(3)) (C = 2 = ceiling)."""
+    from collapsekit.generators import star_family
+    xs = [v6f10_6(), SimplicialComplex([(1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+          non_cover_complex(star_family(3, (1, 1, 1)))]
+    for x in xs:
+        floor = invariants._homology_floor(x, Budget())
+        assert not is_d_collapsible(x, floor)[0], x
+    wants = [plain_collapsibility_number(x) for x in xs]
+    for broken in (None, CollapseCertificate((), 0)):
+        monkeypatch.setattr(invariants, "_mes_certificate",
+                            lambda x, ordering: broken)
+        for x, want in zip(xs, wants):
+            assert collapsibility_number_with_certificate(x) == want, x
+
+
+def test_c_returns_the_ceiling_when_the_threshold_question_says_yes(
+        monkeypatch):
+    """The three-cycle: floor 2 (H~_1 != 0), so the first search succeeds;
+    with the floor skipped, the ceiling and the threshold question decide
+    C = 2 after the one failing search at 0."""
+    searched = []
+    search = invariants.is_d_collapsible
+
+    def counted(x, d, budget=None):
+        searched.append(d)
+        return search(x, d, budget)
+
+    monkeypatch.setattr(invariants, "is_d_collapsible", counted)
+    c, cert = collapsibility_number_with_certificate(THREE_CYCLE)
+    assert (c, searched) == (2, [2]) and cert.replay(THREE_CYCLE)
+    # a floor skipped by a tiny budget reads 0; the ceiling is 2 and the
+    # threshold question (a link with H~_1 != 0: the cycle itself) says
+    # C = 2 without the search at 1
+    searched.clear()
+    c, cert = collapsibility_number_with_certificate(THREE_CYCLE, Budget(20))
+    assert (c, searched) == (2, [0]) and cert.replay(THREE_CYCLE)
+    assert cert == invariants._mes_certificate(
+        THREE_CYCLE, canonical_ordering(THREE_CYCLE))
+
+
+def test_c_of_star_family_5_is_read_from_the_ceiling():
+    """NC(star_family(5, (2,) * 5)): C = 7 = d(NC, report order), and the
+    searches from the floor up would take some 5,000 nodes."""
+    from collapsekit.generators import star_family
+    h = star_family(5, (2,) * 5)
+    report = compute(h, ["nc_C"])
+    assert report["values"]["nc_C"] == 7
+    cert = reports.certificate_from_obj(
+        report["witnesses"]["nc_collapse_certificate"])
+    assert cert.claimed_d == 7 and cert.replay(non_cover_complex(h))
+    assert report["budget"]["used_total"] < 100
+
+
+def test_c_in_a_report_does_not_depend_on_the_other_invariants():
+    """C's value and certificate are those of C asked alone, in a report of
+    every invariant and in one that ranks the links for Leray first."""
+    from collapsekit.generators import GeneratorSpec, generate
+    for seed in range(12):
+        h = generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=7,
+                                   m=8, max_size=3))
+        alone = compute(h, ["nc_C"])
+        for which in (None, ["nc_leray", "nc_C"], ["nc_C", "nc_leray"]):
+            report = compute(h, which)
+            for key in ("values", "witnesses"):
+                got = {k: v for k, v in report[key].items()
+                       if k in alone[key]}
+                assert got == alone[key], (seed, which)
+        assert (compute(h, ["nc_leray", "nc_C"])["values"]
+                == compute(h, ["nc_C", "nc_leray"])["values"])
 
 
 # -- facet orderings and mes ----------------------------------------------
@@ -316,6 +401,36 @@ def test_mes_and_d_match_the_index_search_on_every_small_complex():
             if not x.is_simplex:
                 with pytest.raises(NotAFaceError):
                     mes(x.vertex_mask, order)
+
+
+def test_mes_certificate_replays_at_d_on_every_small_complex():
+    """The collapse behind C <= d(X, <) (Matousek and Tancer): under the
+    canonical order and two seeded random orders of every complex on <= 5
+    vertices it is built, replays, and claims exactly d_of_ordering."""
+    rng = random.Random(1975)
+    for x in all_complexes(5):
+        orders = [canonical_ordering(x)]
+        for _ in range(2):
+            perm = list(x.facets)
+            rng.shuffle(perm)
+            orders.append(FacetOrdering(x, perm))
+        for order in orders:
+            cert = invariants._mes_certificate(x, order)
+            assert cert is not None, (x, order)
+            assert cert.claimed_d == d_of_ordering(x, order), (x, order)
+            assert cert.replay(x), (x, order)
+
+
+def test_mes_certificate_collapses_each_face_at_its_mes():
+    """Each step is (set of mes(G), G), and the stages run from the last
+    facet to the first, which ends as (empty face, F_1)."""
+    x = SimplicialComplex([(0, 1, 2), (1, 3), (0, 2, 3, 4)])
+    order = FacetOrdering(x, [(0, 1, 2), (1, 3), (0, 2, 3, 4)])
+    cert = invariants._mes_certificate(x, order)
+    assert cert.replay(x) and cert.claimed_d == d_of_ordering(x, order) == 2
+    for pair in cert.steps:
+        assert set(mes(pair.facet, order)) == set(pair.free_face.vertices)
+    assert cert.steps[-1] == (Face(0), Face.of((0, 1, 2)))
 
 
 @given(complexes, st.randoms(use_true_random=False))
