@@ -275,8 +275,10 @@ def is_homologically_connected(
 def _closed_links(
     x: SimplicialComplex
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(dim, facets) of the link of every closed face of x, largest face
-    first, each distinct facet family once.
+    """(dim, facets) of the link of every closed face of x, each distinct
+    facet family once: first the link of the apex, the intersection of all
+    facets (x itself when that is empty), then the others largest face
+    first.
 
     Write c(sigma) for the intersection of the facets that hold sigma; sigma
     is closed when c(sigma) = sigma.  The closed faces are the intersections
@@ -287,7 +289,10 @@ def _closed_links(
     degree: the links skipped here read zero in every question
     `leray_number` and `is_cohen_macaulay` ask.  The facets of lk(sigma)
     are the F - sigma for the facets F holding sigma, in facet order and
-    already an antichain, so the family is also the dedup key.
+    already an antichain, so the family is also the dedup key.  Every
+    closed face holds the apex, so the apex is the one smallest; its link
+    is the one the collapsibility floor ranks, and often the one that
+    reaches the Leray number.
     """
     facets = x.facets
     # vertex -> the facets holding it, in facet order, and the closed faces
@@ -308,7 +313,8 @@ def _closed_links(
     if facets and not functools.reduce(operator.and_, facets):
         closed.add(0)
     seen: set[tuple[int, ...]] = set()
-    for s in sorted(closed, key=int.bit_count, reverse=True):
+    order = sorted(closed, key=int.bit_count, reverse=True)
+    for s in order[-1:] + order[:-1]:
         held = holders[(s & -s).bit_length() - 1] if s else facets
         lk = tuple(f ^ s for f in held if s & ~f == 0)
         if lk not in seen:
@@ -380,12 +386,16 @@ def has_link_homology(x: SimplicialComplex, t: int,
     empty face of the empty complex, is {empty face}).  A link cache
     (`_cached`) shared with `leray_number` lists the links once, and since
     a rational degree is screened over GF(2) first, the Leray scan reuses
-    the ranks taken here.
+    the ranks taken here.  The apex link, first in `_closed_links`, is
+    asked last: C asks at a degree t at or above its floor, the apex
+    link's top degree + 1, so the apex link reads zero there when the floor
+    ranked it, and is often the largest link when the floor was skipped.
     """
     if t < 0:
         return t == -1
+    links = list(_links_of(x, cache))
     return any(d >= t and _cached(cache, lk, _link_chains).nonzero(t, 2)
-               for d, lk in _links_of(x, cache))
+               for d, lk in links[1:] + links[:1])
 
 
 def leray_number(x: SimplicialComplex, field: Field = "Q",
@@ -400,14 +410,16 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
     link is a cone and has no reduced homology.  Each distinct link is
     ranked once, through its facet nerve when that has fewer vertices and
     no more faces, else through itself (`_link_chains`; the nerve theorem
-    gives both the same homology).  The faces are scanned largest first,
-    so the small links come first and the running best L rises early.  A
-    link of dimension D can only raise L to D + 1, so links with D + 1 <=
-    best are skipped, the others are walked down from degree D to degree
-    best and stop at the first nonzero one (`_Chains.top_degree`, which
-    screens rational ranks over GF(2)), and the scan ends once best =
-    dim(x) + 1, which no link exceeds.  The value is exactly that of the
-    full Betti vector of every link; `_leray_induced` is the test oracle.
+    gives both the same homology).  The apex link comes first (see
+    `_closed_links`): it is the one C's floor ranks, and it often reaches
+    the final L at once; the other faces follow largest first, so the
+    small links come before the big ones.  A link of dimension D can only
+    raise L to D + 1, so links with D + 1 <= best are skipped, the others
+    are walked down from degree D to degree best and stop at the first
+    nonzero one (`_Chains.top_degree`, which screens rational ranks over
+    GF(2)), and the scan ends once best = dim(x) + 1, which no link
+    exceeds.  The value is exactly that of the full Betti vector of every
+    link; `_leray_induced` is the test oracle.
     A link cache (`_cached`) keeps the links and ranks for later questions
     about x, and reuses those listed and taken by `has_link_homology`.
     """

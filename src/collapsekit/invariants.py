@@ -13,20 +13,21 @@ d every free face is a branch.
 
 The collapsibility number C(X) is decided between a homology floor and a
 certified ceiling.  The floor f is one more than the top degree of nonzero
-reduced homology of X over GF(2).  A d-collapsible complex is d-Leray over
-every field (Wegner 1975), so H~_i(X; F) = 0 for all i >= d; and
-dim H~_i(X; GF(2)) >= dim H~_i(X; Q), so GF(2) gives the higher floor,
-with the cheaper modular rank.  A cone is contractible, so its floor is 0
-and needs no rank, and the floor is skipped (taken as 0) when a bound on
-its rank work exceeds what is left of the node budget.  The search at f
-runs first; when it fails, the ceiling u = d(X, ord) comes with the
-collapse of Matousek and Tancer (DCG 42, 2009) as its certificate, built
-without search and always replayed.  C = u at once when f + 1 >= u, or
-when some link has nonzero GF(2) homology in degree u - 1, for then the
-Leray number, itself at most C, is u; otherwise d = f + 1, ..., u - 1 are
-searched, and u is the answer if none succeeds.  Only searches that must
-fail, or whose answer a bound already gives, are skipped, so every value
-is the plain upward loop's.
+reduced homology over GF(2) of the link of the apex, the intersection c of
+all facets (X itself when c is empty, that is, when X is not a cone).  A
+d-collapsible complex is d-Leray over every field (Wegner 1975), so every
+link has H~_i = 0 for i >= d; and dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q),
+so GF(2) gives the higher floor, with the cheaper modular rank.  The floor
+is skipped (taken as 0) on a simplex, and when a bound on its rank work
+exceeds what is left of the node budget.  The ceiling u = d(X, ord) comes
+with the collapse of Matousek and Tancer (DCG 42, 2009) as its
+certificate, built without search and replayed before it is used.  C = u
+at once when f = u, or when some link has nonzero GF(2) homology in
+degree u - 1, for then the Leray number, itself at most C, is u; otherwise
+d = f, ..., u - 1 are searched, and u is the answer if none succeeds.
+Only searches that must fail, or whose answer a bound already gives, are
+skipped, so every value is the plain upward loop's.  A replayed ceiling
+claims exactly d(X, ord), so a report reads d_mes from it too.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -49,13 +50,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (FreePair, SimplicialComplex, _collapsed, _face,
                         _free_faces_by_size, _is_free, as_face, faces_of,
                         vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
-from .homology import _Chains, has_link_homology
+from .homology import _cached, _link_chains, has_link_homology
 
 
 @dataclass(frozen=True)
@@ -142,36 +143,45 @@ def _collapse_moves(facets: tuple[int, ...], d: int,
     return []
 
 
-def _floor_work(x: SimplicialComplex) -> int:
-    """An upper bound on the steps the floor's GF(2) ranks take: every
-    facet subset listed, plus rows * columns * rank for each boundary
-    matrix.  The number of faces on j vertices is bounded by both C(n, j)
-    and the sum of C(|F|, j) over the facets F."""
-    n = x.vertex_mask.bit_count()
-    sizes = [f.bit_count() for f in x.facets]
+def _floor_work(facets: Sequence[int]) -> int:
+    """An upper bound on the steps the GF(2) ranks of the complex with these
+    facets take: every facet subset listed, plus rows * columns * rank for
+    each boundary matrix.  The number of faces on j vertices is bounded by
+    both C(n, j) and the sum of C(|F|, j) over the facets F."""
+    n = functools.reduce(operator.or_, facets, 0).bit_count()
+    sizes = [f.bit_count() for f in facets]
     f = [min(math.comb(n, j), sum(math.comb(s, j) for s in sizes))
          for j in range(1, max(sizes, default=0) + 1)]
     listed = sum(1 << s for s in sizes)
     return listed + sum(a * b * min(a, b) for a, b in zip(f, f[1:]))
 
 
-def _homology_floor(x: SimplicialComplex, budget: Budget) -> int:
-    """One more than the top degree of nonzero reduced homology of x over
-    GF(2), or 0 when there is none or when it is not affordable.
+def _homology_floor(x: SimplicialComplex, budget: Budget,
+                    links: Optional[dict] = None) -> int:
+    """One more than the top degree of nonzero reduced homology over GF(2)
+    of the apex link of x, or 0 when there is none or when it is not
+    affordable.
 
-    A cone (some vertex in every facet) is contractible, so its floor is 0
-    without a rank.  Otherwise the rank runs only when `_floor_work` is at
-    most the nodes left in the budget (a step, one matrix entry or one
-    subset, costs far less than a search node).  The floor is an
-    optimisation, so 0 is always a valid answer, and a large complex that
-    the search empties in a few nodes (a big simplex plus a point) must not
-    cost a boundary matrix over all of its faces.
+    The apex c is the intersection of all facets, and its link has the
+    facets F - c: x itself when c is empty.  L(x; GF(2)) is at least one
+    more than the top degree of any link, and at most C(x) (Wegner 1975),
+    so this is a lower bound for C(x).  It is ranked through itself or its
+    facet nerve (`_link_chains`), kept in the link cache `links` when one
+    is given, and only when `_floor_work` of the link is at most the nodes
+    left in the budget (a step, one matrix entry or one subset, costs far
+    less than a search node).  The floor is an optimisation, so 0 is always
+    a valid answer, and a large complex that the search empties in a few
+    nodes (a big simplex plus a point) must not cost a boundary matrix over
+    all of its faces.  A simplex and the empty complex get 0 without a rank.
     """
-    if functools.reduce(operator.and_, x.facets, -1):
+    if len(x.facets) < 2:
         return 0
-    if _floor_work(x) > budget.limit - budget.used:
+    apex = functools.reduce(operator.and_, x.facets)
+    lk = tuple(f ^ apex for f in x.facets)
+    if _floor_work(lk) > budget.limit - budget.used:
         return 0
-    return _Chains(x.facets).top_degree(x.dim, 0, 2) + 1
+    top = max(map(int.bit_count, lk)) - 1
+    return _cached(links, lk, _link_chains).top_degree(top, 0, 2) + 1
 
 
 def _collapsible_within(y: SimplicialComplex, d: int, budget: Budget) -> bool:
@@ -204,28 +214,28 @@ def collapsibility_number_with_certificate(
     """The collapsibility number with a certificate that replays it.
 
     C(x) lies between two bounds that need no search.  The floor f is one
-    more than the top degree of nonzero reduced homology of x over GF(2)
-    (0 if there is none): a d-collapsible complex has H~_i = 0 for i >= d
-    over every field (Wegner 1975), and GF(2) Betti numbers are at least
-    the rational ones.  On a cone, or when the rank would cost more steps
-    than the budget has nodes left, f is 0 (see `_homology_floor`).  The
-    ceiling u is d(x, canonical_ordering(x)), with the collapse of Matousek
-    and Tancer (DCG 42, 2009) as its certificate (`_mes_certificate`).  C
-    is decided in four steps:
+    more than the top degree of nonzero reduced homology over GF(2) of the
+    link of the apex, the intersection of all facets (x itself when that
+    is empty): the GF(2) Leray number is at least that, and a d-collapsible
+    complex is d-Leray over every field (Wegner 1975).  On a simplex, or
+    when the rank would cost more steps than the budget has nodes left, f
+    is 0 (see `_homology_floor`).  The ceiling u is
+    d(x, canonical_ordering(x)), with the collapse of Matousek and Tancer
+    (DCG 42, 2009) as its certificate (`_mes_ceiling`: built and replayed,
+    or None).  C is decided in three steps:
 
-    1. search at f; if x is f-collapsible, that search's certificate;
-    2. else build the ceiling certificate, which claims u; if it is not
-       built or does not replay, search d = f + 1, f + 2, ... instead;
-    3. (u, ceiling) at once when f + 1 >= u, or when some link of x has
-       nonzero GF(2) homology in degree u - 1 (`has_link_homology`), for
-       then the Leray number, itself at most C, is u;
-    4. else search d = f + 1, ..., u - 1, and (u, ceiling) if none succeeds.
+    1. the empty complex is 0-collapsible by the empty certificate;
+    2. (u, ceiling) when f = u, or when some link of x has nonzero GF(2)
+       homology in degree u - 1 (`has_link_homology`), for then the Leray
+       number, itself at most C, is u;
+    3. else search d = f, ..., u - 1 (d = f, f + 1, ... without a
+       ceiling), and (u, ceiling) if none succeeds.
 
     The value is that of the plain d = 0, 1, ... loop, and so is the
-    certificate wherever C is f or below u; where C = u > f the certificate
-    is the ceiling's collapse.
+    certificate wherever C < u; where C = u the certificate is the
+    ceiling's collapse.
     """
-    return _collapsibility(x, budget or Budget(), lambda: _mes_certificate(
+    return _collapsibility(x, budget or Budget(), lambda: _mes_ceiling(
         x, canonical_ordering(x)))
 
 
@@ -234,21 +244,18 @@ def _collapsibility(
     ceiling: Callable[[], Optional[CollapseCertificate]],
     links: Optional[dict] = None,
 ) -> tuple[int, CollapseCertificate]:
-    """`collapsibility_number_with_certificate` with its ceiling built by
-    `ceiling()`, called only once the search at the floor has failed, and
-    `links` the link cache handed to `has_link_homology`."""
-    f = _homology_floor(x, budget)
-    ok, cert = is_d_collapsible(x, f, budget)
-    if ok:
-        return f, cert
+    """`collapsibility_number_with_certificate` with its ceiling, already
+    replayed (or None), given by `ceiling()`, which is called only on a
+    nonempty x, and `links` the link cache of the floor and of
+    `has_link_homology`."""
+    if x.is_empty:
+        return 0, CollapseCertificate((), 0)
+    f = _homology_floor(x, budget, links)
     top = ceiling()
-    if top is not None and top.replay(x):
-        u = top.claimed_d
-        if f + 1 >= u or has_link_homology(x, u - 1, links):
-            return u, top
-    else:
-        top, u = None, math.inf
-    d = f + 1
+    u = math.inf if top is None else top.claimed_d
+    if top is not None and (f == u or has_link_homology(x, u - 1, links)):
+        return u, top
+    d = f
     while d < u:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:
@@ -365,6 +372,16 @@ def _mes_certificate(x: SimplicialComplex,
     return CollapseCertificate(
         tuple(FreePair(_face(m), _face(g)) for m, g in steps),
         max((m.bit_count() for m, _ in steps), default=0))
+
+
+def _mes_ceiling(x: SimplicialComplex,
+                 ordering: FacetOrdering) -> Optional[CollapseCertificate]:
+    """`_mes_certificate(x, ordering)` when it is built and replays on x,
+    else None.  A replayed one claims exactly d(x, ordering): its steps
+    remove every face once, each at the interval [M(G), G] of faces with
+    mes set M(G)."""
+    cert = _mes_certificate(x, ordering)
+    return cert if cert is not None and cert.replay(x) else None
 
 
 class _MkEngine:

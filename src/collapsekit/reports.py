@@ -15,7 +15,7 @@ import json
 import math
 import random
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
 from . import hypergraphs as hg
 from .complexes import (
@@ -62,6 +62,7 @@ from .invariants import (
     _collapsibility,
     _collapsible_within,
     _mes_certificate,
+    _mes_ceiling,
     _MkEngine,
 )
 from .io import instance_to_json, instance_to_obj
@@ -93,8 +94,10 @@ class _Evaluation:
     the running invariant's budget, the witnesses, the link cache of the
     complex the collapse invariants read (the instance, or NC(H) for a
     hypergraph: its closed-face links and their ranks, shared by C's
-    threshold question and the Leray number), and, each built once on
-    first use, the M_k engine and that complex with its facet order."""
+    floor, its threshold question and the Leray number), and, each built
+    once on first use, the M_k engine, that complex, its facet order and
+    the mes ceiling under that order, replayed (C's certificate wherever
+    C reaches it, and d_mes read from its claim)."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -119,18 +122,20 @@ class _Evaluation:
             return hg._nc_facet_order(self.inst, self.complex)
         return canonical_ordering(self.inst)
 
+    @functools.cached_property
+    def ceiling(self) -> Optional[CollapseCertificate]:
+        return _mes_ceiling(self.complex, self.facet_order)
+
     def mk(self, k: int) -> int:
         self.engine.budget = self.budget
         return self.engine.m(self.inst, k)
 
 
 def _inv_C(ev):
-    # the facet order is read only once the search at the floor has
-    # failed: an empty NC(H) has none, and C = 0
-    x = ev.complex
-    d, cert = _collapsibility(
-        x, ev.budget,
-        lambda: _mes_certificate(x, ev.facet_order), ev.links)
+    # the ceiling is read only on a nonempty complex: an empty NC(H) has
+    # no facet order, and C = 0
+    d, cert = _collapsibility(ev.complex, ev.budget, lambda: ev.ceiling,
+                              ev.links)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
         "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
@@ -143,6 +148,9 @@ def _inv_d(ev):
     order = ev.facet_order
     ev.witnesses[ev.prefix + "facet_ordering"] = [
         list(f.vertices) for f in order.ordered_facets]
+    # a replayed mes collapse claims exactly d(X, order), so no face walk
+    if ev.ceiling is not None:
+        return ev.ceiling.claimed_d
     return d_of_ordering(order.complex, order)
 
 
@@ -407,9 +415,11 @@ def _trial_instance(spec: GeneratorSpec, index: int):
     return generate(replace(spec, seed=(spec.seed * 1_000_003 + index)))
 
 
-def _chk(cond: bool, inst, detail: str):
+def _chk(cond: bool, inst, detail: Callable[[], str]):
+    """Raise a counterexample at inst unless cond holds; the detail text is
+    built only then, since most checks pass."""
     if not cond:
-        raise Counterexample(inst, detail)
+        raise Counterexample(inst, detail())
 
 
 def _check_m0_le_d(x: SimplicialComplex, m0_: int, rng: random.Random):
@@ -419,7 +429,7 @@ def _check_m0_le_d(x: SimplicialComplex, m0_: int, rng: random.Random):
         rng.shuffle(perm)
         order = FacetOrdering(x, perm)
         d = d_of_ordering(x, order)
-        _chk(m0_ <= d, x, f"M0={m0_} > d={d} for {order!r}")
+        _chk(m0_ <= d, x, lambda: f"M0={m0_} > d={d} for {order!r}")
 
 
 def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
@@ -431,18 +441,18 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     try:
         order = hg.nc_facet_order(hg.cover_initial_relabeling(h, cover)[0])
     except HypothesisNotMetError:  # NC(H) is empty
-        _chk(0 <= bound, h, f"NC empty but bound {bound} < 0")
+        _chk(0 <= bound, h, lambda: f"NC empty but bound {bound} < 0")
         return "pass"
     nc = order.complex
     d = d_of_ordering(nc, order)
-    # the collapse behind C <= d is C's ceiling under this order, checked
-    # here unless C replayed and returned it
+    # the collapse behind C <= d, checked against the face walk's d and
+    # replayed here, is then C's ceiling under this order
     ceiling = _mes_certificate(nc, order)
-    c, cert = _collapsibility(nc, budget, lambda: ceiling)
     _chk(ceiling is not None and ceiling.claimed_d == d
-         and (cert is ceiling or ceiling.replay(nc)), h,
-         f"the mes collapse does not replay at d={d} for {order!r}")
-    _chk(c <= d <= bound, h, f"C={c}, d={d}, |V|-gamma_i-1={bound}")
+         and ceiling.replay(nc), h,
+         lambda: f"the mes collapse does not replay at d={d} for {order!r}")
+    c, _ = _collapsibility(nc, budget, lambda: ceiling)
+    _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"
 
 
@@ -451,7 +461,7 @@ def _thm_mk_chain(x: SimplicialComplex, rng, budget) -> str:
     c, _ = collapsibility_number_with_certificate(x, budget)
     m0_, m1_, m2_ = mk_chain(x, 2, budget)
     _chk(l <= c <= m2_ <= m1_ <= m0_, x,
-         f"L={l}, C={c}, M2={m2_}, M1={m1_}, M0={m0_}")
+         lambda: f"L={l}, C={c}, M2={m2_}, M1={m1_}, M0={m0_}")
     _check_m0_le_d(x, m0_, rng)
     return "pass"
 
@@ -478,7 +488,7 @@ def _thm_kvd_equality(x: SimplicialComplex, rng, budget) -> str:
     engine = _MkEngine(budget)
     mkv = engine.m(x, k)
     mkp = engine.m_prime(x, k)
-    _chk(c == mkv == mkp, x, f"k={k}: C={c}, M_k={mkv}, M'_k={mkp}")
+    _chk(c == mkv == mkp, x, lambda: f"k={k}: C={c}, M_k={mkv}, M'_k={mkp}")
     return "pass"
 
 
@@ -487,7 +497,7 @@ def _thm_gamma_si_eq(h: Hypergraph, rng, budget) -> str:
         return "skip"
     gi = hg.gamma_i(h).value
     gsi = hg.gamma_si(h).value
-    _chk(gi == gsi, h, f"gamma_i={gi} != gamma_si={gsi}")
+    _chk(gi == gsi, h, lambda: f"gamma_i={gi} != gamma_si={gsi}")
     return "pass"
 
 
@@ -503,7 +513,7 @@ def _thm_claim(x: SimplicialComplex, rng, budget) -> str:
     faces = [sigma for k in range(0, min(x.dim, 2) + 1)
              for sigma in sorted(x.faces(k))]
     sigma = _first_claim_failure(x, faces, budget)
-    _chk(sigma is None, x, f"claim inequality fails at {sigma!r}")
+    _chk(sigma is None, x, lambda: f"claim inequality fails at {sigma!r}")
     return "pass"
 
 
@@ -521,14 +531,16 @@ def _thm_link_del_commute(x: SimplicialComplex, rng, budget) -> str:
             if lk is None:
                 lk = links[tau] = x.link(tau)
             _chk(dele.link(tau) == lk.deletion(sigma), x,
-                 f"link/deletion commutativity fails for {sigma!r},{tau!r}")
+                 lambda: f"link/deletion commutativity fails for "
+                         f"{sigma!r},{tau!r}")
     return "pass"
 
 
 def _thm_open_faces_simplex(x: SimplicialComplex, rng, budget) -> str:
     for k in range(0, x.dim + 1):
         if not x.open_faces(k):
-            _chk(x.is_simplex, x, f"open {k}-faces empty on a non-simplex")
+            _chk(x.is_simplex, x,
+                 lambda: f"open {k}-faces empty on a non-simplex")
     return "pass"
 
 
@@ -541,7 +553,7 @@ def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
         for r in range(len(cover) + 1):
             for s in itertools.combinations(cover, r):
                 _chk(_neighbor_lhs(h, dbar, mask_of(s)) <= rhs, h,
-                     f"neighbor inequality fails: D={cover}, S={s}")
+                     lambda: f"neighbor inequality fails: D={cover}, S={s}")
     return "pass"
 
 
@@ -557,13 +569,15 @@ def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
             groups.setdefault(key, set()).add(mes(gamma, order))
     for key, seqs in groups.items():
         _chk(len(seqs) == 1, h,
-             f"mes not constant on cover-complement class {key:b}: {seqs}")
+             lambda: f"mes not constant on cover-complement class "
+                     f"{key:b}: {seqs}")
     return "pass"
 
 
 def _thm_leray_methods(x: SimplicialComplex, rng, budget) -> str:
     links, induced = leray_number(x), _leray_induced(x)
-    _chk(links == induced, x, f"Leray by links {links} != induced {induced}")
+    _chk(links == induced, x,
+         lambda: f"Leray by links {links} != induced {induced}")
     return "pass"
 
 
@@ -574,7 +588,7 @@ def _thm_cm_equivalence(x: SimplicialComplex, rng, budget) -> str:
     pure = x.pure_skeleton(x.dim) if not x.is_pure() else x
     if not is_cohen_macaulay_induced(pure):
         return "skip"
-    _chk(is_cohen_macaulay(pure), pure, "induced-CM but not links-CM")
+    _chk(is_cohen_macaulay(pure), pure, lambda: "induced-CM but not links-CM")
     return "pass"
 
 
@@ -592,7 +606,7 @@ def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
             except HypothesisNotMetError:
                 continue
             _chk(lhs() >= rhs, x,
-                 f"shedding Leray inequality fails at {sigma!r}")
+                 lambda: f"shedding Leray inequality fails at {sigma!r}")
             checked = True
     return "pass" if checked else "skip"
 
@@ -606,7 +620,7 @@ def _thm_euler(x: SimplicialComplex, rng, budget) -> str:
         (-1) ** i * r for i, r in enumerate(b.ranks)
     )
     _chk(chi_faces == chi_betti, x,
-         f"Euler mismatch: faces {chi_faces} vs betti {chi_betti}")
+         lambda: f"Euler mismatch: faces {chi_faces} vs betti {chi_betti}")
     return "pass"
 
 
@@ -614,14 +628,15 @@ def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
     l = leray_number(non_cover_complex(h))
     max_edge = max(e.bit_count() for e in h.edges)
     ge = hg.gamma_E(h).value
-    _chk(l <= h.n - ge - 1, h, f"L={l} > n-gamma_E-1={h.n - ge - 1}")
+    _chk(l <= h.n - ge - 1, h, lambda: f"L={l} > n-gamma_E-1={h.n - ge - 1}")
     if max_edge <= 3:
         gt = hg.gamma_tilde(h).value
         bound = h.n - math.ceil(gt / 2) - 1
-        _chk(l <= bound, h, f"L={l} > n-ceil(gamma_tilde/2)-1={bound}")
+        _chk(l <= bound, h, lambda: f"L={l} > n-ceil(gamma_tilde/2)-1={bound}")
     if max_edge <= 2:
         gsi = hg.gamma_si(h).value
-        _chk(l <= h.n - gsi - 1, h, f"L={l} > n-gamma_si-1={h.n - gsi - 1}")
+        _chk(l <= h.n - gsi - 1, h,
+             lambda: f"L={l} > n-gamma_si-1={h.n - gsi - 1}")
     return "pass"
 
 
@@ -636,7 +651,7 @@ def _thm_gamma_monotone(h: Hypergraph, rng, budget) -> str:
             val = hg.gamma_A(h, acc).value
         except UndominatableError:
             break
-        _chk(val >= prev, h, f"gamma_A not monotone along {acc}")
+        _chk(val >= prev, h, lambda: f"gamma_A not monotone along {acc}")
         prev = val
     return "pass"
 

@@ -37,8 +37,22 @@ domination numbers now spend one node per candidate they test, so
 `used_total` went 6 -> 28 (random-hypergraph-1), 6 -> 142 (-2), 4 -> 148
 (-3), 8 -> 110 (-4) and 11 -> 203 (star-family-3).  star-family-3's
 collapse certificate is now the mes collapse at C = d(NC, order) = 2;
-every value and every other witness stayed the same.  A change that
-alters any value, witness, key or node count fails here.
+every value and every other witness stayed the same.  They were re-pinned
+once more when C began to take its floor from the apex link and to build
+the mes ceiling before any search, returning it at once when the floor
+meets it: the searches that only confirmed C = u are gone.  Only C's
+collapse certificate and `used_total` moved, every value and every other
+witness stayed the same:
+- triangle: `used_total` 5 -> 3 (the certificate is the same pair);
+- three-cycle 23 -> 19, tetra-boundary and tetra-boundary-gf2 42 -> 37,
+  random-complex-2 25 -> 19, -3 31 -> 22, -4 15 -> 9, -6 16 -> 10, rp2
+  and rp2-gf3 14 -> 0: `used_total`, and the certificate, now the mes
+  collapse at C = u;
+- random-hypergraph-1 28 -> 27, -2 142 -> 141, -3 148 -> 147, -4
+  110 -> 109 and star-family-3 203 -> 202: `used_total` alone (the
+  certificate already was the mes collapse).
+v6f10-6 and random-complex-1 did not move.  A change that alters any
+value, witness, key or node count fails here.
 """
 
 import hashlib
@@ -78,39 +92,39 @@ def _hypergraph(seed):
 # (id, instance factory, invariants, field, sha256 of the report JSON)
 CASES = [
     ("triangle", NAMED_EXAMPLES["triangle"], None, "Q",
-     "8599977eb300b708c2e3385837b401ddc85a404f13321eab478a50668eef71e0"),
+     "97759f024fed39514eb0ce05d9e51687ed21313c7bee433a4aefd14e9002194c"),
     ("three-cycle", NAMED_EXAMPLES["three-cycle"], None, "Q",
-     "bb48697433ca68516d048411683f44c8282c8bfe6a1b2ccebcdbde7e94213fe0"),
+     "96e2f6a21000bd89cc81230ad38ecd357da11e83e1270d4b75e02a62b82bf2ab"),
     ("tetra-boundary", NAMED_EXAMPLES["tetra-boundary"], None, "Q",
-     "fee155a4edb6806941226177f239e5e81d33bc2d23979189b5b485ed1c3f6fd3"),
+     "292fae51be0bb9f6576c78e319ad264da138c15003428a429db7983cfb3d1d50"),
     ("v6f10-6", NAMED_EXAMPLES["v6f10-6"], GOLDEN, "Q",
      "36120cb63bf64c82c8938924e8b07d22533d405f0fd9a27564a120e2d531ad56"),
     ("random-complex-1", lambda: _complex(1), CHAIN, "Q",
      "53d5dc63ef6805162f75ab1024cf0a31bf7bb4cc71c2aa3aed643015783d6192"),
     ("random-complex-2", lambda: _complex(2), CHAIN, "Q",
-     "3182dd72b0ce332d71bc0dccf61d4ec3ac9c0671698a6b667625d1992cbcfd00"),
+     "8dbffb34040d96959baa3e89b7086f09f6c35e136266c12d96f5a108e8c3f1e2"),
     ("random-complex-3", lambda: _complex(3), CHAIN, "Q",
-     "aa16d31691c64575b93dc0e1e6a1d4ba7f70281612fe453529fbdbcf81efebc6"),
+     "b0e7940dbc6def8311b7f816781c7600e14bcd9624e611be6c6da81bb14098e3"),
     ("random-complex-4", lambda: _complex(4), CHAIN, "Q",
-     "6e5daecedcb3762cee79c24c026b66a460dd6d49196293f809e07a0b2a896fe3"),
+     "0db2562edda355e92241e0b68f2a564e931f1d7140767baf42ec250b65da80d4"),
     ("random-complex-6", lambda: _complex(6), CHAIN, "Q",
-     "4e5c3fb470752ff59f099c94e1a3ebdba3e9591b8b5c2a6213933435bfe22d71"),
+     "54fb6b86d02f5b8290c1cbfe49eda9a6304d2360f326a917849c1c71938bf7d5"),
     ("random-hypergraph-1", lambda: _hypergraph(1), None, "Q",
-     "3977c1e6c768291bc82ee6408929565c28cbd4f942f589f1e487c353b0b76f3e"),
+     "82e83847a147817e872dd35e6f6c16038748eb736349535a32e903d6ff50dcaf"),
     ("random-hypergraph-2", lambda: _hypergraph(2), None, "Q",
-     "9ce733ee1769b28f933c5d7caaf2470fc073bae3fd9e8e63ecc7b2c9e04f4b09"),
+     "bfdd37c16891763891bc789095eaaa3b6cec059d81aaefe2acd19d815b4a89fb"),
     ("random-hypergraph-3", lambda: _hypergraph(3), None, "Q",
-     "f7af5de535e094090ba906522a2cc1031871196d6290c8725579955123fbad1e"),
+     "cd5bd8adb92cb44456570f03ffdfc26ad4c64aa1fae44fd8d33bd182f5ff2bd9"),
     ("random-hypergraph-4", lambda: _hypergraph(4), None, "Q",
-     "61ceeacd9bb75edb57460bf56d613cf1996efb202f28822763ebe6f12d2c9e6c"),
+     "ae5d522d5addc7b8505b9d345d63291df2aa528d6df73cc75cc3f2248b5fe183"),
     ("star-family-3", lambda: star_family(3, (1, 1, 1)), None, "Q",
-     "75a95588f6829709f4f55534c437dd3811bb1d68e5f145cfd1c07d23a3d5874c"),
+     "e169737b2176841c83e796b4d41598b1fb18c9d4729b9d00a30a9333b6c36b5a"),
     ("tetra-boundary-gf2", NAMED_EXAMPLES["tetra-boundary"], None, "gf2",
-     "39d99c19b44611ba57a2d65fa1b1aad1d27732bc57d26cdaab0ba8afed40c75a"),
+     "d936f6030d14e2b0a1e2ef7608789978cbe18e22c251a367597446258126ae14"),
     ("rp2", _rp2, HOMOLOGY, "Q",
-     "8c1665ba203e8a9bd10ae8616c06bd28e72151410f6c1bd3c972adf5a2cdcbe0"),
+     "42a412d1014a996371ba2ae22cfcc6675bb6d17834279f0e0a3c0069ff0a27bb"),
     ("rp2-gf3", _rp2, HOMOLOGY, "gf3",
-     "8dfe7850a3d81dd935a9b7d6c5cd87c25cce4e3c17907b18699bbcd355f233d2"),
+     "8c23e3a8b7ee100e2b63e0fff767e409f7aa8a557ec2bf6b477deb8ce167091b"),
 ]
 
 

@@ -317,6 +317,25 @@ def test_leray_methods_records_a_disagreement_as_a_counterexample(monkeypatch):
     assert cx["detail"].endswith(" != induced 99")
 
 
+def test_passing_probes_format_no_detail(monkeypatch):
+    """A check builds its counterexample text only when it fails: passing
+    trials of every theorem print no face, complex or ordering."""
+    from collapsekit import Face, FacetOrdering
+
+    def refuse(self):
+        raise AssertionError("a passing check formatted its detail")
+
+    for cls in (Face, SimplicialComplex, FacetOrdering):
+        monkeypatch.setattr(cls, "__repr__", refuse)
+    for theorem, (kind, _) in THEOREMS.items():
+        summary = verify(theorem, GeneratorSpec(kind=kind, seed=2, n=5, m=6),
+                         trials=2)
+        assert summary["fails"] == 0, theorem
+    monkeypatch.undo()
+    monkeypatch.setattr(reports, "_leray_induced", lambda x: 99)
+    assert verify("leray-methods", trials=1)["fails"] == 1
+
+
 def test_verify_unknown_theorem():
     with pytest.raises(KeyError):
         verify("flat-earth")

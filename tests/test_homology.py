@@ -499,6 +499,47 @@ def test_links_of_non_closed_faces_are_acyclic():
                 assert (b.rank_neg1, any(b.ranks)) == (0, False), (x, sigma)
 
 
+def _answers(x):
+    """Every answer read from the closed-face links of x, the ranks shared
+    through one link cache."""
+    cache = {}
+    return (leray_number(x, "Q", cache), leray_number(x, 2, cache),
+            is_cohen_macaulay(x),
+            [has_link_homology(x, t, cache) for t in range(-1, x.dim + 2)])
+
+
+def test_closed_links_come_apex_first_and_change_no_answer(monkeypatch):
+    """On every complex on <= 5 vertices `_closed_links` yields each
+    distinct link of a closed face once, the link of the apex (the
+    intersection of all facets) first; and the Leray numbers, the
+    threshold question and the Cohen-Macaulay test answer as they do with
+    the links in their former order, largest face first (the apex, the
+    smallest closed face, last)."""
+    closed_links = homology._closed_links
+    xs = all_complexes(5)
+    for x in xs:
+        links = list(closed_links(x))
+        if x.is_empty:
+            assert links == []
+            continue
+        faces = [s for s in x.all_faces() if _closed(x, s)]
+        want = {tuple(f ^ s for f in x.facets if s & ~f == 0) for s in faces}
+        assert len(links) == len(want) == len({lk for _, lk in links}), x
+        assert {lk for _, lk in links} == want, x
+        assert all(d == max(map(int.bit_count, lk)) - 1 for d, lk in links)
+        apex = functools.reduce(operator.and_, x.facets)
+        assert links[0][1] == tuple(f ^ apex for f in x.facets), x
+    answers = [_answers(x) for x in xs]
+
+    def former_order(x):
+        links = list(closed_links(x))
+        return links[1:] + links[:1]
+
+    monkeypatch.setattr(homology, "_closed_links", former_order)
+    for x, want in zip(xs, answers):
+        assert _answers(x) == want, x
+
+
 def _trimmed(rank_neg1, ranks):
     """A reduced Betti vector from degree -1 up, trailing zeros dropped."""
     out = [rank_neg1, *ranks]

@@ -7,6 +7,8 @@ The <= 4-vertex universe runs in the suite.  From the repo root,
 differential on all 7,580 complexes on <= 5 vertices (about 4 minutes).
 """
 
+import functools
+import operator
 import random
 import sys
 from unittest import mock
@@ -32,12 +34,15 @@ from collapsekit import (
     collapsibility_number_with_certificate,
     d_of_ordering,
     is_d_collapsible,
+    leray_number,
     m0,
     mes,
     mk,
     mk_chain,
     mk_prime,
+    nc_facet_order,
     non_cover_complex,
+    reduced_betti,
     simplex_on,
     tancer_inequality_check,
 )
@@ -154,18 +159,37 @@ def plain_collapsibility_number(x):
 
 
 def test_floored_search_matches_the_plain_loop_on_every_small_complex():
-    """C between its floor and the mes ceiling: the plain loop's value, a
-    certificate that replays at it, and the plain loop's certificate
-    wherever C is the floor or below the ceiling (at C = u > floor the
-    certificate is the ceiling's collapse)."""
+    """C between its apex floor and the mes ceiling: the plain loop's
+    value, a certificate that replays at it, and the plain loop's
+    certificate wherever C is below the ceiling (at C = u the certificate
+    is the ceiling's collapse, taken without a search when the floor or
+    the threshold question reaches u)."""
     for x in all_complexes(5):
         want, want_cert = plain_collapsibility_number(x)
         c, cert = collapsibility_number_with_certificate(x)
         assert c == want and cert.claimed_d == c and cert.replay(x), x
-        floor = invariants._homology_floor(x, Budget())
-        u = d_of_ordering(x, canonical_ordering(x))
-        if c == floor or c < u:
+        ceiling = invariants._mes_certificate(x, canonical_ordering(x))
+        if c < ceiling.claimed_d:
             assert cert == want_cert, x
+        else:
+            assert cert == ceiling, x
+
+
+def _old_floor(x):
+    """The floor before it read the apex link: 0 on a cone, else one more
+    than the top degree of nonzero reduced homology of x over GF(2)."""
+    if x.facets and functools.reduce(operator.and_, x.facets):
+        return 0
+    return reduced_betti(x, 2).top_nonzero_degree() + 1
+
+
+def test_apex_floor_lies_between_the_old_floor_and_the_gf2_leray_number():
+    raised = 0
+    for x in all_complexes(5):
+        floor = invariants._homology_floor(x, Budget())
+        assert _old_floor(x) <= floor <= leray_number(x, 2), x
+        raised += _old_floor(x) < floor
+    assert raised  # cones whose apex link has homology
 
 
 def test_floor_work_bounds_the_rank_work_on_every_small_complex():
@@ -173,7 +197,7 @@ def test_floor_work_bounds_the_rank_work_on_every_small_complex():
         f = [len(x.faces(k)) for k in range(x.dim + 1)]
         listed = sum(1 << g.bit_count() for g in x.facets)
         work = sum(a * b * min(a, b) for a, b in zip(f, f[1:]))
-        assert listed + work <= invariants._floor_work(x), x
+        assert listed + work <= invariants._floor_work(x.facets), x
 
 
 def _nodes_of_the_last_search(x):
@@ -185,10 +209,12 @@ def _nodes_of_the_last_search(x):
 
 def test_homology_floor_needs_no_rank_on_a_cone(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a cone is acyclic; the floor needs no rank")
+        raise AssertionError("the rank would not fit in the budget")
 
-    monkeypatch.setattr(invariants, "_Chains", refuse)
-    # ranks over all faces would cost 2^24 and 2 * 2^16 faces here
+    monkeypatch.setattr(invariants, "_link_chains", refuse)
+    # ranks over all faces would cost 2^24 and 2 * 2^16 faces here: a
+    # simplex takes no rank, and the cone's apex link, two disjoint
+    # 15-simplices, is gated by the budget like any complex
     assert collapsibility_number(simplex_on(range(24))) == 0
     glued = SimplicialComplex([range(16), range(15, 31)])
     assert collapsibility_number(glued) == 1
@@ -199,7 +225,7 @@ def test_homology_floor_stays_within_the_budget(monkeypatch):
     def refuse(*args):
         raise AssertionError("the rank would not fit in the budget")
 
-    monkeypatch.setattr(invariants, "_Chains", refuse)
+    monkeypatch.setattr(invariants, "_link_chains", refuse)
     # not cones, so only the budget keeps the floor from ranking 2^24 and
     # 2 * 2^16 faces; the search empties each in a few dozen nodes
     big = SimplicialComplex([range(24), (30,)])
@@ -213,12 +239,17 @@ def test_homology_floor_stays_within_the_budget(monkeypatch):
 
 def test_homology_floor_reads_gf2_torsion():
     # the 6-vertex real projective plane: H~ vanishes over Q, while over
-    # GF(2) H~_2 != 0, so no search below d = 3 is run
+    # GF(2) H~_2 != 0, so the floor is 3; the mes ceiling is 3 too, so no
+    # search runs at all, and C is the ceiling's replayed collapse
     rp2 = SimplicialComplex(
         [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
          (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
+    assert invariants._homology_floor(rp2, Budget()) == 3
     c, spent, last = _nodes_of_the_last_search(rp2)
-    assert c == 3 and spent == last
+    assert c == 3 and spent == 0 < last
+    c, cert = collapsibility_number_with_certificate(rp2)
+    assert cert.replay(rp2) and cert == invariants._mes_certificate(
+        rp2, canonical_ordering(rp2))
 
 
 def test_homology_floor_skips_the_doomed_searches():
@@ -237,12 +268,13 @@ def test_homology_floor_skips_the_doomed_searches():
 
 def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
     """No ceiling, or one that does not replay: C still answers, through
-    the searches above the floor, with the plain loop's certificate.  The
-    search at the floor fails on each of these: v6f10-6 (floor 0, C = 2,
-    ceiling 3), three triangles around a vertex (a cone, C = 2 = ceiling)
-    and NC(star_family(3)) (C = 2 = ceiling)."""
+    the searches up from the floor, with the plain loop's certificate.  The
+    apex floor is below C, so the search at the floor fails, on each of
+    these: v6f10-6 (floor 0, C = 2, ceiling 3), three triangles in a path
+    around a vertex (a cone whose apex link is a path: floor 0, C = 1 =
+    ceiling) and NC(star_family(3)) (floor 0, C = 2 = ceiling)."""
     from collapsekit.generators import star_family
-    xs = [v6f10_6(), SimplicialComplex([(1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+    xs = [v6f10_6(), SimplicialComplex([(1, 3, 5), (1, 4, 5), (2, 4, 5)]),
           non_cover_complex(star_family(3, (1, 1, 1)))]
     for x in xs:
         floor = invariants._homology_floor(x, Budget())
@@ -257,9 +289,11 @@ def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
 
 def test_c_returns_the_ceiling_when_the_threshold_question_says_yes(
         monkeypatch):
-    """The three-cycle: floor 2 (H~_1 != 0), so the first search succeeds;
+    """The three-cycle: floor 2 (H~_1 != 0) = ceiling, so no search runs;
     with the floor skipped, the ceiling and the threshold question decide
-    C = 2 after the one failing search at 0."""
+    C = 2, again without a search.  The path 2-1-3, 2-4 is contractible
+    and no cone (floor 0), its ceiling is 1, and the link of vertex 1 is
+    two points, so C = 1 without the search at 0."""
     searched = []
     search = invariants.is_d_collapsible
 
@@ -268,16 +302,20 @@ def test_c_returns_the_ceiling_when_the_threshold_question_says_yes(
         return search(x, d, budget)
 
     monkeypatch.setattr(invariants, "is_d_collapsible", counted)
+    ceiling = invariants._mes_certificate(THREE_CYCLE,
+                                          canonical_ordering(THREE_CYCLE))
     c, cert = collapsibility_number_with_certificate(THREE_CYCLE)
-    assert (c, searched) == (2, [2]) and cert.replay(THREE_CYCLE)
+    assert (c, searched, cert) == (2, [], ceiling)
     # a floor skipped by a tiny budget reads 0; the ceiling is 2 and the
     # threshold question (a link with H~_1 != 0: the cycle itself) says
-    # C = 2 without the search at 1
-    searched.clear()
+    # C = 2 without the searches at 0 and 1
     c, cert = collapsibility_number_with_certificate(THREE_CYCLE, Budget(20))
-    assert (c, searched) == (2, [0]) and cert.replay(THREE_CYCLE)
-    assert cert == invariants._mes_certificate(
-        THREE_CYCLE, canonical_ordering(THREE_CYCLE))
+    assert (c, searched, cert) == (2, [], ceiling)
+    path = SimplicialComplex([(1, 2), (1, 3), (2, 4)])
+    assert invariants._homology_floor(path, Budget()) == 0
+    c, cert = collapsibility_number_with_certificate(path)
+    assert (c, searched) == (1, []) and cert.replay(path)
+    assert c == plain_collapsibility_number(path)[0]
 
 
 def test_c_of_star_family_5_is_read_from_the_ceiling():
@@ -309,6 +347,56 @@ def test_c_in_a_report_does_not_depend_on_the_other_invariants():
                 assert got == alone[key], (seed, which)
         assert (compute(h, ["nc_leray", "nc_C"])["values"]
                 == compute(h, ["nc_C", "nc_leray"])["values"])
+
+
+def _d_of_the_report_order(inst):
+    """d(X, report order) by the face walk, X the complex the report reads."""
+    if isinstance(inst, Hypergraph):
+        return d_of_ordering(non_cover_complex(inst), nc_facet_order(inst))
+    return d_of_ordering(inst, canonical_ordering(inst))
+
+
+def test_report_d_is_the_ceiling_claim_and_the_face_walk_without_it(
+        monkeypatch):
+    """d_mes / nc_d read the replayed ceiling's claim, which is
+    d_of_ordering under the report's order; with no ceiling they walk the
+    faces.  Every complex on <= 5 vertices, and NC(H) of 30 nc-leray-sized
+    hypergraphs."""
+    from collapsekit.generators import GeneratorSpec, generate
+    cases = [(x, "d_mes") for x in all_complexes(5)] + [
+        (generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=8,
+                                m=9, max_size=3)), "nc_d")
+        for seed in range(30)]
+    wants = [_d_of_the_report_order(inst) for inst, _ in cases]
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(reports, "_mes_ceiling", lambda x, o: None)
+        for (inst, key), want in zip(cases, wants):
+            assert compute(inst, [key])["values"][key] == want, (inst, forced)
+
+
+def test_a_report_replays_the_ceiling_once(monkeypatch):
+    """C and d read one ceiling per report, replayed once, and d then walks
+    no face."""
+    from collapsekit.generators import star_family
+    replays = []
+    replay = CollapseCertificate.replay
+
+    def counted(self, source):
+        replays.append(source)
+        return replay(self, source)
+
+    monkeypatch.setattr(CollapseCertificate, "replay", counted)
+    monkeypatch.setattr(reports, "d_of_ordering", None)
+    for inst in (star_family(3, (1, 1, 1)), star_family(5, (2,) * 5),
+                 Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])):
+        replays.clear()
+        compute(inst)
+        assert replays == [non_cover_complex(inst)], inst
+    for x in (v6f10_6(), THREE_CYCLE):
+        replays.clear()
+        compute(x, ["C", "d_mes", "leray"])
+        assert replays == [x], x
 
 
 # -- facet orderings and mes ----------------------------------------------
