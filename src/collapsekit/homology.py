@@ -11,17 +11,20 @@ vector, the top nonzero degree, "acyclic below the top") pays only for the
 degrees it reads.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
-the first nonzero degree and screens rational ranks over GF(2), with the
-induced-subcomplex brute force `_leray_induced` as its oracle), the
-one-degree question "is L(X; GF(2)) > t?" (`has_link_homology`, which
-shares its link ranks with the Leray scan through a cache), homological
+the first nonzero degree, screens rational ranks over GF(2), and can be
+capped so that it asks no degree at or above a given one; the
+induced-subcomplex brute force `_leray_induced` is its oracle), homological
 connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
-decomposability with replayable shedding witnesses.  The Leray scan and
-the link Cohen-Macaulay test read only the links of closed faces (the
-intersections of facets): every other link is a cone, with no reduced
-homology.  Each such link is ranked through the nerve of its facets when
-that has fewer vertices and no more faces, else through itself; by the
-nerve theorem both have the same reduced homology over every field.
+decomposability with replayable shedding witnesses.  The capped scan over
+GF(2) is the floor of the collapsibility number: a d-collapsible complex is
+d-Leray (Wegner 1975), so C is searched only from L(X; GF(2)) up, and a
+link cache lets the later Leray questions about the same complex reuse its
+ranks.  The Leray scan and the link Cohen-Macaulay test read only the links
+of closed faces (the intersections of facets): every other link is a cone,
+with no reduced homology.  Each such link is ranked through the nerve of
+its facets when that has fewer vertices and no more faces, else through
+itself; by the nerve theorem both have the same reduced homology over every
+field.
 """
 
 from __future__ import annotations
@@ -277,8 +280,9 @@ def _closed_links(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(dim, facets) of the link of every closed face of x, each distinct
     facet family once: first the link of the apex, the intersection of all
-    facets (x itself when that is empty), then the others largest face
-    first.
+    facets (x itself when that is empty), yielded before the closure below
+    is built, so a scan that stops there pays for none of it; then the
+    others largest face first.
 
     Write c(sigma) for the intersection of the facets that hold sigma; sigma
     is closed when c(sigma) = sigma.  The closed faces are the intersections
@@ -290,11 +294,15 @@ def _closed_links(
     `leray_number` and `is_cohen_macaulay` ask.  The facets of lk(sigma)
     are the F - sigma for the facets F holding sigma, in facet order and
     already an antichain, so the family is also the dedup key.  Every
-    closed face holds the apex, so the apex is the one smallest; its link
-    is the one the collapsibility floor ranks, and often the one that
-    reaches the Leray number.
+    closed face holds the apex, so the apex is the one smallest, and its
+    link often reaches the Leray number at once.
     """
     facets = x.facets
+    if not facets:
+        return
+    apex = functools.reduce(operator.and_, facets)
+    first = tuple(f ^ apex for f in facets)
+    yield max(map(int.bit_count, first)) - 1, first
     # vertex -> the facets holding it, in facet order, and the closed faces
     # holding it; a new facet meets only the closed faces through its
     # vertices, so a big sparse complex costs no facets x faces product
@@ -309,14 +317,11 @@ def _closed_links(
                 through.setdefault(v, set()).add(c)
         for v in vs:
             holders.setdefault(v, []).append(f)
-    closed = set().union(*through.values())
-    if facets and not functools.reduce(operator.and_, facets):
-        closed.add(0)
-    seen: set[tuple[int, ...]] = set()
-    order = sorted(closed, key=int.bit_count, reverse=True)
-    for s in order[-1:] + order[:-1]:
-        held = holders[(s & -s).bit_length() - 1] if s else facets
-        lk = tuple(f ^ s for f in held if s & ~f == 0)
+    seen = {first}
+    for s in sorted(set().union(*through.values()), key=int.bit_count,
+                    reverse=True):
+        lk = tuple(f ^ s for f in holders[(s & -s).bit_length() - 1]
+                   if s & ~f == 0)
         if lk not in seen:
             seen.add(lk)
             yield max(map(int.bit_count, lk)) - 1, lk
@@ -374,30 +379,6 @@ def _links_of(x: SimplicialComplex, cache: Optional[dict]):
     return _cached(cache, x, lambda x: list(_closed_links(x)))
 
 
-def has_link_homology(x: SimplicialComplex, t: int,
-                      cache: Optional[dict] = None) -> bool:
-    """Whether the link of some face of x has nonzero reduced homology over
-    GF(2) in degree t, that is, whether L(x; GF(2)) > t.
-
-    Only the closed-face links can (`_closed_links`), and only those of
-    dimension >= t; each is ranked in degree t alone, through itself or its
-    facet nerve (`_link_chains`), and the scan stops at the first nonzero.
-    Degree -1 is nonzero for every complex (the link of a facet, or of the
-    empty face of the empty complex, is {empty face}).  A link cache
-    (`_cached`) shared with `leray_number` lists the links once, and since
-    a rational degree is screened over GF(2) first, the Leray scan reuses
-    the ranks taken here.  The apex link, first in `_closed_links`, is
-    asked last: C asks at a degree t at or above its floor, the apex
-    link's top degree + 1, so the apex link reads zero there when the floor
-    ranked it, and is often the largest link when the floor was skipped.
-    """
-    if t < 0:
-        return t == -1
-    links = list(_links_of(x, cache))
-    return any(d >= t and _cached(cache, lk, _link_chains).nonzero(t, 2)
-               for d, lk in links[1:] + links[:1])
-
-
 def leray_number(x: SimplicialComplex, field: Field = "Q",
                  cache: Optional[dict] = None) -> int:
     """Least k such that reduced homology vanishes in degrees >= k for every
@@ -410,27 +391,38 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
     link is a cone and has no reduced homology.  Each distinct link is
     ranked once, through its facet nerve when that has fewer vertices and
     no more faces, else through itself (`_link_chains`; the nerve theorem
-    gives both the same homology).  The apex link comes first (see
-    `_closed_links`): it is the one C's floor ranks, and it often reaches
-    the final L at once; the other faces follow largest first, so the
-    small links come before the big ones.  A link of dimension D can only
-    raise L to D + 1, so links with D + 1 <= best are skipped, the others
-    are walked down from degree D to degree best and stop at the first
-    nonzero one (`_Chains.top_degree`, which screens rational ranks over
-    GF(2)), and the scan ends once best = dim(x) + 1, which no link
-    exceeds.  The value is exactly that of the full Betti vector of every
-    link; `_leray_induced` is the test oracle.
-    A link cache (`_cached`) keeps the links and ranks for later questions
-    about x, and reuses those listed and taken by `has_link_homology`.
+    gives both the same homology).  The scan is `_leray` capped at dim(x) + 1,
+    which no link exceeds, so its value is exactly that of the
+    full Betti vector of every link, and `_leray_induced` is the test
+    oracle.  A link cache (`_cached`) keeps the links and ranks for later
+    questions about x, and reuses those C's floor took.
     """
-    p = _parse_field(field)
-    best, cap = 0, x.dim + 1
+    return _leray(x, _parse_field(field), cache, x.dim + 1)
+
+
+def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
+           cap) -> int:
+    """The link scan of `leray_number` over Q (p None) or GF(p), asking no
+    degree >= cap: L(x) when L(x) < cap, else at most cap, and cap exactly
+    when some link has nonzero homology in degree cap - 1.  cap may be
+    math.inf.  Every value is at most L(x), so over GF(2) it is a lower
+    bound for C(x) (Wegner 1975).
+
+    The links come apex first (`_closed_links`): the apex link often
+    reaches the final L at once, and the other faces follow largest first,
+    so the small links come before the big ones.  A link of dimension D
+    can only raise L to D + 1, so links with D + 1 <= best are skipped,
+    the others are walked down from degree min(D, cap - 1) to degree best
+    and stop at the first nonzero one (`_Chains.top_degree`, which screens
+    rational ranks over GF(2)), and the scan ends once best >= cap.
+    """
+    best = 0
     for d, lk in _links_of(x, cache):
-        if best == cap:
-            break
         if d + 1 > best:
             best = max(best, _cached(cache, lk, _link_chains)
-                       .top_degree(d, best, p) + 1)
+                       .top_degree(min(d, cap - 1), best, p) + 1)
+        if best >= cap:
+            break
     return best
 
 

@@ -11,23 +11,19 @@ stops at the first size that has one.  Below d that size yields one forced
 move, its lexicographically least face (collapses there are confluent); at
 d every free face is a branch.
 
-The collapsibility number C(X) is decided between a homology floor and a
-certified ceiling.  The floor f is one more than the top degree of nonzero
-reduced homology over GF(2) of the link of the apex, the intersection c of
-all facets (X itself when c is empty, that is, when X is not a cone).  A
-d-collapsible complex is d-Leray over every field (Wegner 1975), so every
-link has H~_i = 0 for i >= d; and dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q),
-so GF(2) gives the higher floor, with the cheaper modular rank.  The floor
-is skipped (taken as 0) on a simplex, and when a bound on its rank work
-exceeds what is left of the node budget.  The ceiling u = d(X, ord) comes
-with the collapse of Matousek and Tancer (DCG 42, 2009) as its
-certificate, built without search and replayed before it is used.  C = u
-at once when f = u, or when some link has nonzero GF(2) homology in
-degree u - 1, for then the Leray number, itself at most C, is u; otherwise
-d = f, ..., u - 1 are searched, and u is the answer if none succeeds.
-Only searches that must fail, or whose answer a bound already gives, are
-skipped, so every value is the plain upward loop's.  A replayed ceiling
-claims exactly d(X, ord), so a report reads d_mes from it too.
+The collapsibility number C(X) is searched only between the GF(2) Leray
+number and a certified ceiling.  The ceiling u = d(X, ord) comes with the
+collapse of Matousek and Tancer (DCG 42, 2009) as its certificate, built
+without search and replayed before it is used.  The floor f is the Leray
+link scan over GF(2) capped at u: a d-collapsible complex is d-Leray over
+every field (Wegner 1975), and dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so
+GF(2) gives the higher floor, with the cheaper modular rank.  C = u at once
+when f = u; otherwise d = f, ..., u - 1 are searched, and u is the answer
+if none succeeds.  Only searches that must fail are skipped, so every value
+is the plain upward loop's.  The threshold probes ask their one question,
+C(Y) <= d, with the same scan capped at d + 1 before any search.  A
+replayed ceiling claims exactly d(X, ord), so a report reads d_mes from it
+too.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -50,13 +46,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .complexes import (FreePair, SimplicialComplex, _collapsed, _face,
                         _free_faces_by_size, _is_free, as_face, faces_of,
                         vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
-from .homology import _cached, _link_chains, has_link_homology
+from .homology import _leray
 
 
 @dataclass(frozen=True)
@@ -143,57 +139,17 @@ def _collapse_moves(facets: tuple[int, ...], d: int,
     return []
 
 
-def _floor_work(facets: Sequence[int]) -> int:
-    """An upper bound on the steps the GF(2) ranks of the complex with these
-    facets take: every facet subset listed, plus rows * columns * rank for
-    each boundary matrix.  The number of faces on j vertices is bounded by
-    both C(n, j) and the sum of C(|F|, j) over the facets F."""
-    n = functools.reduce(operator.or_, facets, 0).bit_count()
-    sizes = [f.bit_count() for f in facets]
-    f = [min(math.comb(n, j), sum(math.comb(s, j) for s in sizes))
-         for j in range(1, max(sizes, default=0) + 1)]
-    listed = sum(1 << s for s in sizes)
-    return listed + sum(a * b * min(a, b) for a, b in zip(f, f[1:]))
-
-
-def _homology_floor(x: SimplicialComplex, budget: Budget,
-                    links: Optional[dict] = None) -> int:
-    """One more than the top degree of nonzero reduced homology over GF(2)
-    of the apex link of x, or 0 when there is none or when it is not
-    affordable.
-
-    The apex c is the intersection of all facets, and its link has the
-    facets F - c: x itself when c is empty.  L(x; GF(2)) is at least one
-    more than the top degree of any link, and at most C(x) (Wegner 1975),
-    so this is a lower bound for C(x).  It is ranked through itself or its
-    facet nerve (`_link_chains`), kept in the link cache `links` when one
-    is given, and only when `_floor_work` of the link is at most the nodes
-    left in the budget (a step, one matrix entry or one subset, costs far
-    less than a search node).  The floor is an optimisation, so 0 is always
-    a valid answer, and a large complex that the search empties in a few
-    nodes (a big simplex plus a point) must not cost a boundary matrix over
-    all of its faces.  A simplex and the empty complex get 0 without a rank.
-    """
-    if len(x.facets) < 2:
-        return 0
-    apex = functools.reduce(operator.and_, x.facets)
-    lk = tuple(f ^ apex for f in x.facets)
-    if _floor_work(lk) > budget.limit - budget.used:
-        return 0
-    top = max(map(int.bit_count, lk)) - 1
-    return _cached(links, lk, _link_chains).top_degree(top, 0, 2) + 1
-
-
 def _collapsible_within(y: SimplicialComplex, d: int, budget: Budget) -> bool:
-    """Whether C(y) <= d, for d >= 0, asked with one collapse search at d.
+    """Whether C(y) <= d, for d >= 0, asked with at most one collapse search
+    at d.
 
     Exact: d-collapsibility is monotone in d (a d-collapse is also a
-    (d+1)-collapse), so C(y) <= d iff y is d-collapsible.  The homology
-    floor is a lower bound for C(y) (Wegner 1975, see `_homology_floor`),
-    so a d below it answers no without a search; a floor skipped as
-    unaffordable reads 0 and only leaves the answer to the search.
+    (d+1)-collapse), so C(y) <= d iff y is d-collapsible.  The GF(2) Leray
+    scan capped at d + 1 (`homology._leray`) is at most L(y; GF(2)) <= C(y)
+    (Wegner 1975) and asks no degree above d, so when it exceeds d the
+    answer is no without a search.
     """
-    return d >= _homology_floor(y, budget) and is_d_collapsible(y, d, budget)[0]
+    return d >= _leray(y, 2, None, d + 1) and is_d_collapsible(y, d, budget)[0]
 
 
 def collapsibility_number(
@@ -202,7 +158,7 @@ def collapsibility_number(
     """Least d such that x is d-collapsible.
 
     Terminates because a complex of dimension n is always (n+1)-collapsible.
-    The value lies between the homology floor and the mes ceiling (see
+    The value lies between the GF(2) Leray number and the mes ceiling (see
     `collapsibility_number_with_certificate`).
     """
     return collapsibility_number_with_certificate(x, budget)[0]
@@ -213,25 +169,24 @@ def collapsibility_number_with_certificate(
 ) -> tuple[int, Optional[CollapseCertificate]]:
     """The collapsibility number with a certificate that replays it.
 
-    C(x) lies between two bounds that need no search.  The floor f is one
-    more than the top degree of nonzero reduced homology over GF(2) of the
-    link of the apex, the intersection of all facets (x itself when that
-    is empty): the GF(2) Leray number is at least that, and a d-collapsible
-    complex is d-Leray over every field (Wegner 1975).  On a simplex, or
-    when the rank would cost more steps than the budget has nodes left, f
-    is 0 (see `_homology_floor`).  The ceiling u is
+    C(x) lies between two bounds that need no search.  The ceiling u is
     d(x, canonical_ordering(x)), with the collapse of Matousek and Tancer
     (DCG 42, 2009) as its certificate (`_mes_ceiling`: built and replayed,
-    or None).  C is decided in three steps:
+    or None).  The floor f is the GF(2) Leray number: a d-collapsible
+    complex is d-Leray over every field (Wegner 1975), and GF(2) gives a
+    floor at least the rational one, with the cheaper modular rank.  It is
+    the Leray link scan capped at u (`homology._leray`), so it asks no
+    degree >= u and stops at u, which it reaches exactly when some link
+    has nonzero GF(2) homology in degree u - 1.  C is decided in three
+    steps:
 
     1. the empty complex is 0-collapsible by the empty certificate;
-    2. (u, ceiling) when f = u, or when some link of x has nonzero GF(2)
-       homology in degree u - 1 (`has_link_homology`), for then the Leray
-       number, itself at most C, is u;
+    2. (u, ceiling) when f = u;
     3. else search d = f, ..., u - 1 (d = f, f + 1, ... without a
        ceiling), and (u, ceiling) if none succeeds.
 
-    The value is that of the plain d = 0, 1, ... loop, and so is the
+    Only searches below L(x; GF(2)), which must fail, are skipped, so the
+    value is that of the plain d = 0, 1, ... loop, and so is the
     certificate wherever C < u; where C = u the certificate is the
     ceiling's collapse.
     """
@@ -246,16 +201,13 @@ def _collapsibility(
 ) -> tuple[int, CollapseCertificate]:
     """`collapsibility_number_with_certificate` with its ceiling, already
     replayed (or None), given by `ceiling()`, which is called only on a
-    nonempty x, and `links` the link cache of the floor and of
-    `has_link_homology`."""
+    nonempty x, and `links` the link cache the floor's Leray scan shares
+    with the report's other Leray questions."""
     if x.is_empty:
         return 0, CollapseCertificate((), 0)
-    f = _homology_floor(x, budget, links)
     top = ceiling()
     u = math.inf if top is None else top.claimed_d
-    if top is not None and (f == u or has_link_homology(x, u - 1, links)):
-        return u, top
-    d = f
+    d = _leray(x, 2, links, u)
     while d < u:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:
@@ -482,18 +434,25 @@ def m0(x: SimplicialComplex, budget: Optional[Budget] = None) -> int:
 
 def mk(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
     """M_k(x) = min(M'_k(x), M_{k-1}(x)), with M_0 = M'_0; an upper bound
-    on the collapsibility number that never increases with k."""
+    on the collapsibility number that never increases with k.
+
+    Above the dimension x has no k-faces, so M'_k = M_{k-1} and M_k =
+    M_{max(dim, 0)}: k is clamped there, so a huge k costs what
+    k = max(dim, 0) does instead of one recursion level per k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _MkEngine(budget).m(x, k)
+    return _MkEngine(budget).m(x, min(k, max(x.dim, 0)))
 
 
 def mk_prime(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
     """M'_k(x): the min over open k-faces s of
     max(M'_k(lk s) + k + 1, M'_k(del s)); 0 (k = 0) or M_{k-1}(x) (k > 0)
-    when x has no open k-face."""
+    when x has no open k-face, so M_{max(dim, 0)}(x) for every k > dim
+    (see `mk`)."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k > x.dim:
+        return mk(x, k, budget)
     return _MkEngine(budget).m_prime(x, k)
 
 

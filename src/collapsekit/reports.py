@@ -93,11 +93,11 @@ class _Evaluation:
     """What the invariants of one report share: the instance, the field,
     the running invariant's budget, the witnesses, the link cache of the
     complex the collapse invariants read (the instance, or NC(H) for a
-    hypergraph: its closed-face links and their ranks, shared by C's
-    floor, its threshold question and the Leray number), and, each built
-    once on first use, the M_k engine, that complex, its facet order and
-    the mes ceiling under that order, replayed (C's certificate wherever
-    C reaches it, and d_mes read from its claim)."""
+    hypergraph: its closed-face links and their ranks, shared by C's floor,
+    the GF(2) Leray scan capped at the ceiling, and the Leray number), and,
+    each built once on first use, the M_k engine, that complex, its facet
+    order and the mes ceiling under that order, replayed (C's certificate
+    wherever C reaches it, and d_mes read from its claim)."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -232,7 +232,8 @@ def compute(
     own budget of `budget_limit` nodes.  Budget exhaustion and unmet
     hypotheses (isolated vertices, an undominatable target, a non-pure
     complex, no NC(H) or no facet order on it) are recorded per invariant
-    and do not abort the rest.
+    and do not abort the rest.  An unknown or repeated name raises
+    KeyError before anything is computed.
     """
     # a bad field fails here, also when no requested invariant reads it
     _parse_field(field)
@@ -244,6 +245,10 @@ def compute(
     if unknown:
         raise KeyError(f"unknown invariant(s) {unknown}; "
                        f"known: {sorted(registry)}")
+    # a repeat would be reported once but computed and counted twice
+    repeated = sorted({name for name in which if which.count(name) > 1})
+    if repeated:
+        raise KeyError(f"duplicate invariant(s) {repeated}")
     values: dict = {}
     exhausted = []
     not_applicable = {}
@@ -301,7 +306,8 @@ def _first_claim_failure(x: SimplicialComplex, faces, budget: Budget):
     otherwise the link is asked at t and, only if it answers yes, the
     deletion at c - 1, each with one collapse search
     (`_collapsible_within`: exact because d-collapsibility is monotone in
-    d and the homology floor is a lower bound for C).
+    d, and no search runs when the GF(2) Leray scan capped at t + 1 already
+    exceeds t, a floor for C).
     """
     c = collapsibility_number(x, budget)
     for s in faces:

@@ -1,7 +1,10 @@
 """Shared test tooling: exhaustive enumeration of small complexes and
-hypergraphs."""
+hypergraphs, and the apex floor C was once searched from."""
 
-from collapsekit import Hypergraph, SimplicialComplex
+import functools
+import operator
+
+from collapsekit import Face, Hypergraph, SimplicialComplex, reduced_betti
 
 
 def all_complexes(n: int) -> list[SimplicialComplex]:
@@ -37,3 +40,12 @@ def all_hypergraphs(n: int) -> list[Hypergraph]:
     masks = range(2, 1 << (n + 1), 2)  # non-empty subsets of 1..n
     return [Hypergraph(n, [m for i, m in enumerate(masks) if family >> i & 1])
             for family in range(1, 1 << len(masks))]
+
+
+def apex_floor(x: SimplicialComplex) -> int:
+    """One more than the top degree of nonzero reduced GF(2) homology of
+    the link of the apex, the intersection of all facets (x itself when
+    that is empty), for a nonempty x: a lower bound for C, and the floor
+    C was searched from before it read L(x; GF(2))."""
+    apex = functools.reduce(operator.and_, x.facets)
+    return reduced_betti(x.link(Face(apex)), 2).top_nonzero_degree() + 1

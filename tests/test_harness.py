@@ -207,6 +207,16 @@ def test_report_rejects_unknown_invariant():
         compute(SimplicialComplex([(1,)]), ["nope"])
 
 
+def test_report_rejects_duplicate_invariants():
+    """A repeated name would be reported once but computed, and its budget
+    counted, twice: it is refused before anything runs."""
+    with pytest.raises(KeyError, match=r"duplicate invariant\(s\) \['C'\]"):
+        compute(v6f10_6(), ["C", "leray", "C"])
+    h = Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(KeyError, match=r"\['gamma_i', 'nc_C'\]"):
+        compute(h, ["nc_C", "gamma_i", "nc_C", "gamma_i"])
+
+
 def test_report_budget_exhaustion_is_flagged():
     report = compute(v6f10_6(), ["C"], budget_limit=1)
     assert report["budget"]["exhausted"] == ["C"]
@@ -477,6 +487,17 @@ def test_cli_names_an_unknown_invariant_unquoted(tmp_path, capsys):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: unknown invariant(s) ['foo']")
+
+
+def test_cli_names_duplicate_invariants(tmp_path, capsys):
+    inst = tmp_path / "x.json"
+    main(["generate", "--kind", "named-example", "--name", "v6f10-6",
+          "--out", str(inst)])
+    capsys.readouterr()
+    assert main(["compute", str(inst), "--invariants", "C,C"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: duplicate invariant(s) ['C']\n"
 
 
 @pytest.mark.parametrize("obj, named", [

@@ -30,7 +30,6 @@ from collapsekit import (
     verify_shedding_sequence,
 )
 from collapsekit import homology, reports
-from collapsekit.homology import has_link_homology
 from collapsekit.complexes import subsets
 from collapsekit.generators import star_family
 from collapsekit.homology import (
@@ -433,23 +432,28 @@ def test_leray_scan_skips_repeated_links(monkeypatch):
                        for lk in ranked), x
 
 
-def test_threshold_question_reads_the_gf2_leray_number():
-    """has_link_homology(x, t) says L(x; GF(2)) > t: it holds at t = L - 1
-    and fails above, on every complex on <= 5 vertices and on RP2 (L = 3
-    over GF(2), 1 over Q)."""
+def test_capped_leray_scan_reads_the_leray_number_below_its_cap():
+    """`_leray(x, p, None, cap)` asks no degree >= cap: it is L(x) when
+    L(x) < cap, and it reaches cap exactly when L(x) >= cap, for every cap
+    from 0 to dim + 2, over GF(2) and Q, on every complex on <= 5 vertices,
+    RP2 (L = 3 over GF(2), 2 over Q) and the empty complex."""
     for x in all_complexes(5) + [RP2, SimplicialComplex()]:
-        top = leray_number(x, "GF2") - 1
-        for t in range(top, x.dim + 3):
-            assert has_link_homology(x, t) == (t == top), (x, t)
-    assert has_link_homology(RP2, 2) and not has_link_homology(RP2, 3)
+        for p in (2, None):
+            want = leray_number(x, "Q" if p is None else p)
+            for cap in range(x.dim + 3):
+                got = homology._leray(x, p, None, cap)
+                assert (got >= cap) == (want >= cap), (x, p, cap)
+                assert got == min(want, cap), (x, p, cap)
+    assert homology._leray(RP2, 2, None, 3) == 3
+    assert homology._leray(RP2, None, None, 3) == 2
 
 
-def test_threshold_question_shares_its_ranks_with_the_leray_scan(
+def test_capped_leray_scan_shares_its_ranks_with_the_full_scan(
         monkeypatch):
     """With one cache, the closed links are listed once and each link is
-    built once across both questions, and the Leray scan over Q takes
-    fewer GF(2) ranks than alone: it reuses those the threshold question
-    took."""
+    built once across both scans, and the full scan over Q takes fewer
+    GF(2) ranks than alone: it reuses those the capped GF(2) scan (C's
+    floor in a report) took."""
     nc = non_cover_complex(star_family(4, (2,) * 4))
     ranked, built, listed = [], [], []
     rank_gf2, link_chains = homology._rank_gf2, homology._link_chains
@@ -476,13 +480,28 @@ def test_threshold_question_shares_its_ranks_with_the_leray_scan(
     built.clear()
     listed.clear()
     cache = {}
-    assert has_link_homology(nc, want - 1, cache)
-    assert not has_link_homology(nc, want, cache)
+    assert homology._leray(nc, 2, cache, want) == want
+    assert homology._leray(nc, 2, cache, want + 1) == want
     ranked.clear()
     assert leray_number(nc, "Q", cache) == want
     assert len(ranked) < alone
     assert listed == [nc]
     assert built and len(built) == len(set(built)) == len(cache) - 1
+
+
+def test_apex_link_comes_before_the_closure(monkeypatch):
+    """The apex link is yielded before any vertex is read for the closure
+    under intersection, so a scan that stops there pays for none of it."""
+    def no_closure(mask):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(homology, "vertices_of", no_closure)
+    sphere = boundary(range(1, 19))
+    links = homology._closed_links(sphere)
+    assert next(links) == (16, sphere.facets)
+    cone = SimplicialComplex([(1, 2, 3), (1, 3, 4)])
+    assert next(homology._closed_links(cone)) == (0, (0b100, 0b10000))
+    assert homology._leray(sphere, 2, None, 17) == 17
 
 
 def _closed(x, sigma):
@@ -505,14 +524,14 @@ def _answers(x):
     cache = {}
     return (leray_number(x, "Q", cache), leray_number(x, 2, cache),
             is_cohen_macaulay(x),
-            [has_link_homology(x, t, cache) for t in range(-1, x.dim + 2)])
+            [homology._leray(x, 2, cache, cap) for cap in range(x.dim + 3)])
 
 
 def test_closed_links_come_apex_first_and_change_no_answer(monkeypatch):
     """On every complex on <= 5 vertices `_closed_links` yields each
     distinct link of a closed face once, the link of the apex (the
-    intersection of all facets) first; and the Leray numbers, the
-    threshold question and the Cohen-Macaulay test answer as they do with
+    intersection of all facets) first; and the Leray numbers, the capped
+    GF(2) scan and the Cohen-Macaulay test answer as they do with
     the links in their former order, largest face first (the apex, the
     smallest closed face, last)."""
     closed_links = homology._closed_links

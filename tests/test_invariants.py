@@ -4,10 +4,12 @@ full-C loop it replaced.
 
 The <= 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_invariants.py 5` runs the claim
-differential on all 7,580 complexes on <= 5 vertices (about 4 minutes).
+differential and C against the apex floor it replaced on all 7,580
+complexes on <= 5 vertices (about 4 minutes).
 """
 
 import functools
+import math
 import operator
 import random
 import sys
@@ -46,12 +48,12 @@ from collapsekit import (
     simplex_on,
     tancer_inequality_check,
 )
-from collapsekit import invariants, reports
+from collapsekit import homology, invariants, reports
 from collapsekit.complexes import vertices_of
 from collapsekit.generators import v6f10_6
 from collapsekit.reports import compute
 
-from conftest import all_complexes
+from conftest import all_complexes, apex_floor
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 
@@ -183,21 +185,69 @@ def _old_floor(x):
     return reduced_betti(x, 2).top_nonzero_degree() + 1
 
 
+def _link_homology(x, t):
+    """Whether some link of x has nonzero reduced GF(2) homology in degree
+    t (degree -1: the link of a facet is {empty face})."""
+    return t == -1 or t >= 0 and any(
+        reduced_betti(x.link(s), 2).rank(t) for s in x.all_faces())
+
+
+def apex_floor_collapsibility(x, budget):
+    """C as it was decided from the apex floor: (u, ceiling) when the floor
+    meets the mes ceiling u or some link has GF(2) homology in degree
+    u - 1, else the searches from the floor up.  (Its rank-work gate never
+    closed on these small complexes under the default budget.)"""
+    if x.is_empty:
+        return 0, CollapseCertificate((), 0)
+    f = apex_floor(x)
+    top = invariants._mes_ceiling(x, canonical_ordering(x))
+    u = math.inf if top is None else top.claimed_d
+    if top is not None and (f == u or _link_homology(x, u - 1)):
+        return u, top
+    d = f
+    while d < u:
+        ok, cert = is_d_collapsible(x, d, budget)
+        if ok:
+            return d, cert
+        d += 1
+    return u, top
+
+
+def apex_floor_differential(n):
+    """C and its certificate against `apex_floor_collapsibility` on every
+    complex on <= n vertices.  Returns (mismatches, more nodes, fewer
+    nodes): the Leray floor may only skip searches."""
+    mismatches, more, fewer = [], [], 0
+    for x in all_complexes(n):
+        got_budget, want_budget = Budget(), Budget()
+        got = collapsibility_number_with_certificate(x, got_budget)
+        if got != apex_floor_collapsibility(x, want_budget):
+            mismatches.append(x)
+        if got_budget.used > want_budget.used:
+            more.append(x)
+        fewer += got_budget.used < want_budget.used
+    return mismatches, more, fewer
+
+
+def test_leray_floor_decides_c_as_the_apex_floor_did():
+    """The GF(2) Leray floor capped at the ceiling gives the value and the
+    certificate the apex floor and the one-degree link question gave, on
+    every complex on <= 4 vertices (<= 5 from `__main__`), and never spends
+    more nodes."""
+    mismatches, more, fewer = apex_floor_differential(4)
+    assert mismatches == [] and more == []
+    assert fewer  # complexes whose apex floor is below L(x; GF(2))
+
+
 def test_apex_floor_lies_between_the_old_floor_and_the_gf2_leray_number():
     raised = 0
     for x in all_complexes(5):
-        floor = invariants._homology_floor(x, Budget())
+        if x.is_empty:
+            continue
+        floor = apex_floor(x)
         assert _old_floor(x) <= floor <= leray_number(x, 2), x
         raised += _old_floor(x) < floor
     assert raised  # cones whose apex link has homology
-
-
-def test_floor_work_bounds_the_rank_work_on_every_small_complex():
-    for x in all_complexes(5):
-        f = [len(x.faces(k)) for k in range(x.dim + 1)]
-        listed = sum(1 << g.bit_count() for g in x.facets)
-        work = sum(a * b * min(a, b) for a, b in zip(f, f[1:]))
-        assert listed + work <= invariants._floor_work(x.facets), x
 
 
 def _nodes_of_the_last_search(x):
@@ -207,34 +257,49 @@ def _nodes_of_the_last_search(x):
     return c, floored.used, last.used
 
 
-def test_homology_floor_needs_no_rank_on_a_cone(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the rank would not fit in the budget")
+def _gf2_columns(monkeypatch):
+    """The list of GF(2) rank columns taken from now on, one entry each."""
+    columns = []
+    rank_gf2 = homology._rank_gf2
 
-    monkeypatch.setattr(invariants, "_link_chains", refuse)
+    def counted(lower, upper):
+        columns.extend(upper)
+        return rank_gf2(lower, upper)
+
+    monkeypatch.setattr(homology, "_rank_gf2", counted)
+    return columns
+
+
+def test_homology_floor_needs_no_rank_on_a_cone(monkeypatch):
     # ranks over all faces would cost 2^24 and 2 * 2^16 faces here: a
     # simplex takes no rank, and the cone's apex link, two disjoint
-    # 15-simplices, is gated by the budget like any complex
-    assert collapsibility_number(simplex_on(range(24))) == 0
-    glued = SimplicialComplex([range(16), range(15, 31)])
-    assert collapsibility_number(glued) == 1
-    assert collapsibility_number(SimplicialComplex()) == 0
+    # 15-simplices, is ranked through its 2-point facet nerve, with no
+    # column; the floor then meets the ceiling, so no search runs either
+    columns = _gf2_columns(monkeypatch)
+    for x, want in ((simplex_on(range(24)), 0),
+                    (SimplicialComplex([range(16), range(15, 31)]), 1),
+                    (SimplicialComplex(), 0)):
+        budget = Budget()
+        assert collapsibility_number(x, budget) == want, x
+        assert (columns, budget.used) == ([], 0), x
 
 
 def test_homology_floor_stays_within_the_budget(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the rank would not fit in the budget")
-
-    monkeypatch.setattr(invariants, "_link_chains", refuse)
-    # not cones, so only the budget keeps the floor from ranking 2^24 and
-    # 2 * 2^16 faces; the search empties each in a few dozen nodes
+    # not cones: x itself is ranked through its 2-point facet nerve, with
+    # no column, and the floor 1 meets the ceiling, so C = 1 takes no
+    # search, also under a 1,000-node budget and in a report
+    columns = _gf2_columns(monkeypatch)
     big = SimplicialComplex([range(24), (30,)])
-    assert collapsibility_number(big, Budget(1000)) == 1
-    assert collapsibility_number(big) == 1
-    assert compute(big, ["C"], budget_limit=1000)["values"]["C"] == 1
-    assert tancer_inequality_check(big, (30,), Budget(1000))
     apart = SimplicialComplex([range(16), range(16, 32)])
-    assert collapsibility_number(apart) == 1
+    for x in (big, apart):
+        budget = Budget(1000)
+        assert collapsibility_number(x, budget) == 1, x
+        assert (columns, budget.used) == ([], 0), x
+    report = compute(big, ["C"], budget_limit=1000)
+    assert report["values"]["C"] == 1
+    assert report["budget"]["used_total"] == 0
+    assert tancer_inequality_check(big, (30,), Budget(1000))
+    assert columns == []
 
 
 def test_homology_floor_reads_gf2_torsion():
@@ -244,7 +309,7 @@ def test_homology_floor_reads_gf2_torsion():
     rp2 = SimplicialComplex(
         [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
          (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
-    assert invariants._homology_floor(rp2, Budget()) == 3
+    assert leray_number(rp2, 2) == 3
     c, spent, last = _nodes_of_the_last_search(rp2)
     assert c == 3 and spent == 0 < last
     c, cert = collapsibility_number_with_certificate(rp2)
@@ -255,9 +320,7 @@ def test_homology_floor_reads_gf2_torsion():
 def test_homology_floor_skips_the_doomed_searches():
     # NC(H) for the random-hypergraph generator's seed 36 (n=8, m=9,
     # max_size=3) has H~_4 != 0, so C >= 5 before any search; without the
-    # floor the searches at d = 0..4 spend 49,379 nodes.  The default
-    # budget: its rank bound (373,570 steps) exceeds a 1,000-node budget,
-    # which would skip the floor; the node counts below pin the skip
+    # floor the searches at d = 0..4 spend 49,379 nodes
     h = Hypergraph(8, [(1, 2), (1, 3), (1, 8), (2, 3, 8), (2, 5), (2, 6, 8),
                        (2, 7), (3, 5, 7), (4, 8)])
     nc = non_cover_complex(h)
@@ -266,20 +329,34 @@ def test_homology_floor_skips_the_doomed_searches():
     assert _nodes_of_the_last_search(nc) == (5, 19, 19)
 
 
+def _mod3_moore_space():
+    """A disk whose boundary winds three times around the triangle 1-2-3,
+    with a ring of vertices 4..12 and a centre 13 inside.  Every edge lies
+    in 2 or 3 triangles, so no face of at most 2 vertices is free and
+    C = 3, while its homology vanishes over GF(2) (H_1 is Z/3) and every
+    link is a graph or points: L(x; GF(2)) = 2 < C."""
+    rim = (1, 2, 3) * 3
+    facets = []
+    for i in range(9):
+        j = (i + 1) % 9
+        facets += [(rim[i], rim[j], 4 + i), (rim[j], 4 + i, 4 + j),
+                   (4 + i, 4 + j, 13)]
+    return SimplicialComplex(facets)
+
+
 def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
     """No ceiling, or one that does not replay: C still answers, through
-    the searches up from the floor, with the plain loop's certificate.  The
-    apex floor is below C, so the search at the floor fails, on each of
-    these: v6f10-6 (floor 0, C = 2, ceiling 3), three triangles in a path
-    around a vertex (a cone whose apex link is a path: floor 0, C = 1 =
-    ceiling) and NC(star_family(3)) (floor 0, C = 2 = ceiling)."""
+    the searches up from the floor L(x; GF(2)), with the plain loop's
+    certificate.  On v6f10-6 (floor 2 = C, ceiling 3) and NC(star_family(3))
+    (floor 2 = C) the search at the floor succeeds; on the mod-3 Moore
+    space (floor 2, C = 3) it fails and the one above succeeds."""
     from collapsekit.generators import star_family
-    xs = [v6f10_6(), SimplicialComplex([(1, 3, 5), (1, 4, 5), (2, 4, 5)]),
+    xs = [v6f10_6(), _mod3_moore_space(),
           non_cover_complex(star_family(3, (1, 1, 1)))]
-    for x in xs:
-        floor = invariants._homology_floor(x, Budget())
-        assert not is_d_collapsible(x, floor)[0], x
+    floors = [leray_number(x, 2) for x in xs]
     wants = [plain_collapsibility_number(x) for x in xs]
+    assert [(f, c) for f, (c, _) in zip(floors, wants)] == [
+        (2, 2), (2, 3), (2, 2)]
     for broken in (None, CollapseCertificate((), 0)):
         monkeypatch.setattr(invariants, "_mes_certificate",
                             lambda x, ordering: broken)
@@ -287,13 +364,11 @@ def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
             assert collapsibility_number_with_certificate(x) == want, x
 
 
-def test_c_returns_the_ceiling_when_the_threshold_question_says_yes(
-        monkeypatch):
-    """The three-cycle: floor 2 (H~_1 != 0) = ceiling, so no search runs;
-    with the floor skipped, the ceiling and the threshold question decide
-    C = 2, again without a search.  The path 2-1-3, 2-4 is contractible
-    and no cone (floor 0), its ceiling is 1, and the link of vertex 1 is
-    two points, so C = 1 without the search at 0."""
+def test_c_returns_the_ceiling_when_the_floor_reaches_it(monkeypatch):
+    """The three-cycle: floor 2 (H~_1 != 0) = ceiling, so no search runs,
+    under any budget.  The path 2-1-3, 2-4 is contractible and no cone,
+    but the link of vertex 1 is two points, so the floor is 1, the
+    ceiling is 1, and C = 1 without the search at 0."""
     searched = []
     search = invariants.is_d_collapsible
 
@@ -304,15 +379,11 @@ def test_c_returns_the_ceiling_when_the_threshold_question_says_yes(
     monkeypatch.setattr(invariants, "is_d_collapsible", counted)
     ceiling = invariants._mes_certificate(THREE_CYCLE,
                                           canonical_ordering(THREE_CYCLE))
-    c, cert = collapsibility_number_with_certificate(THREE_CYCLE)
-    assert (c, searched, cert) == (2, [], ceiling)
-    # a floor skipped by a tiny budget reads 0; the ceiling is 2 and the
-    # threshold question (a link with H~_1 != 0: the cycle itself) says
-    # C = 2 without the searches at 0 and 1
-    c, cert = collapsibility_number_with_certificate(THREE_CYCLE, Budget(20))
-    assert (c, searched, cert) == (2, [], ceiling)
+    for budget in (None, Budget(20)):
+        c, cert = collapsibility_number_with_certificate(THREE_CYCLE, budget)
+        assert (c, searched, cert) == (2, [], ceiling)
     path = SimplicialComplex([(1, 2), (1, 3), (2, 4)])
-    assert invariants._homology_floor(path, Budget()) == 0
+    assert apex_floor(path) == 0 and leray_number(path, 2) == 1
     c, cert = collapsibility_number_with_certificate(path)
     assert (c, searched) == (1, []) and cert.replay(path)
     assert c == plain_collapsibility_number(path)[0]
@@ -565,6 +636,33 @@ def test_m1_prime_can_overshoot_collapsibility():
     assert mk_prime(x, 1) == 2
 
 
+def test_mk_above_the_dimension_is_the_top_of_the_chain():
+    """Above the dimension there are no k-faces, so M'_k = M_{k-1} and
+    M_k = M'_k = M_{max(dim, 0)}: a huge k is clamped there instead of
+    recursing once per k, with the recursion limit left as it is."""
+    limit = sys.getrecursionlimit()
+    for x in (THREE_CYCLE, v6f10_6(), simplex_on((1, 2, 3)),
+              SimplicialComplex([(1,), (2,)])):
+        top = mk_chain(x, x.dim)[-1]
+        assert mk(x, 5000) == mk_prime(x, 5000) == top, x
+    assert sys.getrecursionlimit() == limit
+
+
+def test_mk_clamp_matches_the_engine_on_every_small_complex():
+    """On every complex on <= 4 vertices, for k up to dim + 2, mk and
+    mk_prime give the engine's unclamped value, and for k <= dim they
+    spend exactly its nodes."""
+    for x in all_complexes(4):
+        for k in range(x.dim + 3):
+            for public, engine in ((mk, invariants._MkEngine.m),
+                                   (mk_prime, invariants._MkEngine.m_prime)):
+                clamped, plain = Budget(), Budget()
+                got = public(x, k, clamped)
+                assert got == engine(invariants._MkEngine(plain), x, k), x
+                if k <= x.dim:
+                    assert clamped.used == plain.used, (x, k)
+
+
 def test_mk_rejects_negative_k():
     with pytest.raises(ValueError):
         mk(THREE_CYCLE, -1)
@@ -720,4 +818,9 @@ if __name__ == "__main__":
           f"cases, {failing} failing, {len(mismatches)} mismatches")
     for bad in mismatches:
         print(bad)
-    sys.exit(1 if mismatches else 0)
+    floor_mismatches, more, fewer = apex_floor_differential(n)
+    print(f"C against the apex floor: {len(floor_mismatches)} mismatches, "
+          f"{len(more)} with more nodes, {fewer} with fewer")
+    for bad in floor_mismatches + more:
+        print(bad)
+    sys.exit(1 if mismatches or floor_mismatches or more else 0)

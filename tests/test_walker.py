@@ -22,9 +22,9 @@ from collapsekit import (
 from collapsekit.errors import _depth_first
 from collapsekit.generators import GeneratorSpec, NAMED_EXAMPLES, generate
 from collapsekit.hypergraphs import non_cover_complex
-from collapsekit.invariants import _homology_floor, collapsibility_number
+from collapsekit.invariants import collapsibility_number
 
-from conftest import all_complexes
+from conftest import all_complexes, apex_floor
 
 D_MAX = 3
 
@@ -149,14 +149,14 @@ def test_goldens_match_the_oracle():
 
 def test_non_cover_complexes_match_the_oracle_up_to_their_c():
     """NC(H) of random n=8 hypergraphs, the nc-leray instances, reach
-    C = 5, past D_MAX: every d from the homology floor to C is checked."""
+    C = 5, past D_MAX: every d from the apex-link floor to C is checked."""
     reached = set()
     for seed in range(100):
         x = non_cover_complex(generate(GeneratorSpec(
             kind="random-hypergraph", seed=seed, n=8, m=9, max_size=3)))
         c = collapsibility_number(x)
         reached.add(c)
-        for d in range(_homology_floor(x, Budget()), c + 1):
+        for d in range(apex_floor(x), c + 1):
             b_walk, b_oracle = Budget(), Budget()
             assert (is_d_collapsible(x, d, b_walk)
                     == recursive_is_d_collapsible(x, d, b_oracle)), (x, d)
