@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple
+import operator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotAFaceError, NotFreeError, VertexRangeError
 
@@ -146,11 +147,45 @@ def _is_free(facets: Iterable[int], gamma: int, sigma: int) -> bool:
     return [f for f in facets if gamma & ~f == 0] == [sigma]
 
 
+def _open_faces(facets: Sequence[int], k: int) -> list[int]:
+    """The open k-faces of the complex with these facets, as increasing
+    masks: the k-faces outside the apex, the intersection of the facets.
+
+    sigma is open when some facet F has F | sigma in no facet (see
+    `SimplicialComplex.open_faces`).  A facet F holding sigma has
+    F | sigma = F; for a facet F missing a vertex of sigma, F | sigma is
+    strictly above F and so in no facet, since the facets are an antichain.
+    So sigma is open iff some facet misses it, iff sigma is not inside the
+    apex.  For k = 0 these are the vertices of the union less the apex."""
+    if not facets:
+        return []
+    apex = functools.reduce(operator.and_, facets)
+    if k == 0:
+        rest = functools.reduce(operator.or_, facets) & ~apex
+        return [1 << v for v in vertices_of(rest)]
+    return sorted(s for s in faces_of(facets, (k + 1,)) if s & ~apex)
+
+
+def _link(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
+    """The canonical facets of lk(sigma) for a face sigma of the complex
+    with these canonical facets: the F - sigma over the facets F holding
+    sigma, in facet order.
+
+    No canonicalization is needed.  F - sigma inside G - sigma would put F
+    inside G, so they form an antichain, and for F holding sigma,
+    F - sigma is F minus the mask sigma as a number, so the order holds.
+    The link of a facet, {empty face}, is the empty complex."""
+    lk = tuple(f ^ sigma for f in facets if sigma & ~f == 0)
+    return () if lk == (0,) else lk
+
+
 def _collapsed(facets: Iterable[int], gamma: int,
                sigma: int) -> tuple[int, ...]:
     """The canonical facets left by collapsing the free pair (gamma, sigma):
     sigma goes, and each sigma - v (v in gamma) that no remaining facet
-    holds comes in.  The empty face never stays (it is the empty complex)."""
+    holds comes in.  The empty face never stays (it is the empty complex).
+    This is `_deletion(facets, gamma)` for a gamma that sigma alone holds,
+    with the holder given, so the collapse search skips finding it."""
     rest = [f for f in facets if f != sigma]
     while gamma:
         low = gamma & -gamma
@@ -159,6 +194,30 @@ def _collapsed(facets: Iterable[int], gamma: int,
         if t and not any(t & ~f == 0 for f in rest):
             rest.append(t)
     return tuple(sorted(rest))
+
+
+def _deletion(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
+    """The canonical facets of del(sigma) for the complex with these
+    canonical facets: the facets missing a vertex of sigma are kept, and
+    each F - v (F a facet holding sigma, v in sigma) that no kept facet
+    holds comes in.  The empty face never stays (it is the empty complex).
+
+    No other antichain check is needed: no kept facet lies in an F - v (it
+    would lie in F), and two distinct F - v, G - w are never nested, since
+    for v != w only F - v holds w, and for v = w one inside the other
+    would put F inside G."""
+    kept = [f for f in facets if sigma & ~f]
+    out = list(kept)
+    for f in facets:
+        if sigma & ~f == 0:
+            rest = sigma
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                t = f ^ low
+                if t and not any(t & ~g == 0 for g in kept):
+                    out.append(t)
+    return tuple(sorted(out))
 
 
 def as_face(obj) -> Face:
@@ -220,6 +279,16 @@ class SimplicialComplex:
             masks = []
         object.__setattr__(self, "facets", tuple(map(_face, masks)))
         object.__setattr__(self, "_hash", hash(self.facets))
+
+    @classmethod
+    def _of_canonical(cls, masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex whose canonical facet list is already `masks` (an
+        increasing antichain, never [0]), built without canonicalizing."""
+        x = object.__new__(cls)
+        facets = tuple(map(_face, masks))
+        object.__setattr__(x, "facets", facets)
+        object.__setattr__(x, "_hash", hash(facets))
+        return x
 
     def __setattr__(self, *a):
         raise AttributeError("SimplicialComplex is immutable")
@@ -296,7 +365,7 @@ class SimplicialComplex:
             return self
         if not any(s & ~f == 0 for f in self.facets):
             raise NotAFaceError(f"{as_face(sigma)!r} is not a face of the complex")
-        return SimplicialComplex(f & ~s for f in self.facets if s & ~f == 0)
+        return SimplicialComplex._of_canonical(_link(self.facets, s))
 
     def deletion(self, sigma) -> "SimplicialComplex":
         """del(sigma, X) = faces of X not containing sigma.
@@ -307,13 +376,7 @@ class SimplicialComplex:
         s = int(as_face(sigma))
         if s == 0:
             raise ValueError("deletion of the empty face is rejected")
-        cand: list[int] = []
-        for f in self.facets:
-            if s & ~f:
-                cand.append(f)
-            else:
-                cand.extend(f & ~(1 << v) for v in vertices_of(s))
-        return SimplicialComplex(cand)
+        return SimplicialComplex._of_canonical(_deletion(self.facets, s))
 
     def induced(self, subset) -> "SimplicialComplex":
         """X[A]: faces contained in the vertex set A (labels outside V(X) are
@@ -323,27 +386,14 @@ class SimplicialComplex:
 
     def open_faces(self, k: int) -> set[Face]:
         """Faces sigma of dimension k whose link differs from the induced
-        complex on the complementary vertex set.
+        complex on the complementary vertex set: those not inside the apex,
+        the intersection of the facets (`_open_faces`).
 
         For k = 0 this is the set of non-cone vertices (link != deletion).
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        facets = self.facets
-        out = set()
-        # link(sigma) is always inside the induced complement, whose faces
-        # are the F - sigma for facets F; equality fails iff some facet F
-        # has F | sigma in no facet
-        for sigma in faces_of(facets, (k + 1,)):
-            for f in facets:
-                fs = f | sigma
-                for g in facets:
-                    if fs & ~g == 0:
-                        break
-                else:
-                    out.add(_face(sigma))
-                    break
-        return out
+        return set(map(_face, _open_faces(self.facets, k)))
 
     def free_pairs(self, d: int) -> list[FreePair]:
         """All free pairs (gamma, sigma) with |gamma| <= d.
@@ -366,7 +416,7 @@ class SimplicialComplex:
         """Elementary collapse: remove the interval [gamma, sigma]."""
         if not self.is_free_pair(pair):
             raise NotFreeError(f"{pair!r} is not a free pair of the complex")
-        return SimplicialComplex(
+        return SimplicialComplex._of_canonical(
             _collapsed(self.facets, int(pair.free_face), int(pair.facet)))
 
     def skeleton(self, n: int) -> "SimplicialComplex":

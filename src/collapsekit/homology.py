@@ -33,7 +33,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .complexes import Face, SimplicialComplex, faces_of, subsets, vertices_of
 from .errors import Budget, NotPureError, _depth_first
@@ -360,10 +360,10 @@ def _cached(cache: Optional[dict], key, make):
     """make(key), kept in `cache` under key when a cache is given.
 
     A link cache maps each link's facets to its `_Chains` (`_link_chains`)
-    and a complex to its list of `_closed_links` (a complex never equals a
-    facet tuple, so the two kinds of key never meet), so the questions
-    asked about one complex list its links once and share every rank
-    taken."""
+    and a complex to its `_closed_links` as a `_Replayed` list (a complex
+    never equals a facet tuple, so the two kinds of key never meet), so the
+    questions asked about one complex list its links once and share every
+    rank taken."""
     if cache is None:
         return make(key)
     hit = cache.get(key)
@@ -372,11 +372,38 @@ def _cached(cache: Optional[dict], key, make):
     return hit
 
 
+class _Replayed:
+    """An iterable's items, drawn from it only as far as some reader reads
+    and kept: each reader replays the items drawn so far, then draws the
+    next ones.  A scan that stops early, as C's capped Leray scan often
+    does at the apex link, leaves the rest undrawn (for `_closed_links`,
+    the closure under intersection unbuilt)."""
+
+    __slots__ = ("_items", "_source")
+
+    def __init__(self, source: Iterable):
+        self._items: list = []
+        self._source = iter(source)
+
+    def __iter__(self):
+        items = self._items
+        i = 0
+        while True:
+            if i == len(items):
+                try:
+                    items.append(next(self._source))
+                except StopIteration:
+                    return
+            yield items[i]
+            i += 1
+
+
 def _links_of(x: SimplicialComplex, cache: Optional[dict]):
-    """`_closed_links(x)`, listed once per cache."""
+    """`_closed_links(x)`, each link listed once per cache, and only as far
+    as some scan reads (`_Replayed`)."""
     if cache is None:
         return _closed_links(x)
-    return _cached(cache, x, lambda x: list(_closed_links(x)))
+    return _cached(cache, x, lambda x: _Replayed(_closed_links(x)))
 
 
 def leray_number(x: SimplicialComplex, field: Field = "Q",

@@ -34,7 +34,9 @@ best as its cutoff; M_k passes M_{k-1} as the cutoff for M'_k.  Only
 candidates that a bound shows cannot lower the min are dropped, so every
 value below the cutoff is exact, and the public functions start with no
 cutoff.  Memo entries are (value, exact) pairs, and a bound entry answers
-only a caller whose cutoff it reaches (see `_MkEngine`).
+only a caller whose cutoff it reaches (see `_MkEngine`).  The recursion
+runs on facet masks: the open k-faces are the k-faces outside the apex,
+the intersection of the facets, and no node builds a `SimplicialComplex`.
 
 All searches are exact and carry explicit node budgets; running out of
 budget raises, it never reads as "false".
@@ -48,9 +50,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .complexes import (FreePair, SimplicialComplex, _collapsed, _face,
-                        _free_faces_by_size, _is_free, as_face, faces_of,
-                        vertices_of)
+from .complexes import (FreePair, SimplicialComplex, _collapsed,
+                        _deletion, _face, _free_faces_by_size, _is_free,
+                        _link, _open_faces, as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
 from .homology import _leray
 
@@ -343,6 +345,13 @@ class _MkEngine:
     deletions of a complex share vertex labels, which is all the
     label-sensitive memo keys need.
 
+    The recursion runs on canonical facet tuples of plain masks: `m` and
+    `m_prime` take a complex and read its facets once, and every node below
+    is a facet tuple.  A node's open k-faces are its k-faces outside the
+    apex (`complexes._open_faces`), and its links and deletions come
+    canonical from `complexes._link` and `complexes._deletion`, so no node
+    builds a `SimplicialComplex`.
+
     M'_k(y) is the min over the open k-faces s of y of
     max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,
     0 for k = 0 and M_{k-1}(y) for k > 0.  `m(y, k, beta)` and
@@ -362,17 +371,18 @@ class _MkEngine:
     - returns beta itself when no candidate beats beta: every candidate,
       and so their min, is then >= beta.
 
-    M_k(y) = min(M'_k(y), M_{k-1}(y)) takes M_{k-1} first and passes
+    Candidates are tried in increasing mask order.  M_k(y) =
+    min(M'_k(y), M_{k-1}(y)) takes M_{k-1} first and passes
     min(beta, M_{k-1}) as the cutoff for M'_k.  A candidate is skipped
     only when a bound shows it is >= cut, so every value below the cutoff
     is exact, and the public functions call with beta = inf.
 
-    The memo maps a node to (value, exact).  A lookup returns an exact
-    entry, or a bound entry when its bound is >= the caller's beta; any
-    other bound entry is expanded again.  Entries are written only when a
-    node finishes, so each is true whatever budget the engine had, and a
-    report can hand the engine each invariant's budget in turn.  The
-    budget is spent once per expanded node.
+    The memo maps a node (facets, k, "m" or "mp") to (value, exact).  A
+    lookup returns an exact entry, or a bound entry when its bound is >=
+    the caller's beta; any other bound entry is expanded again.  Entries
+    are written only when a node finishes, so each is true whatever budget
+    the engine had, and a report can hand the engine each invariant's
+    budget in turn.  The budget is spent once per expanded node.
     """
 
     def __init__(self, budget: Optional[Budget] = None):
@@ -387,25 +397,31 @@ class _MkEngine:
         return None
 
     def m(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
+        return self._m(tuple(map(int, y.facets)), k, beta)
+
+    def m_prime(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
+        return self._mp(tuple(map(int, y.facets)), k, beta)
+
+    def _m(self, facets: tuple[int, ...], k: int, beta) -> int:
         if k == 0:
-            return self.m_prime(y, 0, beta)
-        key = (y.facets, k, "m")
+            return self._mp(facets, 0, beta)
+        key = (facets, k, "m")
         val = self._known(key, beta)
         if val is None:
-            prev = self.m(y, k - 1, beta)
-            val = min(prev, self.m_prime(y, k, min(beta, prev)))
+            prev = self._m(facets, k - 1, beta)
+            val = min(prev, self._mp(facets, k, min(beta, prev)))
             self._memo[key] = (val, val < beta)
         return val
 
-    def m_prime(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
-        key = (y.facets, k, "mp")
+    def _mp(self, facets: tuple[int, ...], k: int, beta) -> int:
+        key = (facets, k, "mp")
         val = self._known(key, beta)
         if val is not None:
             return val
         self.budget.spend()
-        open_k = sorted(y.open_faces(k))
+        open_k = _open_faces(facets, k)
         if not open_k:
-            val = 0 if k == 0 else self.m(y, k - 1, beta)
+            val = 0 if k == 0 else self._m(facets, k - 1, beta)
         elif beta <= k + 1:
             val = k + 1
         else:
@@ -414,9 +430,9 @@ class _MkEngine:
             best = math.inf
             for s in open_k:
                 cut = min(beta, best)
-                cand = self.m_prime(y.link(s), k, cut - k - 1) + k + 1
+                cand = self._mp(_link(facets, s), k, cut - k - 1) + k + 1
                 if cand < cut:
-                    cand = max(cand, self.m_prime(y.deletion(s), k, cut))
+                    cand = max(cand, self._mp(_deletion(facets, s), k, cut))
                 if cand < cut:
                     best = cand
                     if best == k + 1:

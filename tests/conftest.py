@@ -1,5 +1,6 @@
 """Shared test tooling: exhaustive enumeration of small complexes and
-hypergraphs, and the apex floor C was once searched from."""
+hypergraphs, the definition of an open face, and the apex floor C was once
+searched from."""
 
 import functools
 import operator
@@ -40,6 +41,13 @@ def all_hypergraphs(n: int) -> list[Hypergraph]:
     masks = range(2, 1 << (n + 1), 2)  # non-empty subsets of 1..n
     return [Hypergraph(n, [m for i, m in enumerate(masks) if family >> i & 1])
             for family in range(1, 1 << len(masks))]
+
+
+def open_faces_oracle(x: SimplicialComplex, k: int) -> set[Face]:
+    """The definition: the k-faces whose link is not the induced complex
+    on the complementary vertex set."""
+    vm = x.vertex_mask
+    return {s for s in x.faces(k) if x.link(s) != x.induced(Face(vm & ~s))}
 
 
 def apex_floor(x: SimplicialComplex) -> int:

@@ -19,13 +19,13 @@ from collapsekit import (
     join,
     simplex_on,
 )
-from collapsekit.complexes import (MAX_VERTEX, _collapsed,
-                                  _free_faces_by_size, _is_free, mask_of,
-                                  vertices_of)
+from collapsekit.complexes import (MAX_VERTEX, _collapsed, _deletion,
+                                  _free_faces_by_size, _is_free, _link,
+                                  _open_faces, faces_of, mask_of, vertices_of)
 from collapsekit.homology import _Chains
 from collapsekit.invariants import _collapse_moves
 
-from conftest import all_complexes
+from conftest import all_complexes, open_faces_oracle
 
 V6F10_6 = SimplicialComplex(
     [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6),
@@ -261,10 +261,12 @@ def test_open_vertices_of_three_cycle():
     assert cyc.open_faces(0) == {Face.of([v]) for v in (1, 2, 3)}
 
 
-def open_faces_oracle(x, k):
-    """The definition: k-faces whose link is not the induced complement."""
-    vm = x.vertex_mask
-    return {s for s in x.faces(k) if x.link(s) != x.induced(Face(vm & ~s))}
+def open_faces_by_unions(x, k):
+    """The f_k x m x m scan `open_faces` made before the apex rule: sigma is
+    open when some facet F has F | sigma in no facet."""
+    facets = x.facets
+    return {Face(s) for s in faces_of(facets, (k + 1,))
+            if any(all((f | s) & ~g for g in facets) for f in facets)}
 
 
 @given(nonempty_complexes, st.integers(min_value=0, max_value=2))
@@ -276,9 +278,47 @@ def test_open_faces_match_link_vs_induced_on_every_small_complex():
     pairs = 0
     for x in all_complexes(5):
         for k in range(x.dim + 1):
-            assert x.open_faces(k) == open_faces_oracle(x, k), (x, k)
+            want = open_faces_oracle(x, k)
+            assert x.open_faces(k) == want, (x, k)
+            assert open_faces_by_unions(x, k) == want, (x, k)
             pairs += 1
     assert pairs == 21_945
+
+
+def _closure(facets):
+    """Every face of the complex with these facets, the empty face
+    included, as a set of masks; {empty face} reads as the empty complex."""
+    faces = faces_of(facets, range(8))
+    return set() if faces == {0} else faces
+
+
+def test_mask_helpers_match_the_face_set_definitions_on_every_small_complex():
+    """On every complex on <= 5 vertices and every nonempty face sigma:
+    `_link` and `_deletion` give a canonical facet tuple (an increasing
+    antichain, never (0,)) whose faces are {tau : tau & sigma = 0,
+    tau | sigma in X} and {tau in X : sigma not in tau}, and `_open_faces`
+    gives, in increasing order, the faces whose link is not the induced
+    complex on the other vertices, read from face sets alone."""
+    faces_seen = 0
+    for x in all_complexes(5):
+        faces = _closure(x.facets)
+        by_size: dict[int, list[int]] = {}
+        for sigma in sorted(faces - {0}):
+            lk = {t for t in faces if not t & sigma and t | sigma in faces}
+            rest = x.vertex_mask & ~sigma
+            induced = {t for t in faces if not t & ~rest}
+            if lk != induced:
+                by_size.setdefault(sigma.bit_count(), []).append(sigma)
+            dl = {t for t in faces if sigma & ~t}
+            for got, want in ((_link(x.facets, sigma), lk),
+                              (_deletion(x.facets, sigma), dl)):
+                assert got == tuple(SimplicialComplex(got).facets), (x, sigma)
+                assert _closure(got) == (set() if want == {0} else want), (
+                    x, sigma)
+            faces_seen += 1
+        for k in range(x.dim + 1):
+            assert _open_faces(x.facets, k) == by_size.get(k + 1, []), (x, k)
+    assert faces_seen == 113_716
 
 
 # -- free pairs and collapse ----------------------------------------------
@@ -389,13 +429,15 @@ def test_is_free_matches_the_holder_count_on_every_small_complex():
 
 def test_collapsed_matches_canonicalizing_the_collapse():
     """For every free pair, `_collapsed` is the canonical facet tuple of
-    the facets less sigma plus every sigma - v, v in gamma."""
+    the facets less sigma plus every sigma - v, v in gamma, and so is
+    `_deletion` of gamma, which sigma alone holds."""
     for x in all_complexes(5):
         for gamma, sigma in x.free_pairs(5):
             cand = [f for f in x.facets if f != sigma]
             cand += [sigma & ~(1 << v) for v in vertices_of(gamma)]
             want = SimplicialComplex(cand).facets
             assert _collapsed(x.facets, gamma, sigma) == want, (x, gamma)
+            assert _deletion(x.facets, gamma) == want, (x, gamma)
 
 
 def test_free_pair_detection():

@@ -31,7 +31,7 @@ from collapsekit import (
 )
 from collapsekit import homology, reports
 from collapsekit.complexes import subsets
-from collapsekit.generators import star_family
+from collapsekit.generators import NAMED_EXAMPLES, star_family
 from collapsekit.homology import (
     _is_prime,
     _leray_induced,
@@ -502,6 +502,39 @@ def test_apex_link_comes_before_the_closure(monkeypatch):
     cone = SimplicialComplex([(1, 2, 3), (1, 3, 4)])
     assert next(homology._closed_links(cone)) == (0, (0b100, 0b10000))
     assert homology._leray(sphere, 2, None, 17) == 17
+
+
+def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
+    """A link cache draws the closed links once, and only as far as some
+    scan reads: C of the 17-sphere stops at its apex link (the sphere
+    itself), so a report of C alone never builds the 2^18 closed faces;
+    on v6f10-6 the capped scan draws a prefix, the full scan draws the
+    rest, and a report of C and the Leray number draws each link once."""
+    closed_links = homology._closed_links
+    drawn = []
+
+    def counted(x):
+        for item in closed_links(x):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    sphere = boundary(range(1, 19))
+    assert reports.compute(sphere, ["C"])["values"] == {"C": 17}
+    assert len(drawn) == 1
+    x = NAMED_EXAMPLES["v6f10-6"]()
+    links = list(closed_links(x))
+    drawn.clear()
+    cache = {}
+    assert homology._leray(x, 2, cache, 2) == 2
+    assert 0 < len(drawn) < len(links)
+    assert leray_number(x, "Q", cache) == 2
+    assert leray_number(x, 2, cache) == 2
+    assert drawn == links
+    drawn.clear()
+    assert reports.compute(x, ["C", "leray"])["values"] == {"C": 2,
+                                                           "leray": 2}
+    assert drawn == links
 
 
 def _closed(x, sigma):

@@ -5,7 +5,9 @@ shared engine against fresh ones.
 `PlainMk` evaluates both children at every open face, exactly as the
 definition reads; it is memoized but never pruned.  `ExactMk` is the
 branch-and-bound engine that solved every sub-call exactly before the
-cutoff search: its memo holds exact values only.  Both live only here.
+cutoff search: its memo holds exact values only.  Both live only here, on
+`SimplicialComplex` objects, and read the open faces from their definition
+(`conftest.open_faces_oracle`), not from the apex rule the engine uses.
 
 The ≤ 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_mk_oracle.py 5` runs the cutoff engine
@@ -23,7 +25,7 @@ from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import _MkEngine
 from collapsekit.reports import compute
 
-from conftest import all_complexes
+from conftest import all_complexes, open_faces_oracle
 
 K_MAX = 2
 
@@ -45,7 +47,7 @@ class PlainMk:
     def m_prime(self, y, k):
         key = (y.facets, k, "mp")
         if key not in self.memo:
-            open_k = y.open_faces(k)
+            open_k = open_faces_oracle(y, k)
             if not open_k:
                 val = 0 if k == 0 else self.m(y, k - 1)
             else:
@@ -66,7 +68,7 @@ class ExactMk(PlainMk):
     def m_prime(self, y, k):
         key = (y.facets, k, "mp")
         if key not in self.memo:
-            open_k = sorted(y.open_faces(k))
+            open_k = sorted(open_faces_oracle(y, k))
             if not open_k:
                 val = 0 if k == 0 else self.m(y, k - 1)
             else:
@@ -145,6 +147,13 @@ def test_golden_chain_stays_within_its_node_count():
 
 def _star_nc(n):
     return non_cover_complex(star_family(n, (1,) * n))
+
+
+def test_star_four_m0_spends_its_pinned_nodes():
+    # any change in the nodes the M_0 recursion expands shows here
+    b = Budget()
+    assert mk(non_cover_complex(star_family(4, (2,) * 4)), 0, b) == 5
+    assert b.used == 1_370
 
 
 def test_star_five_m1_is_cut_off_early():
