@@ -17,14 +17,18 @@ induced-subcomplex brute force `_leray_induced` is its oracle), homological
 connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
 decomposability with replayable shedding witnesses.  The capped scan over
 GF(2) is the floor of the collapsibility number: a d-collapsible complex is
-d-Leray (Wegner 1975), so C is searched only from L(X; GF(2)) up, and a
-link cache lets the later Leray questions about the same complex reuse its
-ranks.  The Leray scan and the link Cohen-Macaulay test read only the links
-of closed faces (the intersections of facets): every other link is a cone,
-with no reduced homology.  Each such link is ranked through the nerve of
-its facets when that has fewer vertices and no more faces, else through
-itself; by the nerve theorem both have the same reduced homology over every
-field.
+d-Leray (Wegner 1975), so C is searched only from L(X; GF(2)) up.  Capped
+at C's ceiling u it is exact, since L(X; GF(2)) <= C <= u.  A report makes
+one homology pass per complex through one link cache: C's floor is taken
+once (`_gf2_floor`) and bounds the Leray number over every field, and the
+Leray scans, the Betti numbers and the Cohen-Macaulay test share every link
+listed and every rank taken.  The Leray scan and the link Cohen-Macaulay
+test read only the links of closed faces (the intersections of facets):
+every other link is a cone, with no reduced homology.  Each such link is
+ranked through the nerve of its facets when that has fewer vertices and no
+more faces, else through itself; by the nerve theorem both have the same
+reduced homology over every field.  The k-vertex decomposition search runs
+on facet masks, with one shedding test (`_shed`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .complexes import Face, SimplicialComplex, faces_of, subsets, vertices_of
+from .complexes import (Face, SimplicialComplex, _face, _link, faces_of,
+                        subsets, vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -242,19 +247,30 @@ class _Chains:
         return -1
 
 
-def reduced_betti(x: SimplicialComplex, field: Field = "Q") -> BettiVector:
+def reduced_betti(x: SimplicialComplex, field: Field = "Q",
+                  cache: Optional[dict] = None) -> BettiVector:
     """Reduced Betti numbers of x over the chosen field.
 
     The empty complex is identified with the complex whose only face is the
-    empty face, so its degree -1 rank is 1.
+    empty face, so its degree -1 rank is 1.  A cone (some vertex in every
+    facet) has no reduced homology, so it takes no rank.  Any other complex
+    has the empty face as its apex and is its own apex link, the first link
+    every Leray scan ranks.  A link cache that holds that link's `_Chains`
+    (x's own or its facet nerve's, `_link_chains`; the nerve theorem gives
+    both the same homology) lends them, with every rank the Leray scans and
+    C's floor took; otherwise x's own chains are ranked, and not kept.
     """
     p = _parse_field(field)
     tag = "Q" if p is None else f"GF{p}"
     if x.is_empty:
         return BettiVector(tag, 1, ())
-    chains = _Chains(x.facets)
+    if functools.reduce(operator.and_, x.facets):
+        return BettiVector(tag, 0, (0,) * (x.dim + 1))
+    chains = None if cache is None else cache.get(x.facets)
+    if chains is None:
+        chains = _Chains(x.facets)
     return BettiVector(tag, 0, tuple(chains.betti(t, p)
-                                     for t in range(chains.dim + 1)))
+                                     for t in range(x.dim + 1)))
 
 
 def is_homologically_connected(
@@ -359,11 +375,11 @@ def _link_chains(lk: tuple[int, ...]) -> _Chains:
 def _cached(cache: Optional[dict], key, make):
     """make(key), kept in `cache` under key when a cache is given.
 
-    A link cache maps each link's facets to its `_Chains` (`_link_chains`)
-    and a complex to its `_closed_links` as a `_Replayed` list (a complex
-    never equals a facet tuple, so the two kinds of key never meet), so the
-    questions asked about one complex list its links once and share every
-    rank taken."""
+    A link cache maps each link's facets to its `_Chains` (`_link_chains`),
+    a complex to its `_closed_links` as a `_Replayed` list, and (complex,
+    "C") to C's floor with its ceiling (`_gf2_floor`); no two kinds of key
+    ever meet.  So the questions asked about one complex list its links
+    once and share every rank taken."""
     if cache is None:
         return make(key)
     hit = cache.get(key)
@@ -418,13 +434,38 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
     link is a cone and has no reduced homology.  Each distinct link is
     ranked once, through its facet nerve when that has fewer vertices and
     no more faces, else through itself (`_link_chains`; the nerve theorem
-    gives both the same homology).  The scan is `_leray` capped at dim(x) + 1,
-    which no link exceeds, so its value is exactly that of the
+    gives both the same homology).  The scan is `_leray` capped at
+    dim(x) + 1, which no link exceeds, so its value is exactly that of the
     full Betti vector of every link, and `_leray_induced` is the test
-    oracle.  A link cache (`_cached`) keeps the links and ranks for later
-    questions about x, and reuses those C's floor took.
+    oracle.
+
+    A link cache (`_cached`) keeps the links and ranks for later questions
+    about x, and reuses those C's floor took.  When C's floor is in the
+    cache (`_gf2_floor`: L(x; GF(2)) and a ceiling u >= C(x)), it bounds
+    the scan: over GF(2) it is the answer; over Q the scan is capped at it,
+    since b_i(Q) <= b_i(GF(2)) on every link, so it stops at the first
+    link that reaches it; over an odd prime field it is capped at u, since
+    a u-collapsible complex is u-Leray over every field (Wegner 1975).
     """
-    return _leray(x, _parse_field(field), cache, x.dim + 1)
+    p = _parse_field(field)
+    cap = x.dim + 1
+    floor = None if cache is None else cache.get((x, "C"))
+    if floor is not None:
+        l2, u = floor
+        if p == 2:
+            return l2
+        cap = l2 if p is None else min(cap, u)
+    return _leray(x, p, cache, cap)
+
+
+def _gf2_floor(x: SimplicialComplex, cache: Optional[dict], u) -> int:
+    """L(x; GF(2)) for a nonempty x with C(x) <= u (u may be math.inf):
+    the GF(2) scan capped at u, which is exact because L(x; GF(2)) <= C(x)
+    (Wegner 1975).  It is C's floor.  With a link cache it is taken once,
+    and kept with u under the key (x, "C") (a pair never equals a facet
+    tuple or a complex), where `leray_number` reads it."""
+    return _cached(cache, (x, "C"),
+                   lambda key: (_leray(x, 2, cache, u), u))[0]
 
 
 def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
@@ -472,21 +513,24 @@ def _leray_induced(x: SimplicialComplex, field: Field = "Q") -> int:
                    for y in _induced_subcomplexes(x, "brute-force Leray"))
 
 
-def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q") -> bool:
+def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q",
+                      cache: Optional[dict] = None) -> bool:
     """Pure, and every link is homologically (dim(link) - 1)-connected.
 
     Only the links of closed faces are read (`_closed_links`; any other
     link is a cone, acyclic in every degree), each through itself or its
     facet nerve as in `leray_number`, and always against the link's own
     dimension.  Degrees are walked up from 0 and the walk stops at the
-    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.
+    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.  A link
+    cache shares the links and their ranks with the Leray scans and the
+    Betti numbers of x.
     """
     p = _parse_field(field)
     if not x.is_pure():
         return False
-    for d, lk in _closed_links(x):
+    for d, lk in _links_of(x, cache):
         if d > 0:
-            chains = _link_chains(lk)
+            chains = _cached(cache, lk, _link_chains)
             if any(chains.nonzero(t, p) for t in range(d)):
                 return False
     return True
@@ -558,13 +602,39 @@ class SheddingWitness(NamedTuple):
     dim_bound: int
 
 
+def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
+    """The facets of del(sigma) if sigma is a shedding face of the pure
+    complex with these canonical facets, else None.
+
+    del(sigma) keeps the facets missing sigma and takes in each F - v (F a
+    facet holding sigma, v in sigma) that no kept facet holds
+    (`complexes._deletion`).  On a pure complex every F - v is one
+    dimension short, so the deletion is pure of the same dimension exactly
+    when some facet misses sigma (else it drops a dimension) and every
+    F - v lies in a kept facet; it is then the kept facets, already
+    canonical."""
+    kept = tuple(f for f in facets if sigma & ~f)
+    if not kept:
+        return None
+    for f in facets:
+        if sigma & ~f == 0:
+            rest = sigma
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                t = f ^ low
+                if not any(t & ~g == 0 for g in kept):
+                    return None
+    return kept
+
+
 def _shedding_deletion(
     y: SimplicialComplex, sigma: Face
 ) -> Optional[SimplicialComplex]:
-    """del(sigma, y) if sigma is a shedding face of y (the deletion is pure
-    of y's dimension), else None."""
-    dele = y.deletion(sigma)
-    return dele if dele.is_pure() and dele.dim == y.dim else None
+    """del(sigma, y) if sigma is a shedding face of the pure complex y (the
+    deletion is pure of y's dimension), else None (`_shed`)."""
+    dele = _shed(y.facets, sigma)
+    return None if dele is None else SimplicialComplex._of_canonical(dele)
 
 
 def is_k_vertex_decomposable(
@@ -576,65 +646,74 @@ def is_k_vertex_decomposable(
     the complex, then the sequence for its deletion, then for its link;
     simplices (and the empty complex) contribute nothing.  Candidate faces
     are tried by dimension then vertex tuple, so runs are deterministic.
+    The search runs on canonical facet tuples of plain masks, each its own
+    memo key: shedding faces and deletions come from `_shed` and links from
+    `complexes._link`, and faces become `Face`s only in the witness.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if not x.is_pure():
         raise NotPureError("k-vertex decomposability is defined for pure complexes")
     budget = budget or Budget()
-    memo: dict[tuple, Optional[tuple[SheddingWitness, ...]]] = {}
+    memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 
-    def rec(y: SimplicialComplex) -> Optional[tuple[SheddingWitness, ...]]:
-        if y.is_empty or y.is_simplex:
+    def rec(facets: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        if len(facets) <= 1:
             return ()
-        key = y.facets
-        if key in memo:
-            return memo[key]
+        if facets in memo:
+            return memo[facets]
         budget.spend()
-        candidates: list[Face] = []
-        for j in range(min(k, y.dim) + 1):
-            candidates.extend(sorted(y.faces(j), key=lambda f: f.vertices))
+        candidates: list[int] = []
+        for j in range(min(k, facets[0].bit_count() - 1) + 1):
+            candidates.extend(sorted(faces_of(facets, (j + 1,)),
+                                     key=vertices_of))
         result = None
         for sigma in candidates:
-            dele = _shedding_deletion(y, sigma)
+            dele = _shed(facets, sigma)
             if dele is None:
                 continue
             sub_del = rec(dele)
             if sub_del is None:
                 continue
-            sub_lk = rec(y.link(sigma))
+            sub_lk = rec(_link(facets, sigma))
             if sub_lk is None:
                 continue
-            result = (SheddingWitness(sigma, k),) + sub_del + sub_lk
+            result = (sigma,) + sub_del + sub_lk
             break
-        memo[key] = result
+        memo[facets] = result
         return result
 
-    witness = rec(x)
+    witness = rec(x.facets)
     if witness is None:
         return False, None
-    return True, witness
+    return True, tuple(SheddingWitness(_face(s), k) for s in witness)
 
 
 def verify_shedding_sequence(
     x: SimplicialComplex, k: int, witness: tuple[SheddingWitness, ...]
 ) -> bool:
-    """Replay a pre-order shedding sequence and check every step."""
+    """Replay a pre-order shedding sequence and check every step.  Shedding
+    is defined for pure complexes (`is_k_vertex_decomposable` refuses any
+    other), so a non-pure x has no valid sequence."""
+    if not x.is_pure():
+        return False
 
-    def consume(y: SimplicialComplex, pos: int) -> Optional[int]:
-        if y.is_empty or y.is_simplex:
+    def consume(facets: tuple[int, ...], pos: int) -> Optional[int]:
+        if len(facets) <= 1:
             return pos
         if pos >= len(witness):
             return None
         face, bound = witness[pos]
-        if bound != k or face.dim > k or face.dim < 0:
+        if bound != k or not 0 < face.bit_count() <= k + 1:
             return None
-        dele = _shedding_deletion(y, face) if face in y else None
+        if not any(face & ~f == 0 for f in facets):
+            return None
+        dele = _shed(facets, face)
         if dele is None:
             return None
         after_del = consume(dele, pos + 1)
         if after_del is None:
             return None
-        return consume(y.link(face), after_del)
+        return consume(_link(facets, face), after_del)
 
-    return consume(x, 0) == len(witness)
+    return consume(x.facets, 0) == len(witness)

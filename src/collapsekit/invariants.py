@@ -54,7 +54,7 @@ from .complexes import (FreePair, SimplicialComplex, _collapsed,
                         _deletion, _face, _free_faces_by_size, _is_free,
                         _link, _open_faces, as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
-from .homology import _leray
+from .homology import _gf2_floor, _leray
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def collapsibility_number_with_certificate(
     or None).  The floor f is the GF(2) Leray number: a d-collapsible
     complex is d-Leray over every field (Wegner 1975), and GF(2) gives a
     floor at least the rational one, with the cheaper modular rank.  It is
-    the Leray link scan capped at u (`homology._leray`), so it asks no
+    the Leray link scan capped at u (`homology._gf2_floor`), so it asks no
     degree >= u and stops at u, which it reaches exactly when some link
     has nonzero GF(2) homology in degree u - 1.  C is decided in three
     steps:
@@ -203,13 +203,14 @@ def _collapsibility(
 ) -> tuple[int, CollapseCertificate]:
     """`collapsibility_number_with_certificate` with its ceiling, already
     replayed (or None), given by `ceiling()`, which is called only on a
-    nonempty x, and `links` the link cache the floor's Leray scan shares
-    with the report's other Leray questions."""
+    nonempty x, and `links` the link cache the floor shares with the
+    report's Leray number and Betti numbers (`homology._gf2_floor`: taken
+    once per cache, so a Leray number asked first has it ready)."""
     if x.is_empty:
         return 0, CollapseCertificate((), 0)
     top = ceiling()
     u = math.inf if top is None else top.claimed_d
-    d = _leray(x, 2, links, u)
+    d = _gf2_floor(x, links, u)
     while d < u:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:

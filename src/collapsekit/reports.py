@@ -39,6 +39,7 @@ from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
                          generate)
 from .homology import (
     Field,
+    _gf2_floor,
     _leray_induced,
     _parse_field,
     _shedding_deletion,
@@ -93,11 +94,19 @@ class _Evaluation:
     """What the invariants of one report share: the instance, the field,
     the running invariant's budget, the witnesses, the link cache of the
     complex the collapse invariants read (the instance, or NC(H) for a
-    hypergraph: its closed-face links and their ranks, shared by C's floor,
-    the GF(2) Leray scan capped at the ceiling, and the Leray number), and,
-    each built once on first use, the M_k engine, that complex, its facet
-    order and the mes ceiling under that order, replayed (C's certificate
-    wherever C reaches it, and d_mes read from its claim)."""
+    hypergraph), and, each built once on first use, the M_k engine, that
+    complex, its facet order and the mes ceiling under that order,
+    replayed (C's certificate wherever C reaches it, and d_mes read from
+    its claim).
+
+    The link cache is the report's one homology pass: the complex's
+    closed-face links and their ranks, and C's floor L(X; GF(2)), the
+    GF(2) Leray scan capped at the ceiling's claim (`homology._gf2_floor`).
+    The floor is taken once, by C or, when the report asks C, by the Leray
+    number if it comes first; it is the GF(2) Leray number and caps the
+    rational scan.  The Betti numbers and the Cohen-Macaulay test read the
+    same links and ranks.  `asks_c` says whether the report asks C: a
+    report without it builds no ceiling for the Leray number."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -105,6 +114,7 @@ class _Evaluation:
         self.budget: Optional[Budget] = None
         self.witnesses: dict = {}
         self.links: dict = {}
+        self.asks_c = False
         # the NC invariants of a hypergraph report under prefixed keys
         self.prefix = "" if isinstance(inst, SimplicialComplex) else "nc_"
 
@@ -155,7 +165,7 @@ def _inv_d(ev):
 
 
 def _inv_betti(ev):
-    b = reduced_betti(ev.inst, ev.field)
+    b = reduced_betti(ev.inst, ev.field, ev.links)
     return {"field": b.coefficient_field, "rank_neg1": b.rank_neg1,
             "ranks": list(b.ranks)}
 
@@ -191,7 +201,12 @@ def _inv_gamma(name, fn):
 
 
 def _inv_leray(ev):
-    return leray_number(ev.complex, ev.field, ev.links)
+    x = ev.complex
+    if ev.asks_c and x.facets:
+        # C's floor, which C takes anyway, caps the scan: taken here first
+        top = ev.ceiling
+        _gf2_floor(x, ev.links, math.inf if top is None else top.claimed_d)
+    return leray_number(x, ev.field, ev.links)
 
 
 COMPLEX_INVARIANTS = {
@@ -203,7 +218,8 @@ COMPLEX_INVARIANTS = {
     "leray": _inv_leray,
     "betti": _inv_betti,
     "shellable": _inv_shellable,
-    "cohen_macaulay": lambda ev: is_cohen_macaulay(ev.inst, ev.field),
+    "cohen_macaulay": lambda ev: is_cohen_macaulay(ev.inst, ev.field,
+                                                   ev.links),
     "kvd0": _inv_kvd(0),
     "kvd1": _inv_kvd(1),
     "kvd2": _inv_kvd(2),
@@ -249,6 +265,7 @@ def compute(
     repeated = sorted({name for name in which if which.count(name) > 1})
     if repeated:
         raise KeyError(f"duplicate invariant(s) {repeated}")
+    ev.asks_c = any(registry[name] is _inv_C for name in which)
     values: dict = {}
     exhausted = []
     not_applicable = {}

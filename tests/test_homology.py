@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from collapsekit import (
     Budget,
+    Face,
     NotPureError,
+    SheddingWitness,
     SimplicialComplex,
     boundary,
     is_cohen_macaulay,
@@ -451,9 +454,10 @@ def test_capped_leray_scan_reads_the_leray_number_below_its_cap():
 def test_capped_leray_scan_shares_its_ranks_with_the_full_scan(
         monkeypatch):
     """With one cache, the closed links are listed once and each link is
-    built once across both scans, and the full scan over Q takes fewer
-    GF(2) ranks than alone: it reuses those the capped GF(2) scan (C's
-    floor in a report) took."""
+    built once across the scans, and the Leray number over Q takes fewer
+    GF(2) ranks than alone: it reuses those C's floor (`_gf2_floor`, the
+    capped GF(2) scan) took, and stops at that floor.  The cache holds one
+    entry per built link, the closed-link list and the floor."""
     nc = non_cover_complex(star_family(4, (2,) * 4))
     ranked, built, listed = [], [], []
     rank_gf2, link_chains = homology._rank_gf2, homology._link_chains
@@ -481,12 +485,14 @@ def test_capped_leray_scan_shares_its_ranks_with_the_full_scan(
     listed.clear()
     cache = {}
     assert homology._leray(nc, 2, cache, want) == want
-    assert homology._leray(nc, 2, cache, want + 1) == want
+    assert homology._gf2_floor(nc, cache, want + 1) == want
+    assert cache[nc, "C"] == (want, want + 1)
     ranked.clear()
     assert leray_number(nc, "Q", cache) == want
+    assert leray_number(nc, 2, cache) == want
     assert len(ranked) < alone
     assert listed == [nc]
-    assert built and len(built) == len(set(built)) == len(cache) - 1
+    assert built and len(built) == len(set(built)) == len(cache) - 2
 
 
 def test_apex_link_comes_before_the_closure(monkeypatch):
@@ -544,11 +550,13 @@ def _closed(x, sigma):
 
 
 def test_links_of_non_closed_faces_are_acyclic():
+    # read by dense elimination: `reduced_betti` answers a cone, as every
+    # such link is, without a rank
     for x in all_complexes(5):
         for sigma in x.all_faces():
             if not _closed(x, sigma):
-                b = reduced_betti(x.link(sigma))
-                assert (b.rank_neg1, any(b.ranks)) == (0, False), (x, sigma)
+                lk = x.link(sigma)
+                assert not lk.is_empty and not any(dense_betti(lk)), (x, sigma)
 
 
 def _answers(x):
@@ -746,6 +754,105 @@ def test_kvd0_boundary_of_tetrahedron():
     assert verify_shedding_sequence(TETRA_BOUNDARY, 0, wit)
 
 
+def test_a_non_pure_complex_has_no_shedding_sequence():
+    # shedding {4} leaves the triangle, and its link is empty, so the
+    # replay of this one-step sequence would succeed; but the search
+    # refuses the complex, and so does the replay
+    x = SimplicialComplex([(1, 2, 3), (4,)])
+    witness = (SheddingWitness(Face.of([4]), 0),)
+    with pytest.raises(NotPureError):
+        is_k_vertex_decomposable(x, 0)
+    assert not verify_shedding_sequence(x, 0, witness)
+
+
+def oracle_shedding_deletion(y, sigma):
+    """The shedding test the mask search replaced: build del(sigma, y) and
+    ask that it be pure of y's dimension."""
+    dele = y.deletion(sigma)
+    return dele if dele.is_pure() and dele.dim == y.dim else None
+
+
+def oracle_kvd(x, k, budget):
+    """The search on `SimplicialComplex` objects that `is_k_vertex_decomposable`
+    replaced, kept as its oracle: same candidate order, same memo, one
+    budget node per expanded complex."""
+    memo = {}
+
+    def rec(y):
+        if y.is_empty or y.is_simplex:
+            return ()
+        if y.facets in memo:
+            return memo[y.facets]
+        budget.spend()
+        candidates = []
+        for j in range(min(k, y.dim) + 1):
+            candidates.extend(sorted(y.faces(j), key=lambda f: f.vertices))
+        result = None
+        for sigma in candidates:
+            dele = oracle_shedding_deletion(y, sigma)
+            if dele is None:
+                continue
+            sub_del = rec(dele)
+            if sub_del is None:
+                continue
+            sub_lk = rec(y.link(sigma))
+            if sub_lk is None:
+                continue
+            result = (SheddingWitness(sigma, k),) + sub_del + sub_lk
+            break
+        memo[y.facets] = result
+        return result
+
+    witness = rec(x)
+    return (False, None) if witness is None else (True, witness)
+
+
+def oracle_verify(x, k, witness):
+    """The replay on `SimplicialComplex` objects, for pure x."""
+
+    def consume(y, pos):
+        if y.is_empty or y.is_simplex:
+            return pos
+        if pos >= len(witness):
+            return None
+        face, bound = witness[pos]
+        if bound != k or face.dim > k or face.dim < 0:
+            return None
+        dele = oracle_shedding_deletion(y, face) if face in y else None
+        if dele is None:
+            return None
+        after_del = consume(dele, pos + 1)
+        if after_del is None:
+            return None
+        return consume(y.link(face), after_del)
+
+    return consume(x, 0) == len(witness)
+
+
+def test_kvd_matches_the_complex_search_on_every_small_pure_complex():
+    """Every pure complex on <= 5 vertices, k = 0, 1, 2: the verdict, the
+    witness and the nodes spent are the old search's, and the replay of
+    each witness, of it under another k and of it less its last step
+    agrees with the old replay."""
+    pure = [x for x in all_complexes(5) if x.is_pure()]
+    assert len(pure) == 2110  # the empty complex included
+    found = 0
+    for x in pure:
+        for k in (0, 1, 2):
+            mine, old = Budget(), Budget()
+            got = is_k_vertex_decomposable(x, k, mine)
+            assert got == oracle_kvd(x, k, old), (x, k)
+            assert mine.used == old.used, (x, k)
+            ok, wit = got
+            if ok:
+                found += 1
+                assert all(type(w.face) is Face for w in wit)
+                for kk, w in ((k, wit), ((k + 1) % 3, wit), (k, wit[:-1])):
+                    assert (verify_shedding_sequence(x, kk, w)
+                            == oracle_verify(x, kk, w)), (x, k, kk, w)
+    assert 0 < found < 3 * len(pure)
+
+
 @given(complexes)
 @settings(max_examples=25, deadline=None)
 def test_kvd_witnesses_replay(x):
@@ -799,3 +906,111 @@ def test_cone_over_three_cycle():
     assert reduced_betti(cone).top_nonzero_degree() == -1
     assert leray_number(cone) == 2
     assert is_cohen_macaulay(cone)
+
+
+# -- one homology pass per report ------------------------------------------
+
+#: Report orders that put the Leray number and the Betti numbers before,
+#: after and without C, whose floor L(X; GF(2)) caps the Leray scan.
+REPORT_ORDERS = (["leray", "C", "betti"], ["C", "betti", "leray"],
+                 ["leray"], ["betti"])
+
+
+def report_differential(n):
+    """Every complex on <= n vertices over Q, GF(2) and GF(3): in each
+    report order, `leray` is the standalone `leray_number`, `betti` the
+    standalone `reduced_betti`, and C's value and certificate are those of
+    C asked alone.  Returns (reports, mismatches)."""
+    count = 0
+    mismatches = []
+    for x in all_complexes(n):
+        for field in ("Q", 2, 3):
+            b = reduced_betti(x, field)
+            want = {"leray": leray_number(x, field),
+                    "betti": {"field": b.coefficient_field,
+                              "rank_neg1": b.rank_neg1,
+                              "ranks": list(b.ranks)}}
+            alone = reports.compute(x, ["C"], field=field)
+            want["C"] = alone["values"]["C"]
+            for which in REPORT_ORDERS:
+                report = reports.compute(x, which, field=field)
+                count += 1
+                got = report["values"]
+                if (got != {k: want[k] for k in which}
+                        or report["witnesses"] != {
+                            k: v for k, v in alone["witnesses"].items()
+                            if "C" in which}):
+                    mismatches.append((x, field, which))
+    return count, mismatches
+
+
+def test_reports_read_leray_and_betti_as_the_standalone_calls():
+    count, mismatches = report_differential(4)
+    assert mismatches == []
+    assert count == len(all_complexes(4)) * 3 * len(REPORT_ORDERS)
+
+
+def test_report_leray_over_q_sees_rp2_below_its_gf2_floor():
+    # C's floor is L(RP2; GF(2)) = 3; the rational scan capped there still
+    # finds L(RP2; Q) = 2, from the hexagon vertex links, and GF(3) sees
+    # what Q sees
+    for which in (["C", "leray"], ["leray", "C"]):
+        for field, leray in (("Q", 2), (2, 3), (3, 2)):
+            values = reports.compute(RP2, which, field=field)["values"]
+            assert values == {"C": 3, "leray": leray}, (which, field)
+
+
+def test_cones_have_zero_betti_vectors_with_no_rank(monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a cone was ranked")
+
+    monkeypatch.setattr(homology, "_rank_gf2", no_rank)
+    monkeypatch.setattr(homology, "_rank_signed", no_rank)
+    apex = simplex_on((0,))
+    for x in (join(apex, THREE_CYCLE), join(apex, RP2), simplex_on((1, 2)),
+              join(apex, boundary(range(1, 19)))):
+        for field in ("Q", 2, 3):
+            b = reduced_betti(x, field, {})
+            assert (b.rank_neg1, b.ranks) == (0, (0,) * (x.dim + 1)), x
+    report = reports.compute(join(apex, RP2), ["betti"], field=2)
+    assert report["values"]["betti"]["ranks"] == [0, 0, 0, 0]
+
+
+def test_leray_alone_builds_no_ceiling(monkeypatch):
+    # the GF(2) floor is read from the report only when the report asks C,
+    # which builds the ceiling anyway
+    def no_ceiling(x, ordering):
+        raise AssertionError("the ceiling was built")
+
+    monkeypatch.setattr(reports, "_mes_ceiling", no_ceiling)
+    assert reports.compute(V6F10_6, ["leray", "betti"])["values"][
+        "leray"] == 2
+    h = star_family(3, (1, 1, 1))
+    assert reports.compute(h, ["nc_leray"])["values"] == {"nc_leray": 2}
+
+
+def test_a_report_ranks_few_gf2_columns_for_c_and_leray(monkeypatch):
+    # L(X; GF(2)) is taken once, and the rational scan stops at the first
+    # link that reaches it: 2,688 GF(2) columns here, against 11,779 when
+    # the rational scan walked every closed-face link
+    columns = []
+    rank_gf2 = homology._rank_gf2
+
+    def counted(lower, upper):
+        columns.extend(upper)
+        return rank_gf2(lower, upper)
+
+    monkeypatch.setattr(homology, "_rank_gf2", counted)
+    report = reports.compute(star_family(4, (2,) * 4), ["nc_C", "nc_leray"])
+    assert report["values"] == {"nc_C": 5, "nc_leray": 5}
+    assert len(columns) <= 2688
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    count, mismatches = report_differential(n)
+    print(f"{len(all_complexes(n))} complexes on <= {n} vertices: {count} "
+          f"reports, {len(mismatches)} mismatches")
+    for bad in mismatches:
+        print(bad)
+    sys.exit(1 if mismatches else 0)
