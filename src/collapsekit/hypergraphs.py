@@ -1,14 +1,19 @@
 """Hypergraphs, covers, the non-cover complex and exact domination numbers.
 
 Vertices are 1-based: V = {1, ..., n}.  Subsets are passed around as Python
-sets/iterables at the API surface and handled as bitmasks internally.  All
-optimizers are increasing-cardinality exhaustive searches with early exit;
-exactness over speed, and every result carries a re-checkable witness.
-The domination searches are plain fewest-first scans over int masks: each
-target vertex gets its requirement masks once (its neighbourhood, or its
-edge remainders e - {v} for strong domination), and each candidate is
-tested against them; each candidate tested spends one unit of the
-caller's `Budget`.  Strong independence is read from neighbourhoods.
+sets/iterables at the API surface and handled as bitmasks internally.  Every
+search is exact, and every result carries a re-checkable witness.
+
+The least dominating sets come from fewest-first scans over int masks:
+each target vertex gets its requirement masks once (its neighbourhood, or
+its edge remainders e - {v} for strong domination), and each candidate is
+tested against them.  The sets the two max parameters range over, the
+minimal covers (gamma_i) and the maximal strongly independent sets
+(gamma_si), are the leaves of one branching walk, `_branch`, which takes
+the first requirement a set misses and branches on its vertices; the max
+loops skip a set whose upper bound cannot beat the best so far.  Each
+candidate tested and each walk node spends one unit of the caller's
+`Budget`.  Strong independence is read from neighbourhoods.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
 singleton edge {v} exists (so "isolated" means what it does for graphs).
@@ -161,18 +166,15 @@ class Hypergraph:
 
     def minimal_covers(self, budget: Budget | None = None):
         """All inclusion-minimal covers, as sorted vertex tuples, in
-        `subsets` order.  Each vertex of a minimal cover has an edge of its
-        own, so only vertices on some edge and at most one per edge are
-        tried, one budget unit each."""
-        budget = budget or Budget()
-        pool = functools.reduce(operator.or_, self.edges, 0)
-        sizes = range(min(pool.bit_count(), len(self.edges)) + 1)
-        covers = []
-        for m in subsets(pool, sizes):
-            budget.spend()
-            if self._is_minimal_cover(m):
-                covers.append(vertices_of(m))
-        return covers
+        `subsets` order.
+
+        They are leaves of `_branch` over the edges: a minimal cover D is
+        reached by taking, at each node, the first vertex of the first
+        unmet edge that lies in D (a leaf inside D is a cover, so it is D),
+        and `_is_minimal_cover` drops the leaves that are covers but not
+        minimal.  One budget unit per walk node."""
+        leaves = _branch(self.edges, (0,) * (self.n + 1), budget or Budget())
+        return [vertices_of(m) for m in leaves if self._is_minimal_cover(m)]
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,45 @@ def nc_bound_order(h: Hypergraph):
     """
     order = _cover_relabeling(h)[3]
     return order.complex, order
+
+
+# -- the branching walker ---------------------------------------------------
+
+def _branch(reqs, spread, budget: Budget) -> list[int]:
+    """Every set reached by branching on the first requirement mask it
+    misses, in `subsets` order (fewest vertices first, then in
+    itertools.combinations order).
+
+    A node is a chosen set and a banned set, both masks.  When the chosen
+    set meets every mask in `reqs` it is a leaf; otherwise the node
+    branches on the vertices v of the first mask it misses that are not
+    banned, in increasing order.  The branch that takes v bans v in the
+    branches after it and `spread[v]` in its own subtree, so no two leaves
+    are equal: two branches part where one takes a vertex the other bans.
+    Every set S that meets every mask, and meets no `spread[v]` for v in
+    S, holds a leaf: take at each node the first vertex of the missed mask
+    that lies in S, and no vertex of S is ever banned on that path.  The
+    nodes sit on an explicit stack, and each spends one budget unit."""
+    leaves = []
+    stack = [(0, 0)]
+    while stack:
+        chosen, banned = stack.pop()
+        budget.spend()
+        for r in reqs:
+            if not r & chosen:
+                break
+        else:
+            leaves.append(chosen)
+            continue
+        free = r & ~banned
+        while free:
+            bit = free & -free
+            free ^= bit
+            stack.append((chosen | bit,
+                          banned | spread[bit.bit_length() - 1]))
+            banned |= bit
+    leaves.sort(key=lambda m: (m.bit_count(), vertices_of(m)))
+    return leaves
 
 
 # -- the fewest-first scans -------------------------------------------------
@@ -307,7 +348,8 @@ def gamma_i(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
 
     gamma_A is monotone in A, so the max is attained on a maximal
     independent set, i.e. on the complement of a minimal cover; only those
-    are enumerated.  Every cover and every W tested spends a budget unit.
+    are enumerated (`_maximizing_cover`).  Every node of the cover walk and
+    every W tested spends a budget unit.
     """
     h._forbid_isolated()
     return _maximizing_cover(h, budget)[1]
@@ -350,19 +392,28 @@ def gamma_si(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
 
     I is strongly independent when none of its vertices has a singleton
     edge and none is a neighbour of another, and maximal when every other
-    vertex without a singleton edge is a neighbour of I.  Every I and every
-    B tested spends a budget unit."""
+    vertex without a singleton edge is a neighbour of I: when I meets N[u]
+    for each such u.  So the maximal I are exactly the leaves of `_branch`
+    over those N[u], cut to the vertices without a singleton edge, each
+    chosen v banning N(v) (a leaf inside I is maximal, so it is I); they
+    come in `subsets` order.
+
+    Each v of I lies on an edge of at most r vertices, r the largest edge
+    size, whose other vertices strongly dominate it, so
+    gamma(H; I) <= |I| (r - 1), and an I whose bound cannot beat the best
+    so far is skipped: the first maximum stays the witness.  Every node of
+    the walk and every B tested spends a budget unit."""
     h._forbid_isolated()
     budget = budget or Budget()
     free = h.vertex_mask
     for v in range(1, h.n + 1):
         if 0 in h._strong[v]:
             free &= ~(1 << v)
+    reqs = [(h._nbr[u] | 1 << u) & free for u in vertices_of(free)]
+    per_vertex = max(e.bit_count() for e in h.edges) - 1
     best = None
-    for i in subsets(free, range(free.bit_count() + 1)):
-        budget.spend()
-        reach = h._nbr_mask(i)
-        if reach & i or free & ~(i | reach):
+    for i in _branch(reqs, h._nbr, budget):
+        if best is not None and i.bit_count() * per_vertex <= best.value:
             continue
         res = gamma_strong(h, i, budget)
         if best is None or res.value > best.value:
@@ -401,11 +452,24 @@ def _maximizing_cover(
 ) -> tuple[tuple[int, ...], DominationResult]:
     """The first minimal cover D (in `minimal_covers` order) maximizing
     gamma over its complement, with that gamma_A result.  V itself is a
-    cover, so some minimal cover exists."""
+    cover, so some minimal cover exists.
+
+    The dominating set lies in D, and each vertex outside D has a
+    neighbour in D (its edges meet D elsewhere), so gamma is at most
+    min(|D|, |V - D|), and a cover whose bound cannot beat the best so far
+    is skipped.  The first cover's complement is always dominated, so a
+    vertex on no edge, which no cover holds, raises `UndominatableError`
+    there."""
     budget = budget or Budget()
-    return max(((cover, gamma_A(h, h.vertex_mask & ~mask_of(cover), budget))
-                for cover in h.minimal_covers(budget)),
-               key=lambda pair: pair[1].value)
+    best = None
+    for cover in h.minimal_covers(budget):
+        size = len(cover)
+        if best is not None and min(size, h.n - size) <= best[1].value:
+            continue
+        res = gamma_A(h, h.vertex_mask & ~mask_of(cover), budget)
+        if best is None or res.value > best[1].value:
+            best = cover, res
+    return best
 
 
 def maximizing_minimal_cover(h: Hypergraph) -> tuple[int, ...]:

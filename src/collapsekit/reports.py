@@ -352,14 +352,18 @@ def shedding_leray_inequality_check(
     """L(X) >= max(L(del), L(lk) + k + 1) for a shedding k-face whose
     deletion is Cohen-Macaulay; a bad field raises ValueError first, and
     hypothesis failures raise, they are never reported as False."""
-    rhs = _shedding_leray_rhs(x, as_face(sigma), field)
-    return leray_number(x, field) >= rhs
+    cache: dict = {}
+    rhs = _shedding_leray_rhs(x, as_face(sigma), field, cache)
+    return leray_number(x, field, cache) >= rhs
 
 
-def _shedding_leray_rhs(x: SimplicialComplex, s: Face, field: Field) -> int:
+def _shedding_leray_rhs(x: SimplicialComplex, s: Face, field: Field,
+                        cache: dict) -> int:
     """max(L(del s), L(lk s) + k + 1) for a shedding k-face s of x whose
     deletion is Cohen-Macaulay.  The field is parsed before any hypothesis
-    is tested, so a bad field never reads as an unmet hypothesis."""
+    is tested, so a bad field never reads as an unmet hypothesis.  The
+    Cohen-Macaulay test and the Leray scans share the link cache `cache`,
+    so the deletion's links are listed and ranked once."""
     _parse_field(field)
     if s not in x or s.dim < 0:
         raise HypothesisNotMetError("sigma must be a nonempty face of x")
@@ -368,10 +372,10 @@ def _shedding_leray_rhs(x: SimplicialComplex, s: Face, field: Field) -> int:
     dele = _shedding_deletion(x, s)
     if dele is None:
         raise HypothesisNotMetError("sigma is not a shedding face")
-    if not is_cohen_macaulay(dele, field):
+    if not is_cohen_macaulay(dele, field, cache):
         raise HypothesisNotMetError("deletion(sigma, x) is not Cohen-Macaulay")
-    return max(leray_number(dele, field),
-               leray_number(x.link(s), field) + s.dim + 1)
+    return max(leray_number(dele, field, cache),
+               leray_number(x.link(s), field, cache) + s.dim + 1)
 
 
 def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
@@ -619,13 +623,16 @@ def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
     ok, _ = is_k_vertex_decomposable(x, 1, budget)
     if not ok:
         return "skip"
-    # L(X) is ranked once, and only once some face meets the hypotheses
-    lhs = functools.cache(lambda: leray_number(x))
+    # L(X) is ranked once, and only once some face meets the hypotheses;
+    # one link cache serves every face and L(X) (its keys are facet tuples
+    # and complexes, so the links of different complexes never mix)
+    cache: dict = {}
+    lhs = functools.cache(lambda: leray_number(x, "Q", cache))
     checked = False
     for k in range(0, min(x.dim, 1) + 1):
         for sigma in sorted(x.faces(k)):
             try:
-                rhs = _shedding_leray_rhs(x, sigma, "Q")
+                rhs = _shedding_leray_rhs(x, sigma, "Q", cache)
             except HypothesisNotMetError:
                 continue
             _chk(lhs() >= rhs, x,

@@ -884,9 +884,9 @@ def test_shed_leray_trial_ranks_the_trial_complex_at_most_once(monkeypatch):
     ranked = []
     real = reports.leray_number
 
-    def counted(y, field="Q"):
+    def counted(y, field="Q", cache=None):
         ranked.append(y)
-        return real(y, field)
+        return real(y, field, cache)
 
     monkeypatch.setattr(reports, "leray_number", counted)
     run = reports.THEOREMS["shed-leray"][1]
@@ -897,6 +897,26 @@ def test_shed_leray_trial_ranks_the_trial_complex_at_most_once(monkeypatch):
     tri = simplex_on((1, 2, 3))
     assert run(tri, random.Random(0), Budget()) == "skip"
     assert ranked == []
+
+
+def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
+    """The trial's faces and L(X) share one link cache, and so do the
+    Cohen-Macaulay test and the Leray scans of one check: the links of a
+    deletion, its faces' links and X are each listed once."""
+    listed = []
+    real = homology._closed_links
+
+    def counted(y):
+        listed.append(y)
+        return real(y)
+
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    run = reports.THEOREMS["shed-leray"][1]
+    assert run(V6F10_6, random.Random(0), Budget()) == "pass"
+    assert len(listed) == len(set(listed)) == 17
+    listed.clear()
+    assert shedding_leray_inequality_check(V6F10_6, (2, 3))
+    assert len(listed) == len(set(listed)) == 3
 
 
 def test_cone_over_three_cycle():

@@ -1,12 +1,16 @@
 """Hypergraphs, covers, the non-cover complex and the domination numbers.
 
 The suite checks the domination numbers against a plain oracle on every
-hypergraph on <= 3 vertices and on every one on 4 vertices with edges of at
-most two vertices.  From the repo root,
+hypergraph on <= 3 vertices, on every one on 4 vertices with edges of at
+most two vertices, and on every one on 4 vertices with at most 4 edges.
+From the repo root,
 `PYTHONPATH=src python tests/test_hypergraphs.py 4` checks them on all
-32,767 hypergraphs on 4 vertices (about 3 minutes).
+32,767 hypergraphs on 4 vertices (about 3 minutes), and
+`PYTHONPATH=src python tests/test_hypergraphs.py graphs 5` on all 32,767
+graphs on 5 vertices, loops included.
 """
 
+import inspect
 import itertools
 import random
 import re
@@ -471,14 +475,84 @@ def oracle_differential(hypergraphs, targets):
     return checked, mismatches
 
 
+def graphs_with_loops(n):
+    """Every hypergraph on 1..n whose edges have one or two vertices (loops
+    and graph edges), one at a time."""
+    small = [m for m in range(2, 1 << (n + 1), 2) if m.bit_count() <= 2]
+    for f in range(1, 1 << len(small)):
+        yield Hypergraph(n, [m for i, m in enumerate(small) if f >> i & 1])
+
+
+def graph_targets(n):
+    """Targets of each size up to three, a non-interval pair, all of 1..n
+    and one outside it."""
+    return [0, 0b10, 0b1100, 0b10010, 0b11100, (1 << (n + 1)) - 2,
+            1 << (n + 1)]
+
+
 def test_domination_matches_the_oracle_on_every_4_vertex_graph():
-    # every family of edges with one or two vertices: loops and graph edges;
-    # targets of each size, a non-interval pair and one outside 1..4
-    small = [m for m in range(2, 1 << 5, 2) if m.bit_count() <= 2]
-    families = [Hypergraph(4, [m for i, m in enumerate(small) if f >> i & 1])
-                for f in range(1, 1 << len(small))]
-    targets = [0, 0b10, 0b1100, 0b10010, 0b11100, 0b11110, 1 << 5]
-    assert oracle_differential(families, targets) == (1023, [])
+    assert oracle_differential(graphs_with_loops(4),
+                               graph_targets(4)) == (1023, [])
+
+
+def subsets_order(masks):
+    return sorted(masks, key=lambda m: (m.bit_count(), vertices_of(m)))
+
+
+def hypergraphs_with_few_edges(n, most):
+    """Every hypergraph on 1..n with between one and `most` edges."""
+    masks = range(2, 1 << (n + 1), 2)
+    for r in range(1, most + 1):
+        for edges in itertools.combinations(masks, r):
+            yield Hypergraph(n, edges)
+
+
+def test_cover_and_independence_walks_match_the_oracle_on_4_vertices():
+    """Every hypergraph on 4 vertices with at most 4 edges (1,940
+    families) agrees with the oracle, and `_branch` yields each set once,
+    in `subsets` order, with or without a spread."""
+    families = list(hypergraphs_with_few_edges(4, 4))
+    assert oracle_differential(families, []) == (1940, [])
+    for h in families:
+        for spread in ((0,) * 5, h._nbr):
+            leaves = hg._branch(h.edges, spread, Budget())
+            assert leaves == subsets_order(set(leaves)), (h, spread)
+
+
+def test_branch_yields_each_leaf_once_in_subsets_order():
+    # nested and overlapping requirements; with the spread, taking 2 bans 3
+    # and taking 3 bans 2
+    reqs = [mask_of(r) for r in ((1, 2), (2, 3), (1, 2, 3, 4), (1, 3))]
+    spread = (0, 0, 1 << 3, 1 << 2, 0)
+    walks = {sp: hg._branch(reqs, sp, Budget()) for sp in ((0,) * 5, spread)}
+    for leaves in walks.values():
+        assert leaves == subsets_order(set(leaves))
+        assert all(all(r & m for r in reqs) for m in leaves)
+    assert ([vertices_of(m) for m in walks[(0,) * 5]]
+            == [(1, 2), (1, 3), (2, 3)])
+    assert [vertices_of(m) for m in walks[spread]] == [(1, 2), (1, 3)]
+    assert hg._branch([], spread, Budget()) == [0]
+
+
+def test_cover_walk_on_a_large_star_is_short_and_iterative():
+    """A star on 127 vertices has 2^127 vertex subsets but two minimal
+    covers; the walk finds them in 128 nodes.  The path down to the cover
+    {2, ..., 127} is 126 nodes deep, and the walk keeps its own stack, so
+    a recursion limit 60 frames above the caller's depth does not stop
+    it."""
+    star = Hypergraph(127, [(1, v) for v in range(2, 128)])
+    covers, b = Budget(), Budget()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert star.minimal_covers(covers) == [(1,), tuple(range(2, 128))]
+        gi, gsi = gamma_i(star, b), gamma_si(star, b)
+    finally:
+        sys.setrecursionlimit(old)
+    assert covers.used == 128
+    assert gi == DominationResult(1, (1,), tuple(range(2, 128)))
+    assert gsi.value == 1
+    assert b.used < 500
 
 
 def test_domination_matches_the_oracle_on_random_hypergraphs():
@@ -491,39 +565,34 @@ def test_domination_matches_the_oracle_on_random_hypergraphs():
                               for _ in range(4)])
 
 
-def test_early_exit_searches_stop_at_the_least_size(monkeypatch):
+def test_early_exit_searches_stop_at_the_least_size():
     # on 60 vertices a scan of every subset would never end; the searches
-    # stop at sizes 1 and 2 after drawing a few dozen candidates
+    # stop at sizes 1 and 2 after testing a handful of candidates
     star = Hypergraph(60, [(1, v) for v in range(2, 61)])
-    drawn = []
-    real = hg.subsets
-
-    def counted(mask, sizes):
-        for m in real(mask, sizes):
-            drawn.append(m)
-            yield m
-
-    monkeypatch.setattr(hg, "subsets", counted)
+    b = Budget()
     leaves = range(2, 61)
-    assert gamma_A(star, leaves) == DominationResult(1, (1,), tuple(leaves))
-    assert gamma_tilde(star) == DominationResult(2, (1, 2), tuple(range(1, 61)))
-    assert gamma_E(star) == DominationResult(1, ((1, 2),), tuple(range(1, 61)))
-    assert gamma_strong(star, [1]) == DominationResult(1, (2,), (1,))
-    assert len(drawn) < 100
+    assert gamma_A(star, leaves, b) == DominationResult(1, (1,), tuple(leaves))
+    assert gamma_tilde(star, b) == DominationResult(2, (1, 2),
+                                                    tuple(range(1, 61)))
+    assert gamma_E(star, b) == DominationResult(1, ((1, 2),),
+                                                tuple(range(1, 61)))
+    assert gamma_strong(star, [1], b) == DominationResult(1, (2,), (1,))
+    assert b.used < 100
 
 
 def test_domination_scans_draw_on_the_budget():
-    """Every scan spends one unit per candidate tested: a star on 18
-    vertices has 2^18 cover candidates, so gamma_i in a report with a
-    1,000-node budget runs out instead of scanning them all."""
-    star = Hypergraph(18, [(1, v) for v in range(2, 19)])
-    report = compute(star, ["gamma_i"], budget_limit=1000)
+    """Every scan spends one unit per candidate tested or walk node: a
+    perfect matching on 22 vertices has 2^11 minimal covers, so gamma_i in
+    a report with a 1,000-node budget runs out instead of walking them
+    all."""
+    matching = Hypergraph(22, [(v, v + 1) for v in range(1, 23, 2)])
+    report = compute(matching, ["gamma_i"], budget_limit=1000)
     assert report["budget"]["exhausted"] == ["gamma_i"]
     assert report["values"] == {}
     with pytest.raises(BudgetExceededError):
-        star.minimal_covers(Budget(1000))
-    # each scan draws: a budget of one candidate is too small for any of
-    # them on the 4-cycle, and a generous one changes no value
+        matching.minimal_covers(Budget(1000))
+    # each scan draws: a budget of one unit is too small for any of them
+    # on the 4-cycle, and a generous one changes no value
     for fn in (gamma_i, gamma_tilde, gamma_si, gamma_E,
                lambda h, b: gamma_A(h, [1, 3], b),
                lambda h, b: gamma_strong(h, [1, 2], b)):
@@ -751,11 +820,20 @@ def test_main_bound_needs_the_cover_relabeling():
 
 
 if __name__ == "__main__":
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    # every target inside 1..n and one outside, as in the <= 3 vertex test
-    targets = list(range(0, 1 << (n + 1), 2)) + [1 << (n + 1)]
-    checked, mismatches = oracle_differential(all_hypergraphs(n), targets)
-    print(f"{checked} hypergraphs on {n} vertices: "
+    if sys.argv[1:2] == ["graphs"]:
+        # every graph with loops, against the targets of the 4-vertex test
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+        kind = "graphs"
+        checked, mismatches = oracle_differential(graphs_with_loops(n),
+                                                  graph_targets(n))
+    else:
+        n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
+        kind = "hypergraphs"
+        # every target inside 1..n and one outside, as in the <= 3 vertex
+        # test
+        targets = list(range(0, 1 << (n + 1), 2)) + [1 << (n + 1)]
+        checked, mismatches = oracle_differential(all_hypergraphs(n), targets)
+    print(f"{checked} {kind} on {n} vertices: "
           f"{len(mismatches)} disagree with the oracle")
     for bad in mismatches:
         print(bad)
