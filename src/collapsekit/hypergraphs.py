@@ -309,20 +309,21 @@ def _fewest(need, budget: Budget) -> int | None:
             return b
 
 
+def _strong_req(h: Hypergraph, v: int):
+    """The requirement for strongly dominating v: some e - {v} inside B,
+    met by one neighbour when e is a pair; None for a vertex with a
+    singleton edge, which needs nothing."""
+    ends = h._strong[v]
+    if 0 in ends:
+        return None
+    meet = functools.reduce(
+        operator.or_, (s for s in ends if not s & (s - 1)), 0)
+    return meet, tuple(s for s in ends if s & (s - 1) and not s & meet)
+
+
 def _strong_need(h: Hypergraph, w: int) -> set:
-    """The requirements for strongly dominating the vertices of w: v needs
-    some e - {v} inside B, met by one neighbour when e is a pair; a vertex
-    with a singleton edge needs nothing."""
-    need = set()
-    for v in vertices_of(w):
-        ends = h._strong[v]
-        if 0 in ends:
-            continue
-        meet = functools.reduce(
-            operator.or_, (s for s in ends if not s & (s - 1)), 0)
-        need.add((meet, tuple(s for s in ends
-                              if s & (s - 1) and not s & meet)))
-    return need
+    """The requirements for strongly dominating the vertices of w."""
+    return {_strong_req(h, v) for v in vertices_of(w)} - {None}
 
 
 def gamma_A(h: Hypergraph, target,
@@ -371,7 +372,12 @@ def gamma_strong(h: Hypergraph, w,
     wm = int(as_face(w))
     if wm & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
-    b = _fewest(_strong_need(h, wm), budget or Budget())
+    return _gamma_strong(wm, _strong_need(h, wm), budget or Budget())
+
+
+def _gamma_strong(wm: int, need, budget: Budget) -> DominationResult:
+    """`gamma_strong` of the target wm, whose requirements are `need`."""
+    b = _fewest(need, budget)
     if b is None:
         raise UndominatableError(
             f"{list(vertices_of(wm))} cannot be strongly dominated")
@@ -401,21 +407,22 @@ def gamma_si(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
     Each v of I lies on an edge of at most r vertices, r the largest edge
     size, whose other vertices strongly dominate it, so
     gamma(H; I) <= |I| (r - 1), and an I whose bound cannot beat the best
-    so far is skipped: the first maximum stays the witness.  Every node of
-    the walk and every B tested spends a budget unit."""
+    so far is skipped: the first maximum stays the witness.  Each vertex's
+    strong-domination requirement is built once, not once per I.  Every
+    node of the walk and every B tested spends a budget unit."""
     h._forbid_isolated()
     budget = budget or Budget()
-    free = h.vertex_mask
-    for v in range(1, h.n + 1):
-        if 0 in h._strong[v]:
-            free &= ~(1 << v)
-    reqs = [(h._nbr[u] | 1 << u) & free for u in vertices_of(free)]
+    # the vertices without a singleton edge, each with its requirement
+    need = {v: req for v in range(1, h.n + 1)
+            if (req := _strong_req(h, v)) is not None}
+    free = mask_of(need)
+    reqs = [(h._nbr[u] | 1 << u) & free for u in need]
     per_vertex = max(e.bit_count() for e in h.edges) - 1
     best = None
     for i in _branch(reqs, h._nbr, budget):
         if best is not None and i.bit_count() * per_vertex <= best.value:
             continue
-        res = gamma_strong(h, i, budget)
+        res = _gamma_strong(i, {need[v] for v in vertices_of(i)}, budget)
         if best is None or res.value > best.value:
             best = res
     return best

@@ -37,6 +37,9 @@ cutoff.  Memo entries are (value, exact) pairs, and a bound entry answers
 only a caller whose cutoff it reaches (see `_MkEngine`).  The recursion
 runs on facet masks: the open k-faces are the k-faces outside the apex,
 the intersection of the facets, and no node builds a `SimplicialComplex`.
+A report that asks C also floors the root of its M_k at C's floor
+L(X; GF(2)): the scan stops once a candidate meets it, and M_k returns
+M_{k-1} once that does.
 
 All searches are exact and carry explicit node budgets; running out of
 budget raises, it never reads as "false".
@@ -368,7 +371,8 @@ class _MkEngine:
       above cut cannot lower the min below cut (a max is never below its
       terms), and runs the deletion, with cutoff cut, only when the link
       term is below cut;
-    - stops the scan once the best candidate equals k + 1;
+    - stops the scan once the best candidate equals k + 1 (at a floored
+      root, once it meets the floor; see below);
     - returns beta itself when no candidate beats beta: every candidate,
       and so their min, is then >= beta.
 
@@ -377,6 +381,17 @@ class _MkEngine:
     min(beta, M_{k-1}) as the cutoff for M'_k.  A candidate is skipped
     only when a bound shows it is >= cut, so every value below the cutoff
     is exact, and the public functions call with beta = inf.
+
+    `m(y, k, floor=f)` takes a root-only floor f <= C(y), such as
+    L(y; GF(2)) (Wegner 1975); None, the default, is no floor.  Every
+    candidate of y's M'_k scan is >= M'_k(y) >= C(y) >= f, and so is every
+    M_j(y), since C <= M_j <= M'_j.  So the root's M'_k scan stops at the
+    first candidate <= max(k + 1, f), which is then M'_k(y), and the
+    root's M_k, k >= 1, returns M_{k-1}(y) without expanding M'_k when
+    M_{k-1}(y) <= f.  Both stay exact.  The floor reaches the root's own
+    M_{k-1} and M'_j nodes, but no link or deletion: it is a bound for y
+    only.  A report asking C passes C's floor; the public functions pass
+    none, since taking the floor costs more there than it saves.
 
     The memo maps a node (facets, k, "m" or "mp") to (value, exact).  A
     lookup returns an exact entry, or a bound entry when its bound is >=
@@ -397,24 +412,26 @@ class _MkEngine:
             return hit[0]
         return None
 
-    def m(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
-        return self._m(tuple(map(int, y.facets)), k, beta)
+    def m(self, y: SimplicialComplex, k: int, beta=math.inf,
+          floor: Optional[int] = None) -> int:
+        return self._m(tuple(map(int, y.facets)), k, beta, floor)
 
     def m_prime(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
         return self._mp(tuple(map(int, y.facets)), k, beta)
 
-    def _m(self, facets: tuple[int, ...], k: int, beta) -> int:
+    def _m(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
         if k == 0:
-            return self._mp(facets, 0, beta)
+            return self._mp(facets, 0, beta, floor)
         key = (facets, k, "m")
         val = self._known(key, beta)
         if val is None:
-            prev = self._m(facets, k - 1, beta)
-            val = min(prev, self._mp(facets, k, min(beta, prev)))
+            val = self._m(facets, k - 1, beta, floor)
+            if floor is None or val > floor:
+                val = min(val, self._mp(facets, k, min(beta, val), floor))
             self._memo[key] = (val, val < beta)
         return val
 
-    def _mp(self, facets: tuple[int, ...], k: int, beta) -> int:
+    def _mp(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
         key = (facets, k, "mp")
         val = self._known(key, beta)
         if val is not None:
@@ -422,13 +439,14 @@ class _MkEngine:
         self.budget.spend()
         open_k = _open_faces(facets, k)
         if not open_k:
-            val = 0 if k == 0 else self._m(facets, k - 1, beta)
+            val = 0 if k == 0 else self._m(facets, k - 1, beta, floor)
         elif beta <= k + 1:
             val = k + 1
         else:
             # best: the least candidate below beta; every candidate cut
-            # off is >= beta or >= best
+            # off is >= beta or >= best, and none is below `low`
             best = math.inf
+            low = k + 1 if floor is None else max(k + 1, floor)
             for s in open_k:
                 cut = min(beta, best)
                 cand = self._mp(_link(facets, s), k, cut - k - 1) + k + 1
@@ -436,7 +454,7 @@ class _MkEngine:
                     cand = max(cand, self._mp(_deletion(facets, s), k, cut))
                 if cand < cut:
                     best = cand
-                    if best == k + 1:
+                    if best <= low:
                         break
             val = min(best, beta)
         self._memo[key] = (val, val < beta)

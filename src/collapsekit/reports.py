@@ -66,7 +66,8 @@ from .invariants import (
     _mes_ceiling,
     _MkEngine,
 )
-from .io import instance_to_json, instance_to_obj
+# instance_to_json stays importable from here: the bench reads it
+from .io import instance_to_json, instance_to_obj  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -79,12 +80,13 @@ def certificate_from_obj(obj) -> CollapseCertificate:
 
 
 def _descriptor(inst) -> dict:
-    payload = instance_to_json(inst).encode()
+    obj = instance_to_obj(inst)
+    payload = json.dumps(obj, sort_keys=True).encode()
     kind = "complex" if isinstance(inst, SimplicialComplex) else "hypergraph"
     return {
         "format": kind,
         "sha256": hashlib.sha256(payload).hexdigest(),
-        "content": instance_to_obj(inst),
+        "content": obj,
     }
 
 
@@ -106,7 +108,11 @@ class _Evaluation:
     number if it comes first; it is the GF(2) Leray number and caps the
     rational scan.  The Betti numbers and the Cohen-Macaulay test read the
     same links and ranks.  `asks_c` says whether the report asks C: a
-    report without it builds no ceiling for the Leray number."""
+    report without it builds no ceiling for the Leray number, and no floor
+    for M_k.  A report with it hands C's floor to the M_k engine as a root
+    floor (`_MkEngine`), taken first by whichever invariant comes first:
+    the floor and the ceiling spend no nodes, so M_k's node counts do not
+    depend on the order of the invariants."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -136,9 +142,19 @@ class _Evaluation:
     def ceiling(self) -> Optional[CollapseCertificate]:
         return _mes_ceiling(self.complex, self.facet_order)
 
+    def c_floor(self) -> Optional[int]:
+        """C's floor L(X; GF(2)) when the report asks C, which takes it
+        anyway, and X is nonempty; else None."""
+        x = self.complex
+        if not (self.asks_c and x.facets):
+            return None
+        top = self.ceiling
+        return _gf2_floor(x, self.links,
+                          math.inf if top is None else top.claimed_d)
+
     def mk(self, k: int) -> int:
         self.engine.budget = self.budget
-        return self.engine.m(self.inst, k)
+        return self.engine.m(self.inst, k, floor=self.c_floor())
 
 
 def _inv_C(ev):
@@ -201,12 +217,9 @@ def _inv_gamma(name, fn):
 
 
 def _inv_leray(ev):
-    x = ev.complex
-    if ev.asks_c and x.facets:
-        # C's floor, which C takes anyway, caps the scan: taken here first
-        top = ev.ceiling
-        _gf2_floor(x, ev.links, math.inf if top is None else top.claimed_d)
-    return leray_number(x, ev.field, ev.links)
+    # C's floor, taken here first when C is asked, caps the scan
+    ev.c_floor()
+    return leray_number(ev.complex, ev.field, ev.links)
 
 
 COMPLEX_INVARIANTS = {

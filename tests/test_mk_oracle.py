@@ -1,6 +1,7 @@
 """Differential tests of the cutoff M_k / M'_k engine against the exact
 engine it replaced and the plain recursion both prune, and of a report's
-shared engine against fresh ones.
+shared engine against fresh ones, floored at C's floor when the report
+asks C.
 
 `PlainMk` evaluates both children at every open face, exactly as the
 definition reads; it is memoized but never pruned.  `ExactMk` is the
@@ -11,7 +12,9 @@ cutoff search: its memo holds exact values only.  Both live only here, on
 
 The ≤ 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_mk_oracle.py 5` runs the cutoff engine
-against `ExactMk` on all 7,580 complexes on ≤ 5 vertices (about 25 s).
+against `ExactMk` on all 7,580 complexes on ≤ 5 vertices (about 25 s),
+and `PYTHONPATH=src python tests/test_mk_oracle.py reports 5` runs the
+floored-report differential (`floored_report_mismatches`) on them.
 """
 
 import math
@@ -19,7 +22,8 @@ import sys
 
 import pytest
 
-from collapsekit import Budget, BudgetExceededError, mk, mk_chain, mk_prime
+from collapsekit import (Budget, BudgetExceededError, leray_number, mk,
+                         mk_chain, mk_prime)
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
 from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import _MkEngine
@@ -200,7 +204,79 @@ def test_shared_engine_finds_every_value_a_fresh_engine_finds():
             assert report["values"][f"M{k}"] == want, (limit, k)
 
 
+# -- a report that asks C floors its M_k at L(X; GF(2)) ---------------------
+
+FLOORED = ["C"] + CHAIN
+
+
+def _m_part(x, which):
+    """The M_k values of compute(x, which) and the nodes they spent: C
+    spends what it spends alone, whatever else the report holds."""
+    report = compute(x, which)
+    used = report["budget"]["used_total"]
+    if "C" in which:
+        used -= compute(x, ["C"])["budget"]["used_total"]
+    return {k: v for k, v in report["values"].items() if k != "C"}, used
+
+
+def floored_report_mismatches(universe):
+    """The complexes of `universe` where a report asking C and M0..M2
+    gives an M_k other than `mk` and `ExactMk`, spends more on M0..M2 than
+    the same report without C, or spends on them with C first something
+    other than with C last."""
+    bad = []
+    for x in universe:
+        exact = ExactMk()
+        want = {f"M{k}": exact.m(x, k) for k in range(K_MAX + 1)}
+        first, floored = _m_part(x, FLOORED)
+        last, floored_last = _m_part(x, CHAIN + ["C"])
+        plain, unfloored = _m_part(x, CHAIN)
+        if not (first == last == plain == want
+                == {f"M{k}": mk(x, k) for k in range(K_MAX + 1)}):
+            bad.append((x, "values", first, last, plain, want))
+        elif not floored == floored_last <= unfloored:
+            bad.append((x, "nodes", floored, floored_last, unfloored))
+    return bad
+
+
+def test_floored_report_on_every_complex_on_four_vertices():
+    assert floored_report_mismatches(all_complexes(4)) == []
+
+
+def test_floored_report_on_random_complexes():
+    """Also: where M_0 meets L(X; GF(2)), M_1 and M_2 read it and spend
+    nothing."""
+    universe = [generate(spec) for spec in RANDOM_SPECS[::5]]
+    assert floored_report_mismatches(universe) == []
+    met = 0
+    for x in universe:
+        values, used = _m_part(x, FLOORED)
+        if values["M0"] == leray_number(x, 2):
+            met += 1
+            assert used == _m_part(x, ["C", "M0"])[1], x
+    assert met > 0
+
+
+def test_star_five_report_chain_reads_c_floor():
+    # L = d_mes = 7 here, and mk_chain(x, 1) runs for minutes without it
+    x = non_cover_complex(star_family(5, (2,) * 5))
+    report = compute(x, FLOORED, budget_limit=10_000)
+    assert report["values"] == {"C": 7, "M0": 7, "M1": 7, "M2": 7}
+    assert report["budget"]["used_total"] == 6_241
+    assert report["budget"]["exhausted"] == []
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["reports"]:
+        # the floored-report differential
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+        universe = all_complexes(n)
+        bad = floored_report_mismatches(universe)
+        print(f"{len(universe)} floored reports on <= {n} vertices, "
+              f"{len(bad)} mismatches")
+        for row in bad:
+            print(*row)
+        sys.exit(1 if bad else 0)
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     universe = all_complexes(n)
     bad = [x for x in universe if _cutoff(x) != _exact(x)]
