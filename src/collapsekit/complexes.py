@@ -179,35 +179,32 @@ def _link(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
     return () if lk == (0,) else lk
 
 
-def _collapsed(facets: Iterable[int], gamma: int,
-               sigma: int) -> tuple[int, ...]:
-    """The canonical facets left by collapsing the free pair (gamma, sigma):
-    sigma goes, and each sigma - v (v in gamma) that no remaining facet
-    holds comes in.  The empty face never stays (it is the empty complex).
-    This is `_deletion(facets, gamma)` for a gamma that sigma alone holds,
-    with the holder given, so the collapse search skips finding it."""
-    rest = [f for f in facets if f != sigma]
-    while gamma:
-        low = gamma & -gamma
-        gamma ^= low
-        t = sigma & ~low
-        if t and not any(t & ~f == 0 for f in rest):
-            rest.append(t)
-    return tuple(sorted(rest))
-
-
 def _deletion(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
     """The canonical facets of del(sigma) for the complex with these
     canonical facets: the facets missing a vertex of sigma are kept, and
-    each F - v (F a facet holding sigma, v in sigma) that no kept facet
-    holds comes in.  The empty face never stays (it is the empty complex).
+    the F - v that no kept facet holds come in (`_new_faces`).  The empty
+    face never stays (it is the empty complex).
+
+    It is also the collapse step: collapsing a free pair (gamma, sigma)
+    removes the interval [gamma, sigma], which is exactly the set of faces
+    holding gamma, since sigma is the only facet that holds it.  So the
+    collapse leaves del(gamma).
 
     No other antichain check is needed: no kept facet lies in an F - v (it
     would lie in F), and two distinct F - v, G - w are never nested, since
     for v != w only F - v holds w, and for v = w one inside the other
     would put F inside G."""
     kept = [f for f in facets if sigma & ~f]
-    out = list(kept)
+    out = kept + list(_new_faces(facets, sigma, kept))
+    out.sort()
+    return tuple(out)
+
+
+def _new_faces(facets: Sequence[int], sigma: int,
+               kept: Sequence[int]) -> Iterator[int]:
+    """Lazily, the faces del(sigma) adds to the kept facets: each nonempty
+    F - v (F a facet holding sigma, v in sigma) that no kept facet holds.
+    A caller that only asks whether there is one reads the first."""
     for f in facets:
         if sigma & ~f == 0:
             rest = sigma
@@ -215,9 +212,12 @@ def _deletion(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
                 low = rest & -rest
                 rest ^= low
                 t = f ^ low
-                if t and not any(t & ~g == 0 for g in kept):
-                    out.append(t)
-    return tuple(sorted(out))
+                if t:
+                    for g in kept:
+                        if t & ~g == 0:
+                            break
+                    else:
+                        yield t
 
 
 def as_face(obj) -> Face:
@@ -404,9 +404,11 @@ class SimplicialComplex:
         """
         if d < 0:
             raise ValueError("d must be >= 0")
-        # a free face has one facet, so the face alone orders the pairs
+        # no face has more than dim + 1 vertices; a free face has one
+        # facet, so the face alone orders the pairs
         return [FreePair(_face(m), free[m])
-                for free in _free_faces_by_size(self.facets, range(d + 1))
+                for free in _free_faces_by_size(
+                    self.facets, range(min(d, self.dim + 1) + 1))
                 for m in sorted(free, key=vertices_of)]
 
     def is_free_pair(self, pair: FreePair) -> bool:
@@ -417,7 +419,7 @@ class SimplicialComplex:
         if not self.is_free_pair(pair):
             raise NotFreeError(f"{pair!r} is not a free pair of the complex")
         return SimplicialComplex._of_canonical(
-            _collapsed(self.facets, int(pair.free_face), int(pair.facet)))
+            _deletion(self.facets, int(pair.free_face)))
 
     def skeleton(self, n: int) -> "SimplicialComplex":
         """All faces of dimension <= n."""

@@ -28,7 +28,9 @@ every other link is a cone, with no reduced homology.  Each such link is
 ranked through the nerve of its facets when that has fewer vertices and no
 more faces, else through itself; by the nerve theorem both have the same
 reduced homology over every field.  The k-vertex decomposition search runs
-on facet masks, with one shedding test (`_shed`).
+on facet masks, with one shedding test (`_shed`): a face sheds when its
+deletion, taken by the one F - v loop of `complexes._deletion`, adds no
+face to the facets that miss it, so it stays pure of the same dimension.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .complexes import (Face, SimplicialComplex, _face, _link, faces_of,
-                        subsets, vertices_of)
+from .complexes import (Face, SimplicialComplex, _face, _link, _new_faces,
+                        faces_of, subsets, vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -415,10 +417,8 @@ class _Replayed:
 
 
 def _links_of(x: SimplicialComplex, cache: Optional[dict]):
-    """`_closed_links(x)`, each link listed once per cache, and only as far
-    as some scan reads (`_Replayed`)."""
-    if cache is None:
-        return _closed_links(x)
+    """`_closed_links(x)`, each link listed once per cache (once per call
+    without one), and only as far as some scan reads (`_Replayed`)."""
     return _cached(cache, x, lambda x: _Replayed(_closed_links(x)))
 
 
@@ -610,21 +610,13 @@ def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
     facet holding sigma, v in sigma) that no kept facet holds
     (`complexes._deletion`).  On a pure complex every F - v is one
     dimension short, so the deletion is pure of the same dimension exactly
-    when some facet misses sigma (else it drops a dimension) and every
-    F - v lies in a kept facet; it is then the kept facets, already
-    canonical."""
-    kept = tuple(f for f in facets if sigma & ~f)
-    if not kept:
+    when some facet misses sigma (else it drops a dimension) and it takes
+    in no F - v; it is then the kept facets, already canonical.  The
+    deletion's own lazy loop (`complexes._new_faces`) is read only up to
+    its first new face."""
+    kept = tuple([f for f in facets if sigma & ~f])
+    if not kept or next(_new_faces(facets, sigma, kept), 0):
         return None
-    for f in facets:
-        if sigma & ~f == 0:
-            rest = sigma
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                t = f ^ low
-                if not any(t & ~g == 0 for g in kept):
-                    return None
     return kept
 
 

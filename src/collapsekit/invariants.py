@@ -53,9 +53,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .complexes import (FreePair, SimplicialComplex, _collapsed,
-                        _deletion, _face, _free_faces_by_size, _is_free,
-                        _link, _open_faces, as_face, faces_of, vertices_of)
+from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
+                        _free_faces_by_size, _is_free, _link, _open_faces,
+                        as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
 from .homology import _gf2_floor, _leray
 
@@ -77,7 +77,7 @@ class CollapseCertificate:
             if (gamma.bit_count() > self.claimed_d
                     or not _is_free(facets, gamma, sigma)):
                 return False
-            facets = _collapsed(facets, gamma, sigma)
+            facets = _deletion(facets, gamma)
         return not facets
 
 
@@ -102,7 +102,7 @@ def is_d_collapsible(
 
     def moves(facets: tuple[int, ...]):
         for gamma, sigma in _collapse_moves(facets, d, bits):
-            yield (gamma, sigma), _collapsed(facets, gamma, sigma)
+            yield (gamma, sigma), _deletion(facets, gamma)
 
     steps = _depth_first(x.facets, operator.not_, lambda facets: facets,
                          moves, budget)
@@ -132,14 +132,7 @@ def _collapse_moves(facets: tuple[int, ...], d: int,
             continue
         if r == d:
             return [(m, free[m]) for m in sorted(free, key=vertices_of)]
-        # of two faces of one size, a comes first in vertex-tuple order
-        # iff the lowest vertex of a ^ b is in a
-        it = iter(free)
-        least = next(it)
-        for m in it:
-            diff = m ^ least
-            if m & diff & -diff:
-                least = m
+        least = min(free, key=vertices_of)
         return [(least, free[least])]
     return []
 
@@ -326,7 +319,7 @@ def _mes_certificate(x: SimplicialComplex,
         else:
             return None
         steps.append((m, g))
-        facets = _collapsed(facets, m, g)
+        facets = _deletion(facets, m)
     return CollapseCertificate(
         tuple(FreePair(_face(m), _face(g)) for m, g in steps),
         max((m.bit_count() for m, _ in steps), default=0))
@@ -358,10 +351,10 @@ class _MkEngine:
 
     M'_k(y) is the min over the open k-faces s of y of
     max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,
-    0 for k = 0 and M_{k-1}(y) for k > 0.  `m(y, k, beta)` and
-    `m_prime(y, k, beta)` take a cutoff beta and return the exact value
-    when it is below beta, and otherwise a lower bound on it that is
-    >= beta: a caller that only asks "is it below beta?" gets a true
+    0 for k = 0 and M_{k-1}(y) for k > 0.  The nodes `_m(facets, k,
+    beta)` and `_mp(facets, k, beta)` take a cutoff beta and return the
+    exact value when it is below beta, and otherwise a lower bound on it
+    that is >= beta: a caller that only asks "is it below beta?" gets a true
     answer without the exact value.  With cut = min(beta, best candidate
     so far), a node
 
@@ -380,7 +373,7 @@ class _MkEngine:
     min(M'_k(y), M_{k-1}(y)) takes M_{k-1} first and passes
     min(beta, M_{k-1}) as the cutoff for M'_k.  A candidate is skipped
     only when a bound shows it is >= cut, so every value below the cutoff
-    is exact, and the public functions call with beta = inf.
+    is exact, and `m` and `m_prime` call the root with beta = inf.
 
     `m(y, k, floor=f)` takes a root-only floor f <= C(y), such as
     L(y; GF(2)) (Wegner 1975); None, the default, is no floor.  Every
@@ -412,12 +405,12 @@ class _MkEngine:
             return hit[0]
         return None
 
-    def m(self, y: SimplicialComplex, k: int, beta=math.inf,
+    def m(self, y: SimplicialComplex, k: int,
           floor: Optional[int] = None) -> int:
-        return self._m(tuple(map(int, y.facets)), k, beta, floor)
+        return self._m(tuple(map(int, y.facets)), k, math.inf, floor)
 
-    def m_prime(self, y: SimplicialComplex, k: int, beta=math.inf) -> int:
-        return self._mp(tuple(map(int, y.facets)), k, beta)
+    def m_prime(self, y: SimplicialComplex, k: int) -> int:
+        return self._mp(tuple(map(int, y.facets)), k, math.inf)
 
     def _m(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
         if k == 0:

@@ -19,9 +19,9 @@ from collapsekit import (
     join,
     simplex_on,
 )
-from collapsekit.complexes import (MAX_VERTEX, _collapsed, _deletion,
-                                  _free_faces_by_size, _is_free, _link,
-                                  _open_faces, faces_of, mask_of, vertices_of)
+from collapsekit.complexes import (MAX_VERTEX, _deletion, _free_faces_by_size,
+                                  _is_free, _link, _open_faces, faces_of,
+                                  mask_of, vertices_of)
 from collapsekit.homology import _Chains
 from collapsekit.invariants import _collapse_moves
 
@@ -373,7 +373,7 @@ def test_free_faces_by_size_list_each_facet_once_per_bits_dict(
     assert [dict(m) for m in _free_faces_by_size(x.facets, range(4), bits)
             ] == want
     assert set(bits) == set(x.facets)
-    after = _collapsed(x.facets, 0b10, 0b1110)  # (1, 123) leaves 23
+    after = _deletion(x.facets, 0b10)  # collapsing (1, 123) leaves 23
     new = set(after) - set(bits)
     assert new == {0b1100}
     listed = []
@@ -427,17 +427,45 @@ def test_is_free_matches_the_holder_count_on_every_small_complex():
                     x, gamma, sigma)
 
 
-def test_collapsed_matches_canonicalizing_the_collapse():
-    """For every free pair, `_collapsed` is the canonical facet tuple of
-    the facets less sigma plus every sigma - v, v in gamma, and so is
-    `_deletion` of gamma, which sigma alone holds."""
+def test_deletion_of_a_free_face_is_the_canonicalized_collapse():
+    """For every free pair, `_deletion` of gamma, which sigma alone holds,
+    is the canonical facet tuple of the facets less sigma plus every
+    sigma - v, v in gamma."""
     for x in all_complexes(5):
         for gamma, sigma in x.free_pairs(5):
             cand = [f for f in x.facets if f != sigma]
             cand += [sigma & ~(1 << v) for v in vertices_of(gamma)]
             want = SimplicialComplex(cand).facets
-            assert _collapsed(x.facets, gamma, sigma) == want, (x, gamma)
             assert _deletion(x.facets, gamma) == want, (x, gamma)
+
+
+def test_free_pairs_scan_no_size_above_dim_plus_one(monkeypatch):
+    """No free face has more than dim + 1 vertices, so however large d is,
+    `free_pairs(d)` asks `_free_faces_by_size` for sizes 0..dim + 1 only,
+    and returns the pairs of `free_pairs(dim + 1)`."""
+    from collapsekit import complexes
+    asked = []
+    real = complexes._free_faces_by_size
+
+    def counted(facets, sizes, bits=None):
+        sizes = list(sizes)
+        asked.append(sizes)
+        return real(facets, sizes, bits)
+
+    x = SimplicialComplex([(1, 2, 3), (3, 4)])
+    want = x.free_pairs(3)
+    assert len(want) == 8
+    monkeypatch.setattr(complexes, "_free_faces_by_size", counted)
+    for d in (3, 4, 10**6):
+        asked.clear()
+        assert x.free_pairs(d) == want
+        assert asked == [[0, 1, 2, 3]], d
+    asked.clear()
+    assert x.free_pairs(1) == [p for p in want if p.free_face.dim < 1]
+    assert asked == [[0, 1]]
+    asked.clear()
+    assert SimplicialComplex().free_pairs(10**6) == []
+    assert asked == [[0]]
 
 
 def test_free_pair_detection():

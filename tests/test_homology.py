@@ -40,6 +40,7 @@ from collapsekit.homology import (
     _leray_induced,
     _rank_gf2,
     _rank_signed,
+    _shed,
 )
 
 from conftest import all_complexes
@@ -851,6 +852,24 @@ def test_kvd_matches_the_complex_search_on_every_small_pure_complex():
                     assert (verify_shedding_sequence(x, kk, w)
                             == oracle_verify(x, kk, w)), (x, k, kk, w)
     assert 0 < found < 3 * len(pure)
+
+
+def test_shed_matches_the_oracle_on_every_face_of_every_small_pure_complex():
+    """Every pure complex on <= 5 vertices and every nonempty face s, of
+    any size and not only those the search tries: `_shed` gives the facets
+    of `oracle_shedding_deletion` when s sheds, and None when it does
+    not."""
+    checked = shedding = 0
+    for y in all_complexes(5):
+        if not y.is_pure():
+            continue
+        for s in y.all_faces(include_empty=False):
+            want = oracle_shedding_deletion(y, s)
+            got = _shed(y.facets, s)
+            assert got == (None if want is None else want.facets), (y, s)
+            checked += 1
+            shedding += got is not None
+    assert 0 < shedding < checked
 
 
 @given(complexes)
