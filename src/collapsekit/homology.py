@@ -28,9 +28,11 @@ every other link is a cone, with no reduced homology.  Each such link is
 ranked through the nerve of its facets when that has fewer vertices and no
 more faces, else through itself; by the nerve theorem both have the same
 reduced homology over every field.  The k-vertex decomposition search runs
-on facet masks, with one shedding test (`_shed`): a face sheds when its
-deletion, taken by the one F - v loop of `complexes._deletion`, adds no
-face to the facets that miss it, so it stays pure of the same dimension.
+on facet masks, with one shedding test (`_shed`): a face sheds when some
+facet holds it and its deletion, taken by the one F - v loop of
+`complexes._deletion`, adds no face to the facets that miss it, so it
+stays pure of the same dimension.  The search asks it, and so does the
+witness replay, one loop over a stack of complexes still to decompose.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .complexes import (Face, SimplicialComplex, _face, _link, _new_faces,
-                        faces_of, subsets, vertices_of)
+                        _split, faces_of, subsets, vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -459,9 +461,9 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
 
 
 def _gf2_floor(x: SimplicialComplex, cache: Optional[dict], u) -> int:
-    """L(x; GF(2)) for a nonempty x with C(x) <= u (u may be math.inf):
-    the GF(2) scan capped at u, which is exact because L(x; GF(2)) <= C(x)
-    (Wegner 1975).  It is C's floor.  With a link cache it is taken once,
+    """L(x; GF(2)) for x with C(x) <= u (u may be math.inf; the empty
+    complex has no link and gives 0): the GF(2) scan capped at u, which is
+    exact because L(x; GF(2)) <= C(x) (Wegner 1975).  It is C's floor.  With a link cache it is taken once,
     and kept with u under the key (x, "C") (a pair never equals a facet
     tuple or a complex), where `leray_number` reads it."""
     return _cached(cache, (x, "C"),
@@ -604,7 +606,7 @@ class SheddingWitness(NamedTuple):
 
 def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
     """The facets of del(sigma) if sigma is a shedding face of the pure
-    complex with these canonical facets, else None.
+    complex with these canonical facets, else None (also for a non-face).
 
     del(sigma) keeps the facets missing sigma and takes in each F - v (F a
     facet holding sigma, v in sigma) that no kept facet holds
@@ -612,21 +614,12 @@ def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
     dimension short, so the deletion is pure of the same dimension exactly
     when some facet misses sigma (else it drops a dimension) and it takes
     in no F - v; it is then the kept facets, already canonical.  The
-    deletion's own lazy loop (`complexes._new_faces`) is read only up to
-    its first new face."""
-    kept = tuple([f for f in facets if sigma & ~f])
-    if not kept or next(_new_faces(facets, sigma, kept), 0):
+    deletion's own split and lazy loop (`complexes._new_faces`) are used,
+    the loop read only up to its first new face."""
+    kept, holders = _split(facets, sigma)
+    if not (kept and holders) or next(_new_faces(holders, sigma, kept), 0):
         return None
-    return kept
-
-
-def _shedding_deletion(
-    y: SimplicialComplex, sigma: Face
-) -> Optional[SimplicialComplex]:
-    """del(sigma, y) if sigma is a shedding face of the pure complex y (the
-    deletion is pure of y's dimension), else None (`_shed`)."""
-    dele = _shed(y.facets, sigma)
-    return None if dele is None else SimplicialComplex._of_canonical(dele)
+    return tuple(kept)
 
 
 def is_k_vertex_decomposable(
@@ -686,26 +679,25 @@ def verify_shedding_sequence(
 ) -> bool:
     """Replay a pre-order shedding sequence and check every step.  Shedding
     is defined for pure complexes (`is_k_vertex_decomposable` refuses any
-    other), so a non-pure x has no valid sequence."""
+    other), so a non-pure x has no valid sequence.
+
+    One loop replays it, with no recursion: the complexes still to
+    decompose wait on a stack, the next on top.  Each step drops trivial
+    ones (at most one facet) from the top, sheds its face from the next by
+    the search's own test (`_shed`), and pushes the link, then the
+    deletion, which so comes next (pre-order).  The sequence is valid when
+    no nontrivial complex is left."""
     if not x.is_pure():
         return False
-
-    def consume(facets: tuple[int, ...], pos: int) -> Optional[int]:
-        if len(facets) <= 1:
-            return pos
-        if pos >= len(witness):
-            return None
-        face, bound = witness[pos]
-        if bound != k or not 0 < face.bit_count() <= k + 1:
-            return None
-        if not any(face & ~f == 0 for f in facets):
-            return None
+    stack = [x.facets]
+    for face, bound in witness:
+        while stack and len(stack[-1]) <= 1:
+            stack.pop()
+        if not stack or bound != k or not 0 < face.bit_count() <= k + 1:
+            return False
+        facets = stack.pop()
         dele = _shed(facets, face)
         if dele is None:
-            return None
-        after_del = consume(dele, pos + 1)
-        if after_del is None:
-            return None
-        return consume(_link(facets, face), after_del)
-
-    return consume(x.facets, 0) == len(witness)
+            return False
+        stack += (_link(facets, face), dele)
+    return all(len(facets) <= 1 for facets in stack)

@@ -51,7 +51,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _open_faces,
@@ -175,36 +175,31 @@ def collapsibility_number_with_certificate(
     floor at least the rational one, with the cheaper modular rank.  It is
     the Leray link scan capped at u (`homology._gf2_floor`), so it asks no
     degree >= u and stops at u, which it reaches exactly when some link
-    has nonzero GF(2) homology in degree u - 1.  C is decided in three
-    steps:
-
-    1. the empty complex is 0-collapsible by the empty certificate;
-    2. (u, ceiling) when f = u;
-    3. else search d = f, ..., u - 1 (d = f, f + 1, ... without a
-       ceiling), and (u, ceiling) if none succeeds.
+    has nonzero GF(2) homology in degree u - 1.  C is (u, ceiling) when
+    f = u; else d = f, ..., u - 1 are searched (d = f, f + 1, ... without
+    a ceiling), and C is (u, ceiling) if none succeeds.  The empty complex
+    needs no step of its own: its mes collapse is empty and claims 0, so
+    f = u = 0 and C = 0 with the empty certificate.
 
     Only searches below L(x; GF(2)), which must fail, are skipped, so the
     value is that of the plain d = 0, 1, ... loop, and so is the
     certificate wherever C < u; where C = u the certificate is the
     ceiling's collapse.
     """
-    return _collapsibility(x, budget or Budget(), lambda: _mes_ceiling(
-        x, canonical_ordering(x)))
+    return _collapsibility(x, budget or Budget(),
+                           _mes_ceiling(x, canonical_ordering(x)))
 
 
 def _collapsibility(
     x: SimplicialComplex, budget: Budget,
-    ceiling: Callable[[], Optional[CollapseCertificate]],
+    top: Optional[CollapseCertificate],
     links: Optional[dict] = None,
 ) -> tuple[int, CollapseCertificate]:
-    """`collapsibility_number_with_certificate` with its ceiling, already
-    replayed (or None), given by `ceiling()`, which is called only on a
-    nonempty x, and `links` the link cache the floor shares with the
-    report's Leray number and Betti numbers (`homology._gf2_floor`: taken
-    once per cache, so a Leray number asked first has it ready)."""
-    if x.is_empty:
-        return 0, CollapseCertificate((), 0)
-    top = ceiling()
+    """`collapsibility_number_with_certificate` with its ceiling `top`,
+    already replayed (or None), and `links` the link cache the floor
+    shares with the report's Leray number and Betti numbers
+    (`homology._gf2_floor`: taken once per cache, so a Leray number asked
+    first has it ready)."""
     u = math.inf if top is None else top.claimed_d
     d = _gf2_floor(x, links, u)
     while d < u:

@@ -42,7 +42,7 @@ from .homology import (
     _gf2_floor,
     _leray_induced,
     _parse_field,
-    _shedding_deletion,
+    _shed,
     is_cohen_macaulay,
     is_cohen_macaulay_induced,
     is_k_vertex_decomposable,
@@ -140,6 +140,10 @@ class _Evaluation:
 
     @functools.cached_property
     def ceiling(self) -> Optional[CollapseCertificate]:
+        # an empty NC(H) has no facet order; the empty complex's mes
+        # collapse is the empty one, claiming 0
+        if not self.complex.facets:
+            return CollapseCertificate((), 0)
         return _mes_ceiling(self.complex, self.facet_order)
 
     def c_floor(self) -> Optional[int]:
@@ -158,10 +162,7 @@ class _Evaluation:
 
 
 def _inv_C(ev):
-    # the ceiling is read only on a nonempty complex: an empty NC(H) has
-    # no facet order, and C = 0
-    d, cert = _collapsibility(ev.complex, ev.budget, lambda: ev.ceiling,
-                              ev.links)
+    d, cert = _collapsibility(ev.complex, ev.budget, ev.ceiling, ev.links)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
         "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
@@ -382,9 +383,10 @@ def _shedding_leray_rhs(x: SimplicialComplex, s: Face, field: Field,
         raise HypothesisNotMetError("sigma must be a nonempty face of x")
     if not x.is_pure():
         raise HypothesisNotMetError("x must be pure")
-    dele = _shedding_deletion(x, s)
-    if dele is None:
+    kept = _shed(x.facets, s)
+    if kept is None:
         raise HypothesisNotMetError("sigma is not a shedding face")
+    dele = SimplicialComplex._of_canonical(kept)
     if not is_cohen_macaulay(dele, field, cache):
         raise HypothesisNotMetError("deletion(sigma, x) is not Cohen-Macaulay")
     return max(leray_number(dele, field, cache),
@@ -491,7 +493,7 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     _chk(ceiling is not None and ceiling.claimed_d == d
          and ceiling.replay(nc), h,
          lambda: f"the mes collapse does not replay at d={d} for {order!r}")
-    c, _ = _collapsibility(nc, budget, lambda: ceiling)
+    c, _ = _collapsibility(nc, budget, ceiling)
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"
 

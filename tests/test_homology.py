@@ -2,6 +2,7 @@
 and k-vertex decomposability."""
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -755,6 +756,21 @@ def test_kvd0_boundary_of_tetrahedron():
     assert verify_shedding_sequence(TETRA_BOUNDARY, 0, wit)
 
 
+def test_a_long_shedding_sequence_replays_without_recursion():
+    """A 1,034-step 1-decomposition of the complete graph K_46: shed every
+    edge off vertex 0, leaving the star at 0, then its leaves 1..44.  The
+    replay is one loop, so the length is no recursion depth; a recursive
+    replay of it went past Python's default limit."""
+    x = SimplicialComplex(itertools.combinations(range(46), 2))
+    w = ([SheddingWitness(Face.of(e), 1)
+          for e in itertools.combinations(range(1, 46), 2)]
+         + [SheddingWitness(Face.of([v]), 1) for v in range(1, 45)])
+    assert len(w) == 1034
+    assert verify_shedding_sequence(x, 1, tuple(w))
+    assert not verify_shedding_sequence(x, 1, tuple(w[:500] + w[501:]))
+    assert not verify_shedding_sequence(x, 1, tuple(w + w[-1:]))
+
+
 def test_a_non_pure_complex_has_no_shedding_sequence():
     # shedding {4} leaves the triangle, and its link is empty, so the
     # replay of this one-step sequence would succeed; but the search
@@ -855,21 +871,26 @@ def test_kvd_matches_the_complex_search_on_every_small_pure_complex():
 
 
 def test_shed_matches_the_oracle_on_every_face_of_every_small_pure_complex():
-    """Every pure complex on <= 5 vertices and every nonempty face s, of
-    any size and not only those the search tries: `_shed` gives the facets
-    of `oracle_shedding_deletion` when s sheds, and None when it does
-    not."""
-    checked = shedding = 0
+    """Every pure complex on <= 5 vertices and every nonempty vertex set s
+    inside its vertex set, of any size and not only the faces the search
+    tries: `_shed` gives the facets of `oracle_shedding_deletion` when s
+    sheds, and None when it does not or when s is not a face."""
+    checked = shedding = non_faces = 0
     for y in all_complexes(5):
         if not y.is_pure():
             continue
-        for s in y.all_faces(include_empty=False):
-            want = oracle_shedding_deletion(y, s)
+        vm = y.vertex_mask
+        for s in subsets(vm, range(1, vm.bit_count() + 1)):
             got = _shed(y.facets, s)
-            assert got == (None if want is None else want.facets), (y, s)
+            if s in y:
+                want = oracle_shedding_deletion(y, Face(s))
+                assert got == (None if want is None else want.facets), (y, s)
+                shedding += got is not None
+            else:
+                assert got is None, (y, s)
+                non_faces += 1
             checked += 1
-            shedding += got is not None
-    assert 0 < shedding < checked
+    assert 0 < shedding < checked and non_faces
 
 
 @given(complexes)

@@ -75,6 +75,9 @@ def test_simplex_is_zero_collapsible():
 def test_empty_complex_is_zero_collapsible():
     ok, cert = is_d_collapsible(SimplicialComplex(), 0)
     assert ok and cert.steps == ()
+    # no step of its own: the empty mes collapse is the ceiling, claiming 0
+    assert (collapsibility_number_with_certificate(SimplicialComplex())
+            == (0, CollapseCertificate((), 0)))
 
 
 def test_three_cycle_needs_two():
