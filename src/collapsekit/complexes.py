@@ -194,39 +194,30 @@ def _deletion(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
     would lie in F), and two distinct F - v, G - w are never nested, since
     for v != w only F - v holds w, and for v = w one inside the other
     would put F inside G."""
-    kept, holders = _split(facets, sigma)
-    out = kept + list(_new_faces(holders, sigma, kept))
+    kept = [f for f in facets if sigma & ~f]
+    out = kept + list(_new_faces(facets, sigma, kept))
     out.sort()
     return tuple(out)
 
 
-def _split(facets: Sequence[int],
-           sigma: int) -> tuple[list[int], list[int]]:
-    """The facets missing a vertex of sigma and the facets holding sigma,
-    each in facet order, taken in one pass."""
-    kept, holders = [], []
-    for f in facets:
-        (kept if sigma & ~f else holders).append(f)
-    return kept, holders
-
-
-def _new_faces(holders: Sequence[int], sigma: int,
+def _new_faces(facets: Sequence[int], sigma: int,
                kept: Sequence[int]) -> Iterator[int]:
     """Lazily, the faces del(sigma) adds to the kept facets: each nonempty
-    F - v (F in holders, v in sigma) that no kept facet holds.  A caller
-    that only asks whether there is one reads the first."""
-    for f in holders:
-        rest = sigma
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            t = f ^ low
-            if t:
-                for g in kept:
-                    if t & ~g == 0:
-                        break
-                else:
-                    yield t
+    F - v (F a facet holding sigma, v in sigma) that no kept facet holds.
+    A caller that only asks whether there is one reads the first."""
+    for f in facets:
+        if sigma & ~f == 0:
+            rest = sigma
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                t = f ^ low
+                if t:
+                    for g in kept:
+                        if t & ~g == 0:
+                            break
+                    else:
+                        yield t
 
 
 def as_face(obj) -> Face:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .complexes import (Face, SimplicialComplex, _face, _link, _new_faces,
-                        _split, faces_of, subsets, vertices_of)
+                        faces_of, subsets, vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -463,9 +463,10 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
 def _gf2_floor(x: SimplicialComplex, cache: Optional[dict], u) -> int:
     """L(x; GF(2)) for x with C(x) <= u (u may be math.inf; the empty
     complex has no link and gives 0): the GF(2) scan capped at u, which is
-    exact because L(x; GF(2)) <= C(x) (Wegner 1975).  It is C's floor.  With a link cache it is taken once,
-    and kept with u under the key (x, "C") (a pair never equals a facet
-    tuple or a complex), where `leray_number` reads it."""
+    exact because L(x; GF(2)) <= C(x) (Wegner 1975).  It is C's floor.
+    With a link cache it is taken once, and kept with u under the key
+    (x, "C") (a pair never equals a facet tuple or a complex), where
+    `leray_number` reads it."""
     return _cached(cache, (x, "C"),
                    lambda key: (_leray(x, 2, cache, u), u))[0]
 
@@ -613,13 +614,14 @@ def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
     (`complexes._deletion`).  On a pure complex every F - v is one
     dimension short, so the deletion is pure of the same dimension exactly
     when some facet misses sigma (else it drops a dimension) and it takes
-    in no F - v; it is then the kept facets, already canonical.  The
-    deletion's own split and lazy loop (`complexes._new_faces`) are used,
-    the loop read only up to its first new face."""
-    kept, holders = _split(facets, sigma)
-    if not (kept and holders) or next(_new_faces(holders, sigma, kept), 0):
+    in no F - v; it is then the kept facets, already canonical.  A
+    non-face is one that every facet misses.  The deletion's own lazy loop
+    (`complexes._new_faces`) is read only up to its first new face."""
+    kept = tuple([f for f in facets if sigma & ~f])
+    if (not kept or len(kept) == len(facets)
+            or next(_new_faces(facets, sigma, kept), 0)):
         return None
-    return tuple(kept)
+    return kept
 
 
 def is_k_vertex_decomposable(
