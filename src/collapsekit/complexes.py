@@ -422,17 +422,17 @@ class SimplicialComplex:
             _deletion(self.facets, int(pair.free_face)))
 
     def skeleton(self, n: int) -> "SimplicialComplex":
-        """All faces of dimension <= n."""
+        """All faces of dimension <= n (n >= -1, as in `faces`)."""
         if n > self.dim:
             raise ValueError(f"skeleton dimension {n} exceeds dim {self.dim}")
         low = [f for f in self.facets if f.dim < n]
-        return SimplicialComplex(faces_of(self.facets, (n + 1,)).union(low))
+        return SimplicialComplex(self.faces(n).union(low))
 
     def pure_skeleton(self, n: int) -> "SimplicialComplex":
-        """The subcomplex spanned by the n-dimensional faces."""
+        """The subcomplex spanned by the n-dimensional faces (n >= -1)."""
         if n > self.dim:
             raise ValueError(f"skeleton dimension {n} exceeds dim {self.dim}")
-        return SimplicialComplex(faces_of(self.facets, (n + 1,)))
+        return SimplicialComplex(self.faces(n))
 
 
 def simplex_on(vertices) -> SimplicialComplex:

@@ -8,7 +8,10 @@ Torsion is out of scope; only ranks are ever needed.
 One private object per complex, `_Chains`, lists the faces and ranks the
 boundary maps on first use, so every homology question here (a Betti
 vector, the top nonzero degree, "acyclic below the top") pays only for the
-degrees it reads.
+degrees it reads.  Every question builds it the one way, `_link_chains`:
+of the complex itself, or of the nerve of its facets when that has fewer
+vertices and no more faces; by the nerve theorem both have the same
+reduced homology over every field.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree, screens rational ranks over GF(2), and can be
@@ -24,24 +27,26 @@ once (`_gf2_floor`) and bounds the Leray number over every field, and the
 Leray scans, the Betti numbers and the Cohen-Macaulay test share every link
 listed and every rank taken.  The Leray scan and the link Cohen-Macaulay
 test read only the links of closed faces (the intersections of facets):
-every other link is a cone, with no reduced homology.  Each such link is
-ranked through the nerve of its facets when that has fewer vertices and no
-more faces, else through itself; by the nerve theorem both have the same
-reduced homology over every field.  The k-vertex decomposition search runs
-on facet masks, with one shedding test (`_shed`): a face sheds when some
-facet holds it and its deletion, taken by the one F - v loop of
-`complexes._deletion`, adds no face to the facets that miss it, so it
-stays pure of the same dimension.  The search asks it, and so does the
-witness replay, one loop over a stack of complexes still to decompose.
+every other link is a cone, with no reduced homology.  The links are listed
+once per cache and replayed to each scan through `itertools.tee`.  The
+induced Cohen-Macaulay test asks homological connectivity of each induced
+subcomplex.  The k-vertex decomposition search runs on facet masks, with
+one shedding test (`_shed`): a face sheds when some facet holds it and its
+deletion, taken by the one F - v loop of `complexes._deletion`, adds no
+face to the facets that miss it, so it stays pure of the same dimension.
+The search asks it, and so does the witness replay, one loop over a stack
+of complexes still to decompose.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .complexes import (Face, SimplicialComplex, _face, _link, _new_faces,
                         faces_of, subsets, vertices_of)
@@ -259,10 +264,10 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q",
     empty face, so its degree -1 rank is 1.  A cone (some vertex in every
     facet) has no reduced homology, so it takes no rank.  Any other complex
     has the empty face as its apex and is its own apex link, the first link
-    every Leray scan ranks.  A link cache that holds that link's `_Chains`
-    (x's own or its facet nerve's, `_link_chains`; the nerve theorem gives
-    both the same homology) lends them, with every rank the Leray scans and
-    C's floor took; otherwise x's own chains are ranked, and not kept.
+    every Leray scan ranks: its `_Chains` come from `_link_chains` (x's own
+    or its facet nerve's; the nerve theorem gives both the same homology),
+    kept in a link cache when one is given, so the Betti numbers and the
+    Leray scans and C's floor of x share every rank, whichever asks first.
     """
     p = _parse_field(field)
     tag = "Q" if p is None else f"GF{p}"
@@ -270,9 +275,7 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q",
         return BettiVector(tag, 1, ())
     if functools.reduce(operator.and_, x.facets):
         return BettiVector(tag, 0, (0,) * (x.dim + 1))
-    chains = None if cache is None else cache.get(x.facets)
-    if chains is None:
-        chains = _Chains(x.facets)
+    chains = _cached(cache, x.facets, _link_chains)
     return BettiVector(tag, 0, tuple(chains.betti(t, p)
                                      for t in range(x.dim + 1)))
 
@@ -283,15 +286,16 @@ def is_homologically_connected(
     """True iff the reduced homology vanishes in every degree i <= n.
 
     n < -1 is vacuously true; at n = -1 the empty complex fails (its degree
-    -1 rank is nonzero).  Degrees are read from 0 up and the walk stops at
-    the first nonzero one, screened over GF(2) as in `_Chains.nonzero`.
+    -1 rank is nonzero).  x is ranked through itself or its facet nerve
+    (`_link_chains`), and degrees are read from 0 up; the walk stops at the
+    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.
     """
     p = _parse_field(field)
     if n < -1:
         return True
     if x.is_empty:
         return False
-    chains = _Chains(x.facets)
+    chains = _link_chains(x.facets)
     return not any(chains.nonzero(t, p) for t in range(min(n, x.dim) + 1))
 
 
@@ -380,10 +384,10 @@ def _cached(cache: Optional[dict], key, make):
     """make(key), kept in `cache` under key when a cache is given.
 
     A link cache maps each link's facets to its `_Chains` (`_link_chains`),
-    a complex to its `_closed_links` as a `_Replayed` list, and (complex,
-    "C") to C's floor with its ceiling (`_gf2_floor`); no two kinds of key
-    ever meet.  So the questions asked about one complex list its links
-    once and share every rank taken."""
+    a complex to its `_closed_links` (`_links_of`), and (complex, "C") to
+    C's floor with its ceiling (`_gf2_floor`); no two kinds of key ever
+    meet.  So the questions asked about one complex list its links once and
+    share every rank taken."""
     if cache is None:
         return make(key)
     hit = cache.get(key)
@@ -392,36 +396,16 @@ def _cached(cache: Optional[dict], key, make):
     return hit
 
 
-class _Replayed:
-    """An iterable's items, drawn from it only as far as some reader reads
-    and kept: each reader replays the items drawn so far, then draws the
-    next ones.  A scan that stops early, as C's capped Leray scan often
-    does at the apex link, leaves the rest undrawn (for `_closed_links`,
-    the closure under intersection unbuilt)."""
-
-    __slots__ = ("_items", "_source")
-
-    def __init__(self, source: Iterable):
-        self._items: list = []
-        self._source = iter(source)
-
-    def __iter__(self):
-        items = self._items
-        i = 0
-        while True:
-            if i == len(items):
-                try:
-                    items.append(next(self._source))
-                except StopIteration:
-                    return
-            yield items[i]
-            i += 1
-
-
 def _links_of(x: SimplicialComplex, cache: Optional[dict]):
     """`_closed_links(x)`, each link listed once per cache (once per call
-    without one), and only as far as some scan reads (`_Replayed`)."""
-    return _cached(cache, x, lambda x: _Replayed(_closed_links(x)))
+    without one), and only as far as some scan reads.  The cache keeps one
+    unread `itertools.tee` of the listing and each scan reads a copy of it,
+    which replays the links drawn so far and draws the next only when read;
+    a scan that stops early, as C's capped Leray scan often does at the apex
+    link, leaves the closure under intersection unbuilt.  A copy, not a
+    second `tee`: a tee of a tee object may return that object itself."""
+    return copy.copy(_cached(cache, x,
+                             lambda x: itertools.tee(_closed_links(x), 1)[0]))
 
 
 def leray_number(x: SimplicialComplex, field: Field = "Q",
@@ -540,18 +524,14 @@ def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q",
 
 
 def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
-    """The alternative predicate: pure, and every induced subcomplex is
-    homologically (dim - 1)-connected, read from degree 0 up as in
-    `is_cohen_macaulay`.  It reads all 2^n induced subcomplexes, so a pure
-    complex is refused above LERAY_VERTEX_CAP vertices."""
-    p = _parse_field(field)
-    if not x.is_pure():
-        return False
-    for y in _induced_subcomplexes(x, "induced Cohen-Macaulay test"):
-        chains = _Chains(y.facets)
-        if any(chains.nonzero(t, p) for t in range(chains.dim)):
-            return False
-    return True
+    """The alternative predicate: pure, and every induced subcomplex y is
+    homologically (dim(y) - 1)-connected (`is_homologically_connected`).
+    It reads all 2^n induced subcomplexes, so a pure complex is refused
+    above LERAY_VERTEX_CAP vertices."""
+    _parse_field(field)  # a bad field raises for a non-pure x too
+    return x.is_pure() and all(
+        is_homologically_connected(y, y.dim - 1, field)
+        for y in _induced_subcomplexes(x, "induced Cohen-Macaulay test"))
 
 
 def is_shellable(

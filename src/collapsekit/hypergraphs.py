@@ -359,10 +359,9 @@ def gamma_i(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
 # -- Kim-Kim parameters ----------------------------------------------------
 
 def strongly_dominates(h: Hypergraph, b, w) -> bool:
-    """Every vertex v of w lies in an edge e with e - {v} inside b."""
-    wm = int(as_face(w))
-    return (not wm & ~h.vertex_mask
-            and _satisfies(int(as_face(b)), _strong_need(h, wm)))
+    """Every vertex v of w lies in an edge e with e - {v} inside b.  Both b
+    and w must lie in 1..n."""
+    return _satisfies(h._vertex_set(b), _strong_need(h, h._vertex_set(w)))
 
 
 def gamma_strong(h: Hypergraph, w,

@@ -290,15 +290,11 @@ def _mes_certificate(x: SimplicialComplex,
     ordered = ordering.ordered_facets
     # face -> (-j, -|G|, G, M(G)), with F_{j+1} the first facet holding G:
     # sorted, the current stage's facets come first, in the order tried
-    info: dict[int, tuple[int, int, int, int]] = {}
-
+    @functools.cache
     def of(g: int) -> tuple[int, int, int, int]:
-        hit = info.get(g)
-        if hit is None:
-            bits = _mes_bits(g, ordered)
-            hit = info[g] = (-len(bits), -g.bit_count(), g,
-                             functools.reduce(operator.or_, bits, 0))
-        return hit
+        bits = _mes_bits(g, ordered)
+        return (-len(bits), -g.bit_count(), g,
+                functools.reduce(operator.or_, bits, 0))
 
     # a collapse keeps every face's first facet or lowers it (G - v lies in
     # every facet that G does), so the stage is the least -j of the facets

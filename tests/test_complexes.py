@@ -507,6 +507,14 @@ def test_pure_skeleton_drops_low_facets():
     assert x.pure_skeleton(2) == simplex_on((1, 2, 3))
 
 
+@pytest.mark.parametrize("method", ["skeleton", "pure_skeleton"])
+def test_skeletons_below_dimension_minus_one_are_rejected(method):
+    for x in (SimplicialComplex([(1, 2, 3), (4, 5)]), SimplicialComplex()):
+        assert getattr(x, method)(-1) == SimplicialComplex()
+        with pytest.raises(ValueError, match="dimension must be >= -1"):
+            getattr(x, method)(-2)
+
+
 def test_boundary():
     assert boundary((1, 2, 3)) == SimplicialComplex([(1, 2), (1, 3), (2, 3)])
     assert boundary((1,)).is_empty

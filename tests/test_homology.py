@@ -157,7 +157,7 @@ def test_homological_connectivity():
     assert not is_homologically_connected(SimplicialComplex(), -1)
 
 
-@pytest.mark.parametrize("field", ["Q", 2])
+@pytest.mark.parametrize("field", ["Q", 2, 3])
 def test_homological_connectivity_matches_the_full_betti_vector(field):
     for x in all_complexes(4) + [SimplicialComplex(), RP2]:
         b = reduced_betti(x, field)
@@ -256,6 +256,7 @@ def test_rank_gf2_matches_dense_elimination_on_every_small_complex():
             assert (_rank_gf2(lo, up)
                     == rank_mod_p(boundary_matrix(lo, up), 2)), x
         assert reduced_betti(x, 2).ranks == dense_betti(x, 2), x
+        assert reduced_betti(x, 3).ranks == dense_betti(x, 3), x
         assert reduced_betti(x).ranks == dense_betti(x), x
 
 
@@ -545,6 +546,38 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     assert drawn == links
 
 
+def test_link_listing_readers_share_one_draw(monkeypatch):
+    """Two readers of one cached listing, advanced alternately, each yield
+    every closed link in order, and each link is drawn once; a third
+    reader, after both, replays them all."""
+    x = NAMED_EXAMPLES["v6f10-6"]()
+    closed_links = homology._closed_links
+    links = list(closed_links(x))
+    drawn = []
+
+    def counted(y):
+        for item in closed_links(y):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    cache = {}
+    a = iter(homology._links_of(x, cache))
+    b = iter(homology._links_of(x, cache))
+    read_a, read_b = [], []
+    for i in range(2 * len(links)):
+        reader, out = (b, read_b) if i % 2 else (a, read_a)
+        out.append(next(reader))
+        if i == 0:
+            # a has drawn the first link; a reader made now still
+            # starts there
+            assert next(iter(homology._links_of(x, cache))) == links[0]
+    assert read_a == read_b == links
+    assert next(a, None) is None and next(b, None) is None
+    assert list(homology._links_of(x, cache)) == links
+    assert drawn == links
+
+
 def _closed(x, sigma):
     """True iff sigma is the intersection of the facets that hold it."""
     return sigma == functools.reduce(
@@ -640,6 +673,24 @@ def test_link_chains_takes_the_nerve_only_when_it_is_smaller():
     assert leray_number(fan) == 2 == full_link_leray(fan)
 
 
+def test_betti_numbers_and_connectivity_rank_through_the_nerve(monkeypatch):
+    # an 11-simplex and a point: its nerve is two points, so no GF(2)
+    # column is ranked, where the complex's own chains take 4,083
+    columns = []
+    rank_gf2 = homology._rank_gf2
+
+    def counted(lower, upper):
+        columns.extend(upper)
+        return rank_gf2(lower, upper)
+
+    monkeypatch.setattr(homology, "_rank_gf2", counted)
+    x = SimplicialComplex([range(1, 13), (13,)])
+    assert reduced_betti(x, 2).ranks == (1,) + (0,) * 11
+    assert not is_homologically_connected(x, 0, 2)
+    assert is_homologically_connected(x, -1, 2)
+    assert columns == []
+
+
 # -- Cohen-Macaulay --------------------------------------------------------
 
 def test_cohen_macaulay_goldens():
@@ -667,6 +718,22 @@ def test_cohen_macaulay_matches_dense_betti_on_every_small_complex(p):
             x.is_pure() and dense_acyclic_below_top(links, p)), x
         assert is_cohen_macaulay_induced(x, field) == (
             x.is_pure() and dense_acyclic_below_top(subs, p)), x
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_induced_cohen_macaulay_matches_the_dense_oracle(p):
+    """Every pure complex on <= 4 vertices, RP2 and v6f10-6: induced
+    Cohen-Macaulay exactly when every induced subcomplex y has no dense
+    reduced homology below dim(y)."""
+    field = "Q" if p is None else p
+    seen = set()
+    for x in [y for y in all_complexes(4) if y.is_pure()] + [RP2, V6F10_6]:
+        subs = map(x.induced, subsets(x.vertex_mask,
+                                      range(len(x.vertices) + 1)))
+        want = dense_acyclic_below_top(subs, p)
+        assert is_cohen_macaulay_induced(x, field) == want, x
+        seen.add(want)
+    assert seen == {True, False}
 
 
 @given(complexes)
@@ -1035,6 +1102,26 @@ def test_cones_have_zero_betti_vectors_with_no_rank(monkeypatch):
             assert (b.rank_neg1, b.ranks) == (0, (0,) * (x.dim + 1)), x
     report = reports.compute(join(apex, RP2), ["betti"], field=2)
     assert report["values"]["betti"]["ranks"] == [0, 0, 0, 0]
+
+
+def test_a_betti_first_report_builds_each_chain_complex_once(monkeypatch):
+    # the Betti numbers keep the apex link's chains for the Leray scan and
+    # C's floor after them
+    built = []
+
+    class Counted(homology._Chains):
+        __slots__ = ()
+
+        def __init__(self, facets):
+            built.append(facets)
+            super().__init__(facets)
+
+    want = list(reduced_betti(V6F10_6).ranks)
+    monkeypatch.setattr(homology, "_Chains", Counted)
+    report = reports.compute(V6F10_6, ["betti", "leray", "C"])
+    assert report["values"]["leray"] == report["values"]["C"] == 2
+    assert report["values"]["betti"]["ranks"] == want
+    assert len(built) == len(set(built)) == 3
 
 
 def test_leray_alone_builds_no_ceiling(monkeypatch):

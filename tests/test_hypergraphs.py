@@ -260,6 +260,21 @@ def test_strongly_dominates_needs_a_witnessing_edge():
     assert not strongly_dominates(h, (1, 4), (1,))
 
 
+def test_strongly_dominates_rejects_a_target_outside_the_vertex_set():
+    h = Hypergraph(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"vertex 9 outside 1\.\.3"):
+        strongly_dominates(h, [1, 2], [9])
+    with pytest.raises(ValueError, match=r"vertex 0 outside 1\.\.3"):
+        strongly_dominates(h, [1, 2], [0, 3])
+
+
+def test_strongly_dominates_rejects_a_dominator_outside_the_vertex_set():
+    h = Hypergraph(3, [(1, 2), (2, 3)])
+    assert strongly_dominates(h, [1, 2], [3])
+    with pytest.raises(ValueError, match=r"vertex 9 outside 1\.\.3"):
+        strongly_dominates(h, [1, 2, 9], [3])
+
+
 def test_gamma_tilde_four_cycle():
     assert gamma_tilde(C4).value == 2
 
@@ -329,6 +344,10 @@ def strongly_totally_dominates_vertex(h, b, v):
 
 
 def oracle_strongly_dominates(h, b, w):
+    for m in (b, w):
+        out = [v for v in as_face(m).vertices if not 1 <= v <= h.n]
+        if out:
+            raise ValueError(f"vertex {out[0]} outside 1..{h.n}")
     bm = int(as_face(b))
     return all(strongly_totally_dominates_vertex(h, bm, v)
                for v in as_face(w).vertices)
@@ -450,8 +469,8 @@ def agree_with_oracle(h, targets):
         assert (outcome(gamma_strong, h, w)
                 == outcome(oracle_gamma_strong, h, w)), (h, w)
         for b in targets:
-            assert (strongly_dominates(h, b, w)
-                    == oracle_strongly_dominates(h, b, w)), (h, b, w)
+            assert (outcome(strongly_dominates, h, b, w)
+                    == outcome(oracle_strongly_dominates, h, b, w)), (h, b, w)
 
 
 def test_domination_matches_the_oracle_on_every_hypergraph_up_to_3_vertices():
