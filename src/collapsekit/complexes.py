@@ -5,6 +5,13 @@ single Python int (bit v set <=> vertex v present), so subset, union and
 intersection are single word operations.  A complex is stored as its
 canonical facet list: an antichain of faces, sorted by bitmask value.
 
+Every walk over the vertices of a mask in the package goes through
+`vertices_of` (the labels) or `bits_of` (the one-vertex masks).  Below
+2^16, labels 0..15, both split the mask into its low and high byte and
+join the two bytes' rows of 256-entry tables, one pair of tables each.  A
+wider mask is walked one low bit at a time (`_bit_walk`, also the tables'
+source and their tests' oracle).
+
 Conventions pinned here and relied on everywhere else:
 
 * the empty complex is the empty facet list; a complex "containing only the
@@ -85,9 +92,12 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """The vertex labels of a non-negative bitmask, increasing.  Walks the
-    set bits only, lowest first."""
+def _bit_walk(mask: int) -> tuple[int, ...]:
+    """The vertex labels of a non-negative mask, increasing, by the plain
+    low-bit walk: the route of `vertices_of` and `bits_of` past their
+    tables, and the oracle their tests read them against."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -96,10 +106,38 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+#: Masks below this are split into a low and a high byte, and each byte's
+#: row is read from a 256-entry table; a wider mask is walked bit by bit.
+_TABLE_END = 1 << 16
+_LOW_VERTICES = tuple(map(_bit_walk, range(256)))
+_HIGH_VERTICES = tuple(tuple(v + 8 for v in row) for row in _LOW_VERTICES)
+_BIT = tuple(1 << v for v in range(16))  # one int per bit, shared by rows
+_LOW_BITS = tuple(tuple(_BIT[v] for v in row) for row in _LOW_VERTICES)
+_HIGH_BITS = tuple(tuple(_BIT[v] for v in row) for row in _HIGH_VERTICES)
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """The vertex labels of a non-negative mask, increasing.  Below 2^16
+    it joins the table rows of the mask's low and high byte; a wider mask
+    is walked bit by bit.  A negative mask raises ValueError."""
+    if 0 <= mask < _TABLE_END:
+        return _LOW_VERTICES[mask & 255] + _HIGH_VERTICES[mask >> 8]
+    return _bit_walk(mask)
+
+
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The single-bit masks of a non-negative mask, lowest first: the
+    vertices of `vertices_of(mask)` as one-vertex masks, read from the
+    same byte tables below 2^16.  A negative mask raises ValueError."""
+    if 0 <= mask < _TABLE_END:
+        return _LOW_BITS[mask & 255] + _HIGH_BITS[mask >> 8]
+    return tuple([1 << v for v in _bit_walk(mask)])
+
+
 def subsets(mask: int, sizes: Iterable[int]) -> Iterator[int]:
     """The sub-masks of `mask` whose size is in `sizes`, size by size, each
     size in itertools.combinations order over the increasing vertices."""
-    bits = [1 << v for v in vertices_of(mask)]
+    bits = bits_of(mask)
     for r in sizes:
         yield from map(sum, itertools.combinations(bits, r))
 
@@ -114,7 +152,7 @@ def faces_of(facets: Iterable[int], sizes: Iterable[int]) -> set[int]:
 
 
 def _free_faces_by_size(facets: Iterable[Face], sizes: Iterable[int],
-                        bits: dict[int, list[int]] | None = None
+                        bits: dict[int, tuple[int, ...]] | None = None
                         ) -> Iterator[dict[int, Face]]:
     """For each r in `sizes`, lazily, the free faces on r vertices of the
     complex with these facets: {face: the only facet holding it}.
@@ -129,7 +167,7 @@ def _free_faces_by_size(facets: Iterable[Face], sizes: Iterable[int],
     for f in facets:
         b = bits.get(f)
         if b is None:
-            b = bits[f] = [1 << v for v in vertices_of(f)]
+            b = bits[f] = bits_of(f)
         held.append((f, b))
     for r in sizes:
         # face -> its only facet, or None once a second facet holds it
@@ -162,7 +200,7 @@ def _open_faces(facets: Sequence[int], k: int) -> list[int]:
     apex = functools.reduce(operator.and_, facets)
     if k == 0:
         rest = functools.reduce(operator.or_, facets) & ~apex
-        return [1 << v for v in vertices_of(rest)]
+        return list(bits_of(rest))
     return sorted(s for s in faces_of(facets, (k + 1,)) if s & ~apex)
 
 
@@ -205,12 +243,10 @@ def _new_faces(facets: Sequence[int], sigma: int,
     """Lazily, the faces del(sigma) adds to the kept facets: each nonempty
     F - v (F a facet holding sigma, v in sigma) that no kept facet holds.
     A caller that only asks whether there is one reads the first."""
+    lows = bits_of(sigma)
     for f in facets:
         if sigma & ~f == 0:
-            rest = sigma
-            while rest:
-                low = rest & -rest
-                rest ^= low
+            for low in lows:
                 t = f ^ low
                 if t:
                     for g in kept:

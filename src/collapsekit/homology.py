@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .complexes import (Face, SimplicialComplex, _face, _link, _new_faces,
-                        faces_of, subsets, vertices_of)
+                        bits_of, faces_of, subsets, vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -110,11 +110,9 @@ def _rank_gf2(lower: list[int], upper: list[int]) -> int:
     bit = {f: 1 << i for i, f in enumerate(lower)}
     basis: dict[int, int] = {}
     for f in upper:
-        col, m = 0, f
-        while m:
-            low = m & -m
+        col = 0
+        for low in bits_of(f):
             col |= bit[f ^ low]
-            m ^= low
         while col:
             top = col.bit_length()
             if top not in basis:
@@ -136,11 +134,10 @@ def _rank_signed(lower: list[int], upper: list[int], p: Optional[int]) -> int:
     index = {f: i for i, f in enumerate(lower)}
     pivots: dict[int, dict[int, int]] = {}
     for f in upper:
-        col, m, sign = {}, f, 1
-        while m:
-            low = m & -m
+        col, sign = {}, 1
+        for low in bits_of(f):
             col[index[f ^ low]] = sign
-            m, sign = m ^ low, -sign
+            sign = -sign
         while col:
             top = max(col)
             piv = pivots.get(top)

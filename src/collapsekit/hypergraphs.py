@@ -31,6 +31,7 @@ from .complexes import (
     Face,
     SimplicialComplex,
     as_face,
+    bits_of,
     mask_of,
     subsets,
     vertices_of,
@@ -262,10 +263,7 @@ def _branch(reqs, spread, budget: Budget) -> list[int]:
         else:
             leaves.append(chosen)
             continue
-        free = r & ~banned
-        while free:
-            bit = free & -free
-            free ^= bit
+        for bit in bits_of(r & ~banned):
             stack.append((chosen | bit,
                           banned | spread[bit.bit_length() - 1]))
             banned |= bit

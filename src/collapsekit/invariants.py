@@ -98,7 +98,7 @@ def is_d_collapsible(
         raise ValueError("d must be >= 0")
     budget = budget or Budget()
 
-    bits: dict[int, list[int]] = {}
+    bits: dict[int, tuple[int, ...]] = {}
 
     def moves(facets: tuple[int, ...]):
         for gamma, sigma in _collapse_moves(facets, d, bits):
@@ -113,7 +113,7 @@ def is_d_collapsible(
 
 
 def _collapse_moves(facets: tuple[int, ...], d: int,
-                    bits: Optional[dict[int, list[int]]] = None
+                    bits: Optional[dict[int, tuple[int, ...]]] = None
                     ) -> list[tuple[int, int]]:
     """The free pairs (gamma, sigma), as masks, the d-collapse search tries
     at these facets, in order: the least free face of the smallest size

@@ -32,6 +32,13 @@ def all_complexes(n: int) -> list[SimplicialComplex]:
     return out
 
 
+def shifted(x: SimplicialComplex, shift: int) -> SimplicialComplex:
+    """x with every vertex label raised by `shift`.  A uniform shift keeps
+    the order of the facet masks and of each facet's vertices, so every
+    search walks x and its shift alike."""
+    return SimplicialComplex(f << shift for f in x.facets)
+
+
 def all_hypergraphs(n: int) -> list[Hypergraph]:
     """Every hypergraph on the vertices 1..n with at least one edge, once
     each: the 2^(2^n - 1) - 1 nonempty families of nonempty subsets of 1..n.

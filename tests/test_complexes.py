@@ -19,9 +19,10 @@ from collapsekit import (
     join,
     simplex_on,
 )
-from collapsekit.complexes import (MAX_VERTEX, _deletion, _free_faces_by_size,
-                                  _is_free, _link, _open_faces, faces_of,
-                                  mask_of, vertices_of)
+from collapsekit.complexes import (MAX_VERTEX, _bit_walk, _deletion,
+                                  _free_faces_by_size, _is_free, _link,
+                                  _open_faces, bits_of, faces_of, mask_of,
+                                  vertices_of)
 from collapsekit.homology import _Chains
 from collapsekit.invariants import _collapse_moves
 
@@ -64,14 +65,29 @@ def test_face_construction_and_accessors():
 
 
 def test_vertices_of_matches_the_bit_position_scan():
+    """Both walks, on every mask up to one bit past the byte tables (2^16)
+    and on wide masks, agree with a scan of the bit positions and with the
+    plain walk behind the tables."""
     def scan(mask):
         return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
     top = 1 << MAX_VERTEX
     wide = [top, top | 1, top | 0b1011_0110, (top << 1) - 1, top | (top >> 1)]
-    for mask in [*range(1 << 12), *wide]:
-        assert vertices_of(mask) == scan(mask), mask
+    for mask in [*range(1 << 17), *wide]:
+        want = scan(mask)
+        assert vertices_of(mask) == _bit_walk(mask) == want, mask
+        assert bits_of(mask) == tuple(1 << v for v in want), mask
     assert vertices_of(top) == (127,)
+    assert bits_of(top) == (top,)
+
+
+@pytest.mark.parametrize("walk", [vertices_of, bits_of, _bit_walk])
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 8), -(1 << 16), -(1 << 40)])
+def test_bit_walks_reject_a_negative_mask(walk, mask):
+    # the low-bit walk never ends on a negative mask, and a table lookup
+    # would read a wrong row through a negative index
+    with pytest.raises(ValueError, match="negative mask"):
+        walk(mask)
 
 
 def test_face_rejects_out_of_range():
@@ -377,13 +393,13 @@ def test_free_faces_by_size_list_each_facet_once_per_bits_dict(
     new = set(after) - set(bits)
     assert new == {0b1100}
     listed = []
-    real = complexes.vertices_of
+    real = complexes.bits_of
 
     def counted(mask):
         listed.append(mask)
         return real(mask)
 
-    monkeypatch.setattr(complexes, "vertices_of", counted)
+    monkeypatch.setattr(complexes, "bits_of", counted)
     got = [dict(m) for m in _free_faces_by_size(after, range(4), bits)]
     assert sorted(listed) == sorted(new)
     monkeypatch.undo()

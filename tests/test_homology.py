@@ -44,7 +44,7 @@ from collapsekit.homology import (
     _shed,
 )
 
-from conftest import all_complexes
+from conftest import all_complexes, shifted
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 TETRA_BOUNDARY = boundary((1, 2, 3, 4))
@@ -1044,14 +1044,17 @@ REPORT_ORDERS = (["leray", "C", "betti"], ["C", "betti", "leray"],
                  ["leray"], ["betti"])
 
 
-def report_differential(n):
-    """Every complex on <= n vertices over Q, GF(2) and GF(3): in each
-    report order, `leray` is the standalone `leray_number`, `betti` the
-    standalone `reduced_betti`, and C's value and certificate are those of
-    C asked alone.  Returns (reports, mismatches)."""
+def report_differential(n, shift=0):
+    """Every complex on <= n vertices, its labels raised by `shift`, over
+    Q, GF(2) and GF(3): in each report order, `leray` is the standalone
+    `leray_number`, `betti` the standalone `reduced_betti`, and C's value
+    and certificate are those of C asked alone.  A shift past 15 puts every
+    face past the byte tables of `complexes.bits_of`, so the rank kernels
+    read the plain bit walk.  Returns (reports, mismatches)."""
     count = 0
     mismatches = []
     for x in all_complexes(n):
+        x = shifted(x, shift)
         for field in ("Q", 2, 3):
             b = reduced_betti(x, field)
             want = {"leray": leray_number(x, field),
@@ -1155,10 +1158,12 @@ def test_a_report_ranks_few_gf2_columns_for_c_and_leray(monkeypatch):
 
 
 if __name__ == "__main__":
+    # python tests/test_homology.py [n [shift]]
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    count, mismatches = report_differential(n)
-    print(f"{len(all_complexes(n))} complexes on <= {n} vertices: {count} "
-          f"reports, {len(mismatches)} mismatches")
+    shift = int(sys.argv[2]) if len(sys.argv) > 2 else 0
+    count, mismatches = report_differential(n, shift)
+    print(f"{len(all_complexes(n))} complexes on <= {n} vertices, labels "
+          f"raised by {shift}: {count} reports, {len(mismatches)} mismatches")
     for bad in mismatches:
         print(bad)
     sys.exit(1 if mismatches else 0)

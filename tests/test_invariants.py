@@ -53,7 +53,7 @@ from collapsekit.complexes import vertices_of
 from collapsekit.generators import v6f10_6
 from collapsekit.reports import compute
 
-from conftest import all_complexes, apex_floor
+from conftest import all_complexes, apex_floor, shifted
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 
@@ -471,6 +471,41 @@ def test_a_report_replays_the_ceiling_once(monkeypatch):
         replays.clear()
         compute(x, ["C", "d_mes", "leray"])
         assert replays == [x], x
+
+
+CHAIN_REPORT = ["leray", "C", "M0", "M1", "M2", "d_mes", "betti"]
+
+
+def _shifted_witnesses(witnesses, shift):
+    """A chain report's witnesses with every vertex label raised by shift."""
+    def up(face):
+        return [v + shift for v in face]
+
+    out = {}
+    for key, w in witnesses.items():
+        if key == "collapse_certificate":
+            out[key] = {**w, "steps": [[up(g), up(f)] for g, f in w["steps"]]}
+        elif key == "facet_ordering":
+            out[key] = [up(f) for f in w]
+        else:
+            raise AssertionError(f"no shift known for the witness {key}")
+    return out
+
+
+@pytest.mark.parametrize("shift", [5, 13, 100])
+def test_chain_reports_do_not_depend_on_where_the_labels_sit(shift):
+    """Every complex on <= 4 vertices (labels 1..4, in the low byte of the
+    `complexes.bits_of` tables), raised so that its faces cross the byte
+    split (+5), the table edge at 2^16 (+13), or lie past it (+100): the
+    values and budget are those of the complex itself, and the witnesses
+    are its witnesses shifted."""
+    for x in all_complexes(4):
+        want = compute(x, CHAIN_REPORT)
+        got = compute(shifted(x, shift), CHAIN_REPORT)
+        assert got["values"] == want["values"], x
+        assert got["budget"] == want["budget"], x
+        assert got["witnesses"] == _shifted_witnesses(want["witnesses"],
+                                                      shift), x
 
 
 # -- facet orderings and mes ----------------------------------------------
