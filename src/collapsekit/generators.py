@@ -28,8 +28,17 @@ def v6f10_6() -> SimplicialComplex:
     return SimplicialComplex(V6F10_6_FACETS)
 
 
+#: The smallest known complex with M_2 < M_1: a pure 3-complex on 7
+#: vertices with 17 facets, L = C = M_2 = 3 < M_1 = M_0 = d_mes = 4, and
+#: not 0-, 1- or 2-vertex decomposable.
+V7F17_FACETS = tuple(tuple(map(int, f)) for f in (
+    "1235 1245 1345 1236 1256 1356 3456 1347 2347 1257 2357 1457 2367 "
+    "2467 3467 2567 4567").split())
+
+
 NAMED_EXAMPLES = {
     "v6f10-6": v6f10_6,
+    "v7f17": lambda: SimplicialComplex(V7F17_FACETS),
     "triangle": lambda: SimplicialComplex([(1, 2, 3)]),
     "three-cycle": lambda: SimplicialComplex([(1, 2), (1, 3), (2, 3)]),
     "tetra-boundary": lambda: SimplicialComplex(

@@ -22,20 +22,21 @@ decomposability with replayable shedding witnesses.  The capped scan over
 GF(2) is the floor of the collapsibility number: a d-collapsible complex is
 d-Leray (Wegner 1975), so C is searched only from L(X; GF(2)) up.  Capped
 at C's ceiling u it is exact, since L(X; GF(2)) <= C <= u.  A report makes
-one homology pass per complex through one link cache: C's floor is taken
-once (`_gf2_floor`) and bounds the Leray number over every field, and the
-Leray scans, the Betti numbers and the Cohen-Macaulay test share every link
-listed and every rank taken.  The Leray scan and the link Cohen-Macaulay
-test read only the links of closed faces (the intersections of facets):
-every other link is a cone, with no reduced homology.  The links are listed
-once per cache and replayed to each scan through `itertools.tee`.  The
-induced Cohen-Macaulay test asks homological connectivity of each induced
-subcomplex.  The k-vertex decomposition search runs on facet masks, with
-one shedding test (`_shed`): a face sheds when some facet holds it and its
-deletion, taken by the one F - v loop of `complexes._deletion`, adds no
-face to the facets that miss it, so it stays pure of the same dimension.
-The search asks it, and so does the witness replay, one loop over a stack
-of complexes still to decompose.
+one homology pass per complex through one link cache, which keeps only the
+closed-link listings and the `_Chains` of the links: the Leray scans (C's
+floor among them), the Betti numbers and the Cohen-Macaulay test share
+every link listed and every rank taken.  The floor itself is a value the
+caller holds and passes on as a cap.  The Leray scan and the link
+Cohen-Macaulay test read only the links of closed faces (the intersections
+of facets): every other link is a cone, with no reduced homology.  The
+links are listed once per cache and replayed to each scan through
+`itertools.tee`.  The induced Cohen-Macaulay test asks homological
+connectivity of each induced subcomplex.  The k-vertex decomposition search
+runs on facet masks, with one shedding test (`_shed`): a face sheds when
+some facet holds it and its deletion, taken by the one F - v loop of
+`complexes._deletion`, adds no face to the facets that miss it, so it stays
+pure of the same dimension.  The search asks it, and so does the witness
+replay, one loop over a stack of complexes still to decompose.
 """
 
 from __future__ import annotations
@@ -264,7 +265,8 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q",
     every Leray scan ranks: its `_Chains` come from `_link_chains` (x's own
     or its facet nerve's; the nerve theorem gives both the same homology),
     kept in a link cache when one is given, so the Betti numbers and the
-    Leray scans and C's floor of x share every rank, whichever asks first.
+    Leray scans of x (C's floor among them) share every rank, whichever
+    asks first.
     """
     p = _parse_field(field)
     tag = "Q" if p is None else f"GF{p}"
@@ -380,11 +382,10 @@ def _link_chains(lk: tuple[int, ...]) -> _Chains:
 def _cached(cache: Optional[dict], key, make):
     """make(key), kept in `cache` under key when a cache is given.
 
-    A link cache maps each link's facets to its `_Chains` (`_link_chains`),
-    a complex to its `_closed_links` (`_links_of`), and (complex, "C") to
-    C's floor with its ceiling (`_gf2_floor`); no two kinds of key ever
-    meet.  So the questions asked about one complex list its links once and
-    share every rank taken."""
+    A link cache maps each link's facets to its `_Chains` (`_link_chains`)
+    and a complex to its `_closed_links` (`_links_of`); a facet tuple never
+    equals a complex.  So the questions asked about one complex list its
+    links once and share every rank taken."""
     if cache is None:
         return make(key)
     hit = cache.get(key)
@@ -423,33 +424,9 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
     oracle.
 
     A link cache (`_cached`) keeps the links and ranks for later questions
-    about x, and reuses those C's floor took.  When C's floor is in the
-    cache (`_gf2_floor`: L(x; GF(2)) and a ceiling u >= C(x)), it bounds
-    the scan: over GF(2) it is the answer; over Q the scan is capped at it,
-    since b_i(Q) <= b_i(GF(2)) on every link, so it stops at the first
-    link that reaches it; over an odd prime field it is capped at u, since
-    a u-collapsible complex is u-Leray over every field (Wegner 1975).
+    about x, and reuses those an earlier scan took.
     """
-    p = _parse_field(field)
-    cap = x.dim + 1
-    floor = None if cache is None else cache.get((x, "C"))
-    if floor is not None:
-        l2, u = floor
-        if p == 2:
-            return l2
-        cap = l2 if p is None else min(cap, u)
-    return _leray(x, p, cache, cap)
-
-
-def _gf2_floor(x: SimplicialComplex, cache: Optional[dict], u) -> int:
-    """L(x; GF(2)) for x with C(x) <= u (u may be math.inf; the empty
-    complex has no link and gives 0): the GF(2) scan capped at u, which is
-    exact because L(x; GF(2)) <= C(x) (Wegner 1975).  It is C's floor.
-    With a link cache it is taken once, and kept with u under the key
-    (x, "C") (a pair never equals a facet tuple or a complex), where
-    `leray_number` reads it."""
-    return _cached(cache, (x, "C"),
-                   lambda key: (_leray(x, 2, cache, u), u))[0]
+    return _leray(x, _parse_field(field), cache, x.dim + 1)
 
 
 def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],

@@ -479,6 +479,7 @@ def _maximizing_cover(
 def maximizing_minimal_cover(h: Hypergraph) -> tuple[int, ...]:
     """The lexicographically-first minimal cover D maximizing gamma over its
     complement (the cover realizing gamma_i)."""
+    h._forbid_isolated()
     return _maximizing_cover(h)[0]
 
 

@@ -57,7 +57,7 @@ from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _open_faces,
                         as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first
-from .homology import _gf2_floor, _leray
+from .homology import _leray
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def collapsibility_number_with_certificate(
     or None).  The floor f is the GF(2) Leray number: a d-collapsible
     complex is d-Leray over every field (Wegner 1975), and GF(2) gives a
     floor at least the rational one, with the cheaper modular rank.  It is
-    the Leray link scan capped at u (`homology._gf2_floor`), so it asks no
+    the Leray link scan capped at u (`homology._leray`), so it asks no
     degree >= u and stops at u, which it reaches exactly when some link
     has nonzero GF(2) homology in degree u - 1.  C is (u, ceiling) when
     f = u; else d = f, ..., u - 1 are searched (d = f, f + 1, ... without
@@ -186,22 +186,20 @@ def collapsibility_number_with_certificate(
     certificate wherever C < u; where C = u the certificate is the
     ceiling's collapse.
     """
-    return _collapsibility(x, budget or Budget(),
-                           _mes_ceiling(x, canonical_ordering(x)))
+    top = _mes_ceiling(x, canonical_ordering(x))
+    u = math.inf if top is None else top.claimed_d
+    return _collapsibility(x, budget or Budget(), top, _leray(x, 2, None, u))
 
 
 def _collapsibility(
     x: SimplicialComplex, budget: Budget,
-    top: Optional[CollapseCertificate],
-    links: Optional[dict] = None,
+    top: Optional[CollapseCertificate], floor: int,
 ) -> tuple[int, CollapseCertificate]:
     """`collapsibility_number_with_certificate` with its ceiling `top`,
-    already replayed (or None), and `links` the link cache the floor
-    shares with the report's Leray number and Betti numbers
-    (`homology._gf2_floor`: taken once per cache, so a Leray number asked
-    first has it ready)."""
+    already replayed (or None), and its floor, L(x; GF(2)) taken under
+    that ceiling: d = floor, ..., u - 1 are searched."""
     u = math.inf if top is None else top.claimed_d
-    d = _gf2_floor(x, links, u)
+    d = floor
     while d < u:
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:

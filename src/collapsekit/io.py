@@ -4,10 +4,10 @@ Complex files:   {"vertices": [int...], "facets": [[int...]...]}
 Hypergraph files: {"n": int, "edges": [[int...]...]}   (1-based vertices)
 
 Facet lists need not be pre-canonicalized; the complex loader canonicalizes
-and reports what it removed.  A missing field raises ValueError naming it,
-and a field of the wrong type (a count or label that is not an integer,
-facets or edges that are not lists of lists) raises ValueError naming the
-bad value.
+them, dropping repeated and non-maximal facets.  A missing field raises
+ValueError naming it, and a field of the wrong type (a count or label that
+is not an integer, facets or edges that are not lists of lists) raises
+ValueError naming the bad value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .complexes import SimplicialComplex, mask_of
+from .complexes import SimplicialComplex
 from .hypergraphs import Hypergraph
 
 Instance = Union[SimplicialComplex, Hypergraph]
@@ -67,19 +67,11 @@ def _field(obj: dict, name: str, kind: str):
     return obj[name]
 
 
-def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
-    """Returns the canonicalized complex and the raw facets that were dropped
-    (duplicates / non-maximal)."""
-    raw = _label_lists(_field(obj, "facets", "complex"), "facets", "facet")
-    x = SimplicialComplex(raw)
-    kept = {int(f) for f in x.facets}
-    dropped = []
-    seen = set()
-    for r in raw:
-        m = mask_of(r)
-        if m not in kept or m in seen:
-            dropped.append(sorted(set(r)))
-        seen.add(m)
+def complex_from_obj(obj: dict) -> SimplicialComplex:
+    """The canonicalized complex, with a singleton facet for each declared
+    vertex that no facet holds."""
+    x = SimplicialComplex(
+        _label_lists(_field(obj, "facets", "complex"), "facets", "facet"))
     declared = obj.get("vertices")
     if declared is not None:
         _label_list(declared, "vertices")
@@ -88,7 +80,7 @@ def complex_from_obj(obj: dict) -> tuple[SimplicialComplex, list[list[int]]]:
         # isolated vertices must be represented as singleton facets
         if extra:
             x = SimplicialComplex(list(x.facets) + [(v,) for v in extra])
-    return x, dropped
+    return x
 
 
 def hypergraph_from_obj(obj: dict) -> Hypergraph:
@@ -107,6 +99,6 @@ def load_instance(path: str) -> Instance:
     if "edges" in obj or "n" in obj:
         return hypergraph_from_obj(obj)
     if "facets" in obj or "vertices" in obj:
-        return complex_from_obj(obj)[0]
+        return complex_from_obj(obj)
     raise ValueError(f"{path}: neither a complex nor a hypergraph file")
 

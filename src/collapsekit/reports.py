@@ -39,7 +39,7 @@ from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
                          generate)
 from .homology import (
     Field,
-    _gf2_floor,
+    _leray,
     _leray_induced,
     _parse_field,
     _shed,
@@ -102,17 +102,15 @@ class _Evaluation:
     its claim).
 
     The link cache is the report's one homology pass: the complex's
-    closed-face links and their ranks, and C's floor L(X; GF(2)), the
-    GF(2) Leray scan capped at the ceiling's claim (`homology._gf2_floor`).
-    The floor is taken once, by C or, when the report asks C, by the Leray
-    number if it comes first; it is the GF(2) Leray number and caps the
-    rational scan.  The Betti numbers and the Cohen-Macaulay test read the
-    same links and ranks.  `asks_c` says whether the report asks C: a
-    report without it builds no ceiling for the Leray number, and no floor
-    for M_k.  A report with it hands C's floor to the M_k engine as a root
-    floor (`_MkEngine`), taken first by whichever invariant comes first:
-    the floor and the ceiling spend no nodes, so M_k's node counts do not
-    depend on the order of the invariants."""
+    closed-face links and their ranks, which the Leray scans, the Betti
+    numbers and the Cohen-Macaulay test all read.  `floor` is C's floor
+    L(X; GF(2)), the GF(2) Leray scan capped at the ceiling's claim, taken
+    once when the report asks C (`asks_c`) and read as a value by C, by
+    M_k as its root floor (`_MkEngine`) and by the Leray number as its
+    answer or its cap (`_inv_leray`).  A report without C builds neither
+    the floor nor the ceiling.  The floor and the ceiling spend no nodes,
+    so no value or node count depends on which invariant reads them
+    first."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -146,23 +144,39 @@ class _Evaluation:
             return CollapseCertificate((), 0)
         return _mes_ceiling(self.complex, self.facet_order)
 
-    def c_floor(self) -> Optional[int]:
+    @property
+    def u(self):
+        """The ceiling's claim d(X, <) >= C(X), or math.inf without one."""
+        return math.inf if self.ceiling is None else self.ceiling.claimed_d
+
+    @functools.cached_property
+    def floor(self) -> Optional[int]:
         """C's floor L(X; GF(2)) when the report asks C, which takes it
         anyway, and X is nonempty; else None."""
         x = self.complex
         if not (self.asks_c and x.facets):
             return None
-        top = self.ceiling
-        return _gf2_floor(x, self.links,
-                          math.inf if top is None else top.claimed_d)
+        return _scan(x, 2, self.links, self.u)
 
     def mk(self, k: int) -> int:
         self.engine.budget = self.budget
-        return self.engine.m(self.inst, k, floor=self.c_floor())
+        return self.engine.m(self.inst, k, floor=self.floor)
+
+
+def _scan(x: SimplicialComplex, p: Optional[int], links: dict, cap) -> int:
+    """The Leray scan of x over Q (p None) or GF(p) capped at cap
+    (`homology._leray`).  No link reaches degree dim(x) + 1, so a cap
+    above dim(x) caps nothing: that scan is `leray_number`'s own, rank for
+    rank, and is asked through it, where the bench's tracer counts it."""
+    if cap > x.dim:
+        return leray_number(x, "Q" if p is None else p, links)
+    return _leray(x, p, links, cap)
 
 
 def _inv_C(ev):
-    d, cert = _collapsibility(ev.complex, ev.budget, ev.ceiling, ev.links)
+    # the empty complex has no floor; its empty ceiling claims C = 0
+    d, cert = _collapsibility(ev.complex, ev.budget, ev.ceiling,
+                              ev.floor or 0)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
         "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
@@ -218,9 +232,17 @@ def _inv_gamma(name, fn):
 
 
 def _inv_leray(ev):
-    # C's floor, taken here first when C is asked, caps the scan
-    ev.c_floor()
-    return leray_number(ev.complex, ev.field, ev.links)
+    """The Leray number, bounded by C's floor f = L(X; GF(2)) when the
+    report asks C: over GF(2) it is f; over Q the scan is capped at f,
+    since b_i(Q) <= b_i(GF(2)) on every link; over an odd prime field it
+    is capped at the ceiling u >= C, since a u-collapsible complex is
+    u-Leray over every field (Wegner 1975)."""
+    x, p, floor = ev.complex, _parse_field(ev.field), ev.floor
+    if floor is None:
+        return leray_number(x, ev.field, ev.links)
+    if p == 2:
+        return floor
+    return _scan(x, p, ev.links, floor if p is None else ev.u)
 
 
 COMPLEX_INVARIANTS = {
@@ -493,7 +515,7 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     _chk(ceiling is not None and ceiling.claimed_d == d
          and ceiling.replay(nc), h,
          lambda: f"the mes collapse does not replay at d={d} for {order!r}")
-    c, _ = _collapsibility(nc, budget, ceiling)
+    c, _ = _collapsibility(nc, budget, ceiling, _leray(nc, 2, None, d))
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"
 

@@ -139,16 +139,15 @@ def test_hypergraph_round_trip(tmp_path):
     assert load_instance(str(p)) == h
 
 
-def test_complex_loader_reports_dropped_facets():
-    x, dropped = complex_from_obj(
+def test_complex_loader_canonicalizes_facets():
+    x = complex_from_obj(
         {"vertices": [1, 2, 3], "facets": [[1, 2], [1], [1, 2]]}
     )
     assert x == SimplicialComplex([(1, 2), (3,)])
-    assert [1] in dropped and [1, 2] in dropped
 
 
 def test_declared_isolated_vertices_become_singletons():
-    x, _ = complex_from_obj({"vertices": [1, 2, 5], "facets": [[1, 2]]})
+    x = complex_from_obj({"vertices": [1, 2, 5], "facets": [[1, 2]]})
     assert (5,) in x
 
 
@@ -161,7 +160,7 @@ def test_load_instance_dispatch(tmp_path):
 
 def test_obj_round_trips():
     x = v6f10_6()
-    assert complex_from_obj(complex_to_obj(x))[0] == x
+    assert complex_from_obj(complex_to_obj(x)) == x
     h = Hypergraph(5, [(1, 2, 3), (4, 5)])
     assert hypergraph_from_obj(hypergraph_to_obj(h)) == h
 

@@ -27,6 +27,7 @@ from collapsekit import (
     is_shellable,
     join,
     leray_number,
+    mk,
     non_cover_complex,
     reduced_betti,
     shedding_leray_inequality_check,
@@ -458,9 +459,10 @@ def test_capped_leray_scan_shares_its_ranks_with_the_full_scan(
         monkeypatch):
     """With one cache, the closed links are listed once and each link is
     built once across the scans, and the Leray number over Q takes fewer
-    GF(2) ranks than alone: it reuses those C's floor (`_gf2_floor`, the
-    capped GF(2) scan) took, and stops at that floor.  The cache holds one
-    entry per built link, the closed-link list and the floor."""
+    GF(2) ranks than alone: a report that asks C takes C's floor first
+    (the GF(2) scan capped at C's ceiling), reuses its ranks and stops at
+    the floor.  The cache holds one entry per built link and the
+    closed-link listing, nothing else."""
     nc = non_cover_complex(star_family(4, (2,) * 4))
     ranked, built, listed = [], [], []
     rank_gf2, link_chains = homology._rank_gf2, homology._link_chains
@@ -488,14 +490,15 @@ def test_capped_leray_scan_shares_its_ranks_with_the_full_scan(
     listed.clear()
     cache = {}
     assert homology._leray(nc, 2, cache, want) == want
-    assert homology._gf2_floor(nc, cache, want + 1) == want
-    assert cache[nc, "C"] == (want, want + 1)
+    floor = homology._leray(nc, 2, cache, want + 1)
+    assert floor == want
     ranked.clear()
+    assert homology._leray(nc, None, cache, floor) == want
+    assert len(ranked) < alone
     assert leray_number(nc, "Q", cache) == want
     assert leray_number(nc, 2, cache) == want
-    assert len(ranked) < alone
     assert listed == [nc]
-    assert built and len(built) == len(set(built)) == len(cache) - 2
+    assert built and len(built) == len(set(built)) == len(cache) - 1
 
 
 def test_apex_link_comes_before_the_closure(monkeypatch):
@@ -1039,22 +1042,25 @@ def test_cone_over_three_cycle():
 # -- one homology pass per report ------------------------------------------
 
 #: Report orders that put the Leray number and the Betti numbers before,
-#: after and without C, whose floor L(X; GF(2)) caps the Leray scan.
+#: after and without C, whose floor L(X; GF(2)) caps the Leray scan, and
+#: one where M_0, which the floor also bounds, takes it first.
 REPORT_ORDERS = (["leray", "C", "betti"], ["C", "betti", "leray"],
-                 ["leray"], ["betti"])
+                 ["leray"], ["betti"], ["M0", "leray", "C", "betti"])
 
 
 def report_differential(n, shift=0):
     """Every complex on <= n vertices, its labels raised by `shift`, over
     Q, GF(2) and GF(3): in each report order, `leray` is the standalone
-    `leray_number`, `betti` the standalone `reduced_betti`, and C's value
-    and certificate are those of C asked alone.  A shift past 15 puts every
-    face past the byte tables of `complexes.bits_of`, so the rank kernels
-    read the plain bit walk.  Returns (reports, mismatches)."""
+    `leray_number`, `betti` the standalone `reduced_betti`, `M0` the
+    standalone `mk(x, 0)`, and C's value and certificate are those of C
+    asked alone, whichever of them reads C's floor first.  A shift past 15
+    puts every face past the byte tables of `complexes.bits_of`, so the
+    rank kernels read the plain bit walk.  Returns (reports, mismatches)."""
     count = 0
     mismatches = []
     for x in all_complexes(n):
         x = shifted(x, shift)
+        m0 = mk(x, 0)
         for field in ("Q", 2, 3):
             b = reduced_betti(x, field)
             want = {"leray": leray_number(x, field),
@@ -1063,6 +1069,7 @@ def report_differential(n, shift=0):
                               "ranks": list(b.ranks)}}
             alone = reports.compute(x, ["C"], field=field)
             want["C"] = alone["values"]["C"]
+            want["M0"] = m0
             for which in REPORT_ORDERS:
                 report = reports.compute(x, which, field=field)
                 count += 1

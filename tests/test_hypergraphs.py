@@ -244,6 +244,19 @@ def test_gamma_i_requires_no_isolated_vertices():
         gamma_i(Hypergraph(3, [(1, 2)]))
 
 
+@pytest.mark.parametrize("call", [
+    hg.maximizing_minimal_cover,
+    nc_bound_order,
+    lambda h: mes_equal_check(h, (1,), (2,)),
+])
+def test_cover_relabeling_names_the_isolated_vertices(call):
+    # as gamma_i does, not as an undominatable target the caller never
+    # passed (the complement of the cover {1})
+    with pytest.raises(IsolatedVertexError,
+                       match=re.escape("isolated vertices [3]")):
+        call(Hypergraph(3, [(1, 2)]))
+
+
 def test_gamma_i_single_spanning_edge():
     # one edge covering everything: every vertex alone is a maximal
     # independent set, dominated by any other vertex of the edge

@@ -27,7 +27,7 @@ from collapsekit import (Budget, BudgetExceededError, leray_number, mk,
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
 from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import _MkEngine
-from collapsekit.reports import compute
+from collapsekit.reports import certificate_from_obj, compute
 
 from conftest import all_complexes, open_faces_oracle
 
@@ -147,6 +147,24 @@ def test_golden_chain_stays_within_its_node_count():
     b = Budget()
     assert mk_chain(NAMED_EXAMPLES["v6f10-6"](), 2, b) == [3, 2, 2]
     assert b.used <= 100
+
+
+def test_v7f17_has_m2_below_m1():
+    """The smallest known M_2 < M_1: L = C = M_2 = 3 < M_1 = M_0 = d_mes
+    = 4 over Q and over GF(2), as the exact engine says, with a collapse
+    certificate that replays.  It is not 0- or 1-vertex decomposable (nor
+    2-, which takes seconds to refute)."""
+    x = NAMED_EXAMPLES["v7f17"]()
+    exact = ExactMk()
+    assert [exact.m(x, k) for k in range(K_MAX + 1)] == [4, 4, 3]
+    for field in ("Q", 2):
+        report = compute(x, ["leray", "C", "M0", "M1", "M2", "d_mes",
+                             "kvd0", "kvd1"], field=field)
+        assert report["values"] == {
+            "leray": 3, "C": 3, "M0": 4, "M1": 4, "M2": 3, "d_mes": 4,
+            "kvd0": False, "kvd1": False}, field
+        cert = certificate_from_obj(report["witnesses"]["collapse_certificate"])
+        assert cert.claimed_d == 3 and cert.replay(x)
 
 
 def _star_nc(n):
