@@ -39,7 +39,8 @@ runs on facet masks: the open k-faces are the k-faces outside the apex,
 the intersection of the facets, and no node builds a `SimplicialComplex`.
 A report that asks C also floors the root of its M_k at C's floor
 L(X; GF(2)): the scan stops once a candidate meets it, and M_k returns
-M_{k-1} once that does.
+M_{k-1} once that does.  Where the floor meets the ceiling u, the report
+reads every M_k as u (M_k <= M_0 <= u) and calls no engine.
 
 All searches are exact and carry explicit node budgets; running out of
 budget raises, it never reads as "false".
@@ -372,8 +373,9 @@ class _MkEngine:
     root's M_k, k >= 1, returns M_{k-1}(y) without expanding M'_k when
     M_{k-1}(y) <= f.  Both stay exact.  The floor reaches the root's own
     M_{k-1} and M'_j nodes, but no link or deletion: it is a bound for y
-    only.  A report asking C passes C's floor; the public functions pass
-    none, since taking the floor costs more there than it saves.
+    only.  A report asking C passes C's floor, and asks nothing where
+    that floor meets its ceiling d(y, <) >= M_0(y); the public functions
+    pass none, since taking the floor costs more there than it saves.
 
     The memo maps a node (facets, k, "m" or "mp") to (value, exact).  A
     lookup returns an exact entry, or a bound entry when its bound is >=

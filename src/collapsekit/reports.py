@@ -106,10 +106,11 @@ class _Evaluation:
     numbers and the Cohen-Macaulay test all read.  `floor` is C's floor
     L(X; GF(2)), the GF(2) Leray scan capped at the ceiling's claim, taken
     once when the report asks C (`asks_c`) and read as a value by C, by
-    M_k as its root floor (`_MkEngine`) and by the Leray number as its
-    answer or its cap (`_inv_leray`).  A report without C builds neither
-    the floor nor the ceiling.  The floor and the ceiling spend no nodes,
-    so no value or node count depends on which invariant reads them
+    M_k as its root floor (`_MkEngine`), or as M_k itself where it meets
+    the ceiling's claim u (C <= M_k <= M_0 <= u), and by the Leray number
+    as its answer or its cap (`_inv_leray`).  A report without C builds
+    neither the floor nor the ceiling.  The floor and the ceiling spend no
+    nodes, so no value or node count depends on which invariant reads them
     first."""
 
     def __init__(self, inst, field):
@@ -159,6 +160,9 @@ class _Evaluation:
         return _scan(x, 2, self.links, self.u)
 
     def mk(self, k: int) -> int:
+        # L <= C <= M_k <= M_0 <= d(X, <): a floor that meets u settles M_k
+        if self.floor is not None and self.floor == self.u:
+            return self.u
         self.engine.budget = self.budget
         return self.engine.m(self.inst, k, floor=self.floor)
 

@@ -73,6 +73,14 @@ M_1 and M_2 return M_{k-1} without a scan once it meets the floor.  So
 (random-complex-1), 19 -> 13 (-2), 22 -> 17 (-3), 9 -> 7 (-4) and
 10 -> 8 (-6); every other byte stayed the same.  v6f10-6 did not move:
 its M_0 = 3 stays above L(X; GF(2)) = 2, and it asks no M_1 or M_2.
+The eight cases whose C floor meets the mes ceiling were re-pinned once
+more when a report asking C began to read M_k off that ceiling without
+search (L <= C <= M_k <= M_0 <= d(X, <), so floor = u settles every
+M_k): `used_total` went 1 -> 0 (triangle), 15 -> 10 (three-cycle),
+23 -> 14 (tetra-boundary and tetra-boundary-gf2), 13 -> 0
+(random-complex-2), 17 -> 0 (-3), 7 -> 0 (-4) and 8 -> 0 (-6); every
+other byte stayed the same.  v6f10-6 (L = 2 < u = 3) and
+random-complex-1 (L = 1 < u = 2) did not move.
 A change that alters any value, witness, key or node count fails here.
 """
 
@@ -113,23 +121,23 @@ def _hypergraph(seed):
 # (id, instance factory, invariants, field, sha256 of the report JSON)
 CASES = [
     ("triangle", NAMED_EXAMPLES["triangle"], None, "Q",
-     "d1a8028601536f546ec984dcf16e033a477cb27de7d87d07fd72df4c9966488d"),
+     "52627f140496cf4283c33cc3d1064f9e4de8db7da0e4f0958f748fae4904fd06"),
     ("three-cycle", NAMED_EXAMPLES["three-cycle"], None, "Q",
-     "557b5862821373610a11185c8297c07218f76ba4e9faedbb29053c458f7f0b38"),
+     "35ab3b3f7334b2956a6ad1d5ef3e13ec7f6f9ee524db3c720e8d15c8342a3df4"),
     ("tetra-boundary", NAMED_EXAMPLES["tetra-boundary"], None, "Q",
-     "b5cff555f3a833401dfeb3aaf60a0e2b311298ef6c0a3a97e0cda079f0d9d562"),
+     "b985f45577e26e4ad3126dd0562e18ca2f0ce2d6f7159a58f67b2d8d34f4615a"),
     ("v6f10-6", NAMED_EXAMPLES["v6f10-6"], GOLDEN, "Q",
      "f9af6275e87d86718264d79ea591ad24d605949235835cf5a5ce6228c186c0d5"),
     ("random-complex-1", lambda: _complex(1), CHAIN, "Q",
      "bc83ca449deb072d31627294d85a439f5f0e2a606e27eee9bee1c3069aa2e5b6"),
     ("random-complex-2", lambda: _complex(2), CHAIN, "Q",
-     "56e876e3ac65245158ca6c2107a272543257aabd6bbe7e58d55a40a3b19ad767"),
+     "9d2fafd23eaf4a600306e4ace5412505d5b0245866a2dcd53dc1691c17769526"),
     ("random-complex-3", lambda: _complex(3), CHAIN, "Q",
-     "6f48b7a4bf6e3f51aa955852c9d15a15491a2a773c9c2ecd6c0b959a0a292b4d"),
+     "cf0d828cee04d2c34d4d2671bd91db69160bb16a12bf42d4540cc5746e84bebb"),
     ("random-complex-4", lambda: _complex(4), CHAIN, "Q",
-     "07e94ddd9cf42dc8068c76d1f0f71d54014257e10e38a01c170e344fb7d61945"),
+     "e3f0637cad36c0dba2f043ae5d33f7514565d70a97b1011b9d21ef8efdf71fa8"),
     ("random-complex-6", lambda: _complex(6), CHAIN, "Q",
-     "f2bed3e914f6123433b187f0d3e83fb9c5cc5c77b0dfdb53a695d061a55cf71f"),
+     "13e939b01a0b1c12cc5a4b9d26c0466bd2039bc0cef509f88812270d893214e4"),
     ("random-hypergraph-1", lambda: _hypergraph(1), None, "Q",
      "4ec599ba46d778d61c1fe1f5ad4b29486b3f446c5bc1bcc070178cc2d5629318"),
     ("random-hypergraph-2", lambda: _hypergraph(2), None, "Q",
@@ -141,7 +149,7 @@ CASES = [
     ("star-family-3", lambda: star_family(3, (1, 1, 1)), None, "Q",
      "4fedeea3a09159ff3426ccf62e2bbe1e0957cf9ede15f6a80d4f1e4edc222194"),
     ("tetra-boundary-gf2", NAMED_EXAMPLES["tetra-boundary"], None, "gf2",
-     "0277fe504bb18253f561890c26f61a7db3b6cd1b29d5622caf59b35095a38cbd"),
+     "e31e26128717295d07ab41c6435eacaef066c2aaec40c74f4ceff69a93b588ff"),
     ("rp2", _rp2, HOMOLOGY, "Q",
      "42a412d1014a996371ba2ae22cfcc6675bb6d17834279f0e0a3c0069ff0a27bb"),
     ("rp2-gf3", _rp2, HOMOLOGY, "gf3",

@@ -639,6 +639,16 @@ def test_d_of_ordering_dominates_m0(x, rng):
     assert m0(x) <= d_of_ordering(x, order)
 
 
+def test_canonical_mes_bound_dominates_m0_on_every_complex_on_four_vertices():
+    """M_0 <= d(X, canonical) = the d_mes a report asking C reads off its
+    replayed ceiling: the bound a report rests on when it reads M_k off
+    that ceiling."""
+    for x in all_complexes(4):
+        d = d_of_ordering(x, canonical_ordering(x))
+        assert m0(x) <= d, x
+        assert compute(x, ["C", "d_mes"])["values"]["d_mes"] == d, x
+
+
 # -- M_k hierarchy ---------------------------------------------------------
 
 def test_m0_base_cases():

@@ -14,7 +14,9 @@ The ≤ 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_mk_oracle.py 5` runs the cutoff engine
 against `ExactMk` on all 7,580 complexes on ≤ 5 vertices (about 25 s),
 and `PYTHONPATH=src python tests/test_mk_oracle.py reports 5` runs the
-floored-report differential (`floored_report_mismatches`) on them.
+floored-report differential (`floored_report_mismatches`) on them and
+prints how many of those reports the floor settles by meeting the
+ceiling.
 """
 
 import math
@@ -22,8 +24,8 @@ import sys
 
 import pytest
 
-from collapsekit import (Budget, BudgetExceededError, leray_number, mk,
-                         mk_chain, mk_prime)
+from collapsekit import (Budget, BudgetExceededError, canonical_ordering,
+                         d_of_ordering, leray_number, mk, mk_chain, mk_prime)
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
 from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import _MkEngine
@@ -237,11 +239,20 @@ def _m_part(x, which):
     return {k: v for k, v in report["values"].items() if k != "C"}, used
 
 
+def sandwiched(x):
+    """Whether C's floor L(X; GF(2)) meets the mes ceiling d(X, canonical)
+    on x, so that a report asking C reads every M_k off the ceiling."""
+    return bool(x.facets) and leray_number(x, 2) == d_of_ordering(
+        x, canonical_ordering(x))
+
+
 def floored_report_mismatches(universe):
     """The complexes of `universe` where a report asking C and M0..M2
     gives an M_k other than `mk` and `ExactMk`, spends more on M0..M2 than
-    the same report without C, or spends on them with C first something
-    other than with C last."""
+    the same report without C, spends on them with C first something
+    other than with C last, or, where the floor meets the ceiling
+    (`sandwiched`), gives an M_k other than d_mes or spends a node on
+    M0..M2."""
     bad = []
     for x in universe:
         exact = ExactMk()
@@ -254,11 +265,17 @@ def floored_report_mismatches(universe):
             bad.append((x, "values", first, last, plain, want))
         elif not floored == floored_last <= unfloored:
             bad.append((x, "nodes", floored, floored_last, unfloored))
+        elif sandwiched(x):
+            d = d_of_ordering(x, canonical_ordering(x))
+            if floored or set(first.values()) != {d}:
+                bad.append((x, "sandwich", d, first, floored))
     return bad
 
 
 def test_floored_report_on_every_complex_on_four_vertices():
-    assert floored_report_mismatches(all_complexes(4)) == []
+    universe = all_complexes(4)
+    assert floored_report_mismatches(universe) == []
+    assert any(map(sandwiched, universe))
 
 
 def test_floored_report_on_random_complexes():
@@ -276,7 +293,9 @@ def test_floored_report_on_random_complexes():
 
 
 def test_star_five_report_chain_reads_c_floor():
-    # L = d_mes = 7 here, and mk_chain(x, 1) runs for minutes without it
+    # L = C = 7 < d_mes = 10 under the canonical order (nc_d = 7 is the
+    # cover order's), so M_k searches above the floor; mk_chain(x, 1)
+    # runs for minutes without it
     x = non_cover_complex(star_family(5, (2,) * 5))
     report = compute(x, FLOORED, budget_limit=10_000)
     assert report["values"] == {"C": 7, "M0": 7, "M1": 7, "M2": 7}
@@ -290,11 +309,14 @@ if __name__ == "__main__":
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
         universe = all_complexes(n)
         bad = floored_report_mismatches(universe)
+        settled = sum(map(sandwiched, universe))
         print(f"{len(universe)} floored reports on <= {n} vertices, "
+              f"{settled} settled by the floor meeting the ceiling, "
               f"{len(bad)} mismatches")
         for row in bad:
             print(*row)
-        sys.exit(1 if bad else 0)
+        # a run where the floor never meets the ceiling tests no sandwich
+        sys.exit(1 if bad or not settled else 0)
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     universe = all_complexes(n)
     bad = [x for x in universe if _cutoff(x) != _exact(x)]
