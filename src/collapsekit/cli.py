@@ -50,7 +50,7 @@ def _spec_from_args(args) -> GeneratorSpec:
         max_size=args.max_size,
         leaves=tuple(args.leaves or ()),
         name=args.name or "",
-        k=getattr(args, "gen_k", 1),
+        k=args.gen_k,
     )
 
 

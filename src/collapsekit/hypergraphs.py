@@ -147,10 +147,8 @@ class Hypergraph:
         return not any(int(e) & ~i == 0 for e in self.edges)
 
     def is_strongly_independent(self, subset) -> bool:
-        return self._strongly_independent(self._vertex_set(subset))
-
-    def _strongly_independent(self, i: int) -> bool:
-        """No edge inside i, and no edge meeting i twice."""
+        """No edge inside the subset, and no edge meeting it twice."""
+        i = self._vertex_set(subset)
         return all(e & ~i and (e & i).bit_count() <= 1 for e in self.edges)
 
     def _is_minimal_cover(self, m: int) -> bool:

@@ -62,7 +62,6 @@ from .invariants import (
     mk_chain,
     _collapsibility,
     _collapsible_within,
-    _mes_certificate,
     _mes_ceiling,
     _MkEngine,
 )
@@ -93,19 +92,19 @@ def _descriptor(inst) -> dict:
 # -- invariant registry ----------------------------------------------------
 
 class _Evaluation:
-    """What the invariants of one report share: the instance, the field,
-    the running invariant's budget, the witnesses, the link cache of the
-    complex the collapse invariants read (the instance, or NC(H) for a
-    hypergraph), and, each built once on first use, the M_k engine, that
-    complex, its facet order and the mes ceiling under that order,
-    replayed (C's certificate wherever C reaches it, and d_mes read from
-    its claim).
+    """What the invariants of one report share: the instance, the field
+    and its parse `p`, the running invariant's budget, the witnesses, the
+    link cache of the complex the collapse invariants read (the instance,
+    or NC(H) for a hypergraph), and, each built once on first use, the M_k
+    engine, that complex, its facet order and the mes ceiling under that
+    order, replayed (C's certificate wherever C reaches it, and d_mes read
+    from its claim).
 
     The link cache is the report's one homology pass: the complex's
     closed-face links and their ranks, which the Leray scans, the Betti
     numbers and the Cohen-Macaulay test all read.  `floor` is C's floor
     L(X; GF(2)), the GF(2) Leray scan capped at the ceiling's claim, taken
-    once when the report asks C (`asks_c`) and read as a value by C, by
+    once when the report names C (`asks_c`) and read as a value by C, by
     M_k as its root floor (`_MkEngine`), or as M_k itself where it meets
     the ceiling's claim u (C <= M_k <= M_0 <= u), and by the Leray number
     as its answer or its cap (`_inv_leray`).  A report without C builds
@@ -116,6 +115,8 @@ class _Evaluation:
     def __init__(self, inst, field):
         self.inst = inst
         self.field = field
+        # a bad field fails here, also when no requested invariant reads it
+        self.p = _parse_field(field)
         self.budget: Optional[Budget] = None
         self.witnesses: dict = {}
         self.links: dict = {}
@@ -241,7 +242,7 @@ def _inv_leray(ev):
     since b_i(Q) <= b_i(GF(2)) on every link; over an odd prime field it
     is capped at the ceiling u >= C, since a u-collapsible complex is
     u-Leray over every field (Wegner 1975)."""
-    x, p, floor = ev.complex, _parse_field(ev.field), ev.floor
+    x, p, floor = ev.complex, ev.p, ev.floor
     if floor is None:
         return leray_number(x, ev.field, ev.links)
     if p == 2:
@@ -291,8 +292,6 @@ def compute(
     and do not abort the rest.  An unknown or repeated name raises
     KeyError before anything is computed.
     """
-    # a bad field fails here, also when no requested invariant reads it
-    _parse_field(field)
     ev = _Evaluation(inst, field)
     registry = HYPERGRAPH_INVARIANTS if ev.prefix else COMPLEX_INVARIANTS
     if which is None or which == ["all"]:
@@ -305,7 +304,7 @@ def compute(
     repeated = sorted({name for name in which if which.count(name) > 1})
     if repeated:
         raise KeyError(f"duplicate invariant(s) {repeated}")
-    ev.asks_c = any(registry[name] is _inv_C for name in which)
+    ev.asks_c = ev.prefix + "C" in which
     values: dict = {}
     exhausted = []
     not_applicable = {}
@@ -501,6 +500,7 @@ def _check_m0_le_d(x: SimplicialComplex, m0_: int, rng: random.Random):
 
 
 def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
+    """Source: this paper, C(NC(H)) <= d(NC(H), <) <= |V| - gamma_i(H) - 1."""
     # one maximizing cover gives gamma_i and, relabeled to an initial
     # segment, the facet order the d bound needs (as in `nc_bound_order`)
     h._forbid_isolated()
@@ -513,11 +513,10 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
         return "pass"
     nc = order.complex
     d = d_of_ordering(nc, order)
-    # the collapse behind C <= d, checked against the face walk's d and
-    # replayed here, is then C's ceiling under this order
-    ceiling = _mes_certificate(nc, order)
-    _chk(ceiling is not None and ceiling.claimed_d == d
-         and ceiling.replay(nc), h,
+    # the collapse behind C <= d, built and replayed as C's ceiling under
+    # this order, must claim the face walk's d
+    ceiling = _mes_ceiling(nc, order)
+    _chk(ceiling is not None and ceiling.claimed_d == d, h,
          lambda: f"the mes collapse does not replay at d={d} for {order!r}")
     c, _ = _collapsibility(nc, budget, ceiling, _leray(nc, 2, None, d))
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
@@ -525,6 +524,7 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_mk_chain(x: SimplicialComplex, rng, budget) -> str:
+    """Source: this paper, L <= C <= M_2 <= M_1 <= M_0 <= d(X, <)."""
     l = leray_number(x)
     c, _ = collapsibility_number_with_certificate(x, budget)
     m0_, m1_, m2_ = mk_chain(x, 2, budget)
@@ -535,15 +535,17 @@ def _thm_mk_chain(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_m0_le_mes(x: SimplicialComplex, rng, budget) -> str:
+    """Source: this paper, M_0(X) <= d(X, <) of Matousek and Tancer."""
     _check_m0_le_d(x, mk_chain(x, 0, budget)[0], rng)
     return "pass"
 
 
 def _thm_kvd_equality(x: SimplicialComplex, rng, budget) -> str:
-    # the equality C = M_k = M'_k is tied to the least k admitting a
-    # shedding sequence: whenever open k-faces exist, M'_k pays k+1 and can
-    # overshoot C on complexes that are already (k-1)-decomposable, e.g. the
-    # two triangles {123},{234} have C = M_1 = 1 but M'_1 = 2
+    """Source: this paper, C = M_k = M'_k on a k-vertex decomposable X."""
+    # the equality is tied to the least k admitting a shedding sequence:
+    # whenever open k-faces exist, M'_k pays k+1 and can overshoot C on
+    # complexes that are already (k-1)-decomposable, e.g. the two
+    # triangles {123},{234} have C = M_1 = 1 but M'_1 = 2
     k = None
     for candidate in (0, 1):
         ok, _ = is_k_vertex_decomposable(x, candidate, budget)
@@ -561,6 +563,7 @@ def _thm_kvd_equality(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_gamma_si_eq(h: Hypergraph, rng, budget) -> str:
+    """Source: Kim and Kim's gamma_si, which is gamma_i on a graph."""
     if any(e.bit_count() > 2 for e in h.edges):
         return "skip"
     gi = hg.gamma_i(h).value
@@ -570,6 +573,7 @@ def _thm_gamma_si_eq(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_tancer(x: SimplicialComplex, rng, budget) -> str:
+    """Source: Tancer, C <= max(C(del v), C(lk v) + 1) at a vertex v."""
     s = _first_claim_failure(x, [Face(1 << v) for v in x.vertices], budget)
     if s is not None:
         raise Counterexample(
@@ -578,6 +582,7 @@ def _thm_tancer(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_claim(x: SimplicialComplex, rng, budget) -> str:
+    """Source: this paper, the claim inequality at faces of dim <= 2."""
     faces = [sigma for k in range(0, min(x.dim, 2) + 1)
              for sigma in sorted(x.faces(k))]
     sigma = _first_claim_failure(x, faces, budget)
@@ -586,6 +591,7 @@ def _thm_claim(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_link_del_commute(x: SimplicialComplex, rng, budget) -> str:
+    """Implementation check: lk(t, del(s, X)) = del(s, lk(t, X))."""
     faces = sorted(x.all_faces())
     links: dict[Face, SimplicialComplex] = {}
     for sigma in faces:
@@ -605,6 +611,7 @@ def _thm_link_del_commute(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_open_faces_simplex(x: SimplicialComplex, rng, budget) -> str:
+    """Implementation check: only a simplex lacks open k-faces."""
     for k in range(0, x.dim + 1):
         if not x.open_faces(k):
             _chk(x.is_simplex, x,
@@ -613,6 +620,7 @@ def _thm_open_faces_simplex(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
+    """Source: this paper, the neighbor inequality in a minimal cover."""
     # each cover is minimal by construction, and its right-hand side does
     # not depend on S, so it is computed once per cover
     for cover in h.minimal_covers():
@@ -626,6 +634,7 @@ def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
+    """Source: this paper, Matousek-Tancer mes constant on a cover class."""
     try:
         relabeled, _, dm, order = hg._cover_relabeling(h)
     except ValueError:  # edgeless H, empty NC(H) or an undominatable cover
@@ -643,6 +652,7 @@ def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_leray_methods(x: SimplicialComplex, rng, budget) -> str:
+    """Implementation check: Leray by links equals Leray by induced."""
     links, induced = leray_number(x), _leray_induced(x)
     _chk(links == induced, x,
          lambda: f"Leray by links {links} != induced {induced}")
@@ -650,6 +660,7 @@ def _thm_leray_methods(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_cm_equivalence(x: SimplicialComplex, rng, budget) -> str:
+    """Source: Reisner's link criterion, which induced CM implies."""
     # one-directional: induced homological connectivity forces Reisner's
     # criterion, but not conversely ({145},{345},{156} satisfies the link
     # condition while its induced subcomplex on {1,3,6} is disconnected)
@@ -661,6 +672,7 @@ def _thm_cm_equivalence(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
+    """Source: this paper, the Leray inequality at a shedding face."""
     ok, _ = is_k_vertex_decomposable(x, 1, budget)
     if not ok:
         return "skip"
@@ -683,6 +695,7 @@ def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_euler(x: SimplicialComplex, rng, budget) -> str:
+    """Implementation check: Euler characteristic by faces and by Betti."""
     b = reduced_betti(x)
     chi_faces = -1  # the empty face counts once (also for the empty complex)
     for f in x.all_faces(include_empty=False):
@@ -696,6 +709,7 @@ def _thm_euler(x: SimplicialComplex, rng, budget) -> str:
 
 
 def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
+    """Source: Kim and Kim, L(NC(H)) by gamma_E, gamma_tilde and gamma_si."""
     l = leray_number(non_cover_complex(h))
     max_edge = max(e.bit_count() for e in h.edges)
     ge = hg.gamma_E(h).value
@@ -712,6 +726,7 @@ def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
 
 
 def _thm_gamma_monotone(h: Hypergraph, rng, budget) -> str:
+    """Source: this paper, gamma_A(H) does not fall as A grows."""
     verts = list(range(1, h.n + 1))
     rng.shuffle(verts)
     prev = -1

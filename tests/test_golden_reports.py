@@ -162,3 +162,22 @@ CASES = [
 def test_report_bytes_are_pinned(make, which, field, digest):
     text = report_json(compute(make(), which, field=field))
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_reports_do_not_depend_on_the_identity_of_the_c_entry(monkeypatch):
+    """A report asks C by name, so a pass-through wrapped around the C and
+    nc_C registry entries (a timer or a tracer) leaves every byte as it
+    is: the floor L(X; GF(2)) and the mes ceiling are still built, and C
+    and M_k still read them."""
+    from collapsekit import reports
+    cases = [(NAMED_EXAMPLES[name](), CHAIN)
+             for name in ("three-cycle", "tetra-boundary", "v6f10-6",
+                          "v7f17")]
+    cases.append((star_family(3, (1, 1, 1)), None))
+    plain = [report_json(compute(inst, which)) for inst, which in cases]
+    for registry, name in ((reports.COMPLEX_INVARIANTS, "C"),
+                           (reports.HYPERGRAPH_INVARIANTS, "nc_C")):
+        monkeypatch.setitem(registry, name,
+                            lambda ev, entry=registry[name]: entry(ev))
+    assert [report_json(compute(inst, which))
+            for inst, which in cases] == plain
