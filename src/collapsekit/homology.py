@@ -11,7 +11,12 @@ vector, the top nonzero degree, "acyclic below the top") pays only for the
 degrees it reads.  Every question builds it the one way, `_link_chains`:
 of the complex itself, or of the nerve of its facets when that has fewer
 vertices and no more faces; by the nerve theorem both have the same
-reduced homology over every field.
+reduced homology over every field.  A closed link of at most four facets,
+or one whose nerve is the boundary of a simplex, needs no rank at all: its
+nerve's homology is read off which facets meet (`_nerve_degrees`).  The
+Leray scan and the link Cohen-Macaulay test read those links so; the
+Betti numbers, homological connectivity and the induced-subcomplex routes
+rank every complex they are asked about.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree, screens rational ranks over GF(2), and can be
@@ -36,7 +41,10 @@ runs on facet masks, with one shedding test (`_shed`): a face sheds when
 some facet holds it and its deletion, taken by the one F - v loop of
 `complexes._deletion`, adds no face to the facets that miss it, so it stays
 pure of the same dimension.  The search asks it, and so does the witness
-replay, one loop over a stack of complexes still to decompose.
+replay, one loop over a stack of complexes still to decompose.  A pure
+complex that is not Cohen-Macaulay over GF(2) is refuted before any
+search: a k-vertex decomposable complex is shellable (Provan and Billera
+1980), so Cohen-Macaulay over every field.
 """
 
 from __future__ import annotations
@@ -367,6 +375,43 @@ def _nerve(facets: Sequence[int]) -> tuple[int, ...]:
     return tuple(set(cover.values()))
 
 
+def _nerve_degrees(lk: tuple[int, ...]) -> Optional[int]:
+    """The degrees in which the complex with facets lk has nonzero reduced
+    homology, as a bitmask, or None when counting cannot tell.
+
+    lk is a closed link (`_closed_links`) of m >= 2 facets, so no vertex
+    lies in all of them and its nerve (`_nerve`, with the same homology
+    over every field) is a subcomplex of the boundary of the
+    (m - 1)-simplex.  When every m - 1 facets meet, the nerve is that whole
+    boundary, an (m - 2)-sphere.  Otherwise its top degree is at most
+    m - 3, and for m <= 4 it is a proper subcomplex of the 2-sphere, with
+    torsion-free homology and none in degree 2, so counting its c
+    components, E meeting pairs and T meeting triples settles it: b~_0 =
+    c - 1 and b_1 = E - T - m + c (Euler).  The answer is the same over
+    every field."""
+    m = len(lk)
+    head = list(itertools.accumulate(lk, operator.and_, initial=-1))
+    tail = -1
+    for i in range(m - 1, -1, -1):
+        if not head[i] & tail:
+            break
+        tail &= lk[i]
+    else:
+        return 1 << m - 2
+    if m > 4:
+        return None
+    parts: list[int] = []
+    for f in lk:
+        for q in [q for q in parts if q & f]:
+            parts.remove(q)
+            f |= q
+        parts.append(f)
+    c = len(parts)
+    pairs = sum(1 for a, b in itertools.combinations(lk, 2) if a & b)
+    triples = sum(1 for a, b, e in itertools.combinations(lk, 3) if a & b & e)
+    return (c > 1) | (pairs - triples - m + c > 0) << 1
+
+
 def _link_chains(lk: tuple[int, ...]) -> _Chains:
     """`_Chains` of the complex with facets lk, or of its nerve (`_nerve`)
     when that has fewer vertices and no more faces to list, bounded by the
@@ -415,7 +460,8 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
     of nonzero reduced homology over all links lk(sigma), sigma a face (the
     empty face gives x itself).  Only the closed faces are visited (sigma
     the intersection of the facets holding it; `_closed_links`): any other
-    link is a cone and has no reduced homology.  Each distinct link is
+    link is a cone and has no reduced homology.  A link that counting
+    settles (`_nerve_degrees`) takes no rank; any other distinct link is
     ranked once, through its facet nerve when that has fewer vertices and
     no more faces, else through itself (`_link_chains`; the nerve theorem
     gives both the same homology).  The scan is `_leray` capped at
@@ -440,16 +486,27 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
     The links come apex first (`_closed_links`): the apex link often
     reaches the final L at once, and the other faces follow largest first,
     so the small links come before the big ones.  A link of dimension D
-    can only raise L to D + 1, so links with D + 1 <= best are skipped,
-    the others are walked down from degree min(D, cap - 1) to degree best
-    and stop at the first nonzero one (`_Chains.top_degree`, which screens
-    rational ranks over GF(2)), and the scan ends once best >= cap.
+    and m facets has its nerve inside the boundary of the (m - 1)-simplex,
+    so it can only raise L to min(D, m - 2) + 1, and links that cannot
+    raise best are skipped.  A link that `_nerve_degrees` settles gives its
+    top nonzero degree below cap off its degree mask, with no rank.  Any
+    other has no homology above m - 3, and is walked down from degree
+    min(D, m - 3, cap - 1) to degree best, stopping at the first nonzero
+    one (`_Chains.top_degree`, which screens rational ranks over GF(2)).
+    The scan ends once best >= cap.
     """
     best = 0
     for d, lk in _links_of(x, cache):
-        if d + 1 > best:
-            best = max(best, _cached(cache, lk, _link_chains)
-                       .top_degree(min(d, cap - 1), best, p) + 1)
+        m = len(lk)
+        if min(d, m - 2) + 1 > best:
+            top = min(d, cap - 1)
+            mask = _nerve_degrees(lk)
+            if mask is None:
+                t = _cached(cache, lk, _link_chains).top_degree(
+                    min(top, m - 3), best, p)
+            else:
+                t = (mask & (1 << top + 1) - 1).bit_length() - 1
+            best = max(best, t + 1)
         if best >= cap:
             break
     return best
@@ -479,20 +536,27 @@ def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q",
     """Pure, and every link is homologically (dim(link) - 1)-connected.
 
     Only the links of closed faces are read (`_closed_links`; any other
-    link is a cone, acyclic in every degree), each through itself or its
-    facet nerve as in `leray_number`, and always against the link's own
-    dimension.  Degrees are walked up from 0 and the walk stops at the
-    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.  A link
-    cache shares the links and their ranks with the Leray scans and the
-    Betti numbers of x.
+    link is a cone, acyclic in every degree), always against the link's
+    own dimension D.  A link that counting settles (`_nerve_degrees`) fails
+    iff its degree mask has a degree below D.  Any other, of m facets, is
+    ranked through itself or its facet nerve as in `leray_number`, with
+    degrees walked up from 0 below min(D, m - 2) (it has no homology
+    above m - 3); the walk stops at the first nonzero one, screened over
+    GF(2) as in `_Chains.nonzero`.  A link cache shares the links and
+    their ranks with the Leray scans and the Betti numbers of x.
     """
     p = _parse_field(field)
     if not x.is_pure():
         return False
     for d, lk in _links_of(x, cache):
         if d > 0:
-            chains = _cached(cache, lk, _link_chains)
-            if any(chains.nonzero(t, p) for t in range(d)):
+            mask = _nerve_degrees(lk)
+            if mask is None:
+                chains = _cached(cache, lk, _link_chains)
+                if any(chains.nonzero(t, p)
+                       for t in range(min(d, len(lk) - 2))):
+                    return False
+            elif mask & (1 << d) - 1:
                 return False
     return True
 
@@ -590,11 +654,19 @@ def is_k_vertex_decomposable(
     The search runs on canonical facet tuples of plain masks, each its own
     memo key: shedding faces and deletions come from `_shed` and links from
     `complexes._link`, and faces become `Face`s only in the witness.
+
+    A complex that is not Cohen-Macaulay over GF(2) is refuted before the
+    search, with no node spent: for every k the search decomposes at most
+    dim(x)-faces, and a pure complex with such a decomposition is
+    shellable (Provan and Billera 1980), so Cohen-Macaulay over every
+    field.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if not x.is_pure():
         raise NotPureError("k-vertex decomposability is defined for pure complexes")
+    if not is_cohen_macaulay(x, 2):
+        return False, None
     budget = budget or Budget()
     memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 

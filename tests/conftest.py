@@ -1,6 +1,6 @@
 """Shared test tooling: exhaustive enumeration of small complexes and
-hypergraphs, the definition of an open face, and the apex floor C was once
-searched from."""
+hypergraphs, the definition of an open face, the apex floor C was once
+searched from, and the mod-3 Moore space."""
 
 import functools
 import operator
@@ -64,3 +64,18 @@ def apex_floor(x: SimplicialComplex) -> int:
     C was searched from before it read L(x; GF(2))."""
     apex = functools.reduce(operator.and_, x.facets)
     return reduced_betti(x.link(Face(apex)), 2).top_nonzero_degree() + 1
+
+
+def mod3_moore_space():
+    """A disk whose boundary winds three times around the triangle 1-2-3,
+    with a ring of vertices 4..12 and a centre 13 inside.  Every edge lies
+    in 2 or 3 triangles, so no face of at most 2 vertices is free and
+    C = 3, while its homology vanishes over GF(2) (H_1 is Z/3) and every
+    link is a graph or points: L(x; GF(2)) = 2 < C."""
+    rim = (1, 2, 3) * 3
+    facets = []
+    for i in range(9):
+        j = (i + 1) % 9
+        facets += [(rim[i], rim[j], 4 + i), (rim[j], 4 + i, 4 + j),
+                   (4 + i, 4 + j, 13)]
+    return SimplicialComplex(facets)

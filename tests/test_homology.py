@@ -1,6 +1,7 @@
 """Reduced homology ranks, Leray numbers, Cohen-Macaulayness, shellability
 and k-vertex decomposability."""
 
+import collections
 import functools
 import itertools
 import math
@@ -45,7 +46,7 @@ from collapsekit.homology import (
     _shed,
 )
 
-from conftest import all_complexes, shifted
+from conftest import all_complexes, mod3_moore_space, shifted
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 TETRA_BOUNDARY = boundary((1, 2, 3, 4))
@@ -421,21 +422,26 @@ def test_leray_scan_skips_repeated_links(monkeypatch):
 
     monkeypatch.setattr(homology, "_link_chains", counted)
     monkeypatch.setattr(SimplicialComplex, "link", no_link)
-    # three triangles on the edge 12: 12 is the only closed face below a
-    # facet, so its link {3, 4, 5} is the one ranked; every other link
-    # (the edges 13, 14, ... and the vertices, and x itself) is a cone
-    fan = SimplicialComplex([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+    # five triangles on the edge 12: 12 is the only closed face below a
+    # facet, so its link, five points, is the one ranked; every other link
+    # (the edges 13, 14, ... and the vertices, and x itself) is a cone, and
+    # the five facets share the link {} of a facet, which has no degree to
+    # rank.  Three points would be read off their nerve, with no rank.
+    fan = SimplicialComplex([(1, 2, v) for v in range(3, 8)])
     assert leray_number(fan) == 1
-    assert ranked == [(0b1000, 0b10000, 0b100000)]
+    assert ranked == [tuple(1 << v for v in range(3, 8))]
     for x in all_complexes(4) + [RP2, V6F10_6]:
         for p in (None, 2):
             ranked.clear()
             leray_number(x, "Q" if p is None else p)
             # each family once, and no cone: a link of a non-closed face
             # sigma has c - sigma in all its facets, c the intersection of
-            # the facets that hold sigma
+            # the facets that hold sigma; and only what counting cannot
+            # settle, links of five or more facets whose nerve is not a
+            # sphere
             assert len(ranked) == len(set(ranked)), x
             assert all(functools.reduce(operator.and_, lk) == 0
+                       and len(lk) >= 5 and not _sphere_nerve(lk)
                        for lk in ranked), x
 
 
@@ -694,6 +700,92 @@ def test_betti_numbers_and_connectivity_rank_through_the_nerve(monkeypatch):
     assert columns == []
 
 
+def _sphere_nerve(lk):
+    """True iff every len(lk) - 1 of the facets lk meet: for a closed link,
+    whose facets share no vertex, the nerve is then the boundary of a
+    simplex."""
+    return all(functools.reduce(operator.and_, lk[:i] + lk[i + 1:])
+               for i in range(len(lk)))
+
+
+def rank_every_link_leray(links, chains, p, cap):
+    """The capped Leray scan over the closed links `links` with every link
+    above best ranked through its `chains` (`_link_chains`), as `_leray`
+    was before it read small links off their nerves: its oracle."""
+    best = 0
+    for d, lk in links:
+        if d + 1 > best:
+            best = max(best, chains[lk].top_degree(min(d, cap - 1), best, p)
+                       + 1)
+        if best >= cap:
+            break
+    return best
+
+
+def rank_every_link_cohen_macaulay(x, links, chains, p):
+    """The link Cohen-Macaulay test with every closed link ranked through
+    its `chains`: the oracle of `is_cohen_macaulay`."""
+    return x.is_pure() and not any(
+        d > 0 and any(chains[lk].nonzero(t, p) for t in range(d))
+        for d, lk in links)
+
+
+def nerve_differential(complexes):
+    """On each complex, over Q, GF(2) and GF(3): `_nerve_degrees` of every
+    closed link with a face is the set of degrees where the link's own
+    `_Chains` read a nonzero Betti number, and None only on a link of five
+    or more facets whose nerve is no sphere; `_leray` capped at every cap
+    from 0 to dim + 1 and at infinity, and `is_cohen_macaulay`, answer as
+    the rank-every-link loops.  Each side keeps its own link cache per
+    complex.  Returns the links met, counted by (nerve a sphere, five or
+    more facets), and the mismatches."""
+    kinds = collections.Counter()
+    bad = []
+    for x in complexes:
+        links = list(homology._closed_links(x))
+        chains = {lk: homology._link_chains(lk) for _, lk in links}
+        for d, lk in links:
+            if d < 0:
+                continue
+            got = homology._nerve_degrees(lk)
+            sphere = _sphere_nerve(lk)
+            kinds[sphere, len(lk) >= 5] += 1
+            if (got is None) != (len(lk) >= 5 and not sphere):
+                bad.append((x, lk))
+            own = homology._Chains(lk)
+            for p in (None, 2, 3):
+                want = sum(1 << t for t in range(own.dim + 1)
+                           if own.betti(t, p))
+                if got not in (None, want):
+                    bad.append((x, lk, p))
+        cache = {}
+        for p in (None, 2, 3):
+            for cap in [*range(x.dim + 2), math.inf]:
+                if (homology._leray(x, p, cache, cap)
+                        != rank_every_link_leray(links, chains, p, cap)):
+                    bad.append((x, p, cap))
+            if (is_cohen_macaulay(x, "Q" if p is None else p, cache)
+                    != rank_every_link_cohen_macaulay(x, links, chains, p)):
+                bad.append((x, p))
+    return kinds, bad
+
+
+def test_nerve_degrees_settle_small_closed_links_as_the_ranks_do():
+    """Every complex on <= 5 vertices, the named examples, the mod-3 Moore
+    space and NC(star_family(n)) for n = 4, 5 (`nerve_differential`).  A
+    hollow triangle and a point has homology in degrees 0 and 1: a top
+    degree alone would lose degree 0, which a scan capped at 1 must see."""
+    xs = (all_complexes(5) + [make() for make in NAMED_EXAMPLES.values()]
+          + [mod3_moore_space()]
+          + [non_cover_complex(star_family(n, (1,) * n)) for n in (4, 5)])
+    kinds, bad = nerve_differential(xs)
+    assert bad == []
+    # spheres and non-spheres, with fewer and with five or more facets
+    assert len(kinds) == 4
+    cycle_and_point = SimplicialComplex([(1, 2), (2, 3), (1, 3), (4,)])
+    assert homology._nerve_degrees(cycle_and_point.facets) == 0b11
+
+
 # -- Cohen-Macaulay --------------------------------------------------------
 
 def test_cohen_macaulay_goldens():
@@ -918,18 +1010,23 @@ def oracle_verify(x, k, witness):
 
 def test_kvd_matches_the_complex_search_on_every_small_pure_complex():
     """Every pure complex on <= 5 vertices, k = 0, 1, 2: the verdict, the
-    witness and the nodes spent are the old search's, and the replay of
-    each witness, of it under another k and of it less its last step
-    agrees with the old replay."""
+    witness and the nodes spent are the old search's (no node on a complex
+    the Cohen-Macaulay pre-test refutes), and the replay of each witness,
+    of it under another k and of it less its last step agrees with the old
+    replay."""
     pure = [x for x in all_complexes(5) if x.is_pure()]
     assert len(pure) == 2110  # the empty complex included
-    found = 0
+    found = refuted = 0
     for x in pure:
+        cm = is_cohen_macaulay(x, 2)
+        refuted += not cm
         for k in (0, 1, 2):
             mine, old = Budget(), Budget()
             got = is_k_vertex_decomposable(x, k, mine)
             assert got == oracle_kvd(x, k, old), (x, k)
-            assert mine.used == old.used, (x, k)
+            # a complex that is not Cohen-Macaulay over GF(2) is refused
+            # before the search, with no node spent
+            assert mine.used == (old.used if cm else 0), (x, k)
             ok, wit = got
             if ok:
                 found += 1
@@ -937,7 +1034,7 @@ def test_kvd_matches_the_complex_search_on_every_small_pure_complex():
                 for kk, w in ((k, wit), ((k + 1) % 3, wit), (k, wit[:-1])):
                     assert (verify_shedding_sequence(x, kk, w)
                             == oracle_verify(x, kk, w)), (x, k, kk, w)
-    assert 0 < found < 3 * len(pure)
+    assert 0 < found < 3 * len(pure) and refuted
 
 
 def test_shed_matches_the_oracle_on_every_face_of_every_small_pure_complex():
@@ -1013,7 +1110,9 @@ def test_shed_leray_trial_ranks_the_trial_complex_at_most_once(monkeypatch):
 def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     """The trial's faces and L(X) share one link cache, and so do the
     Cohen-Macaulay test and the Leray scans of one check: the links of a
-    deletion, its faces' links and X are each listed once."""
+    deletion, its faces' links and X are each listed once.  Before them the
+    kvd1 hypothesis lists X once more, for its Cohen-Macaulay pre-test,
+    which has no link cache."""
     listed = []
     real = homology._closed_links
 
@@ -1024,7 +1123,8 @@ def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     monkeypatch.setattr(homology, "_closed_links", counted)
     run = reports.THEOREMS["shed-leray"][1]
     assert run(V6F10_6, random.Random(0), Budget()) == "pass"
-    assert len(listed) == len(set(listed)) == 17
+    assert listed[0] == V6F10_6
+    assert len(listed[1:]) == len(set(listed[1:])) == 17
     listed.clear()
     assert shedding_leray_inequality_check(V6F10_6, (2, 3))
     assert len(listed) == len(set(listed)) == 3
@@ -1116,7 +1216,9 @@ def test_cones_have_zero_betti_vectors_with_no_rank(monkeypatch):
 
 def test_a_betti_first_report_builds_each_chain_complex_once(monkeypatch):
     # the Betti numbers keep the apex link's chains for the Leray scan and
-    # C's floor after them
+    # C's floor after them; of the other closed links only a vertex link,
+    # a path of five edges, is ranked, and the three-point edge links are
+    # read off their nerves
     built = []
 
     class Counted(homology._Chains):
@@ -1131,7 +1233,7 @@ def test_a_betti_first_report_builds_each_chain_complex_once(monkeypatch):
     report = reports.compute(V6F10_6, ["betti", "leray", "C"])
     assert report["values"]["leray"] == report["values"]["C"] == 2
     assert report["values"]["betti"]["ranks"] == want
-    assert len(built) == len(set(built)) == 3
+    assert len(built) == len(set(built)) == 2
 
 
 def test_leray_alone_builds_no_ceiling(monkeypatch):
@@ -1166,6 +1268,28 @@ def test_a_report_ranks_few_gf2_columns_for_c_and_leray(monkeypatch):
 
 if __name__ == "__main__":
     # python tests/test_homology.py [n [shift]]
+    # python tests/test_homology.py nerve count [seed]
+    if sys.argv[1:2] == ["nerve"]:
+        count = int(sys.argv[2]) if len(sys.argv) > 2 else 100
+        seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
+        rng = random.Random(seed)
+        xs = []
+        for _ in range(count):
+            # 5 to 14 facets of 2 to n - 1 vertices: closed links of five
+            # or more facets, spheres among them, are common
+            n = rng.randint(6, 9)
+            xs.append(SimplicialComplex(
+                rng.sample(range(1, n + 1), rng.randint(2, n - 1))
+                for _ in range(rng.randint(5, 14))))
+        kinds, mismatches = nerve_differential(xs)
+        print(f"{len(xs)} random complexes on 6-9 vertices, seed {seed}: "
+              + ", ".join(f"{v} links {'' if sphere else 'not '}spheres "
+                          f"with {'>= 5' if big else '<= 4'} facets"
+                          for (sphere, big), v in sorted(kinds.items()))
+              + f"; {len(mismatches)} mismatches")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches or len(kinds) < 4 else 0)
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     shift = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     count, mismatches = report_differential(n, shift)

@@ -53,7 +53,7 @@ from collapsekit.complexes import vertices_of
 from collapsekit.generators import v6f10_6
 from collapsekit.reports import compute
 
-from conftest import all_complexes, apex_floor, shifted
+from conftest import all_complexes, apex_floor, mod3_moore_space, shifted
 
 THREE_CYCLE = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
 
@@ -332,21 +332,6 @@ def test_homology_floor_skips_the_doomed_searches():
     assert _nodes_of_the_last_search(nc) == (5, 19, 19)
 
 
-def _mod3_moore_space():
-    """A disk whose boundary winds three times around the triangle 1-2-3,
-    with a ring of vertices 4..12 and a centre 13 inside.  Every edge lies
-    in 2 or 3 triangles, so no face of at most 2 vertices is free and
-    C = 3, while its homology vanishes over GF(2) (H_1 is Z/3) and every
-    link is a graph or points: L(x; GF(2)) = 2 < C."""
-    rim = (1, 2, 3) * 3
-    facets = []
-    for i in range(9):
-        j = (i + 1) % 9
-        facets += [(rim[i], rim[j], 4 + i), (rim[j], 4 + i, 4 + j),
-                   (4 + i, 4 + j, 13)]
-    return SimplicialComplex(facets)
-
-
 def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
     """No ceiling, or one that does not replay: C still answers, through
     the searches up from the floor L(x; GF(2)), with the plain loop's
@@ -354,7 +339,7 @@ def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
     (floor 2 = C) the search at the floor succeeds; on the mod-3 Moore
     space (floor 2, C = 3) it fails and the one above succeeds."""
     from collapsekit.generators import star_family
-    xs = [v6f10_6(), _mod3_moore_space(),
+    xs = [v6f10_6(), mod3_moore_space(),
           non_cover_complex(star_family(3, (1, 1, 1)))]
     floors = [leray_number(x, 2) for x in xs]
     wants = [plain_collapsibility_number(x) for x in xs]

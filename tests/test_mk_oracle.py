@@ -154,17 +154,17 @@ def test_golden_chain_stays_within_its_node_count():
 def test_v7f17_has_m2_below_m1():
     """The smallest known M_2 < M_1: L = C = M_2 = 3 < M_1 = M_0 = d_mes
     = 4 over Q and over GF(2), as the exact engine says, with a collapse
-    certificate that replays.  It is not 0- or 1-vertex decomposable (nor
-    2-, which takes seconds to refute)."""
+    certificate that replays.  It is not 0-, 1- or 2-vertex decomposable:
+    it is not Cohen-Macaulay, so the search is never entered."""
     x = NAMED_EXAMPLES["v7f17"]()
     exact = ExactMk()
     assert [exact.m(x, k) for k in range(K_MAX + 1)] == [4, 4, 3]
     for field in ("Q", 2):
         report = compute(x, ["leray", "C", "M0", "M1", "M2", "d_mes",
-                             "kvd0", "kvd1"], field=field)
+                             "kvd0", "kvd1", "kvd2"], field=field)
         assert report["values"] == {
             "leray": 3, "C": 3, "M0": 4, "M1": 4, "M2": 3, "d_mes": 4,
-            "kvd0": False, "kvd1": False}, field
+            "kvd0": False, "kvd1": False, "kvd2": False}, field
         cert = certificate_from_obj(report["witnesses"]["collapse_certificate"])
         assert cert.claimed_d == 3 and cert.replay(x)
 
