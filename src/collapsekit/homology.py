@@ -409,7 +409,7 @@ def _nerve_degrees(lk: tuple[int, ...]) -> Optional[int]:
     c = len(parts)
     pairs = sum(1 for a, b in itertools.combinations(lk, 2) if a & b)
     triples = sum(1 for a, b, e in itertools.combinations(lk, 3) if a & b & e)
-    return (c > 1) | (pairs - triples - m + c > 0) << 1
+    return int(c > 1) | (pairs - triples - m + c > 0) << 1
 
 
 def _link_chains(lk: tuple[int, ...]) -> _Chains:
@@ -643,7 +643,8 @@ def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
 
 
 def is_k_vertex_decomposable(
-    x: SimplicialComplex, k: int, budget: Optional[Budget] = None
+    x: SimplicialComplex, k: int, budget: Optional[Budget] = None,
+    cache: Optional[dict] = None
 ) -> tuple[bool, Optional[tuple[SheddingWitness, ...]]]:
     """Memoized search for a k-vertex decomposition of a pure complex.
 
@@ -659,13 +660,14 @@ def is_k_vertex_decomposable(
     search, with no node spent: for every k the search decomposes at most
     dim(x)-faces, and a pure complex with such a decomposition is
     shellable (Provan and Billera 1980), so Cohen-Macaulay over every
-    field.
+    field.  A link cache shares that test's links and ranks with the other
+    questions asked of x, as in `is_cohen_macaulay`.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if not x.is_pure():
         raise NotPureError("k-vertex decomposability is defined for pure complexes")
-    if not is_cohen_macaulay(x, 2):
+    if not is_cohen_macaulay(x, 2, cache):
         return False, None
     budget = budget or Budget()
     memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}

@@ -215,7 +215,7 @@ def _inv_shellable(ev):
 
 def _inv_kvd(k):
     def run(ev):
-        ok, wit = is_k_vertex_decomposable(ev.inst, k, ev.budget)
+        ok, wit = is_k_vertex_decomposable(ev.inst, k, ev.budget, ev.links)
         if ok:
             ev.witnesses[f"shedding_sequence_k{k}"] = [
                 [list(w.face.vertices), w.dim_bound] for w in wit
@@ -547,8 +547,9 @@ def _thm_kvd_equality(x: SimplicialComplex, rng, budget) -> str:
     # complexes that are already (k-1)-decomposable, e.g. the two
     # triangles {123},{234} have C = M_1 = 1 but M'_1 = 2
     k = None
+    cache: dict = {}
     for candidate in (0, 1):
-        ok, _ = is_k_vertex_decomposable(x, candidate, budget)
+        ok, _ = is_k_vertex_decomposable(x, candidate, budget, cache)
         if ok:
             k = candidate
             break
@@ -673,13 +674,14 @@ def _thm_cm_equivalence(x: SimplicialComplex, rng, budget) -> str:
 
 def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
     """Source: this paper, the Leray inequality at a shedding face."""
-    ok, _ = is_k_vertex_decomposable(x, 1, budget)
+    # L(X) is ranked once, and only once some face meets the hypotheses;
+    # one link cache serves the kvd1 hypothesis, every face and L(X) (its
+    # keys are facet tuples and complexes, so the links of different
+    # complexes never mix)
+    cache: dict = {}
+    ok, _ = is_k_vertex_decomposable(x, 1, budget, cache)
     if not ok:
         return "skip"
-    # L(X) is ranked once, and only once some face meets the hypotheses;
-    # one link cache serves every face and L(X) (its keys are facet tuples
-    # and complexes, so the links of different complexes never mix)
-    cache: dict = {}
     lhs = functools.cache(lambda: leray_number(x, "Q", cache))
     checked = False
     for k in range(0, min(x.dim, 1) + 1):

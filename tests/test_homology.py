@@ -1110,9 +1110,8 @@ def test_shed_leray_trial_ranks_the_trial_complex_at_most_once(monkeypatch):
 def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     """The trial's faces and L(X) share one link cache, and so do the
     Cohen-Macaulay test and the Leray scans of one check: the links of a
-    deletion, its faces' links and X are each listed once.  Before them the
-    kvd1 hypothesis lists X once more, for its Cohen-Macaulay pre-test,
-    which has no link cache."""
+    deletion, its faces' links and X are each listed once, X also for the
+    Cohen-Macaulay pre-test of the kvd1 hypothesis."""
     listed = []
     real = homology._closed_links
 
@@ -1123,11 +1122,32 @@ def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     monkeypatch.setattr(homology, "_closed_links", counted)
     run = reports.THEOREMS["shed-leray"][1]
     assert run(V6F10_6, random.Random(0), Budget()) == "pass"
-    assert listed[0] == V6F10_6
-    assert len(listed[1:]) == len(set(listed[1:])) == 17
+    assert len(listed) == len(set(listed)) == 17
     listed.clear()
     assert shedding_leray_inequality_check(V6F10_6, (2, 3))
     assert len(listed) == len(set(listed)) == 3
+
+
+def test_a_kvd_report_lists_the_links_once(monkeypatch):
+    # kvd0-kvd2 and the Cohen-Macaulay test read one link cache, so the
+    # pre-test of each kvd question lists X once between them, on RP2 (not
+    # Cohen-Macaulay over GF(2), so every kvd answer is that refutation)
+    # and on v6f10-6 (Cohen-Macaulay, so the searches run)
+    listed = []
+    real = homology._closed_links
+
+    def counted(y):
+        listed.append(y)
+        return real(y)
+
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    which = ["kvd0", "kvd1", "kvd2", "cohen_macaulay"]
+    for x, cm in ((RP2, False), (V6F10_6, True)):
+        listed.clear()
+        values = reports.compute(x, which, field=2)["values"]
+        assert values["cohen_macaulay"] is cm
+        assert cm or not any(values[k] for k in which[:3])
+        assert listed == [x]
 
 
 def test_cone_over_three_cycle():
