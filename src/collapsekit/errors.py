@@ -66,9 +66,15 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self):
-        self.used += 1
+    def spend(self, units=1):
+        """Spend `units` nodes at once, raising as spending them one by one
+        would: at the first node past the limit, which is the last counted
+        in `used`."""
+        self.used += units
         if self.used > self.limit:
+            if not units:
+                return
+            self.used = max(self.used - units, self.limit) + 1
             raise BudgetExceededError(
                 f"search exceeded node budget of {self.limit}"
             )

@@ -8,10 +8,20 @@ From the repo root,
 32,767 hypergraphs on 4 vertices (about 3 minutes), and
 `PYTHONPATH=src python tests/test_hypergraphs.py graphs 5` on all 32,767
 graphs on 5 vertices, loops included.
+
+On at most 12 vertices the strong domination numbers are read off the
+subset lattice, and the fewest-first scan stays as its oracle: the suite
+compares the two, value, witness, error and budget use, at every budget
+limit on every hypergraph on <= 3 vertices and on a few random ones on 12
+and 13 vertices.  `PYTHONPATH=src python tests/test_hypergraphs.py budget 4 200`
+does so on every hypergraph on 4 vertices and on 200 random ones on each
+of 12 and 13 vertices (about a minute).
 """
 
+import contextlib
 import inspect
 import itertools
+import math
 import random
 import re
 import sys
@@ -636,6 +646,194 @@ def test_domination_scans_draw_on_the_budget():
     assert C4.minimal_covers(b) == C4.minimal_covers() and b.used > 1
 
 
+# -- the subset lattice against the scan -----------------------------------
+# On at most hg._LATTICE_WIDTH vertices the strong domination numbers are
+# read off subset tables; the fewest-first scan stays as their oracle.
+# Setting the width below n forces the scan, and setting it to n forces the
+# lattice, also one vertex past the width used in production.
+
+@contextlib.contextmanager
+def lattice_width(width):
+    old = hg._LATTICE_WIDTH
+    hg._LATTICE_WIDTH = width
+    try:
+        yield
+    finally:
+        hg._LATTICE_WIDTH = old
+
+
+def spent(fn, args, limit=None):
+    """fn's result or the type and message of its error, and the units of
+    a budget of `limit` (the default when None) it used."""
+    budget = Budget() if limit is None else Budget(limit)
+    try:
+        out = fn(*args, budget)
+    except (ValueError, BudgetExceededError) as exc:
+        out = type(exc), str(exc)
+    return out, budget.used
+
+
+def lattice_agrees_with_scan(h, targets):
+    """gamma_tilde and gamma_si on h, and gamma_strong on each target, give
+    the same value, witness, error and `Budget.used` on the lattice as on
+    the scan, at every budget limit from 1 to one past what the question
+    uses.  Returns the number of runs compared."""
+    questions = [(gamma_tilde, (h,)), (gamma_si, (h,))]
+    questions += [(gamma_strong, (h, w)) for w in targets]
+    runs = 0
+    for fn, args in questions:
+        with lattice_width(h.n - 1):
+            used = spent(fn, args)[1]
+        for limit in range(1, used + 2):
+            with lattice_width(h.n - 1):
+                scan = spent(fn, args, limit)
+            with lattice_width(h.n):
+                lattice = spent(fn, args, limit)
+            assert lattice == scan, (h, fn.__name__, args[1:], limit)
+            runs += 1
+    return runs
+
+
+def wide_hypergraphs(n, count, seed):
+    """`count` seeded random hypergraphs on n vertices with no isolated
+    vertex and small domination numbers, so that every budget limit can be
+    tried: two or three centres share an edge, every other vertex shares a
+    pair with one of them, and one to three edges of one to four vertices
+    are added."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        order = rng.sample(range(1, n + 1), n)
+        k = rng.randint(2, 3)
+        edges = [order[:k]] + [(rng.choice(order[:k]), v) for v in order[k:]]
+        edges += [rng.sample(range(1, n + 1), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 3))]
+        yield Hypergraph(n, edges)
+
+
+def lattice_differential(cases):
+    """Run `lattice_agrees_with_scan` on each (hypergraph, targets) pair.
+    Returns (checked, runs, mismatches)."""
+    checked, runs, mismatches = 0, 0, []
+    for h, targets in cases:
+        try:
+            runs += lattice_agrees_with_scan(h, targets)
+        except AssertionError as exc:
+            mismatches.append(exc)
+        checked += 1
+    return checked, runs, mismatches
+
+
+def wide_cases(count):
+    """`count` seeded random hypergraphs at the lattice width and as many
+    one vertex past it, each with the empty target, the whole vertex set
+    and two random targets."""
+    for width in (hg._LATTICE_WIDTH, hg._LATTICE_WIDTH + 1):
+        rng = random.Random(width)
+        for h in wide_hypergraphs(width, count, width):
+            yield h, [0, h.vertex_mask] + [
+                rng.randrange(2, 1 << (width + 1), 2) for _ in range(2)]
+
+
+def budget_cases(n, count):
+    """Every hypergraph on n vertices with the targets of the graph test,
+    then the `wide_cases`."""
+    for h in all_hypergraphs(n):
+        yield h, graph_targets(n)
+    yield from wide_cases(count)
+
+
+def test_bulk_spend_raises_where_single_spends_do():
+    """`Budget.spend(units)` raises exactly when spending one unit at a
+    time would, and leaves the same `used`: limit + 1 on the way past the
+    limit, one more on a budget already past it, nothing for no units."""
+    for limit in range(1, 7):
+        for start in range(limit + 3):
+            for units in range(limit + 4):
+                bulk, single = Budget(limit), Budget(limit)
+                bulk.used = single.used = start
+                try:
+                    bulk.spend(units)
+                    got = None
+                except BudgetExceededError as exc:
+                    got = str(exc)
+                try:
+                    for _ in range(units):
+                        single.spend()
+                    want = None
+                except BudgetExceededError as exc:
+                    want = str(exc)
+                assert (got, bulk.used) == (want, single.used), (
+                    limit, start, units)
+
+
+def test_lattice_matches_the_scan_on_every_hypergraph_up_to_3_vertices():
+    runs = 0
+    for n in (1, 2, 3):
+        targets = list(range(0, 1 << (n + 1), 2)) + [1 << (n + 1)]
+        for h in all_hypergraphs(n):
+            runs += lattice_agrees_with_scan(h, targets)
+    assert runs == 4200
+
+
+def test_lattice_matches_the_scan_at_and_past_the_width():
+    checked, _, mismatches = lattice_differential(wide_cases(4))
+    assert (checked, mismatches) == (8, [])
+
+
+def test_lattice_matches_the_scan_on_large_answers():
+    """Least sets of four to eight vertices: perfect matchings, whose
+    strong total domination needs every vertex, a 5-cycle and two
+    disjoint triples."""
+    cases = [Hypergraph(n, [(v, v + 1) for v in range(1, n, 2)])
+             for n in (4, 6, 8)]
+    cases += [Hypergraph(5, [(v, v % 5 + 1) for v in range(1, 6)]),
+              Hypergraph(6, [(1, 2, 3), (4, 5, 6)])]
+    assert [gamma_tilde(h).value for h in cases] == [4, 6, 8, 3, 6]
+    for h in cases:
+        lattice_agrees_with_scan(h, [0, h.vertex_mask, 0b1010110])
+
+
+def test_lattice_is_used_up_to_its_width_only():
+    """The strong tables are built on first use, on a hypergraph within the
+    width, and shared by every later question on it; gamma_i, gamma_E and
+    strongly_dominates scan and never build them."""
+    small, wide = (Hypergraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+                   for n in (hg._LATTICE_WIDTH, hg._LATTICE_WIDTH + 1))
+    for h in (small, wide):
+        gamma_i(h)
+        gamma_E(h)
+        strongly_dominates(h, 0, Face(h.vertex_mask))
+        assert h._sd is None
+        gamma_tilde(h)
+    assert small._sd is not None and wide._sd is None
+    tables = small._sd
+    gamma_si(small)
+    gamma_strong(small, [1, 2])
+    assert small._sd is tables
+
+
+def test_lattice_tables_index_subsets_in_subsets_order():
+    """Within one size layer a higher index comes earlier in `subsets`
+    order, and an index maps back to its mask."""
+    for n in range(1, 7):
+        full, has, sizes, upto = hg._cube(n)
+        assert full == (1 << (1 << n)) - 1
+        assert upto == tuple(tuple(sum(math.comb(k, j) for j in range(r + 1))
+                                   for r in range(n + 1))
+                             for k in range(n + 1))
+        masks = list(subsets((1 << (n + 1)) - 2, range(n + 1)))
+        index = [hg._index(m, n) for m in masks]
+        assert sorted(index) == list(range(1 << n))
+        for m, i in zip(masks, index):
+            assert hg._index(i << 1, n) << 1 == m
+            assert sizes[m.bit_count()] >> i & 1
+            for v in range(1, n + 1):
+                assert has[v] >> i & 1 == m >> v & 1
+        for r in range(n + 1):
+            layer = [i for m, i in zip(masks, index) if m.bit_count() == r]
+            assert layer == sorted(layer, reverse=True)
+
+
 # -- star family (gap between the parameters) -----------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -854,6 +1052,19 @@ def test_main_bound_needs_the_cover_relabeling():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["budget"]:
+        # the lattice against the scan at every budget limit
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+        count = int(sys.argv[3]) if len(sys.argv) > 3 else 200
+        checked, runs, mismatches = lattice_differential(
+            budget_cases(n, count))
+        print(f"{checked} hypergraphs (every one on {n} vertices, {count} "
+              f"random on {hg._LATTICE_WIDTH} and on "
+              f"{hg._LATTICE_WIDTH + 1}), {runs} budgeted runs: "
+              f"{len(mismatches)} disagree with the scan")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches else 0)
     if sys.argv[1:2] == ["graphs"]:
         # every graph with loops, against the targets of the 4-vertex test
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
