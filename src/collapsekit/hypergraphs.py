@@ -15,11 +15,12 @@ and a question ANDs its targets' tables.  The scan stays as the lattice's
 test oracle.  The sets the two max parameters range over, the
 minimal covers (gamma_i) and the maximal strongly independent sets
 (gamma_si), are the leaves of one branching walk, `_branch`, which takes
-the first requirement a set misses and branches on its vertices; the max
-loops skip a set whose upper bound cannot beat the best so far.  Each
-candidate tested and each walk node spends one unit of the caller's
-`Budget`; the lattice spends, by count, the candidates the scan would
-have tested.  Strong independence is read from neighbourhoods.
+the first requirement a set misses and branches on its vertices; one
+bounded max, `_most`, serves both and skips a set whose upper bound
+cannot beat the best so far.  Each candidate tested and each walk node
+spends one unit of the caller's `Budget`; the lattice spends, by count on
+the vertex mask its targets' requirements reach, the candidates the scan
+would have tested.  Strong independence is read from neighbourhoods.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
 singleton edge {v} exists (so "isolated" means what it does for graphs).
@@ -322,14 +323,15 @@ def _fewest(need, budget: Budget) -> int | None:
 # first in `subsets` order then has the highest index.  Each vertex has the
 # table of the B that strongly dominate it, a question ANDs its targets'
 # tables, and its least B is the highest bit of the first size layer the
-# AND meets.  Timed on fresh hypergraphs, the lattice answered gamma_tilde
-# and gamma_si faster than the scan at every width tried, 6 to 16
-# vertices; the width bounds the tables each hypergraph keeps, n 2^n bits
-# (6 KB on 12 vertices, 128 KB on 16).
+# AND meets.  The budget is counted on the plain vertex mask its targets'
+# requirements reach, so only the tables use the index.  gamma_si takes its
+# max over these answers, as gamma_i over its scans, through `_most`.
+# Timed on fresh hypergraphs, the lattice answered gamma_tilde and gamma_si
+# faster than the scan at every width tried, 6 to 16 vertices; the width
+# bounds the tables each hypergraph keeps, n 2^n bits (6 KB on 12
+# vertices, 128 KB on 16).
 
 _LATTICE_WIDTH = 12
-
-_REVERSED = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @functools.cache
@@ -352,15 +354,9 @@ def _cube(n: int):
     return full, tuple(has), tuple(sizes), upto
 
 
-def _index(m: int, n: int) -> int:
-    """The table index of the vertex mask m on 1..n, n at most 16."""
-    x = m >> 1
-    return (_REVERSED[x & 255] << 8 | _REVERSED[x >> 8]) >> (16 - n)
-
-
 def _strong_tables(h: Hypergraph) -> tuple[tuple[int, int], ...]:
     """Per vertex v, the table of the B that strongly dominate v, and the
-    index of the mask of the vertices its `_strong_req` names."""
+    mask of the vertices its `_strong_req` names."""
     if h._sd is None:
         full, has = _cube(h.n)[:2]
         tables = [(full, 0)]
@@ -379,7 +375,7 @@ def _strong_tables(h: Hypergraph) -> tuple[tuple[int, int], ...]:
                     inside &= has[u]
                 t |= inside
                 reach |= s
-            tables.append((t, _index(reach, h.n)))
+            tables.append((t, reach))
         object.__setattr__(h, "_sd", tuple(tables))
     return h._sd
 
@@ -389,28 +385,43 @@ def _first(hits: int, useful: int, n: int,
     """The vertices of the first B in the table `hits`, fewest first and
     then in `subsets` order, or None when it holds none.
 
-    `useful` is the index of the mask of the vertices the question's
-    requirements name, and the budget is spent as `_fewest` spends it:
-    one unit per subset of those k vertices up to B in `subsets` order.
-    That is the C(k, j) subsets of each size j <= r = |B|, less the r-sets
-    after B, counted as in the combinatorial number system: those that
-    first differ from B at its i-th vertex v (from 0) keep B's first i
-    vertices and take the other r - i from the vertices after v."""
+    `useful` is the mask of the vertices the question's requirements name,
+    and the budget is spent as `_fewest` spends it: one unit per subset of
+    those k vertices up to B in `subsets` order.  That is the C(k, j)
+    subsets of each size j <= r = |B|, less the r-sets after B, counted as
+    in the combinatorial number system: those that first differ from B at
+    its i-th vertex v (from 0) keep B's first i vertices and take the
+    other r - i from the useful vertices after v."""
     if not hits:
         return None
     _, _, sizes, upto = _cube(n)
     r = 0
     while not hits & sizes[r]:
         r += 1
-    at = vertices_of((hits & sizes[r]).bit_length() - 1)[::-1]
+    b = tuple([n - j for j in
+               vertices_of((hits & sizes[r]).bit_length() - 1)[::-1]])
     spent = upto[useful.bit_count()][r]
-    for i, j in enumerate(at):
-        spent -= math.comb((useful & (1 << j) - 1).bit_count(), r - i)
+    for i, v in enumerate(b):
+        spent -= math.comb((useful >> v + 1).bit_count(), r - i)
     budget.spend(spent)
-    return tuple([n - j for j in at])
+    return b
 
 
 # -- the domination numbers -------------------------------------------------
+
+def _most(leaves, bound, ask):
+    """The first leaf with the largest `ask(leaf).value`, and that answer.
+    A leaf whose `bound` is at most the best value so far cannot beat it,
+    so it is not asked."""
+    best = None
+    for leaf in leaves:
+        if best is not None and bound(leaf) <= best[1].value:
+            continue
+        res = ask(leaf)
+        if best is None or res.value > best[1].value:
+            best = leaf, res
+    return best
+
 
 def _strong_req(h: Hypergraph, v: int):
     """The requirement for strongly dominating v: some e - {v} inside B,
@@ -479,11 +490,10 @@ def gamma_strong(h: Hypergraph, w,
     return _gamma_strong(h, wm, budget or Budget())
 
 
-def _gamma_strong(h: Hypergraph, wm: int, budget: Budget,
-                  need=None) -> DominationResult:
-    """`gamma_strong` of the target wm.  Above the lattice width the scan
-    tests the requirements of wm's vertices, read from `need` (vertex ->
-    requirement) when the caller has built them."""
+def _gamma_strong(h: Hypergraph, wm: int, budget: Budget) -> DominationResult:
+    """`gamma_strong` of the target wm: read off the lattice within its
+    width, and above it scanned against the requirements of wm's
+    vertices."""
     if h.n <= _LATTICE_WIDTH:
         # the B satisfying every vertex of wm, and the vertices their
         # requirements name
@@ -494,8 +504,7 @@ def _gamma_strong(h: Hypergraph, wm: int, budget: Budget,
             useful |= reach
         b = _first(hits, useful, h.n, budget)
     else:
-        b = _fewest(_strong_need(h, wm) if need is None
-                    else {need[v] for v in vertices_of(wm)}, budget)
+        b = _fewest(_strong_need(h, wm), budget)
         b = None if b is None else vertices_of(b)
     if b is None:
         raise UndominatableError(
@@ -526,25 +535,16 @@ def gamma_si(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
     Each v of I lies on an edge of at most r vertices, r the largest edge
     size, whose other vertices strongly dominate it, so
     gamma(H; I) <= |I| (r - 1), and an I whose bound cannot beat the best
-    so far is skipped: the first maximum stays the witness.  Each vertex's
-    strong-domination requirement is built once, not once per I.  Every
-    node of the walk and every B tested spends a budget unit."""
+    so far is skipped (`_most`): the first maximum stays the witness.
+    Every node of the walk and every B tested spends a budget unit."""
     h._forbid_isolated()
     budget = budget or Budget()
-    # the vertices without a singleton edge, each with its requirement
-    need = {v: req for v in range(1, h.n + 1)
-            if (req := _strong_req(h, v)) is not None}
-    free = mask_of(need)
-    reqs = [(h._nbr[u] | 1 << u) & free for u in need]
+    free = mask_of(v for v in range(1, h.n + 1) if 0 not in h._strong[v])
+    reqs = [(h._nbr[u] | 1 << u) & free for u in vertices_of(free)]
     per_vertex = max(e.bit_count() for e in h.edges) - 1
-    best = None
-    for i in _branch(reqs, h._nbr, budget):
-        if best is not None and i.bit_count() * per_vertex <= best.value:
-            continue
-        res = _gamma_strong(h, i, budget, need)
-        if best is None or res.value > best.value:
-            best = res
-    return best
+    return _most(_branch(reqs, h._nbr, budget),
+                 lambda i: i.bit_count() * per_vertex,
+                 lambda i: _gamma_strong(h, i, budget))[1]
 
 
 def gamma_E(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
@@ -583,19 +583,14 @@ def _maximizing_cover(
     The dominating set lies in D, and each vertex outside D has a
     neighbour in D (its edges meet D elsewhere), so gamma is at most
     min(|D|, |V - D|), and a cover whose bound cannot beat the best so far
-    is skipped.  The first cover's complement is always dominated, so a
-    vertex on no edge, which no cover holds, raises `UndominatableError`
-    there."""
+    is skipped (`_most`).  The first cover's complement is always
+    dominated, so a vertex on no edge, which no cover holds, raises
+    `UndominatableError` there."""
     budget = budget or Budget()
-    best = None
-    for cover in h.minimal_covers(budget):
-        size = len(cover)
-        if best is not None and min(size, h.n - size) <= best[1].value:
-            continue
-        res = gamma_A(h, h.vertex_mask & ~mask_of(cover), budget)
-        if best is None or res.value > best[1].value:
-            best = cover, res
-    return best
+    return _most(h.minimal_covers(budget),
+                 lambda cover: min(len(cover), h.n - len(cover)),
+                 lambda cover: gamma_A(h, h.vertex_mask & ~mask_of(cover),
+                                       budget))
 
 
 def maximizing_minimal_cover(h: Hypergraph) -> tuple[int, ...]:

@@ -545,7 +545,10 @@ def _thm_kvd_equality(x: SimplicialComplex, rng, budget) -> str:
     # the equality is tied to the least k admitting a shedding sequence:
     # whenever open k-faces exist, M'_k pays k+1 and can overshoot C on
     # complexes that are already (k-1)-decomposable, e.g. the two
-    # triangles {123},{234} have C = M_1 = 1 but M'_1 = 2
+    # triangles {123},{234} have C = M_1 = 1 but M'_1 = 2.  A non-pure X
+    # is outside the hypothesis: decomposability is defined for pure ones
+    if not x.is_pure():
+        return "skip"
     k = None
     cache: dict = {}
     for candidate in (0, 1):
@@ -677,7 +680,9 @@ def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
     # L(X) is ranked once, and only once some face meets the hypotheses;
     # one link cache serves the kvd1 hypothesis, every face and L(X) (its
     # keys are facet tuples and complexes, so the links of different
-    # complexes never mix)
+    # complexes never mix).  A non-pure X is not 1-decomposable.
+    if not x.is_pure():
+        return "skip"
     cache: dict = {}
     ok, _ = is_k_vertex_decomposable(x, 1, budget, cache)
     if not ok:

@@ -291,6 +291,25 @@ def test_verify_passes_on_registered_theorems():
         assert summary["passes"] + summary["skips"] == 10
 
 
+def test_verify_skips_non_pure_trials_of_the_decomposability_theorems(
+        tmp_path):
+    """k-vertex decomposability is defined for pure complexes, so a
+    non-pure trial is outside kvd-equality's and shed-leray's hypotheses:
+    it is a skip, not an error that aborts the run."""
+    spec = GeneratorSpec(kind="random-complex", seed=3)
+    assert any(not reports._trial_instance(spec, i).is_pure()
+               for i in range(5))
+    for theorem in ("kvd-equality", "shed-leray"):
+        summary = verify(theorem, spec, trials=5)
+        assert summary["fails"] == 0 and summary["skips"] > 0, theorem
+        assert summary["passes"] + summary["skips"] == 5, theorem
+        out = tmp_path / f"{theorem}.json"
+        assert main(["verify", "--theorem", theorem, "--kind",
+                     "random-complex", "--trials", "5", "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text()) == summary
+
+
 def test_nc_bound_builds_nc_once_per_trial(monkeypatch):
     calls = []
     real = hypergraphs.non_cover_complex

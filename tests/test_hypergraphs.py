@@ -16,6 +16,13 @@ limit on every hypergraph on <= 3 vertices and on a few random ones on 12
 and 13 vertices.  `PYTHONPATH=src python tests/test_hypergraphs.py budget 4 200`
 does so on every hypergraph on 4 vertices and on 200 random ones on each
 of 12 and 13 vertices (about a minute).
+
+The Leray number of NC(H) is checked against a second route, the reduced
+homology of the induced subcomplexes of its Alexander dual Ind(H), over
+Q, GF(2) and GF(3): on every hypergraph on <= 3 vertices and 50 seeded
+random ones on 4 to 7 vertices.
+`PYTHONPATH=src python tests/test_hypergraphs.py dual-leray 4` does so on
+every hypergraph on 4 vertices.
 """
 
 import contextlib
@@ -45,11 +52,13 @@ from collapsekit import (
     gamma_si,
     gamma_strong,
     gamma_tilde,
+    leray_number,
     mes_equal_check,
     neighbor_inequality_check,
     nc_bound_order,
     nc_facet_order,
     non_cover_complex,
+    reduced_betti,
     strongly_dominates,
 )
 from collapsekit import hypergraphs as hg
@@ -216,6 +225,67 @@ def test_missing_nc_or_facet_order_is_an_unmet_hypothesis():
         nc_facet_order(Hypergraph(2, [(1, 2)]))
     with pytest.raises(HypothesisNotMetError, match="NC\\(H\\) is empty"):
         nc_bound_order(Hypergraph(3, [(1, 2, 3)]))
+
+
+# -- the Leray number of NC(H) through its Alexander dual -----------------
+# W is in NC(H) exactly when V - W holds an edge, so NC(H) is the Alexander
+# dual of Ind(H), the complex of vertex sets holding no edge.  By Hochster's
+# formula and Eagon-Reiner/Terai duality, L(NC(H)) is the largest
+# |W| - j - 2 over W inside V and j with H_j(Ind(H)[W]) != 0 (reduced).  W
+# ranges over all of V: a vertex with a singleton edge is in no face, and
+# Ind(H)[W] = {empty face} has H_{-1} != 0.
+
+FIELDS = ("Q", "GF2", "GF3")
+
+
+def dual_leray(h, field):
+    """L(NC(H)) from the reduced homology of each induced Ind(H)[W], ranked
+    with `reduced_betti` alone: no closed-link listing, nerve count or cap
+    rule of the Leray scan."""
+    independent = [s for s in range(2, 1 << (h.n + 1), 2)
+                   if not any(e & ~s == 0 for e in h.edges)]
+    best = None
+    for w in range(0, 1 << (h.n + 1), 2):
+        ind = SimplicialComplex(s for s in independent if not s & ~w)
+        betti = reduced_betti(ind, field)
+        for j in range(-1, len(betti.ranks)):
+            if betti.rank(j):
+                top = w.bit_count() - j - 2
+                best = top if best is None else max(best, top)
+    return best
+
+
+def random_dual_cases(count, seed=0):
+    """`count` seeded random hypergraphs on 4 to 7 vertices, edges of one
+    to three vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        yield Hypergraph(n, [rng.sample(range(1, n + 1), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, n + 2))])
+
+
+def dual_differential(hypergraphs):
+    """`leray_number(non_cover_complex(h), field)` against `dual_leray` on
+    each hypergraph and field.  Returns (checked, mismatches)."""
+    checked, mismatches = 0, []
+    for h in hypergraphs:
+        nc = non_cover_complex(h)
+        for field in FIELDS:
+            scan, dual = leray_number(nc, field), dual_leray(h, field)
+            if scan != dual:
+                mismatches.append((h, field, scan, dual))
+            checked += 1
+    return checked, mismatches
+
+
+def test_nc_leray_matches_the_dual_on_every_hypergraph_up_to_3_vertices():
+    hypergraphs = [h for n in (1, 2, 3) for h in all_hypergraphs(n)]
+    assert dual_differential(hypergraphs) == (3 * 1 + 3 * 7 + 3 * 127, [])
+
+
+def test_nc_leray_matches_the_dual_on_random_hypergraphs():
+    assert dual_differential(random_dual_cases(50)) == (150, [])
 
 
 # -- gamma_A and gamma_i ---------------------------------------------------
@@ -813,7 +883,8 @@ def test_lattice_is_used_up_to_its_width_only():
 
 
 def test_lattice_tables_index_subsets_in_subsets_order():
-    """Within one size layer a higher index comes earlier in `subsets`
+    """A table holds B at its index, B's mask with vertex v moved to bit
+    n - v.  Within one size layer a higher index comes earlier in `subsets`
     order, and an index maps back to its mask."""
     for n in range(1, 7):
         full, has, sizes, upto = hg._cube(n)
@@ -822,10 +893,10 @@ def test_lattice_tables_index_subsets_in_subsets_order():
                                    for r in range(n + 1))
                              for k in range(n + 1))
         masks = list(subsets((1 << (n + 1)) - 2, range(n + 1)))
-        index = [hg._index(m, n) for m in masks]
+        index = [sum(1 << n - v for v in vertices_of(m)) for m in masks]
         assert sorted(index) == list(range(1 << n))
         for m, i in zip(masks, index):
-            assert hg._index(i << 1, n) << 1 == m
+            assert sum(1 << n - j for j in vertices_of(i)) == m
             assert sizes[m.bit_count()] >> i & 1
             for v in range(1, n + 1):
                 assert has[v] >> i & 1 == m >> v & 1
@@ -1062,6 +1133,15 @@ if __name__ == "__main__":
               f"random on {hg._LATTICE_WIDTH} and on "
               f"{hg._LATTICE_WIDTH + 1}), {runs} budgeted runs: "
               f"{len(mismatches)} disagree with the scan")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches else 0)
+    if sys.argv[1:2] == ["dual-leray"]:
+        # the Leray scan of NC(H) against its Alexander dual
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+        checked, mismatches = dual_differential(all_hypergraphs(n))
+        print(f"{checked} (hypergraph, field) pairs on {n} vertices: "
+              f"{len(mismatches)} disagree with the dual")
         for bad in mismatches:
             print(bad)
         sys.exit(1 if mismatches else 0)
