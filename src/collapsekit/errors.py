@@ -54,8 +54,11 @@ DEFAULT_NODE_BUDGET = 10_000_000
 class Budget:
     """Counts search nodes against a hard limit.
 
-    One Budget is confined to a single top-level invariant evaluation and is
-    never shared across threads.
+    Each `spend()` counts one node: a state a search enters, a candidate
+    it tests, or a question answered by one lookup.  The spend past the
+    limit raises and stays counted in `used`.  One Budget is confined to a
+    single top-level invariant evaluation and is never shared across
+    threads.
     """
 
     __slots__ = ("limit", "used")
@@ -66,15 +69,9 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, units=1):
-        """Spend `units` nodes at once, raising as spending them one by one
-        would: at the first node past the limit, which is the last counted
-        in `used`."""
-        self.used += units
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
-            if not units:
-                return
-            self.used = max(self.used - units, self.limit) + 1
             raise BudgetExceededError(
                 f"search exceeded node budget of {self.limit}"
             )

@@ -17,10 +17,9 @@ minimal covers (gamma_i) and the maximal strongly independent sets
 (gamma_si), are the leaves of one branching walk, `_branch`, which takes
 the first requirement a set misses and branches on its vertices; one
 bounded max, `_most`, serves both and skips a set whose upper bound
-cannot beat the best so far.  Each candidate tested and each walk node
-spends one unit of the caller's `Budget`; the lattice spends, by count on
-the vertex mask its targets' requirements reach, the candidates the scan
-would have tested.  Strong independence is read from neighbourhoods.
+cannot beat the best so far.  Each candidate tested, each walk node and
+each lattice question spends one unit of the caller's `Budget`.  Strong
+independence is read from neighbourhoods.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
 singleton edge {v} exists (so "isolated" means what it does for graphs).
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -221,11 +219,11 @@ def _nc_facet_order(h: Hypergraph, nc: SimplicialComplex) -> FacetOrdering:
         nc, sorted(nc.facets, key=lambda f: vertices_of(vmask & ~f)[::-1]))
 
 
-def _cover_relabeling(h: Hypergraph):
+def _cover_relabeling(h: Hypergraph, budget: Budget | None = None):
     """h relabeled so its maximizing minimal cover D is {1..|D|}: returns
     the relabeled hypergraph, the permutation, the mask of {1..|D|} and the
     facet order of the relabeled NC(H)."""
-    d = maximizing_minimal_cover(h)
+    d = maximizing_minimal_cover(h, budget)
     relabeled, perm = cover_initial_relabeling(h, d)
     return (relabeled, perm, (1 << (len(d) + 1)) - 2,
             nc_facet_order(relabeled))
@@ -323,9 +321,9 @@ def _fewest(need, budget: Budget) -> int | None:
 # first in `subsets` order then has the highest index.  Each vertex has the
 # table of the B that strongly dominate it, a question ANDs its targets'
 # tables, and its least B is the highest bit of the first size layer the
-# AND meets.  The budget is counted on the plain vertex mask its targets'
-# requirements reach, so only the tables use the index.  gamma_si takes its
-# max over these answers, as gamma_i over its scans, through `_most`.
+# AND meets.  A question spends one budget unit, however many B it tests.
+# gamma_si takes its max over these answers, as gamma_i over its scans,
+# through `_most`.
 # Timed on fresh hypergraphs, the lattice answered gamma_tilde and gamma_si
 # faster than the scan at every width tried, 6 to 16 vertices; the width
 # bounds the tables each hypergraph keeps, n 2^n bits (6 KB on 12
@@ -337,9 +335,8 @@ _LATTICE_WIDTH = 12
 @functools.cache
 def _cube(n: int):
     """The tables on 1..n that depend on n alone: every B; the B holding v,
-    for each vertex v (index 0 unused); the B of r vertices, for each r;
-    and sum(C(k, j) for j <= r), the subsets of at most r of k vertices,
-    for each k and r."""
+    for each vertex v (index 0 unused); and the B of r vertices, for each
+    r."""
     full = (1 << (1 << n)) - 1
     has = [0]
     for v in range(1, n + 1):
@@ -348,63 +345,38 @@ def _cube(n: int):
     sizes = [1]
     for bit in range(n):
         sizes = [a | b << (1 << bit) for a, b in zip(sizes + [0], [0] + sizes)]
-    upto = tuple(tuple(itertools.accumulate(math.comb(k, j)
-                                            for j in range(n + 1)))
-                 for k in range(n + 1))
-    return full, tuple(has), tuple(sizes), upto
+    return full, tuple(has), tuple(sizes)
 
 
-def _strong_tables(h: Hypergraph) -> tuple[tuple[int, int], ...]:
-    """Per vertex v, the table of the B that strongly dominate v, and the
-    mask of the vertices its `_strong_req` names."""
+def _strong_tables(h: Hypergraph) -> tuple[int, ...]:
+    """Per vertex v, the table of the B that hold e - {v} for some edge e
+    at v (all B when e = {v})."""
     if h._sd is None:
         full, has = _cube(h.n)[:2]
-        tables = [(full, 0)]
+        tables = [full]
         for v in range(1, h.n + 1):
-            req = _strong_req(h, v)
-            if req is None:
-                tables.append((full, 0))
-                continue
-            meet, wholes = req
-            t, reach = 0, meet
-            for u in vertices_of(meet):
-                t |= has[u]
-            for s in wholes:
+            t = 0
+            for s in h._strong[v]:
                 inside = full
                 for u in vertices_of(s):
                     inside &= has[u]
                 t |= inside
-                reach |= s
-            tables.append((t, reach))
+            tables.append(t)
         object.__setattr__(h, "_sd", tuple(tables))
     return h._sd
 
 
-def _first(hits: int, useful: int, n: int,
-           budget: Budget) -> tuple[int, ...] | None:
+def _first(hits: int, n: int) -> tuple[int, ...] | None:
     """The vertices of the first B in the table `hits`, fewest first and
-    then in `subsets` order, or None when it holds none.
-
-    `useful` is the mask of the vertices the question's requirements name,
-    and the budget is spent as `_fewest` spends it: one unit per subset of
-    those k vertices up to B in `subsets` order.  That is the C(k, j)
-    subsets of each size j <= r = |B|, less the r-sets after B, counted as
-    in the combinatorial number system: those that first differ from B at
-    its i-th vertex v (from 0) keep B's first i vertices and take the
-    other r - i from the useful vertices after v."""
+    then in `subsets` order, or None when it holds none."""
     if not hits:
         return None
-    _, _, sizes, upto = _cube(n)
+    sizes = _cube(n)[2]
     r = 0
     while not hits & sizes[r]:
         r += 1
-    b = tuple([n - j for j in
-               vertices_of((hits & sizes[r]).bit_length() - 1)[::-1]])
-    spent = upto[useful.bit_count()][r]
-    for i, v in enumerate(b):
-        spent -= math.comb((useful >> v + 1).bit_count(), r - i)
-    budget.spend(spent)
-    return b
+    return tuple([n - j for j in
+                  vertices_of((hits & sizes[r]).bit_length() - 1)[::-1]])
 
 
 # -- the domination numbers -------------------------------------------------
@@ -483,7 +455,7 @@ def strongly_dominates(h: Hypergraph, b, w) -> bool:
 def gamma_strong(h: Hypergraph, w,
                  budget: Budget | None = None) -> DominationResult:
     """gamma(H; W): minimum B (anywhere in V) strongly dominating W.  One
-    budget unit per B tested."""
+    budget unit per question on the lattice, and per B tested above it."""
     wm = int(as_face(w))
     if wm & ~h.vertex_mask:
         raise ValueError("target outside the vertex set")
@@ -495,14 +467,12 @@ def _gamma_strong(h: Hypergraph, wm: int, budget: Budget) -> DominationResult:
     width, and above it scanned against the requirements of wm's
     vertices."""
     if h.n <= _LATTICE_WIDTH:
-        # the B satisfying every vertex of wm, and the vertices their
-        # requirements name
-        tables, hits, useful = _strong_tables(h), _cube(h.n)[0], 0
+        budget.spend()
+        # the B strongly dominating every vertex of wm
+        tables, hits = _strong_tables(h), _cube(h.n)[0]
         for v in vertices_of(wm):
-            t, reach = tables[v]
-            hits &= t
-            useful |= reach
-        b = _first(hits, useful, h.n, budget)
+            hits &= tables[v]
+        b = _first(hits, h.n)
     else:
         b = _fewest(_strong_need(h, wm), budget)
         b = None if b is None else vertices_of(b)
@@ -536,7 +506,8 @@ def gamma_si(h: Hypergraph, budget: Budget | None = None) -> DominationResult:
     size, whose other vertices strongly dominate it, so
     gamma(H; I) <= |I| (r - 1), and an I whose bound cannot beat the best
     so far is skipped (`_most`): the first maximum stays the witness.
-    Every node of the walk and every B tested spends a budget unit."""
+    Every node of the walk spends a budget unit, and each I asked spends
+    as `gamma_strong` does."""
     h._forbid_isolated()
     budget = budget or Budget()
     free = mask_of(v for v in range(1, h.n + 1) if 0 not in h._strong[v])
@@ -593,11 +564,12 @@ def _maximizing_cover(
                                        budget))
 
 
-def maximizing_minimal_cover(h: Hypergraph) -> tuple[int, ...]:
+def maximizing_minimal_cover(h: Hypergraph,
+                             budget: Budget | None = None) -> tuple[int, ...]:
     """The lexicographically-first minimal cover D maximizing gamma over its
     complement (the cover realizing gamma_i)."""
     h._forbid_isolated()
-    return _maximizing_cover(h)[0]
+    return _maximizing_cover(h, budget)[0]
 
 
 def cover_initial_relabeling(h: Hypergraph, cover) -> tuple["Hypergraph", dict[int, int]]:

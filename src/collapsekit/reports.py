@@ -154,11 +154,10 @@ class _Evaluation:
     @functools.cached_property
     def floor(self) -> Optional[int]:
         """C's floor L(X; GF(2)) when the report asks C, which takes it
-        anyway, and X is nonempty; else None."""
-        x = self.complex
-        if not (self.asks_c and x.facets):
+        anyway; else None."""
+        if not self.asks_c:
             return None
-        return _scan(x, 2, self.links, self.u)
+        return _scan(self.complex, 2, self.links, self.u)
 
     def mk(self, k: int) -> int:
         # L <= C <= M_k <= M_0 <= d(X, <): a floor that meets u settles M_k
@@ -179,9 +178,7 @@ def _scan(x: SimplicialComplex, p: Optional[int], links: dict, cap) -> int:
 
 
 def _inv_C(ev):
-    # the empty complex has no floor; its empty ceiling claims C = 0
-    d, cert = _collapsibility(ev.complex, ev.budget, ev.ceiling,
-                              ev.floor or 0)
+    d, cert = _collapsibility(ev.complex, ev.budget, ev.ceiling, ev.floor)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
         "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
@@ -436,9 +433,10 @@ def _neighbor_lhs(h: Hypergraph, dbar: int, sm: int) -> int:
     return (h._nbr_mask(sm) & dbar).bit_count() - sm.bit_count()
 
 
-def _neighbor_rhs(h: Hypergraph, dbar: int) -> int:
+def _neighbor_rhs(h: Hypergraph, dbar: int,
+                  budget: Optional[Budget] = None) -> int:
     """|complement(D)| - gamma_{complement(D)}, one value per cover D."""
-    return dbar.bit_count() - hg.gamma_A(h, dbar).value
+    return dbar.bit_count() - hg.gamma_A(h, dbar, budget).value
 
 
 def _mes_class(relabeled: Hypergraph, dm: int, gamma: int) -> tuple[int, bool]:
@@ -504,7 +502,7 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     # one maximizing cover gives gamma_i and, relabeled to an initial
     # segment, the facet order the d bound needs (as in `nc_bound_order`)
     h._forbid_isolated()
-    cover, gi = hg._maximizing_cover(h)
+    cover, gi = hg._maximizing_cover(h, budget)
     bound = h.n - gi.value - 1
     try:
         order = hg.nc_facet_order(hg.cover_initial_relabeling(h, cover)[0])
@@ -570,8 +568,8 @@ def _thm_gamma_si_eq(h: Hypergraph, rng, budget) -> str:
     """Source: Kim and Kim's gamma_si, which is gamma_i on a graph."""
     if any(e.bit_count() > 2 for e in h.edges):
         return "skip"
-    gi = hg.gamma_i(h).value
-    gsi = hg.gamma_si(h).value
+    gi = hg.gamma_i(h, budget).value
+    gsi = hg.gamma_si(h, budget).value
     _chk(gi == gsi, h, lambda: f"gamma_i={gi} != gamma_si={gsi}")
     return "pass"
 
@@ -627,9 +625,9 @@ def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
     """Source: this paper, the neighbor inequality in a minimal cover."""
     # each cover is minimal by construction, and its right-hand side does
     # not depend on S, so it is computed once per cover
-    for cover in h.minimal_covers():
+    for cover in h.minimal_covers(budget):
         dbar = h.vertex_mask & ~mask_of(cover)
-        rhs = _neighbor_rhs(h, dbar)
+        rhs = _neighbor_rhs(h, dbar, budget)
         for r in range(len(cover) + 1):
             for s in itertools.combinations(cover, r):
                 _chk(_neighbor_lhs(h, dbar, mask_of(s)) <= rhs, h,
@@ -640,7 +638,7 @@ def _thm_neighbor_inequality(h: Hypergraph, rng, budget) -> str:
 def _thm_mes_equal(h: Hypergraph, rng, budget) -> str:
     """Source: this paper, Matousek-Tancer mes constant on a cover class."""
     try:
-        relabeled, _, dm, order = hg._cover_relabeling(h)
+        relabeled, _, dm, order = hg._cover_relabeling(h, budget)
     except ValueError:  # edgeless H, empty NC(H) or an undominatable cover
         return "skip"
     groups: dict[int, set] = {}
@@ -719,14 +717,14 @@ def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
     """Source: Kim and Kim, L(NC(H)) by gamma_E, gamma_tilde and gamma_si."""
     l = leray_number(non_cover_complex(h))
     max_edge = max(e.bit_count() for e in h.edges)
-    ge = hg.gamma_E(h).value
+    ge = hg.gamma_E(h, budget).value
     _chk(l <= h.n - ge - 1, h, lambda: f"L={l} > n-gamma_E-1={h.n - ge - 1}")
     if max_edge <= 3:
-        gt = hg.gamma_tilde(h).value
+        gt = hg.gamma_tilde(h, budget).value
         bound = h.n - math.ceil(gt / 2) - 1
         _chk(l <= bound, h, lambda: f"L={l} > n-ceil(gamma_tilde/2)-1={bound}")
     if max_edge <= 2:
-        gsi = hg.gamma_si(h).value
+        gsi = hg.gamma_si(h, budget).value
         _chk(l <= h.n - gsi - 1, h,
              lambda: f"L={l} > n-gamma_si-1={h.n - gsi - 1}")
     return "pass"
@@ -741,7 +739,7 @@ def _thm_gamma_monotone(h: Hypergraph, rng, budget) -> str:
     for v in verts:
         acc.append(v)
         try:
-            val = hg.gamma_A(h, acc).value
+            val = hg.gamma_A(h, acc, budget).value
         except UndominatableError:
             break
         _chk(val >= prev, h, lambda: f"gamma_A not monotone along {acc}")

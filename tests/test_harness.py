@@ -7,6 +7,7 @@ import pytest
 
 from collapsekit import (
     Budget,
+    BudgetExceededError,
     Hypergraph,
     SimplicialComplex,
     hypergraphs,
@@ -333,6 +334,16 @@ def test_nc_bound_summaries_and_the_empty_nc_case():
     # NC(H) is empty: the check reduces to 0 <= n - gamma_i - 1
     h = Hypergraph(2, [[1, 2]])
     assert reports._thm_nc_bound(h, random.Random(0), Budget()) == "pass"
+
+
+@pytest.mark.parametrize("theorem", [
+    "nc-bound", "gamma-si-eq", "neighbor-inequality", "mes-equal",
+    "kim-kim", "gamma-monotone"])
+def test_hypergraph_probes_draw_on_the_trial_budget(theorem):
+    """Their cover walks and domination scans spend the trial's budget, so
+    a one-node budget runs out."""
+    with pytest.raises(BudgetExceededError):
+        verify(theorem, trials=3, budget_limit=1)
 
 
 def test_leray_methods_records_a_disagreement_as_a_counterexample(monkeypatch):

@@ -28,7 +28,6 @@ every hypergraph on 4 vertices.
 import contextlib
 import inspect
 import itertools
-import math
 import random
 import re
 import sys
@@ -693,34 +692,47 @@ def test_early_exit_searches_stop_at_the_least_size():
 
 
 def test_domination_scans_draw_on_the_budget():
-    """Every scan spends one unit per candidate tested or walk node: a
-    perfect matching on 22 vertices has 2^11 minimal covers, so gamma_i in
-    a report with a 1,000-node budget runs out instead of walking them
-    all."""
+    """Every scan spends one unit per candidate tested or walk node, and a
+    lattice question one unit: a perfect matching on 22 vertices has 2^11
+    minimal covers, so gamma_i in a report with a 1,000-node budget runs
+    out instead of walking them all."""
     matching = Hypergraph(22, [(v, v + 1) for v in range(1, 23, 2)])
     report = compute(matching, ["gamma_i"], budget_limit=1000)
     assert report["budget"]["exhausted"] == ["gamma_i"]
     assert report["values"] == {}
     with pytest.raises(BudgetExceededError):
         matching.minimal_covers(Budget(1000))
-    # each scan draws: a budget of one unit is too small for any of them
-    # on the 4-cycle, and a generous one changes no value
-    for fn in (gamma_i, gamma_tilde, gamma_si, gamma_E,
-               lambda h, b: gamma_A(h, [1, 3], b),
-               lambda h, b: gamma_strong(h, [1, 2], b)):
-        with pytest.raises(BudgetExceededError):
-            fn(C4, Budget(1))
-        b = Budget(1000)
-        assert fn(C4, b) == fn(C4, None) and b.used > 1
+    # each scan and walk draws: a budget of one unit is too small for any
+    # of them on the 4-cycle, and a generous one changes no value;
+    # gamma_tilde and gamma_strong scan as past the lattice's width
+    strong = (gamma_tilde, lambda h, b: gamma_strong(h, [1, 2], b))
+    with lattice_width(C4.n - 1):
+        for fn in (gamma_i, gamma_si, gamma_E,
+                   lambda h, b: gamma_A(h, [1, 3], b)) + strong:
+            with pytest.raises(BudgetExceededError):
+                fn(C4, Budget(1))
+            b = Budget(1000)
+            assert fn(C4, b) == fn(C4, None) and b.used > 1
     b = Budget(1000)
     assert C4.minimal_covers(b) == C4.minimal_covers() and b.used > 1
+    # on the lattice gamma_si's walk still draws, and a gamma_tilde or
+    # gamma_strong question spends exactly one unit, so it raises on a
+    # budget already at its limit
+    with pytest.raises(BudgetExceededError):
+        gamma_si(C4, Budget(1))
+    for fn in strong:
+        b = Budget(1)
+        assert fn(C4, b) == fn(C4, None) and b.used == 1
+        with pytest.raises(BudgetExceededError):
+            fn(C4, b)
 
 
 # -- the subset lattice against the scan -----------------------------------
 # On at most hg._LATTICE_WIDTH vertices the strong domination numbers are
 # read off subset tables; the fewest-first scan stays as their oracle.
 # Setting the width below n forces the scan, and setting it to n forces the
-# lattice, also one vertex past the width used in production.
+# lattice, also one vertex past the width used in production.  A lattice
+# question spends one budget unit, where the scan spends one per B tested.
 
 @contextlib.contextmanager
 def lattice_width(width):
@@ -732,36 +744,64 @@ def lattice_width(width):
         hg._LATTICE_WIDTH = old
 
 
-def spent(fn, args, limit=None):
-    """fn's result or the type and message of its error, and the units of
-    a budget of `limit` (the default when None) it used."""
-    budget = Budget() if limit is None else Budget(limit)
+@contextlib.contextmanager
+def spends(name):
+    """The budget units each call of hg.<name>, whose last argument is a
+    Budget, spends, in call order."""
+    real, units = getattr(hg, name), []
+
+    def counted(*args):
+        before = args[-1].used
+        try:
+            return real(*args)
+        finally:
+            units.append(args[-1].used - before)
+
+    setattr(hg, name, counted)
     try:
-        out = fn(*args, budget)
-    except (ValueError, BudgetExceededError) as exc:
-        out = type(exc), str(exc)
-    return out, budget.used
+        yield units
+    finally:
+        setattr(hg, name, real)
+
+
+def spent(fn, args):
+    """fn's result or the type and message of its error, the units of a
+    default budget it used, the units of each `_branch` walk it ran and of
+    each `_gamma_strong` question it asked."""
+    budget = Budget()
+    with spends("_branch") as walks, spends("_gamma_strong") as asks:
+        try:
+            out = fn(*args, budget)
+        except (ValueError, BudgetExceededError) as exc:
+            out = type(exc), str(exc)
+    return out, budget.used, walks, asks
 
 
 def lattice_agrees_with_scan(h, targets):
     """gamma_tilde and gamma_si on h, and gamma_strong on each target, give
-    the same value, witness, error and `Budget.used` on the lattice as on
-    the scan, at every budget limit from 1 to one past what the question
-    uses.  Returns the number of runs compared."""
+    the same value, witness, target, error type and message on the lattice
+    as on the scan, and ask as many `_gamma_strong` questions.  On the
+    lattice each question spends exactly one budget unit, so gamma_tilde
+    and gamma_strong spend one unit (none when refused before asking) and
+    gamma_si its walk's nodes, as on the scan, plus one per set it asks.
+    Returns the number of questions asked on the lattice."""
     questions = [(gamma_tilde, (h,)), (gamma_si, (h,))]
     questions += [(gamma_strong, (h, w)) for w in targets]
-    runs = 0
+    asked = 0
     for fn, args in questions:
         with lattice_width(h.n - 1):
-            used = spent(fn, args)[1]
-        for limit in range(1, used + 2):
-            with lattice_width(h.n - 1):
-                scan = spent(fn, args, limit)
-            with lattice_width(h.n):
-                lattice = spent(fn, args, limit)
-            assert lattice == scan, (h, fn.__name__, args[1:], limit)
-            runs += 1
-    return runs
+            scan, _, scan_walks, scan_asks = spent(fn, args)
+        with lattice_width(h.n):
+            lattice, used, walks, asks = spent(fn, args)
+        where = (h, fn.__name__, args[1:])
+        assert lattice == scan, where
+        assert walks == scan_walks and len(asks) == len(scan_asks), where
+        assert asks == [1] * len(asks), where
+        assert used == sum(walks) + len(asks), where
+        if fn is not gamma_si:
+            assert walks == [] and len(asks) <= 1, where
+        asked += len(asks)
+    return asked
 
 
 def wide_hypergraphs(n, count, seed):
@@ -782,15 +822,15 @@ def wide_hypergraphs(n, count, seed):
 
 def lattice_differential(cases):
     """Run `lattice_agrees_with_scan` on each (hypergraph, targets) pair.
-    Returns (checked, runs, mismatches)."""
-    checked, runs, mismatches = 0, 0, []
+    Returns (checked, questions asked on the lattice, mismatches)."""
+    checked, asked, mismatches = 0, 0, []
     for h, targets in cases:
         try:
-            runs += lattice_agrees_with_scan(h, targets)
+            asked += lattice_agrees_with_scan(h, targets)
         except AssertionError as exc:
             mismatches.append(exc)
         checked += 1
-    return checked, runs, mismatches
+    return checked, asked, mismatches
 
 
 def wide_cases(count):
@@ -812,37 +852,13 @@ def budget_cases(n, count):
     yield from wide_cases(count)
 
 
-def test_bulk_spend_raises_where_single_spends_do():
-    """`Budget.spend(units)` raises exactly when spending one unit at a
-    time would, and leaves the same `used`: limit + 1 on the way past the
-    limit, one more on a budget already past it, nothing for no units."""
-    for limit in range(1, 7):
-        for start in range(limit + 3):
-            for units in range(limit + 4):
-                bulk, single = Budget(limit), Budget(limit)
-                bulk.used = single.used = start
-                try:
-                    bulk.spend(units)
-                    got = None
-                except BudgetExceededError as exc:
-                    got = str(exc)
-                try:
-                    for _ in range(units):
-                        single.spend()
-                    want = None
-                except BudgetExceededError as exc:
-                    want = str(exc)
-                assert (got, bulk.used) == (want, single.used), (
-                    limit, start, units)
-
-
 def test_lattice_matches_the_scan_on_every_hypergraph_up_to_3_vertices():
-    runs = 0
+    asked = 0
     for n in (1, 2, 3):
         targets = list(range(0, 1 << (n + 1), 2)) + [1 << (n + 1)]
         for h in all_hypergraphs(n):
-            runs += lattice_agrees_with_scan(h, targets)
-    assert runs == 4200
+            asked += lattice_agrees_with_scan(h, targets)
+    assert asked == 1278
 
 
 def test_lattice_matches_the_scan_at_and_past_the_width():
@@ -887,11 +903,8 @@ def test_lattice_tables_index_subsets_in_subsets_order():
     n - v.  Within one size layer a higher index comes earlier in `subsets`
     order, and an index maps back to its mask."""
     for n in range(1, 7):
-        full, has, sizes, upto = hg._cube(n)
+        full, has, sizes = hg._cube(n)
         assert full == (1 << (1 << n)) - 1
-        assert upto == tuple(tuple(sum(math.comb(k, j) for j in range(r + 1))
-                                   for r in range(n + 1))
-                             for k in range(n + 1))
         masks = list(subsets((1 << (n + 1)) - 2, range(n + 1)))
         index = [sum(1 << n - v for v in vertices_of(m)) for m in masks]
         assert sorted(index) == list(range(1 << n))
@@ -948,9 +961,9 @@ def test_neighbor_theorem_dominates_each_cover_complement_once(monkeypatch):
     targets = []
     real = hg.gamma_A
 
-    def counted(h, target):
+    def counted(h, target, budget=None):
         targets.append(target)
-        return real(h, target)
+        return real(h, target, budget)
 
     monkeypatch.setattr(hg, "gamma_A", counted)
     run = THEOREMS["neighbor-inequality"][1]
@@ -964,9 +977,9 @@ def test_nc_bound_theorem_finds_the_maximizing_cover_once(monkeypatch):
     calls = []
     real = hg._maximizing_cover
 
-    def counted(h):
+    def counted(h, budget=None):
         calls.append(h)
-        return real(h)
+        return real(h, budget)
 
     monkeypatch.setattr(hg, "_maximizing_cover", counted)
     run = THEOREMS["nc-bound"][1]
@@ -1124,15 +1137,16 @@ def test_main_bound_needs_the_cover_relabeling():
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["budget"]:
-        # the lattice against the scan at every budget limit
+        # the lattice against the scan, one budget unit per question
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
         count = int(sys.argv[3]) if len(sys.argv) > 3 else 200
-        checked, runs, mismatches = lattice_differential(
+        checked, asked, mismatches = lattice_differential(
             budget_cases(n, count))
         print(f"{checked} hypergraphs (every one on {n} vertices, {count} "
               f"random on {hg._LATTICE_WIDTH} and on "
-              f"{hg._LATTICE_WIDTH + 1}), {runs} budgeted runs: "
-              f"{len(mismatches)} disagree with the scan")
+              f"{hg._LATTICE_WIDTH + 1}), {asked} lattice questions: "
+              f"{len(mismatches)} disagree with the scan or spend other "
+              f"than one unit each")
         for bad in mismatches:
             print(bad)
         sys.exit(1 if mismatches else 0)

@@ -24,8 +24,9 @@ import sys
 
 import pytest
 
-from collapsekit import (Budget, BudgetExceededError, canonical_ordering,
-                         d_of_ordering, leray_number, mk, mk_chain, mk_prime)
+from collapsekit import (Budget, BudgetExceededError, SimplicialComplex,
+                         canonical_ordering, d_of_ordering, leray_number, mk,
+                         mk_chain, mk_prime)
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
 from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import _MkEngine
@@ -242,8 +243,7 @@ def _m_part(x, which):
 def sandwiched(x):
     """Whether C's floor L(X; GF(2)) meets the mes ceiling d(X, canonical)
     on x, so that a report asking C reads every M_k off the ceiling."""
-    return bool(x.facets) and leray_number(x, 2) == d_of_ordering(
-        x, canonical_ordering(x))
+    return leray_number(x, 2) == d_of_ordering(x, canonical_ordering(x))
 
 
 def floored_report_mismatches(universe):
@@ -301,6 +301,13 @@ def test_star_five_report_chain_reads_c_floor():
     assert report["values"] == {"C": 7, "M0": 7, "M1": 7, "M2": 7}
     assert report["budget"]["used_total"] == 6_241
     assert report["budget"]["exhausted"] == []
+
+
+def test_empty_complex_report_reads_every_m_k_off_its_floor():
+    # the floor L = 0 meets the empty mes collapse's claim d = 0
+    report = compute(SimplicialComplex(), FLOORED)
+    assert report["values"] == {"C": 0, "M0": 0, "M1": 0, "M2": 0}
+    assert report["budget"]["used_total"] == 0
 
 
 if __name__ == "__main__":
