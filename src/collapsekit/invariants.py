@@ -341,12 +341,11 @@ class _MkEngine:
 
     M'_k(y) is the min over the open k-faces s of y of
     max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,
-    0 for k = 0 and M_{k-1}(y) for k > 0.  The nodes `_m(facets, k,
-    beta)` and `_mp(facets, k, beta)` take a cutoff beta and return the
-    exact value when it is below beta, and otherwise a lower bound on it
-    that is >= beta: a caller that only asks "is it below beta?" gets a true
-    answer without the exact value.  With cut = min(beta, best candidate
-    so far), a node
+    0 for k = 0 and M_{k-1}(y) for k > 0.  A node `_mp(facets, k, beta)`
+    takes a cutoff beta and returns the exact value when it is below beta,
+    and otherwise a lower bound on it that is >= beta: a caller that only
+    asks "is it below beta?" gets a true answer without the exact value.
+    With cut = min(beta, best candidate so far), a node
 
     - returns k + 1 at once when it has open k-faces and beta <= k + 1,
       since every candidate is >= its link term >= k + 1;
@@ -359,25 +358,29 @@ class _MkEngine:
     - returns beta itself when no candidate beats beta: every candidate,
       and so their min, is then >= beta.
 
-    Candidates are tried in increasing mask order.  M_k(y) =
-    min(M'_k(y), M_{k-1}(y)) takes M_{k-1} first and passes
-    min(beta, M_{k-1}) as the cutoff for M'_k.  A candidate is skipped
-    only when a bound shows it is >= cut, so every value below the cutoff
-    is exact, and `m` and `m_prime` call the root with beta = inf.
+    Candidates are tried in increasing mask order.  M_k is no node of its
+    own: M_0 = M'_0 and M_k = min(M'_k, M_{k-1}) make M_k(y) the least of
+    M'_0(y), ..., M'_k(y), and above dim y there is no k-face, so there
+    M'_k = M_{k-1}.  `_m` takes that running min in one loop over
+    j = 0, ..., min(k, dim y), each M'_j with cutoff min(beta, the min so
+    far), so the engine clamps k itself and any k costs what
+    k = max(dim y, 0) does.  A candidate is skipped only when a bound shows
+    it is >= cut, so every value below the cutoff is exact, and `m` and
+    `m_prime` call the root with beta = inf.
 
     `m(y, k, floor=f)` takes a root-only floor f <= C(y), such as
     L(y; GF(2)) (Wegner 1975); None, the default, is no floor.  Every
     candidate of y's M'_k scan is >= M'_k(y) >= C(y) >= f, and so is every
     M_j(y), since C <= M_j <= M'_j.  So the root's M'_k scan stops at the
     first candidate <= max(k + 1, f), which is then M'_k(y), and the
-    root's M_k, k >= 1, returns M_{k-1}(y) without expanding M'_k when
-    M_{k-1}(y) <= f.  Both stay exact.  The floor reaches the root's own
-    M_{k-1} and M'_j nodes, but no link or deletion: it is a bound for y
-    only.  A report asking C passes C's floor, and asks nothing where
-    that floor meets its ceiling d(y, <) >= M_0(y); the public functions
-    pass none, since taking the floor costs more there than it saves.
+    root's running min stops, expanding no further M'_j, once it is
+    <= f.  Both stay exact.  The floor reaches the root's own M'_j nodes,
+    but no link or deletion: it is a bound for y only.  A report asking C
+    passes C's floor, and asks nothing where that floor meets its ceiling
+    d(y, <) >= M_0(y); the public functions pass none, since taking the
+    floor costs more there than it saves.
 
-    The memo maps a node (facets, k, "m" or "mp") to (value, exact).  A
+    The memo maps a node (facets, k) of M'_k to (value, exact).  A
     lookup returns an exact entry, or a bound entry when its bound is >=
     the caller's beta; any other bound entry is expanded again.  Entries
     are written only when a node finishes, so each is true whatever budget
@@ -389,13 +392,6 @@ class _MkEngine:
         self.budget = budget or Budget()
         self._memo: dict[tuple, tuple[int, bool]] = {}
 
-    def _known(self, key: tuple, beta) -> Optional[int]:
-        """The memoized answer for key under cutoff beta, if there is one."""
-        hit = self._memo.get(key)
-        if hit is not None and (hit[1] or hit[0] >= beta):
-            return hit[0]
-        return None
-
     def m(self, y: SimplicialComplex, k: int,
           floor: Optional[int] = None) -> int:
         return self._m(tuple(map(int, y.facets)), k, math.inf, floor)
@@ -404,22 +400,18 @@ class _MkEngine:
         return self._mp(tuple(map(int, y.facets)), k, math.inf)
 
     def _m(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
-        if k == 0:
-            return self._mp(facets, 0, beta, floor)
-        key = (facets, k, "m")
-        val = self._known(key, beta)
-        if val is None:
-            val = self._m(facets, k - 1, beta, floor)
-            if floor is None or val > floor:
-                val = min(val, self._mp(facets, k, min(beta, val), floor))
-            self._memo[key] = (val, val < beta)
+        val = self._mp(facets, 0, beta, floor)
+        dim = max(map(int.bit_count, facets), default=0) - 1
+        for j in range(1, min(k, dim) + 1):
+            if floor is not None and val <= floor:
+                break
+            val = min(val, self._mp(facets, j, min(beta, val), floor))
         return val
 
     def _mp(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
-        key = (facets, k, "mp")
-        val = self._known(key, beta)
-        if val is not None:
-            return val
+        hit = self._memo.get((facets, k))
+        if hit is not None and (hit[1] or hit[0] >= beta):
+            return hit[0]
         self.budget.spend()
         open_k = _open_faces(facets, k)
         if not open_k:
@@ -441,7 +433,7 @@ class _MkEngine:
                     if best <= low:
                         break
             val = min(best, beta)
-        self._memo[key] = (val, val < beta)
+        self._memo[(facets, k)] = (val, val < beta)
         return val
 
 
@@ -456,18 +448,18 @@ def mk(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
     on the collapsibility number that never increases with k.
 
     Above the dimension x has no k-faces, so M'_k = M_{k-1} and M_k =
-    M_{max(dim, 0)}: k is clamped there, so a huge k costs what
-    k = max(dim, 0) does instead of one recursion level per k."""
+    M_{max(dim, 0)}: the engine reads such a k as the dimension, so a huge
+    k costs what k = max(dim, 0) does."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _MkEngine(budget).m(x, min(k, max(x.dim, 0)))
+    return _MkEngine(budget).m(x, k)
 
 
 def mk_prime(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
     """M'_k(x): the min over open k-faces s of
     max(M'_k(lk s) + k + 1, M'_k(del s)); 0 (k = 0) or M_{k-1}(x) (k > 0)
-    when x has no open k-face, so M_{max(dim, 0)}(x) for every k > dim
-    (see `mk`)."""
+    when x has no open k-face, so M_{max(dim, 0)}(x) for every k > dim,
+    which it asks `mk` for without a node of its own."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > x.dim:
@@ -478,7 +470,8 @@ def mk_prime(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> i
 def mk_chain(
     x: SimplicialComplex, k_max: int, budget: Optional[Budget] = None
 ) -> list[int]:
-    """[M_0(x), ..., M_{k_max}(x)] computed with one shared memo table."""
+    """[M_0(x), ..., M_{k_max}(x)] computed with one shared memo table; a
+    k past the dimension spends no node (see `mk`)."""
     if k_max < 0:
         raise ValueError("k must be >= 0")
     engine = _MkEngine(budget)

@@ -12,8 +12,10 @@ cutoff search: its memo holds exact values only.  Both live only here, on
 
 The ≤ 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_mk_oracle.py 5` runs the cutoff engine
-against `ExactMk` on all 7,580 complexes on ≤ 5 vertices (about 25 s),
-and `PYTHONPATH=src python tests/test_mk_oracle.py reports 5` runs the
+against `ExactMk` on all 7,580 complexes on ≤ 5 vertices, and checks that
+a chain taken past the dimension spends what one taken to it spends
+(`past_dimension_mismatches`), and
+`PYTHONPATH=src python tests/test_mk_oracle.py reports 5` runs the
 floored-report differential (`floored_report_mismatches`) on them and
 prints how many of those reports the floor settles by meeting the
 ceiling.
@@ -152,6 +154,42 @@ def test_golden_chain_stays_within_its_node_count():
     assert b.used <= 100
 
 
+def past_dimension_mismatches(universe):
+    """The complexes of `universe` where a chain taken to max(dim, 0) + 2
+    spends other than one taken to max(dim, 0): above the dimension
+    M_k = M_{k-1}, which the engine reads without a node."""
+    bad = []
+    for x in universe:
+        top, past = Budget(), Budget()
+        mk_chain(x, max(x.dim, 0), top)
+        mk_chain(x, max(x.dim, 0) + 2, past)
+        if past.used != top.used:
+            bad.append((x, top.used, past.used))
+    return bad
+
+
+def test_a_chain_past_the_dimension_spends_nothing_more():
+    assert past_dimension_mismatches(all_complexes(4)) == []
+    for x, nodes in ((NAMED_EXAMPLES["three-cycle"](), 8),
+                     (NAMED_EXAMPLES["v6f10-6"](), 95),
+                     (NAMED_EXAMPLES["v7f17"](), 259)):
+        for k in (x.dim, x.dim + 3):
+            b = Budget()
+            mk_chain(x, k, b)
+            assert b.used == nodes, (x, k)
+
+
+def test_any_k_is_one_loop_without_recursion():
+    """M_k is the running min of M'_0, ..., M'_min(k, dim): k = 5000 on a
+    path answers what k = 1 does, for the same nodes, with no frame per
+    k."""
+    x = SimplicialComplex([(1, 2), (2, 3)])
+    for k in (1, 5000):
+        b = Budget()
+        assert _MkEngine(b).m(x, k) == 1
+        assert b.used == 4, k
+
+
 def test_v7f17_has_m2_below_m1():
     """The smallest known M_2 < M_1: L = C = M_2 = 3 < M_1 = M_0 = d_mes
     = 4 over Q and over GF(2), as the exact engine says, with a collapse
@@ -179,6 +217,13 @@ def test_star_four_m0_spends_its_pinned_nodes():
     b = Budget()
     assert mk(non_cover_complex(star_family(4, (2,) * 4)), 0, b) == 5
     assert b.used == 1_370
+
+
+def test_v7f17_chain_to_m2_spends_its_pinned_nodes():
+    # a link below dimension k ends its running min at its own dimension
+    b = Budget()
+    assert mk_chain(NAMED_EXAMPLES["v7f17"](), 2, b) == [4, 4, 3]
+    assert b.used == 258
 
 
 def test_star_five_m1_is_cut_off_early():
@@ -327,8 +372,12 @@ if __name__ == "__main__":
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     universe = all_complexes(n)
     bad = [x for x in universe if _cutoff(x) != _exact(x)]
+    past = past_dimension_mismatches(universe)
     print(f"{len(universe)} complexes on <= {n} vertices, "
-          f"{len(bad)} mismatches")
+          f"{len(bad)} mismatches, {len(past)} chains past the dimension "
+          f"spending other than one taken to it")
     for x in bad:
         print(x)
-    sys.exit(1 if bad else 0)
+    for row in past:
+        print(*row)
+    sys.exit(1 if bad or past else 0)
