@@ -15,8 +15,10 @@ reduced homology over every field.  A closed link of at most four facets,
 or one whose nerve is the boundary of a simplex, needs no rank at all: its
 nerve's homology is read off which facets meet (`_nerve_degrees`).  The
 Leray scan and the link Cohen-Macaulay test read those links so; the
-Betti numbers, homological connectivity and the induced-subcomplex routes
-rank every complex they are asked about.
+Betti numbers and homological connectivity rank every complex they are
+asked about.  The induced-subcomplex routes rank every induced subcomplex
+but the empty one and cones (no reduced homology), each from its
+canonical facet masks, with no `SimplicialComplex` built.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree, screens rational ranks over GF(2), and can be
@@ -36,7 +38,7 @@ Cohen-Macaulay test read only the links of closed faces (the intersections
 of facets): every other link is a cone, with no reduced homology.  The
 links are listed once per cache and replayed to each scan through
 `itertools.tee`.  The induced Cohen-Macaulay test asks homological
-connectivity of each induced subcomplex.  The k-vertex decomposition search
+connectivity of each induced subcomplex below its dimension.  The k-vertex decomposition search
 runs on facet masks, with one shedding test (`_shed`): a face sheds when
 some facet holds it and its deletion, taken by the one F - v loop of
 `complexes._deletion`, adds no face to the facets that miss it, so it stays
@@ -57,8 +59,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .complexes import (Face, SimplicialComplex, _face, _link, _new_faces,
-                        bits_of, faces_of, subsets, vertices_of)
+from .complexes import (Face, SimplicialComplex, _antichain, _face, _link,
+                        _new_faces, bits_of, faces_of, subsets, vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -514,21 +516,42 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
 
 def _induced_subcomplexes(
     x: SimplicialComplex, what: str
-) -> Iterator[SimplicialComplex]:
-    """x[A] for every vertex subset A of x.  There are 2^n of them, so
-    `what` is refused above LERAY_VERTEX_CAP vertices."""
-    n = len(x.vertices)
+) -> Iterator[list[int]]:
+    """The canonical facets, the maximal F & A over the facets F, of x[A]
+    for every vertex subset A of x whose x[A] is neither empty nor a cone
+    (a simplex among them): the others have no reduced homology in degrees
+    >= 0.  There are 2^n subsets, so `what` is refused above
+    LERAY_VERTEX_CAP vertices."""
+    n = x.vertex_mask.bit_count()
     if n > LERAY_VERTEX_CAP:
         raise ValueError(f"{what} refused above {LERAY_VERTEX_CAP} vertices")
-    return map(x.induced, subsets(x.vertex_mask, range(n + 1)))
+    facets = x.facets
+    for a in subsets(x.vertex_mask, range(n + 1)):
+        fs = _antichain([f & a for f in facets])
+        # one facet is a simplex, or [0] for an empty x[A]
+        if len(fs) > 1 and not functools.reduce(operator.and_, fs):
+            yield fs
 
 
 def _leray_induced(x: SimplicialComplex, field: Field = "Q") -> int:
-    """The Leray number by brute force: one more than the top nonzero degree
-    of the full Betti vector of every induced subcomplex.  The oracle for
-    `leray_number`, refused above LERAY_VERTEX_CAP vertices."""
-    return 1 + max(reduced_betti(y, field).top_nonzero_degree()
-                   for y in _induced_subcomplexes(x, "brute-force Leray"))
+    """The Leray number by brute force: one more than the top nonzero
+    degree of reduced homology over every induced subcomplex.  The oracle
+    for `leray_number`, refused above LERAY_VERTEX_CAP vertices.
+
+    The empty subcomplex and cones have none and are not listed
+    (`_induced_subcomplexes`).  Every other one is ranked through itself or
+    its facet nerve (`_link_chains`), over the requested field with no
+    GF(2) screen, walking its degrees down from its own dimension to the
+    running best and stopping at the first nonzero one."""
+    p = _parse_field(field)
+    best = 0
+    for fs in _induced_subcomplexes(x, "brute-force Leray"):
+        chains = _link_chains(fs)
+        for t in range(max(map(int.bit_count, fs)) - 1, best - 1, -1):
+            if chains.betti(t, p):
+                best = t + 1
+                break
+    return best
 
 
 def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q",
@@ -563,13 +586,21 @@ def is_cohen_macaulay(x: SimplicialComplex, field: Field = "Q",
 
 def is_cohen_macaulay_induced(x: SimplicialComplex, field: Field = "Q") -> bool:
     """The alternative predicate: pure, and every induced subcomplex y is
-    homologically (dim(y) - 1)-connected (`is_homologically_connected`).
-    It reads all 2^n induced subcomplexes, so a pure complex is refused
-    above LERAY_VERTEX_CAP vertices."""
-    _parse_field(field)  # a bad field raises for a non-pure x too
-    return x.is_pure() and all(
-        is_homologically_connected(y, y.dim - 1, field)
-        for y in _induced_subcomplexes(x, "induced Cohen-Macaulay test"))
+    homologically (dim(y) - 1)-connected.  It reads all 2^n induced
+    subcomplexes, so a pure complex is refused above LERAY_VERTEX_CAP
+    vertices.  Each y but the empty one and cones (no reduced homology,
+    not listed) is ranked through itself or its facet nerve
+    (`_link_chains`), with degrees walked up from 0 below dim(y) as in
+    `is_homologically_connected`."""
+    p = _parse_field(field)  # a bad field raises for a non-pure x too
+    if not x.is_pure():
+        return False
+    for fs in _induced_subcomplexes(x, "induced Cohen-Macaulay test"):
+        chains = _link_chains(fs)
+        if any(chains.nonzero(t, p)
+               for t in range(max(map(int.bit_count, fs)) - 1)):
+            return False
+    return True
 
 
 def is_shellable(

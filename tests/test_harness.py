@@ -311,6 +311,38 @@ def test_verify_skips_non_pure_trials_of_the_decomposability_theorems(
         assert json.loads(out.read_text()) == summary
 
 
+def test_verify_skips_trials_above_the_induced_oracle_vertex_cap(tmp_path):
+    """The induced-subcomplex oracles read 2^n subcomplexes and refuse more
+    than 14 vertices, so a trial that large (for cm-equivalence, its pure
+    skeleton) is a skip, not an error that aborts the run."""
+    spec = GeneratorSpec(kind="random-complex", n=16, m=40, max_size=2,
+                         seed=0)
+    for theorem in ("leray-methods", "cm-equivalence"):
+        summary = verify(theorem, spec, trials=3)
+        assert summary == {"theorem": theorem, "trials": 3,
+                           "passes": 0, "fails": 0, "skips": 3}
+        out = tmp_path / f"{theorem}.json"
+        assert main(["verify", "--theorem", theorem, "--trials", "3",
+                     "--n", "16", "--m", "40", "--max-size", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text()) == summary
+
+
+def test_link_del_commute_catches_a_link_that_ignores_the_face(monkeypatch):
+    """The probe runs on the facet-mask kernels, so a `_link` that takes
+    F - sigma of every facet F, holding sigma or not, is a counterexample.
+    A `_deletion` that drops the new F - v faces is no usable mutant: the
+    link of tau in it still equals that deletion of the link of tau."""
+    monkeypatch.setattr(
+        reports, "_link",
+        lambda facets, s: tuple(sorted({f & ~s for f in facets} - {0})))
+    summary = verify("link-del-commute",
+                     GeneratorSpec(kind="random-complex", seed=0), trials=5)
+    assert summary["fails"] == 1
+    assert summary["counterexample"]["detail"].startswith(
+        "link/deletion commutativity fails for Face{")
+
+
 def test_nc_bound_builds_nc_once_per_trial(monkeypatch):
     calls = []
     real = hypergraphs.non_cover_complex

@@ -409,6 +409,44 @@ def test_leray_routes_always_agree(x):
     assert leray_number(x, 2) == _leray_induced(x, 2)
 
 
+def object_route_induced(x, field):
+    """Both induced-subcomplex oracles the slow way, one `SimplicialComplex`
+    per vertex subset A: (1 + the top nonzero degree of the full Betti
+    vector of every x[A], whether x is pure and every x[A] is homologically
+    (dim - 1)-connected)."""
+    subs = [x.induced(a) for a in subsets(x.vertex_mask,
+                                          range(len(x.vertices) + 1))]
+    leray = 1 + max(reduced_betti(y, field).top_nonzero_degree()
+                    for y in subs)
+    cm = x.is_pure() and all(is_homologically_connected(y, y.dim - 1, field)
+                             for y in subs)
+    return leray, cm
+
+
+def induced_differential(n, shift=0):
+    """(cases, mismatches) of `_leray_induced` and
+    `is_cohen_macaulay_induced`, on facet masks, against the object route
+    on every complex on <= n vertices, labels raised by shift, over Q,
+    GF(2) and GF(3)."""
+    count, mismatches = 0, []
+    for x in all_complexes(n):
+        x = shifted(x, shift)
+        for field in ("Q", 2, 3):
+            count += 1
+            got = (_leray_induced(x, field),
+                   is_cohen_macaulay_induced(x, field))
+            want = object_route_induced(x, field)
+            if got != want:
+                mismatches.append((x, field, got, want))
+    return count, mismatches
+
+
+def test_induced_oracles_on_masks_match_the_object_route():
+    count, mismatches = induced_differential(4)
+    assert mismatches == []
+    assert count == len(all_complexes(4)) * 3
+
+
 def test_leray_scan_skips_repeated_links(monkeypatch):
     ranked = []
     link_chains = homology._link_chains
@@ -1289,6 +1327,7 @@ def test_a_report_ranks_few_gf2_columns_for_c_and_leray(monkeypatch):
 if __name__ == "__main__":
     # python tests/test_homology.py [n [shift]]
     # python tests/test_homology.py nerve count [seed]
+    # python tests/test_homology.py induced n [shift]
     if sys.argv[1:2] == ["nerve"]:
         count = int(sys.argv[2]) if len(sys.argv) > 2 else 100
         seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
@@ -1310,6 +1349,16 @@ if __name__ == "__main__":
         for bad in mismatches:
             print(bad)
         sys.exit(1 if mismatches or len(kinds) < 4 else 0)
+    if sys.argv[1:2] == ["induced"]:
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+        shift = int(sys.argv[3]) if len(sys.argv) > 3 else 0
+        count, mismatches = induced_differential(n, shift)
+        print(f"{len(all_complexes(n))} complexes on <= {n} vertices, labels "
+              f"raised by {shift}: {count} induced-oracle cases against the "
+              f"object route, {len(mismatches)} mismatches")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches else 0)
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     shift = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     count, mismatches = report_differential(n, shift)
