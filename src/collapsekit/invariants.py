@@ -14,16 +14,16 @@ d every free face is a branch.
 The collapsibility number C(X) is searched only between the GF(2) Leray
 number and a certified ceiling.  The ceiling u = d(X, ord) comes with the
 collapse of Matousek and Tancer (DCG 42, 2009) as its certificate, built
-without search and replayed before it is used.  The floor f is the Leray
-link scan over GF(2) capped at u: a d-collapsible complex is d-Leray over
-every field (Wegner 1975), and dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so
-GF(2) gives the higher floor, with the cheaper modular rank.  C = u at once
-when f = u; otherwise d = f, ..., u - 1 are searched, and u is the answer
-if none succeeds.  Only searches that must fail are skipped, so every value
-is the plain upward loop's.  The threshold probes ask their one question,
-C(Y) <= d, with the same scan capped at d + 1 before any search.  A
-replayed ceiling claims exactly d(X, ord), so a report reads d_mes from it
-too.
+without search in one walk that checks every step as a replay would.  The
+floor f is the Leray link scan over GF(2) capped at u: a d-collapsible
+complex is d-Leray over every field (Wegner 1975), and
+dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher floor,
+with the cheaper modular rank.  C = u at once when f = u; otherwise
+d = f, ..., u - 1 are searched, and u is the answer if none succeeds.  Only
+searches that must fail are skipped, so every value is the plain upward
+loop's.  The threshold probes ask their one question, C(Y) <= d, with the
+same scan capped at d + 1 before any search.  The ceiling claims exactly
+d(X, ord), so a report reads d_mes from it too.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -170,24 +170,24 @@ def collapsibility_number_with_certificate(
 
     C(x) lies between two bounds that need no search.  The ceiling u is
     d(x, canonical_ordering(x)), with the collapse of Matousek and Tancer
-    (DCG 42, 2009) as its certificate (`_mes_ceiling`: built and replayed,
-    or None).  The floor f is the GF(2) Leray number: a d-collapsible
-    complex is d-Leray over every field (Wegner 1975), and GF(2) gives a
-    floor at least the rational one, with the cheaper modular rank.  It is
-    the Leray link scan capped at u (`homology._leray`), so it asks no
-    degree >= u and stops at u, which it reaches exactly when some link
-    has nonzero GF(2) homology in degree u - 1.  C is (u, ceiling) when
-    f = u; else d = f, ..., u - 1 are searched (d = f, f + 1, ... without
-    a ceiling), and C is (u, ceiling) if none succeeds.  The empty complex
-    needs no step of its own: its mes collapse is empty and claims 0, so
-    f = u = 0 and C = 0 with the empty certificate.
+    (DCG 42, 2009) as its certificate (`_mes_certificate`: built and
+    checked in one walk, or None).  The floor f is the GF(2) Leray number:
+    a d-collapsible complex is d-Leray over every field (Wegner 1975), and
+    GF(2) gives a floor at least the rational one, with the cheaper modular
+    rank.  It is the Leray link scan capped at u (`homology._leray`), so it
+    asks no degree >= u and stops at u, which it reaches exactly when some
+    link has nonzero GF(2) homology in degree u - 1.  C is (u, ceiling)
+    when f = u; else d = f, ..., u - 1 are searched (d = f, f + 1, ...
+    without a ceiling), and C is (u, ceiling) if none succeeds.  The empty
+    complex needs no step of its own: its mes collapse is empty and claims
+    0, so f = u = 0 and C = 0 with the empty certificate.
 
     Only searches below L(x; GF(2)), which must fail, are skipped, so the
     value is that of the plain d = 0, 1, ... loop, and so is the
     certificate wherever C < u; where C = u the certificate is the
     ceiling's collapse.
     """
-    top = _mes_ceiling(x, canonical_ordering(x))
+    top = _mes_certificate(x, canonical_ordering(x))
     u = math.inf if top is None else top.claimed_d
     return _collapsibility(x, budget or Budget(), top, _leray(x, 2, None, u))
 
@@ -197,7 +197,7 @@ def _collapsibility(
     top: Optional[CollapseCertificate], floor: int,
 ) -> tuple[int, CollapseCertificate]:
     """`collapsibility_number_with_certificate` with its ceiling `top`,
-    already replayed (or None), and its floor, L(x; GF(2)) taken under
+    as built (or None), and its floor, L(x; GF(2)) taken under
     that ceiling: d = floor, ..., u - 1 are searched."""
     u = math.inf if top is None else top.claimed_d
     d = floor
@@ -275,6 +275,12 @@ def _mes_certificate(x: SimplicialComplex,
     """A collapse of x at free faces of at most d(x, ordering) vertices
     (Matousek and Tancer, DCG 42, 2009), or None where it gets stuck.
 
+    The build is its own check: a step is taken only once `_is_free`
+    passes and is removed with `_deletion`, as `CollapseCertificate.replay`
+    does, the walk ends only on the empty complex, and the claim is the
+    largest step.  So a certificate it returns replays, and one it cannot
+    finish is None.
+
     With F_1, ..., F_m the ordered facets and M(G) the set of mes(G), the
     stages run j = m, ..., 1.  At stage j the facets G of the current
     complex private to F_j (inside F_j and no earlier facet) are taken
@@ -313,16 +319,6 @@ def _mes_certificate(x: SimplicialComplex,
     return CollapseCertificate(
         tuple(FreePair(_face(m), _face(g)) for m, g in steps),
         max((m.bit_count() for m, _ in steps), default=0))
-
-
-def _mes_ceiling(x: SimplicialComplex,
-                 ordering: FacetOrdering) -> Optional[CollapseCertificate]:
-    """`_mes_certificate(x, ordering)` when it is built and replays on x,
-    else None.  A replayed one claims exactly d(x, ordering): its steps
-    remove every face once, each at the interval [M(G), G] of faces with
-    mes set M(G)."""
-    cert = _mes_certificate(x, ordering)
-    return cert if cert is not None and cert.replay(x) else None
 
 
 class _MkEngine:

@@ -65,7 +65,7 @@ from .invariants import (
     mk_chain,
     _collapsibility,
     _collapsible_within,
-    _mes_ceiling,
+    _mes_certificate,
     _MkEngine,
 )
 # instance_to_json stays importable from here: the bench reads it
@@ -100,8 +100,8 @@ class _Evaluation:
     link cache of the complex the collapse invariants read (the instance,
     or NC(H) for a hypergraph), and, each built once on first use, the M_k
     engine, that complex, its facet order and the mes ceiling under that
-    order, replayed (C's certificate wherever C reaches it, and d_mes read
-    from its claim).
+    order, built and checked in one walk (C's certificate wherever C
+    reaches it, and d_mes read from its claim).
 
     The link cache is the report's one homology pass: the complex's
     closed-face links and their ranks, which the Leray scans, the Betti
@@ -147,7 +147,7 @@ class _Evaluation:
         # collapse is the empty one, claiming 0
         if not self.complex.facets:
             return CollapseCertificate((), 0)
-        return _mes_ceiling(self.complex, self.facet_order)
+        return _mes_certificate(self.complex, self.facet_order)
 
     @property
     def u(self):
@@ -194,7 +194,7 @@ def _inv_d(ev):
     order = ev.facet_order
     ev.witnesses[ev.prefix + "facet_ordering"] = [
         list(f.vertices) for f in order.ordered_facets]
-    # a replayed mes collapse claims exactly d(X, order), so no face walk
+    # the checked mes collapse claims exactly d(X, order), so no face walk
     if ev.ceiling is not None:
         return ev.ceiling.claimed_d
     return d_of_ordering(order.complex, order)
@@ -514,11 +514,11 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
         return "pass"
     nc = order.complex
     d = d_of_ordering(nc, order)
-    # the collapse behind C <= d, built and replayed as C's ceiling under
-    # this order, must claim the face walk's d
-    ceiling = _mes_ceiling(nc, order)
-    _chk(ceiling is not None and ceiling.claimed_d == d, h,
-         lambda: f"the mes collapse does not replay at d={d} for {order!r}")
+    # the collapse behind C <= d, C's ceiling under this order, must
+    # replay and claim the face walk's d
+    ceiling = _mes_certificate(nc, order)
+    _chk(ceiling is not None and ceiling.replay(nc) and ceiling.claimed_d == d,
+         h, lambda: f"the mes collapse does not replay at d={d} for {order!r}")
     c, _ = _collapsibility(nc, budget, ceiling, _leray(nc, 2, None, d))
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"
@@ -607,8 +607,11 @@ def _thm_link_del_commute(x: SimplicialComplex, rng, budget) -> str:
             continue
         dele = _deletion(facets, sigma)
         for tau in faces:
-            if sigma & tau or all(tau & ~f for f in dele):
+            if sigma & tau:
                 continue
+            # a nonempty face disjoint from sigma lies in del(sigma)
+            _chk(not tau or any(not tau & ~f for f in dele), x,
+                 lambda: f"{tau!r} is not in del {sigma!r}")
             lk = links.get(tau)
             if lk is None:
                 lk = links[tau] = _link(facets, tau)

@@ -331,16 +331,24 @@ def test_verify_skips_trials_above_the_induced_oracle_vertex_cap(tmp_path):
 def test_link_del_commute_catches_a_link_that_ignores_the_face(monkeypatch):
     """The probe runs on the facet-mask kernels, so a `_link` that takes
     F - sigma of every facet F, holding sigma or not, is a counterexample.
-    A `_deletion` that drops the new F - v faces is no usable mutant: the
-    link of tau in it still equals that deletion of the link of tau."""
-    monkeypatch.setattr(
-        reports, "_link",
-        lambda facets, s: tuple(sorted({f & ~s for f in facets} - {0})))
-    summary = verify("link-del-commute",
-                     GeneratorSpec(kind="random-complex", seed=0), trials=5)
+    So is a `_deletion` that drops the new F - v faces: the link of tau in
+    it still equals that deletion of the link of tau, but a nonempty tau
+    disjoint from sigma is then missing from del(sigma)."""
+    spec = GeneratorSpec(kind="random-complex", seed=0)
+    with monkeypatch.context() as m:
+        m.setattr(
+            reports, "_link",
+            lambda facets, s: tuple(sorted({f & ~s for f in facets} - {0})))
+        summary = verify("link-del-commute", spec, trials=5)
     assert summary["fails"] == 1
     assert summary["counterexample"]["detail"].startswith(
         "link/deletion commutativity fails for Face{")
+    monkeypatch.setattr(reports, "_deletion",
+                        lambda facets, s: tuple(f for f in facets if s & ~f))
+    summary = verify("link-del-commute", spec, trials=5)
+    assert summary["fails"] == 1
+    assert summary["counterexample"]["detail"] == (
+        "Face{3,6} is not in del Face{2}")
 
 
 def test_nc_bound_builds_nc_once_per_trial(monkeypatch):

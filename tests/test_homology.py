@@ -1300,7 +1300,7 @@ def test_leray_alone_builds_no_ceiling(monkeypatch):
     def no_ceiling(x, ordering):
         raise AssertionError("the ceiling was built")
 
-    monkeypatch.setattr(reports, "_mes_ceiling", no_ceiling)
+    monkeypatch.setattr(reports, "_mes_certificate", no_ceiling)
     assert reports.compute(V6F10_6, ["leray", "betti"])["values"][
         "leray"] == 2
     h = star_family(3, (1, 1, 1))

@@ -1000,13 +1000,12 @@ def test_nc_bound_theorem_replays_the_mes_collapse(monkeypatch):
     """The probe checks the collapse behind C <= d under the relabeled
     order, so a collapse that is not built, claims another d or does not
     replay is a counterexample."""
-    from collapsekit import CollapseCertificate, invariants, reports
+    from collapsekit import CollapseCertificate, reports
     run = THEOREMS["nc-bound"][1]
     h = Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
     assert run(h, random.Random(0), Budget()) == "pass"
-    # the probe's ceiling comes from `invariants._mes_ceiling`, which
-    # builds it through this name
-    real = invariants._mes_certificate
+    # the probe builds its ceiling through this name and replays it itself
+    real = reports._mes_certificate
 
     def truncated(x, ordering):
         cert = real(x, ordering)
@@ -1015,7 +1014,7 @@ def test_nc_bound_theorem_replays_the_mes_collapse(monkeypatch):
     for broken in (lambda x, ordering: None,
                    lambda x, ordering: CollapseCertificate((), 0),
                    truncated):
-        monkeypatch.setattr(invariants, "_mes_certificate", broken)
+        monkeypatch.setattr(reports, "_mes_certificate", broken)
         with pytest.raises(reports.Counterexample, match="mes collapse"):
             run(h, random.Random(0), Budget())
 

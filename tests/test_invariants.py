@@ -5,7 +5,10 @@ full-C loop it replaced.
 The <= 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_invariants.py 5` runs the claim
 differential and C against the apex floor it replaced on all 7,580
-complexes on <= 5 vertices (about 4 minutes).
+complexes on <= 5 vertices (about 4 minutes).  `... test_invariants.py mes
+3000` builds, replays and checks against d_of_ordering the mes certificates
+of 3,000 seeds of each generator and of 6,000 random orders of random
+complexes on 7-9 vertices (about 7 seconds).
 """
 
 import functools
@@ -50,7 +53,7 @@ from collapsekit import (
 )
 from collapsekit import homology, invariants, reports
 from collapsekit.complexes import vertices_of
-from collapsekit.generators import v6f10_6
+from collapsekit.generators import GeneratorSpec, generate, v6f10_6
 from collapsekit.reports import compute
 
 from conftest import all_complexes, apex_floor, mod3_moore_space, shifted
@@ -203,7 +206,7 @@ def apex_floor_collapsibility(x, budget):
     if x.is_empty:
         return 0, CollapseCertificate((), 0)
     f = apex_floor(x)
-    top = invariants._mes_ceiling(x, canonical_ordering(x))
+    top = invariants._mes_certificate(x, canonical_ordering(x))
     u = math.inf if top is None else top.claimed_d
     if top is not None and (f == u or _link_homology(x, u - 1)):
         return u, top
@@ -308,7 +311,7 @@ def test_homology_floor_stays_within_the_budget(monkeypatch):
 def test_homology_floor_reads_gf2_torsion():
     # the 6-vertex real projective plane: H~ vanishes over Q, while over
     # GF(2) H~_2 != 0, so the floor is 3; the mes ceiling is 3 too, so no
-    # search runs at all, and C is the ceiling's replayed collapse
+    # search runs at all, and C is the ceiling's collapse, which replays
     rp2 = SimplicialComplex(
         [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
          (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
@@ -333,11 +336,12 @@ def test_homology_floor_skips_the_doomed_searches():
 
 
 def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
-    """No ceiling, or one that does not replay: C still answers, through
-    the searches up from the floor L(x; GF(2)), with the plain loop's
-    certificate.  On v6f10-6 (floor 2 = C, ceiling 3) and NC(star_family(3))
-    (floor 2 = C) the search at the floor succeeds; on the mod-3 Moore
-    space (floor 2, C = 3) it fails and the one above succeeds."""
+    """No ceiling (a mes collapse that cannot be finished): C still
+    answers, through the searches up from the floor L(x; GF(2)), with the
+    plain loop's certificate.  On v6f10-6 (floor 2 = C, ceiling 3) and
+    NC(star_family(3)) (floor 2 = C) the search at the floor succeeds; on
+    the mod-3 Moore space (floor 2, C = 3) it fails and the one above
+    succeeds."""
     from collapsekit.generators import star_family
     xs = [v6f10_6(), mod3_moore_space(),
           non_cover_complex(star_family(3, (1, 1, 1)))]
@@ -345,11 +349,10 @@ def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
     wants = [plain_collapsibility_number(x) for x in xs]
     assert [(f, c) for f, (c, _) in zip(floors, wants)] == [
         (2, 2), (2, 3), (2, 2)]
-    for broken in (None, CollapseCertificate((), 0)):
-        monkeypatch.setattr(invariants, "_mes_certificate",
-                            lambda x, ordering: broken)
-        for x, want in zip(xs, wants):
-            assert collapsibility_number_with_certificate(x) == want, x
+    monkeypatch.setattr(invariants, "_mes_certificate",
+                        lambda x, ordering: None)
+    for x, want in zip(xs, wants):
+        assert collapsibility_number_with_certificate(x) == want, x
 
 
 def test_c_returns_the_ceiling_when_the_floor_reaches_it(monkeypatch):
@@ -393,7 +396,6 @@ def test_c_of_star_family_5_is_read_from_the_ceiling():
 def test_c_in_a_report_does_not_depend_on_the_other_invariants():
     """C's value and certificate are those of C asked alone, in a report of
     every invariant and in one that ranks the links for Leray first."""
-    from collapsekit.generators import GeneratorSpec, generate
     for seed in range(12):
         h = generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=7,
                                    m=8, max_size=3))
@@ -417,11 +419,10 @@ def _d_of_the_report_order(inst):
 
 def test_report_d_is_the_ceiling_claim_and_the_face_walk_without_it(
         monkeypatch):
-    """d_mes / nc_d read the replayed ceiling's claim, which is
-    d_of_ordering under the report's order; with no ceiling they walk the
-    faces.  Every complex on <= 5 vertices, and NC(H) of 30 nc-leray-sized
+    """d_mes / nc_d read the ceiling's claim, which is d_of_ordering
+    under the report's order; with no ceiling they walk the faces.  Every
+    complex on <= 5 vertices, and NC(H) of 30 nc-leray-sized
     hypergraphs."""
-    from collapsekit.generators import GeneratorSpec, generate
     cases = [(x, "d_mes") for x in all_complexes(5)] + [
         (generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=8,
                                 m=9, max_size=3)), "nc_d")
@@ -429,33 +430,39 @@ def test_report_d_is_the_ceiling_claim_and_the_face_walk_without_it(
     wants = [_d_of_the_report_order(inst) for inst, _ in cases]
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(reports, "_mes_ceiling", lambda x, o: None)
+            monkeypatch.setattr(reports, "_mes_certificate",
+                                lambda x, o: None)
         for (inst, key), want in zip(cases, wants):
             assert compute(inst, [key])["values"][key] == want, (inst, forced)
 
 
-def test_a_report_replays_the_ceiling_once(monkeypatch):
-    """C and d read one ceiling per report, replayed once, and d then walks
-    no face."""
+def test_a_report_builds_the_ceiling_once_and_never_replays_it(
+        monkeypatch):
+    """C and d read one ceiling per report, built once and checked as it
+    is built, so no report replays it, and d then walks no face."""
     from collapsekit.generators import star_family
-    replays = []
-    replay = CollapseCertificate.replay
+    builds = []
+    build = reports._mes_certificate
 
-    def counted(self, source):
-        replays.append(source)
-        return replay(self, source)
+    def counted(x, ordering):
+        builds.append(x)
+        return build(x, ordering)
 
-    monkeypatch.setattr(CollapseCertificate, "replay", counted)
+    def no_replay(self, source):
+        raise AssertionError("the ceiling was replayed")
+
+    monkeypatch.setattr(reports, "_mes_certificate", counted)
+    monkeypatch.setattr(CollapseCertificate, "replay", no_replay)
     monkeypatch.setattr(reports, "d_of_ordering", None)
     for inst in (star_family(3, (1, 1, 1)), star_family(5, (2,) * 5),
                  Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])):
-        replays.clear()
+        builds.clear()
         compute(inst)
-        assert replays == [non_cover_complex(inst)], inst
+        assert builds == [non_cover_complex(inst)], inst
     for x in (v6f10_6(), THREE_CYCLE):
-        replays.clear()
+        builds.clear()
         compute(x, ["C", "d_mes", "leray"])
-        assert replays == [x], x
+        assert builds == [x], x
 
 
 CHAIN_REPORT = ["leray", "C", "M0", "M1", "M2", "d_mes", "betti"]
@@ -585,22 +592,64 @@ def test_mes_and_d_match_the_index_search_on_every_small_complex():
                     mes(x.vertex_mask, order)
 
 
+def _reversed_ordering(x):
+    return FacetOrdering(x, x.facets[::-1])
+
+
+def _random_orderings(x, rng, count):
+    for _ in range(count):
+        perm = list(x.facets)
+        rng.shuffle(perm)
+        yield FacetOrdering(x, perm)
+
+
+def generated_mes_cases(seeds):
+    """(X, order) pairs: each seed's complex-chain-sized random complex
+    under the canonical and reversed orders, and NC(H) of its
+    nc-leray-sized random hypergraph under `nc_facet_order`, canonical and
+    reversed."""
+    for seed in seeds:
+        x = generate(GeneratorSpec(kind="random-complex", seed=seed, n=6,
+                                   m=7, max_size=3))
+        yield x, canonical_ordering(x)
+        yield x, _reversed_ordering(x)
+        h = generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=8,
+                                   m=9, max_size=3))
+        if non_cover_complex(h).is_empty:
+            continue
+        order = nc_facet_order(h)
+        nc = order.complex
+        yield nc, order
+        yield nc, canonical_ordering(nc)
+        yield nc, _reversed_ordering(nc)
+
+
+def mes_failures(cases):
+    """The (X, order) pairs whose mes certificate is not built, does not
+    claim d_of_ordering or does not replay: the build is trusted as its own
+    check, and these are its oracles."""
+    bad = []
+    for x, order in cases:
+        cert = invariants._mes_certificate(x, order)
+        if (cert is None or cert.claimed_d != d_of_ordering(x, order)
+                or not cert.replay(x)):
+            bad.append((x, order))
+    return bad
+
+
 def test_mes_certificate_replays_at_d_on_every_small_complex():
-    """The collapse behind C <= d(X, <) (Matousek and Tancer): under the
-    canonical order and two seeded random orders of every complex on <= 5
-    vertices it is built, replays, and claims exactly d_of_ordering."""
+    """The collapse behind C <= d(X, <) (Matousek and Tancer) is built,
+    replays, and claims exactly d_of_ordering: under the canonical, the
+    reversed and two seeded random orders of every complex on <= 5
+    vertices, and on the generated cases of seeds 0-299
+    (`generated_mes_cases`)."""
     rng = random.Random(1975)
+    cases = []
     for x in all_complexes(5):
-        orders = [canonical_ordering(x)]
-        for _ in range(2):
-            perm = list(x.facets)
-            rng.shuffle(perm)
-            orders.append(FacetOrdering(x, perm))
-        for order in orders:
-            cert = invariants._mes_certificate(x, order)
-            assert cert is not None, (x, order)
-            assert cert.claimed_d == d_of_ordering(x, order), (x, order)
-            assert cert.replay(x), (x, order)
+        cases += [(x, canonical_ordering(x)), (x, _reversed_ordering(x))]
+        cases += [(x, order) for order in _random_orderings(x, rng, 2)]
+    cases += generated_mes_cases(range(300))
+    assert mes_failures(cases) == []
 
 
 def test_mes_certificate_collapses_each_face_at_its_mes():
@@ -626,7 +675,7 @@ def test_d_of_ordering_dominates_m0(x, rng):
 
 def test_canonical_mes_bound_dominates_m0_on_every_complex_on_four_vertices():
     """M_0 <= d(X, canonical) = the d_mes a report asking C reads off its
-    replayed ceiling: the bound a report rests on when it reads M_k off
+    ceiling: the bound a report rests on when it reads M_k off
     that ceiling."""
     for x in all_complexes(4):
         d = d_of_ordering(x, canonical_ordering(x))
@@ -848,6 +897,29 @@ def test_a_face_below_threshold_costs_no_search(monkeypatch):
 
 
 if __name__ == "__main__":
+    # python tests/test_invariants.py [n]
+    # python tests/test_invariants.py mes count [seed]
+    if sys.argv[1:2] == ["mes"]:
+        count = int(sys.argv[2]) if len(sys.argv) > 2 else 100
+        seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
+        rng = random.Random(seed)
+        cases = list(generated_mes_cases(range(count)))
+        generated = len(cases)
+        for _ in range(count):
+            # 5 to 14 facets of 2 to n - 1 vertices, two random orders each
+            n = rng.randint(7, 9)
+            x = SimplicialComplex(
+                rng.sample(range(1, n + 1), rng.randint(2, n - 1))
+                for _ in range(rng.randint(5, 14)))
+            cases += [(x, order) for order in _random_orderings(x, rng, 2)]
+        bad = mes_failures(cases)
+        print(f"mes certificates: {generated} on generator seeds "
+              f"0-{count - 1} and {len(cases) - generated} under random "
+              f"orders of random complexes on 7-9 vertices, seed {seed}: "
+              f"{len(bad)} not built, not at d or not replaying")
+        for x, order in bad:
+            print(x, order)
+        sys.exit(1 if bad else 0)
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     cases, failing, mismatches = claim_differential(n)
     print(f"{len(all_complexes(n))} complexes on <= {n} vertices: {cases} "
