@@ -478,12 +478,12 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
 
 
 def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
-           cap) -> int:
+           cap: int) -> int:
     """The link scan of `leray_number` over Q (p None) or GF(p), asking no
     degree >= cap: L(x) when L(x) < cap, else at most cap, and cap exactly
-    when some link has nonzero homology in degree cap - 1.  cap may be
-    math.inf.  Every value is at most L(x), so over GF(2) it is a lower
-    bound for C(x) (Wegner 1975).
+    when some link has nonzero homology in degree cap - 1.  Every value is
+    at most L(x), so over GF(2) it is a lower bound for C(x) (Wegner
+    1975).
 
     The links come apex first (`_closed_links`): the apex link often
     reaches the final L at once, and the other faces follow largest first,

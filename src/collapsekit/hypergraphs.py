@@ -349,14 +349,18 @@ def _cube(n: int):
 
 
 def _strong_tables(h: Hypergraph) -> tuple[int, ...]:
-    """Per vertex v, the table of the B that hold e - {v} for some edge e
-    at v (all B when e = {v})."""
+    """Per vertex v, the table of the B that meet its requirement
+    (`_strong_req`): the B that hold a vertex of `meet` or a whole."""
     if h._sd is None:
         full, has = _cube(h.n)[:2]
         tables = [full]
         for v in range(1, h.n + 1):
+            # a singleton edge is the empty whole, held by every B
+            meet, wholes = _strong_req(h, v) or (0, (0,))
             t = 0
-            for s in h._strong[v]:
+            for u in vertices_of(meet):
+                t |= has[u]
+            for s in wholes:
                 inside = full
                 for u in vertices_of(s):
                     inside &= has[u]

