@@ -147,7 +147,9 @@ def faces_of(facets: Iterable[int], sizes: Iterable[int]) -> set[int]:
     (read once per facet: a range or a tuple), each once."""
     out: set[int] = set()
     for f in facets:
-        out.update(subsets(f, sizes))
+        bits = bits_of(f)
+        for r in sizes:
+            out.update(map(sum, itertools.combinations(bits, r)))
     return out
 
 
@@ -213,15 +215,15 @@ def _link(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
     inside G, so they form an antichain, and for F holding sigma,
     F - sigma is F minus the mask sigma as a number, so the order holds.
     The link of a facet, {empty face}, is the empty complex."""
-    lk = tuple(f ^ sigma for f in facets if sigma & ~f == 0)
+    lk = tuple([f ^ sigma for f in facets if sigma & ~f == 0])
     return () if lk == (0,) else lk
 
 
 def _deletion(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
     """The canonical facets of del(sigma) for the complex with these
-    canonical facets: the facets missing a vertex of sigma are kept, and
-    the F - v that no kept facet holds come in (`_new_faces`).  The empty
-    face never stays (it is the empty complex).
+    canonical facets: one pass (`_split`) keeps the facets missing a vertex
+    of sigma, and the F - v of those holding it that no kept facet holds
+    come in (`_new_faces`).  The empty face never stays (the empty complex).
 
     It is also the collapse step: collapsing a free pair (gamma, sigma)
     removes the interval [gamma, sigma], which is exactly the set of faces
@@ -232,28 +234,37 @@ def _deletion(facets: Sequence[int], sigma: int) -> tuple[int, ...]:
     would lie in F), and two distinct F - v, G - w are never nested, since
     for v != w only F - v holds w, and for v = w one inside the other
     would put F inside G."""
-    kept = [f for f in facets if sigma & ~f]
-    out = kept + list(_new_faces(facets, sigma, kept))
+    kept, holders = _split(facets, sigma)
+    out = kept + list(_new_faces(holders, sigma, kept))
     out.sort()
     return tuple(out)
 
 
-def _new_faces(facets: Sequence[int], sigma: int,
+def _split(facets: Sequence[int], sigma: int) -> tuple[list[int], list[int]]:
+    """In one pass, the facets missing a vertex of sigma and the facets
+    holding sigma, each in facet order."""
+    kept: list[int] = []
+    holders: list[int] = []
+    for f in facets:
+        (kept if sigma & ~f else holders).append(f)
+    return kept, holders
+
+
+def _new_faces(holders: Sequence[int], sigma: int,
                kept: Sequence[int]) -> Iterator[int]:
     """Lazily, the faces del(sigma) adds to the kept facets: each nonempty
-    F - v (F a facet holding sigma, v in sigma) that no kept facet holds.
-    A caller that only asks whether there is one reads the first."""
+    F - v (F in holders, the facets holding sigma; v in sigma) that no kept
+    facet holds.  A caller that asks only whether there is one reads one."""
     lows = bits_of(sigma)
-    for f in facets:
-        if sigma & ~f == 0:
-            for low in lows:
-                t = f ^ low
-                if t:
-                    for g in kept:
-                        if t & ~g == 0:
-                            break
-                    else:
-                        yield t
+    for f in holders:
+        for low in lows:
+            t = f ^ low
+            if t:
+                for g in kept:
+                    if t & ~g == 0:
+                        break
+                else:
+                    yield t
 
 
 def as_face(obj) -> Face:
@@ -344,7 +355,7 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((f.dim for f in self.facets), default=-1)
+        return max(map(int.bit_count, self.facets), default=0) - 1
 
     @property
     def is_empty(self) -> bool:
@@ -355,8 +366,7 @@ class SimplicialComplex:
         return len(self.facets) == 1
 
     def is_pure(self) -> bool:
-        dims = {f.dim for f in self.facets}
-        return len(dims) <= 1
+        return len(set(map(int.bit_count, self.facets))) <= 1
 
     def __contains__(self, face) -> bool:
         m = int(as_face(face))

@@ -35,11 +35,12 @@ floor among them), the Betti numbers and the Cohen-Macaulay test share
 every link listed and every rank taken.  The floor itself is a value the
 caller holds and passes on as a cap.  The Leray scan and the link
 Cohen-Macaulay test read only the links of closed faces (the intersections
-of facets): every other link is a cone, with no reduced homology.  The
-links are listed once per cache and replayed to each scan through
-`itertools.tee`.  The induced Cohen-Macaulay test asks homological
-connectivity of each induced subcomplex below its dimension.  The k-vertex decomposition search
-runs on facet masks, with one shedding test (`_shed`): a face sheds when
+of facets, one per nonzero & of the vertices' holder masks): every other
+link is a cone, with no reduced homology.  The links are listed once per
+cache and replayed to each scan through `itertools.tee`.  The induced
+Cohen-Macaulay test asks homological connectivity of each induced
+subcomplex below its dimension.  The k-vertex decomposition search runs on
+facet masks, with one shedding test (`_shed`): a face sheds when
 some facet holds it and its deletion, taken by the one F - v loop of
 `complexes._deletion`, adds no face to the facets that miss it, so it stays
 pure of the same dimension.  The search asks it, and so does the witness
@@ -60,7 +61,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .complexes import (Face, SimplicialComplex, _antichain, _face, _link,
-                        _new_faces, bits_of, faces_of, subsets, vertices_of)
+                        _new_faces, _split, bits_of, faces_of, subsets,
+                        vertices_of)
 from .errors import Budget, NotPureError, _depth_first
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
@@ -318,17 +320,19 @@ def _closed_links(
     others largest face first.
 
     Write c(sigma) for the intersection of the facets that hold sigma; sigma
-    is closed when c(sigma) = sigma.  The closed faces are the intersections
-    of nonempty families of facets, so closing the facet list under & finds
-    them all, the empty face included exactly when x is not a cone.  Any
-    other face has a cone link, since every facet of lk(sigma) contains the
-    nonempty c(sigma) - sigma, and a cone has no reduced homology in any
-    degree: the links skipped here read zero in every question
-    `leray_number` and `is_cohen_macaulay` ask.  The facets of lk(sigma)
-    are the F - sigma for the facets F holding sigma, in facet order and
-    already an antichain, so the family is also the dedup key.  Every
-    closed face holds the apex, so the apex is the one smallest, and its
-    link often reaches the Leray number at once.
+    is closed when c(sigma) = sigma.  Any other face has a cone link, since
+    every facet of lk(sigma) contains the nonempty c(sigma) - sigma, and a
+    cone has no reduced homology in any degree: the links skipped here read
+    zero in every question `leray_number` and `is_cohen_macaulay` ask.  The
+    holders of sigma are the & of the holder masks T_v (bit i set when facet
+    i holds v; the faces of `_nerve`) over v in sigma, so each nonzero h in
+    the closure of the T_v under & is the holders of one closed face, the &
+    of the facets in h, and each nonempty closed face comes once, from its
+    own holders: a closure over at most one mask per vertex, not over
+    facets x closed faces.  lk(c) has the facets F - c for F in h, in facet order
+    and already an antichain, so the family is the dedup key.  The apex,
+    held by every closed face, is the one smallest; its link often reaches
+    the Leray number at once.
     """
     facets = x.facets
     if not facets:
@@ -336,25 +340,19 @@ def _closed_links(
     apex = functools.reduce(operator.and_, facets)
     first = tuple(f ^ apex for f in facets)
     yield max(map(int.bit_count, first)) - 1, first
-    # vertex -> the facets holding it, in facet order, and the closed faces
-    # holding it; a new facet meets only the closed faces through its
-    # vertices, so a big sparse complex costs no facets x faces product
-    holders: dict[int, list[int]] = {}
-    through: dict[int, set[int]] = {}
-    for f in facets:
-        vs = vertices_of(f)
-        new = {f & c for c in set().union(*(through.get(v, ()) for v in vs))}
-        new.add(f)
-        for c in new:
-            for v in vertices_of(c):
-                through.setdefault(v, set()).add(c)
-        for v in vs:
-            holders.setdefault(v, []).append(f)
+    closure: set[int] = set()
+    for t in _nerve(facets):
+        closure |= {t & h for h in closure}
+        closure.add(t)
+    closure.discard(0)
+    # closed face -> the facets holding it, in facet order
+    held: dict[int, list[int]] = {}
+    for h in closure:
+        fs = [facets[i] for i in vertices_of(h)]
+        held[functools.reduce(operator.and_, fs)] = fs
     seen = {first}
-    for s in sorted(set().union(*through.values()), key=int.bit_count,
-                    reverse=True):
-        lk = tuple(f ^ s for f in holders[(s & -s).bit_length() - 1]
-                   if s & ~f == 0)
+    for c in sorted(held, key=int.bit_count, reverse=True):
+        lk = tuple([f ^ c for f in held[c]])
         if lk not in seen:
             seen.add(lk)
             yield max(map(int.bit_count, lk)) - 1, lk
@@ -442,13 +440,15 @@ def _cached(cache: Optional[dict], key, make):
 
 
 def _links_of(x: SimplicialComplex, cache: Optional[dict]):
-    """`_closed_links(x)`, each link listed once per cache (once per call
-    without one), and only as far as some scan reads.  The cache keeps one
-    unread `itertools.tee` of the listing and each scan reads a copy of it,
-    which replays the links drawn so far and draws the next only when read;
-    a scan that stops early, as C's capped Leray scan often does at the apex
-    link, leaves the closure under intersection unbuilt.  A copy, not a
+    """`_closed_links(x)` itself without a cache; with one, each link listed
+    once per cache, and only as far as some scan reads.  The cache keeps
+    one unread `itertools.tee` of the listing and each scan reads a copy of
+    it, which replays the links drawn so far and draws the next only when
+    read; a scan that stops early, as C's capped Leray scan often does at
+    the apex link, leaves the closure under & unbuilt.  A copy, not a
     second `tee`: a tee of a tee object may return that object itself."""
+    if cache is None:
+        return _closed_links(x)
     return copy.copy(_cached(cache, x,
                              lambda x: itertools.tee(_closed_links(x), 1)[0]))
 
@@ -664,13 +664,13 @@ def _shed(facets: Sequence[int], sigma: int) -> Optional[tuple[int, ...]]:
     dimension short, so the deletion is pure of the same dimension exactly
     when some facet misses sigma (else it drops a dimension) and it takes
     in no F - v; it is then the kept facets, already canonical.  A
-    non-face is one that every facet misses.  The deletion's own lazy loop
-    (`complexes._new_faces`) is read only up to its first new face."""
-    kept = tuple([f for f in facets if sigma & ~f])
-    if (not kept or len(kept) == len(facets)
-            or next(_new_faces(facets, sigma, kept), 0)):
+    non-face is one that every facet misses.  The deletion's own split and
+    lazy loop (`complexes._split`, `_new_faces`) are read, the loop only up
+    to its first new face."""
+    kept, holders = _split(facets, sigma)
+    if not kept or not holders or next(_new_faces(holders, sigma, kept), 0):
         return None
-    return kept
+    return tuple(kept)
 
 
 def is_k_vertex_decomposable(

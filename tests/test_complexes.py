@@ -22,7 +22,7 @@ from collapsekit import (
 from collapsekit.complexes import (MAX_VERTEX, _bit_walk, _deletion,
                                   _free_faces_by_size, _is_free, _link,
                                   _open_faces, bits_of, faces_of, mask_of,
-                                  vertices_of)
+                                  subsets, vertices_of)
 from collapsekit.homology import _Chains
 from collapsekit.invariants import _collapse_moves
 
@@ -196,6 +196,7 @@ def test_num_faces_matches_brute_force(raw):
 
 def test_dim_and_purity():
     assert SimplicialComplex().dim == -1
+    assert SimplicialComplex().is_pure() is True
     assert SimplicialComplex([(1, 2, 3), (3, 4)]).dim == 2
     assert not SimplicialComplex([(1, 2, 3), (3, 4)]).is_pure()
     assert V6F10_6.is_pure()
@@ -336,6 +337,51 @@ def test_mask_helpers_match_the_face_set_definitions_on_every_small_complex():
             assert _open_faces(x.facets, k) == by_size.get(k + 1, []), (x, k)
     assert faces_seen == 113_716
 
+
+
+def two_pass_deletion(facets, sigma):
+    """del(sigma) read with one pass for the kept facets and a second over
+    every facet for the F - v no kept facet holds: `_deletion` before it
+    split the facets in one pass."""
+    kept = [f for f in facets if sigma & ~f]
+    new = [f ^ low for f in facets if sigma & ~f == 0 for low in bits_of(sigma)
+           if f ^ low and all((f ^ low) & ~g for g in kept)]
+    return tuple(sorted(kept + new))
+
+
+def generator_link(facets, sigma):
+    """lk(sigma)'s facets built from a generator, as `_link` was."""
+    lk = tuple(f ^ sigma for f in facets if sigma & ~f == 0)
+    return () if lk == (0,) else lk
+
+
+def subsets_faces_of(facets, sizes):
+    """`faces_of` read through one `subsets` generator per facet."""
+    out = set()
+    for f in facets:
+        out.update(subsets(f, sizes))
+    return out
+
+
+def test_mask_kernels_match_their_plain_definitions_on_every_small_complex():
+    """On every complex on <= 5 vertices: `_deletion` and `_link` give the
+    same tuples as the two-pass deletion and the generator link for every
+    nonempty face, and `faces_of` the same set as `subsets` per facet for
+    every size set read by the package (one size, a range, none)."""
+    pairs = 0
+    for x in all_complexes(5):
+        facets = x.facets
+        for sigma in faces_of(facets, range(1, 6)):
+            assert _deletion(facets, sigma) == two_pass_deletion(
+                facets, sigma), (x, sigma)
+            assert _link(facets, sigma) == generator_link(facets, sigma), (
+                x, sigma)
+            pairs += 1
+        for sizes in [(), (0,), (1,), (2,), (3,), range(1, 6), range(8),
+                      (3, 1)]:
+            assert faces_of(facets, sizes) == subsets_faces_of(
+                facets, sizes), (x, sizes)
+    assert pairs == 113_716
 
 # -- free pairs and collapse ----------------------------------------------
 
