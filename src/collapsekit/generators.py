@@ -1,7 +1,13 @@
 """Deterministic instance generators for the verification harness.
 
 Identical spec (kind, parameters, seed) always yields an identical instance;
-every random draw goes through one seeded random.Random.
+every random draw goes through one seeded random.Random.  `generate` checks
+the spec first (`_check_spec`), so a spec fails the same way on every seed.
+
+The random hypergraph kinds draw each edge as a mask, remove isolated
+vertices on those masks (`_drop_isolated`) and build the hypergraph once,
+through `Hypergraph._of_masks`; they make the same draws, in the same
+order, as label lists would.  Complexes are drawn as label lists.
 """
 
 from __future__ import annotations
@@ -10,7 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import SimplicialComplex
+from .complexes import MAX_VERTEX, SimplicialComplex, bits_of
+from .errors import VertexRangeError
 from .homology import is_k_vertex_decomposable
 from .hypergraphs import Hypergraph
 
@@ -77,41 +84,43 @@ def _random_complex(rng: random.Random, n: int, m: int, max_size: int
 
 def _random_hypergraph(rng: random.Random, n: int, m: int, max_size: int
                        ) -> Hypergraph:
-    verts = list(range(1, n + 1))
-    edges = []
+    # sampling the one-vertex masks picks the same vertices as sampling
+    # the labels, since `sample` draws positions
+    bits = [1 << v for v in range(1, n + 1)]
+    masks = []
     for _ in range(m):
         size = rng.randint(1, min(max_size, n))
-        edges.append(tuple(sorted(rng.sample(verts, size))))
-    return _drop_isolated(Hypergraph(n, edges))
+        masks.append(sum(rng.sample(bits, size)))
+    return _drop_isolated(n, masks)
 
 
-def _drop_isolated(h: Hypergraph) -> Hypergraph:
-    """Remove isolated vertices, compacting labels back to 1..n'.
+def _drop_isolated(n: int, masks) -> Hypergraph:
+    """The hypergraph on 1..n with the edge masks `masks`, built once,
+    after removing isolated vertices and compacting the labels back to
+    1..n'.
 
-    A hypergraph whose every vertex is isolated degenerates to the single
-    edge {1, 2} on two vertices so theorem hypotheses stay satisfiable.
+    A vertex is isolated when no edge of two or more vertices holds it, so
+    the edges kept are those inside the union of such edges.  When fewer
+    than two vertices are left, the result is the single edge {1, 2} on
+    two vertices, so theorem hypotheses stay satisfiable.
     """
-    iso = h.isolated_vertices()
-    if not iso:
-        return h
-    keep = [v for v in range(1, h.n + 1) if v not in iso]
+    joined = 0  # the vertices with a neighbour
+    for e in masks:
+        if e & (e - 1):
+            joined |= e
+    if joined == (1 << (n + 1)) - 2:
+        return Hypergraph._of_masks(n, masks)
+    keep = bits_of(joined)
     if len(keep) < 2:
-        return Hypergraph(2, [(1, 2)])
-    relabel = {old: i + 1 for i, old in enumerate(keep)}
-    edges = [
-        tuple(relabel[v] for v in e.vertices)
-        for e in h.edges
-        if all(v in relabel for v in e.vertices)
-    ]
-    return Hypergraph(len(keep), edges)
+        return Hypergraph._of_masks(2, [0b110])
+    new = {b: 2 << i for i, b in enumerate(keep)}  # the new label's mask
+    return Hypergraph._of_masks(len(keep), [
+        sum([new[b] for b in bits_of(e)]) for e in masks if not e & ~joined])
 
 
 def _random_graph(rng: random.Random, n: int, m: int) -> Hypergraph:
-    verts = list(range(1, n + 1))
-    edges = []
-    for _ in range(m):
-        edges.append(tuple(sorted(rng.sample(verts, 2))))
-    return _drop_isolated(Hypergraph(n, edges))
+    bits = [1 << v for v in range(1, n + 1)]
+    return _drop_isolated(n, [sum(rng.sample(bits, 2)) for _ in range(m)])
 
 
 def star_family(n: int, leaves: tuple[int, ...]) -> Hypergraph:
@@ -179,7 +188,8 @@ _HYPERGRAPH_KINDS = frozenset({"random-hypergraph", "random-graph",
                                "star-family"})
 
 
-#: The least valid value of each spec field a random kind draws from.
+#: The least valid value of each spec field a random kind draws from.  Each
+#: random kind also needs n <= MAX_VERTEX.
 _LEAST = {
     "random-complex": {"n": 1, "m": 0, "max_size": 1},
     "random-hypergraph": {"n": 1, "m": 0, "max_size": 1},
@@ -188,13 +198,23 @@ _LEAST = {
 }
 
 
-def generate(spec: GeneratorSpec) -> Instance:
-    build = _BUILDERS.get(spec.kind)
-    if build is None:
+def _check_spec(spec: GeneratorSpec) -> None:
+    """Reject a spec no seed can build: an unknown kind (ValueError), a
+    field of a random kind below its least valid value (ValueError), or a
+    random kind on more than MAX_VERTEX vertices (VertexRangeError)."""
+    if spec.kind not in _BUILDERS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
-    for name, least in _LEAST.get(spec.kind, {}).items():
+    least = _LEAST.get(spec.kind, {})
+    for name, bound in least.items():
         value = getattr(spec, name)
-        if value < least:
-            raise ValueError(f"{spec.kind} needs {name} >= {least}, "
+        if value < bound:
+            raise ValueError(f"{spec.kind} needs {name} >= {bound}, "
                              f"got {value}")
-    return build(spec, random.Random(spec.seed))
+    if least and spec.n > MAX_VERTEX:
+        raise VertexRangeError(f"{spec.kind} needs n <= {MAX_VERTEX}, "
+                               f"got {spec.n}")
+
+
+def generate(spec: GeneratorSpec) -> Instance:
+    _check_spec(spec)
+    return _BUILDERS[spec.kind](spec, random.Random(spec.seed))

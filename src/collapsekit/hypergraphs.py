@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 from .complexes import (
     MAX_VERTEX,
-    Face,
     SimplicialComplex,
+    _face,
     as_face,
     bits_of,
     mask_of,
@@ -57,7 +57,12 @@ class Hypergraph:
 
     Exact duplicate edges are dropped; nested edges are kept (domination
     parameters quantify over all edges, only the non-cover complex restricts
-    to inclusion-minimal ones).
+    to inclusion-minimal ones).  The edges are kept sorted by vertex tuple.
+
+    The constructor checks n and every edge, then builds the instance from
+    the edge masks.  The generators and `cover_initial_relabeling` hold
+    masks already known to lie in 1..n and build through `_of_masks`,
+    which skips the checks; both share one body, `_fill`.
     """
 
     __slots__ = ("n", "edges", "_nbr", "_strong", "_sd")
@@ -69,26 +74,36 @@ class Hypergraph:
             raise VertexRangeError(f"vertex count {n} exceeds {MAX_VERTEX}")
         vmask = (1 << (n + 1)) - 2
         masks = []
-        seen = set()
         for e in edges:
             m = int(as_face(e))
             if m == 0:
                 raise ValueError("empty edge rejected")
             if m & ~vmask:
                 raise ValueError(f"edge {sorted(as_face(e).vertices)} outside 1..{n}")
-            if m not in seen:
-                seen.add(m)
-                masks.append(m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "edges", tuple(sorted((Face(m) for m in masks),
-                                        key=lambda f: f.vertices))
-        )
+            masks.append(m)
+        self._fill(n, masks)
+
+    @classmethod
+    def _of_masks(cls, n: int, masks) -> "Hypergraph":
+        """The hypergraph on 1..n with the edge masks `masks`, each nonempty
+        and inside 1..n, n <= MAX_VERTEX; built without checking them."""
+        h = object.__new__(cls)
+        h._fill(n, masks)
+        return h
+
+    def _fill(self, n: int, masks) -> None:
+        """Set every slot from n and the edge masks: the distinct edges
+        sorted by vertex tuple, and per vertex v its edge remainders
+        e - {v} and its neighbourhood."""
+        edges = sorted(set(masks), key=vertices_of)
         strong = [[] for _ in range(n + 1)]  # e - {v} for the edges e at v
-        for m in masks:
-            for v in vertices_of(m):
-                strong[v].append(m & ~(1 << v))
-        object.__setattr__(self, "_strong", tuple(map(tuple, strong)))
+        for m in edges:
+            for b in bits_of(m):
+                strong[b.bit_length() - 1].append(m ^ b)
+        strong = tuple(map(tuple, strong))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(map(_face, edges)))
+        object.__setattr__(self, "_strong", strong)
         object.__setattr__(self, "_nbr", tuple(
             functools.reduce(operator.or_, s, 0) for s in strong))
         # the strong-domination tables of the subset lattice, built on
@@ -587,7 +602,6 @@ def cover_initial_relabeling(h: Hypergraph, cover) -> tuple["Hypergraph", dict[i
     chosen = set(d)
     rest = [v for v in range(1, h.n + 1) if v not in chosen]
     perm = {old: new + 1 for new, old in enumerate(d + rest)}
-    relabeled = Hypergraph(
-        h.n, ([perm[v] for v in e.vertices] for e in h.edges)
-    )
+    relabeled = Hypergraph._of_masks(
+        h.n, [sum([1 << perm[v] for v in vertices_of(e)]) for e in h.edges])
     return relabeled, perm

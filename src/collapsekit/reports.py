@@ -38,7 +38,7 @@ from .errors import (
     UndominatableError,
 )
 from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
-                         generate)
+                         _check_spec, generate)
 from .homology import (
     LERAY_VERTEX_CAP,
     Field,
@@ -485,11 +485,15 @@ def _chk(cond: bool, inst, detail: Callable[[], str]):
         raise Counterexample(inst, detail())
 
 
-def _check_m0_le_d(x: SimplicialComplex, m0_: int, rng: random.Random):
-    """M0(X) <= d(X, <) for three facet orders < drawn from rng."""
+def _check_m0_le_d(x: SimplicialComplex, m0_: int,
+                   rng: Callable[[], random.Random]):
+    """M0(X) <= d(X, <) for three facet orders < drawn from one stream,
+    the trial's: `rng` is the factory `verify` hands the probe, called
+    once here."""
+    stream = rng()
     for _ in range(3):
         perm = list(x.facets)
-        rng.shuffle(perm)
+        stream.shuffle(perm)
         order = FacetOrdering(x, perm)
         d = d_of_ordering(x, order)
         _chk(m0_ <= d, x, lambda: f"M0={m0_} > d={d} for {order!r}")
@@ -740,7 +744,7 @@ def _thm_kim_kim(h: Hypergraph, rng, budget) -> str:
 def _thm_gamma_monotone(h: Hypergraph, rng, budget) -> str:
     """Source: this paper, gamma_A(H) does not fall as A grows."""
     verts = list(range(1, h.n + 1))
-    rng.shuffle(verts)
+    rng().shuffle(verts)
     prev = -1
     acc = []
     for v in verts:
@@ -777,10 +781,12 @@ THEOREMS = {
 
 def _check_run(what: str, spec: GeneratorSpec, trials: int,
                hypergraph: bool):
-    """Reject a run before its first trial: a negative trial count, or a
-    spec whose kind builds the wrong type of instance for `what`."""
+    """Reject a run before its first trial: a negative trial count, a
+    spec no seed can build (`generators._check_spec`), or a spec whose
+    kind builds the wrong type of instance for `what`."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    _check_spec(spec)
     builds = spec.kind in _HYPERGRAPH_KINDS
     if hypergraph and not builds:
         raise ValueError(f"{what} runs on hypergraphs; kind {spec.kind} "
@@ -799,10 +805,17 @@ def verify(
     """Run `trials` independent random instances through one theorem check.
 
     Any failure stops the run and attaches the counterexample instance to
-    the summary.  A negative trial count, or a spec whose kind builds the
-    wrong type of instance for the theorem, raises ValueError first.  A
-    seedless kind (`SEEDLESS_KINDS`: star-family, named-example) repeats
-    one instance in every trial; only the trial's rng varies.
+    the summary.  A negative trial count, a spec no seed can build, or a
+    spec whose kind builds the wrong type of instance for the theorem,
+    raises ValueError first (VertexRangeError for a random kind on more
+    than MAX_VERTEX vertices).  A seedless kind (`SEEDLESS_KINDS`:
+    star-family, named-example) repeats one instance in every trial; only
+    the trial's random stream varies.
+
+    Each probe gets its trial's random stream as a zero-argument factory,
+    a `random.Random` seeded with "<spec seed>:<theorem>:<trial>" when
+    called.  Only the probes that draw (mk-chain, m0-le-mes and
+    gamma-monotone) call it, once per trial, so the others seed nothing.
     """
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem {theorem!r}; known: {sorted(THEOREMS)}")
@@ -814,7 +827,7 @@ def verify(
                "passes": 0, "fails": 0, "skips": 0}
     for i in range(trials):
         inst = _trial_instance(spec, i)
-        rng = random.Random(f"{spec.seed}:{theorem}:{i}")
+        rng = functools.partial(random.Random, f"{spec.seed}:{theorem}:{i}")
         try:
             outcome = fn(inst, rng, Budget(budget_limit))
         except Counterexample as cx:
@@ -840,7 +853,8 @@ def conjecture_search(
 ) -> list[dict]:
     """Look for complexes with M_k < M_{k-1}.  An empty list is an honest
     outcome; every candidate re-verifies with a fresh memo table.  The spec
-    must build complexes and `trials` must be >= 0.  A seedless kind
+    must build complexes, no seed may fail to build it (as in `verify`),
+    and `trials` must be >= 0.  A seedless kind
     (`SEEDLESS_KINDS`) builds one instance, so it runs one trial at most."""
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -1,7 +1,9 @@
 """Generators, file formats, reports and the CLI."""
 
+import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,12 +21,15 @@ from collapsekit.cli import (
     EXIT_USAGE,
     main,
 )
+from collapsekit.errors import VertexRangeError
 from collapsekit.generators import (
     _HYPERGRAPH_KINDS,
+    _LEAST,
     _drop_isolated,
     KINDS,
     GeneratorSpec,
     NAMED_EXAMPLES,
+    SEEDLESS_KINDS,
     generate,
     star_family,
     v6f10_6,
@@ -103,7 +108,128 @@ def test_dropping_isolated_vertices_once_leaves_none():
     vertices a neighbour, so it survives whole."""
     for n in range(1, 5):
         for h in all_hypergraphs(n):
-            assert not _drop_isolated(h).isolated_vertices(), h
+            assert not _drop_isolated(h.n, h.edges).isolated_vertices(), h
+
+
+def drop_isolated_by_labels(h: Hypergraph) -> Hypergraph:
+    """The label route `_drop_isolated` took before it read masks: remove
+    the isolated vertices of a built hypergraph, relabel the rest to 1..n'
+    by a dict, and rebuild through the checking constructor."""
+    iso = h.isolated_vertices()
+    if not iso:
+        return h
+    keep = [v for v in range(1, h.n + 1) if v not in iso]
+    if len(keep) < 2:
+        return Hypergraph(2, [(1, 2)])
+    relabel = {old: i + 1 for i, old in enumerate(keep)}
+    edges = [
+        tuple(relabel[v] for v in e.vertices)
+        for e in h.edges
+        if all(v in relabel for v in e.vertices)
+    ]
+    return Hypergraph(len(keep), edges)
+
+
+def test_dropping_isolated_vertices_on_masks_matches_the_label_route():
+    """On every hypergraph on <= 3 vertices, and on 500 seeded random edge
+    lists on 5-12 vertices with repeated edges, in drawing order."""
+    for n in range(1, 4):
+        for h in all_hypergraphs(n):
+            masks = list(h.edges[::-1]) + list(h.edges[:1])
+            assert _drop_isolated(n, masks) == drop_isolated_by_labels(h), h
+    rng = random.Random(0)
+    for _ in range(500):
+        n = rng.randint(5, 12)
+        masks = [rng.randrange(2, 1 << (n + 1), 2) if rng.random() < 0.5
+                 else 1 << rng.randint(1, n) for _ in range(rng.randint(0, 9))]
+        masks += masks[:rng.randint(0, 2)]
+        want = (drop_isolated_by_labels(Hypergraph(n, masks)) if masks
+                else Hypergraph(2, [(1, 2)]))
+        assert _drop_isolated(n, masks) == want, (n, masks)
+
+
+#: sha256 over `instance_to_json(generate(GeneratorSpec(kind=k, seed=s)))`
+#: for every seeded kind k in KINDS order and s = 0..399, and over
+#: `json.dumps(verify(t, GeneratorSpec(kind=THEOREMS[t][0], seed=s, n=6,
+#: m=7), trials=3), sort_keys=True)` for every theorem t in THEOREMS order
+#: and s = 0..39.  Both were taken from the label-route generators and the
+#: eagerly seeded trial streams, so they pin every draw and every summary.
+GENERATED_DIGEST = (
+    "deee45ef299a6c25371f9386a711675522f26bc988fd24cf91a7ecb398f7845d")
+VERIFIED_DIGEST = (
+    "3f1be8d5e07402a84a88fd551c584aeca24d81b19ab2f9379f1872af9d9350d0")
+
+
+def test_generated_instances_are_pinned():
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        if kind in SEEDLESS_KINDS:
+            continue
+        for seed in range(400):
+            digest.update(instance_to_json(
+                generate(GeneratorSpec(kind=kind, seed=seed))).encode())
+    assert digest.hexdigest() == GENERATED_DIGEST
+
+
+def test_verify_summaries_are_pinned():
+    digest = hashlib.sha256()
+    for theorem, (kind, _) in THEOREMS.items():
+        for seed in range(40):
+            summary = verify(theorem, GeneratorSpec(kind=kind, seed=seed,
+                                                    n=6, m=7), trials=3)
+            digest.update(json.dumps(summary, sort_keys=True).encode())
+    assert digest.hexdigest() == VERIFIED_DIGEST
+
+
+@pytest.mark.parametrize("kind", sorted(_LEAST))
+def test_random_kinds_above_the_vertex_range_fail_on_every_seed(kind):
+    """Labels are bits of a 128-bit mask: n = 128 raises on every seed,
+    not only on the seeds that happen to draw vertex 128, and n = 127
+    builds."""
+    for seed in range(50):
+        with pytest.raises(VertexRangeError, match=f"{kind} needs n <= 127, "
+                                                   "got 128"):
+            generate(GeneratorSpec(kind=kind, seed=seed, n=128))
+    assert generate(GeneratorSpec(kind=kind, seed=0, n=127))
+
+
+def test_verify_checks_the_spec_before_the_first_trial(monkeypatch):
+    """A spec no seed can build fails whatever the trial count, zero
+    included, and before any trial is built."""
+    def refuse(spec, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(reports, "_trial_instance", refuse)
+    wide = GeneratorSpec(kind="random-complex", n=128, m=3, max_size=2)
+    for trials in (0, 5, 200):
+        with pytest.raises(VertexRangeError):
+            verify("euler", wide, trials=trials)
+        with pytest.raises(VertexRangeError):
+            conjecture_search(1, wide, trials=trials)
+        with pytest.raises(ValueError, match="n >= 1, got 0"):
+            verify("euler", GeneratorSpec(kind="random-complex", n=0),
+                   trials=trials)
+
+
+def test_only_the_drawing_probes_seed_a_stream(monkeypatch):
+    """verify hands each probe a factory for its trial's stream: the
+    probes that shuffle call it once per trial, the others never."""
+    seeds = []
+
+    def counted(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(reports, "random", SimpleNamespace(Random=counted))
+    drawing = {"mk-chain", "m0-le-mes", "gamma-monotone"}
+    for theorem, (kind, _) in THEOREMS.items():
+        seeds.clear()
+        summary = verify(theorem, GeneratorSpec(kind=kind, seed=4, n=5, m=6),
+                         trials=3)
+        assert summary["fails"] == 0, theorem
+        want = ([f"4:{theorem}:{i}" for i in range(3)]
+                if theorem in drawing else [])
+        assert seeds == want, theorem
 
 
 def test_random_graph_edges_are_pairs():
@@ -512,6 +638,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     (["generate", "--kind", "random-complex", "--max-size", "0"],
      "max_size >= 1, got 0"),
     (["verify", "--theorem", "claim", "--n", "0"], "n >= 1, got 0"),
+    # above the 128-bit label range on every seed, before any trial
+    (["verify", "--theorem", "euler", "--kind", "random-complex", "--n",
+      "128"], "random-complex needs n <= 127, got 128"),
     # the wrong type of instance for the run; exit 1 would read as a
     # counterexample
     (["verify", "--theorem", "nc-bound", "--kind", "random-complex",

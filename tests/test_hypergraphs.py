@@ -17,6 +17,13 @@ and 13 vertices.  `PYTHONPATH=src python tests/test_hypergraphs.py budget 4 200`
 does so on every hypergraph on 4 vertices and on 200 random ones on each
 of 12 and 13 vertices (about a minute).
 
+The unchecked mask entry `Hypergraph._of_masks` is checked against the
+public constructor and a label-by-label build (edges, edge remainders and
+neighbourhoods) on every hypergraph on <= 3 vertices and 2,000 seeded
+random edge lists on 5 to 12 vertices.
+`PYTHONPATH=src python tests/test_hypergraphs.py masks 4 2000` does so on
+every hypergraph on 4 vertices and 2,000 random ones (about 5 seconds).
+
 The Leray number of NC(H) is checked against a second route, the reduced
 homology of the induced subcomplexes of its Alexander dual Ind(H), over
 Q, GF(2) and GF(3): on every hypergraph on <= 3 vertices and 50 seeded
@@ -112,6 +119,69 @@ def test_construction_bounds_the_vertex_count():
     assert Hypergraph(127, [(1, 127)]).n == 127
     with pytest.raises(VertexRangeError):
         Hypergraph(128, [(1, 2)])
+
+
+# -- the unchecked mask entry against the checking constructor -------------
+# `Hypergraph._of_masks` takes edge masks already known to lie in 1..n; the
+# public constructor checks label lists first.  Both must hold what a plain
+# label-by-label build gives: the distinct edges sorted by vertex tuple,
+# and per vertex its edge remainders, in edge order, and its neighbours.
+
+def label_structure(n, edges):
+    """(edges, _strong, _nbr) built from vertex labels, one edge at a
+    time."""
+    faces = sorted({tuple(sorted(e)) for e in edges})
+    strong = tuple(tuple(mask_of(u for u in e if u != v)
+                         for e in faces if v in e)
+                   for v in range(n + 1))
+    nbr = tuple(mask_of(u for e in faces if v in e for u in e if u != v)
+                for v in range(n + 1))
+    return tuple(mask_of(e) for e in faces), strong, nbr
+
+
+def mask_route_agrees(n, masks):
+    """`_of_masks(n, masks)`, `Hypergraph(n, labels)` on the same edges and
+    `label_structure` agree."""
+    labels = [vertices_of(m) for m in masks]
+    want = label_structure(n, labels)
+    for h in (Hypergraph._of_masks(n, masks), Hypergraph(n, labels)):
+        if (h.n, (h.edges, h._strong, h._nbr)) != (n, want):
+            return False
+        if not all(type(e) is Face for e in h.edges):
+            return False
+    return True
+
+
+def mask_cases(n, count, seed=0):
+    """Every hypergraph on n vertices, its edges reversed and the first one
+    repeated, then `count` seeded random edge lists on 5-12 vertices with
+    repeated edges."""
+    for h in all_hypergraphs(n):
+        yield h.n, list(h.edges[::-1]) + list(h.edges[:1])
+    rng = random.Random(seed)
+    for _ in range(count):
+        width = rng.randint(5, 12)
+        masks = [rng.randrange(2, 1 << (width + 1), 2)
+                 for _ in range(rng.randint(1, 12))]
+        yield width, masks + masks[:rng.randint(0, 3)]
+
+
+def mask_differential(cases):
+    """Run `mask_route_agrees` on each case.  Returns (checked,
+    mismatches)."""
+    checked, mismatches = 0, []
+    for n, masks in cases:
+        if not mask_route_agrees(n, masks):
+            mismatches.append((n, masks))
+        checked += 1
+    return checked, mismatches
+
+
+def test_mask_entry_matches_the_constructor_on_small_and_random_hypergraphs():
+    for n in (1, 2, 3):
+        checked, mismatches = mask_differential(mask_cases(n, 0))
+        assert (checked, mismatches) == ((1 << ((1 << n) - 1)) - 1, [])
+    assert mask_differential(mask_cases(1, 2000, seed=1))[1] == []
 
 
 def test_neighbors_exclude_self():
@@ -418,7 +488,8 @@ def test_hypergraph_probes_hold_on_every_hypergraph_up_to_3_vertices(theorem):
         for h in all_hypergraphs(n):
             if h.isolated_vertices():
                 continue
-            assert probe(h, random.Random(0), Budget()) in ("pass", "skip"), h
+            assert (probe(h, lambda: random.Random(0), Budget())
+                    in ("pass", "skip")), h
             checked += 1
     assert checked == 4 + 96  # n = 2 and n = 3; on n = 1 vertex 1 is isolated
 
@@ -1026,6 +1097,20 @@ def test_cover_initial_relabeling():
     assert len(relabeled.edges) == len(C4.edges)
 
 
+def test_cover_initial_relabeling_maps_edge_masks_as_labels():
+    """The relabeling maps edge masks through the permutation; it builds
+    what the checking constructor builds from the permuted labels, for
+    every vertex set as the cover on every hypergraph on <= 3 vertices."""
+    for n in (1, 2, 3):
+        for h in all_hypergraphs(n):
+            for cover in range(0, 1 << (n + 1), 2):
+                relabeled, perm = cover_initial_relabeling(h, cover)
+                want = Hypergraph(n, [[perm[v] for v in e.vertices]
+                                      for e in h.edges])
+                assert ((relabeled.edges, relabeled._strong, relabeled._nbr)
+                        == (want.edges, want._strong, want._nbr)), (h, cover)
+
+
 def test_cover_initial_relabeling_rejects_vertices_outside_the_hypergraph():
     h = Hypergraph(3, [[1, 2], [2, 3]])
     for cover, outside in (([0, 2], [0]), ([2, 4], [4]), ([0, 5, 1], [0, 5])):
@@ -1134,6 +1219,17 @@ def test_main_bound_needs_the_cover_relabeling():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["masks"]:
+        # the unchecked mask entry against the checking constructor
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+        count = int(sys.argv[3]) if len(sys.argv) > 3 else 2000
+        checked, mismatches = mask_differential(mask_cases(n, count))
+        print(f"{checked} edge lists (every hypergraph on {n} vertices, "
+              f"{count} random on 5-12): {len(mismatches)} built "
+              f"otherwise by _of_masks, the constructor or the label build")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches else 0)
     if sys.argv[1:2] == ["budget"]:
         # the lattice against the scan, one budget unit per question
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
