@@ -638,9 +638,6 @@ def test_cli_usage_errors(tmp_path, capsys):
     (["generate", "--kind", "random-complex", "--max-size", "0"],
      "max_size >= 1, got 0"),
     (["verify", "--theorem", "claim", "--n", "0"], "n >= 1, got 0"),
-    # above the 128-bit label range on every seed, before any trial
-    (["verify", "--theorem", "euler", "--kind", "random-complex", "--n",
-      "128"], "random-complex needs n <= 127, got 128"),
     # the wrong type of instance for the run; exit 1 would read as a
     # counterexample
     (["verify", "--theorem", "nc-bound", "--kind", "random-complex",
@@ -652,6 +649,9 @@ def test_cli_usage_errors(tmp_path, capsys):
      "search runs on simplicial complexes; kind random-hypergraph"),
     (["verify", "--theorem", "euler", "--trials", "-3"], "trials must be >= 0"),
     (["search", "--k", "1", "--trials", "-2"], "trials must be >= 0"),
+    # above the 128-bit label range on every seed, before any trial
+    (["verify", "--theorem", "euler", "--kind", "random-complex", "--n",
+      "128"], "random-complex needs n <= 127, got 128"),
 ])
 def test_cli_rejects_degenerate_generator_specs(capsys, argv, named):
     capsys.readouterr()
