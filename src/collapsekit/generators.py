@@ -123,13 +123,27 @@ def _random_graph(rng: random.Random, n: int, m: int) -> Hypergraph:
     return _drop_isolated(n, [sum(rng.sample(bits, 2)) for _ in range(m)])
 
 
+def _check_star_family(n: int, leaves: tuple[int, ...]) -> None:
+    """Reject a star family no call can build: n < 2 or leaf counts other
+    than one count >= 1 per star (ValueError), or more than MAX_VERTEX
+    labels, n centers and sum(leaves) leaves (VertexRangeError).  Empty
+    `leaves` are a generator spec's default, one leaf per star."""
+    if n < 2:
+        raise ValueError("star family needs n >= 2")
+    if leaves and (len(leaves) != n or any(l < 1 for l in leaves)):
+        raise ValueError("need one positive leaf count per star")
+    labels = n + (sum(leaves) if leaves else n)
+    if labels > MAX_VERTEX:
+        raise VertexRangeError(f"star-family needs n + sum(leaves) <= "
+                               f"{MAX_VERTEX}, got {labels}")
+
+
 def star_family(n: int, leaves: tuple[int, ...]) -> Hypergraph:
     """n star graphs with centers a_1..a_n, joined by consecutive center
     edges and one long edge {a_1..a_n}."""
-    if n < 2:
-        raise ValueError("star family needs n >= 2")
-    if len(leaves) != n or any(l < 1 for l in leaves):
+    if n >= 2 and not leaves:  # empty leaves mean one each only in a spec
         raise ValueError("need one positive leaf count per star")
+    _check_star_family(n, leaves)
     centers = list(range(1, n + 1))
     edges = []
     next_label = n + 1
@@ -159,13 +173,6 @@ def _random_kvd(rng: random.Random, n: int, m: int, max_size: int, k: int
             return x
 
 
-def _named_example(spec: GeneratorSpec, rng: random.Random) -> Instance:
-    try:
-        return NAMED_EXAMPLES[spec.name]()
-    except KeyError:
-        raise ValueError(f"unknown named example {spec.name!r}") from None
-
-
 #: How each kind builds its instance from the spec and a random.Random
 #: seeded with spec.seed.
 _BUILDERS = {
@@ -174,7 +181,7 @@ _BUILDERS = {
         lambda s, r: _random_hypergraph(r, s.n, s.m, s.max_size),
     "random-graph": lambda s, r: _random_graph(r, s.n, s.m),
     "star-family": lambda s, r: star_family(s.n, s.leaves or (1,) * s.n),
-    "named-example": _named_example,
+    "named-example": lambda s, r: NAMED_EXAMPLES[s.name](),
     "random-kvd": lambda s, r: _random_kvd(r, s.n, s.m, s.max_size, s.k),
 }
 
@@ -200,10 +207,17 @@ _LEAST = {
 
 def _check_spec(spec: GeneratorSpec) -> None:
     """Reject a spec no seed can build: an unknown kind (ValueError), a
-    field of a random kind below its least valid value (ValueError), or a
-    random kind on more than MAX_VERTEX vertices (VertexRangeError)."""
+    field of a random kind below its least valid value (ValueError), a
+    random kind on more than MAX_VERTEX vertices (VertexRangeError), a star
+    family `star_family` refuses (ValueError) or whose n + sum(leaves)
+    labels pass MAX_VERTEX (VertexRangeError), or an unknown named example
+    (ValueError)."""
     if spec.kind not in _BUILDERS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
+    if spec.kind == "star-family":
+        _check_star_family(spec.n, spec.leaves)
+    if spec.kind == "named-example" and spec.name not in NAMED_EXAMPLES:
+        raise ValueError(f"unknown named example {spec.name!r}")
     least = _LEAST.get(spec.kind, {})
     for name, bound in least.items():
         value = getattr(spec, name)

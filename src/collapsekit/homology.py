@@ -36,10 +36,11 @@ every link listed and every rank taken.  The floor itself is a value the
 caller holds and passes on as a cap.  The Leray scan and the link
 Cohen-Macaulay test read only the links of closed faces (the intersections
 of facets, one per nonzero & of the vertices' holder masks): every other
-link is a cone, with no reduced homology.  The links are listed once per
-cache and replayed to each scan through `itertools.tee`.  The induced
-Cohen-Macaulay test asks homological connectivity of each induced
-subcomplex below its dimension.  The k-vertex decomposition search runs on
+link is a cone, with no reduced homology.  On two or more facets a
+facet's own link, {empty face}, is not listed either: neither reads it.
+The links are listed once per cache and replayed to each scan through
+`itertools.tee`.  The induced Cohen-Macaulay test asks homological
+connectivity of each induced subcomplex below its dimension.  The k-vertex decomposition search runs on
 facet masks, with one shedding test (`_shed`): a face sheds when
 some facet holds it and its deletion, taken by the one F - v loop of
 `complexes._deletion`, adds no face to the facets that miss it, so it stays
@@ -333,6 +334,15 @@ def _closed_links(
     and already an antichain, so the family is the dedup key.  The apex,
     held by every closed face, is the one smallest; its link often reaches
     the Leray number at once.
+
+    A holder set of one facet is left out of the closure: its closed face
+    is that facet, whose link {empty face} (dimension -1, one facet) no
+    question reads, since the Leray scan skips a link that can raise L
+    only to min(d, m - 2) + 1 = 0 and the Cohen-Macaulay test reads only
+    links with d > 0.  & only shrinks a mask, so a mask of at most one bit
+    generates nothing else: the T_v of one bit never enter the closure and
+    no & of at most one bit is kept.  So on two or more facets the listing
+    lacks just (-1, (0,)); a simplex still yields it, as its apex link.
     """
     facets = x.facets
     if not facets:
@@ -342,9 +352,9 @@ def _closed_links(
     yield max(map(int.bit_count, first)) - 1, first
     closure: set[int] = set()
     for t in _nerve(facets):
-        closure |= {t & h for h in closure}
-        closure.add(t)
-    closure.discard(0)
+        if t & (t - 1):
+            closure |= {u for h in closure if (u := t & h) & (u - 1)}
+            closure.add(t)
     # closed face -> the facets holding it, in facet order
     held: dict[int, list[int]] = {}
     for h in closure:

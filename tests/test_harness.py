@@ -211,6 +211,48 @@ def test_verify_checks_the_spec_before_the_first_trial(monkeypatch):
                    trials=trials)
 
 
+@pytest.mark.parametrize("theorem, spec, error, named", [
+    ("nc-bound", GeneratorSpec(kind="star-family", n=1), ValueError,
+     "star family needs n >= 2"),
+    ("nc-bound", GeneratorSpec(kind="star-family", n=3, leaves=(1, 0, 1)),
+     ValueError, "need one positive leaf count per star"),
+    ("nc-bound", GeneratorSpec(kind="star-family", n=3, leaves=(1, 1)),
+     ValueError, "need one positive leaf count per star"),
+    # n centers and n default leaves: 128 labels
+    ("nc-bound", GeneratorSpec(kind="star-family", n=64), VertexRangeError,
+     r"star-family needs n \+ sum\(leaves\) <= 127, got 128"),
+    ("nc-bound", GeneratorSpec(kind="star-family", n=2, leaves=(60, 66)),
+     VertexRangeError, r"n \+ sum\(leaves\) <= 127, got 128"),
+    ("euler", GeneratorSpec(kind="named-example", name="nope"), ValueError,
+     "unknown named example 'nope'"),
+])
+def test_seedless_kinds_fail_before_the_first_trial(monkeypatch, theorem,
+                                                     spec, error, named):
+    """A star family or named example no call can build fails in
+    `generate` and in `verify`, whatever the trial count, zero included,
+    and before any trial is built, as the random kinds do."""
+    with pytest.raises(error, match=named):
+        generate(spec)
+
+    def refuse(spec, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(reports, "_trial_instance", refuse)
+    for trials in (0, 1, 5):
+        with pytest.raises(error, match=named):
+            verify(theorem, spec, trials=trials)
+
+
+def test_star_families_up_to_the_label_range_build():
+    """n = 63 with one leaf per star takes 126 labels, and a family of
+    exactly 127 labels builds."""
+    assert generate(GeneratorSpec(kind="star-family", n=63)).n == 126
+    assert star_family(2, (60, 65)).n == 127
+    summary = verify("nc-bound", GeneratorSpec(kind="star-family", n=63),
+                     trials=0)
+    assert summary["trials"] == 0
+
+
 def test_only_the_drawing_probes_seed_a_stream(monkeypatch):
     """verify hands each probe a factory for its trial's stream: the
     probes that shuffle call it once per trial, the others never."""
@@ -652,6 +694,17 @@ def test_cli_usage_errors(tmp_path, capsys):
     # above the 128-bit label range on every seed, before any trial
     (["verify", "--theorem", "euler", "--kind", "random-complex", "--n",
       "128"], "random-complex needs n <= 127, got 128"),
+    # the seedless kinds, also with no trial to run
+    (["verify", "--theorem", "nc-bound", "--kind", "star-family", "--n", "1",
+      "--trials", "0"], "star family needs n >= 2"),
+    (["verify", "--theorem", "nc-bound", "--kind", "star-family", "--n", "3",
+      "--leaves", "1", "0", "1", "--trials", "0"],
+     "need one positive leaf count per star"),
+    (["verify", "--theorem", "nc-bound", "--kind", "star-family", "--n",
+      "64", "--trials", "0"], "star-family needs n + sum(leaves) <= 127, "
+                              "got 128"),
+    (["verify", "--theorem", "euler", "--kind", "named-example", "--name",
+      "nope", "--trials", "0"], "unknown named example 'nope'"),
 ])
 def test_cli_rejects_degenerate_generator_specs(capsys, argv, named):
     capsys.readouterr()

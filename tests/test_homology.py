@@ -2,6 +2,7 @@
 and k-vertex decomposability."""
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ import operator
 import random
 import re
 import sys
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from collapsekit import (
     Budget,
     Face,
+    HypothesisNotMetError,
     NotPureError,
     SheddingWitness,
     SimplicialComplex,
@@ -37,7 +40,8 @@ from collapsekit import (
 )
 from collapsekit import homology, reports
 from collapsekit.complexes import subsets, vertices_of
-from collapsekit.generators import NAMED_EXAMPLES, star_family
+from collapsekit.generators import (NAMED_EXAMPLES, GeneratorSpec, generate,
+                                   star_family)
 from collapsekit.homology import (
     _is_prime,
     _leray_induced,
@@ -652,8 +656,10 @@ def _answers(x):
 
 def test_closed_links_come_apex_first_and_change_no_answer(monkeypatch):
     """On every complex on <= 5 vertices `_closed_links` yields each
-    distinct link of a closed face once, the link of the apex (the
-    intersection of all facets) first; and the Leray numbers, the capped
+    distinct link of a closed face held by two or more facets once, and
+    the link of the apex (the intersection of all facets) first; the one
+    link it leaves out, on two or more facets, is the facets' {empty
+    face}; and the Leray numbers, the capped
     GF(2) scan and the Cohen-Macaulay test answer as they do with
     the links in their former order, largest face first (the apex, the
     smallest closed face, last)."""
@@ -664,12 +670,17 @@ def test_closed_links_come_apex_first_and_change_no_answer(monkeypatch):
         if x.is_empty:
             assert links == []
             continue
-        faces = [s for s in x.all_faces() if _closed(x, s)]
-        want = {tuple(f ^ s for f in x.facets if s & ~f == 0) for s in faces}
+        apex = functools.reduce(operator.and_, x.facets)
+        held = {s: [f for f in x.facets if s & ~f == 0]
+                for s in x.all_faces() if _closed(x, s)}
+        every = {tuple(f ^ s for f in fs) for s, fs in held.items()}
+        want = {tuple(f ^ s for f in fs) for s, fs in held.items()
+                if len(fs) > 1 or s == apex}
+        # the one link left out is the facets' {empty face}
+        assert every - want == ({(0,)} if len(x.facets) > 1 else set()), x
         assert len(links) == len(want) == len({lk for _, lk in links}), x
         assert {lk for _, lk in links} == want, x
         assert all(d == max(map(int.bit_count, lk)) - 1 for d, lk in links)
-        apex = functools.reduce(operator.and_, x.facets)
         assert links[0][1] == tuple(f ^ apex for f in x.facets), x
     answers = [_answers(x) for x in xs]
 
@@ -735,11 +746,15 @@ def closure_inputs(n, shift=0, count=2000, seed=0):
 def closure_differential(complexes):
     """The complexes on which `_closed_links` and `through_set_closed_links`
     differ in their first (apex) link or in the multiset of the (d, link)
-    pairs they yield."""
+    pairs they yield, the oracle's (-1, (0,)) left out on two or more
+    facets: that is the link of a facet, held by one facet only, which
+    `_closed_links` does not list."""
     bad = []
     for x in complexes:
         got = list(homology._closed_links(x))
         want = list(through_set_closed_links(x))
+        if len(x.facets) > 1:
+            want.remove((-1, (0,)))
         if (got[:1] != want[:1]
                 or collections.Counter(got) != collections.Counter(want)):
             bad.append(x)
@@ -1224,7 +1239,12 @@ def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     """The trial's faces and L(X) share one link cache, and so do the
     Cohen-Macaulay test and the Leray scans of one check: the links of a
     deletion, its faces' links and X are each listed once, X also for the
-    Cohen-Macaulay pre-test of the kvd1 hypothesis."""
+    Cohen-Macaulay pre-test of the kvd1 hypothesis.  On v6f10-6 that is
+    X, the deletions of its 11 shedding faces (6 not Cohen-Macaulay) and
+    the links of the 10 faces from {2,3}, the first face to count, on:
+    after that face the probe ranks each face before testing its
+    deletion, so the links of the 5 later faces whose deletion is not
+    Cohen-Macaulay are listed too."""
     listed = []
     real = homology._closed_links
 
@@ -1235,10 +1255,160 @@ def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     monkeypatch.setattr(homology, "_closed_links", counted)
     run = reports.THEOREMS["shed-leray"][1]
     assert run(V6F10_6, random.Random(0), Budget()) == "pass"
-    assert len(listed) == len(set(listed)) == 17
+    assert len(listed) == len(set(listed)) == 22
     listed.clear()
     assert shedding_leray_inequality_check(V6F10_6, (2, 3))
     assert len(listed) == len(set(listed)) == 3
+
+
+def hypothesis_first_shed_leray(x, rng, budget):
+    """`reports._thm_shed_leray` as it ran before it ranked faces ahead of
+    their Cohen-Macaulay test, kept as its oracle: skip a non-pure or not
+    1-decomposable X, then take every face of dimension <= 1 in order
+    through the public check, which tests every hypothesis of the face
+    (shedding, deletion Cohen-Macaulay) before ranking either side.  A
+    face whose hypotheses fail is passed over, a false inequality is the
+    counterexample, and the run passes once some face has counted."""
+    if not x.is_pure() or not is_k_vertex_decomposable(x, 1, budget)[0]:
+        return "skip"
+    checked = False
+    for k in range(0, min(x.dim, 1) + 1):
+        for sigma in sorted(x.faces(k)):
+            try:
+                holds = shedding_leray_inequality_check(x, sigma)
+            except HypothesisNotMetError:
+                continue
+            if not holds:
+                raise reports.Counterexample(
+                    x, f"shedding Leray inequality fails at {sigma!r}")
+            checked = True
+    return "pass" if checked else "skip"
+
+
+def face_object_link_del_commute(x, rng, budget):
+    """`reports._thm_link_del_commute` as it was before it listed faces as
+    plain masks, kept as its oracle: `Face` objects, each link taken on
+    first use, one `_chk` per check.  It reads the kernels through
+    `reports`, so a kernel patched there reaches the probe and the oracle
+    alike."""
+    facets = x.facets
+    faces = sorted(x.all_faces())
+    links = {}
+    for sigma in faces:
+        if sigma == 0:
+            continue
+        dele = reports._deletion(facets, sigma)
+        for tau in faces:
+            if sigma & tau:
+                continue
+            # a nonempty face disjoint from sigma lies in del(sigma)
+            reports._chk(not tau or any(not tau & ~f for f in dele), x,
+                         lambda: f"{tau!r} is not in del {sigma!r}")
+            lk = links.get(tau)
+            if lk is None:
+                lk = links[tau] = reports._link(facets, tau)
+            reports._chk(
+                reports._link(dele, tau) == reports._deletion(lk, sigma), x,
+                lambda: f"link/deletion commutativity fails for "
+                        f"{sigma!r},{tau!r}")
+    return "pass"
+
+
+def probe_outcome(run, x):
+    """What a theorem probe makes of x: "pass", "skip", or its
+    counterexample as (instance, detail)."""
+    try:
+        return run(x, None, Budget())
+    except reports.Counterexample as cx:
+        return cx.instance, cx.detail
+
+
+def _overstated_edge_links(x):
+    """A `leray_number` that reads one more on every complex of dimension
+    dim(x) - 2, the links of the edges of a pure x, so the inequality
+    fails at some edges and holds at the vertices before them."""
+    real = reports.leray_number
+    return lambda y, field="Q", cache=None: (
+        real(y, field, cache) + (y.dim == x.dim - 2))
+
+
+def _drop_last_of(kernel):
+    """`kernel` with the last facet of its answer dropped when it has
+    three or more."""
+    def dropped(facets, s):
+        out = kernel(facets, s)
+        return out[:-1] if len(out) > 2 else out
+    return dropped
+
+
+def probe_differential(xs):
+    """Each probe against its oracle on each complex: `_thm_shed_leray` on
+    the pure ones, also under `_overstated_edge_links`, and
+    `_thm_link_del_commute` on all, also under a `_link` and a
+    `_deletion` that drop a facet (`_drop_last_of`).  Returns the
+    outcomes, counted by (check, "pass", "skip" or "fail"), and the
+    mismatches."""
+    checks = [("shed-leray", None, None),
+              ("shed-leray", "leray_number", _overstated_edge_links),
+              ("link-del-commute", None, None),
+              ("link-del-commute", "_link",
+               lambda x: _drop_last_of(reports._link)),
+              ("link-del-commute", "_deletion",
+               lambda x: _drop_last_of(reports._deletion))]
+    pairs = {"shed-leray": (reports._thm_shed_leray,
+                            hypothesis_first_shed_leray),
+             "link-del-commute": (reports._thm_link_del_commute,
+                                  face_object_link_del_commute)}
+    counts = collections.Counter()
+    bad = []
+    for x in xs:
+        for theorem, name, mutant in checks:
+            if theorem == "shed-leray" and not x.is_pure():
+                continue
+            probe, oracle = pairs[theorem]
+            with (unittest.mock.patch.object(reports, name, mutant(x))
+                  if name else contextlib.nullcontext()):
+                got = probe_outcome(probe, x)
+                want = probe_outcome(oracle, x)
+            label = (theorem, name)
+            counts[label, got if isinstance(got, str) else "fail"] += 1
+            if got != want:
+                bad.append((label, x, got, want))
+    return counts, bad
+
+
+def probe_inputs(n, count):
+    """Every complex on <= n vertices, then for seeds 0..count-1 a
+    random-kvd draw on 6-8 vertices and a random-complex draw on 6."""
+    xs = all_complexes(n)
+    for seed in range(count):
+        xs.append(generate(GeneratorSpec(kind="random-kvd", seed=seed,
+                                         n=6 + seed % 3, m=7)))
+        xs.append(generate(GeneratorSpec(kind="random-complex", seed=seed,
+                                         n=6, m=7)))
+    return xs
+
+
+def test_theorem_probes_answer_as_their_oracles():
+    """`shed-leray` and `link-del-commute` give their oracles' outcomes
+    and counterexample details on every complex on <= 4 vertices and 100
+    seeded draws of each kind, also under mutants that make them fail;
+    the CI step `probes 5 2000` runs the same on <= 5 vertices and 2,000
+    draws.  Unmutated, some faces after the first to count fail the
+    inequality where their deletion is not Cohen-Macaulay (85 faces on
+    these inputs), so a probe that dropped that test would fail; the shedding mutant fails at
+    edges after a vertex has counted, where the probe ranks a face before
+    its Cohen-Macaulay test."""
+    counts, bad = probe_differential(probe_inputs(4, 100))
+    assert bad == []
+    for theorem, name in [("shed-leray", None), ("link-del-commute", None)]:
+        assert counts[(theorem, name), "pass"] > 0, theorem
+        assert counts[(theorem, name), "fail"] == 0, theorem
+    assert counts[("shed-leray", None), "skip"] > 0
+    for label in [("shed-leray", "leray_number"),
+                  ("link-del-commute", "_link"),
+                  ("link-del-commute", "_deletion")]:
+        assert counts[label, "fail"] > 0, label
 
 
 def test_a_kvd_report_lists_the_links_once(monkeypatch):
@@ -1404,6 +1574,7 @@ if __name__ == "__main__":
     # python tests/test_homology.py nerve count [seed]
     # python tests/test_homology.py induced n [shift]
     # python tests/test_homology.py closure n [shift]
+    # python tests/test_homology.py probes n count
     if sys.argv[1:2] == ["nerve"]:
         count = int(sys.argv[2]) if len(sys.argv) > 2 else 100
         seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
@@ -1432,6 +1603,20 @@ if __name__ == "__main__":
         print(f"{len(all_complexes(n))} complexes on <= {n} vertices, labels "
               f"raised by {shift}: {count} induced-oracle cases against the "
               f"object route, {len(mismatches)} mismatches")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches else 0)
+    if sys.argv[1:2] == ["probes"]:
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+        count = int(sys.argv[3]) if len(sys.argv) > 3 else 2000
+        counts, mismatches = probe_differential(probe_inputs(n, count))
+        print(f"{len(all_complexes(n))} complexes on <= {n} vertices and "
+              f"{count} random-kvd and random-complex draws each: "
+              + ", ".join(f"{theorem}{f' ({name} mutant)' if name else ''} "
+                          f"{outcome} {v}"
+                          for ((theorem, name), outcome), v
+                          in sorted(counts.items(), key=str))
+              + f"; {len(mismatches)} mismatches against the oracles")
         for bad in mismatches:
             print(bad)
         sys.exit(1 if mismatches else 0)
