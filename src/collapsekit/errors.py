@@ -1,10 +1,19 @@
-"""Shared exceptions, the search-node budget and the depth-first walker.
+"""Shared exceptions, the search-node budget and the one search driver.
 
-`_depth_first` is the one backtracking search behind `is_d_collapsible`
-and `is_shellable`.  It keeps its own stack instead of recursing, so a
-path of any length (a collapse of thousands of steps) stays within
-Python's recursion limit, and it spends the caller's `Budget` once per
-state entered.
+`_drive` runs a generator as a recursive call from one explicit stack:
+a node `yield`s the child node it needs and is sent the child's return
+value.  Every memoized search runs on it, so a search of any depth stays
+within Python's recursion limit:
+
+- `_depth_first`, the backtracking search behind `is_d_collapsible` and
+  `is_shellable` (a collapse of thousands of steps is one path);
+- the M_k / M'_k engine, `invariants._MkEngine`;
+- the k-vertex decomposition search, `homology.is_k_vertex_decomposable`.
+
+Each search keeps its memo, its budget spends and its candidate order in
+its own nodes.  `hypergraphs._branch` keeps a stack of its own (it needs
+no memo and no return value), and `homology.verify_shedding_sequence` is
+one loop with no search.
 """
 
 
@@ -80,6 +89,29 @@ class Budget:
         return f"Budget(limit={self.limit}, used={self.used})"
 
 
+def _drive(call):
+    """The return value of the generator `call`, run as a recursive call.
+
+    A node `yield`s a child generator where it would call itself and is
+    sent the child's return value; the open nodes wait on one stack, so
+    the depth of the recursion is no Python frame depth.  An exception
+    raised in a node (a spent budget) ends the drive.
+    """
+    stack = [call]
+    value = None
+    while True:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+
+
 def _depth_first(start, is_goal, key, moves, budget: Budget):
     """The moves along the first path from `start` to a goal state, in
     depth-first order, or None when no path reaches one.
@@ -87,26 +119,25 @@ def _depth_first(start, is_goal, key, moves, budget: Budget):
     `moves(state)` lazily yields (move, next state) pairs, tried in order.
     One budget unit is spent per state entered, before its goal test.  A
     state whose key already failed is skipped without expanding it again,
-    so the key must determine whether a goal is reachable.  The stack holds
-    one [key, moves left, move taken] entry per open state.
+    so the key must determine whether a goal is reachable.  Each state
+    entered is one node on `_drive`; a path comes back up last move first.
     """
     dead = set()
-    stack = []
-    state = start
-    while True:
+
+    def enter(state):
         budget.spend()
         if is_goal(state):
-            return [entry[2] for entry in stack]
+            return []
         k = key(state)
-        if k not in dead:
-            stack.append([k, moves(state), None])
-        while stack:
-            top = stack[-1]
-            step = next(top[1], None)
-            if step is not None:
-                top[2], state = step
-                break
-            dead.add(top[0])
-            stack.pop()
-        else:
+        if k in dead:
             return None
+        for move, nxt in moves(state):
+            path = yield enter(nxt)
+            if path is not None:
+                path.append(move)
+                return path
+        dead.add(k)
+        return None
+
+    path = _drive(enter(start))
+    return None if path is None else path[::-1]

@@ -64,7 +64,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 from .complexes import (Face, SimplicialComplex, _antichain, _face, _link,
                         _new_faces, _split, bits_of, faces_of, subsets,
                         vertices_of)
-from .errors import Budget, NotPureError, _depth_first
+from .errors import Budget, NotPureError, _depth_first, _drive
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
 #: and the induced Cohen-Macaulay test) are refused.
@@ -172,9 +172,8 @@ def _rank_signed(lower: list[int], upper: list[int], p: Optional[int]) -> int:
 
 def _rank(lower: list[int], upper: list[int], p: Optional[int]) -> int:
     """Rank of the boundary map from `upper` to `lower` over Q (p None) or
-    GF(p).  On edges it is a graph's incidence matrix, totally unimodular,
-    so its rank is the same over every field and GF(2) computes it."""
-    if p == 2 or upper[0].bit_count() == 2:
+    GF(p)."""
+    if p == 2:
         return _rank_gf2(lower, upper)
     return _rank_signed(lower, upper, p)
 
@@ -214,6 +213,9 @@ class _Chains:
 
     `rank(k, q)` is the rank over Q (q None) or GF(q) of the boundary map out
     of the k-faces; the augmented d_0 sends every vertex to the empty face.
+    The map out of the edges is a graph's incidence matrix, totally
+    unimodular, so its rank is the same over every field: it is taken and
+    kept once, over GF(2).
     Since b_t = f_t - r_t - r_{t+1}, a question about a few degrees costs
     only the ranks next to them.  Faces stay sorted, so a rank does the same
     reduction on every run.
@@ -234,6 +236,8 @@ class _Chains:
         return fs
 
     def rank(self, k: int, q: Optional[int]) -> int:
+        if k == 1:
+            q = 2
         r = self._ranks.get((k, q))
         if r is None:
             r = self._ranks[k, q] = (
@@ -695,7 +699,11 @@ def is_k_vertex_decomposable(
     are tried by dimension then vertex tuple, so runs are deterministic.
     The search runs on canonical facet tuples of plain masks, each its own
     memo key: shedding faces and deletions come from `_shed` and links from
-    `complexes._link`, and faces become `Face`s only in the witness.
+    `complexes._link`, and faces become `Face`s only in the witness.  Each
+    node is a generator on `errors._drive` that yields the deletion, then
+    the link, it needs decomposed, so the search nests to any depth (the
+    n-cycle's 0-decomposition nests a node per step) with no Python frame
+    per node.
 
     A complex that is not Cohen-Macaulay over GF(2) is refuted before the
     search, with no node spent: for every k the search decomposes at most
@@ -713,7 +721,7 @@ def is_k_vertex_decomposable(
     budget = budget or Budget()
     memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 
-    def rec(facets: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    def rec(facets: tuple[int, ...]):
         if len(facets) <= 1:
             return ()
         if facets in memo:
@@ -728,10 +736,10 @@ def is_k_vertex_decomposable(
             dele = _shed(facets, sigma)
             if dele is None:
                 continue
-            sub_del = rec(dele)
+            sub_del = yield rec(dele)
             if sub_del is None:
                 continue
-            sub_lk = rec(_link(facets, sigma))
+            sub_lk = yield rec(_link(facets, sigma))
             if sub_lk is None:
                 continue
             result = (sigma,) + sub_del + sub_lk
@@ -739,7 +747,7 @@ def is_k_vertex_decomposable(
         memo[facets] = result
         return result
 
-    witness = rec(x.facets)
+    witness = _drive(rec(x.facets))
     if witness is None:
         return False, None
     return True, tuple(SheddingWitness(_face(s), k) for s in witness)

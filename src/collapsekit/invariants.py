@@ -37,6 +37,9 @@ cutoff.  Memo entries are (value, exact) pairs, and a bound entry answers
 only a caller whose cutoff it reaches (see `_MkEngine`).  The recursion
 runs on facet masks: the open k-faces are the k-faces outside the apex,
 the intersection of the facets, and no node builds a `SimplicialComplex`.
+Its nodes are generators on `errors._drive`, one explicit stack, so the
+depth of the recursion is no Python frame depth: M'_1 of the complete
+graph K_46 nests deeper than the default limit and answers 2.
 A report that asks C also floors the root of its M_k at C's floor
 L(X; GF(2)): the scan stops once a candidate meets it, and M_k returns
 M_{k-1} once that does.  Where the floor meets the ceiling u, the report
@@ -57,7 +60,7 @@ from typing import Iterable, Optional
 from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _open_faces,
                         as_face, faces_of, vertices_of)
-from .errors import Budget, NotAFaceError, _depth_first
+from .errors import Budget, NotAFaceError, _depth_first, _drive
 from .homology import _leray
 
 
@@ -331,7 +334,10 @@ class _MkEngine:
     is a facet tuple.  A node's open k-faces are its k-faces outside the
     apex (`complexes._open_faces`), and its links and deletions come
     canonical from `complexes._link` and `complexes._deletion`, so no node
-    builds a `SimplicialComplex`.
+    builds a `SimplicialComplex`.  `_m` and `_mp` are generators: a node
+    yields the child node it needs and is sent the child's value, and `m`
+    and `m_prime` run the root on `errors._drive`, so a chain of links and
+    deletions of any length takes no Python frame per node.
 
     M'_k(y) is the min over the open k-faces s of y of
     max(M'_k(lk s) + k + 1, M'_k(del s)), or, when y has no open k-face,
@@ -388,28 +394,28 @@ class _MkEngine:
 
     def m(self, y: SimplicialComplex, k: int,
           floor: Optional[int] = None) -> int:
-        return self._m(tuple(map(int, y.facets)), k, math.inf, floor)
+        return _drive(self._m(tuple(map(int, y.facets)), k, math.inf, floor))
 
     def m_prime(self, y: SimplicialComplex, k: int) -> int:
-        return self._mp(tuple(map(int, y.facets)), k, math.inf)
+        return _drive(self._mp(tuple(map(int, y.facets)), k, math.inf))
 
-    def _m(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
-        val = self._mp(facets, 0, beta, floor)
+    def _m(self, facets: tuple[int, ...], k: int, beta, floor=None):
+        val = yield self._mp(facets, 0, beta, floor)
         dim = max(map(int.bit_count, facets), default=0) - 1
         for j in range(1, min(k, dim) + 1):
             if floor is not None and val <= floor:
                 break
-            val = min(val, self._mp(facets, j, min(beta, val), floor))
+            val = min(val, (yield self._mp(facets, j, min(beta, val), floor)))
         return val
 
-    def _mp(self, facets: tuple[int, ...], k: int, beta, floor=None) -> int:
+    def _mp(self, facets: tuple[int, ...], k: int, beta, floor=None):
         hit = self._memo.get((facets, k))
         if hit is not None and (hit[1] or hit[0] >= beta):
             return hit[0]
         self.budget.spend()
         open_k = _open_faces(facets, k)
         if not open_k:
-            val = 0 if k == 0 else self._m(facets, k - 1, beta, floor)
+            val = 0 if k == 0 else (yield self._m(facets, k - 1, beta, floor))
         elif beta <= k + 1:
             val = k + 1
         else:
@@ -419,9 +425,11 @@ class _MkEngine:
             low = k + 1 if floor is None else max(k + 1, floor)
             for s in open_k:
                 cut = min(beta, best)
-                cand = self._mp(_link(facets, s), k, cut - k - 1) + k + 1
+                cand = (yield self._mp(_link(facets, s), k,
+                                       cut - k - 1)) + k + 1
                 if cand < cut:
-                    cand = max(cand, self._mp(_deletion(facets, s), k, cut))
+                    cand = max(cand, (yield self._mp(_deletion(facets, s),
+                                                     k, cut)))
                 if cand < cut:
                     best = cand
                     if best <= low:

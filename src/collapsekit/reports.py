@@ -287,8 +287,12 @@ def compute(
     hypotheses (isolated vertices, an undominatable target, a non-pure
     complex, no NC(H) or no facet order on it) are recorded per invariant
     and do not abort the rest.  An unknown or repeated name raises
-    KeyError before anything is computed.
+    KeyError, and a bare string in place of the list TypeError, before
+    anything is computed.
     """
+    if isinstance(which, str):
+        raise TypeError(f"which must be a list of invariant names or None, "
+                        f"not the string {which!r}")
     ev = _Evaluation(inst, field)
     registry = HYPERGRAPH_INVARIANTS if ev.prefix else COMPLEX_INVARIANTS
     if which is None or which == ["all"]:

@@ -375,6 +375,14 @@ def test_report_rejects_unknown_invariant():
         compute(SimplicialComplex([(1,)]), ["nope"])
 
 
+def test_report_rejects_a_bare_string_for_its_names():
+    # a string was read letter by letter: "C" ran C, and "M0" and "all"
+    # named the unknown invariants ['M', '0'] and ['a', 'l', 'l']
+    for which in ("C", "M0", "all"):
+        with pytest.raises(TypeError, match="list of invariant names"):
+            compute(SimplicialComplex([(1,)]), which)
+
+
 def test_report_rejects_duplicate_invariants():
     """A repeated name would be reported once but computed, and its budget
     counted, twice: it is refused before anything runs."""

@@ -4,6 +4,7 @@ and k-vertex decomposability."""
 import collections
 import contextlib
 import functools
+import inspect
 import itertools
 import math
 import operator
@@ -1061,6 +1062,22 @@ def test_a_long_shedding_sequence_replays_without_recursion():
     assert not verify_shedding_sequence(x, 1, tuple(w + w[-1:]))
 
 
+def test_a_kvd_search_deeper_than_the_recursion_limit():
+    """The 120-cycle 0-decomposes in 119 steps, and the search nests a node
+    for each.  Its nodes are generators on `errors._drive`, so a limit 60
+    frames above the caller's depth does not stop it; a search that called
+    itself raised RecursionError there."""
+    cycle = SimplicialComplex([(i, i % 120 + 1) for i in range(1, 121)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        ok, witness = is_k_vertex_decomposable(cycle, 0)
+    finally:
+        sys.setrecursionlimit(old)
+    assert ok and len(witness) == 119
+    assert verify_shedding_sequence(cycle, 0, witness)
+
+
 def test_a_non_pure_complex_has_no_shedding_sequence():
     # shedding {4} leaves the triangle, and its link is empty, so the
     # replay of this one-step sequence would succeed; but the search
@@ -1515,6 +1532,28 @@ def test_cones_have_zero_betti_vectors_with_no_rank(monkeypatch):
             assert (b.rank_neg1, b.ranks) == (0, (0,) * (x.dim + 1)), x
     report = reports.compute(join(apex, RP2), ["betti"], field=2)
     assert report["values"]["betti"]["ranks"] == [0, 0, 0, 0]
+
+
+def test_an_edge_matrix_is_ranked_once_for_every_field(monkeypatch):
+    """A graph's incidence matrix has the same rank over every field, kept
+    under GF(2): a 5-cycle's Betti numbers over GF(2), Q and GF(3) take
+    one rank of its edges and no signed rank."""
+    ranked = []
+
+    def count(lower, upper):
+        ranked.append(upper)
+        return _rank_gf2(lower, upper)
+
+    def no_rank(*args):
+        raise AssertionError("an edge matrix was ranked with signs")
+
+    monkeypatch.setattr(homology, "_rank_gf2", count)
+    monkeypatch.setattr(homology, "_rank_signed", no_rank)
+    cycle = SimplicialComplex([(i, i % 5 + 1) for i in range(1, 6)])
+    chains = homology._Chains(cycle.facets)
+    assert [chains.betti(t, q) for q in (2, None, 3) for t in (0, 1)] == [
+        0, 1] * 3
+    assert len(ranked) == 1
 
 
 def test_a_betti_first_report_builds_each_chain_complex_once(monkeypatch):

@@ -18,17 +18,23 @@ a chain taken past the dimension spends what one taken to it spends
 `PYTHONPATH=src python tests/test_mk_oracle.py reports 5` runs the
 floored-report differential (`floored_report_mismatches`) on them and
 prints how many of those reports the floor settles by meeting the
-ceiling.
+ceiling.  `PYTHONPATH=src python tests/test_mk_oracle.py deep` checks the
+searches that run deeper than Python's recursion limit allows a recursive
+search (`deep_mismatches`): M'_1 of the K_m graphs for m = 3..46 and the
+0-decompositions of those graphs and of the n-cycles for n = 3..127.
 """
 
+import inspect
+import itertools
 import math
 import sys
 
 import pytest
 
 from collapsekit import (Budget, BudgetExceededError, SimplicialComplex,
-                         canonical_ordering, d_of_ordering, leray_number, mk,
-                         mk_chain, mk_prime)
+                         canonical_ordering, d_of_ordering,
+                         is_k_vertex_decomposable, leray_number, mk,
+                         mk_chain, mk_prime, verify_shedding_sequence)
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
 from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import _MkEngine
@@ -188,6 +194,52 @@ def test_any_k_is_one_loop_without_recursion():
         b = Budget()
         assert _MkEngine(b).m(x, k) == 1
         assert b.used == 4, k
+
+
+def k_graph(m):
+    """The complete graph K_m on the vertices 0, ..., m - 1."""
+    return SimplicialComplex(itertools.combinations(range(m), 2))
+
+
+def test_mk_prime_runs_deeper_than_the_recursion_limit():
+    """M'_1 of the K_20 graph nests its first candidate's deletions one
+    node per open edge.  Its nodes are generators on `errors._drive`, so a
+    limit 60 frames above the caller's depth does not stop it; a `_mp`
+    that called itself raised RecursionError there."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        value = mk_prime(k_graph(20), 1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert value == 2
+
+
+def test_mk_prime_of_the_k46_graph_is_two():
+    # past Python's default recursion limit for a recursive engine
+    assert mk_prime(k_graph(46), 1) == 2
+
+
+def deep_mismatches(m_max=46, n_max=127):
+    """The K_m graphs, 3 <= m <= m_max, whose M'_1 is not 2 or whose
+    0-decomposition witness does not replay, and the n-cycles,
+    3 <= n <= n_max, whose witness is not n - 1 steps that replay.  Both
+    searches nest deeper than a recursive search could at Python's default
+    limit."""
+    bad = []
+    for m in range(3, m_max + 1):
+        x = k_graph(m)
+        ok, witness = is_k_vertex_decomposable(x, 0)
+        if mk_prime(x, 1) != 2 or not (
+                ok and verify_shedding_sequence(x, 0, witness)):
+            bad.append(f"K_{m}")
+    for n in range(3, n_max + 1):
+        x = SimplicialComplex([(i, i % n + 1) for i in range(1, n + 1)])
+        ok, witness = is_k_vertex_decomposable(x, 0)
+        if not (ok and len(witness) == n - 1
+                and verify_shedding_sequence(x, 0, witness)):
+            bad.append(f"C_{n}")
+    return bad
 
 
 def test_v7f17_has_m2_below_m1():
@@ -356,6 +408,11 @@ def test_empty_complex_report_reads_every_m_k_off_its_floor():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["deep"]:
+        bad = deep_mismatches()
+        print(f"K_3..K_46 graphs and 3..127-cycles, {len(bad)} mismatches",
+              *bad)
+        sys.exit(1 if bad else 0)
     if sys.argv[1:2] == ["reports"]:
         # the floored-report differential
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 5

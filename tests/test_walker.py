@@ -19,7 +19,7 @@ from collapsekit import (
     is_d_collapsible,
     is_shellable,
 )
-from collapsekit.errors import _depth_first
+from collapsekit.errors import _depth_first, _drive
 from collapsekit.generators import GeneratorSpec, NAMED_EXAMPLES, generate
 from collapsekit.hypergraphs import non_cover_complex
 from collapsekit.invariants import collapsibility_number
@@ -199,6 +199,24 @@ def test_a_collapse_longer_than_the_recursion_limit_is_found():
         sys.setrecursionlimit(old)
     assert ok and len(cert.steps) == 190
     assert cert.replay(k20)
+
+
+def test_the_driver_runs_nodes_deeper_than_the_recursion_limit():
+    """`_drive` sends each node its child's return value, with no Python
+    frame per open node; an exception a node raises ends the drive."""
+    def depth(n):
+        return 0 if n == 0 else 1 + (yield depth(n - 1))
+
+    def spend(n, budget):
+        budget.spend()
+        if n:
+            yield spend(n - 1, budget)
+
+    assert _drive(depth(10_000)) == 10_000
+    budget = Budget(5_000)
+    with pytest.raises(BudgetExceededError):
+        _drive(spend(10_000, budget))
+    assert budget.used == 5_001
 
 
 def test_walker_skips_dead_keys_and_spends_per_state_entered():
