@@ -28,7 +28,7 @@ connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
 decomposability with replayable shedding witnesses.  The capped scan over
 GF(2) is the floor of the collapsibility number: a d-collapsible complex is
 d-Leray (Wegner 1975), so C is searched only from L(X; GF(2)) up.  Capped
-at C's ceiling u it is exact, since L(X; GF(2)) <= C <= u.  A report makes
+at a ceiling u >= C it is exact, since L(X; GF(2)) <= C <= u.  A report makes
 one homology pass per complex through one link cache, which keeps only the
 closed-link listings and the `_Chains` of the links: the Leray scans (C's
 floor among them), the Betti numbers and the Cohen-Macaulay test share

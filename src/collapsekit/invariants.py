@@ -12,18 +12,22 @@ move, its lexicographically least face (collapses there are confluent); at
 d every free face is a branch.
 
 The collapsibility number C(X) is searched only between the GF(2) Leray
-number and a certified ceiling.  The ceiling u = d(X, ord) comes with the
-collapse of Matousek and Tancer (DCG 42, 2009) as its certificate, built
-without search in one walk that checks every step as a replay would, and
-always finished (their theorem).  The floor f is the Leray link scan over GF(2) capped at u: a d-collapsible
+number and a certified ceiling.  Each facet order ord gives a ceiling
+d(X, ord) with the collapse of Matousek and Tancer (DCG 42, 2009) as its
+certificate, built without search in one incremental walk that checks
+every step as a replay would, and always finished (their theorem).  The
+floor f is the Leray link scan over GF(2) capped at the claim u_1 of the
+first order (canonical, or the nc order of NC(H)): a d-collapsible
 complex is d-Leray over every field (Wegner 1975), and
 dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher floor,
-with the cheaper modular rank.  C = u at once when f = u; otherwise
-d = f, ..., u - 1 are searched, and u is the answer if none succeeds.  Only
-searches that must fail are skipped, so every value is the plain upward
-loop's.  The threshold probes ask their one question, C(Y) <= d, with the
-same scan capped at d + 1 before any search.  The ceiling claims exactly
-d(X, ord), so a report reads d_mes from it too.
+with the cheaper modular rank.  When f < u_1 the reversed order's
+collapse is built too, and C's ceiling u is the lower claim (the first
+on a tie).  C = u at once when f = u; otherwise d = f, ..., u - 1 are
+searched, and u is the answer if none succeeds.  Only searches that must
+fail are skipped, so every value is the plain upward loop's.  The
+threshold probes ask their one question, C(Y) <= d, with the same scan
+capped at d + 1 before any search.  The first order's collapse claims
+exactly d(X, ord), so a report reads d_mes from it too.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -42,8 +46,9 @@ depth of the recursion is no Python frame depth: M'_1 of the complete
 graph K_46 nests deeper than the default limit and answers 2.
 A report that asks C also floors the root of its M_k at C's floor
 L(X; GF(2)): the scan stops once a candidate meets it, and M_k returns
-M_{k-1} once that does.  Where the floor meets the ceiling u, the report
-reads every M_k as u (M_k <= M_0 <= u) and calls no engine.
+M_{k-1} once that does.  Where the floor meets C's ceiling u, the report
+reads every M_k as u (M_k <= M_0 <= d(X, ord) for every order) and calls
+no engine.
 
 All searches are exact and carry explicit node budgets; running out of
 budget raises, it never reads as "false".
@@ -51,15 +56,16 @@ budget raises, it never reads as "false".
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
-                        _free_faces_by_size, _is_free, _link, _open_faces,
-                        as_face, faces_of, vertices_of)
+                        _free_faces_by_size, _is_free, _link, _new_faces,
+                        _open_faces, as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first, _drive
 from .homology import _leray
 
@@ -118,27 +124,44 @@ def is_d_collapsible(
 
 def _collapse_moves(facets: tuple[int, ...], d: int,
                     bits: Optional[dict[int, tuple[int, ...]]] = None
-                    ) -> list[tuple[int, int]]:
-    """The free pairs (gamma, sigma), as masks, the d-collapse search tries
-    at these facets, in order: the least free face of the smallest size
-    that has one when that size is below d, else every free face of size
-    d, found without listing the larger sizes.  `bits` is the search's
-    facet -> vertex bits dict (see `_free_faces_by_size`).
+                    ) -> Iterator[tuple[int, int]]:
+    """Lazily, the free pairs (gamma, sigma), as masks, the d-collapse
+    search tries at these facets, in order: the least free face of the
+    smallest size that has one when that size is below d, else every free
+    face of size d, in vertex-tuple order, found without listing the
+    larger sizes.  `bits` is the search's facet -> vertex bits dict (see
+    `_free_faces_by_size`).
 
     Collapses at free faces smaller than d are confluent: performing one
     never loses d-collapsibility, so the least is taken without branching;
-    only size-d free faces require backtracking.  The scan starts at size
-    0, so a simplex has the single move (empty face, itself).
+    only size-d free faces require backtracking.  The least face comes
+    first, and the others are sorted only when the search backtracks to
+    them, since it usually takes the first.  The scan starts at size 0, so
+    a simplex has the single move (empty face, itself).
     """
     for r, free in enumerate(_free_faces_by_size(facets, range(d + 1),
                                                  bits)):
         if not free:
             continue
+        least = _least_face(free)
+        yield least, free[least]
         if r == d:
-            return [(m, free[m]) for m in sorted(free, key=vertices_of)]
-        least = min(free, key=vertices_of)
-        return [(least, free[least])]
-    return []
+            for m in sorted(free, key=vertices_of)[1:]:
+                yield m, free[m]
+        return
+
+
+def _least_face(faces: Iterable[int]) -> int:
+    """The first of these distinct masks of one size in vertex-tuple order
+    (`vertices_of`), without listing a vertex: A comes before B exactly
+    when the lowest vertex of A ^ B lies in A."""
+    it = iter(faces)
+    least = next(it)
+    for m in it:
+        diff = m ^ least
+        if m & diff & -diff:
+            least = m
+    return least
 
 
 def _collapsible_within(y: SimplicialComplex, d: int, budget: Budget) -> bool:
@@ -167,27 +190,44 @@ def collapsibility_number_with_certificate(
 ) -> tuple[int, CollapseCertificate]:
     """The collapsibility number with a certificate that replays it.
 
-    C(x) lies between two bounds that need no search.  The ceiling u is
-    d(x, canonical_ordering(x)), with the collapse of Matousek and Tancer
+    C(x) lies between two bounds that need no search.  Every facet order
+    gives a ceiling d(x, order), with the collapse of Matousek and Tancer
     (DCG 42, 2009) as its certificate (`_mes_certificate`, built and
-    checked in one walk).  The floor f is the GF(2) Leray number:
-    a d-collapsible complex is d-Leray over every field (Wegner 1975), and
-    GF(2) gives a floor at least the rational one, with the cheaper modular
-    rank.  It is the Leray link scan capped at u (`homology._leray`), so it
-    asks no degree >= u and stops at u, which it reaches exactly when some
-    link has nonzero GF(2) homology in degree u - 1.  d = f, ..., u - 1
-    are searched, and C is (u, ceiling) if none succeeds.  The empty
-    complex needs no step of its own: its mes collapse is empty and claims
-    0, so f = u = 0 and C = 0 with the empty certificate.
+    checked in one walk).  The first is u_1 = d(x, canonical_ordering(x)).
+    The floor f is the GF(2) Leray number: a d-collapsible complex is
+    d-Leray over every field (Wegner 1975), and GF(2) gives a floor at
+    least the rational one, with the cheaper modular rank.  It is the
+    Leray link scan capped at u_1 (`homology._leray`), so it asks no
+    degree >= u_1 and stops at u_1, which it reaches exactly when some
+    link has nonzero GF(2) homology in degree u_1 - 1.  When f < u_1 the
+    collapse under the reversed canonical order is built as well, and the
+    ceiling u is the lower claim, u_1's on a tie (`_lower_ceiling`).
+    d = f, ..., u - 1 are searched, and C is (u, ceiling) if none
+    succeeds.  The empty complex needs no step of its own: its mes
+    collapse is empty and claims 0, so f = u = 0 and C = 0 with the empty
+    certificate.
 
     Only searches below L(x; GF(2)), which must fail, are skipped, so the
     value is that of the plain d = 0, 1, ... loop, and so is the
     certificate wherever C < u; where C = u the certificate is the
     ceiling's collapse.
     """
-    top = _mes_certificate(x, canonical_ordering(x))
-    return _collapsibility(x, budget or Budget(), top,
-                           _leray(x, 2, None, top.claimed_d))
+    order = canonical_ordering(x)
+    top = _mes_certificate(x, order)
+    floor = _leray(x, 2, None, top.claimed_d)
+    if floor < top.claimed_d:
+        top = _lower_ceiling(x, order, top)
+    return _collapsibility(x, budget or Budget(), top, floor)
+
+
+def _lower_ceiling(x: SimplicialComplex, ordering: FacetOrdering,
+                   first: CollapseCertificate) -> CollapseCertificate:
+    """C's ceiling from two orders: the mes collapse of x under the
+    reverse of `ordering` where it claims less than `first`, the collapse
+    under `ordering` itself, else `first`.  C <= d(x, <) for every facet
+    order <, so either is a ceiling, and each replays at its claim."""
+    rev = _mes_certificate(x, FacetOrdering(x, ordering.ordered_facets[::-1]))
+    return rev if rev.claimed_d < first.claimed_d else first
 
 
 def _collapsibility(
@@ -274,9 +314,9 @@ def _mes_certificate(x: SimplicialComplex,
     stuck is a library bug: it raises `RuntimeError` naming the facets.
 
     The build is its own check: a step is taken only once `_is_free`
-    passes and is removed with `_deletion`, as `CollapseCertificate.replay`
-    does, the walk ends only on the empty complex, and the claim is the
-    largest step.  So the certificate it returns replays.
+    passes and leaves del(M), as `CollapseCertificate.replay` does with
+    `_deletion`, the walk ends only on the empty complex, and the claim is
+    the largest step.  So the certificate it returns replays.
 
     With F_1, ..., F_m the ordered facets and M(G) the set of mes(G), the
     stages run j = m, ..., 1.  At stage j the facets G of the current
@@ -287,36 +327,50 @@ def _mes_certificate(x: SimplicialComplex,
     excluded vertices), so the steps' intervals cover every face once and
     the largest |M(G)| over the steps, the claimed d, is d(x, ordering).
     Like `d_of_ordering` it spends no search nodes: it never backtracks.
+
+    The walk is incremental: it keeps the current facets and their ranked
+    entries across steps.  A step (M, G) removes G and inserts (`bisect`)
+    each new facet G - v that `complexes._new_faces((G,), M, kept)`
+    yields, the F - v rule of `_deletion`, so no step re-sorts the facets,
+    and each face's mes is taken once, when it becomes a facet.
     """
     ordered = ordering.ordered_facets
-    # face -> (-j, -|G|, G, M(G)), with F_{j+1} the first facet holding G:
-    # sorted, the current stage's facets come first, in the order tried
-    @functools.cache
-    def of(g: int) -> tuple[int, int, int, int]:
+
+    # (-j, -|G|, G, M(G)), with F_{j+1} the first facet holding G: the
+    # current stage's facets sort first, in the order tried
+    def entry(g: int) -> tuple[int, int, int, int]:
         bits = _mes_bits(g, ordered)
         return (-len(bits), -g.bit_count(), g,
                 functools.reduce(operator.or_, bits, 0))
 
     # a collapse keeps every face's first facet or lowers it (G - v lies in
-    # every facet that G does), so the stage is the least -j of the facets
-    facets = x.facets
+    # every facet that G does), so the stage is the least -j of the facets;
+    # a face becomes a facet at most once, so each entry is built once
+    facets = list(x.facets)
+    ranked = sorted(map(entry, facets))
     steps: list[tuple[int, int]] = []
-    while facets:
-        ranked = sorted(map(of, facets))
+    while ranked:
+        stage = ranked[0][0]
         step = None
-        for j, _, g, m in ranked:
-            if j != ranked[0][0]:
+        for i, (j, _, g, m) in enumerate(ranked):
+            if j != stage:
                 break
             if _is_free(facets, m, g):
-                step = m, g
+                step = i
                 break
         if step is None:
             stuck = [list(vertices_of(g)) for j, _, g, _ in ranked
-                     if j == ranked[0][0]]
+                     if j == stage]
             raise RuntimeError(f"the mes collapse under {ordering!r} is "
                                f"stuck at the facets {stuck}")
-        steps.append(step)
-        facets = _deletion(facets, step[0])
+        _, _, g, m = ranked.pop(step)
+        steps.append((m, g))
+        # the step leaves del(M), as `_deletion` builds it
+        facets.remove(g)
+        new = list(_new_faces((g,), m, facets))
+        facets += new
+        for t in new:
+            bisect.insort(ranked, entry(t))
     return CollapseCertificate(
         tuple(FreePair(_face(m), _face(g)) for m, g in steps),
         max((m.bit_count() for m, _ in steps), default=0))

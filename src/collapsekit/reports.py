@@ -67,6 +67,7 @@ from .invariants import (
     mk_chain,
     _collapsibility,
     _collapsible_within,
+    _lower_ceiling,
     _mes_certificate,
     _MkEngine,
 )
@@ -101,22 +102,27 @@ class _Evaluation:
     and its parse `p`, the running invariant's budget, the witnesses, the
     link cache of the complex the collapse invariants read (the instance,
     or NC(H) for a hypergraph), and, each built once on first use, the M_k
-    engine, that complex, its facet order and the mes ceiling under that
-    order, built and checked in one walk that always finishes
-    (`invariants._mes_certificate`): C's certificate wherever C reaches
-    it, and d_mes read from its claim u = d(X, <).
+    engine, that complex, its facet order < and the mes collapse under
+    that order (`mes_collapse`), built and checked in one walk that always
+    finishes (`invariants._mes_certificate`): d_mes is read from its claim
+    d(X, <).
 
     The link cache is the report's one homology pass: the complex's
     closed-face links and their ranks, which the Leray scans, the Betti
     numbers and the Cohen-Macaulay test all read.  `floor` is C's floor
-    L(X; GF(2)), the GF(2) Leray scan capped at the ceiling's claim, taken
-    once when the report names C (`asks_c`) and read as a value by C, by
-    M_k as its root floor (`_MkEngine`), or as M_k itself where it meets
-    the ceiling's claim u (C <= M_k <= M_0 <= u), and by the Leray number
-    as its answer or its cap (`_inv_leray`).  A report without C builds
-    neither the floor nor the ceiling.  The floor and the ceiling spend no
-    nodes, so no value or node count depends on which invariant reads them
-    first."""
+    L(X; GF(2)), the GF(2) Leray scan capped at d(X, <), taken once when
+    the report names C (`asks_c`).  `ceiling` is C's ceiling: where the
+    floor is below d(X, <), the mes collapse under the reversed order is
+    built too, and the one that claims less, the first on a tie, is the
+    ceiling (`invariants._lower_ceiling`); its claim u bounds C's search,
+    and it is C's certificate wherever C reaches it.  The floor is read
+    as a value by C, by M_k as its root floor (`_MkEngine`), or as M_k
+    itself where it meets u (C <= M_k <= M_0 <= d(X, <') for every order
+    <'), and by the Leray number as its answer or its cap, with u the cap
+    over an odd prime field (`_inv_leray`).  A report without C builds
+    neither the floor nor the reversed collapse.  The floor and the
+    collapses spend no nodes, so no value or node count depends on which
+    invariant reads them first."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -145,7 +151,7 @@ class _Evaluation:
         return canonical_ordering(self.inst)
 
     @functools.cached_property
-    def ceiling(self) -> CollapseCertificate:
+    def mes_collapse(self) -> CollapseCertificate:
         # an empty NC(H) has no facet order; the empty complex's mes
         # collapse is the empty one, claiming 0
         if not self.complex.facets:
@@ -158,10 +164,22 @@ class _Evaluation:
         anyway; else None."""
         if not self.asks_c:
             return None
-        return _scan(self.complex, 2, self.links, self.ceiling.claimed_d)
+        return _scan(self.complex, 2, self.links,
+                     self.mes_collapse.claimed_d)
+
+    @functools.cached_property
+    def ceiling(self) -> CollapseCertificate:
+        """C's ceiling, read only when the report asks C: the mes collapse
+        under the reversed order where the floor is below the order's
+        claim and the reverse claims less, else the order's own."""
+        first = self.mes_collapse
+        if self.floor < first.claimed_d:
+            return _lower_ceiling(self.complex, self.facet_order, first)
+        return first
 
     def mk(self, k: int) -> int:
-        # L <= C <= M_k <= M_0 <= d(X, <): a floor that meets u settles M_k
+        # L <= C <= M_k <= M_0 <= d(X, <') for every order <': a floor
+        # that meets C's ceiling settles M_k
         if self.floor is not None and self.floor == self.ceiling.claimed_d:
             return self.floor
         self.engine.budget = self.budget
@@ -193,7 +211,7 @@ def _inv_d(ev):
     ev.witnesses[ev.prefix + "facet_ordering"] = [
         list(f.vertices) for f in order.ordered_facets]
     # the checked mes collapse claims exactly d(X, order), so no face walk
-    return ev.ceiling.claimed_d
+    return ev.mes_collapse.claimed_d
 
 
 def _inv_betti(ev):

@@ -119,11 +119,13 @@ def test_benchmark_instance_attributes():
 def test_traced_report_records_every_layer_and_builds_nc_once():
     """A report under the benchmark's tracer: the spans it reads see the
     report path, and NC(H) is built once for all three NC invariants.  The
-    tree's NC(H) has apex floor 0 and C = L = 2 < d = 3, so the threshold
-    question says no and C is searched at 0, 1 and 2 (on
-    NC(star_family(3)) the threshold question decides C, and no search
-    runs)."""
-    h = collapsekit.Hypergraph(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    tree's NC(H) has C = L(X; GF(2)) = 2 below the claim 3 of the mes
+    collapse under the nc order and under its reverse, so C is searched
+    at 2.  (Labelled 1-2, 2-3, 3-4, 3-5, the same tree's reversed order
+    claims 2, and C is read off that ceiling with no search; on
+    NC(star_family(3, (1, 1, 1))) the floor meets the nc order's own
+    claim.)"""
+    h = collapsekit.Hypergraph(5, [(1, 2), (2, 5), (3, 5), (4, 5)])
     t = tracer.Tracer()
     t.install(collapsekit, time.perf_counter)
     try:

@@ -23,10 +23,11 @@ from collapsekit.complexes import (MAX_VERTEX, _bit_walk, _deletion,
                                   _free_faces_by_size, _is_free, _link,
                                   _open_faces, bits_of, faces_of, mask_of,
                                   subsets, vertices_of)
+from collapsekit import invariants
 from collapsekit.homology import _Chains
 from collapsekit.invariants import _collapse_moves
 
-from conftest import all_complexes, open_faces_oracle
+from conftest import all_complexes, open_faces_oracle, shifted
 
 V6F10_6 = SimplicialComplex(
     [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6),
@@ -461,7 +462,41 @@ def test_collapse_moves_keep_the_first_pair_below_d():
             if want and want[0].free_face.bit_count() < d:
                 want = want[:1]
             want = [(int(g), int(s)) for g, s in want]
-            assert _collapse_moves(x.facets, d) == want, (x, d)
+            assert list(_collapse_moves(x.facets, d)) == want, (x, d)
+
+
+def sorted_collapse_moves(facets, d):
+    """The search's moves as they were listed before they came lazily:
+    every free face of size d sorted by its vertex tuple up front."""
+    for r, free in enumerate(_free_faces_by_size(facets, range(d + 1))):
+        if not free:
+            continue
+        if r == d:
+            return [(m, free[m]) for m in sorted(free, key=vertices_of)]
+        least = min(free, key=vertices_of)
+        return [(least, free[least])]
+    return []
+
+
+def test_lazy_collapse_moves_match_the_sorted_list(monkeypatch):
+    """The moves come in the sorted list's order on every complex on <= 5
+    vertices for d <= 3, also with every label raised by 100 (past the
+    `vertices_of` tables), and the first comes before any sort: the search
+    usually takes it."""
+    for x in all_complexes(5):
+        for y in (x, shifted(x, 100)):
+            for d in range(4):
+                assert (list(_collapse_moves(y.facets, d))
+                        == sorted_collapse_moves(y.facets, d)), (y, d)
+    k5 = SimplicialComplex(itertools.combinations(range(5), 2))
+    want = sorted_collapse_moves(k5.facets, 2)
+    assert len(want) == 10
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted before the first move was taken")
+
+    monkeypatch.setattr(invariants, "sorted", no_sort, raising=False)
+    assert next(_collapse_moves(k5.facets, 2)) == want[0]
 
 
 def holder_count_is_free(facets, gamma, sigma):

@@ -87,6 +87,16 @@ unit instead of the count of candidates the scan would have tested:
 `used_total` went 15 -> 13 (random-hypergraph-1), 85 -> 32 (-2), 87 -> 29
 (-3), 53 -> 29 (-4) and 81 -> 40 (star-family-3); every other byte, and
 every other case, stayed the same.
+random-complex-1 ({3}, {1, 4}, {4, 5}) was re-pinned once more when C's
+ceiling became the lower claim of the mes collapses under the canonical
+order and its reverse: its floor L(X; GF(2)) = 1 is below the canonical
+claim 2 and meets the reversed order's claim 1.  So C reads that collapse
+with no search (the search at d = 1 spent 4 nodes) and every M_k is read
+off the floor (M0..M2 spent 5), and `used_total` went 9 -> 0.  C's
+certificate is now the reversed order's mes collapse,
+({3}, {3}), ({1}, {1, 4}), (empty, {4, 5}), where the depth-first
+search's took the two steps at {1} and {3} in the other order; every
+value and every other byte stayed the same.
 A change that alters any value, witness, key or node count fails here.
 """
 
@@ -135,7 +145,7 @@ CASES = [
     ("v6f10-6", NAMED_EXAMPLES["v6f10-6"], GOLDEN, "Q",
      "f9af6275e87d86718264d79ea591ad24d605949235835cf5a5ce6228c186c0d5"),
     ("random-complex-1", lambda: _complex(1), CHAIN, "Q",
-     "bc83ca449deb072d31627294d85a439f5f0e2a606e27eee9bee1c3069aa2e5b6"),
+     "1ee77f17ecc366573697ad7a0ee065ecf22c781b9cea9798716caee5854d5a2c"),
     ("random-complex-2", lambda: _complex(2), CHAIN, "Q",
      "9d2fafd23eaf4a600306e4ace5412505d5b0245866a2dcd53dc1691c17769526"),
     ("random-complex-3", lambda: _complex(3), CHAIN, "Q",

@@ -6,11 +6,12 @@ The <= 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_invariants.py 5` runs the claim
 differential and C against the apex floor it replaced on all 7,580
 complexes on <= 5 vertices (about 4 minutes).  `... test_invariants.py mes
-3000` builds, replays and checks against d_of_ordering the mes certificates
-of 3,000 seeds of each generator and of 6,000 random orders of random
+3000` builds, replays and checks against d_of_ordering and against the
+re-sorting walk (`resorting_mes_certificate`) the mes certificates of
+3,000 seeds of each generator and of 6,000 random orders of random
 complexes on 7-9 vertices (about 7 seconds).  `... test_invariants.py
 mes-orders 5` does the same under every ordering of every complex on <= 5
-vertices with <= 5 facets, 313,142 builds (about 40 seconds).
+vertices with <= 5 facets, 313,142 builds (about 60 seconds).
 """
 
 import functools
@@ -31,6 +32,7 @@ from collapsekit import (
     CollapseCertificate,
     Face,
     FacetOrdering,
+    FreePair,
     Hypergraph,
     NotAFaceError,
     SimplicialComplex,
@@ -55,7 +57,7 @@ from collapsekit import (
     tancer_inequality_check,
 )
 from collapsekit import homology, invariants, reports
-from collapsekit.complexes import vertices_of
+from collapsekit.complexes import _deletion, _is_free, vertices_of
 from collapsekit.generators import GeneratorSpec, generate, v6f10_6
 from collapsekit.reports import compute
 
@@ -169,21 +171,64 @@ def plain_collapsibility_number(x):
         d += 1
 
 
+def lower_ceiling(x):
+    """C's ceiling: the mes collapse under the canonical order, or under
+    its reverse where that claims less (the canonical one on a tie)."""
+    first = invariants._mes_certificate(x, canonical_ordering(x))
+    rev = invariants._mes_certificate(x, _reversed_ordering(x))
+    return rev if rev.claimed_d < first.claimed_d else first
+
+
 def test_floored_search_matches_the_plain_loop_on_every_small_complex():
-    """C between its apex floor and the mes ceiling: the plain loop's
-    value, a certificate that replays at it, and the plain loop's
-    certificate wherever C is below the ceiling (at C = u the certificate
-    is the ceiling's collapse, taken without a search when the floor or
-    the threshold question reaches u)."""
+    """C between its floor and the lower of the two mes ceilings
+    (`lower_ceiling`): the plain loop's value, a certificate that replays
+    at it, and the plain loop's certificate wherever C is below that
+    ceiling (at C = u the certificate is the ceiling's collapse, taken
+    without a search when the floor or the threshold question reaches
+    u)."""
     for x in all_complexes(5):
         want, want_cert = plain_collapsibility_number(x)
         c, cert = collapsibility_number_with_certificate(x)
         assert c == want and cert.claimed_d == c and cert.replay(x), x
-        ceiling = invariants._mes_certificate(x, canonical_ordering(x))
+        ceiling = lower_ceiling(x)
         if c < ceiling.claimed_d:
             assert cert == want_cert, x
         else:
             assert cert == ceiling, x
+
+
+def test_c_reads_the_lower_of_two_mes_ceilings_on_every_small_complex(
+        monkeypatch):
+    """On every complex on <= 5 vertices, C and a report asking C and d
+    build the mes collapse under the reversed canonical order only when
+    C's floor L(X; GF(2)) is below the canonical claim, each order once;
+    C's certificate replays at C; and d_mes stays d(X, canonical)."""
+    builds = []
+    build = invariants._mes_certificate
+
+    def counted(x, ordering):
+        builds.append(ordering.ordered_facets)
+        return build(x, ordering)
+
+    monkeypatch.setattr(invariants, "_mes_certificate", counted)
+    monkeypatch.setattr(reports, "_mes_certificate", counted)
+    reversed_walks = 0
+    for x in all_complexes(5):
+        want = [x.facets]
+        if leray_number(x, 2) < build(x, canonical_ordering(x)).claimed_d:
+            want.append(x.facets[::-1])
+            reversed_walks += 1
+        builds.clear()
+        c, cert = collapsibility_number_with_certificate(x)
+        assert builds == want, x
+        assert cert.claimed_d == c and cert.replay(x), x
+        builds.clear()
+        report = compute(x, ["C", "d_mes"])
+        # the empty complex's mes collapse is taken without a build
+        assert builds == (want if x.facets else []), x
+        assert report["values"] == {
+            "C": c, "d_mes": d_of_ordering(x, canonical_ordering(x))}, x
+    assert reversed_walks
 
 
 def _old_floor(x):
@@ -202,14 +247,15 @@ def _link_homology(x, t):
 
 
 def apex_floor_collapsibility(x, budget):
-    """C as it was decided from the apex floor: (u, ceiling) when the floor
-    meets the mes ceiling u or some link has GF(2) homology in degree
-    u - 1, else the searches from the floor up.  (Its rank-work gate never
-    closed on these small complexes under the default budget.)"""
+    """C as it was decided from the apex floor, under the ceiling C reads
+    now (`lower_ceiling`): (u, ceiling) when the floor meets the mes
+    ceiling u or some link has GF(2) homology in degree u - 1, else the
+    searches from the floor up.  (Its rank-work gate never closed on these
+    small complexes under the default budget.)"""
     if x.is_empty:
         return 0, CollapseCertificate((), 0)
     f = apex_floor(x)
-    top = invariants._mes_certificate(x, canonical_ordering(x))
+    top = lower_ceiling(x)
     u = top.claimed_d
     if f == u or _link_homology(x, u - 1):
         return u, top
@@ -327,13 +373,20 @@ def test_homology_floor_reads_gf2_torsion():
 def test_homology_floor_skips_the_doomed_searches():
     # NC(H) for the random-hypergraph generator's seed 36 (n=8, m=9,
     # max_size=3) has H~_4 != 0, so C >= 5 before any search; without the
-    # floor the searches at d = 0..4 spend 49,379 nodes
+    # floor the searches at d = 0..4 spend 49,379 nodes.  Under the
+    # canonical ceiling 6 the floor leaves only the search at 5, 19 nodes;
+    # the reversed order's collapse claims 5, so C reads it with none
     h = Hypergraph(8, [(1, 2), (1, 3), (1, 8), (2, 3, 8), (2, 5), (2, 6, 8),
                        (2, 7), (3, 5, 7), (4, 8)])
     nc = non_cover_complex(h)
     c, cert = collapsibility_number_with_certificate(nc)
-    assert c == 5 and cert.replay(nc)
-    assert _nodes_of_the_last_search(nc) == (5, 19, 19)
+    assert c == 5 and cert.replay(nc) and cert == lower_ceiling(nc)
+    assert _nodes_of_the_last_search(nc) == (5, 0, 19)
+    top = invariants._mes_certificate(nc, canonical_ordering(nc))
+    budget = Budget()
+    assert top.claimed_d == 6 and homology._leray(nc, 2, None, 6) == 5
+    c, cert = invariants._collapsibility(nc, budget, top, 5)
+    assert (c, budget.used) == (5, 19) and cert.replay(nc)
 
 
 def test_c_returns_the_ceiling_when_the_floor_reaches_it(monkeypatch):
@@ -413,31 +466,49 @@ def test_report_d_is_the_ceiling_claim():
 
 def test_a_report_builds_the_ceiling_once_and_never_replays_it(
         monkeypatch):
-    """C and d read one ceiling per report, built once and checked as it
-    is built, so no report replays it, and d then walks no face."""
+    """C and d read the mes collapse under the report's order, built once
+    and checked as it is built, so no report replays it, and d then walks
+    no face.  The collapse under the reversed order is built at most
+    once, and only where C's floor is below the first claim."""
     from collapsekit.generators import star_family
     builds = []
-    build = reports._mes_certificate
+    build = invariants._mes_certificate
 
     def counted(x, ordering):
-        builds.append(x)
+        builds.append((x, ordering.ordered_facets))
         return build(x, ordering)
 
     def no_replay(self, source):
         raise AssertionError("the ceiling was replayed")
 
+    def orders(x, order):
+        """The builds a report asking C and d makes on x, the report's
+        complex, under its order."""
+        if leray_number(x, 2) < build(x, order).claimed_d:
+            return [(x, order.ordered_facets),
+                    (x, order.ordered_facets[::-1])]
+        return [(x, order.ordered_facets)]
+
+    monkeypatch.setattr(invariants, "_mes_certificate", counted)
     monkeypatch.setattr(reports, "_mes_certificate", counted)
     monkeypatch.setattr(CollapseCertificate, "replay", no_replay)
     monkeypatch.setattr(reports, "d_of_ordering", None)
+    both = 0
     for inst in (star_family(3, (1, 1, 1)), star_family(5, (2,) * 5),
-                 Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])):
+                 Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)]),
+                 Hypergraph(5, [(1, 2), (2, 5), (3, 5), (4, 5)])):
+        want = orders(non_cover_complex(inst), nc_facet_order(inst))
         builds.clear()
         compute(inst)
-        assert builds == [non_cover_complex(inst)], inst
+        assert builds == want, inst
+        both += len(want) == 2
     for x in (v6f10_6(), THREE_CYCLE):
+        want = orders(x, canonical_ordering(x))
         builds.clear()
         compute(x, ["C", "d_mes", "leray"])
-        assert builds == [x], x
+        assert builds == want, x
+        both += len(want) == 2
+    assert both == 3  # the two graphs on 5 vertices, and v6f10-6
 
 
 CHAIN_REPORT = ["leray", "C", "M0", "M1", "M2", "d_mes", "betti"]
@@ -605,10 +676,45 @@ def _every_ordering(x):
             for perm in itertools.permutations(x.facets)]
 
 
+def resorting_mes_certificate(x, ordering):
+    """The mes collapse by the walk that re-sorts every facet at each step
+    and takes each step with `_deletion`: the oracle of the incremental
+    walk `invariants._mes_certificate`, which must match it byte for
+    byte.  Returns None where this walk gets stuck."""
+    ordered = ordering.ordered_facets
+
+    @functools.cache
+    def of(g):
+        bits = invariants._mes_bits(g, ordered)
+        return (-len(bits), -g.bit_count(), g,
+                functools.reduce(operator.or_, bits, 0))
+
+    facets = x.facets
+    steps = []
+    while facets:
+        ranked = sorted(map(of, facets))
+        step = None
+        for j, _, g, m in ranked:
+            if j != ranked[0][0]:
+                break
+            if _is_free(facets, m, g):
+                step = m, g
+                break
+        if step is None:
+            return None
+        steps.append(step)
+        facets = _deletion(facets, step[0])
+    return CollapseCertificate(
+        tuple(FreePair(Face(m), Face(g)) for m, g in steps),
+        max((m.bit_count() for m, _ in steps), default=0))
+
+
 def mes_failures(cases):
     """The (X, order) pairs whose mes certificate gets stuck (the build
-    raises), does not claim d_of_ordering or does not replay: the build is
-    trusted as its own check, and these are its oracles."""
+    raises), is not the re-sorting walk's byte for byte
+    (`resorting_mes_certificate`), does not claim d_of_ordering or does not
+    replay: the build is trusted as its own check, and these are its
+    oracles."""
     bad = []
     for x, order in cases:
         try:
@@ -616,17 +722,20 @@ def mes_failures(cases):
         except RuntimeError:
             bad.append((x, order))
             continue
-        if cert.claimed_d != d_of_ordering(x, order) or not cert.replay(x):
+        # the reprs spell every step's faces, as `Face`s, and the claim
+        if (repr(cert) != repr(resorting_mes_certificate(x, order))
+                or cert.claimed_d != d_of_ordering(x, order)
+                or not cert.replay(x)):
             bad.append((x, order))
     return bad
 
 
 def test_mes_certificate_replays_at_d_on_every_small_complex():
     """The collapse behind C <= d(X, <) (Matousek and Tancer) is built,
-    replays, and claims exactly d_of_ordering: under the canonical, the
-    reversed and two seeded random orders of every complex on <= 5
-    vertices, and on the generated cases of seeds 0-299
-    (`generated_mes_cases`)."""
+    is the re-sorting walk's byte for byte, replays, and claims exactly
+    d_of_ordering: under the canonical, the reversed and two seeded random
+    orders of every complex on <= 5 vertices, and on the generated cases
+    of seeds 0-299 (`generated_mes_cases`)."""
     rng = random.Random(1975)
     cases = []
     for x in all_complexes(5):
@@ -928,7 +1037,8 @@ if __name__ == "__main__":
                 bad += mes_failures(cases)
         print(f"mes certificates under every ordering of every complex on "
               f"<= {n} vertices with <= 5 facets: {builds} builds, "
-              f"{len(bad)} stuck, not at d or not replaying")
+              f"{len(bad)} stuck, not the re-sorting walk's, not at d or "
+              f"not replaying")
         for x, order in bad:
             print(x, order)
         sys.exit(1 if bad else 0)
@@ -949,7 +1059,8 @@ if __name__ == "__main__":
         print(f"mes certificates: {generated} on generator seeds "
               f"0-{count - 1} and {len(cases) - generated} under random "
               f"orders of random complexes on 7-9 vertices, seed {seed}: "
-              f"{len(bad)} stuck, not at d or not replaying")
+              f"{len(bad)} stuck, not the re-sorting walk's, not at d or "
+              f"not replaying")
         for x, order in bad:
             print(x, order)
         sys.exit(1 if bad else 0)

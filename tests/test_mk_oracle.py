@@ -31,8 +31,8 @@ import sys
 
 import pytest
 
-from collapsekit import (Budget, BudgetExceededError, SimplicialComplex,
-                         canonical_ordering, d_of_ordering,
+from collapsekit import (Budget, BudgetExceededError, FacetOrdering,
+                         SimplicialComplex, canonical_ordering, d_of_ordering,
                          is_k_vertex_decomposable, leray_number, mk,
                          mk_chain, mk_prime, verify_shedding_sequence)
 from collapsekit.generators import NAMED_EXAMPLES, GeneratorSpec, generate, star_family
@@ -337,10 +337,18 @@ def _m_part(x, which):
     return {k: v for k, v in report["values"].items() if k != "C"}, used
 
 
+def ceiling_claim(x):
+    """The claim of C's ceiling: the lower of d(X, canonical) and d(X,
+    reversed canonical), each read off its face walk."""
+    reverse = FacetOrdering(x, x.facets[::-1])
+    return min(d_of_ordering(x, canonical_ordering(x)),
+               d_of_ordering(x, reverse))
+
+
 def sandwiched(x):
-    """Whether C's floor L(X; GF(2)) meets the mes ceiling d(X, canonical)
+    """Whether C's floor L(X; GF(2)) meets C's ceiling (`ceiling_claim`)
     on x, so that a report asking C reads every M_k off the ceiling."""
-    return leray_number(x, 2) == d_of_ordering(x, canonical_ordering(x))
+    return leray_number(x, 2) == ceiling_claim(x)
 
 
 def floored_report_mismatches(universe):
@@ -348,8 +356,8 @@ def floored_report_mismatches(universe):
     gives an M_k other than `mk` and `ExactMk`, spends more on M0..M2 than
     the same report without C, spends on them with C first something
     other than with C last, or, where the floor meets the ceiling
-    (`sandwiched`), gives an M_k other than d_mes or spends a node on
-    M0..M2."""
+    (`sandwiched`), gives an M_k other than the ceiling's claim or spends
+    a node on M0..M2."""
     bad = []
     for x in universe:
         exact = ExactMk()
@@ -363,7 +371,7 @@ def floored_report_mismatches(universe):
         elif not floored == floored_last <= unfloored:
             bad.append((x, "nodes", floored, floored_last, unfloored))
         elif sandwiched(x):
-            d = d_of_ordering(x, canonical_ordering(x))
+            d = ceiling_claim(x)
             if floored or set(first.values()) != {d}:
                 bad.append((x, "sandwich", d, first, floored))
     return bad
@@ -391,13 +399,27 @@ def test_floored_report_on_random_complexes():
 
 def test_star_five_report_chain_reads_c_floor():
     # L = C = 7 < d_mes = 10 under the canonical order (nc_d = 7 is the
-    # cover order's), so M_k searches above the floor; mk_chain(x, 1)
-    # runs for minutes without it
+    # cover order's), and mk_chain(x, 1) runs for minutes without the
+    # floor.  The reversed canonical order claims 7, so the floor meets
+    # C's ceiling and the report reads C and every M_k with no node (the
+    # floored engine searched above the floor for 6,241 nodes)
     x = non_cover_complex(star_family(5, (2,) * 5))
     report = compute(x, FLOORED, budget_limit=10_000)
     assert report["values"] == {"C": 7, "M0": 7, "M1": 7, "M2": 7}
-    assert report["budget"]["used_total"] == 6_241
+    assert report["budget"]["used_total"] == 0
     assert report["budget"]["exhausted"] == []
+    # NC(H) for the random-hypergraph generator's seed 57 (n=8, m=9,
+    # max_size=3): L = C = 4 is below both orders' claim 5, so M_k
+    # searches above the floor, 204 nodes against 3,310 unfloored
+    y = SimplicialComplex([(1, 2, 3, 4, 5, 6, 7), (1, 2, 4, 6, 8),
+                           (1, 2, 3, 5, 6, 8), (2, 3, 4, 5, 6, 8),
+                           (1, 2, 3, 4, 5, 7, 8), (1, 4, 6, 7, 8),
+                           (3, 4, 6, 7, 8)])
+    assert leray_number(y, 2) == 4 < ceiling_claim(y) == 5
+    chain = {"M0": 4, "M1": 4, "M2": 4}
+    assert _m_part(y, FLOORED) == (chain, 204)
+    assert _m_part(y, CHAIN) == (chain, 3_310)
+    assert compute(y, FLOORED)["values"] == {"C": 4, **chain}
 
 
 def test_empty_complex_report_reads_every_m_k_off_its_floor():
