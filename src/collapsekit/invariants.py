@@ -11,23 +11,18 @@ stops at the first size that has one.  Below d that size yields one forced
 move, its lexicographically least face (collapses there are confluent); at
 d every free face is a branch.
 
-The collapsibility number C(X) is searched only between the GF(2) Leray
-number and a certified ceiling.  Each facet order ord gives a ceiling
-d(X, ord) with the collapse of Matousek and Tancer (DCG 42, 2009) as its
+The collapsibility number C(X) is searched only between a floor f and a
+certified ceiling u that need no search (`_bounds` states the rule): f is
+the GF(2) Leray number, and u the lower claim d(X, ord) of two facet
+orders, with the collapse of Matousek and Tancer (DCG 42, 2009) as its
 certificate, built without search in one incremental walk that checks
-every step as a replay would, and always finished (their theorem).  The
-floor f is the Leray link scan over GF(2) capped at the claim u_1 of the
-first order (canonical, or the nc order of NC(H)): a d-collapsible
-complex is d-Leray over every field (Wegner 1975), and
-dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher floor,
-with the cheaper modular rank.  When f < u_1 the reversed order's
-collapse is built too, and C's ceiling u is the lower claim (the first
-on a tie).  C = u at once when f = u; otherwise d = f, ..., u - 1 are
-searched, and u is the answer if none succeeds.  Only searches that must
-fail are skipped, so every value is the plain upward loop's.  The
-threshold probes ask their one question, C(Y) <= d, with the same scan
-capped at d + 1 before any search.  The first order's collapse claims
-exactly d(X, ord), so a report reads d_mes from it too.
+every step as a replay would, and always finished (their theorem).  C = u
+at once when f = u; otherwise d = f, ..., u - 1 are searched, and u is the
+answer if none succeeds.  Only searches that must fail are skipped, so
+every value is the plain upward loop's.  The threshold probes ask their
+one question, C(Y) <= d, with the GF(2) Leray scan capped at d + 1 before
+any search.  The first order's collapse claims exactly d(X, ord), so a
+report reads d_mes from it too.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -67,7 +62,7 @@ from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _new_faces,
                         _open_faces, as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _depth_first, _drive
-from .homology import _leray
+from .homology import _leray, leray_number
 
 
 @dataclass(frozen=True)
@@ -190,22 +185,11 @@ def collapsibility_number_with_certificate(
 ) -> tuple[int, CollapseCertificate]:
     """The collapsibility number with a certificate that replays it.
 
-    C(x) lies between two bounds that need no search.  Every facet order
-    gives a ceiling d(x, order), with the collapse of Matousek and Tancer
-    (DCG 42, 2009) as its certificate (`_mes_certificate`, built and
-    checked in one walk).  The first is u_1 = d(x, canonical_ordering(x)).
-    The floor f is the GF(2) Leray number: a d-collapsible complex is
-    d-Leray over every field (Wegner 1975), and GF(2) gives a floor at
-    least the rational one, with the cheaper modular rank.  It is the
-    Leray link scan capped at u_1 (`homology._leray`), so it asks no
-    degree >= u_1 and stops at u_1, which it reaches exactly when some
-    link has nonzero GF(2) homology in degree u_1 - 1.  When f < u_1 the
-    collapse under the reversed canonical order is built as well, and the
-    ceiling u is the lower claim, u_1's on a tie (`_lower_ceiling`).
-    d = f, ..., u - 1 are searched, and C is (u, ceiling) if none
-    succeeds.  The empty complex needs no step of its own: its mes
-    collapse is empty and claims 0, so f = u = 0 and C = 0 with the empty
-    certificate.
+    C(x) lies between the floor f and the ceiling u that `_bounds` takes
+    under the canonical order with no search.  d = f, ..., u - 1 are
+    searched, and C is (u, ceiling) if none succeeds.  The empty complex
+    needs no step of its own: its mes collapse is empty and claims 0, so
+    f = u = 0 and C = 0 with the empty certificate.
 
     Only searches below L(x; GF(2)), which must fail, are skipped, so the
     value is that of the plain d = 0, 1, ... loop, and so is the
@@ -213,21 +197,51 @@ def collapsibility_number_with_certificate(
     ceiling's collapse.
     """
     order = canonical_ordering(x)
-    top = _mes_certificate(x, order)
-    floor = _leray(x, 2, None, top.claimed_d)
-    if floor < top.claimed_d:
-        top = _lower_ceiling(x, order, top)
+    floor, top = _bounds(x, order, _mes_certificate(x, order), None)
     return _collapsibility(x, budget or Budget(), top, floor)
 
 
-def _lower_ceiling(x: SimplicialComplex, ordering: FacetOrdering,
-                   first: CollapseCertificate) -> CollapseCertificate:
-    """C's ceiling from two orders: the mes collapse of x under the
-    reverse of `ordering` where it claims less than `first`, the collapse
-    under `ordering` itself, else `first`.  C <= d(x, <) for every facet
-    order <, so either is a ceiling, and each replays at its claim."""
-    rev = _mes_certificate(x, FacetOrdering(x, ordering.ordered_facets[::-1]))
-    return rev if rev.claimed_d < first.claimed_d else first
+def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
+            first: CollapseCertificate, links: Optional[dict]
+            ) -> tuple[int, CollapseCertificate]:
+    """C's floor f and ceiling u, taken with no search from `first`, the
+    mes collapse of x under `ordering`, and the link cache `links` (or
+    None).  The standalone C, every report that asks C and the nc-bound
+    probe take them here.
+
+    Every facet order < gives a ceiling d(x, <), with the collapse of
+    Matousek and Tancer (DCG 42, 2009) as its certificate
+    (`_mes_certificate`, built and checked in one walk); `first` claims
+    u_1 = d(x, ordering).  The floor is the GF(2) Leray link scan capped at
+    u_1 (`_scan`): a d-collapsible complex is d-Leray over every field
+    (Wegner 1975), and dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2)
+    gives the higher floor, with the cheaper modular rank.  The scan asks
+    no degree >= u_1 and stops at u_1, which it reaches exactly when some
+    link has nonzero GF(2) homology in degree u_1 - 1; since
+    L(x; GF(2)) <= C <= u_1, f is L(x; GF(2)).  When f < u_1 the collapse
+    under the reversed order is built as well, and u is the lower claim,
+    `first`'s on a tie; when f = u_1, C = u_1 and nothing is reversed, so
+    `ordering` is read only below u_1.  u replays at its claim, so it is
+    C's certificate wherever C reaches it.  Neither bound spends a node.
+    """
+    floor = _scan(x, 2, links, first.claimed_d)
+    if floor < first.claimed_d:
+        rev = _mes_certificate(
+            x, FacetOrdering(x, ordering.ordered_facets[::-1]))
+        if rev.claimed_d < first.claimed_d:
+            return floor, rev
+    return floor, first
+
+
+def _scan(x: SimplicialComplex, p: Optional[int], links: Optional[dict],
+          cap) -> int:
+    """The Leray scan of x over Q (p None) or GF(p) capped at cap
+    (`homology._leray`).  No link reaches degree dim(x) + 1, so a cap
+    above dim(x) caps nothing: that scan is `leray_number`'s own, rank for
+    rank, and is asked through it, where the bench's tracer counts it."""
+    if cap > x.dim:
+        return leray_number(x, "Q" if p is None else p, links)
+    return _leray(x, p, links, cap)
 
 
 def _collapsibility(

@@ -28,6 +28,7 @@ from .complexes import (
     as_face,
     faces_of,
     mask_of,
+    vertices_of,
 )
 from .errors import (
     DEFAULT_NODE_BUDGET,
@@ -44,7 +45,6 @@ from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
 from .homology import (
     LERAY_VERTEX_CAP,
     Field,
-    _leray,
     _leray_induced,
     _parse_field,
     _shed,
@@ -65,10 +65,11 @@ from .invariants import (
     d_of_ordering,
     mes,
     mk_chain,
+    _bounds,
     _collapsibility,
     _collapsible_within,
-    _lower_ceiling,
     _mes_certificate,
+    _scan,
     _MkEngine,
 )
 # instance_to_json stays importable from here: the bench reads it
@@ -109,20 +110,15 @@ class _Evaluation:
 
     The link cache is the report's one homology pass: the complex's
     closed-face links and their ranks, which the Leray scans, the Betti
-    numbers and the Cohen-Macaulay test all read.  `floor` is C's floor
-    L(X; GF(2)), the GF(2) Leray scan capped at d(X, <), taken once when
-    the report names C (`asks_c`).  `ceiling` is C's ceiling: where the
-    floor is below d(X, <), the mes collapse under the reversed order is
-    built too, and the one that claims less, the first on a tie, is the
-    ceiling (`invariants._lower_ceiling`); its claim u bounds C's search,
-    and it is C's certificate wherever C reaches it.  The floor is read
-    as a value by C, by M_k as its root floor (`_MkEngine`), or as M_k
-    itself where it meets u (C <= M_k <= M_0 <= d(X, <') for every order
-    <'), and by the Leray number as its answer or its cap, with u the cap
-    over an odd prime field (`_inv_leray`).  A report without C builds
-    neither the floor nor the reversed collapse.  The floor and the
-    collapses spend no nodes, so no value or node count depends on which
-    invariant reads them first."""
+    numbers and the Cohen-Macaulay test all read.  `bounds` is C's floor
+    L(X; GF(2)) and ceiling, taken once from that collapse and the link
+    cache (`invariants._bounds`) when the report names C (`asks_c`); a
+    report without C takes neither.  The floor is read as a value by C, by
+    M_k as its root floor (`_MkEngine`), or as M_k itself where it meets
+    the ceiling's claim u (C <= M_k <= M_0 <= d(X, <') for every order
+    <'), and by the Leray number as its answer or its cap
+    (`_inv_leray`).  The bounds spend no nodes, so no value or node count
+    depends on which invariant reads them first."""
 
     def __init__(self, inst, field):
         self.inst = inst
@@ -159,45 +155,28 @@ class _Evaluation:
         return _mes_certificate(self.complex, self.facet_order)
 
     @functools.cached_property
-    def floor(self) -> Optional[int]:
-        """C's floor L(X; GF(2)) when the report asks C, which takes it
-        anyway; else None."""
+    def bounds(self) -> tuple:
+        """C's floor and ceiling when the report asks C, else (None, None).
+        An empty NC(H) has no facet order: its floor meets the claim 0, so
+        `_bounds` reverses none and reads none."""
         if not self.asks_c:
-            return None
-        return _scan(self.complex, 2, self.links,
-                     self.mes_collapse.claimed_d)
-
-    @functools.cached_property
-    def ceiling(self) -> CollapseCertificate:
-        """C's ceiling, read only when the report asks C: the mes collapse
-        under the reversed order where the floor is below the order's
-        claim and the reverse claims less, else the order's own."""
-        first = self.mes_collapse
-        if self.floor < first.claimed_d:
-            return _lower_ceiling(self.complex, self.facet_order, first)
-        return first
+            return None, None
+        order = self.facet_order if self.complex.facets else None
+        return _bounds(self.complex, order, self.mes_collapse, self.links)
 
     def mk(self, k: int) -> int:
         # L <= C <= M_k <= M_0 <= d(X, <') for every order <': a floor
         # that meets C's ceiling settles M_k
-        if self.floor is not None and self.floor == self.ceiling.claimed_d:
-            return self.floor
+        floor, ceiling = self.bounds
+        if floor is not None and floor == ceiling.claimed_d:
+            return floor
         self.engine.budget = self.budget
-        return self.engine.m(self.inst, k, floor=self.floor)
-
-
-def _scan(x: SimplicialComplex, p: Optional[int], links: dict, cap) -> int:
-    """The Leray scan of x over Q (p None) or GF(p) capped at cap
-    (`homology._leray`).  No link reaches degree dim(x) + 1, so a cap
-    above dim(x) caps nothing: that scan is `leray_number`'s own, rank for
-    rank, and is asked through it, where the bench's tracer counts it."""
-    if cap > x.dim:
-        return leray_number(x, "Q" if p is None else p, links)
-    return _leray(x, p, links, cap)
+        return self.engine.m(self.inst, k, floor=floor)
 
 
 def _inv_C(ev):
-    d, cert = _collapsibility(ev.complex, ev.budget, ev.ceiling, ev.floor)
+    floor, ceiling = ev.bounds
+    d, cert = _collapsibility(ev.complex, ev.budget, ceiling, floor)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
         "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
@@ -251,18 +230,18 @@ def _inv_gamma(name, fn):
 
 
 def _inv_leray(ev):
-    """The Leray number, bounded by C's floor f = L(X; GF(2)) when the
-    report asks C: over GF(2) it is f; over Q the scan is capped at f,
-    since b_i(Q) <= b_i(GF(2)) on every link; over an odd prime field it
-    is capped at the ceiling u >= C, since a u-collapsible complex is
-    u-Leray over every field (Wegner 1975)."""
-    x, p, floor = ev.complex, ev.p, ev.floor
+    """The Leray number, bounded by C's floor f = L(X; GF(2)) and ceiling
+    u (`invariants._bounds`) when the report asks C: over GF(2) it is f;
+    over Q the scan is capped at f, since b_i(Q) <= b_i(GF(2)) on every
+    link; over an odd prime field it is capped at u >= C, since a
+    u-collapsible complex is u-Leray over every field (Wegner 1975)."""
+    x, p = ev.complex, ev.p
+    floor, ceiling = ev.bounds
     if floor is None:
         return leray_number(x, ev.field, ev.links)
     if p == 2:
         return floor
-    return _scan(x, p, ev.links,
-                 floor if p is None else ev.ceiling.claimed_d)
+    return _scan(x, p, ev.links, floor if p is None else ceiling.claimed_d)
 
 
 COMPLEX_INVARIANTS = {
@@ -305,15 +284,17 @@ def compute(
     hypotheses (isolated vertices, an undominatable target, a non-pure
     complex, no NC(H) or no facet order on it) are recorded per invariant
     and do not abort the rest.  An unknown or repeated name raises
-    KeyError, and a bare string in place of the list TypeError, before
-    anything is computed.
+    KeyError, and a `which` that is not None, a list or a tuple TypeError,
+    before anything is computed.  The report keeps the order of `which`,
+    so a set, whose order of strings differs between processes, is
+    refused too.
     """
-    if isinstance(which, str):
-        raise TypeError(f"which must be a list of invariant names or None, "
-                        f"not the string {which!r}")
+    if not (which is None or isinstance(which, (list, tuple))):
+        raise TypeError(f"which must be a list of invariant names, a tuple "
+                        f"of them or None, not {type(which).__name__}")
     ev = _Evaluation(inst, field)
     registry = HYPERGRAPH_INVARIANTS if ev.prefix else COMPLEX_INVARIANTS
-    if which is None or which == ["all"]:
+    if which is None or list(which) == ["all"]:
         which = list(registry)
     unknown = [name for name in which if name not in registry]
     if unknown:
@@ -476,10 +457,12 @@ def mes_equal_check(h: Hypergraph, gamma, gamma_prime) -> bool:
     """After relabeling the maximizing minimal cover D to {1..|D|}: if the
     two faces of NC(H) have the same complement inside D and the induced
     sub-hypergraph on that complement contains an edge, their minimal
-    exclusion sequences under the NC facet order must coincide."""
+    exclusion sequences under the NC facet order must coincide.  Both
+    faces must lie in 1..n."""
+    m1, m2 = h._vertex_set(gamma), h._vertex_set(gamma_prime)
     relabeled, perm, dm, order = hg._cover_relabeling(h)
-    g1 = mask_of(perm[v] for v in as_face(gamma).vertices)
-    g2 = mask_of(perm[v] for v in as_face(gamma_prime).vertices)
+    g1 = mask_of(perm[v] for v in vertices_of(m1))
+    g2 = mask_of(perm[v] for v in vertices_of(m2))
     if g1 not in order.complex or g2 not in order.complex:
         raise HypothesisNotMetError("both faces must lie in NC(H)")
     c1, has_edge = _mes_class(relabeled, dm, g1)
@@ -540,12 +523,13 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
         return "pass"
     nc = order.complex
     d = d_of_ordering(nc, order)
-    # the collapse behind C <= d, C's ceiling under this order, must
-    # replay and claim the face walk's d
-    ceiling = _mes_certificate(nc, order)
-    _chk(ceiling.replay(nc) and ceiling.claimed_d == d,
+    # the collapse behind C <= d, C's first ceiling, must replay and claim
+    # the face walk's d
+    first = _mes_certificate(nc, order)
+    _chk(first.replay(nc) and first.claimed_d == d,
          h, lambda: f"the mes collapse does not replay at d={d} for {order!r}")
-    c, _ = _collapsibility(nc, budget, ceiling, _leray(nc, 2, None, d))
+    floor, ceiling = _bounds(nc, order, first, None)
+    c, _ = _collapsibility(nc, budget, ceiling, floor)
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"
 

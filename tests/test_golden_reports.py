@@ -197,3 +197,34 @@ def test_reports_do_not_depend_on_the_identity_of_the_c_entry(monkeypatch):
                             lambda ev, entry=registry[name]: entry(ev))
     assert [report_json(compute(inst, which))
             for inst, which in cases] == plain
+
+
+# sha256 over the concatenated report JSON of a generator pool, pinned when
+# C's floor and ceiling came to one home (`invariants._bounds`), with no
+# byte moved
+CHAIN_POOL_DIGEST = (
+    "c2c772ef10d5a847b02c46e69730f25e9a72f7cb51b57b45f6c1063d80be9561")
+NC_POOL_DIGEST = (
+    "3bfac5db2fd551c57be853b655c6aceb00b13c3a2cbf56f0acac2e826e8e1822")
+
+
+def test_chain_pool_reports_are_pinned():
+    """The chain reports of random n = 6 complexes, seeds 0..299."""
+    digest = hashlib.sha256()
+    for seed in range(300):
+        x = generate(GeneratorSpec(kind="random-complex", seed=seed, n=6,
+                                   m=7, max_size=3))
+        digest.update(report_json(compute(x, CHAIN)).encode())
+    assert digest.hexdigest() == CHAIN_POOL_DIGEST
+
+
+def test_nc_pool_reports_are_pinned():
+    """Every hypergraph invariant on random n = 8 hypergraphs, seeds
+    0..299, over Q, GF(2) and GF(3) in turn."""
+    digest = hashlib.sha256()
+    for seed in range(300):
+        h = generate(GeneratorSpec(kind="random-hypergraph", seed=seed, n=8,
+                                   m=9, max_size=3))
+        for field in ("Q", "gf2", "gf3"):
+            digest.update(report_json(compute(h, None, field=field)).encode())
+    assert digest.hexdigest() == NC_POOL_DIGEST

@@ -383,6 +383,20 @@ def test_report_rejects_a_bare_string_for_its_names():
             compute(SimplicialComplex([(1,)]), which)
 
 
+def test_report_takes_its_names_as_a_list_or_a_tuple_only():
+    """An iterator was used up by the unknown-name check, so
+    `iter(["C"])` gave an empty report, and a set, frozenset or dict
+    failed with AttributeError (no `count`).  A set cannot be taken as it
+    is: the report follows the order of its names, and a set of strings
+    is ordered differently in each process."""
+    x = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
+    for which in (iter(["C"]), {"C"}, frozenset(["C"]), {"C": 1}):
+        with pytest.raises(TypeError, match=type(which).__name__):
+            compute(x, which)
+    assert compute(x, ("C", "M0")) == compute(x, ["C", "M0"])
+    assert compute(x, ("all",)) == compute(x, ["all"])
+
+
 def test_report_rejects_duplicate_invariants():
     """A repeated name would be reported once but computed, and its budget
     counted, twice: it is refused before anything runs."""

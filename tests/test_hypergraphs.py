@@ -1150,6 +1150,17 @@ def test_mes_equal_check_rejects_unqualified_pairs():
         mes_equal_check(C4, (1, 2, 3), (1,))  # not a face of NC
 
 
+def test_mes_equal_check_names_a_vertex_outside_the_hypergraph():
+    # both faces are checked before the cover relabeling, whose map held
+    # no such vertex and raised a bare KeyError
+    h = Hypergraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+    for v in (6, 0):
+        for pair in (([v], [1]), ([1], [v])):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"vertex {v} outside 1..5")):
+                mes_equal_check(h, *pair)
+
+
 def test_mes_equal_theorem_and_probe_agree_up_to_3_vertices():
     """The mes-equal theorem groups NC faces by `_mes_class`; every pair it
     groups passes `mes_equal_check`, and every face whose class holds no

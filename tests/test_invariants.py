@@ -202,7 +202,8 @@ def test_c_reads_the_lower_of_two_mes_ceilings_on_every_small_complex(
     """On every complex on <= 5 vertices, C and a report asking C and d
     build the mes collapse under the reversed canonical order only when
     C's floor L(X; GF(2)) is below the canonical claim, each order once;
-    C's certificate replays at C; and d_mes stays d(X, canonical)."""
+    C's certificate replays at C; d_mes stays d(X, canonical); and the
+    report's C certificate is the standalone one, claim and steps."""
     builds = []
     build = invariants._mes_certificate
 
@@ -228,6 +229,10 @@ def test_c_reads_the_lower_of_two_mes_ceilings_on_every_small_complex(
         assert builds == (want if x.facets else []), x
         assert report["values"] == {
             "C": c, "d_mes": d_of_ordering(x, canonical_ordering(x))}, x
+        assert report["witnesses"]["collapse_certificate"] == {
+            "claimed_d": cert.claimed_d,
+            "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
+                      for p in cert.steps]}, x
     assert reversed_walks
 
 
