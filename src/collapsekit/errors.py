@@ -60,6 +60,16 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+def _check_limit(limit) -> None:
+    """Reject a node budget limit: TypeError unless it is an int and not a
+    bool, ValueError unless it is positive."""
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise TypeError(f"budget limit must be an int, not "
+                        f"{type(limit).__name__}")
+    if limit <= 0:
+        raise ValueError("budget limit must be positive")
+
+
 class Budget:
     """Counts search nodes against a hard limit.
 
@@ -73,8 +83,7 @@ class Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit=DEFAULT_NODE_BUDGET):
-        if limit <= 0:
-            raise ValueError("budget limit must be positive")
+        _check_limit(limit)
         self.limit = limit
         self.used = 0
 

@@ -492,12 +492,13 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
 
 
 def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
-           cap: int) -> int:
+           cap: int, best: int = 0) -> int:
     """The link scan of `leray_number` over Q (p None) or GF(p), asking no
-    degree >= cap: L(x) when L(x) < cap, else at most cap, and cap exactly
-    when some link has nonzero homology in degree cap - 1.  Every value is
-    at most L(x), so over GF(2) it is a lower bound for C(x) (Wegner
-    1975).
+    degree >= cap and none below the floor best: for 0 <= best <= cap it
+    is max(best, min(L(x), cap)), so a scan capped at cap answers "L(x) >=
+    cap?" and a scan floored at b and capped at b + 1 answers "L(x) <=
+    b?".  Over GF(2) a value at most L(x) is a lower bound for C(x)
+    (Wegner 1975).
 
     The links come apex first (`_closed_links`): the apex link often
     reaches the final L at once, and the other faces follow largest first,
@@ -509,9 +510,13 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
     other has no homology above m - 3, and is walked down from degree
     min(D, m - 3, cap - 1) to degree best, stopping at the first nonzero
     one (`_Chains.top_degree`, which screens rational ranks over GF(2)).
-    The scan ends once best >= cap.
+    The apex link is the one link held by every facet.  Every other closed
+    face strictly holds the apex, so its link has dimension below the apex
+    link's d0 and raises L to at most d0: after the apex link the cap
+    drops to d0.  The scan ends once best >= cap, so a scan whose best
+    reaches d0 at the apex never builds the closure under & behind it.
     """
-    best = 0
+    held_by_all = len(x.facets)
     for d, lk in _links_of(x, cache):
         m = len(lk)
         if min(d, m - 2) + 1 > best:
@@ -523,6 +528,8 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
             else:
                 t = (mask & (1 << top + 1) - 1).bit_length() - 1
             best = max(best, t + 1)
+        if m == held_by_all:
+            cap = min(cap, d)
         if best >= cap:
             break
     return best

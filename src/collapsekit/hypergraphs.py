@@ -59,15 +59,18 @@ class Hypergraph:
     parameters quantify over all edges, only the non-cover complex restricts
     to inclusion-minimal ones).  The edges are kept sorted by vertex tuple.
 
-    The constructor checks n and every edge, then builds the instance from
-    the edge masks.  The generators and `cover_initial_relabeling` hold
-    masks already known to lie in 1..n and build through `_of_masks`,
-    which skips the checks; both share one body, `_fill`.
+    The constructor checks n (an int that is not a bool, as the loader
+    asks) and every edge, then builds the instance from the edge masks.
+    The generators and `cover_initial_relabeling` hold masks already known
+    to lie in 1..n and build through `_of_masks`, which skips the checks;
+    both share one body, `_fill`.
     """
 
     __slots__ = ("n", "edges", "_nbr", "_strong", "_sd")
 
     def __init__(self, n: int, edges):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n {n!r} is not an integer vertex count")
         if n < 1:
             raise ValueError("a hypergraph needs at least one vertex")
         if n > MAX_VERTEX:

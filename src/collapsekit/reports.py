@@ -39,12 +39,14 @@ from .errors import (
     NotAFaceError,
     NotPureError,
     UndominatableError,
+    _check_limit,
 )
 from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
                          _check_spec, generate)
 from .homology import (
     LERAY_VERTEX_CAP,
     Field,
+    _leray,
     _leray_induced,
     _parse_field,
     _shed,
@@ -284,14 +286,16 @@ def compute(
     hypotheses (isolated vertices, an undominatable target, a non-pure
     complex, no NC(H) or no facet order on it) are recorded per invariant
     and do not abort the rest.  An unknown or repeated name raises
-    KeyError, and a `which` that is not None, a list or a tuple TypeError,
-    before anything is computed.  The report keeps the order of `which`,
-    so a set, whose order of strings differs between processes, is
-    refused too.
+    KeyError, a `which` that is not None, a list or a tuple TypeError, and
+    a `budget_limit` that is not a positive int TypeError or ValueError
+    (`errors._check_limit`), before anything is computed.  The report
+    keeps the order of `which`, so a set, whose order of strings differs
+    between processes, is refused too.
     """
     if not (which is None or isinstance(which, (list, tuple))):
         raise TypeError(f"which must be a list of invariant names, a tuple "
                         f"of them or None, not {type(which).__name__}")
+    _check_limit(budget_limit)
     ev = _Evaluation(inst, field)
     registry = HYPERGRAPH_INVARIANTS if ev.prefix else COMPLEX_INVARIANTS
     if which is None or list(which) == ["all"]:
@@ -391,11 +395,13 @@ def shedding_leray_inequality_check(
     """L(X) >= max(L(del), L(lk) + k + 1) for a shedding k-face whose
     deletion is Cohen-Macaulay; a bad field raises ValueError first, and
     hypothesis failures raise, they are never reported as False.  The
-    hypotheses are tested before either side is ranked.  The
-    Cohen-Macaulay test and the Leray scans share one link cache, so the
-    deletion's links are listed and ranked once."""
+    hypotheses are tested before either side is ranked.  L(X) is ranked
+    in full and both sides of the right are bounded scans against it
+    (`_shedding_leray_holds`).  The Cohen-Macaulay test and the Leray
+    scans share one link cache, so the deletion's links are listed and
+    ranked once."""
     s = as_face(sigma)
-    _parse_field(field)
+    p = _parse_field(field)
     if s not in x or s.dim < 0:
         raise HypothesisNotMetError("sigma must be a nonempty face of x")
     if not x.is_pure():
@@ -407,18 +413,25 @@ def shedding_leray_inequality_check(
     cache: dict = {}
     if not is_cohen_macaulay(dele, field, cache):
         raise HypothesisNotMetError("deletion(sigma, x) is not Cohen-Macaulay")
-    rhs = _shedding_leray_rhs(x, s, dele, field, cache)
-    return leray_number(x, field, cache) >= rhs
+    return _shedding_leray_holds(x, s, dele, p, cache,
+                                 leray_number(x, field, cache))
 
 
-def _shedding_leray_rhs(x: SimplicialComplex, s: Face,
-                        dele: SimplicialComplex, field: Field,
-                        cache: dict) -> int:
-    """max(L(del s), L(lk s) + k + 1) for a k-face s of x whose deletion is
-    dele, the right-hand side of the shedding Leray inequality; it tests no
-    hypothesis.  The Leray scans read the link cache `cache`."""
-    return max(leray_number(dele, field, cache),
-               leray_number(x.link(s), field, cache) + s.dim + 1)
+def _shedding_leray_holds(x: SimplicialComplex, s: Face,
+                          dele: SimplicialComplex, p: Optional[int],
+                          cache: dict, lhs: int) -> bool:
+    """lhs >= max(L(del s), L(lk s) + k + 1) over Q (p None) or GF(p), for
+    a k-face s of x whose deletion is dele and lhs = L(X); it tests no
+    hypothesis.  Neither side is ranked in full: each is a Leray scan
+    floored at its bound b and capped at b + 1 (`homology._leray`), which
+    answers "L <= b?", so a scan skips every link that cannot raise L
+    above b and walks the others only at degree b.  The link's bound
+    lhs - k - 1 is below 0 exactly when no Leray number can meet it; the
+    link, the smaller complex, is scanned before the deletion.  The scans
+    read the link cache `cache`."""
+    b = lhs - s.dim - 1
+    return (b >= 0 and _leray(x.link(s), p, cache, b + 1, b) <= b
+            and _leray(dele, p, cache, lhs + 1, lhs) <= lhs)
 
 
 def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
@@ -736,8 +749,7 @@ def _thm_shed_leray(x: SimplicialComplex, rng, budget) -> str:
             dele = SimplicialComplex._of_canonical(kept)
             if not checked and not is_cohen_macaulay(dele, "Q", cache):
                 continue
-            rhs = _shedding_leray_rhs(x, sigma, dele, "Q", cache)
-            _chk(lhs() >= rhs
+            _chk(_shedding_leray_holds(x, sigma, dele, None, cache, lhs())
                  or checked and not is_cohen_macaulay(dele, "Q", cache), x,
                  lambda: f"shedding Leray inequality fails at {sigma!r}")
             checked = True
@@ -814,12 +826,15 @@ THEOREMS = {
 
 
 def _check_run(what: str, spec: GeneratorSpec, trials: int,
-               hypergraph: bool):
-    """Reject a run before its first trial: a negative trial count, a
-    spec no seed can build (`generators._check_spec`), or a spec whose
-    kind builds the wrong type of instance for `what`."""
+               hypergraph: bool, budget_limit):
+    """Reject a run before its first trial, also a run of no trials: a
+    negative trial count, a budget limit that is not a positive int
+    (`errors._check_limit`), a spec no seed can build
+    (`generators._check_spec`), or a spec whose kind builds the wrong
+    type of instance for `what`."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    _check_limit(budget_limit)
     _check_spec(spec)
     builds = spec.kind in _HYPERGRAPH_KINDS
     if hypergraph and not builds:
@@ -839,10 +854,12 @@ def verify(
     """Run `trials` independent random instances through one theorem check.
 
     Any failure stops the run and attaches the counterexample instance to
-    the summary.  A negative trial count, a spec no seed can build, or a
-    spec whose kind builds the wrong type of instance for the theorem,
-    raises ValueError first (VertexRangeError for a random kind on more
-    than MAX_VERTEX vertices).  A seedless kind (`SEEDLESS_KINDS`:
+    the summary.  A negative trial count, a budget limit that is not
+    positive, a spec no seed can build, or a spec whose kind builds the
+    wrong type of instance for the theorem, raises ValueError first
+    (VertexRangeError for a random kind on more than MAX_VERTEX vertices),
+    also for `trials=0`; a budget limit that is not an int, or is a bool,
+    raises TypeError.  A seedless kind (`SEEDLESS_KINDS`:
     star-family, named-example) repeats one instance in every trial; only
     the trial's random stream varies.
 
@@ -856,7 +873,7 @@ def verify(
     default_kind, fn = THEOREMS[theorem]
     spec = spec or GeneratorSpec(kind=default_kind)
     _check_run(f"theorem {theorem}", spec, trials,
-               default_kind in _HYPERGRAPH_KINDS)
+               default_kind in _HYPERGRAPH_KINDS, budget_limit)
     summary = {"theorem": theorem, "trials": trials,
                "passes": 0, "fails": 0, "skips": 0}
     for i in range(trials):
@@ -888,12 +905,13 @@ def conjecture_search(
     """Look for complexes with M_k < M_{k-1}.  An empty list is an honest
     outcome; every candidate re-verifies with a fresh memo table.  The spec
     must build complexes, no seed may fail to build it (as in `verify`),
-    and `trials` must be >= 0.  A seedless kind
-    (`SEEDLESS_KINDS`) builds one instance, so it runs one trial at most."""
+    `trials` must be >= 0 and `budget_limit` a positive int.  A seedless
+    kind (`SEEDLESS_KINDS`) builds one instance, so it runs one trial at
+    most."""
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = spec or GeneratorSpec(kind="random-complex")
-    _check_run("conjecture search", spec, trials, False)
+    _check_run("conjecture search", spec, trials, False, budget_limit)
     if spec.kind in SEEDLESS_KINDS:
         trials = min(trials, 1)
     found = []

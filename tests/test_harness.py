@@ -413,6 +413,29 @@ def test_report_budget_exhaustion_is_flagged():
     assert "C" not in report["values"]
 
 
+@pytest.mark.parametrize("limit, error", [
+    (0, ValueError), (-1, ValueError), (1.5, TypeError), (True, TypeError),
+    ("5", TypeError), (None, TypeError)])
+def test_a_budget_limit_is_checked_before_any_work(limit, error):
+    """compute, verify and conjecture_search refuse a limit that is not a
+    positive int (a bool neither) on every call, also one that asks
+    nothing: no invariant, or no trial."""
+    x = v6f10_6()
+    for run in (lambda: compute(x, [], budget_limit=limit),
+                lambda: compute(x, ["C"], budget_limit=limit),
+                lambda: verify("euler", trials=0, budget_limit=limit),
+                lambda: conjecture_search(1, trials=0, budget_limit=limit)):
+        with pytest.raises(error, match="budget limit must be"):
+            run()
+
+
+def test_cli_refuses_a_zero_budget_with_no_trials(capsys):
+    for trials in ("0", "1"):
+        assert main(["verify", "--theorem", "euler", "--trials", trials,
+                     "--budget", "0"]) == EXIT_USAGE
+        assert "budget limit must be positive" in capsys.readouterr().err
+
+
 def test_report_records_isolated_vertices_as_not_applicable(tmp_path):
     h = Hypergraph(4, [(1, 2), (2, 3)])
     report = compute(h)

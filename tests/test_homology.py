@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from collapsekit import (
     Budget,
     Face,
-    HypothesisNotMetError,
     NotPureError,
     SheddingWitness,
     SimplicialComplex,
@@ -504,6 +503,45 @@ def test_capped_leray_scan_reads_the_leray_number_below_its_cap():
     assert homology._leray(RP2, None, None, 3) == 2
 
 
+def test_floored_leray_scan_reads_the_leray_number_between_its_bounds():
+    """`_leray(x, p, None, cap, b)` is max(b, min(L(x), cap)) for every
+    0 <= b <= cap <= dim + 2, over Q, GF(2) and GF(3), on every complex
+    on <= 5 vertices, RP2 and the empty complex, with L(x) from
+    `leray_number`: so a scan floored at b and capped at b + 1 answers
+    "L(x) <= b?", as the shedding Leray check asks it."""
+    for x in all_complexes(5) + [RP2, SimplicialComplex()]:
+        for p in (None, 2, 3):
+            want = leray_number(x, "Q" if p is None else p)
+            for cap in range(x.dim + 3):
+                for b in range(cap + 1):
+                    assert (homology._leray(x, p, None, cap, b)
+                            == max(b, min(want, cap))), (x, p, cap, b)
+    assert homology._leray(RP2, 2, None, 3, 2) == 3
+    assert homology._leray(RP2, None, None, 3, 2) == 2
+
+
+def test_a_full_scan_stops_at_the_apex_link_dimension(monkeypatch):
+    """No closed link after the apex link reaches its dimension d0, so a
+    scan ends once L reaches d0: a 3-cycle beside a triangle (apex link
+    the complex itself, d0 = 2) has L = 2 off its own degree-1 homology,
+    and its Leray number reads that one link, with no closure under &
+    built, where a cap of 3 would have read them all."""
+    x = SimplicialComplex(list(THREE_CYCLE.facets) + [(4, 5, 6)])
+    links = list(homology._closed_links(x))
+    closed_links = homology._closed_links
+    drawn = []
+
+    def counted(y):
+        for item in closed_links(y):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    assert leray_number(x) == 2 == links[0][0]
+    assert drawn == links[:1] and len(links) > 1
+    assert homology._leray(x, None, None, 3, 2) == 2
+
+
 def test_capped_leray_scan_shares_its_ranks_with_the_full_scan(
         monkeypatch):
     """With one cache, the closed links are listed once and each link is
@@ -568,9 +606,12 @@ def test_apex_link_comes_before_the_closure(monkeypatch):
 def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     """A link cache draws the closed links once, and only as far as some
     scan reads: C of the 17-sphere stops at its apex link (the sphere
-    itself), so a report of C alone never builds the 2^18 closed faces;
-    on v6f10-6 the capped scan draws a prefix, the full scan draws the
-    rest, and a report of C and the Leray number draws each link once."""
+    itself), so a report of C alone never builds the 2^18 closed faces.
+    On v6f10-6 the scan capped at 1 draws a prefix, the apex link and the
+    first edge link, and the full scans draw on from there.  They stop at
+    the first vertex link: its cycle takes L to 2, the apex link's
+    dimension, which no later link can pass.  So 12 of the 17 links are
+    drawn, and a report of C and the Leray number draws those once."""
     closed_links = homology._closed_links
     drawn = []
 
@@ -585,17 +626,18 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     assert len(drawn) == 1
     x = NAMED_EXAMPLES["v6f10-6"]()
     links = list(closed_links(x))
+    assert len(links) == 17 and links[0][0] == 2 and links[11][0] == 1
     drawn.clear()
     cache = {}
-    assert homology._leray(x, 2, cache, 2) == 2
-    assert 0 < len(drawn) < len(links)
+    assert homology._leray(x, 2, cache, 1) == 1
+    assert drawn == links[:2]
     assert leray_number(x, "Q", cache) == 2
     assert leray_number(x, 2, cache) == 2
-    assert drawn == links
+    assert drawn == links[:12]
     drawn.clear()
     assert reports.compute(x, ["C", "leray"])["values"] == {"C": 2,
                                                            "leray": 2}
-    assert drawn == links
+    assert drawn == links[:12]
 
 
 def test_link_listing_readers_share_one_draw(monkeypatch):
@@ -837,11 +879,12 @@ def _sphere_nerve(lk):
                for i in range(len(lk)))
 
 
-def rank_every_link_leray(links, chains, p, cap):
-    """The capped Leray scan over the closed links `links` with every link
-    above best ranked through its `chains` (`_link_chains`), as `_leray`
-    was before it read small links off their nerves: its oracle."""
-    best = 0
+def rank_every_link_leray(links, chains, p, cap, best):
+    """The Leray scan floored at best and capped at cap over the closed
+    links `links`, with every link above best ranked through its `chains`
+    (`_link_chains`) and no stop before best reaches cap, as `_leray` was
+    before it read small links off their nerves and stopped at the apex
+    link's dimension: its oracle."""
     for d, lk in links:
         if d + 1 > best:
             best = max(best, chains[lk].top_degree(min(d, cap - 1), best, p)
@@ -864,10 +907,11 @@ def nerve_differential(complexes):
     closed link with a face is the set of degrees where the link's own
     `_Chains` read a nonzero Betti number, and None only on a link of five
     or more facets whose nerve is no sphere; `_leray` capped at every cap
-    from 0 to dim + 1 and at infinity, and `is_cohen_macaulay`, answer as
-    the rank-every-link loops.  Each side keeps its own link cache per
-    complex.  Returns the links met, counted by (nerve a sphere, five or
-    more facets), and the mismatches."""
+    from 0 to dim + 1 and at infinity, each floored at every floor from 0
+    to the cap (to dim + 1 under infinity), and `is_cohen_macaulay`,
+    answer as the rank-every-link loops.  Each side keeps its own link
+    cache per complex.  Returns the links met, counted by (nerve a sphere,
+    five or more facets), and the mismatches."""
     kinds = collections.Counter()
     bad = []
     for x in complexes:
@@ -890,9 +934,11 @@ def nerve_differential(complexes):
         cache = {}
         for p in (None, 2, 3):
             for cap in [*range(x.dim + 2), math.inf]:
-                if (homology._leray(x, p, cache, cap)
-                        != rank_every_link_leray(links, chains, p, cap)):
-                    bad.append((x, p, cap))
+                for best in range(min(cap, x.dim + 1) + 1):
+                    if (homology._leray(x, p, cache, cap, best)
+                            != rank_every_link_leray(links, chains, p, cap,
+                                                     best)):
+                        bad.append((x, p, cap, best))
             if (is_cohen_macaulay(x, "Q" if p is None else p, cache)
                     != rank_every_link_cohen_macaulay(x, links, chains, p)):
                 bad.append((x, p))
@@ -1278,28 +1324,89 @@ def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     assert len(listed) == len(set(listed)) == 3
 
 
+def exact_shedding_leray_holds(x, sigma, dele, p):
+    """L(X) >= max(L(del), L(lk) + k + 1) at the k-face sigma of x, whose
+    deletion is dele, with every Leray number ranked in full: the formula
+    `reports._shedding_leray_holds` had before it asked both sides as
+    bounded scans, kept as its oracle.  It reads L(del) and L(lk) off
+    uncapped scans through `reports._leray`, so a scan patched there
+    reaches the probe and the oracle alike."""
+    def full(y):
+        return reports._leray(y, p, None, math.inf)
+
+    return leray_number(x, "Q" if p is None else p) >= max(
+        full(dele), full(x.link(sigma)) + sigma.dim + 1)
+
+
 def hypothesis_first_shed_leray(x, rng, budget):
     """`reports._thm_shed_leray` as it ran before it ranked faces ahead of
     their Cohen-Macaulay test, kept as its oracle: skip a non-pure or not
-    1-decomposable X, then take every face of dimension <= 1 in order
-    through the public check, which tests every hypothesis of the face
-    (shedding, deletion Cohen-Macaulay) before ranking either side.  A
-    face whose hypotheses fail is passed over, a false inequality is the
-    counterexample, and the run passes once some face has counted."""
+    1-decomposable X, then take every face of dimension <= 1 in order,
+    test every hypothesis of the face (shedding, deletion Cohen-Macaulay)
+    before ranking either side, and read the inequality off
+    `exact_shedding_leray_holds`.  A face whose hypotheses fail is passed
+    over, a false inequality is the counterexample, and the run passes
+    once some face has counted."""
     if not x.is_pure() or not is_k_vertex_decomposable(x, 1, budget)[0]:
         return "skip"
     checked = False
     for k in range(0, min(x.dim, 1) + 1):
         for sigma in sorted(x.faces(k)):
-            try:
-                holds = shedding_leray_inequality_check(x, sigma)
-            except HypothesisNotMetError:
+            dele = oracle_shedding_deletion(x, sigma)
+            if dele is None or not is_cohen_macaulay(dele):
                 continue
-            if not holds:
+            if not exact_shedding_leray_holds(x, sigma, dele, None):
                 raise reports.Counterexample(
                     x, f"shedding Leray inequality fails at {sigma!r}")
             checked = True
     return "pass" if checked else "skip"
+
+
+def shedding_differential(xs):
+    """On each pure complex, at every shedding face, over Q, GF(2) and
+    GF(3): the bounded test `reports._shedding_leray_holds` against
+    `exact_shedding_leray_holds`, also where the deletion is not
+    Cohen-Macaulay and the inequality can fail, and where it is,
+    `shedding_leray_inequality_check` too.  Returns the checks made, the
+    false inequalities among them, the public checks made and the
+    mismatches."""
+    checked = failed = public = 0
+    bad = []
+    for x in xs:
+        if not x.is_pure():
+            continue
+        for sigma in x.all_faces(include_empty=False):
+            dele = oracle_shedding_deletion(x, sigma)
+            if dele is None:
+                continue
+            for p in (None, 2, 3):
+                field = "Q" if p is None else p
+                want = exact_shedding_leray_holds(x, sigma, dele, p)
+                if reports._shedding_leray_holds(
+                        x, sigma, dele, p, {},
+                        leray_number(x, field)) != want:
+                    bad.append((x, sigma, p))
+                checked += 1
+                failed += not want
+                if is_cohen_macaulay(dele, field):
+                    public += 1
+                    if shedding_leray_inequality_check(
+                            x, sigma, field) != want:
+                        bad.append((x, sigma, field))
+    return checked, failed, public, bad
+
+
+def test_shedding_leray_check_answers_as_the_exact_formula():
+    """`shedding_differential` on every pure complex on <= 4 vertices and
+    100 random-kvd draws; the CI step `probes 5 2000` runs it on <= 5
+    vertices and 2,000 draws.  Some inequalities fail; the paper proves
+    that none fails where the deletion is Cohen-Macaulay."""
+    xs = all_complexes(4) + [
+        generate(GeneratorSpec(kind="random-kvd", seed=seed,
+                               n=6 + seed % 3, m=7)) for seed in range(100)]
+    checked, failed, public, bad = shedding_differential(xs)
+    assert bad == []
+    assert 0 < failed < checked and public
 
 
 def face_object_link_del_commute(x, rng, budget):
@@ -1341,12 +1448,17 @@ def probe_outcome(run, x):
 
 
 def _overstated_edge_links(x):
-    """A `leray_number` that reads one more on every complex of dimension
-    dim(x) - 2, the links of the edges of a pure x, so the inequality
-    fails at some edges and holds at the vertices before them."""
-    real = reports.leray_number
-    return lambda y, field="Q", cache=None: (
-        real(y, field, cache) + (y.dim == x.dim - 2))
+    """A `reports._leray` that scans one more Leray number on every
+    complex of dimension dim(x) - 2, the links of the edges of a pure x,
+    so the inequality fails at some edges and holds at the vertices
+    before them."""
+    real = reports._leray
+
+    def overstated(y, p, cache, cap, best=0):
+        if y.dim != x.dim - 2:
+            return real(y, p, cache, cap, best)
+        return max(best, min(real(y, p, cache, cap) + 1, cap))
+    return overstated
 
 
 def _drop_last_of(kernel):
@@ -1366,7 +1478,7 @@ def probe_differential(xs):
     outcomes, counted by (check, "pass", "skip" or "fail"), and the
     mismatches."""
     checks = [("shed-leray", None, None),
-              ("shed-leray", "leray_number", _overstated_edge_links),
+              ("shed-leray", "_leray", _overstated_edge_links),
               ("link-del-commute", None, None),
               ("link-del-commute", "_link",
                lambda x: _drop_last_of(reports._link)),
@@ -1422,7 +1534,7 @@ def test_theorem_probes_answer_as_their_oracles():
         assert counts[(theorem, name), "pass"] > 0, theorem
         assert counts[(theorem, name), "fail"] == 0, theorem
     assert counts[("shed-leray", None), "skip"] > 0
-    for label in [("shed-leray", "leray_number"),
+    for label in [("shed-leray", "_leray"),
                   ("link-del-commute", "_link"),
                   ("link-del-commute", "_deletion")]:
         assert counts[label, "fail"] > 0, label
@@ -1648,14 +1760,19 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["probes"]:
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
         count = int(sys.argv[3]) if len(sys.argv) > 3 else 2000
-        counts, mismatches = probe_differential(probe_inputs(n, count))
+        xs = probe_inputs(n, count)
+        counts, mismatches = probe_differential(xs)
+        checked, failed, public, wrong = shedding_differential(xs)
+        mismatches += wrong
         print(f"{len(all_complexes(n))} complexes on <= {n} vertices and "
               f"{count} random-kvd and random-complex draws each: "
               + ", ".join(f"{theorem}{f' ({name} mutant)' if name else ''} "
                           f"{outcome} {v}"
                           for ((theorem, name), outcome), v
                           in sorted(counts.items(), key=str))
-              + f"; {len(mismatches)} mismatches against the oracles")
+              + f"; {checked} shedding Leray checks against the exact "
+              f"formula ({failed} false, {public} through the public "
+              f"check); {len(mismatches)} mismatches against the oracles")
         for bad in mismatches:
             print(bad)
         sys.exit(1 if mismatches else 0)

@@ -71,6 +71,7 @@ from collapsekit import hypergraphs as hg
 from collapsekit.complexes import as_face, mask_of, subsets, vertices_of
 from collapsekit.errors import VertexRangeError
 from collapsekit.generators import star_family
+from collapsekit.io import hypergraph_from_obj
 from collapsekit.hypergraphs import (
     DominationResult,
     _cover_relabeling,
@@ -119,6 +120,18 @@ def test_construction_bounds_the_vertex_count():
     assert Hypergraph(127, [(1, 127)]).n == 127
     with pytest.raises(VertexRangeError):
         Hypergraph(128, [(1, 2)])
+
+
+def test_construction_takes_the_loaders_vertex_count_only():
+    """n is an int that is not a bool, the rule `io.hypergraph_from_obj`
+    applies, so every hypergraph's report instance loads back."""
+    for n in (True, 2.0, "3", None):
+        with pytest.raises(TypeError, match="not an integer vertex count"):
+            Hypergraph(n, [(1,)])
+        with pytest.raises(ValueError, match="not an integer vertex count"):
+            hypergraph_from_obj({"n": n, "edges": [[1]]})
+    h = Hypergraph(1, [(1,)])
+    assert hypergraph_from_obj(compute(h, [])["instance"]["content"]) == h
 
 
 # -- the unchecked mask entry against the checking constructor -------------
