@@ -75,9 +75,11 @@ class Budget:
 
     Each `spend()` counts one node: a state a search enters, a candidate
     it tests, or a question answered by one lookup.  The spend past the
-    limit raises and stays counted in `used`.  One Budget is confined to a
-    single top-level invariant evaluation and is never shared across
-    threads.
+    limit raises and stays counted in `used`.  `spend(units)` charges a
+    walk already taken, such as a hypergraph's kept cover walk, as that
+    many single spends would: past the limit it raises with `used` at
+    limit + 1.  One Budget is confined to a single top-level invariant
+    evaluation and is never shared across threads.
     """
 
     __slots__ = ("limit", "used")
@@ -87,9 +89,10 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self):
-        self.used += 1
+    def spend(self, units: int = 1):
+        self.used += units
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise BudgetExceededError(
                 f"search exceeded node budget of {self.limit}"
             )

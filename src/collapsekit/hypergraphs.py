@@ -18,7 +18,8 @@ minimal covers (gamma_i) and the maximal strongly independent sets
 the first requirement a set misses and branches on its vertices; one
 bounded max, `_most`, serves both and skips a set whose upper bound
 cannot beat the best so far.  Each candidate tested, each walk node and
-each lattice question spends one unit of the caller's `Budget`.  Strong
+each lattice question spends one unit of the caller's `Budget`; a cover
+walk the hypergraph keeps is charged at its node count.  Strong
 independence is read from neighbourhoods.
 
 Neighborhood convention: w is a neighbour of v only if w != v, even when a
@@ -44,6 +45,7 @@ from .complexes import (
 )
 from .errors import (
     Budget,
+    BudgetExceededError,
     HypothesisNotMetError,
     IsolatedVertexError,
     UndominatableError,
@@ -64,9 +66,15 @@ class Hypergraph:
     The generators and `cover_initial_relabeling` hold masks already known
     to lie in 1..n and build through `_of_masks`, which skips the checks;
     both share one body, `_fill`.
+
+    Two things are built on first use and kept: the strong-domination
+    tables of the subset lattice (`_strong_tables`) and the minimal-cover
+    walk (`minimal_covers`), its covers with its node count.  A kept walk
+    is charged to each later caller's budget at that count, so no budget
+    use depends on which caller walked first.
     """
 
-    __slots__ = ("n", "edges", "_nbr", "_strong", "_sd")
+    __slots__ = ("n", "edges", "_nbr", "_strong", "_sd", "_covers")
 
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -109,9 +117,10 @@ class Hypergraph:
         object.__setattr__(self, "_strong", strong)
         object.__setattr__(self, "_nbr", tuple(
             functools.reduce(operator.or_, s, 0) for s in strong))
-        # the strong-domination tables of the subset lattice, built on
-        # first use
+        # the strong-domination tables of the subset lattice and the
+        # minimal-cover walk, each kept on first use
         object.__setattr__(self, "_sd", None)
+        object.__setattr__(self, "_covers", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Hypergraph is immutable")
@@ -198,9 +207,23 @@ class Hypergraph:
         reached by taking, at each node, the first vertex of the first
         unmet edge that lies in D (a leaf inside D is a cover, so it is D),
         and `_is_minimal_cover` drops the leaves that are covers but not
-        minimal.  One budget unit per walk node."""
-        leaves = _branch(self.edges, (0,) * (self.n + 1), budget or Budget())
-        return [vertices_of(m) for m in leaves if self._is_minimal_cover(m)]
+        minimal.  One budget unit per walk node.
+
+        The first walk that finishes is kept with its node count, and a
+        later call charges that count to its budget, raising where a walk
+        would (`Budget.spend(units)`), so every call spends what a fresh
+        walk spends."""
+        budget = budget or Budget()
+        if self._covers is None:
+            used = budget.used
+            leaves = _branch(self.edges, (0,) * (self.n + 1), budget)
+            object.__setattr__(self, "_covers", (
+                tuple(vertices_of(m) for m in leaves
+                      if self._is_minimal_cover(m)),
+                budget.used - used))
+        else:
+            budget.spend(self._covers[1])
+        return list(self._covers[0])
 
 
 @dataclass(frozen=True)
@@ -210,6 +233,21 @@ class DominationResult:
     value: int
     witness: tuple  # vertices, or edges (as sorted vertex tuples) for gamma_E
     target: tuple[int, ...]  # the dominated vertex set
+
+
+def _nc_leray_floor(h: Hypergraph, limit: int) -> int:
+    """max |D| - 1 over the minimal covers D of h, a floor for the Leray
+    number of NC(H) over every field (see `invariants._bounds`), or 0 where
+    the cover walk takes more than `limit` nodes.  It charges no budget: a
+    kept walk is read as it is, and a walk not yet kept is taken under a
+    budget of its own."""
+    if h._covers is None:
+        try:
+            h.minimal_covers(Budget(limit))
+        except BudgetExceededError:
+            return 0
+    covers, nodes = h._covers
+    return max(max(map(len, covers)) - 1, 0) if nodes <= limit else 0
 
 
 def non_cover_complex(h: Hypergraph) -> SimplicialComplex:

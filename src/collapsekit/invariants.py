@@ -19,10 +19,11 @@ certificate, built without search in one incremental walk that checks
 every step as a replay would, and always finished (their theorem).  C = u
 at once when f = u; otherwise d = f, ..., u - 1 are searched, and u is the
 answer if none succeeds.  Only searches that must fail are skipped, so
-every value is the plain upward loop's.  The threshold probes ask their
-one question, C(Y) <= d, with the GF(2) Leray scan capped at d + 1 before
-any search.  The first order's collapse claims exactly d(X, ord), so a
-report reads d_mes from it too.
+every value is the plain upward loop's.  `is_d_collapsible` itself, and
+so each threshold probe's one question C(Y) <= d, refutes a d below
+L(Y; GF(2)) with the GF(2) Leray scan capped at d + 1 before any search.
+The first order's collapse claims exactly d(X, ord), so a report reads
+d_mes from it too.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -87,9 +88,18 @@ class CollapseCertificate:
 
 
 def is_d_collapsible(
-    x: SimplicialComplex, d: int, budget: Optional[Budget] = None
+    x: SimplicialComplex, d: int, budget: Optional[Budget] = None, *,
+    refute: bool = True,
 ) -> tuple[bool, Optional[CollapseCertificate]]:
     """Decide whether some sequence of elementary d-collapses empties x.
+
+    A d-collapsible complex is d-Leray over every field (Wegner 1975), so
+    where L(x; GF(2)) > d the answer is no with no search and no node
+    spent: the GF(2) scan capped at d + 1 (`homology._leray`), which asks
+    no degree above d, tells first.  A caller that already knows
+    L(x; GF(2)) <= d, as C's search (`_collapsibility`) and
+    `_collapsible_within` do, passes refute=False and runs the search
+    alone.
 
     Each state's moves come from `_collapse_moves`: the free faces are
     scanned one size at a time, smallest first, and the scan stops at the
@@ -101,6 +111,8 @@ def is_d_collapsible(
     """
     if d < 0:
         raise ValueError("d must be >= 0")
+    if refute and _leray(x, 2, None, d + 1) > d:
+        return False, None
     budget = budget or Budget()
 
     bits: dict[int, tuple[int, ...]] = {}
@@ -167,9 +179,10 @@ def _collapsible_within(y: SimplicialComplex, d: int, budget: Budget) -> bool:
     (d+1)-collapse), so C(y) <= d iff y is d-collapsible.  The GF(2) Leray
     scan capped at d + 1 (`homology._leray`) is at most L(y; GF(2)) <= C(y)
     (Wegner 1975) and asks no degree above d, so when it exceeds d the
-    answer is no without a search.
+    answer is no without a search, and the search does not scan again.
     """
-    return d >= _leray(y, 2, None, d + 1) and is_d_collapsible(y, d, budget)[0]
+    return (d >= _leray(y, 2, None, d + 1)
+            and is_d_collapsible(y, d, budget, refute=False)[0])
 
 
 def collapsibility_number(
@@ -202,12 +215,12 @@ def collapsibility_number_with_certificate(
 
 
 def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
-            first: CollapseCertificate, links: Optional[dict]
-            ) -> tuple[int, CollapseCertificate]:
+            first: CollapseCertificate, links: Optional[dict],
+            least: int = 0) -> tuple[int, CollapseCertificate]:
     """C's floor f and ceiling u, taken with no search from `first`, the
-    mes collapse of x under `ordering`, and the link cache `links` (or
-    None).  The standalone C, every report that asks C and the nc-bound
-    probe take them here.
+    mes collapse of x under `ordering`, the link cache `links` (or None)
+    and `least`, a value at most L(x) over every field.  The standalone C,
+    every report that asks C and the nc-bound probe take them here.
 
     Every facet order < gives a ceiling d(x, <), with the collapse of
     Matousek and Tancer (DCG 42, 2009) as its certificate
@@ -218,13 +231,28 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     gives the higher floor, with the cheaper modular rank.  The scan asks
     no degree >= u_1 and stops at u_1, which it reaches exactly when some
     link has nonzero GF(2) homology in degree u_1 - 1; since
-    L(x; GF(2)) <= C <= u_1, f is L(x; GF(2)).  When f < u_1 the collapse
-    under the reversed order is built as well, and u is the lower claim,
-    `first`'s on a tie; when f = u_1, C = u_1 and nothing is reversed, so
-    `ordering` is read only below u_1.  u replays at its claim, so it is
-    C's certificate wherever C reaches it.  Neither bound spends a node.
+    L(x; GF(2)) <= C <= u_1, f is L(x; GF(2)).
+
+    The scan starts at the floor `least` (`homology._leray`'s best): it
+    reads only links that can raise L above least, and as least <= L it
+    still returns L.  Where least >= u_1, L = C = u_1 and no link is read.
+    A complex's floor is 0.  For NC(H) it is max |D| - 1 over the minimal
+    covers D of H (`hypergraphs._nc_leray_floor`): by Hochster's formula
+    with Terai's Alexander duality (Terai 1999), L(NC(H); F) =
+    pd(S/I(H)) - 1 over every field F, as NC(H) is the Alexander dual of
+    the independence complex, whose Stanley-Reisner ideal is the edge
+    ideal I(H); and pd(S/I) is at least the largest height of a minimal
+    prime of I, which for I(H) is the size of a minimal cover.
+
+    When f < u_1 the collapse under the reversed order is built as well,
+    and u is the lower claim, `first`'s on a tie; when f = u_1, C = u_1
+    and nothing is reversed, so `ordering` is read only below u_1.  u
+    replays at its claim, so it is C's certificate wherever C reaches it.
+    Neither bound spends a node.
     """
-    floor = _scan(x, 2, links, first.claimed_d)
+    if least >= first.claimed_d:
+        return first.claimed_d, first
+    floor = _scan(x, 2, links, first.claimed_d, least)
     if floor < first.claimed_d:
         rev = _mes_certificate(
             x, FacetOrdering(x, ordering.ordered_facets[::-1]))
@@ -234,14 +262,15 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
 
 
 def _scan(x: SimplicialComplex, p: Optional[int], links: Optional[dict],
-          cap) -> int:
-    """The Leray scan of x over Q (p None) or GF(p) capped at cap
-    (`homology._leray`).  No link reaches degree dim(x) + 1, so a cap
-    above dim(x) caps nothing: that scan is `leray_number`'s own, rank for
-    rank, and is asked through it, where the bench's tracer counts it."""
-    if cap > x.dim:
+          cap, best: int = 0) -> int:
+    """The Leray scan of x over Q (p None) or GF(p) capped at cap and
+    floored at best (`homology._leray`).  No link reaches degree
+    dim(x) + 1, so a cap above dim(x) caps nothing: with no floor that
+    scan is `leray_number`'s own, rank for rank, and is asked through it,
+    where the bench's tracer counts it."""
+    if cap > x.dim and not best:
         return leray_number(x, "Q" if p is None else p, links)
-    return _leray(x, p, links, cap)
+    return _leray(x, p, links, cap, best)
 
 
 def _collapsibility(
@@ -250,9 +279,10 @@ def _collapsibility(
 ) -> tuple[int, CollapseCertificate]:
     """`collapsibility_number_with_certificate` with its ceiling `top` and
     its floor, L(x; GF(2)) taken under that ceiling: d = floor, ...,
-    u - 1 are searched."""
+    u - 1 are searched, none of them below the floor, so no search scans
+    again."""
     for d in range(floor, top.claimed_d):
-        ok, cert = is_d_collapsible(x, d, budget)
+        ok, cert = is_d_collapsible(x, d, budget, refute=False)
         if ok:
             return d, cert
     return top.claimed_d, top

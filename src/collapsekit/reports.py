@@ -120,11 +120,18 @@ class _Evaluation:
     the ceiling's claim u (C <= M_k <= M_0 <= d(X, <') for every order
     <'), and by the Leray number as its answer or its cap
     (`_inv_leray`).  The bounds spend no nodes, so no value or node count
-    depends on which invariant reads them first."""
+    depends on which invariant reads them first.
 
-    def __init__(self, inst, field):
+    `least` is a floor for the Leray number of that complex over every
+    field, which the bounds and the Leray number start from: 0 for a
+    complex, and for NC(H) max |D| - 1 over H's minimal covers, read off
+    H's kept cover walk with no node spent and 0 where that walk takes
+    more than the report's `limit` (`hypergraphs._nc_leray_floor`)."""
+
+    def __init__(self, inst, field, limit: int):
         self.inst = inst
         self.field = field
+        self.limit = limit
         # a bad field fails here, also when no requested invariant reads it
         self.p = _parse_field(field)
         self.budget: Optional[Budget] = None
@@ -157,6 +164,10 @@ class _Evaluation:
         return _mes_certificate(self.complex, self.facet_order)
 
     @functools.cached_property
+    def least(self) -> int:
+        return hg._nc_leray_floor(self.inst, self.limit) if self.prefix else 0
+
+    @functools.cached_property
     def bounds(self) -> tuple:
         """C's floor and ceiling when the report asks C, else (None, None).
         An empty NC(H) has no facet order: its floor meets the claim 0, so
@@ -164,7 +175,8 @@ class _Evaluation:
         if not self.asks_c:
             return None, None
         order = self.facet_order if self.complex.facets else None
-        return _bounds(self.complex, order, self.mes_collapse, self.links)
+        return _bounds(self.complex, order, self.mes_collapse, self.links,
+                       self.least)
 
     def mk(self, k: int) -> int:
         # L <= C <= M_k <= M_0 <= d(X, <') for every order <': a floor
@@ -236,14 +248,24 @@ def _inv_leray(ev):
     u (`invariants._bounds`) when the report asks C: over GF(2) it is f;
     over Q the scan is capped at f, since b_i(Q) <= b_i(GF(2)) on every
     link; over an odd prime field it is capped at u >= C, since a
-    u-collapsible complex is u-Leray over every field (Wegner 1975)."""
+    u-collapsible complex is u-Leray over every field (Wegner 1975).  A
+    hypergraph report that does not ask C caps it at the nc order's claim
+    d(NC(H), <) >= C (`mes_collapse`), and a complex report without C
+    scans uncapped.  The scan starts at `least`, and where least meets
+    the cap the cap is L, with no scan."""
     x, p = ev.complex, ev.p
     floor, ceiling = ev.bounds
     if floor is None:
-        return leray_number(x, ev.field, ev.links)
-    if p == 2:
+        if not ev.prefix:
+            return leray_number(x, ev.field, ev.links)
+        cap = ev.mes_collapse.claimed_d
+    elif p == 2:
         return floor
-    return _scan(x, p, ev.links, floor if p is None else ceiling.claimed_d)
+    else:
+        cap = floor if p is None else ceiling.claimed_d
+    if ev.least >= cap:
+        return cap
+    return _scan(x, p, ev.links, cap, ev.least)
 
 
 COMPLEX_INVARIANTS = {
@@ -296,7 +318,7 @@ def compute(
         raise TypeError(f"which must be a list of invariant names, a tuple "
                         f"of them or None, not {type(which).__name__}")
     _check_limit(budget_limit)
-    ev = _Evaluation(inst, field)
+    ev = _Evaluation(inst, field, budget_limit)
     registry = HYPERGRAPH_INVARIANTS if ev.prefix else COMPLEX_INVARIANTS
     if which is None or list(which) == ["all"]:
         which = list(registry)
@@ -541,7 +563,9 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     first = _mes_certificate(nc, order)
     _chk(first.replay(nc) and first.claimed_d == d,
          h, lambda: f"the mes collapse does not replay at d={d} for {order!r}")
-    floor, ceiling = _bounds(nc, order, first, None)
+    # the kept cover walk gives C's floor its start, max |D| - 1
+    floor, ceiling = _bounds(nc, order, first, None,
+                             hg._nc_leray_floor(h, budget.limit))
     c, _ = _collapsibility(nc, budget, ceiling, floor)
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")
     return "pass"

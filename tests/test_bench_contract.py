@@ -116,6 +116,19 @@ def test_benchmark_instance_attributes():
     assert x.facets[0].vertices == (1, 2, 3)
 
 
+def _traced(call):
+    """The tracer's spans over one call, made with the tracer active."""
+    t = tracer.Tracer()
+    t.install(collapsekit, time.perf_counter)
+    try:
+        t.active = True
+        call()
+    finally:
+        t.active = False
+        t.uninstall()
+    return t.spans
+
+
 def test_traced_report_records_every_layer_and_builds_nc_once():
     """A report under the benchmark's tracer: the spans it reads see the
     report path, and NC(H) is built once for all three NC invariants.  The
@@ -124,17 +137,16 @@ def test_traced_report_records_every_layer_and_builds_nc_once():
     at 2.  (Labelled 1-2, 2-3, 3-4, 3-5, the same tree's reversed order
     claims 2, and C is read off that ceiling with no search; on
     NC(star_family(3, (1, 1, 1))) the floor meets the nc order's own
-    claim.)"""
+    claim.)  The tree's largest minimal cover, {2, 3, 4}, starts C's GF(2)
+    scan at 2 in `homology._leray`, past the `leray_number` span, so that
+    span is read on the same NC(H) as a complex report asking C, whose
+    scan starts at 0 and caps nothing (its claim 3 exceeds dim 2)."""
     h = collapsekit.Hypergraph(5, [(1, 2), (2, 5), (3, 5), (4, 5)])
-    t = tracer.Tracer()
-    t.install(collapsekit, time.perf_counter)
-    try:
-        t.active = True
-        collapsekit.reports.compute(h)
-    finally:
-        t.active = False
-        t.uninstall()
-    assert t.spans["hypergraphs.non_cover_complex"].calls == 1
+    spans = _traced(lambda: collapsekit.reports.compute(h))
+    assert spans["hypergraphs.non_cover_complex"].calls == 1
     for name in ("reports.compute", "hypergraphs.gamma",
-                 "invariants.collapse_search", "homology.leray_number"):
-        assert t.spans[name].calls > 0, name
+                 "invariants.collapse_search"):
+        assert spans[name].calls > 0, name
+    nc = collapsekit.non_cover_complex(h)
+    spans = _traced(lambda: collapsekit.reports.compute(nc, ["C"]))
+    assert spans["homology.leray_number"].calls > 0

@@ -30,6 +30,14 @@ Q, GF(2) and GF(3): on every hypergraph on <= 3 vertices and 50 seeded
 random ones on 4 to 7 vertices.
 `PYTHONPATH=src python tests/test_hypergraphs.py dual-leray 4` does so on
 every hypergraph on 4 vertices.
+
+The floor max |D| - 1 over the minimal covers D, which NC(H)'s reports
+start their Leray scans from, is checked to be at most the Leray number of
+NC(H) over Q, GF(2) and GF(3), and the reports it starts to be
+byte-identical to those started from 0: on every hypergraph on <= 3
+vertices and 50 seeded random ones on 5 to 9 vertices.
+`PYTHONPATH=src python tests/test_hypergraphs.py cover-floor 4 2000` does
+so on every hypergraph on 4 vertices and 2,000 random ones.
 """
 
 import contextlib
@@ -38,6 +46,7 @@ import itertools
 import random
 import re
 import sys
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +76,7 @@ from collapsekit import (
     reduced_betti,
     strongly_dominates,
 )
+from collapsekit import homology, invariants, reports
 from collapsekit import hypergraphs as hg
 from collapsekit.complexes import as_face, mask_of, subsets, vertices_of
 from collapsekit.errors import VertexRangeError
@@ -79,7 +89,7 @@ from collapsekit.hypergraphs import (
     cover_initial_relabeling,
     maximizing_minimal_cover,
 )
-from collapsekit.reports import THEOREMS, _mes_class, compute
+from collapsekit.reports import THEOREMS, _mes_class, compute, report_json
 
 from conftest import all_hypergraphs
 
@@ -368,6 +378,183 @@ def test_nc_leray_matches_the_dual_on_every_hypergraph_up_to_3_vertices():
 
 def test_nc_leray_matches_the_dual_on_random_hypergraphs():
     assert dual_differential(random_dual_cases(50)) == (150, [])
+
+
+# -- the Leray floor of NC(H) from the largest minimal cover --------------
+# L(NC(H); F) = pd(S/I(H)) - 1 over every field F, and pd(S/I) is at least
+# the largest height of a minimal prime, so L(NC(H)) >= max |D| - 1 over
+# the minimal covers D (see `invariants._bounds`).  A report starts C's
+# floor scan and the Leray scan there; the floor 0, today's start, is the
+# oracle: every report byte must stay the same.
+
+# the requests whose Leray scans take the floor: every invariant (the
+# scans under C's floor and ceiling) and the Leray number alone (the scan
+# under the nc order's claim)
+FLOOR_REQUESTS = (None, ["nc_leray"])
+
+
+def random_floor_cases(count, seed=0):
+    """`count` seeded random hypergraphs on 5 to 9 vertices, n - 2 to
+    n + 3 edges of two or three vertices.  Edges of one vertex, or of
+    four, make the floor meet L on nearly every draw."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        yield Hypergraph(n, [rng.sample(range(1, n + 1), rng.randint(2, 3))
+                             for _ in range(rng.randint(n - 2, n + 3))])
+
+
+def _copy(h):
+    """A fresh copy of h, with no cover walk kept."""
+    return Hypergraph._of_masks(h.n, [int(e) for e in h.edges])
+
+
+def cover_floor_differential(hypergraphs):
+    """On each hypergraph and field: L(NC(H)) >= max |D| - 1, with D read
+    off `minimal_covers`, and the reports of `FLOOR_REQUESTS` started from
+    that floor equal byte for byte those started from 0.  Returns
+    (checked, equal, mismatches): `equal` counts the pairs whose Leray
+    number is the floor itself."""
+    checked = equal = 0
+    mismatches = []
+    for h in hypergraphs:
+        least = max(map(len, h.minimal_covers())) - 1
+        if hg._nc_leray_floor(h, 10_000_000) != least:
+            mismatches.append((h, "floor", least))
+        nc = non_cover_complex(h)
+        for field in FIELDS:
+            leray = leray_number(nc, field)
+            if leray < least:
+                mismatches.append((h, field, leray, least))
+            equal += leray == least
+            checked += 1
+            for which in FLOOR_REQUESTS:
+                floored = report_json(compute(_copy(h), which, field=field))
+                with unittest.mock.patch.object(hg, "_nc_leray_floor",
+                                                lambda h, limit: 0):
+                    plain = report_json(compute(_copy(h), which,
+                                                field=field))
+                if floored != plain:
+                    mismatches.append((h, field, which))
+    return checked, equal, mismatches
+
+
+def test_cover_floor_is_below_the_nc_leray_number_up_to_3_vertices():
+    hypergraphs = [h for n in (1, 2, 3) for h in all_hypergraphs(n)]
+    checked, equal, mismatches = cover_floor_differential(hypergraphs)
+    # on so few vertices the floor is L itself
+    assert mismatches == [] and equal == checked == 3 * 135
+
+
+def test_cover_floor_is_below_the_nc_leray_number_on_random_hypergraphs():
+    checked, equal, mismatches = cover_floor_differential(
+        random_floor_cases(50))
+    assert mismatches == [] and checked == 150
+    assert 0 < equal < checked  # the floor is often, not always, L
+
+
+def test_cover_floor_charges_no_node_and_stops_at_the_limit():
+    """The floor reads the kept walk with no budget, walks it under a
+    budget of its own when none is kept, and is 0 where the walk takes
+    more nodes than the limit."""
+    h = star_family(4, (2,) * 4)
+    nodes = Budget()
+    h.minimal_covers(nodes)
+    assert hg._nc_leray_floor(_copy(h), nodes.used - 1) == 0
+    fresh = _copy(h)
+    assert hg._nc_leray_floor(fresh, nodes.used) == 5
+    assert fresh._covers[1] == nodes.used
+    assert hg._nc_leray_floor(fresh, nodes.used - 1) == 0
+    assert hg._nc_leray_floor(fresh, nodes.used) == 5
+
+
+def _gamma_i_outcome(h, limit):
+    budget = Budget(limit)
+    try:
+        return gamma_i(h, budget), budget.used
+    except BudgetExceededError:
+        return "exhausted", budget.used
+
+
+def test_a_kept_cover_walk_charges_what_a_fresh_walk_spends():
+    """A walk kept on the hypergraph is charged to every later caller at its
+    node count: `minimal_covers` spends the same twice, and gamma_i asked
+    before or after nc_C (which reads the walk for its floor) spends the
+    same in a report, and under every limit up to one past its need it
+    runs out at the same count as on a fresh hypergraph."""
+    cases = [C4, star_family(4, (2,) * 4), *random_floor_cases(8, seed=1)]
+    for h in cases:
+        if h.isolated_vertices():
+            continue
+        fresh, kept = Budget(), Budget()
+        h = _copy(h)
+        assert h.minimal_covers(fresh) == h.minimal_covers(kept)
+        assert fresh.used == kept.used > 0
+        first = compute(_copy(h), ["gamma_i", "nc_C"])
+        after = compute(_copy(h), ["nc_C", "gamma_i"])
+        assert first["values"] == after["values"]
+        assert (first["budget"]["used_total"]
+                == after["budget"]["used_total"]), h
+        need = _gamma_i_outcome(_copy(h), 10_000_000)[1]
+        walked = _copy(h)
+        compute(walked, ["nc_C"])
+        assert walked._covers is not None
+        for limit in range(1, need + 2):
+            assert (_gamma_i_outcome(walked, limit)
+                    == _gamma_i_outcome(_copy(h), limit)), (h, limit)
+    # a small report limit exhausts gamma_i at the same count either way
+    matching = Hypergraph(22, [(v, v + 1) for v in range(1, 23, 2)])
+    for which in (["gamma_i", "nc_leray"], ["nc_leray", "gamma_i"]):
+        report = compute(_copy(matching), which, budget_limit=1000)
+        assert report["budget"]["exhausted"] == ["gamma_i"]
+        assert report["budget"]["used_total"] == 1001
+
+
+def _count_leray_scans(monkeypatch):
+    """The list of `homology._leray` calls from now on, however reached."""
+    calls = []
+    scan = homology._leray
+
+    def counted(*args):
+        calls.append(args[3:])
+        return scan(*args)
+
+    for module in (homology, invariants, reports):
+        monkeypatch.setattr(module, "_leray", counted)
+    return calls
+
+
+def test_nc_leray_alone_caps_its_scan_at_the_nc_orders_claim(monkeypatch):
+    """A report that asks nc_leray without nc_C builds the one mes collapse
+    under the nc order and caps its scan at that claim: on
+    NC(star_family(3, (1, 1, 1))) the cover floor 2 meets the claim 2, so
+    it scans nothing; on the 4-cycle (floor 1, claim 2, L = 2) the one
+    scan is capped at 2 and starts at 1."""
+    built = []
+    mes_certificate = reports._mes_certificate
+
+    def recorded(x, ordering):
+        built.append(ordering.ordered_facets)
+        return mes_certificate(x, ordering)
+
+    monkeypatch.setattr(reports, "_mes_certificate", recorded)
+    scans = _count_leray_scans(monkeypatch)
+    h = star_family(3, (1, 1, 1))
+    assert compute(h, ["nc_leray"])["values"] == {"nc_leray": 2}
+    assert built == [nc_facet_order(h).ordered_facets] and scans == []
+    assert compute(C4, ["nc_leray"])["values"] == {"nc_leray": 2}
+    assert scans == [(2, 1)]
+
+
+def test_star_family_7_reads_c_and_leray_with_no_scan(monkeypatch):
+    """star_family(7, (2,) * 7) has a minimal cover of 11 vertices, and
+    the nc order claims 10: nc_C and nc_leray are 10 with no Leray scan
+    (48 s and 251 s when they scanned)."""
+    scans = _count_leray_scans(monkeypatch)
+    for which in (["nc_C"], ["nc_leray"]):
+        report = compute(star_family(7, (2,) * 7), which)
+        assert report["values"] == {which[0]: 10}
+    assert scans == []
 
 
 # -- gamma_A and gamma_i ---------------------------------------------------
@@ -1274,6 +1461,18 @@ if __name__ == "__main__":
         checked, mismatches = dual_differential(all_hypergraphs(n))
         print(f"{checked} (hypergraph, field) pairs on {n} vertices: "
               f"{len(mismatches)} disagree with the dual")
+        for bad in mismatches:
+            print(bad)
+        sys.exit(1 if mismatches else 0)
+    if sys.argv[1:2] == ["cover-floor"]:
+        # the cover floor against the Leray number, reports against floor 0
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+        count = int(sys.argv[3]) if len(sys.argv) > 3 else 2000
+        checked, equal, mismatches = cover_floor_differential(
+            itertools.chain(all_hypergraphs(n), random_floor_cases(count)))
+        print(f"{checked} (hypergraph, field) pairs (every hypergraph on {n} "
+              f"vertices, {count} random on 5-9): the floor is L on {equal}; "
+              f"{len(mismatches)} exceed L or change a report byte")
         for bad in mismatches:
             print(bad)
         sys.exit(1 if mismatches else 0)

@@ -159,6 +159,42 @@ def test_budget_raises_instead_of_lying():
         is_d_collapsible(THREE_CYCLE, 2, Budget(1))
 
 
+# L(X; GF(2)) = 3, so the search at d = 2 must fail; it took 466,873
+# nodes and 4.3 s before the Leray refutation
+LERAY_3_ON_8 = SimplicialComplex([
+    (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 3, 5), (4, 5, 6),
+    (2, 4, 7), (1, 6, 7), (2, 3, 8), (5, 6, 8), (3, 7, 8), (4, 7, 8)])
+
+
+def test_a_d_below_the_gf2_leray_number_is_refuted_with_no_node():
+    budget = Budget()
+    assert leray_number(LERAY_3_ON_8, 2) == 3
+    assert is_d_collapsible(LERAY_3_ON_8, 2, budget) == (False, None)
+    assert budget.used == 0
+
+
+def test_d_collapsibility_answers_as_the_bare_search_on_every_small_complex():
+    """On every complex on <= 4 vertices and every d up to dim + 1: below
+    L(X; GF(2)) the answer is no with no node spent, and the bare search
+    (refute=False) says no too; from L up, the answer, the certificate and
+    the nodes are the bare search's."""
+    refuted = 0
+    for x in all_complexes(4):
+        leray = leray_number(x, 2)
+        for d in range(max(x.dim, 0) + 2):
+            got_budget, bare_budget = Budget(), Budget()
+            got = is_d_collapsible(x, d, got_budget)
+            bare = is_d_collapsible(x, d, bare_budget, refute=False)
+            if d < leray:
+                assert got == (False, None) and not bare[0], (x, d)
+                assert got_budget.used == 0, (x, d)
+                refuted += 1
+            else:
+                assert got == bare, (x, d)
+                assert got_budget.used == bare_budget.used, (x, d)
+    assert refuted
+
+
 # -- the homology floor ----------------------------------------------------
 
 def plain_collapsibility_number(x):
@@ -195,6 +231,29 @@ def test_floored_search_matches_the_plain_loop_on_every_small_complex():
             assert cert == want_cert, x
         else:
             assert cert == ceiling, x
+
+
+def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
+        monkeypatch):
+    """`_bounds(x, <, first, links, least)` for every least from 0 to
+    L(x; Q), at most L(x) over every field, gives the floor and ceiling
+    it gives from 0, on every complex on <= 5 vertices; where least meets
+    the first claim it scans nothing."""
+    met = 0
+    for x in all_complexes(5):
+        if not x.facets:
+            continue
+        order = canonical_ordering(x)
+        first = invariants._mes_certificate(x, order)
+        want = invariants._bounds(x, order, first, None)
+        for least in range(leray_number(x, "Q") + 1):
+            with monkeypatch.context() as patched:
+                if least >= first.claimed_d:
+                    patched.setattr(invariants, "_scan", None)
+                    met += 1
+                got = invariants._bounds(x, order, first, None, least)
+            assert got == want, (x, least)
+    assert met
 
 
 def test_c_reads_the_lower_of_two_mes_ceilings_on_every_small_complex(
@@ -256,7 +315,9 @@ def apex_floor_collapsibility(x, budget):
     now (`lower_ceiling`): (u, ceiling) when the floor meets the mes
     ceiling u or some link has GF(2) homology in degree u - 1, else the
     searches from the floor up.  (Its rank-work gate never closed on these
-    small complexes under the default budget.)"""
+    small complexes under the default budget.)  Its searches run with
+    refute=False, as they did before `is_d_collapsible` refuted a d below
+    L(x; GF(2)) on its own."""
     if x.is_empty:
         return 0, CollapseCertificate((), 0)
     f = apex_floor(x)
@@ -265,7 +326,7 @@ def apex_floor_collapsibility(x, budget):
     if f == u or _link_homology(x, u - 1):
         return u, top
     for d in range(f, u):
-        ok, cert = is_d_collapsible(x, d, budget)
+        ok, cert = is_d_collapsible(x, d, budget, refute=False)
         if ok:
             return d, cert
     return u, top

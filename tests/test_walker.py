@@ -3,7 +3,9 @@
 `errors._depth_first` replaced two recursive closures, one in
 `is_d_collapsible` and one in `is_shellable`.  Those closures live on here
 as the oracle: on every complex checked, the walker must give the same
-verdict, certificate or shelling order, and spend the same nodes.
+verdict, certificate or shelling order, and spend the same nodes.  The
+collapse search is asked with refute=False, the walker alone, without the
+Leray refutation that answers a d below L(x; GF(2)) with no node spent.
 """
 
 import inspect
@@ -107,7 +109,7 @@ def _searches(x):
     """(name, library call, oracle call) for every search run on x; each
     call takes a Budget."""
     out = [(f"collapse d={d}",
-            lambda b, d=d: is_d_collapsible(x, d, b),
+            lambda b, d=d: is_d_collapsible(x, d, b, refute=False),
             lambda b, d=d: recursive_is_d_collapsible(x, d, b))
            for d in range(D_MAX + 1)]
     if x.is_pure():
@@ -158,7 +160,7 @@ def test_non_cover_complexes_match_the_oracle_up_to_their_c():
         reached.add(c)
         for d in range(apex_floor(x), c + 1):
             b_walk, b_oracle = Budget(), Budget()
-            assert (is_d_collapsible(x, d, b_walk)
+            assert (is_d_collapsible(x, d, b_walk, refute=False)
                     == recursive_is_d_collapsible(x, d, b_oracle)), (x, d)
             assert b_walk.used == b_oracle.used, (x, d)
     assert reached == {1, 2, 3, 4, 5}
