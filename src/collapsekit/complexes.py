@@ -80,10 +80,13 @@ _face = functools.partial(int.__new__, Face)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """The bitmask of a collection of vertex labels, each checked to lie in
-    0..MAX_VERTEX."""
+    """The bitmask of a collection of vertex labels, each checked to be an
+    int, not a bool (TypeError), in 0..MAX_VERTEX (VertexRangeError)."""
     m = 0
     for v in vertices:
+        if type(v) is not int:
+            raise TypeError(
+                f"vertex label {v!r} is a {type(v).__name__}, not an int")
         if not 0 <= v <= MAX_VERTEX:
             raise VertexRangeError(
                 f"vertex label {v!r} outside 0..{MAX_VERTEX}"
@@ -268,10 +271,13 @@ def _new_faces(holders: Sequence[int], sigma: int,
 
 
 def as_face(obj) -> Face:
-    """Coerce an int mask or an iterable of vertex labels to a Face."""
+    """Coerce an int mask or an iterable of vertex labels to a Face; a bool
+    is no mask, as the loader has it no label (TypeError)."""
     if isinstance(obj, Face):
         return obj
     if isinstance(obj, int):
+        if isinstance(obj, bool):
+            raise TypeError(f"face mask {obj!r} is a bool, not an int")
         return Face(obj)
     return Face(mask_of(obj))
 
@@ -313,7 +319,11 @@ class SimplicialComplex:
 
     def __init__(self, facets: Iterable = ()):
         masks = _antichain(
-            f if isinstance(f, int) else mask_of(f) for f in facets
+            # label lists, the generators' path, go straight to `mask_of`;
+            # an int other than a plain one (a Face, or a bool, refused) is
+            # read as `as_face` reads it
+            f if type(f) is int else mask_of(f) if not isinstance(f, int)
+            else as_face(f) for f in facets
         )
         # a negative or too-wide mask is never dropped as non-maximal (only
         # another such mask contains it), so the extremes show any

@@ -21,7 +21,8 @@ at once when f = u; otherwise d = f, ..., u - 1 are searched, and u is the
 answer if none succeeds.  Only searches that must fail are skipped, so
 every value is the plain upward loop's.  `is_d_collapsible` itself, and
 so each threshold probe's one question C(Y) <= d, refutes a d below
-L(Y; GF(2)) with the GF(2) Leray scan capped at d + 1 before any search.
+L(Y; GF(2)) before any search with the bounded GF(2) Leray scan that asks
+"L(Y) <= d?".
 The first order's collapse claims exactly d(X, ord), so a report reads
 d_mes from it too.
 
@@ -95,11 +96,13 @@ def is_d_collapsible(
 
     A d-collapsible complex is d-Leray over every field (Wegner 1975), so
     where L(x; GF(2)) > d the answer is no with no search and no node
-    spent: the GF(2) scan capped at d + 1 (`homology._leray`), which asks
-    no degree above d, tells first.  A caller that already knows
-    L(x; GF(2)) <= d, as C's search (`_collapsibility`) and
-    `_collapsible_within` do, passes refute=False and runs the search
-    alone.
+    spent: the GF(2) scan floored at d and capped at d + 1
+    (`homology._leray`), which asks "L(x) <= d?" and reads degree d
+    alone, tells first.  d-collapsibility is monotone in d (a d-collapse
+    is also a (d+1)-collapse), so the answer is exactly C(x) <= d, the
+    threshold probes' one question.  C's search (`_collapsibility`)
+    already knows L(x; GF(2)) <= d, so it passes refute=False and runs
+    the search alone.
 
     Each state's moves come from `_collapse_moves`: the free faces are
     scanned one size at a time, smallest first, and the scan stops at the
@@ -111,7 +114,7 @@ def is_d_collapsible(
     """
     if d < 0:
         raise ValueError("d must be >= 0")
-    if refute and _leray(x, 2, None, d + 1) > d:
+    if refute and _leray(x, 2, None, d + 1, d) > d:
         return False, None
     budget = budget or Budget()
 
@@ -171,20 +174,6 @@ def _least_face(faces: Iterable[int]) -> int:
     return least
 
 
-def _collapsible_within(y: SimplicialComplex, d: int, budget: Budget) -> bool:
-    """Whether C(y) <= d, for d >= 0, asked with at most one collapse search
-    at d.
-
-    Exact: d-collapsibility is monotone in d (a d-collapse is also a
-    (d+1)-collapse), so C(y) <= d iff y is d-collapsible.  The GF(2) Leray
-    scan capped at d + 1 (`homology._leray`) is at most L(y; GF(2)) <= C(y)
-    (Wegner 1975) and asks no degree above d, so when it exceeds d the
-    answer is no without a search, and the search does not scan again.
-    """
-    return (d >= _leray(y, 2, None, d + 1)
-            and is_d_collapsible(y, d, budget, refute=False)[0])
-
-
 def collapsibility_number(
     x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> int:
@@ -235,7 +224,7 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
 
     The scan starts at the floor `least` (`homology._leray`'s best): it
     reads only links that can raise L above least, and as least <= L it
-    still returns L.  Where least >= u_1, L = C = u_1 and no link is read.
+    still returns L, which is u_1 where least meets u_1 (`_scan`).
     A complex's floor is 0.  For NC(H) it is max |D| - 1 over the minimal
     covers D of H (`hypergraphs._nc_leray_floor`): by Hochster's formula
     with Terai's Alexander duality (Terai 1999), L(NC(H); F) =
@@ -250,8 +239,6 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     replays at its claim, so it is C's certificate wherever C reaches it.
     Neither bound spends a node.
     """
-    if least >= first.claimed_d:
-        return first.claimed_d, first
     floor = _scan(x, 2, links, first.claimed_d, least)
     if floor < first.claimed_d:
         rev = _mes_certificate(
@@ -264,10 +251,14 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
 def _scan(x: SimplicialComplex, p: Optional[int], links: Optional[dict],
           cap, best: int = 0) -> int:
     """The Leray scan of x over Q (p None) or GF(p) capped at cap and
-    floored at best (`homology._leray`).  No link reaches degree
-    dim(x) + 1, so a cap above dim(x) caps nothing: with no floor that
-    scan is `leray_number`'s own, rank for rank, and is asked through it,
-    where the bench's tracer counts it."""
+    floored at best (`homology._leray`), the one entry point of a
+    report's bounded scan.  A floor that meets its cap is the answer:
+    best <= L gives cap <= L, so the scan reads cap with no link listed.
+    No link reaches degree dim(x) + 1, so a cap above dim(x) caps
+    nothing: with no floor that scan is `leray_number`'s own, rank for
+    rank, and is asked through it, where the bench's tracer counts it."""
+    if best >= cap:
+        return cap
     if cap > x.dim and not best:
         return leray_number(x, "Q" if p is None else p, links)
     return _leray(x, p, links, cap, best)
@@ -279,8 +270,8 @@ def _collapsibility(
 ) -> tuple[int, CollapseCertificate]:
     """`collapsibility_number_with_certificate` with its ceiling `top` and
     its floor, L(x; GF(2)) taken under that ceiling: d = floor, ...,
-    u - 1 are searched, none of them below the floor, so no search scans
-    again."""
+    u - 1 are searched with refute=False: no d is below the floor, so no
+    "L(x) <= d?" scan could refute one."""
     for d in range(floor, top.claimed_d):
         ok, cert = is_d_collapsible(x, d, budget, refute=False)
         if ok:

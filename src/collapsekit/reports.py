@@ -65,11 +65,11 @@ from .invariants import (
     collapsibility_number,
     collapsibility_number_with_certificate,
     d_of_ordering,
+    is_d_collapsible,
     mes,
     mk_chain,
     _bounds,
     _collapsibility,
-    _collapsible_within,
     _mes_certificate,
     _scan,
     _MkEngine,
@@ -251,8 +251,7 @@ def _inv_leray(ev):
     u-collapsible complex is u-Leray over every field (Wegner 1975).  A
     hypergraph report that does not ask C caps it at the nc order's claim
     d(NC(H), <) >= C (`mes_collapse`), and a complex report without C
-    scans uncapped.  The scan starts at `least`, and where least meets
-    the cap the cap is L, with no scan."""
+    scans uncapped.  The scan starts at `least` (`invariants._scan`)."""
     x, p = ev.complex, ev.p
     floor, ceiling = ev.bounds
     if floor is None:
@@ -263,8 +262,6 @@ def _inv_leray(ev):
         return floor
     else:
         cap = floor if p is None else ceiling.claimed_d
-    if ev.least >= cap:
-        return cap
     return _scan(x, p, ev.links, cap, ev.least)
 
 
@@ -386,16 +383,15 @@ def _first_claim_failure(x: SimplicialComplex, faces, budget: Budget):
     with t = c - k - 2 and C(del s) <= c - 1.  So no face needs a full
     collapsibility number: a face with t < 0 holds without a search, and
     otherwise the link is asked at t and, only if it answers yes, the
-    deletion at c - 1, each with one collapse search
-    (`_collapsible_within`: exact because d-collapsibility is monotone in
-    d, and no search runs when the GF(2) Leray scan capped at t + 1 already
-    exceeds t, a floor for C).
+    deletion at c - 1, each by `is_d_collapsible`: one collapse search,
+    exact because d-collapsibility is monotone in d, and none where the
+    bounded GF(2) Leray scan asking "L <= t?" says no, as L <= C.
     """
     c = collapsibility_number(x, budget)
     for s in faces:
         t = c - s.dim - 2
-        if (t >= 0 and _collapsible_within(x.link(s), t, budget)
-                and _collapsible_within(x.deletion(s), c - 1, budget)):
+        if (t >= 0 and is_d_collapsible(x.link(s), t, budget)[0]
+                and is_d_collapsible(x.deletion(s), c - 1, budget)[0]):
             return s
     return None
 

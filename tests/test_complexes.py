@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from collapsekit import (
     Face,
     FreePair,
+    Hypergraph,
     NotAFaceError,
     NotFreeError,
     SimplicialComplex,
@@ -98,6 +99,24 @@ def test_face_rejects_out_of_range():
         Face.of([128])
     with pytest.raises(VertexRangeError):
         Face(-1)
+
+
+def test_a_label_or_mask_that_is_no_int_is_refused_by_name():
+    """A bool is no label and no mask, as the loader (`io._is_label`)
+    has it, and a float, str or None label is named, not met in a shift
+    or a comparison."""
+    for label in (True, False, 1.0, "1", None):
+        for build in (mask_of, Face.of, as_face,
+                      lambda labels: SimplicialComplex([labels]),
+                      lambda labels: Hypergraph(3, [labels])):
+            with pytest.raises(TypeError,
+                               match=f"vertex label {label!r} is a "):
+                build([label, 2])
+    for mask in (True, False):
+        with pytest.raises(TypeError, match=f"face mask {mask!r} is a bool"):
+            SimplicialComplex([mask, (2,)])
+        with pytest.raises(TypeError, match=f"face mask {mask!r} is a bool"):
+            as_face(mask)
 
 
 def test_as_face_accepts_masks_and_iterables():

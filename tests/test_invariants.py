@@ -4,12 +4,14 @@ full-C loop it replaced.
 
 The <= 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_invariants.py 5` runs the claim
-differential and C against the apex floor it replaced on all 7,580
-complexes on <= 5 vertices (about 4 minutes).  `... test_invariants.py mes
-3000` builds, replays and checks against d_of_ordering and against the
-re-sorting walk (`resorting_mes_certificate`) the mes certificates of
-3,000 seeds of each generator and of 6,000 random orders of random
-complexes on 7-9 vertices (about 7 seconds).  `... test_invariants.py
+differential (the threshold answers of `is_d_collapsible` included), its
+bounded refutation against the capped scan it replaced, and C against the
+apex floor it replaced on all 7,580 complexes on <= 5 vertices (about 90
+seconds).  `... test_invariants.py mes 3000` builds, replays and checks
+against d_of_ordering and against the re-sorting walk
+(`resorting_mes_certificate`) the mes certificates of 3,000 seeds of
+each generator and of 6,000 random orders of random complexes on 7-9
+vertices (about 7 seconds).  `... test_invariants.py
 mes-orders 5` does the same under every ordering of every complex on <= 5
 vertices with <= 5 facets, 313,142 builds (about 60 seconds).
 """
@@ -173,6 +175,70 @@ def test_a_d_below_the_gf2_leray_number_is_refuted_with_no_node():
     assert budget.used == 0
 
 
+def counting_gf2_columns():
+    """A patch of `homology._rank_gf2` that adds the columns it ranks to
+    the returned one-entry list."""
+    columns = [0]
+    rank = homology._rank_gf2
+
+    def counted(lower, upper):
+        columns[0] += len(upper)
+        return rank(lower, upper)
+
+    return mock.patch.object(homology, "_rank_gf2", counted), columns
+
+
+def test_a_d_from_the_gf2_leray_number_up_ranks_no_column_to_refute():
+    """The refutation asks "L <= d?", the GF(2) scan floored at d and
+    capped at d + 1: from L = 3 up no link can raise the scan above its
+    floor, so no column is ranked (the scan capped at d + 1 alone ranked
+    12), and the search answers as ever."""
+    patch, columns = counting_gf2_columns()
+    with patch:
+        for d in (3, 4):
+            columns[0] = 0
+            budget = Budget()
+            ok, cert = is_d_collapsible(LERAY_3_ON_8, d, budget)
+            assert ok and cert.replay(LERAY_3_ON_8), d
+            assert budget.used == 22 and columns[0] == 0, d
+
+
+def refutation_differential(n):
+    """`is_d_collapsible(x, d)` against the GF(2) scan capped at d + 1
+    alone (`homology._leray` with no floor), the refutation it asked
+    before the bounded "L <= d?" scan, on every complex on <= n vertices
+    at every d <= max(dim, 0) + 1: it answers with no node spent exactly
+    where that scan exceeds d, and ranks no more GF(2) columns.  Returns
+    (questions, mismatches, more, columns, unbounded columns)."""
+    questions, mismatches, more = 0, [], []
+    total = unbounded_total = 0
+    patch, columns = counting_gf2_columns()
+    with patch:
+        for x in all_complexes(n):
+            for d in range(max(x.dim, 0) + 2):
+                columns[0] = 0
+                refuted = homology._leray(x, 2, None, d + 1) > d
+                unbounded = columns[0]
+                columns[0] = 0
+                budget = Budget()
+                is_d_collapsible(x, d, budget)
+                questions += 1
+                total += columns[0]
+                unbounded_total += unbounded
+                # every search enters its start state, spending a node
+                if (budget.used == 0) != refuted:
+                    mismatches.append((x, d))
+                if columns[0] > unbounded:
+                    more.append((x, d, columns[0], unbounded))
+    return questions, mismatches, more, total, unbounded_total
+
+
+def test_the_bounded_refutation_matches_the_capped_scan_on_every_small_complex():
+    questions, mismatches, more, total, unbounded = refutation_differential(4)
+    assert mismatches == [] and more == []
+    assert total < unbounded
+
+
 def test_d_collapsibility_answers_as_the_bare_search_on_every_small_complex():
     """On every complex on <= 4 vertices and every d up to dim + 1: below
     L(X; GF(2)) the answer is no with no node spent, and the bare search
@@ -238,7 +304,8 @@ def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
     """`_bounds(x, <, first, links, least)` for every least from 0 to
     L(x; Q), at most L(x) over every field, gives the floor and ceiling
     it gives from 0, on every complex on <= 5 vertices; where least meets
-    the first claim it scans nothing."""
+    the first claim it scans nothing, through neither `homology._leray`
+    nor `leray_number`."""
     met = 0
     for x in all_complexes(5):
         if not x.facets:
@@ -249,7 +316,8 @@ def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
         for least in range(leray_number(x, "Q") + 1):
             with monkeypatch.context() as patched:
                 if least >= first.claimed_d:
-                    patched.setattr(invariants, "_scan", None)
+                    patched.setattr(invariants, "_leray", None)
+                    patched.setattr(invariants, "leray_number", None)
                     met += 1
                 got = invariants._bounds(x, order, first, None, least)
             assert got == want, (x, least)
@@ -1035,8 +1103,9 @@ def claim_differential(n):
     """Run `_first_claim_failure` against the full-C loop on every complex
     on <= n vertices, with C(X) raised by 0, 1 and 2, for the claim's faces
     (dimension <= 2) and for Tancer's (the vertices).  Also check that
-    `_collapsible_within(y, d)` equals C(y) <= d for every link and deletion
-    of those faces, d = 0..dim(y) + 2.  Returns (cases, failing, mismatches)."""
+    `is_d_collapsible(y, d)`, the threshold question, answers C(y) <= d
+    for every link and deletion of those faces, d = 0..dim(y) + 2.
+    Returns (cases, failing, mismatches)."""
     cases = failing = 0
     mismatches = []
     for x in all_complexes(n):
@@ -1047,7 +1116,7 @@ def claim_differential(n):
         for y in {z for s in claim for z in (x.link(s), x.deletion(s))}:
             cy = collapsibility_number(y)
             for d in range(y.dim + 3):
-                if invariants._collapsible_within(y, d, Budget()) != (cy <= d):
+                if is_d_collapsible(y, d, Budget())[0] != (cy <= d):
                     mismatches.append((y, d))
         for raised in (0, 1, 2):
             def raised_c(y, budget=None, raised=raised):
@@ -1075,13 +1144,13 @@ def test_a_face_below_threshold_costs_no_search(monkeypatch):
     # the 3-cycle has C = 2, so t = 0 at a vertex and t = -1 at an edge:
     # the edges hold without a question, and no question is asked below 0
     asked = []
-    real = invariants._collapsible_within
+    real = reports.is_d_collapsible
 
     def recorded(y, d, budget):
         asked.append(d)
         return real(y, d, budget)
 
-    monkeypatch.setattr(reports, "_collapsible_within", recorded)
+    monkeypatch.setattr(reports, "is_d_collapsible", recorded)
     edges = sorted(THREE_CYCLE.faces(1))
     assert reports._first_claim_failure(THREE_CYCLE, edges, Budget()) is None
     assert asked == []
@@ -1136,9 +1205,18 @@ if __name__ == "__main__":
           f"cases, {failing} failing, {len(mismatches)} mismatches")
     for bad in mismatches:
         print(bad)
+    questions, refute_mismatches, more_columns, total, unbounded = (
+        refutation_differential(n))
+    print(f"the bounded refutation against the capped scan: {questions} "
+          f"questions, {len(refute_mismatches)} mismatches, "
+          f"{len(more_columns)} with more GF(2) columns; {total} columns "
+          f"against {unbounded}")
+    for bad in refute_mismatches + more_columns:
+        print(bad)
     floor_mismatches, more, fewer = apex_floor_differential(n)
     print(f"C against the apex floor: {len(floor_mismatches)} mismatches, "
           f"{len(more)} with more nodes, {fewer} with fewer")
     for bad in floor_mismatches + more:
         print(bad)
-    sys.exit(1 if mismatches or floor_mismatches or more else 0)
+    sys.exit(1 if mismatches or refute_mismatches or more_columns
+             or floor_mismatches or more else 0)
