@@ -81,7 +81,14 @@ _face = functools.partial(int.__new__, Face)
 
 def mask_of(vertices: Iterable[int]) -> int:
     """The bitmask of a collection of vertex labels, each checked to be an
-    int, not a bool (TypeError), in 0..MAX_VERTEX (VertexRangeError)."""
+    int, not a bool (TypeError), in 0..MAX_VERTEX (VertexRangeError).  A
+    face that is no iterable (a float, None) is named (TypeError)."""
+    try:
+        vertices = iter(vertices)
+    except TypeError:
+        raise TypeError(f"face {vertices!r} is a {type(vertices).__name__}, "
+                        f"neither an int mask nor an iterable of vertex "
+                        f"labels") from None
     m = 0
     for v in vertices:
         if type(v) is not int:

@@ -16,9 +16,11 @@ or one whose nerve is the boundary of a simplex, needs no rank at all: its
 nerve's homology is read off which facets meet (`_nerve_degrees`).  The
 Leray scan and the link Cohen-Macaulay test read those links so; the
 Betti numbers and homological connectivity rank every complex they are
-asked about.  The induced-subcomplex routes rank every induced subcomplex
-but the empty one and cones (no reduced homology), each from its
-canonical facet masks, with no `SimplicialComplex` built.
+asked about, except a report's Betti numbers under a Leray number of at
+most 2, which are counted (`_low_betti`).  The induced-subcomplex routes
+rank every induced subcomplex but the empty one and cones (no reduced
+homology), each from its canonical facet masks, with no
+`SimplicialComplex` built.
 
 On top of that: Leray numbers (a top-down scan of the links that stops at
 the first nonzero degree, screens rational ranks over GF(2), and can be
@@ -296,6 +298,32 @@ def reduced_betti(x: SimplicialComplex, field: Field = "Q",
                                      for t in range(x.dim + 1)))
 
 
+def _low_betti(x: SimplicialComplex, field: Field, top: int
+               ) -> BettiVector:
+    """`reduced_betti(x, field)` with no rank, for an x with no reduced
+    homology over the field in degrees >= top, where top <= 2: a report
+    that asks C knows this of L(x; GF(2)) <= 2 over Q and GF(2)
+    (`reports._inv_betti`), as no induced subcomplex, x itself among
+    them, has homology from its Leray number up.  b~_0 is the number of
+    components less one.  For top = 2, b~_1 = b~_0 - chi~, with chi~ the
+    reduced Euler characteristic, sum (-1)^t b~_t over every field, here
+    the alternating count of the faces (the empty one in degree -1) of x
+    or of its facet nerve, whichever `_chain_facets` picks."""
+    p = _parse_field(field)
+    tag = "Q" if p is None else f"GF{p}"
+    if x.is_empty:
+        return BettiVector(tag, 1, ())
+    ranks = [0] * (x.dim + 1)
+    ranks[0] = _components(x.facets) - 1
+    if top == 2:
+        facets = _chain_facets(x.facets)
+        size = max(map(int.bit_count, facets))
+        euler = sum(1 if f.bit_count() & 1 else -1
+                    for f in faces_of(facets, range(1, size + 1))) - 1
+        ranks[1] = ranks[0] - euler
+    return BettiVector(tag, 0, tuple(ranks))
+
+
 def is_homologically_connected(
     x: SimplicialComplex, n: int, field: Field = "Q"
 ) -> bool:
@@ -414,28 +442,41 @@ def _nerve_degrees(lk: tuple[int, ...]) -> Optional[int]:
         return 1 << m - 2
     if m > 4:
         return None
-    parts: list[int] = []
-    for f in lk:
-        for q in [q for q in parts if q & f]:
-            parts.remove(q)
-            f |= q
-        parts.append(f)
-    c = len(parts)
+    c = _components(lk)
     pairs = sum(1 for a, b in itertools.combinations(lk, 2) if a & b)
     triples = sum(1 for a, b, e in itertools.combinations(lk, 3) if a & b & e)
     return int(c > 1) | (pairs - triples - m + c > 0) << 1
 
 
-def _link_chains(lk: tuple[int, ...]) -> _Chains:
-    """`_Chains` of the complex with facets lk, or of its nerve (`_nerve`)
-    when that has fewer vertices and no more faces to list, bounded by the
-    sum of 2^|facet| (a vertex in many facets makes a big nerve simplex)."""
+def _components(facets: Sequence[int]) -> int:
+    """The number of connected components of the complex with these
+    facets (two facets that meet lie in one)."""
+    parts: list[int] = []
+    for f in facets:
+        for q in [q for q in parts if q & f]:
+            parts.remove(q)
+            f |= q
+        parts.append(f)
+    return len(parts)
+
+
+def _chain_facets(lk: tuple[int, ...]) -> tuple[int, ...]:
+    """lk, or the facets of its nerve (`_nerve`) when that has fewer
+    vertices and no more faces to list, bounded by the sum of 2^|facet| (a
+    vertex in many facets makes a big nerve simplex): the complex whose
+    faces a homology question about lk lists."""
     if len(lk) < functools.reduce(operator.or_, lk, 0).bit_count():
         nerve = _nerve(lk)
         if (sum(1 << t.bit_count() for t in nerve)
                 <= sum(1 << f.bit_count() for f in lk)):
-            return _Chains(nerve)
-    return _Chains(lk)
+            return nerve
+    return lk
+
+
+def _link_chains(lk: tuple[int, ...]) -> _Chains:
+    """`_Chains` of the complex with facets lk, or of its nerve, whichever
+    `_chain_facets` picks."""
+    return _Chains(_chain_facets(lk))
 
 
 def _cached(cache: Optional[dict], key, make):

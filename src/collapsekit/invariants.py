@@ -22,7 +22,9 @@ answer if none succeeds.  Only searches that must fail are skipped, so
 every value is the plain upward loop's.  `is_d_collapsible` itself, and
 so each threshold probe's one question C(Y) <= d, refutes a d below
 L(Y; GF(2)) before any search with the bounded GF(2) Leray scan that asks
-"L(Y) <= d?".
+"L(Y) <= d?", and below 2 with no rank: at d = 1 one greedy walk decides
+1-collapsibility and 1-Lerayness alike (`_one_collapsible`, Wegner 1975),
+and it gives C's floor too wherever it empties X.
 The first order's collapse claims exactly d(X, ord), so a report reads
 d_mes from it too.
 
@@ -58,7 +60,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _new_faces,
@@ -96,9 +98,12 @@ def is_d_collapsible(
 
     A d-collapsible complex is d-Leray over every field (Wegner 1975), so
     where L(x; GF(2)) > d the answer is no with no search and no node
-    spent: the GF(2) scan floored at d and capped at d + 1
+    spent.  At d >= 2 the GF(2) scan floored at d and capped at d + 1
     (`homology._leray`), which asks "L(x) <= d?" and reads degree d
-    alone, tells first.  d-collapsibility is monotone in d (a d-collapse
+    alone, tells first.  At d <= 1 no rank is needed: x is 0-collapsible
+    iff it has at most one facet, and 1-collapsible iff the greedy walk
+    `_one_collapsible` empties it, which is also exactly where L(x) <= 1
+    over every field.  d-collapsibility is monotone in d (a d-collapse
     is also a (d+1)-collapse), so the answer is exactly C(x) <= d, the
     threshold probes' one question.  C's search (`_collapsibility`)
     already knows L(x; GF(2)) <= d, so it passes refute=False and runs
@@ -114,7 +119,9 @@ def is_d_collapsible(
     """
     if d < 0:
         raise ValueError("d must be >= 0")
-    if refute and _leray(x, 2, None, d + 1, d) > d:
+    if refute and (len(x.facets) > 1 if d == 0
+                   else not _one_collapsible(x.facets) if d == 1
+                   else _leray(x, 2, None, d + 1, d) > d):
         return False, None
     budget = budget or Budget()
 
@@ -174,6 +181,44 @@ def _least_face(faces: Iterable[int]) -> int:
     return least
 
 
+def _one_collapsible(facets: Sequence[int]) -> bool:
+    """Whether the complex with these facets is 1-collapsible, by one
+    greedy walk with no search: it deletes the least vertex held by exactly
+    one facet (a free vertex, whose 1-collapse is its deletion) until at
+    most one facet, a simplex, is left, and fails when no vertex is free.
+
+    The walk is exact, and it answers L(x; F) <= 1 over every field F.
+    X is 1-Leray over F iff X is 1-collapsible iff X is the clique
+    complex of a chordal graph (Wegner 1975; Lekkerkerker and Boland
+    1962).  A 1-Leray X is flag, since a minimal non-face of k >= 3
+    vertices induces the boundary of a simplex, with homology in degree
+    k - 2 >= 1, and its graph has no induced cycle of four or more
+    vertices, which would carry H~_1.  A chordal graph has a simplicial
+    vertex (Dirac 1961), one held by a single maximal clique, and deleting
+    it leaves the clique complex of an induced subgraph, chordal again.
+    So deleting any free vertex of a 1-collapsible complex leaves a
+    1-collapsible one, and the greedy order never gets stuck where some
+    order would not (Tancer 2010 shows that greedy is exact for every
+    d <= 2).  A single facet, or none, is 0-collapsible: L = C = 0.
+    """
+    facets = list(facets)
+    while len(facets) > 1:
+        seen = once = 0
+        for f in facets:
+            once = once & ~f | f & ~seen
+            seen |= f
+        if not once:
+            return False
+        v = once & -once
+        f = next(f for f in facets if f & v)
+        facets.remove(f)
+        # F - v stays a facet unless another facet holds it (or it is empty)
+        f ^= v
+        if all(f & ~g for g in facets):
+            facets.append(f)
+    return True
+
+
 def collapsibility_number(
     x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> int:
@@ -214,24 +259,37 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     Every facet order < gives a ceiling d(x, <), with the collapse of
     Matousek and Tancer (DCG 42, 2009) as its certificate
     (`_mes_certificate`, built and checked in one walk); `first` claims
-    u_1 = d(x, ordering).  The floor is the GF(2) Leray link scan capped at
-    u_1 (`_scan`): a d-collapsible complex is d-Leray over every field
-    (Wegner 1975), and dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2)
-    gives the higher floor, with the cheaper modular rank.  The scan asks
-    no degree >= u_1 and stops at u_1, which it reaches exactly when some
-    link has nonzero GF(2) homology in degree u_1 - 1; since
-    L(x; GF(2)) <= C <= u_1, f is L(x; GF(2)).
+    u_1 = d(x, ordering).  The floor f is L(x; GF(2)): a d-collapsible
+    complex is d-Leray over every field (Wegner 1975), and
+    dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher
+    floor, with the cheaper modular rank.  It is read in two steps, and
+    neither asks a degree >= u_1:
 
-    The scan starts at the floor `least` (`homology._leray`'s best): it
-    reads only links that can raise L above least, and as least <= L it
-    still returns L, which is u_1 where least meets u_1 (`_scan`).
-    A complex's floor is 0.  For NC(H) it is max |D| - 1 over the minimal
-    covers D of H (`hypergraphs._nc_leray_floor`): by Hochster's formula
-    with Terai's Alexander duality (Terai 1999), L(NC(H); F) =
-    pd(S/I(H)) - 1 over every field F, as NC(H) is the Alexander dual of
-    the independence complex, whose Stanley-Reisner ideal is the edge
-    ideal I(H); and pd(S/I) is at least the largest height of a minimal
-    prime of I, which for I(H) is the size of a minimal cover.
+    - The low floor, with no rank.  At d = 1 Leray and collapsible are the
+      same: the greedy walk `_one_collapsible` empties x iff C(x) <= 1 iff
+      L(x; F) <= 1 over every field F (Wegner 1975; Lekkerkerker and
+      Boland 1962: both say x is the clique complex of a chordal graph;
+      the walk's docstring sketches the proof).  So where least < u_1, a
+      walk that empties x gives f = 0 on one facet and f = 1 otherwise,
+      and a walk that gets stuck gives f >= 2.  A least >= 2 already says
+      the walk fails, and it is not run.
+    - The GF(2) Leray link scan capped at u_1 and floored at max(least, 2)
+      (`_scan`), where the walk fails: it reads only links that can raise
+      L above that floor, and stops at u_1, which it reaches exactly when
+      some link has nonzero GF(2) homology in degree u_1 - 1.  Since
+      L(x; GF(2)) <= C <= u_1, it returns L(x; GF(2)), and a floor that
+      meets u_1 is the answer with no link listed (`_scan`).
+
+    Where f <= 2 the report also reads the rational Leray number and the
+    Betti numbers off f with no rank (`reports._inv_leray`,
+    `reports._inv_betti`).  `least` is a complex's 0, and for NC(H)
+    max |D| - 1 over the minimal covers D of H
+    (`hypergraphs._nc_leray_floor`): by Hochster's formula with Terai's
+    Alexander duality (Terai 1999), L(NC(H); F) = pd(S/I(H)) - 1 over
+    every field F, as NC(H) is the Alexander dual of the independence
+    complex, whose Stanley-Reisner ideal is the edge ideal I(H); and
+    pd(S/I) is at least the largest height of a minimal prime of I, which
+    for I(H) is the size of a minimal cover.
 
     When f < u_1 the collapse under the reversed order is built as well,
     and u is the lower claim, `first`'s on a tie; when f = u_1, C = u_1
@@ -239,11 +297,15 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     replays at its claim, so it is C's certificate wherever C reaches it.
     Neither bound spends a node.
     """
-    floor = _scan(x, 2, links, first.claimed_d, least)
-    if floor < first.claimed_d:
+    claim = first.claimed_d
+    if least < min(claim, 2) and _one_collapsible(x.facets):
+        floor = int(len(x.facets) > 1)
+    else:
+        floor = _scan(x, 2, links, claim, max(least, 2))
+    if floor < claim:
         rev = _mes_certificate(
             x, FacetOrdering(x, ordering.ordered_facets[::-1]))
-        if rev.claimed_d < first.claimed_d:
+        if rev.claimed_d < claim:
             return floor, rev
     return floor, first
 
@@ -256,7 +318,11 @@ def _scan(x: SimplicialComplex, p: Optional[int], links: Optional[dict],
     best <= L gives cap <= L, so the scan reads cap with no link listed.
     No link reaches degree dim(x) + 1, so a cap above dim(x) caps
     nothing: with no floor that scan is `leray_number`'s own, rank for
-    rank, and is asked through it, where the bench's tracer counts it."""
+    rank, and is asked through it, where the bench's tracer counts it.
+    A report that asks C starts every scan at 2 or above, since the walk
+    of `_one_collapsible` settles every Leray number below 2 (`_bounds`),
+    so its scans pass that span; a complex report without C still scans
+    through `leray_number` (`reports._inv_leray`)."""
     if best >= cap:
         return cap
     if cap > x.dim and not best:

@@ -48,6 +48,7 @@ from .homology import (
     Field,
     _leray,
     _leray_induced,
+    _low_betti,
     _parse_field,
     _shed,
     is_cohen_macaulay,
@@ -118,9 +119,17 @@ class _Evaluation:
     report without C takes neither.  The floor is read as a value by C, by
     M_k as its root floor (`_MkEngine`), or as M_k itself where it meets
     the ceiling's claim u (C <= M_k <= M_0 <= d(X, <') for every order
-    <'), and by the Leray number as its answer or its cap
-    (`_inv_leray`).  The bounds spend no nodes, so no value or node count
-    depends on which invariant reads them first.
+    <'), by the Leray number as its answer or its cap (`_inv_leray`),
+    and by the Betti numbers as the degree their homology stops below
+    (`_inv_betti`).  Wegner's d = 1 theorem makes a low floor cheap: X is
+    1-Leray over a field iff it is 1-collapsible iff it is the clique
+    complex of a chordal graph (Wegner 1975; Lekkerkerker and Boland
+    1962), which one greedy walk decides (`invariants._one_collapsible`).
+    So a floor below 2 takes no scan, a floor of 2 that meets u none
+    either, and where the floor is at most 2 the report reads the
+    rational Leray number and the Betti numbers over Q and GF(2) with no
+    rank.  The bounds spend no nodes, so no value or node count depends
+    on which invariant reads them first.
 
     `least` is a floor for the Leray number of that complex over every
     field, which the bounds and the Leray number start from: 0 for a
@@ -208,7 +217,17 @@ def _inv_d(ev):
 
 
 def _inv_betti(ev):
-    b = reduced_betti(ev.inst, ev.field, ev.links)
+    """The reduced Betti numbers of the complex.  Where the report asks C
+    and the field is Q or GF(2), C's floor f = L(X; GF(2)) <= 2 bounds
+    the degrees: X is an induced subcomplex of itself and L(X; Q) <=
+    L(X; GF(2)), so b~_t = 0 for t >= f, and `homology._low_betti` counts
+    b~_0 and b~_1 with no rank (components, and the reduced Euler
+    characteristic).  Any other report ranks (`reduced_betti`)."""
+    floor = ev.bounds[0]
+    if floor is not None and floor <= 2 and ev.p in (None, 2):
+        b = _low_betti(ev.inst, ev.field, floor)
+    else:
+        b = reduced_betti(ev.inst, ev.field, ev.links)
     return {"field": b.coefficient_field, "rank_neg1": b.rank_neg1,
             "ranks": list(b.ranks)}
 
@@ -244,25 +263,30 @@ def _inv_gamma(name, fn):
 
 
 def _inv_leray(ev):
-    """The Leray number, bounded by C's floor f = L(X; GF(2)) and ceiling
-    u (`invariants._bounds`) when the report asks C: over GF(2) it is f;
-    over Q the scan is capped at f, since b_i(Q) <= b_i(GF(2)) on every
-    link; over an odd prime field it is capped at u >= C, since a
-    u-collapsible complex is u-Leray over every field (Wegner 1975).  A
-    hypergraph report that does not ask C caps it at the nc order's claim
-    d(NC(H), <) >= C (`mes_collapse`), and a complex report without C
-    scans uncapped.  The scan starts at `least` (`invariants._scan`)."""
+    """The Leray number, read off C's floor f = L(X; GF(2)) and ceiling u
+    (`invariants._bounds`) when the report asks C.  Over GF(2) it is f.
+    Over Q it is f when f <= 2: L(X; Q) <= f, since b_i(Q) <= b_i(GF(2))
+    on every link, and L(X; F) <= 1 holds over every field F or over none
+    (the walk of `invariants._one_collapsible` decides it; Wegner 1975),
+    so Q and GF(2) pass 1 together and L(X; Q) = 0 only on a simplex.
+    Over an odd prime field it is f when f <= 1, by the same walk.  Any
+    other scan has L >= 2 below it, so it starts at max(least, 2)
+    (`invariants._scan`): over Q it is capped at f, and over an odd prime
+    field at u >= C, since a u-collapsible complex is u-Leray over every
+    field (Wegner 1975).  A hypergraph report that does not ask C caps
+    the scan at the nc order's claim d(NC(H), <) >= C (`mes_collapse`)
+    and starts it at `least`, and a complex report without C scans
+    uncapped, through `leray_number`."""
     x, p = ev.complex, ev.p
     floor, ceiling = ev.bounds
     if floor is None:
         if not ev.prefix:
             return leray_number(x, ev.field, ev.links)
-        cap = ev.mes_collapse.claimed_d
-    elif p == 2:
+        return _scan(x, p, ev.links, ev.mes_collapse.claimed_d, ev.least)
+    if p == 2 or floor <= (2 if p is None else 1):
         return floor
-    else:
-        cap = floor if p is None else ceiling.claimed_d
-    return _scan(x, p, ev.links, cap, ev.least)
+    cap = floor if p is None else ceiling.claimed_d
+    return _scan(x, p, ev.links, cap, max(ev.least, 2))
 
 
 COMPLEX_INVARIANTS = {

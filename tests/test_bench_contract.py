@@ -138,9 +138,11 @@ def test_traced_report_records_every_layer_and_builds_nc_once():
     claims 2, and C is read off that ceiling with no search; on
     NC(star_family(3, (1, 1, 1))) the floor meets the nc order's own
     claim.)  The tree's largest minimal cover, {2, 3, 4}, starts C's GF(2)
-    scan at 2 in `homology._leray`, past the `leray_number` span, so that
-    span is read on the same NC(H) as a complex report asking C, whose
-    scan starts at 0 and caps nothing (its claim 3 exceeds dim 2)."""
+    scan at 2 in `homology._leray`, past the `leray_number` span, and so
+    does a complex report asking C, whose greedy d = 1 walk settles every
+    floor below 2; so that span is read on the same NC(H) as a complex
+    report asking the Leray number without C, which scans uncapped
+    through `leray_number`."""
     h = collapsekit.Hypergraph(5, [(1, 2), (2, 5), (3, 5), (4, 5)])
     spans = _traced(lambda: collapsekit.reports.compute(h))
     assert spans["hypergraphs.non_cover_complex"].calls == 1
@@ -148,5 +150,5 @@ def test_traced_report_records_every_layer_and_builds_nc_once():
                  "invariants.collapse_search"):
         assert spans[name].calls > 0, name
     nc = collapsekit.non_cover_complex(h)
-    spans = _traced(lambda: collapsekit.reports.compute(nc, ["C"]))
+    spans = _traced(lambda: collapsekit.reports.compute(nc, ["leray"]))
     assert spans["homology.leray_number"].calls > 0

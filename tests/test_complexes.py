@@ -2,6 +2,7 @@
 property-based checks against small brute-force oracles."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,18 @@ def test_a_label_or_mask_that_is_no_int_is_refused_by_name():
             SimplicialComplex([mask, (2,)])
         with pytest.raises(TypeError, match=f"face mask {mask!r} is a bool"):
             as_face(mask)
+
+
+def test_a_face_that_is_no_mask_and_no_iterable_is_refused_by_name():
+    """A float or None face is neither an int mask nor an iterable of
+    labels: the error names it, not Python's "is not iterable"."""
+    for face in (2.5, None):
+        want = f"face {face!r} is a {type(face).__name__}, neither an int"
+        for build in (mask_of, Face.of, as_face,
+                      lambda face: SimplicialComplex([face]),
+                      lambda face: SimplicialComplex([(1, 2), face])):
+            with pytest.raises(TypeError, match=re.escape(want)):
+                build(face)
 
 
 def test_as_face_accepts_masks_and_iterables():

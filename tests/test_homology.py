@@ -611,7 +611,10 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     first edge link, and the full scans draw on from there.  They stop at
     the first vertex link: its cycle takes L to 2, the apex link's
     dimension, which no later link can pass.  So 12 of the 17 links are
-    drawn, and a report of C and the Leray number draws those once."""
+    drawn.  A report of C and the Leray number draws the shorter prefix of
+    the scan floored at 2 (the greedy d = 1 walk fails) and capped at the
+    claim 3: the apex link alone, which drops the cap to its dimension 2,
+    the floor."""
     closed_links = homology._closed_links
     drawn = []
 
@@ -637,7 +640,10 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     drawn.clear()
     assert reports.compute(x, ["C", "leray"])["values"] == {"C": 2,
                                                            "leray": 2}
-    assert drawn == links[:12]
+    assert drawn == links[:1]
+    drawn.clear()
+    assert homology._leray(x, 2, {}, 3, 2) == 2
+    assert drawn == links[:1]
 
 
 def test_link_listing_readers_share_one_draw(monkeypatch):
@@ -1669,10 +1675,11 @@ def test_an_edge_matrix_is_ranked_once_for_every_field(monkeypatch):
 
 
 def test_a_betti_first_report_builds_each_chain_complex_once(monkeypatch):
-    # the Betti numbers keep the apex link's chains for the Leray scan and
-    # C's floor after them; of the other closed links only a vertex link,
-    # a path of five edges, is ranked, and the three-point edge links are
-    # read off their nerves
+    # the Betti numbers, asked first, take C's floor: the greedy d = 1
+    # walk fails, and the GF(2) scan floored at 2 ranks the apex link
+    # alone, x itself; the Betti numbers are then counted off that floor
+    # (components and the Euler characteristic), and the Leray number is
+    # the floor, so no other chain complex is built
     built = []
 
     class Counted(homology._Chains):
@@ -1687,7 +1694,68 @@ def test_a_betti_first_report_builds_each_chain_complex_once(monkeypatch):
     report = reports.compute(V6F10_6, ["betti", "leray", "C"])
     assert report["values"]["leray"] == report["values"]["C"] == 2
     assert report["values"]["betti"]["ranks"] == want
-    assert len(built) == len(set(built)) == 2
+    assert len(built) == len(set(built)) == 1
+
+
+CHAIN = ["leray", "C", "M0", "M1", "M2", "d_mes", "betti"]
+
+
+def test_a_chain_report_under_a_low_floor_lists_no_link_and_ranks_nothing(
+        monkeypatch):
+    """Wegner's d = 1 theorem in the report: where the greedy d = 1 walk
+    empties X, or C's first claim u_1 is at most 2, C's floor needs no
+    scan, and the Leray number and the Betti numbers over Q and GF(2) are
+    read off it with no rank (the three-cycle: the walk gets stuck, so
+    the floor 2 meets u_1 = 2 and b~_1 = b~_0 - chi~ = 0 - (-1) = 1).  The
+    report equals the one taken with listing and ranking allowed."""
+    cases = [THREE_CYCLE, SimplicialComplex([(1, 2), (2, 3), (3, 4)]),
+             SimplicialComplex([(1,), (2,)]), SimplicialComplex([(1, 2, 3)]),
+             SimplicialComplex([(1, 2, 3), (2, 3, 4), (4, 5)]),
+             SimplicialComplex()]
+    fields = ("Q", 2)
+    want = [reports.report_json(reports.compute(x, CHAIN, field=field))
+            for x in cases for field in fields]
+
+    def refused(*args):
+        raise AssertionError("a link was listed or a matrix ranked")
+
+    for name in ("_closed_links", "_rank_gf2", "_rank_signed"):
+        monkeypatch.setattr(homology, name, refused)
+    assert [reports.report_json(reports.compute(x, CHAIN, field=field))
+            for x in cases for field in fields] == want
+    values = reports.compute(THREE_CYCLE, CHAIN)["values"]
+    assert (values["C"], values["leray"], values["betti"]["ranks"]) == (
+        2, 2, [0, 1])
+
+
+def test_a_floor_that_leaves_the_betti_numbers_open_takes_the_ranked_route(
+        monkeypatch):
+    """RP2's floor L(RP2; GF(2)) = 3 bounds no degree the count reads, so
+    its Betti numbers over Q and GF(2) are ranked, and so are those of the
+    three-cycle and the mod-3 Moore space over GF(3), where a GF(2) floor
+    says nothing above degree 1: the Moore space's floor is 2, while its
+    GF(3) Leray number is 3.  Each value still equals the standalone
+    call's."""
+    moore = mod3_moore_space()
+    cases = ((RP2, "Q"), (RP2, 2), (THREE_CYCLE, 3), (moore, 3))
+    want = [(leray_number(x, field), list(reduced_betti(x, field).ranks))
+            for x, field in cases]
+    assert want[-1][0] == 3
+    ranked = []
+
+    def counted(rank):
+        return lambda *args: ranked.append(args) or rank(*args)
+
+    for name in ("_rank_gf2", "_rank_signed"):
+        monkeypatch.setattr(homology, name,
+                            counted(getattr(homology, name)))
+    for (x, field), expected in zip(cases, want):
+        ranked.clear()
+        values = reports.compute(x, ["C", "leray", "betti"],
+                                 field=field)["values"]
+        assert (values["leray"], values["betti"]["ranks"]) == expected, (
+            x, field)
+        assert ranked, (x, field)
 
 
 def test_leray_alone_builds_no_ceiling(monkeypatch):

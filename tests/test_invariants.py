@@ -261,6 +261,68 @@ def test_d_collapsibility_answers_as_the_bare_search_on_every_small_complex():
     assert refuted
 
 
+def wegner_differential(xs):
+    """The greedy d = 1 walk (`invariants._one_collapsible`) against
+    `leray_number(x, F) <= 1` over Q, GF(2) and GF(3) and against the
+    d = 1 search with no refutation, on each complex of xs: by Wegner's
+    theorem all five answers agree.  Returns (walks that empty x,
+    mismatches)."""
+    emptied, mismatches = 0, []
+    for x in xs:
+        walk = invariants._one_collapsible(x.facets)
+        answers = [leray_number(x, field) <= 1 for field in ("Q", 2, 3)]
+        answers.append(is_d_collapsible(x, 1, refute=False)[0])
+        emptied += walk
+        if answers != [walk] * 4:
+            mismatches.append((x, walk, answers))
+    return emptied, mismatches
+
+
+def wegner_inputs(count, seed=0):
+    """count random complexes on 6-9 vertices, alternately 5 to 14 random
+    facets of 2 to n - 1 vertices (rarely 1-collapsible) and the clique
+    complex of a random graph (chordal about as often as not)."""
+    rng = random.Random(seed)
+    xs = []
+    for i in range(count):
+        n = rng.randint(6, 9)
+        if i % 2:
+            xs.append(SimplicialComplex(
+                rng.sample(range(1, n + 1), rng.randint(2, n - 1))
+                for _ in range(rng.randint(5, 14))))
+            continue
+        p = rng.uniform(0.3, 0.9)
+        adj = {v: 0 for v in range(1, n + 1)}
+        for u, v in itertools.combinations(range(1, n + 1), 2):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        cliques = [0]
+        for v in range(1, n + 1):
+            cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
+        xs.append(SimplicialComplex(cliques[1:]))
+    return xs
+
+
+def test_the_greedy_walk_decides_one_collapsibility_on_every_small_complex():
+    """Wegner's d = 1 theorem, on every complex on <= 4 vertices (<= 5 and
+    random ones from `__main__`): the walk empties x exactly where x is
+    1-Leray over Q, GF(2) and GF(3) and the search finds a 1-collapse.
+    The public question at d <= 1 then asks no Leray scan: d = 0 is
+    refuted by two facets, d = 1 by the walk."""
+    xs = all_complexes(4) + [mod3_moore_space(), LERAY_3_ON_8]
+    emptied, mismatches = wegner_differential(xs)
+    assert mismatches == []
+    assert 0 < emptied < len(xs)
+    with mock.patch.object(invariants, "_leray", side_effect=AssertionError):
+        for x in xs:
+            for d in (0, 1):
+                budget = Budget()
+                got = is_d_collapsible(x, d, budget)
+                assert got == is_d_collapsible(x, d, refute=False), (x, d)
+                assert got[0] or budget.used == 0, (x, d)
+
+
 # -- the homology floor ----------------------------------------------------
 
 def plain_collapsibility_number(x):
@@ -1162,6 +1224,22 @@ if __name__ == "__main__":
     # python tests/test_invariants.py [n]
     # python tests/test_invariants.py mes count [seed]
     # python tests/test_invariants.py mes-orders n
+    # python tests/test_invariants.py wegner n count [seed]
+    if sys.argv[1:2] == ["wegner"]:
+        n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+        count = int(sys.argv[3]) if len(sys.argv) > 3 else 2000
+        seed = int(sys.argv[4]) if len(sys.argv) > 4 else 0
+        small, randoms = all_complexes(n), wegner_inputs(count, seed)
+        emptied, bad = wegner_differential(small)
+        emptied_random, bad_random = wegner_differential(randoms)
+        print(f"the greedy d = 1 walk against L <= 1 over Q, GF(2) and "
+              f"GF(3) and the d = 1 search: {len(small)} complexes on <= "
+              f"{n} vertices ({emptied} emptied) and {count} random ones on "
+              f"6-9 vertices, seed {seed} ({emptied_random} emptied): "
+              f"{len(bad) + len(bad_random)} mismatches")
+        for case in bad + bad_random:
+            print(case)
+        sys.exit(1 if bad or bad_random else 0)
     if sys.argv[1:2] == ["mes-orders"]:
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
         builds, bad = 0, []
