@@ -60,12 +60,17 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+def _check_int(value, name: str) -> None:
+    """TypeError naming a count argument (a budget limit, d, k, k_max or
+    trials) that is not an int, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _check_limit(limit) -> None:
     """Reject a node budget limit: TypeError unless it is an int and not a
     bool, ValueError unless it is positive."""
-    if not isinstance(limit, int) or isinstance(limit, bool):
-        raise TypeError(f"budget limit must be an int, not "
-                        f"{type(limit).__name__}")
+    _check_int(limit, "budget limit")
     if limit <= 0:
         raise ValueError("budget limit must be positive")
 

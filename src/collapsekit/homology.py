@@ -66,7 +66,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 from .complexes import (Face, SimplicialComplex, _antichain, _face, _link,
                         _new_faces, _split, bits_of, faces_of, subsets,
                         vertices_of)
-from .errors import Budget, NotPureError, _depth_first, _drive
+from .errors import Budget, NotPureError, _check_int, _depth_first, _drive
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
 #: and the induced Cohen-Macaulay test) are refused.
@@ -535,11 +535,9 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
 def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
            cap: int, best: int = 0) -> int:
     """The link scan of `leray_number` over Q (p None) or GF(p), asking no
-    degree >= cap and none below the floor best: for 0 <= best <= cap it
-    is max(best, min(L(x), cap)), so a scan capped at cap answers "L(x) >=
-    cap?" and a scan floored at b and capped at b + 1 answers "L(x) <=
-    b?".  Over GF(2) a value at most L(x) is a lower bound for C(x)
-    (Wegner 1975).
+    degree >= cap and none below the floor best: it is min(cap, max(best,
+    L(x))), and a floor that meets its cap lists no link.  Every bounded
+    Leray question asks it through `invariants._leray_within`.
 
     The links come apex first (`_closed_links`): the apex link often
     reaches the final L at once, and the other faces follow largest first,
@@ -557,6 +555,8 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
     drops to d0.  The scan ends once best >= cap, so a scan whose best
     reaches d0 at the apex never builds the closure under & behind it.
     """
+    if best >= cap:
+        return cap
     held_by_all = len(x.facets)
     for d, lk in _links_of(x, cache):
         m = len(lk)
@@ -760,6 +760,7 @@ def is_k_vertex_decomposable(
     field.  A link cache shares that test's links and ranks with the other
     questions asked of x, as in `is_cohen_macaulay`.
     """
+    _check_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if not x.is_pure():

@@ -21,10 +21,10 @@ at once when f = u; otherwise d = f, ..., u - 1 are searched, and u is the
 answer if none succeeds.  Only searches that must fail are skipped, so
 every value is the plain upward loop's.  `is_d_collapsible` itself, and
 so each threshold probe's one question C(Y) <= d, refutes a d below
-L(Y; GF(2)) before any search with the bounded GF(2) Leray scan that asks
-"L(Y) <= d?", and below 2 with no rank: at d = 1 one greedy walk decides
-1-collapsibility and 1-Lerayness alike (`_one_collapsible`, Wegner 1975),
-and it gives C's floor too wherever it empties X.
+L(Y; GF(2)) before any search by asking "L(Y) <= d?".  Every bounded
+Leray question, C's floor and that one among them, is asked of
+`_leray_within`, which states the rule below 2: there a facet count and
+one greedy walk (`_one_collapsible`, Wegner 1975) decide L with no rank.
 The first order's collapse claims exactly d(X, ord), so a report reads
 d_mes from it too.
 
@@ -65,8 +65,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _new_faces,
                         _open_faces, as_face, faces_of, vertices_of)
-from .errors import Budget, NotAFaceError, _depth_first, _drive
-from .homology import _leray, leray_number
+from .errors import Budget, NotAFaceError, _check_int, _depth_first, _drive
+from .homology import _leray
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,15 @@ def is_d_collapsible(
 
     A d-collapsible complex is d-Leray over every field (Wegner 1975), so
     where L(x; GF(2)) > d the answer is no with no search and no node
-    spent.  At d >= 2 the GF(2) scan floored at d and capped at d + 1
-    (`homology._leray`), which asks "L(x) <= d?" and reads degree d
-    alone, tells first.  At d <= 1 no rank is needed: x is 0-collapsible
-    iff it has at most one facet, and 1-collapsible iff the greedy walk
-    `_one_collapsible` empties it, which is also exactly where L(x) <= 1
-    over every field.  d-collapsibility is monotone in d (a d-collapse
-    is also a (d+1)-collapse), so the answer is exactly C(x) <= d, the
-    threshold probes' one question.  C's search (`_collapsibility`)
-    already knows L(x; GF(2)) <= d, so it passes refute=False and runs
-    the search alone.
+    spent.  The bounded question "L(x) <= d?" (`_leray_within` floored at
+    d and capped at d + 1) tells first: at d >= 2 a GF(2) scan that reads
+    degree d alone, and below 2 no rank at all, as `_leray_within` states
+    (d = 0 is refuted by two facets, d = 1 by the greedy walk).
+    d-collapsibility is monotone in d (a d-collapse is also a
+    (d+1)-collapse), so the answer is exactly C(x) <= d, the threshold
+    probes' one question.  C's search (`_collapsibility`) already knows
+    L(x; GF(2)) <= d, so it passes refute=False and runs the search alone.
+    A d that is not an int, or is a bool, raises TypeError.
 
     Each state's moves come from `_collapse_moves`: the free faces are
     scanned one size at a time, smallest first, and the scan stops at the
@@ -117,11 +116,10 @@ def is_d_collapsible(
     search is `errors._depth_first` over facet tuples, each its own key, so
     a certificate may have any length; only its steps become `FreePair`s.
     """
+    _check_int(d, "d")
     if d < 0:
         raise ValueError("d must be >= 0")
-    if refute and (len(x.facets) > 1 if d == 0
-                   else not _one_collapsible(x.facets) if d == 1
-                   else _leray(x, 2, None, d + 1, d) > d):
+    if refute and _leray_within(x, 2, None, d + 1, d) > d:
         return False, None
     budget = budget or Budget()
 
@@ -219,6 +217,32 @@ def _one_collapsible(facets: Sequence[int]) -> bool:
     return True
 
 
+def _leray_within(x: SimplicialComplex, p: Optional[int],
+                  cache: Optional[dict], cap, least: int = 0) -> int:
+    """max(least, min(L(x; F), cap)) over F = Q (p None) or GF(p), for
+    every least, cap >= 0, through the link cache `cache` (or None): the
+    one home of every bounded Leray question, so with cap = least + 1 it
+    answers "L(x) <= least?".  `_bounds`, `is_d_collapsible`,
+    `reports._inv_leray` and `reports._shedding_leray_holds` ask here.
+
+    Below 2, L takes no rank, over every field.  L = 0 exactly on at most
+    one facet (any other complex has a minimal non-face, which induces a
+    simplex boundary), so a cap of 1 reads the facet count.  L <= 1 iff
+    C <= 1 iff the greedy walk `_one_collapsible` empties x: all three say
+    x is the clique complex of a chordal graph (Wegner 1975; Lekkerkerker
+    and Boland 1962).  Where the walk gets stuck (it is not run for
+    least >= 2), `homology._leray` scans from max(least, 2) up to cap,
+    reading only the links that can raise L, and none where that floor
+    meets cap.
+    """
+    n = len(x.facets)
+    if n <= 1 or cap <= 1:
+        return max(least, min(cap, int(n > 1)))
+    if least < 2 and _one_collapsible(x.facets):
+        return 1
+    return max(least, _leray(x, p, cache, cap, max(least, 2)))
+
+
 def collapsibility_number(
     x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> int:
@@ -262,23 +286,11 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     u_1 = d(x, ordering).  The floor f is L(x; GF(2)): a d-collapsible
     complex is d-Leray over every field (Wegner 1975), and
     dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher
-    floor, with the cheaper modular rank.  It is read in two steps, and
-    neither asks a degree >= u_1:
-
-    - The low floor, with no rank.  At d = 1 Leray and collapsible are the
-      same: the greedy walk `_one_collapsible` empties x iff C(x) <= 1 iff
-      L(x; F) <= 1 over every field F (Wegner 1975; Lekkerkerker and
-      Boland 1962: both say x is the clique complex of a chordal graph;
-      the walk's docstring sketches the proof).  So where least < u_1, a
-      walk that empties x gives f = 0 on one facet and f = 1 otherwise,
-      and a walk that gets stuck gives f >= 2.  A least >= 2 already says
-      the walk fails, and it is not run.
-    - The GF(2) Leray link scan capped at u_1 and floored at max(least, 2)
-      (`_scan`), where the walk fails: it reads only links that can raise
-      L above that floor, and stops at u_1, which it reaches exactly when
-      some link has nonzero GF(2) homology in degree u_1 - 1.  Since
-      L(x; GF(2)) <= C <= u_1, it returns L(x; GF(2)), and a floor that
-      meets u_1 is the answer with no link listed (`_scan`).
+    floor, with the cheaper modular rank.  It is the GF(2) Leray number
+    capped at u_1 and floored at least (`_leray_within`, which reads it
+    below 2 with no rank and lists no link where its floor meets u_1), so
+    it asks no degree >= u_1; since L(x; GF(2)) <= C <= u_1 the cap
+    changes nothing.
 
     Where f <= 2 the report also reads the rational Leray number and the
     Betti numbers off f with no rank (`reports._inv_leray`,
@@ -298,36 +310,13 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     Neither bound spends a node.
     """
     claim = first.claimed_d
-    if least < min(claim, 2) and _one_collapsible(x.facets):
-        floor = int(len(x.facets) > 1)
-    else:
-        floor = _scan(x, 2, links, claim, max(least, 2))
+    floor = _leray_within(x, 2, links, claim, least)
     if floor < claim:
         rev = _mes_certificate(
             x, FacetOrdering(x, ordering.ordered_facets[::-1]))
         if rev.claimed_d < claim:
             return floor, rev
     return floor, first
-
-
-def _scan(x: SimplicialComplex, p: Optional[int], links: Optional[dict],
-          cap, best: int = 0) -> int:
-    """The Leray scan of x over Q (p None) or GF(p) capped at cap and
-    floored at best (`homology._leray`), the one entry point of a
-    report's bounded scan.  A floor that meets its cap is the answer:
-    best <= L gives cap <= L, so the scan reads cap with no link listed.
-    No link reaches degree dim(x) + 1, so a cap above dim(x) caps
-    nothing: with no floor that scan is `leray_number`'s own, rank for
-    rank, and is asked through it, where the bench's tracer counts it.
-    A report that asks C starts every scan at 2 or above, since the walk
-    of `_one_collapsible` settles every Leray number below 2 (`_bounds`),
-    so its scans pass that span; a complex report without C still scans
-    through `leray_number` (`reports._inv_leray`)."""
-    if best >= cap:
-        return cap
-    if cap > x.dim and not best:
-        return leray_number(x, "Q" if p is None else p, links)
-    return _leray(x, p, links, cap, best)
 
 
 def _collapsibility(
@@ -607,6 +596,7 @@ def mk(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
     Above the dimension x has no k-faces, so M'_k = M_{k-1} and M_k =
     M_{max(dim, 0)}: the engine reads such a k as the dimension, so a huge
     k costs what k = max(dim, 0) does."""
+    _check_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     return _MkEngine(budget).m(x, k)
@@ -617,6 +607,7 @@ def mk_prime(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> i
     max(M'_k(lk s) + k + 1, M'_k(del s)); 0 (k = 0) or M_{k-1}(x) (k > 0)
     when x has no open k-face, so M_{max(dim, 0)}(x) for every k > dim,
     which it asks `mk` for without a node of its own."""
+    _check_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > x.dim:
@@ -629,6 +620,7 @@ def mk_chain(
 ) -> list[int]:
     """[M_0(x), ..., M_{k_max}(x)] computed with one shared memo table; a
     k past the dimension spends no node (see `mk`)."""
+    _check_int(k_max, "k_max")
     if k_max < 0:
         raise ValueError("k must be >= 0")
     engine = _MkEngine(budget)

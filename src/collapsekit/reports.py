@@ -39,6 +39,7 @@ from .errors import (
     NotAFaceError,
     NotPureError,
     UndominatableError,
+    _check_int,
     _check_limit,
 )
 from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
@@ -46,7 +47,6 @@ from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
 from .homology import (
     LERAY_VERTEX_CAP,
     Field,
-    _leray,
     _leray_induced,
     _low_betti,
     _parse_field,
@@ -71,8 +71,8 @@ from .invariants import (
     mk_chain,
     _bounds,
     _collapsibility,
+    _leray_within,
     _mes_certificate,
-    _scan,
     _MkEngine,
 )
 # instance_to_json stays importable from here: the bench reads it
@@ -121,15 +121,12 @@ class _Evaluation:
     the ceiling's claim u (C <= M_k <= M_0 <= d(X, <') for every order
     <'), by the Leray number as its answer or its cap (`_inv_leray`),
     and by the Betti numbers as the degree their homology stops below
-    (`_inv_betti`).  Wegner's d = 1 theorem makes a low floor cheap: X is
-    1-Leray over a field iff it is 1-collapsible iff it is the clique
-    complex of a chordal graph (Wegner 1975; Lekkerkerker and Boland
-    1962), which one greedy walk decides (`invariants._one_collapsible`).
-    So a floor below 2 takes no scan, a floor of 2 that meets u none
-    either, and where the floor is at most 2 the report reads the
-    rational Leray number and the Betti numbers over Q and GF(2) with no
-    rank.  The bounds spend no nodes, so no value or node count depends
-    on which invariant reads them first.
+    (`_inv_betti`).  Wegner's d = 1 theorem makes a low floor cheap
+    (`invariants._leray_within` states the rule): a floor below 2 takes
+    no scan, a floor of 2 that meets u none either, and where the floor
+    is at most 2 the report reads the rational Leray number and the Betti
+    numbers over Q and GF(2) with no rank.  The bounds spend no nodes, so
+    no value or node count depends on which invariant reads them first.
 
     `least` is a floor for the Leray number of that complex over every
     field, which the bounds and the Leray number start from: 0 for a
@@ -266,27 +263,25 @@ def _inv_leray(ev):
     """The Leray number, read off C's floor f = L(X; GF(2)) and ceiling u
     (`invariants._bounds`) when the report asks C.  Over GF(2) it is f.
     Over Q it is f when f <= 2: L(X; Q) <= f, since b_i(Q) <= b_i(GF(2))
-    on every link, and L(X; F) <= 1 holds over every field F or over none
-    (the walk of `invariants._one_collapsible` decides it; Wegner 1975),
-    so Q and GF(2) pass 1 together and L(X; Q) = 0 only on a simplex.
-    Over an odd prime field it is f when f <= 1, by the same walk.  Any
-    other scan has L >= 2 below it, so it starts at max(least, 2)
-    (`invariants._scan`): over Q it is capped at f, and over an odd prime
-    field at u >= C, since a u-collapsible complex is u-Leray over every
-    field (Wegner 1975).  A hypergraph report that does not ask C caps
-    the scan at the nc order's claim d(NC(H), <) >= C (`mes_collapse`)
-    and starts it at `least`, and a complex report without C scans
-    uncapped, through `leray_number`."""
+    on every link, and below 2 L is the same over every field (the rule
+    of `invariants._leray_within`).  Over an odd prime field it is f when
+    f <= 1.  Any other question goes to `_leray_within` floored at
+    max(least, 2): over Q capped at f, over an odd prime field at u >= C
+    (a u-collapsible complex is u-Leray over every field; Wegner 1975).
+    A hypergraph report without C asks it capped at the nc order's claim
+    d(NC(H), <) >= C (`mes_collapse`) and floored at `least`, and a
+    complex report without C scans uncapped, through `leray_number`."""
     x, p = ev.complex, ev.p
     floor, ceiling = ev.bounds
     if floor is None:
         if not ev.prefix:
             return leray_number(x, ev.field, ev.links)
-        return _scan(x, p, ev.links, ev.mes_collapse.claimed_d, ev.least)
+        return _leray_within(x, p, ev.links, ev.mes_collapse.claimed_d,
+                             ev.least)
     if p == 2 or floor <= (2 if p is None else 1):
         return floor
     cap = floor if p is None else ceiling.claimed_d
-    return _scan(x, p, ev.links, cap, max(ev.least, 2))
+    return _leray_within(x, p, ev.links, cap, max(ev.least, 2))
 
 
 COMPLEX_INVARIANTS = {
@@ -464,16 +459,16 @@ def _shedding_leray_holds(x: SimplicialComplex, s: Face,
                           cache: dict, lhs: int) -> bool:
     """lhs >= max(L(del s), L(lk s) + k + 1) over Q (p None) or GF(p), for
     a k-face s of x whose deletion is dele and lhs = L(X); it tests no
-    hypothesis.  Neither side is ranked in full: each is a Leray scan
-    floored at its bound b and capped at b + 1 (`homology._leray`), which
-    answers "L <= b?", so a scan skips every link that cannot raise L
-    above b and walks the others only at degree b.  The link's bound
-    lhs - k - 1 is below 0 exactly when no Leray number can meet it; the
-    link, the smaller complex, is scanned before the deletion.  The scans
-    read the link cache `cache`."""
+    hypothesis.  Neither side is ranked in full: each is a bounded Leray
+    question floored at its bound b and capped at b + 1
+    (`invariants._leray_within`, which states the rule below 2), which
+    answers "L <= b?" and skips every link that cannot raise L above b.
+    The link's bound lhs - k - 1 is below 0 exactly when no Leray number
+    can meet it; the link, the smaller complex, is asked before the
+    deletion.  Both read the link cache `cache`."""
     b = lhs - s.dim - 1
-    return (b >= 0 and _leray(x.link(s), p, cache, b + 1, b) <= b
-            and _leray(dele, p, cache, lhs + 1, lhs) <= lhs)
+    return (b >= 0 and _leray_within(x.link(s), p, cache, b + 1, b) <= b
+            and _leray_within(dele, p, cache, lhs + 1, lhs) <= lhs)
 
 
 def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
@@ -872,10 +867,11 @@ THEOREMS = {
 def _check_run(what: str, spec: GeneratorSpec, trials: int,
                hypergraph: bool, budget_limit):
     """Reject a run before its first trial, also a run of no trials: a
-    negative trial count, a budget limit that is not a positive int
-    (`errors._check_limit`), a spec no seed can build
+    trial count that is not an int >= 0, a budget limit that is not a
+    positive int (`errors._check_limit`), a spec no seed can build
     (`generators._check_spec`), or a spec whose kind builds the wrong
     type of instance for `what`."""
+    _check_int(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     _check_limit(budget_limit)
@@ -902,10 +898,10 @@ def verify(
     positive, a spec no seed can build, or a spec whose kind builds the
     wrong type of instance for the theorem, raises ValueError first
     (VertexRangeError for a random kind on more than MAX_VERTEX vertices),
-    also for `trials=0`; a budget limit that is not an int, or is a bool,
-    raises TypeError.  A seedless kind (`SEEDLESS_KINDS`:
-    star-family, named-example) repeats one instance in every trial; only
-    the trial's random stream varies.
+    also for `trials=0`; a trial count or budget limit that is not an
+    int, or is a bool, raises TypeError.  A seedless kind
+    (`SEEDLESS_KINDS`: star-family, named-example) repeats one instance in
+    every trial; only the trial's random stream varies.
 
     Each probe gets its trial's random stream as a zero-argument factory,
     a `random.Random` seeded with "<spec seed>:<theorem>:<trial>" when
@@ -949,9 +945,10 @@ def conjecture_search(
     """Look for complexes with M_k < M_{k-1}.  An empty list is an honest
     outcome; every candidate re-verifies with a fresh memo table.  The spec
     must build complexes, no seed may fail to build it (as in `verify`),
-    `trials` must be >= 0 and `budget_limit` a positive int.  A seedless
-    kind (`SEEDLESS_KINDS`) builds one instance, so it runs one trial at
-    most."""
+    `k` must be an int >= 1, `trials` an int >= 0 and `budget_limit` a
+    positive int.  A seedless kind (`SEEDLESS_KINDS`) builds one
+    instance, so it runs one trial at most."""
+    _check_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = spec or GeneratorSpec(kind="random-complex")

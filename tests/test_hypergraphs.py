@@ -76,7 +76,7 @@ from collapsekit import (
     reduced_betti,
     strongly_dominates,
 )
-from collapsekit import homology, invariants, reports
+from collapsekit import homology, reports
 from collapsekit import hypergraphs as hg
 from collapsekit.complexes import as_face, mask_of, subsets, vertices_of
 from collapsekit.errors import VertexRangeError
@@ -510,26 +510,28 @@ def test_a_kept_cover_walk_charges_what_a_fresh_walk_spends():
         assert report["budget"]["used_total"] == 1001
 
 
-def _count_leray_scans(monkeypatch):
-    """The list of `homology._leray` calls from now on, however reached."""
-    calls = []
-    scan = homology._leray
+def _count_link_listings(monkeypatch):
+    """The complexes whose closed links are listed from now on
+    (`homology._closed_links`), by whichever scan: a Leray scan that reads
+    a link lists them first."""
+    listed = []
+    real = homology._closed_links
 
-    def counted(*args):
-        calls.append(args[3:])
-        return scan(*args)
+    def counted(y):
+        listed.append(y)
+        return real(y)
 
-    for module in (homology, invariants, reports):
-        monkeypatch.setattr(module, "_leray", counted)
-    return calls
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    return listed
 
 
 def test_nc_leray_alone_caps_its_scan_at_the_nc_orders_claim(monkeypatch):
     """A report that asks nc_leray without nc_C builds the one mes collapse
     under the nc order and caps its scan at that claim: on
     NC(star_family(3, (1, 1, 1))) the cover floor 2 meets the claim 2, so
-    it scans nothing; on the 4-cycle (floor 1, claim 2, L = 2) the one
-    scan is capped at 2 and starts at 1."""
+    it lists no link; on the 4-cycle (floor 1, claim 2, L = 2) the greedy
+    d = 1 walk gets stuck, so L >= 2 meets the cap 2 with no link listed
+    either, where a scan started at the floor 1 listed them."""
     built = []
     mes_certificate = reports._mes_certificate
 
@@ -538,23 +540,24 @@ def test_nc_leray_alone_caps_its_scan_at_the_nc_orders_claim(monkeypatch):
         return mes_certificate(x, ordering)
 
     monkeypatch.setattr(reports, "_mes_certificate", recorded)
-    scans = _count_leray_scans(monkeypatch)
+    listed = _count_link_listings(monkeypatch)
     h = star_family(3, (1, 1, 1))
     assert compute(h, ["nc_leray"])["values"] == {"nc_leray": 2}
-    assert built == [nc_facet_order(h).ordered_facets] and scans == []
+    assert built == [nc_facet_order(h).ordered_facets] and listed == []
+    built.clear()
     assert compute(C4, ["nc_leray"])["values"] == {"nc_leray": 2}
-    assert scans == [(2, 1)]
+    assert built == [nc_facet_order(C4).ordered_facets] and listed == []
 
 
 def test_star_family_7_reads_c_and_leray_with_no_scan(monkeypatch):
     """star_family(7, (2,) * 7) has a minimal cover of 11 vertices, and
-    the nc order claims 10: nc_C and nc_leray are 10 with no Leray scan
-    (48 s and 251 s when they scanned)."""
-    scans = _count_leray_scans(monkeypatch)
+    the nc order claims 10: nc_C and nc_leray are 10 with no Leray scan,
+    so no closed link is listed (48 s and 251 s when they scanned)."""
+    listed = _count_link_listings(monkeypatch)
     for which in (["nc_C"], ["nc_leray"]):
         report = compute(star_family(7, (2,) * 7), which)
         assert report["values"] == {which[0]: 10}
-    assert scans == []
+    assert listed == []
 
 
 # -- gamma_A and gamma_i ---------------------------------------------------

@@ -46,6 +46,7 @@ from collapsekit import (
     collapsibility_number_with_certificate,
     d_of_ordering,
     is_d_collapsible,
+    is_k_vertex_decomposable,
     leray_number,
     m0,
     mes,
@@ -304,17 +305,65 @@ def wegner_inputs(count, seed=0):
     return xs
 
 
+def leray_within_differential(xs):
+    """`invariants._leray_within(x, p, cache, cap, least)` against
+    max(least, min(leray_number(x, F), cap)) over F = Q, GF(2) and GF(3),
+    at every cap from 0 to dim + 2 and every least from 0 to L(x; F), on
+    each complex of xs, with one fresh link cache per question: a scan
+    reads the links (`homology._links_of`) only where the greedy d = 1
+    walk fails and max(least, 2) < cap.  Returns (questions, questions
+    that read links, mismatches)."""
+    questions = scanned = 0
+    bad = []
+    read = []
+    links_of = homology._links_of
+
+    def counted(y, cache):
+        read.append(y)
+        return links_of(y, cache)
+
+    with mock.patch.object(homology, "_links_of", counted):
+        for x in xs:
+            walk = invariants._one_collapsible(x.facets)
+            for p in (None, 2, 3):
+                want = leray_number(x, "Q" if p is None else p)
+                for cap in range(x.dim + 3):
+                    for least in range(want + 1):
+                        read.clear()
+                        got = invariants._leray_within(x, p, {}, cap, least)
+                        questions += 1
+                        scanned += bool(read)
+                        if (got != max(least, min(want, cap))
+                                or read and (walk or max(least, 2) >= cap)):
+                            bad.append((x, p, cap, least, got, len(read)))
+    return questions, scanned, bad
+
+
+def test_bounded_leray_questions_answer_as_the_leray_number():
+    """`leray_within_differential` on every complex on <= 4 vertices, the
+    mod-3 Moore space (L = 2 over Q and GF(2), 3 over GF(3)),
+    `LERAY_3_ON_8` and the empty complex (<= 5 vertices and random ones
+    from `__main__`): the value is the Leray number between least and
+    cap, and a scan runs only above the rule for L < 2, where some do."""
+    questions, scanned, bad = leray_within_differential(
+        all_complexes(4) + [mod3_moore_space(), LERAY_3_ON_8,
+                            SimplicialComplex()])
+    assert bad == []
+    assert 0 < scanned < questions
+
+
 def test_the_greedy_walk_decides_one_collapsibility_on_every_small_complex():
     """Wegner's d = 1 theorem, on every complex on <= 4 vertices (<= 5 and
     random ones from `__main__`): the walk empties x exactly where x is
     1-Leray over Q, GF(2) and GF(3) and the search finds a 1-collapse.
-    The public question at d <= 1 then asks no Leray scan: d = 0 is
+    The public question at d <= 1 then lists no closed link: d = 0 is
     refuted by two facets, d = 1 by the walk."""
     xs = all_complexes(4) + [mod3_moore_space(), LERAY_3_ON_8]
     emptied, mismatches = wegner_differential(xs)
     assert mismatches == []
     assert 0 < emptied < len(xs)
-    with mock.patch.object(invariants, "_leray", side_effect=AssertionError):
+    with mock.patch.object(homology, "_closed_links",
+                           side_effect=AssertionError):
         for x in xs:
             for d in (0, 1):
                 budget = Budget()
@@ -366,8 +415,7 @@ def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
     """`_bounds(x, <, first, links, least)` for every least from 0 to
     L(x; Q), at most L(x) over every field, gives the floor and ceiling
     it gives from 0, on every complex on <= 5 vertices; where least meets
-    the first claim it scans nothing, through neither `homology._leray`
-    nor `leray_number`."""
+    the first claim it lists no closed link (`homology._closed_links`)."""
     met = 0
     for x in all_complexes(5):
         if not x.facets:
@@ -378,8 +426,7 @@ def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
         for least in range(leray_number(x, "Q") + 1):
             with monkeypatch.context() as patched:
                 if least >= first.claimed_d:
-                    patched.setattr(invariants, "_leray", None)
-                    patched.setattr(invariants, "leray_number", None)
+                    patched.setattr(homology, "_closed_links", None)
                     met += 1
                 got = invariants._bounds(x, order, first, None, least)
             assert got == want, (x, least)
@@ -1080,6 +1127,28 @@ def test_mk_rejects_negative_k():
         mk_chain(THREE_CYCLE, -1)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, True, False],
+                         ids=repr)
+def test_count_arguments_that_are_not_ints_are_refused_by_name(bad):
+    """A d, k, k_max or trial count that is not an int, or is a bool,
+    raises a TypeError naming the parameter before anything runs: a float
+    d reached `1 << d` in the refutation, and a bool read as 0 or 1."""
+    calls = [
+        ("d", lambda: is_d_collapsible(THREE_CYCLE, bad)),
+        ("k", lambda: mk(THREE_CYCLE, bad)),
+        ("k", lambda: mk_prime(THREE_CYCLE, bad)),
+        ("k_max", lambda: mk_chain(THREE_CYCLE, bad)),
+        ("k", lambda: is_k_vertex_decomposable(THREE_CYCLE, bad)),
+        ("trials", lambda: reports.verify("euler", trials=bad)),
+        ("k", lambda: reports.conjecture_search(bad, trials=0)),
+        ("trials", lambda: reports.conjecture_search(1, trials=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not "
+                                            f"{type(bad).__name__}$"):
+            call()
+
+
 @given(complexes)
 @settings(max_examples=25, deadline=None)
 def test_chain_of_inequalities(x):
@@ -1237,9 +1306,14 @@ if __name__ == "__main__":
               f"{n} vertices ({emptied} emptied) and {count} random ones on "
               f"6-9 vertices, seed {seed} ({emptied_random} emptied): "
               f"{len(bad) + len(bad_random)} mismatches")
-        for case in bad + bad_random:
+        questions, scanned, bad_within = leray_within_differential(
+            small + randoms)
+        print(f"the bounded Leray questions against the Leray number on "
+              f"the same complexes: {questions} questions, {scanned} "
+              f"scanned, {len(bad_within)} mismatches")
+        for case in bad + bad_random + bad_within:
             print(case)
-        sys.exit(1 if bad or bad_random else 0)
+        sys.exit(1 if bad or bad_random or bad_within else 0)
     if sys.argv[1:2] == ["mes-orders"]:
         n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
         builds, bad = 0, []
