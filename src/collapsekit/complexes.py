@@ -29,7 +29,8 @@ import itertools
 import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import NotAFaceError, NotFreeError, VertexRangeError
+from .errors import (NotAFaceError, NotFreeError, VertexRangeError,
+                     _check_count)
 
 #: Highest representable vertex label.  Faces are one 128-bit mask word.
 MAX_VERTEX = 127
@@ -404,8 +405,7 @@ class SimplicialComplex:
     def faces(self, k: int) -> set[Face]:
         """All faces of dimension exactly k (k = -1 gives {empty face} for a
         nonempty complex)."""
-        if k < -1:
-            raise ValueError("dimension must be >= -1")
+        _check_count(k, "dimension", -1)
         return set(map(_face, faces_of(self.facets, (k + 1,))))
 
     def all_faces(self, include_empty: bool = True) -> Iterator[Face]:
@@ -454,8 +454,7 @@ class SimplicialComplex:
 
         For k = 0 this is the set of non-cone vertices (link != deletion).
         """
-        if k < 0:
-            raise ValueError("k must be >= 0")
+        _check_count(k, "k")
         return set(map(_face, _open_faces(self.facets, k)))
 
     def free_pairs(self, d: int) -> list[FreePair]:
@@ -465,8 +464,7 @@ class SimplicialComplex:
         qualifies exactly when the complex is a simplex.  Pairs come smallest
         gamma first, ties broken by gamma's vertex tuple.
         """
-        if d < 0:
-            raise ValueError("d must be >= 0")
+        _check_count(d, "d")
         # no face has more than dim + 1 vertices; a free face has one
         # facet, so the face alone orders the pairs
         return [FreePair(_face(m), free[m])
@@ -486,6 +484,7 @@ class SimplicialComplex:
 
     def skeleton(self, n: int) -> "SimplicialComplex":
         """All faces of dimension <= n (n >= -1, as in `faces`)."""
+        _check_count(n, "dimension", -1)
         if n > self.dim:
             raise ValueError(f"skeleton dimension {n} exceeds dim {self.dim}")
         low = [f for f in self.facets if f.dim < n]
@@ -493,6 +492,7 @@ class SimplicialComplex:
 
     def pure_skeleton(self, n: int) -> "SimplicialComplex":
         """The subcomplex spanned by the n-dimensional faces (n >= -1)."""
+        _check_count(n, "dimension", -1)
         if n > self.dim:
             raise ValueError(f"skeleton dimension {n} exceeds dim {self.dim}")
         return SimplicialComplex(self.faces(n))

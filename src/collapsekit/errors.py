@@ -61,10 +61,18 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 def _check_int(value, name: str) -> None:
-    """TypeError naming a count argument (a budget limit, d, k, k_max or
-    trials) that is not an int, or is a bool."""
+    """TypeError naming a count argument (a budget limit, a dimension, d,
+    k, k_max or trials) that is not an int, or is a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _check_count(value, name: str, least: int = 0) -> None:
+    """Reject a count argument named `name`: TypeError unless it is an int
+    and not a bool (`_check_int`), ValueError unless it is >= least."""
+    _check_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_limit(limit) -> None:

@@ -22,9 +22,11 @@ rank every induced subcomplex but the empty one and cones (no reduced
 homology), each from its canonical facet masks, with no
 `SimplicialComplex` built.
 
-On top of that: Leray numbers (a top-down scan of the links that stops at
-the first nonzero degree, screens rational ranks over GF(2), and can be
-capped so that it asks no degree at or above a given one; the
+On top of that: Leray numbers (one route, `_leray`: below 2 a facet count
+and the greedy d = 1 walk `_one_collapsible` with no rank, by Wegner's
+theorem, and above it a top-down scan of the links that stops at the
+first nonzero degree, screens rational ranks over GF(2), and can be
+floored and capped so that it asks no degree outside the two; the
 induced-subcomplex brute force `_leray_induced` is its oracle), homological
 connectivity, both Cohen-Macaulay predicates, shellability and k-vertex
 decomposability with replayable shedding witnesses.  The capped scan over
@@ -66,7 +68,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 from .complexes import (Face, SimplicialComplex, _antichain, _face, _link,
                         _new_faces, _split, bits_of, faces_of, subsets,
                         vertices_of)
-from .errors import Budget, NotPureError, _check_int, _depth_first, _drive
+from .errors import Budget, NotPureError, _check_count, _depth_first, _drive
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
 #: and the induced Cohen-Macaulay test) are refused.
@@ -524,7 +526,9 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
     gives both the same homology).  The scan is `_leray` capped at
     dim(x) + 1, which no link exceeds, so its value is exactly that of the
     full Betti vector of every link, and `_leray_induced` is the test
-    oracle.
+    oracle.  Like every Leray question it reads L <= 1 with no link
+    listed, off the facet count and the greedy walk `_one_collapsible`,
+    and scans from 2 where the walk gets stuck.
 
     A link cache (`_cached`) keeps the links and ranks for later questions
     about x, and reuses those an earlier scan took.
@@ -533,20 +537,32 @@ def leray_number(x: SimplicialComplex, field: Field = "Q",
 
 
 def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
-           cap: int, best: int = 0) -> int:
-    """The link scan of `leray_number` over Q (p None) or GF(p), asking no
-    degree >= cap and none below the floor best: it is min(cap, max(best,
-    L(x))), and a floor that meets its cap lists no link.  Every bounded
-    Leray question asks it through `invariants._leray_within`.
+           cap, best: int = 0) -> int:
+    """min(cap, max(best, L(x; F))) over F = Q (p None) or GF(p), through
+    the link cache `cache` (or None), asking no degree >= cap and none
+    below the floor best: the one home of every Leray number, so with
+    cap = best + 1 it answers "L(x) <= best?".  `leray_number`,
+    `invariants._bounds`, `invariants.is_d_collapsible`,
+    `reports._inv_leray` and `reports._shedding_leray_holds` ask here.
 
-    The links come apex first (`_closed_links`): the apex link often
-    reaches the final L at once, and the other faces follow largest first,
-    so the small links come before the big ones.  A link of dimension D
-    and m facets has its nerve inside the boundary of the (m - 1)-simplex,
-    so it can only raise L to min(D, m - 2) + 1, and links that cannot
-    raise best are skipped.  A link that `_nerve_degrees` settles gives its
-    top nonzero degree below cap off its degree mask, with no rank.  Any
-    other has no homology above m - 3, and is walked down from degree
+    Below 2, L takes no rank, over every field.  L = 0 exactly on at most
+    one facet (any other complex has a minimal non-face, which induces a
+    simplex boundary), so a cap of 1 reads the facet count.  L <= 1 iff
+    C <= 1 iff the greedy walk `_one_collapsible` empties x: all three say
+    x is the clique complex of a chordal graph (Wegner 1975; Lekkerkerker
+    and Boland 1962).  That rule runs where best < min(cap, 2), before the
+    floor meets the cap, and where the walk gets stuck the floor is 2, so
+    a floor of 2 that meets its cap lists no link either.
+
+    Above it the scan reads the links that can raise L.  They come apex
+    first (`_closed_links`): the apex link often reaches the final L at
+    once, and the other faces follow largest first, so the small links
+    come before the big ones.  A link of dimension D and m facets has its
+    nerve inside the boundary of the (m - 1)-simplex, so it can only raise
+    L to min(D, m - 2) + 1, and links that cannot raise best are skipped.
+    A link that `_nerve_degrees` settles gives its top nonzero degree
+    below cap off its degree mask, with no rank.  Any other has no
+    homology above m - 3, and is walked down from degree
     min(D, m - 3, cap - 1) to degree best, stopping at the first nonzero
     one (`_Chains.top_degree`, which screens rational ranks over GF(2)).
     The apex link is the one link held by every facet.  Every other closed
@@ -555,6 +571,13 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
     drops to d0.  The scan ends once best >= cap, so a scan whose best
     reaches d0 at the apex never builds the closure under & behind it.
     """
+    if best < min(cap, 2):
+        n = len(x.facets)
+        if n <= 1 or cap <= 1:
+            return max(best, min(cap, int(n > 1)))
+        if _one_collapsible(x.facets):
+            return 1
+        best = 2
     if best >= cap:
         return cap
     held_by_all = len(x.facets)
@@ -574,6 +597,44 @@ def _leray(x: SimplicialComplex, p: Optional[int], cache: Optional[dict],
         if best >= cap:
             break
     return best
+
+
+def _one_collapsible(facets: Sequence[int]) -> bool:
+    """Whether the complex with these facets is 1-collapsible, by one
+    greedy walk with no search: it deletes the least vertex held by exactly
+    one facet (a free vertex, whose 1-collapse is its deletion) until at
+    most one facet, a simplex, is left, and fails when no vertex is free.
+
+    The walk is exact, and it answers L(x; F) <= 1 over every field F.
+    X is 1-Leray over F iff X is 1-collapsible iff X is the clique
+    complex of a chordal graph (Wegner 1975; Lekkerkerker and Boland
+    1962).  A 1-Leray X is flag, since a minimal non-face of k >= 3
+    vertices induces the boundary of a simplex, with homology in degree
+    k - 2 >= 1, and its graph has no induced cycle of four or more
+    vertices, which would carry H~_1.  A chordal graph has a simplicial
+    vertex (Dirac 1961), one held by a single maximal clique, and deleting
+    it leaves the clique complex of an induced subgraph, chordal again.
+    So deleting any free vertex of a 1-collapsible complex leaves a
+    1-collapsible one, and the greedy order never gets stuck where some
+    order would not (Tancer 2010 shows that greedy is exact for every
+    d <= 2).  A single facet, or none, is 0-collapsible: L = C = 0.
+    """
+    facets = list(facets)
+    while len(facets) > 1:
+        seen = once = 0
+        for f in facets:
+            once = once & ~f | f & ~seen
+            seen |= f
+        if not once:
+            return False
+        v = once & -once
+        f = next(f for f in facets if f & v)
+        facets.remove(f)
+        # F - v stays a facet unless another facet holds it (or it is empty)
+        f ^= v
+        if all(f & ~g for g in facets):
+            facets.append(f)
+    return True
 
 
 def _induced_subcomplexes(
@@ -760,9 +821,7 @@ def is_k_vertex_decomposable(
     field.  A link cache shares that test's links and ranks with the other
     questions asked of x, as in `is_cohen_macaulay`.
     """
-    _check_int(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_count(k, "k")
     if not x.is_pure():
         raise NotPureError("k-vertex decomposability is defined for pure complexes")
     if not is_cohen_macaulay(x, 2, cache):

@@ -21,10 +21,11 @@ at once when f = u; otherwise d = f, ..., u - 1 are searched, and u is the
 answer if none succeeds.  Only searches that must fail are skipped, so
 every value is the plain upward loop's.  `is_d_collapsible` itself, and
 so each threshold probe's one question C(Y) <= d, refutes a d below
-L(Y; GF(2)) before any search by asking "L(Y) <= d?".  Every bounded
-Leray question, C's floor and that one among them, is asked of
-`_leray_within`, which states the rule below 2: there a facet count and
-one greedy walk (`_one_collapsible`, Wegner 1975) decide L with no rank.
+L(Y; GF(2)) before any search by asking "L(Y) <= d?".  Every Leray
+question, C's floor and that one among them, is asked of
+`homology._leray`, which states the rule below 2: there a facet count and
+one greedy walk (`homology._one_collapsible`, Wegner 1975) decide L with
+no rank.
 The first order's collapse claims exactly d(X, ord), so a report reads
 d_mes from it too.
 
@@ -60,12 +61,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _new_faces,
                         _open_faces, as_face, faces_of, vertices_of)
-from .errors import Budget, NotAFaceError, _check_int, _depth_first, _drive
+from .errors import Budget, NotAFaceError, _check_count, _depth_first, _drive
 from .homology import _leray
 
 
@@ -98,9 +99,9 @@ def is_d_collapsible(
 
     A d-collapsible complex is d-Leray over every field (Wegner 1975), so
     where L(x; GF(2)) > d the answer is no with no search and no node
-    spent.  The bounded question "L(x) <= d?" (`_leray_within` floored at
-    d and capped at d + 1) tells first: at d >= 2 a GF(2) scan that reads
-    degree d alone, and below 2 no rank at all, as `_leray_within` states
+    spent.  The bounded question "L(x) <= d?" (`homology._leray` floored
+    at d and capped at d + 1) tells first: at d >= 2 a GF(2) scan that
+    reads degree d alone, and below 2 no rank at all, as `_leray` states
     (d = 0 is refuted by two facets, d = 1 by the greedy walk).
     d-collapsibility is monotone in d (a d-collapse is also a
     (d+1)-collapse), so the answer is exactly C(x) <= d, the threshold
@@ -116,10 +117,8 @@ def is_d_collapsible(
     search is `errors._depth_first` over facet tuples, each its own key, so
     a certificate may have any length; only its steps become `FreePair`s.
     """
-    _check_int(d, "d")
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if refute and _leray_within(x, 2, None, d + 1, d) > d:
+    _check_count(d, "d")
+    if refute and _leray(x, 2, None, d + 1, d) > d:
         return False, None
     budget = budget or Budget()
 
@@ -179,70 +178,6 @@ def _least_face(faces: Iterable[int]) -> int:
     return least
 
 
-def _one_collapsible(facets: Sequence[int]) -> bool:
-    """Whether the complex with these facets is 1-collapsible, by one
-    greedy walk with no search: it deletes the least vertex held by exactly
-    one facet (a free vertex, whose 1-collapse is its deletion) until at
-    most one facet, a simplex, is left, and fails when no vertex is free.
-
-    The walk is exact, and it answers L(x; F) <= 1 over every field F.
-    X is 1-Leray over F iff X is 1-collapsible iff X is the clique
-    complex of a chordal graph (Wegner 1975; Lekkerkerker and Boland
-    1962).  A 1-Leray X is flag, since a minimal non-face of k >= 3
-    vertices induces the boundary of a simplex, with homology in degree
-    k - 2 >= 1, and its graph has no induced cycle of four or more
-    vertices, which would carry H~_1.  A chordal graph has a simplicial
-    vertex (Dirac 1961), one held by a single maximal clique, and deleting
-    it leaves the clique complex of an induced subgraph, chordal again.
-    So deleting any free vertex of a 1-collapsible complex leaves a
-    1-collapsible one, and the greedy order never gets stuck where some
-    order would not (Tancer 2010 shows that greedy is exact for every
-    d <= 2).  A single facet, or none, is 0-collapsible: L = C = 0.
-    """
-    facets = list(facets)
-    while len(facets) > 1:
-        seen = once = 0
-        for f in facets:
-            once = once & ~f | f & ~seen
-            seen |= f
-        if not once:
-            return False
-        v = once & -once
-        f = next(f for f in facets if f & v)
-        facets.remove(f)
-        # F - v stays a facet unless another facet holds it (or it is empty)
-        f ^= v
-        if all(f & ~g for g in facets):
-            facets.append(f)
-    return True
-
-
-def _leray_within(x: SimplicialComplex, p: Optional[int],
-                  cache: Optional[dict], cap, least: int = 0) -> int:
-    """max(least, min(L(x; F), cap)) over F = Q (p None) or GF(p), for
-    every least, cap >= 0, through the link cache `cache` (or None): the
-    one home of every bounded Leray question, so with cap = least + 1 it
-    answers "L(x) <= least?".  `_bounds`, `is_d_collapsible`,
-    `reports._inv_leray` and `reports._shedding_leray_holds` ask here.
-
-    Below 2, L takes no rank, over every field.  L = 0 exactly on at most
-    one facet (any other complex has a minimal non-face, which induces a
-    simplex boundary), so a cap of 1 reads the facet count.  L <= 1 iff
-    C <= 1 iff the greedy walk `_one_collapsible` empties x: all three say
-    x is the clique complex of a chordal graph (Wegner 1975; Lekkerkerker
-    and Boland 1962).  Where the walk gets stuck (it is not run for
-    least >= 2), `homology._leray` scans from max(least, 2) up to cap,
-    reading only the links that can raise L, and none where that floor
-    meets cap.
-    """
-    n = len(x.facets)
-    if n <= 1 or cap <= 1:
-        return max(least, min(cap, int(n > 1)))
-    if least < 2 and _one_collapsible(x.facets):
-        return 1
-    return max(least, _leray(x, p, cache, cap, max(least, 2)))
-
-
 def collapsibility_number(
     x: SimplicialComplex, budget: Optional[Budget] = None
 ) -> int:
@@ -287,7 +222,7 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     complex is d-Leray over every field (Wegner 1975), and
     dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher
     floor, with the cheaper modular rank.  It is the GF(2) Leray number
-    capped at u_1 and floored at least (`_leray_within`, which reads it
+    capped at u_1 and floored at least (`homology._leray`, which reads it
     below 2 with no rank and lists no link where its floor meets u_1), so
     it asks no degree >= u_1; since L(x; GF(2)) <= C <= u_1 the cap
     changes nothing.
@@ -310,7 +245,7 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     Neither bound spends a node.
     """
     claim = first.claimed_d
-    floor = _leray_within(x, 2, links, claim, least)
+    floor = _leray(x, 2, links, claim, least)
     if floor < claim:
         rev = _mes_certificate(
             x, FacetOrdering(x, ordering.ordered_facets[::-1]))
@@ -596,9 +531,7 @@ def mk(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> int:
     Above the dimension x has no k-faces, so M'_k = M_{k-1} and M_k =
     M_{max(dim, 0)}: the engine reads such a k as the dimension, so a huge
     k costs what k = max(dim, 0) does."""
-    _check_int(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_count(k, "k")
     return _MkEngine(budget).m(x, k)
 
 
@@ -607,9 +540,7 @@ def mk_prime(x: SimplicialComplex, k: int, budget: Optional[Budget] = None) -> i
     max(M'_k(lk s) + k + 1, M'_k(del s)); 0 (k = 0) or M_{k-1}(x) (k > 0)
     when x has no open k-face, so M_{max(dim, 0)}(x) for every k > dim,
     which it asks `mk` for without a node of its own."""
-    _check_int(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_count(k, "k")
     if k > x.dim:
         return mk(x, k, budget)
     return _MkEngine(budget).m_prime(x, k)
@@ -620,8 +551,6 @@ def mk_chain(
 ) -> list[int]:
     """[M_0(x), ..., M_{k_max}(x)] computed with one shared memo table; a
     k past the dimension spends no node (see `mk`)."""
-    _check_int(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError("k must be >= 0")
+    _check_count(k_max, "k_max")
     engine = _MkEngine(budget)
     return [engine.m(x, k) for k in range(k_max + 1)]

@@ -39,7 +39,7 @@ from .errors import (
     NotAFaceError,
     NotPureError,
     UndominatableError,
-    _check_int,
+    _check_count,
     _check_limit,
 )
 from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
@@ -47,6 +47,7 @@ from .generators import (_HYPERGRAPH_KINDS, SEEDLESS_KINDS, GeneratorSpec,
 from .homology import (
     LERAY_VERTEX_CAP,
     Field,
+    _leray,
     _leray_induced,
     _low_betti,
     _parse_field,
@@ -71,7 +72,6 @@ from .invariants import (
     mk_chain,
     _bounds,
     _collapsibility,
-    _leray_within,
     _mes_certificate,
     _MkEngine,
 )
@@ -122,7 +122,7 @@ class _Evaluation:
     <'), by the Leray number as its answer or its cap (`_inv_leray`),
     and by the Betti numbers as the degree their homology stops below
     (`_inv_betti`).  Wegner's d = 1 theorem makes a low floor cheap
-    (`invariants._leray_within` states the rule): a floor below 2 takes
+    (`homology._leray` states the rule): a floor below 2 takes
     no scan, a floor of 2 that meets u none either, and where the floor
     is at most 2 the report reads the rational Leray number and the Betti
     numbers over Q and GF(2) with no rank.  The bounds spend no nodes, so
@@ -264,24 +264,24 @@ def _inv_leray(ev):
     (`invariants._bounds`) when the report asks C.  Over GF(2) it is f.
     Over Q it is f when f <= 2: L(X; Q) <= f, since b_i(Q) <= b_i(GF(2))
     on every link, and below 2 L is the same over every field (the rule
-    of `invariants._leray_within`).  Over an odd prime field it is f when
-    f <= 1.  Any other question goes to `_leray_within` floored at
-    max(least, 2): over Q capped at f, over an odd prime field at u >= C
-    (a u-collapsible complex is u-Leray over every field; Wegner 1975).
-    A hypergraph report without C asks it capped at the nc order's claim
-    d(NC(H), <) >= C (`mes_collapse`) and floored at `least`, and a
-    complex report without C scans uncapped, through `leray_number`."""
+    of `homology._leray`, the one home of every Leray number).  Over an
+    odd prime field it is f when f <= 1.  Any other question goes to
+    `_leray` floored at max(least, 2): over Q capped at f, over an odd
+    prime field at u >= C (a u-collapsible complex is u-Leray over every
+    field; Wegner 1975).  A hypergraph report without C asks it capped at
+    the nc order's claim d(NC(H), <) >= C (`mes_collapse`) and floored at
+    `least`, and a complex report without C asks `leray_number`, which is
+    `_leray` capped at dim + 1."""
     x, p = ev.complex, ev.p
     floor, ceiling = ev.bounds
     if floor is None:
         if not ev.prefix:
             return leray_number(x, ev.field, ev.links)
-        return _leray_within(x, p, ev.links, ev.mes_collapse.claimed_d,
-                             ev.least)
+        return _leray(x, p, ev.links, ev.mes_collapse.claimed_d, ev.least)
     if p == 2 or floor <= (2 if p is None else 1):
         return floor
     cap = floor if p is None else ceiling.claimed_d
-    return _leray_within(x, p, ev.links, cap, max(ev.least, 2))
+    return _leray(x, p, ev.links, cap, max(ev.least, 2))
 
 
 COMPLEX_INVARIANTS = {
@@ -461,14 +461,14 @@ def _shedding_leray_holds(x: SimplicialComplex, s: Face,
     a k-face s of x whose deletion is dele and lhs = L(X); it tests no
     hypothesis.  Neither side is ranked in full: each is a bounded Leray
     question floored at its bound b and capped at b + 1
-    (`invariants._leray_within`, which states the rule below 2), which
+    (`homology._leray`, which states the rule below 2), which
     answers "L <= b?" and skips every link that cannot raise L above b.
     The link's bound lhs - k - 1 is below 0 exactly when no Leray number
     can meet it; the link, the smaller complex, is asked before the
     deletion.  Both read the link cache `cache`."""
     b = lhs - s.dim - 1
-    return (b >= 0 and _leray_within(x.link(s), p, cache, b + 1, b) <= b
-            and _leray_within(dele, p, cache, lhs + 1, lhs) <= lhs)
+    return (b >= 0 and _leray(x.link(s), p, cache, b + 1, b) <= b
+            and _leray(dele, p, cache, lhs + 1, lhs) <= lhs)
 
 
 def neighbor_inequality_check(h: Hypergraph, cover, subset) -> bool:
@@ -871,9 +871,7 @@ def _check_run(what: str, spec: GeneratorSpec, trials: int,
     positive int (`errors._check_limit`), a spec no seed can build
     (`generators._check_spec`), or a spec whose kind builds the wrong
     type of instance for `what`."""
-    _check_int(trials, "trials")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    _check_count(trials, "trials")
     _check_limit(budget_limit)
     _check_spec(spec)
     builds = spec.kind in _HYPERGRAPH_KINDS
@@ -948,9 +946,7 @@ def conjecture_search(
     `k` must be an int >= 1, `trials` an int >= 0 and `budget_limit` a
     positive int.  A seedless kind (`SEEDLESS_KINDS`) builds one
     instance, so it runs one trial at most."""
-    _check_int(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count(k, "k", 1)
     spec = spec or GeneratorSpec(kind="random-complex")
     _check_run("conjecture search", spec, trials, False, budget_limit)
     if spec.kind in SEEDLESS_KINDS:

@@ -644,6 +644,27 @@ def test_skeletons_below_dimension_minus_one_are_rejected(method):
             getattr(x, method)(-2)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, True, False],
+                         ids=repr)
+def test_face_counts_that_are_not_ints_are_refused_by_name(bad):
+    """A dimension, k or d that is not an int, or is a bool, raises a
+    TypeError naming the parameter: `faces(True)` read as the edges,
+    `free_pairs(True)` as the pairs at d = 1, and `faces(1.5)` failed
+    with Python's own unnamed message."""
+    x = SimplicialComplex([(1, 2, 3), (3, 4)])
+    calls = [("dimension", x.faces), ("k", x.open_faces),
+             ("d", x.free_pairs), ("dimension", x.skeleton),
+             ("dimension", x.pure_skeleton)]
+    for name, method in calls:
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not "
+                                            f"{type(bad).__name__}$"):
+            method(bad)
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        x.open_faces(-1)
+    with pytest.raises(ValueError, match="^d must be >= 0$"):
+        x.free_pairs(-1)
+
+
 def test_boundary():
     assert boundary((1, 2, 3)) == SimplicialComplex([(1, 2), (1, 3), (2, 3)])
     assert boundary((1,)).is_empty

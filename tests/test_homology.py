@@ -464,14 +464,20 @@ def test_leray_scan_skips_repeated_links(monkeypatch):
 
     monkeypatch.setattr(homology, "_link_chains", counted)
     monkeypatch.setattr(SimplicialComplex, "link", no_link)
-    # five triangles on the edge 12: 12 is the only closed face below a
-    # facet, so its link, five points, is the one ranked; every other link
-    # (the edges 13, 14, ... and the vertices, and x itself) is a cone, and
-    # the five facets share the link {} of a facet, which has no degree to
-    # rank.  Three points would be read off their nerve, with no rank.
+    # five triangles on the edge 12 are 1-collapsible: the greedy walk
+    # reads L = 1 with no link listed, so none is ranked
     fan = SimplicialComplex([(1, 2, v) for v in range(3, 8)])
     assert leray_number(fan) == 1
-    assert ranked == [tuple(1 << v for v in range(3, 8))]
+    assert ranked == []
+    # the edge 12 joined with the octahedron: every facet holds 12, so the
+    # apex link is the octahedron, eight triangles whose nerve is no
+    # simplex boundary, and the one ranked; it takes L to 3, past every
+    # later link (each of dimension below 2), so the scan stops there
+    octahedron = [1 << a | 1 << b | 1 << c
+                  for a in (3, 4) for b in (5, 6) for c in (7, 8)]
+    cone = SimplicialComplex(f | 0b110 for f in octahedron)
+    assert leray_number(cone) == 3
+    assert ranked == [tuple(sorted(octahedron))]
     for x in all_complexes(4) + [RP2, V6F10_6]:
         for p in (None, 2):
             ranked.clear()
@@ -609,14 +615,12 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     """A link cache draws the closed links once, and only as far as some
     scan reads: C of the 17-sphere stops at its apex link (the sphere
     itself), so a report of C alone never builds the 2^18 closed faces.
-    On v6f10-6 the scan capped at 1 draws a prefix, the apex link and the
-    first edge link, and the full scans draw on from there.  They stop at
-    the first vertex link: its cycle takes L to 2, the apex link's
-    dimension, which no later link can pass.  So 12 of the 17 links are
-    drawn.  A report of C and the Leray number draws the shorter prefix of
-    the scan floored at 2 (the greedy d = 1 walk fails) and capped at the
-    claim 3: the apex link alone, which drops the cap to its dimension 2,
-    the floor."""
+    On v6f10-6 the scan capped at 1 reads the facet count and draws no
+    link.  The full scans find the greedy d = 1 walk stuck and start at
+    the floor 2: the apex link, drawn once for both, drops the cap to its
+    dimension 2, the floor, which no later link can pass, so 1 of the 17
+    links is drawn.  A report of C and the Leray number draws the same
+    prefix: its scan is floored at 2 and capped at the claim 3."""
     closed_links = homology._closed_links
     drawn = []
 
@@ -635,10 +639,10 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     drawn.clear()
     cache = {}
     assert homology._leray(x, 2, cache, 1) == 1
-    assert drawn == links[:2]
+    assert drawn == []
     assert leray_number(x, "Q", cache) == 2
     assert leray_number(x, 2, cache) == 2
-    assert drawn == links[:12]
+    assert drawn == links[:1]
     drawn.clear()
     assert reports.compute(x, ["C", "leray"])["values"] == {"C": 2,
                                                            "leray": 2}
@@ -646,6 +650,36 @@ def test_cached_links_are_drawn_only_as_far_as_a_scan_reads(monkeypatch):
     drawn.clear()
     assert homology._leray(x, 2, {}, 3, 2) == 2
     assert drawn == links[:1]
+
+
+def test_leray_number_lists_no_link_where_the_greedy_walk_empties_x(
+        monkeypatch):
+    """`leray_number` is `_leray` capped at dim + 1, so it reads L <= 1
+    off the facet count and the greedy d = 1 walk: on every complex on
+    <= 4 vertices that the walk empties, those with L <= 1 by the brute
+    force (Wegner 1975), it lists no closed link, over Q, GF(2) and GF(3),
+    and answers as the brute force.  Where the walk gets stuck the scan
+    starts at 2: on v6f10-6 it draws the apex link alone, whose dimension
+    2 caps L at the floor."""
+    closed_links = homology._closed_links
+    drawn = []
+
+    def counted(y):
+        for item in closed_links(y):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(homology, "_closed_links", counted)
+    walked = 0
+    for x in all_complexes(4):
+        if _leray_induced(x, 2) <= 1:
+            walked += len(x.facets) > 1
+            for field in ("Q", 2, 3):
+                assert leray_number(x, field) == _leray_induced(x, field), x
+    assert walked and drawn == []
+    x = NAMED_EXAMPLES["v6f10-6"]()
+    assert leray_number(x) == 2
+    assert drawn == list(closed_links(x))[:1]
 
 
 def test_link_listing_readers_share_one_draw(monkeypatch):
@@ -1314,7 +1348,7 @@ def test_shed_leray_lists_the_links_of_each_complex_once(monkeypatch):
     the deletions of its 11 shedding faces (6 not Cohen-Macaulay).  The
     faces ranked are the 10 edges from {2,3}, the first face to count,
     on, and no edge's link is listed: each asks "L(lk) <= 0?", which the
-    facet count answers (`invariants._leray_within`), where a scan listed
+    facet count answers (`homology._leray`), where a scan listed
     them (22 listings, and 3 for the public check at {2,3})."""
     listed = []
     real = homology._closed_links
@@ -1337,10 +1371,10 @@ def exact_shedding_leray_holds(x, sigma, dele, p):
     deletion is dele, with every Leray number ranked in full: the formula
     `reports._shedding_leray_holds` had before it asked both sides as
     bounded scans, kept as its oracle.  It reads L(del) and L(lk) off
-    uncapped questions through `reports._leray_within`, so a helper
-    patched there reaches the probe and the oracle alike."""
+    uncapped questions through `reports._leray`, so a helper patched
+    there reaches the probe and the oracle alike."""
     def full(y):
-        return reports._leray_within(y, p, None, math.inf)
+        return reports._leray(y, p, None, math.inf)
 
     return leray_number(x, "Q" if p is None else p) >= max(
         full(dele), full(x.link(sigma)) + sigma.dim + 1)
@@ -1456,16 +1490,16 @@ def probe_outcome(run, x):
 
 
 def _overstated_edge_links(x):
-    """A `reports._leray_within` that reads one more Leray number on every
+    """A `reports._leray` that reads one more Leray number on every
     complex of dimension dim(x) - 2, the links of the edges of a pure x,
     so the inequality fails at some edges and holds at the vertices
     before them."""
-    real = reports._leray_within
+    real = reports._leray
 
-    def overstated(y, p, cache, cap, least=0):
+    def overstated(y, p, cache, cap, best=0):
         if y.dim != x.dim - 2:
-            return real(y, p, cache, cap, least)
-        return max(least, min(real(y, p, cache, cap) + 1, cap))
+            return real(y, p, cache, cap, best)
+        return min(cap, max(best, real(y, p, cache, cap) + 1))
     return overstated
 
 
@@ -1486,7 +1520,7 @@ def probe_differential(xs):
     outcomes, counted by (check, "pass", "skip" or "fail"), and the
     mismatches."""
     checks = [("shed-leray", None, None),
-              ("shed-leray", "_leray_within", _overstated_edge_links),
+              ("shed-leray", "_leray", _overstated_edge_links),
               ("link-del-commute", None, None),
               ("link-del-commute", "_link",
                lambda x: _drop_last_of(reports._link)),
@@ -1542,7 +1576,7 @@ def test_theorem_probes_answer_as_their_oracles():
         assert counts[(theorem, name), "pass"] > 0, theorem
         assert counts[(theorem, name), "fail"] == 0, theorem
     assert counts[("shed-leray", None), "skip"] > 0
-    for label in [("shed-leray", "_leray_within"),
+    for label in [("shed-leray", "_leray"),
                   ("link-del-commute", "_link"),
                   ("link-del-commute", "_deletion")]:
         assert counts[label, "fail"] > 0, label

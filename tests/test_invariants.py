@@ -5,10 +5,14 @@ full-C loop it replaced.
 The <= 4-vertex universe runs in the suite.  From the repo root,
 `PYTHONPATH=src python tests/test_invariants.py 5` runs the claim
 differential (the threshold answers of `is_d_collapsible` included), its
-bounded refutation against the capped scan it replaced, and C against the
-apex floor it replaced on all 7,580 complexes on <= 5 vertices (about 90
-seconds).  `... test_invariants.py mes 3000` builds, replays and checks
-against d_of_ordering and against the re-sorting walk
+bounded refutation against the brute-force Leray number and the capped
+scan it replaced, and C against the apex floor it replaced on all 7,580
+complexes on <= 5 vertices (about 90 seconds).  `... test_invariants.py
+wegner 5 2000` runs the greedy d = 1 walk and every Leray question at
+every cap and floor against the brute-force Leray number on the same
+complexes and 2,000 random ones on 6-9 vertices (about 20 seconds).
+`... test_invariants.py mes 3000` builds, replays and checks against
+d_of_ordering and against the re-sorting walk
 (`resorting_mes_certificate`) the mes certificates of 3,000 seeds of
 each generator and of 6,000 random orders of random complexes on 7-9
 vertices (about 7 seconds).  `... test_invariants.py
@@ -204,21 +208,28 @@ def test_a_d_from_the_gf2_leray_number_up_ranks_no_column_to_refute():
             assert budget.used == 22 and columns[0] == 0, d
 
 
-def refutation_differential(n):
-    """`is_d_collapsible(x, d)` against the GF(2) scan capped at d + 1
-    alone (`homology._leray` with no floor), the refutation it asked
-    before the bounded "L <= d?" scan, on every complex on <= n vertices
-    at every d <= max(dim, 0) + 1: it answers with no node spent exactly
-    where that scan exceeds d, and ranks no more GF(2) columns.  Returns
+#: The brute-force Leray number (`homology._leray_induced`), which runs no
+#: greedy walk, taken once per complex and field across the differentials.
+brute_leray = functools.cache(homology._leray_induced)
+
+
+def refutation_differential(xs):
+    """`is_d_collapsible(x, d)` on each complex of xs at every
+    d <= max(dim, 0) + 1 against the brute-force Leray number over GF(2)
+    (`brute_leray`): it answers with no node spent exactly where
+    L(x; GF(2)) > d, and ranks no more GF(2) columns than the GF(2) scan
+    capped at d + 1 alone (`homology._leray` with no floor), the
+    refutation it asked before the bounded "L <= d?" scan.  Returns
     (questions, mismatches, more, columns, unbounded columns)."""
     questions, mismatches, more = 0, [], []
     total = unbounded_total = 0
+    lerays = [brute_leray(x, 2) for x in xs]
     patch, columns = counting_gf2_columns()
     with patch:
-        for x in all_complexes(n):
+        for x, leray in zip(xs, lerays):
             for d in range(max(x.dim, 0) + 2):
                 columns[0] = 0
-                refuted = homology._leray(x, 2, None, d + 1) > d
+                homology._leray(x, 2, None, d + 1)
                 unbounded = columns[0]
                 columns[0] = 0
                 budget = Budget()
@@ -227,7 +238,7 @@ def refutation_differential(n):
                 total += columns[0]
                 unbounded_total += unbounded
                 # every search enters its start state, spending a node
-                if (budget.used == 0) != refuted:
+                if (budget.used == 0) != (leray > d):
                     mismatches.append((x, d))
                 if columns[0] > unbounded:
                     more.append((x, d, columns[0], unbounded))
@@ -235,7 +246,13 @@ def refutation_differential(n):
 
 
 def test_the_bounded_refutation_matches_the_capped_scan_on_every_small_complex():
-    questions, mismatches, more, total, unbounded = refutation_differential(4)
+    """`refutation_differential` on every complex on <= 4 vertices and
+    `LERAY_3_ON_8` (<= 5 vertices from `__main__`): the capped scan reads
+    L <= 1 off the greedy walk too, so on the small complexes neither
+    ranks a GF(2) column, and at d = 3 on `LERAY_3_ON_8` the bounded
+    question ranks none where the capped scan ranks 12."""
+    questions, mismatches, more, total, unbounded = refutation_differential(
+        all_complexes(4) + [LERAY_3_ON_8])
     assert mismatches == [] and more == []
     assert total < unbounded
 
@@ -263,15 +280,15 @@ def test_d_collapsibility_answers_as_the_bare_search_on_every_small_complex():
 
 
 def wegner_differential(xs):
-    """The greedy d = 1 walk (`invariants._one_collapsible`) against
-    `leray_number(x, F) <= 1` over Q, GF(2) and GF(3) and against the
-    d = 1 search with no refutation, on each complex of xs: by Wegner's
-    theorem all five answers agree.  Returns (walks that empty x,
-    mismatches)."""
+    """The greedy d = 1 walk (`homology._one_collapsible`) against
+    `L(x; F) <= 1` over Q, GF(2) and GF(3), read off the brute-force
+    Leray number (`brute_leray`), and against the d = 1 search with no
+    refutation, on each complex of xs: by Wegner's theorem all five
+    answers agree.  Returns (walks that empty x, mismatches)."""
     emptied, mismatches = 0, []
     for x in xs:
-        walk = invariants._one_collapsible(x.facets)
-        answers = [leray_number(x, field) <= 1 for field in ("Q", 2, 3)]
+        walk = homology._one_collapsible(x.facets)
+        answers = [brute_leray(x, field) <= 1 for field in ("Q", 2, 3)]
         answers.append(is_d_collapsible(x, 1, refute=False)[0])
         emptied += walk
         if answers != [walk] * 4:
@@ -305,14 +322,16 @@ def wegner_inputs(count, seed=0):
     return xs
 
 
-def leray_within_differential(xs):
-    """`invariants._leray_within(x, p, cache, cap, least)` against
-    max(least, min(leray_number(x, F), cap)) over F = Q, GF(2) and GF(3),
-    at every cap from 0 to dim + 2 and every least from 0 to L(x; F), on
+def bounded_leray_differential(xs):
+    """`homology._leray(x, p, cache, cap, best)` against
+    min(cap, max(best, L(x; F))) over F = Q, GF(2) and GF(3), with L(x; F)
+    from the brute-force Leray number (`brute_leray`), at every cap from
+    0 to dim + 2 and every best from 0 to L(x; F) (for best <= cap that
+    is max(best, min(L, cap)), and a best past its cap reads the cap), on
     each complex of xs, with one fresh link cache per question: a scan
     reads the links (`homology._links_of`) only where the greedy d = 1
-    walk fails and max(least, 2) < cap.  Returns (questions, questions
-    that read links, mismatches)."""
+    walk fails and max(best, 2) < cap.  Returns (questions, questions that
+    read links, mismatches)."""
     questions = scanned = 0
     bad = []
     read = []
@@ -324,28 +343,28 @@ def leray_within_differential(xs):
 
     with mock.patch.object(homology, "_links_of", counted):
         for x in xs:
-            walk = invariants._one_collapsible(x.facets)
+            walk = homology._one_collapsible(x.facets)
             for p in (None, 2, 3):
-                want = leray_number(x, "Q" if p is None else p)
+                want = brute_leray(x, "Q" if p is None else p)
                 for cap in range(x.dim + 3):
-                    for least in range(want + 1):
+                    for best in range(want + 1):
                         read.clear()
-                        got = invariants._leray_within(x, p, {}, cap, least)
+                        got = homology._leray(x, p, {}, cap, best)
                         questions += 1
                         scanned += bool(read)
-                        if (got != max(least, min(want, cap))
-                                or read and (walk or max(least, 2) >= cap)):
-                            bad.append((x, p, cap, least, got, len(read)))
+                        if (got != min(cap, max(best, want))
+                                or read and (walk or max(best, 2) >= cap)):
+                            bad.append((x, p, cap, best, got, len(read)))
     return questions, scanned, bad
 
 
 def test_bounded_leray_questions_answer_as_the_leray_number():
-    """`leray_within_differential` on every complex on <= 4 vertices, the
+    """`bounded_leray_differential` on every complex on <= 4 vertices, the
     mod-3 Moore space (L = 2 over Q and GF(2), 3 over GF(3)),
     `LERAY_3_ON_8` and the empty complex (<= 5 vertices and random ones
-    from `__main__`): the value is the Leray number between least and
+    from `__main__`): the value is the Leray number between best and
     cap, and a scan runs only above the rule for L < 2, where some do."""
-    questions, scanned, bad = leray_within_differential(
+    questions, scanned, bad = bounded_leray_differential(
         all_complexes(4) + [mod3_moore_space(), LERAY_3_ON_8,
                             SimplicialComplex()])
     assert bad == []
@@ -1123,7 +1142,7 @@ def test_mk_rejects_negative_k():
         mk(THREE_CYCLE, -1)
     with pytest.raises(ValueError):
         mk_prime(THREE_CYCLE, -1)
-    with pytest.raises(ValueError, match="k must be >= 0"):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
         mk_chain(THREE_CYCLE, -1)
 
 
@@ -1301,15 +1320,16 @@ if __name__ == "__main__":
         small, randoms = all_complexes(n), wegner_inputs(count, seed)
         emptied, bad = wegner_differential(small)
         emptied_random, bad_random = wegner_differential(randoms)
-        print(f"the greedy d = 1 walk against L <= 1 over Q, GF(2) and "
-              f"GF(3) and the d = 1 search: {len(small)} complexes on <= "
+        print(f"the greedy d = 1 walk against the brute-force L <= 1 over "
+              f"Q, GF(2) and GF(3) and the d = 1 search: {len(small)} "
+              f"complexes on <= "
               f"{n} vertices ({emptied} emptied) and {count} random ones on "
               f"6-9 vertices, seed {seed} ({emptied_random} emptied): "
               f"{len(bad) + len(bad_random)} mismatches")
-        questions, scanned, bad_within = leray_within_differential(
+        questions, scanned, bad_within = bounded_leray_differential(
             small + randoms)
-        print(f"the bounded Leray questions against the Leray number on "
-              f"the same complexes: {questions} questions, {scanned} "
+        print(f"the bounded Leray questions against the brute-force Leray "
+              f"number on the same complexes: {questions} questions, {scanned} "
               f"scanned, {len(bad_within)} mismatches")
         for case in bad + bad_random + bad_within:
             print(case)
@@ -1358,7 +1378,7 @@ if __name__ == "__main__":
     for bad in mismatches:
         print(bad)
     questions, refute_mismatches, more_columns, total, unbounded = (
-        refutation_differential(n))
+        refutation_differential(all_complexes(n) + [LERAY_3_ON_8]))
     print(f"the bounded refutation against the capped scan: {questions} "
           f"questions, {len(refute_mismatches)} mismatches, "
           f"{len(more_columns)} with more GF(2) columns; {total} columns "
