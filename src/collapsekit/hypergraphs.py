@@ -268,11 +268,13 @@ def nc_facet_order(h: Hypergraph) -> FacetOrdering:
 
 
 def _nc_facet_order(h: Hypergraph, nc: SimplicialComplex) -> FacetOrdering:
+    """`nc_facet_order` for nc = NC(h), already built: a sort of nc's own
+    facets, so it skips `FacetOrdering`'s permutation check."""
     if nc.is_empty:
         raise HypothesisNotMetError("NC(H) is empty; no facet order")
     vmask = h.vertex_mask
-    return FacetOrdering(
-        nc, sorted(nc.facets, key=lambda f: vertices_of(vmask & ~f)[::-1]))
+    return FacetOrdering._of_facets(nc, tuple(
+        sorted(nc.facets, key=lambda f: vertices_of(vmask & ~f)[::-1])))
 
 
 def _cover_relabeling(h: Hypergraph, budget: Budget | None = None):

@@ -27,7 +27,12 @@ question, C's floor and that one among them, is asked of
 one greedy walk (`homology._one_collapsible`, Wegner 1975) decide L with
 no rank.
 The first order's collapse claims exactly d(X, ord), so a report reads
-d_mes from it too.
+d_mes from it too.  The walk, the d-collapse search and the certificates
+they build work on int masks: a certificate holds its steps as (free face,
+facet) mask pairs, and spells them as `FreePair`s of `Face`s only when its
+`.steps` is read, so no report builds one.  The canonical and reversed
+facet orders, and the NC(H) order, are permutations of the complex's own
+facets by construction and are built without `FacetOrdering`'s check.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -57,13 +62,12 @@ budget raises, it never reads as "false".
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
+from .complexes import (Face, FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _new_faces,
                         _open_faces, as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _check_count, _depth_first, _drive
@@ -72,18 +76,52 @@ from .homology import _leray
 
 @dataclass(frozen=True)
 class CollapseCertificate:
-    """A replayable witness that a complex is d-collapsible."""
+    """A replayable witness that a complex is d-collapsible: its steps, the
+    free pairs (free face, facet) collapsed in turn, and the claim d.
 
-    steps: tuple[FreePair, ...]
+    The steps are held as (gamma, sigma) mask pairs, and `.steps` spells
+    them as `FreePair`s of `Face`s only when it is read, so the builders
+    (`is_d_collapsible`, `_mes_certificate`), `replay` and a report's
+    witness never build one.  `CollapseCertificate(steps, claimed_d)`
+    takes `FreePair`s or any (free face, facet) pairs of int masks or
+    vertex-label iterables (`as_face`), and a claim that is a count
+    (`errors._check_count`).  Equality, hash and repr read as they would
+    with the `FreePair`s: a `Face` is the int it holds."""
+
+    _masks: tuple[tuple[int, int], ...]
     claimed_d: int
+
+    def __init__(self, steps: Iterable, claimed_d: int):
+        _check_count(claimed_d, "claimed_d")
+        object.__setattr__(self, "_masks", tuple(
+            (int(as_face(gamma)), int(as_face(sigma)))
+            for gamma, sigma in steps))
+        object.__setattr__(self, "claimed_d", claimed_d)
+
+    @classmethod
+    def _of_masks(cls, masks: tuple[tuple[int, int], ...],
+                  claimed_d: int) -> "CollapseCertificate":
+        """The certificate with these (gamma, sigma) mask pairs, in range,
+        and this claim, a count, built unchecked."""
+        cert = object.__new__(cls)
+        object.__setattr__(cert, "_masks", masks)
+        object.__setattr__(cert, "claimed_d", claimed_d)
+        return cert
+
+    @property
+    def steps(self) -> tuple[FreePair, ...]:
+        return tuple(FreePair(_face(g), _face(s)) for g, s in self._masks)
+
+    def __repr__(self):
+        return (f"CollapseCertificate(steps={self.steps!r}, "
+                f"claimed_d={self.claimed_d!r})")
 
     def replay(self, source: SimplicialComplex) -> bool:
         """True iff replaying the steps from `source` is valid at every step,
         every free face has at most claimed_d vertices, and the terminal
         complex is empty."""
         facets = source.facets
-        for pair in self.steps:
-            gamma, sigma = int(pair.free_face), int(pair.facet)
+        for gamma, sigma in self._masks:
             if (gamma.bit_count() > self.claimed_d
                     or not _is_free(facets, gamma, sigma)):
                 return False
@@ -115,7 +153,7 @@ def is_d_collapsible(
     its lexicographically least face; at d every free face is a branch, in
     vertex-tuple order.  Runs are deterministic and certificates small.  The
     search is `errors._depth_first` over facet tuples, each its own key, so
-    a certificate may have any length; only its steps become `FreePair`s.
+    a certificate may have any length; it holds the path's mask pairs.
     """
     _check_count(d, "d")
     if refute and _leray(x, 2, None, d + 1, d) > d:
@@ -132,8 +170,7 @@ def is_d_collapsible(
                          moves, budget)
     if steps is None:
         return False, None
-    return True, CollapseCertificate(
-        tuple(FreePair(_face(g), _face(s)) for g, s in steps), d)
+    return True, CollapseCertificate._of_masks(tuple(steps), d)
 
 
 def _collapse_moves(facets: tuple[int, ...], d: int,
@@ -247,8 +284,8 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
     claim = first.claimed_d
     floor = _leray(x, 2, links, claim, least)
     if floor < claim:
-        rev = _mes_certificate(
-            x, FacetOrdering(x, ordering.ordered_facets[::-1]))
+        rev = _mes_certificate(x, FacetOrdering._of_facets(
+            x, ordering.ordered_facets[::-1]))
         if rev.claimed_d < claim:
             return floor, rev
     return floor, first
@@ -270,7 +307,8 @@ def _collapsibility(
 
 
 class FacetOrdering:
-    """A total order on the facets of a fixed complex."""
+    """A total order on the facets of a fixed complex.  The constructor
+    checks that the order is a permutation of the complex's facets."""
 
     __slots__ = ("complex", "ordered_facets")
 
@@ -281,18 +319,29 @@ class FacetOrdering:
         self.complex = complex
         self.ordered_facets = ordered
 
+    @classmethod
+    def _of_facets(cls, complex: SimplicialComplex,
+                   ordered: tuple[Face, ...]) -> "FacetOrdering":
+        """The ordering of `complex` whose facets, already a permutation of
+        its own, come in this order, built unchecked."""
+        order = object.__new__(cls)
+        order.complex = complex
+        order.ordered_facets = ordered
+        return order
+
     def __repr__(self):
         return f"FacetOrdering({list(self.ordered_facets)!r})"
 
 
 def canonical_ordering(x: SimplicialComplex) -> FacetOrdering:
     """The facets in their canonical (increasing bitmask) order."""
-    return FacetOrdering(x, x.facets)
+    return FacetOrdering._of_facets(x, x.facets)
 
 
 def _mes_bits(g: int, ordered: tuple[int, ...]) -> Optional[list[int]]:
     """The mes of face g under these ordered facets as vertex bits (see
-    `mes`), or None when no facet holds g."""
+    `mes`), or None when no facet holds g: the kernel of `mes` and
+    `d_of_ordering`.  `_mes_certificate` runs the same walk inline."""
     seq: list[int] = []
     used = 0
     for f in ordered:
@@ -353,20 +402,29 @@ def _mes_certificate(x: SimplicialComplex,
     the largest |M(G)| over the steps, the claimed d, is d(x, ordering).
     Like `d_of_ordering` it spends no search nodes: it never backtracks.
 
-    The walk is incremental: it keeps the current facets and their ranked
-    entries across steps.  A step (M, G) removes G and inserts (`bisect`)
-    each new facet G - v that `complexes._new_faces((G,), M, kept)`
-    yields, the F - v rule of `_deletion`, so no step re-sorts the facets,
-    and each face's mes is taken once, when it becomes a facet.
+    The walk is incremental and works on masks: it keeps the current
+    facets and their ranked entries across steps, and the claim as it
+    goes.  Each facet's entry comes from one pass over the ordered facets,
+    the walk of `_mes_bits` without its list.  A step (M, G) removes G and
+    inserts (`bisect`) each new facet G - v that
+    `complexes._new_faces((G,), M, facets)` yields, the F - v rule of
+    `_deletion`, so no step re-sorts the facets, and each face's mes is
+    taken once, when it becomes a facet.  The certificate holds the steps
+    as mask pairs, with no `FreePair` built.
     """
     ordered = ordering.ordered_facets
 
     # (-j, -|G|, G, M(G)), with F_{j+1} the first facet holding G: the
     # current stage's facets sort first, in the order tried
     def entry(g: int) -> tuple[int, int, int, int]:
-        bits = _mes_bits(g, ordered)
-        return (-len(bits), -g.bit_count(), g,
-                functools.reduce(operator.or_, bits, 0))
+        used = 0
+        for j, f in enumerate(ordered):
+            excluded = g & ~f
+            if not excluded:
+                break
+            pick = excluded & used or excluded
+            used |= pick & -pick
+        return -j, -g.bit_count(), g, used
 
     # a collapse keeps every face's first facet or lowers it (G - v lies in
     # every facet that G does), so the stage is the least -j of the facets;
@@ -374,6 +432,7 @@ def _mes_certificate(x: SimplicialComplex,
     facets = list(x.facets)
     ranked = sorted(map(entry, facets))
     steps: list[tuple[int, int]] = []
+    claim = 0
     while ranked:
         stage = ranked[0][0]
         step = None
@@ -390,15 +449,14 @@ def _mes_certificate(x: SimplicialComplex,
                                f"stuck at the facets {stuck}")
         _, _, g, m = ranked.pop(step)
         steps.append((m, g))
-        # the step leaves del(M), as `_deletion` builds it
+        claim = max(claim, m.bit_count())
+        # the step leaves del(M), as `_deletion` builds it; a new face
+        # joins the facets at once, as no two G - v are nested
         facets.remove(g)
-        new = list(_new_faces((g,), m, facets))
-        facets += new
-        for t in new:
+        for t in _new_faces((g,), m, facets):
+            facets.append(t)
             bisect.insort(ranked, entry(t))
-    return CollapseCertificate(
-        tuple(FreePair(_face(m), _face(g)) for m, g in steps),
-        max((m.bit_count() for m, _ in steps), default=0))
+    return CollapseCertificate._of_masks(tuple(steps), claim)
 
 
 class _MkEngine:

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from . import hypergraphs as hg
 from .complexes import (
     Face,
-    FreePair,
     SimplicialComplex,
     _deletion,
     _face,
@@ -82,10 +81,25 @@ SCHEMA_VERSION = 1
 
 
 def certificate_from_obj(obj) -> CollapseCertificate:
-    steps = tuple(
-        FreePair(Face.of(g), Face.of(s)) for g, s in obj["steps"]
-    )
-    return CollapseCertificate(steps, obj["claimed_d"])
+    """The collapse certificate a report's witness spells: a dict with
+    "steps", a list of [free face, facet] label lists, and "claimed_d", a
+    count.  A missing key, or a step that is no pair, raises ValueError
+    naming it; a bad label or claim raises as `mask_of` and
+    `errors._check_count` have it."""
+    for key in ("steps", "claimed_d"):
+        if key not in obj:
+            raise ValueError(f"a collapse certificate has no {key!r}")
+    claimed = obj["claimed_d"]
+    _check_count(claimed, "claimed_d")
+    steps = []
+    for i, step in enumerate(obj["steps"]):
+        try:
+            gamma, sigma = step
+        except (TypeError, ValueError):
+            raise ValueError(f"step {i}, {step!r}, is not a [free face, "
+                             f"facet] pair") from None
+        steps.append((mask_of(gamma), mask_of(sigma)))
+    return CollapseCertificate._of_masks(tuple(steps), claimed)
 
 
 def _descriptor(inst) -> dict:
@@ -199,8 +213,8 @@ def _inv_C(ev):
     d, cert = _collapsibility(ev.complex, ev.budget, ceiling, floor)
     ev.witnesses[ev.prefix + "collapse_certificate"] = {
         "claimed_d": cert.claimed_d,
-        "steps": [[list(p.free_face.vertices), list(p.facet.vertices)]
-                  for p in cert.steps],
+        "steps": [[list(vertices_of(g)), list(vertices_of(s))]
+                  for g, s in cert._masks],
     }
     return d
 

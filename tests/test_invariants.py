@@ -15,9 +15,11 @@ complexes and 2,000 random ones on 6-9 vertices (about 20 seconds).
 d_of_ordering and against the re-sorting walk
 (`resorting_mes_certificate`) the mes certificates of 3,000 seeds of
 each generator and of 6,000 random orders of random complexes on 7-9
-vertices (about 7 seconds).  `... test_invariants.py
-mes-orders 5` does the same under every ordering of every complex on <= 5
-vertices with <= 5 facets, 313,142 builds (about 60 seconds).
+vertices (about 9 seconds); `... mes 3000 0 100` does the same with
+every label raised by 100, past the bit tables of `bits_of` (about 11
+seconds).  `... test_invariants.py mes-orders 5` does the same under
+every ordering of every complex on <= 5 vertices with <= 5 facets,
+313,142 builds (about 58 seconds).  Timings are from a 2-core Xeon VM.
 """
 
 import functools
@@ -42,6 +44,7 @@ from collapsekit import (
     Hypergraph,
     NotAFaceError,
     SimplicialComplex,
+    VertexRangeError,
     as_face,
     boundary,
     canonical_ordering,
@@ -66,7 +69,7 @@ from collapsekit import (
 from collapsekit import homology, invariants, reports
 from collapsekit.complexes import _deletion, _is_free, vertices_of
 from collapsekit.generators import GeneratorSpec, generate, v6f10_6
-from collapsekit.reports import compute
+from collapsekit.reports import compute, report_json
 
 from conftest import all_complexes, apex_floor, mod3_moore_space, shifted
 
@@ -159,6 +162,100 @@ def test_tampered_certificate_fails():
     assert not truncated.replay(THREE_CYCLE)
     lowered = CollapseCertificate(cert.steps, 0)
     assert not lowered.replay(THREE_CYCLE)
+
+
+def test_a_certificate_claim_is_a_count():
+    """The claim of a certificate, built or read from a report's witness,
+    is an int and not a bool (TypeError), and not negative (ValueError):
+    a claim of 1.5 would replay a 1-collapse, and one of -1 the empty
+    complex's."""
+    steps = [[[1], [1, 2]], [[2], [2, 3]], [[], [3]]]
+    for claim, error in ((1.5, TypeError), (True, TypeError),
+                         (-1, ValueError)):
+        with pytest.raises(error, match="claimed_d"):
+            CollapseCertificate((), claim)
+        with pytest.raises(error, match="claimed_d"):
+            reports.certificate_from_obj({"steps": steps,
+                                          "claimed_d": claim})
+    cert = reports.certificate_from_obj({"steps": steps, "claimed_d": 1})
+    assert cert.replay(SimplicialComplex([(1, 2), (2, 3)]))
+
+
+def test_a_malformed_certificate_names_its_fault():
+    """A witness with a key missing, or with a step that is no [free face,
+    facet] pair, raises ValueError naming the key or the step's index; a
+    bad label raises as `mask_of` has it."""
+    with pytest.raises(ValueError, match="'steps'"):
+        reports.certificate_from_obj({"claimed_d": 1})
+    with pytest.raises(ValueError, match="'claimed_d'"):
+        reports.certificate_from_obj({"steps": []})
+    for bad in ([[1]], [[1], [1, 2], 7], 7):
+        with pytest.raises(ValueError, match="step 1,"):
+            reports.certificate_from_obj(
+                {"steps": [[[], [1]], bad], "claimed_d": 1})
+    for label, error in ((True, TypeError), (0.5, TypeError),
+                         (128, VertexRangeError)):
+        with pytest.raises(error, match="vertex label"):
+            reports.certificate_from_obj(
+                {"steps": [[[label], [1, 2]]], "claimed_d": 1})
+
+
+def _contract_certificates():
+    """The mes certificates of every complex on <= 4 vertices under the
+    canonical and reversed orders, and its d-collapse at d = C."""
+    for x in all_complexes(4):
+        yield x, invariants._mes_certificate(x, canonical_ordering(x))
+        yield x, invariants._mes_certificate(x, _reversed_ordering(x))
+        ok, cert = is_d_collapsible(x, collapsibility_number(x))
+        assert ok, x
+        yield x, cert
+
+
+def test_certificates_spell_their_mask_steps_as_free_pairs():
+    """A certificate holds its steps as mask pairs and spells them as
+    `FreePair`s of `Face`s on `.steps`; equality, hash and repr are those
+    of the certificate built from those `FreePair`s, and a certificate
+    built from plain mask pairs replays as they would."""
+    count = 0
+    for x, cert in _contract_certificates():
+        steps = cert.steps
+        assert type(steps) is tuple
+        assert all(type(p) is FreePair and type(p.free_face) is Face
+                   and type(p.facet) is Face for p in steps), (x, cert)
+        public = CollapseCertificate(steps, cert.claimed_d)
+        assert cert == public and hash(cert) == hash(public), (x, cert)
+        assert repr(cert) == repr(public), (x, cert)
+        masks = CollapseCertificate(
+            tuple((int(p.free_face), int(p.facet)) for p in steps),
+            cert.claimed_d)
+        assert masks == cert and masks.replay(x), (x, cert)
+        count += 1
+    assert count == 3 * len(all_complexes(4))
+    path = SimplicialComplex([(1, 2), (2, 3)])
+    cert = CollapseCertificate(((2, 6), (4, 12), (0, 8)), 1)
+    assert cert.replay(path)
+    assert cert.steps[0] == FreePair(Face.of([1]), Face.of([1, 2]))
+    with pytest.raises(AttributeError):
+        cert.claimed_d = 2
+
+
+def test_reports_build_no_free_pair(monkeypatch):
+    """The walks, the search and the report witnesses work on masks: with
+    `FreePair` unusable in `invariants`, the chain report of v6f10-6 (its
+    C searched below the mes ceiling) and a full hypergraph report (its
+    nc_C read off the ceiling) read byte for byte as they do with it."""
+    chain = ["leray", "C", "M0", "M1", "M2", "d_mes", "betti"]
+    h = generate(GeneratorSpec(kind="random-hypergraph", seed=0, n=8, m=9,
+                               max_size=3))
+    asks = [(v6f10_6(), chain), (h, None)]
+    want = [report_json(compute(inst, which)) for inst, which in asks]
+
+    def no_free_pair(*args):
+        raise AssertionError("a FreePair was built")
+
+    monkeypatch.setattr(invariants, "FreePair", no_free_pair)
+    assert [report_json(compute(inst, which)) for inst, which in asks] == want
+    assert '"nc_collapse_certificate":{"claimed_d":4,"steps":[[[1,2,3,5]' in want[1]
 
 
 def test_budget_raises_instead_of_lying():
@@ -932,6 +1029,13 @@ def generated_mes_cases(seeds):
         yield nc, _reversed_ordering(nc)
 
 
+def _shifted_case(x, ordering, shift):
+    """(x, ordering) with every vertex label raised by `shift`
+    (`conftest.shifted`), the facets kept in their order."""
+    return shifted(x, shift), FacetOrdering(
+        shifted(x, shift), [f << shift for f in ordering.ordered_facets])
+
+
 def _every_ordering(x):
     """(x, order) for each of the len(x.facets)! facet orders of x."""
     return [(x, FacetOrdering(x, perm))
@@ -997,13 +1101,16 @@ def test_mes_certificate_replays_at_d_on_every_small_complex():
     is the re-sorting walk's byte for byte, replays, and claims exactly
     d_of_ordering: under the canonical, the reversed and two seeded random
     orders of every complex on <= 5 vertices, and on the generated cases
-    of seeds 0-299 (`generated_mes_cases`)."""
+    of seeds 0-299 (`generated_mes_cases`), those of seeds 0-49 also with
+    every label raised by 100, past the bit tables."""
     rng = random.Random(1975)
     cases = []
     for x in all_complexes(5):
         cases += [(x, canonical_ordering(x)), (x, _reversed_ordering(x))]
         cases += [(x, order) for order in _random_orderings(x, rng, 2)]
     cases += generated_mes_cases(range(300))
+    cases += [_shifted_case(x, order, 100)
+              for x, order in generated_mes_cases(range(50))]
     assert mes_failures(cases) == []
 
 
@@ -1310,7 +1417,7 @@ def test_a_face_below_threshold_costs_no_search(monkeypatch):
 
 if __name__ == "__main__":
     # python tests/test_invariants.py [n]
-    # python tests/test_invariants.py mes count [seed]
+    # python tests/test_invariants.py mes count [seed [shift]]
     # python tests/test_invariants.py mes-orders n
     # python tests/test_invariants.py wegner n count [seed]
     if sys.argv[1:2] == ["wegner"]:
@@ -1352,6 +1459,7 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["mes"]:
         count = int(sys.argv[2]) if len(sys.argv) > 2 else 100
         seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
+        shift = int(sys.argv[4]) if len(sys.argv) > 4 else 0
         rng = random.Random(seed)
         cases = list(generated_mes_cases(range(count)))
         generated = len(cases)
@@ -1362,12 +1470,13 @@ if __name__ == "__main__":
                 rng.sample(range(1, n + 1), rng.randint(2, n - 1))
                 for _ in range(rng.randint(5, 14)))
             cases += [(x, order) for order in _random_orderings(x, rng, 2)]
+        cases = [_shifted_case(x, order, shift) for x, order in cases]
         bad = mes_failures(cases)
         print(f"mes certificates: {generated} on generator seeds "
               f"0-{count - 1} and {len(cases) - generated} under random "
-              f"orders of random complexes on 7-9 vertices, seed {seed}: "
-              f"{len(bad)} stuck, not the re-sorting walk's, not at d or "
-              f"not replaying")
+              f"orders of random complexes on 7-9 vertices, seed {seed}, "
+              f"labels raised by {shift}: {len(bad)} stuck, not the "
+              f"re-sorting walk's, not at d or not replaying")
         for x, order in bad:
             print(x, order)
         sys.exit(1 if bad else 0)
