@@ -68,7 +68,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 from .complexes import (Face, SimplicialComplex, _antichain, _face, _link,
                         _new_faces, _split, bits_of, faces_of, subsets,
                         vertices_of)
-from .errors import Budget, NotPureError, _check_count, _depth_first, _drive
+from .errors import (Budget, NotPureError, _check_count, _check_int,
+                     _depth_first, _drive)
 
 #: Above this many vertices the induced-subcomplex routes (the Leray oracle
 #: and the induced Cohen-Macaulay test) are refused.
@@ -334,8 +335,10 @@ def is_homologically_connected(
     n < -1 is vacuously true; at n = -1 the empty complex fails (its degree
     -1 rank is nonzero).  x is ranked through itself or its facet nerve
     (`_link_chains`), and degrees are read from 0 up; the walk stops at the
-    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.
+    first nonzero one, screened over GF(2) as in `_Chains.nonzero`.  An n
+    that is not an int, or is a bool, raises TypeError.
     """
+    _check_int(n, "n")
     p = _parse_field(field)
     if n < -1:
         return True

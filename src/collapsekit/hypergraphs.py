@@ -142,6 +142,8 @@ class Hypergraph:
     # -- neighborhoods -----------------------------------------------------
 
     def neighbors(self, v: int) -> set[int]:
+        if type(v) is not int:
+            raise TypeError(f"vertex {v!r} is not an int")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside 1..{self.n}")
         return set(vertices_of(self._nbr[v]))
@@ -263,18 +265,20 @@ def non_cover_complex(h: Hypergraph) -> SimplicialComplex:
 
 def nc_facet_order(h: Hypergraph) -> FacetOrdering:
     """Order the facets of NC(H) by their complementary edges written as
-    strictly decreasing vertex sequences, compared lexicographically."""
-    return _nc_facet_order(h, non_cover_complex(h))
-
-
-def _nc_facet_order(h: Hypergraph, nc: SimplicialComplex) -> FacetOrdering:
-    """`nc_facet_order` for nc = NC(h), already built: a sort of nc's own
-    facets, so it skips `FacetOrdering`'s permutation check."""
+    strictly decreasing vertex sequences, compared lexicographically.  An
+    empty NC(H) has no facet order (HypothesisNotMetError)."""
+    nc = non_cover_complex(h)
     if nc.is_empty:
         raise HypothesisNotMetError("NC(H) is empty; no facet order")
+    return FacetOrdering(nc, _nc_facet_order(h, nc))
+
+
+def _nc_facet_order(h: Hypergraph, nc: SimplicialComplex) -> tuple[int, ...]:
+    """The facet masks of nc = NC(h), already built, in `nc_facet_order`'s
+    order: () where NC(H) is empty."""
     vmask = h.vertex_mask
-    return FacetOrdering._of_facets(nc, tuple(
-        sorted(nc.facets, key=lambda f: vertices_of(vmask & ~f)[::-1])))
+    return tuple(sorted(nc.facets,
+                        key=lambda f: vertices_of(vmask & ~f)[::-1]))
 
 
 def _cover_relabeling(h: Hypergraph, budget: Budget | None = None):

@@ -30,9 +30,9 @@ The first order's collapse claims exactly d(X, ord), so a report reads
 d_mes from it too.  The walk, the d-collapse search and the certificates
 they build work on int masks: a certificate holds its steps as (free face,
 facet) mask pairs, and spells them as `FreePair`s of `Face`s only when its
-`.steps` is read, so no report builds one.  The canonical and reversed
-facet orders, and the NC(H) order, are permutations of the complex's own
-facets by construction and are built without `FacetOrdering`'s check.
+`.steps` is read, so no report builds one.  Inside the library a facet
+order is the tuple of its facet masks, in order; a `FacetOrdering` is
+built only where a public function returns one.
 
 M'_k is a min over open k-faces sigma of max(M'_k(del sigma),
 M'_k(lk sigma) + k + 1), evaluated by a cutoff (alpha-beta) search: each
@@ -67,7 +67,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .complexes import (Face, FreePair, SimplicialComplex, _deletion, _face,
+from .complexes import (FreePair, SimplicialComplex, _deletion, _face,
                         _free_faces_by_size, _is_free, _link, _new_faces,
                         _open_faces, as_face, faces_of, vertices_of)
 from .errors import Budget, NotAFaceError, _check_count, _depth_first, _drive
@@ -93,9 +93,7 @@ class CollapseCertificate:
 
     def __init__(self, steps: Iterable, claimed_d: int):
         _check_count(claimed_d, "claimed_d")
-        object.__setattr__(self, "_masks", tuple(
-            (int(as_face(gamma)), int(as_face(sigma)))
-            for gamma, sigma in steps))
+        object.__setattr__(self, "_masks", _step_masks(steps, as_face))
         object.__setattr__(self, "claimed_d", claimed_d)
 
     @classmethod
@@ -127,6 +125,25 @@ class CollapseCertificate:
                 return False
             facets = _deletion(facets, gamma)
         return not facets
+
+
+def _step_masks(steps, read) -> tuple[tuple[int, int], ...]:
+    """The (free face, facet) mask pairs of a certificate's steps, each
+    face read by `read` (`as_face`, or `mask_of` for label lists).  A
+    steps value that is no iterable raises TypeError, and a step that is
+    no pair ValueError naming its index."""
+    if not isinstance(steps, Iterable):
+        raise TypeError(f"steps {steps!r} is a {type(steps).__name__}, not "
+                        f"a sequence of [free face, facet] pairs")
+    masks = []
+    for i, step in enumerate(steps):
+        try:
+            gamma, sigma = step
+        except (TypeError, ValueError):
+            raise ValueError(f"step {i}, {step!r}, is not a [free face, "
+                             f"facet] pair") from None
+        masks.append((int(read(gamma)), int(read(sigma))))
+    return tuple(masks)
 
 
 def is_d_collapsible(
@@ -239,23 +256,23 @@ def collapsibility_number_with_certificate(
     certificate wherever C < u; where C = u the certificate is the
     ceiling's collapse.
     """
-    order = canonical_ordering(x)
-    floor, top = _bounds(x, order, _mes_certificate(x, order), None)
+    floor, top = _bounds(x, x.facets, _mes_certificate(x.facets), None)
     return _collapsibility(x, budget or Budget(), top, floor)
 
 
-def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
+def _bounds(x: SimplicialComplex, ordered: tuple[int, ...],
             first: CollapseCertificate, links: Optional[dict],
             least: int = 0) -> tuple[int, CollapseCertificate]:
     """C's floor f and ceiling u, taken with no search from `first`, the
-    mes collapse of x under `ordering`, the link cache `links` (or None)
-    and `least`, a value at most L(x) over every field.  The standalone C,
-    every report that asks C and the nc-bound probe take them here.
+    mes collapse of x under `ordered`, x's facet masks in some order, the
+    link cache `links` (or None) and `least`, a value at most L(x) over
+    every field.  The standalone C, every report that asks C and the
+    nc-bound probe take them here.
 
     Every facet order < gives a ceiling d(x, <), with the collapse of
     Matousek and Tancer (DCG 42, 2009) as its certificate
     (`_mes_certificate`, built and checked in one walk); `first` claims
-    u_1 = d(x, ordering).  The floor f is L(x; GF(2)): a d-collapsible
+    u_1 = d(x, ordered).  The floor f is L(x; GF(2)): a d-collapsible
     complex is d-Leray over every field (Wegner 1975), and
     dim H~_i(Y; GF(2)) >= dim H~_i(Y; Q), so GF(2) gives the higher
     floor, with the cheaper modular rank.  It is the GF(2) Leray number
@@ -277,15 +294,14 @@ def _bounds(x: SimplicialComplex, ordering: FacetOrdering,
 
     When f < u_1 the collapse under the reversed order is built as well,
     and u is the lower claim, `first`'s on a tie; when f = u_1, C = u_1
-    and nothing is reversed, so `ordering` is read only below u_1.  u
+    and nothing is reversed, so `ordered` is read only below u_1.  u
     replays at its claim, so it is C's certificate wherever C reaches it.
     Neither bound spends a node.
     """
     claim = first.claimed_d
     floor = _leray(x, 2, links, claim, least)
     if floor < claim:
-        rev = _mes_certificate(x, FacetOrdering._of_facets(
-            x, ordering.ordered_facets[::-1]))
+        rev = _mes_certificate(ordered[::-1])
         if rev.claimed_d < claim:
             return floor, rev
     return floor, first
@@ -308,26 +324,21 @@ def _collapsibility(
 
 class FacetOrdering:
     """A total order on the facets of a fixed complex.  The constructor
-    checks that the order is a permutation of the complex's facets."""
+    checks that the order is an iterable and a permutation of the
+    complex's facets."""
 
     __slots__ = ("complex", "ordered_facets")
 
     def __init__(self, complex: SimplicialComplex, ordered_facets: Iterable):
-        ordered = tuple(as_face(f) for f in ordered_facets)
+        if not isinstance(ordered_facets, Iterable):
+            raise TypeError(f"ordering {ordered_facets!r} is a "
+                            f"{type(ordered_facets).__name__}, not an "
+                            f"iterable of facets")
+        ordered = tuple(map(as_face, ordered_facets))
         if sorted(map(int, ordered)) != [int(f) for f in complex.facets]:
             raise ValueError("ordering must be a permutation of the facets")
         self.complex = complex
         self.ordered_facets = ordered
-
-    @classmethod
-    def _of_facets(cls, complex: SimplicialComplex,
-                   ordered: tuple[Face, ...]) -> "FacetOrdering":
-        """The ordering of `complex` whose facets, already a permutation of
-        its own, come in this order, built unchecked."""
-        order = object.__new__(cls)
-        order.complex = complex
-        order.ordered_facets = ordered
-        return order
 
     def __repr__(self):
         return f"FacetOrdering({list(self.ordered_facets)!r})"
@@ -335,7 +346,7 @@ class FacetOrdering:
 
 def canonical_ordering(x: SimplicialComplex) -> FacetOrdering:
     """The facets in their canonical (increasing bitmask) order."""
-    return FacetOrdering._of_facets(x, x.facets)
+    return FacetOrdering(x, x.facets)
 
 
 def _mes_bits(g: int, ordered: tuple[int, ...]) -> Optional[list[int]]:
@@ -379,13 +390,15 @@ def d_of_ordering(x: SimplicialComplex, ordering: FacetOrdering) -> int:
                 for g in faces_of(x.facets, range(x.dim + 2))), default=0)
 
 
-def _mes_certificate(x: SimplicialComplex,
-                     ordering: FacetOrdering) -> CollapseCertificate:
-    """A collapse of x at free faces of at most d(x, ordering) vertices
-    (Matousek and Tancer, DCG 42, 2009, prove that it always finishes; it
-    did in all 313,142 orders of the complexes on <= 5 vertices with <= 5
-    facets, `tests/test_invariants.py mes-orders 5`).  A build that gets
-    stuck is a library bug: it raises `RuntimeError` naming the facets.
+def _mes_certificate(ordered: tuple[int, ...]) -> CollapseCertificate:
+    """The mes collapse of the complex X whose facet masks are `ordered`,
+    in that order: a collapse of X at free faces of at most d(X, ordered)
+    vertices (Matousek and Tancer, DCG 42, 2009, prove that it always
+    finishes; it did in all 313,142 orders of the complexes on <= 5
+    vertices with <= 5 facets, `tests/test_invariants.py mes-orders 5`).
+    A build that gets stuck is a library bug: it raises `RuntimeError`
+    naming the order and the facets it is stuck at by their label lists.
+    The empty order is the empty collapse, claiming 0.
 
     The build is its own check: a step is taken only once `_is_free`
     passes and leaves del(M), as `CollapseCertificate.replay` does with
@@ -399,7 +412,7 @@ def _mes_certificate(x: SimplicialComplex,
     and the stage repeats until no private facet is left.  A face tau with
     M(G) <= tau <= G has M(tau) = M(G) (its mes walk meets the same
     excluded vertices), so the steps' intervals cover every face once and
-    the largest |M(G)| over the steps, the claimed d, is d(x, ordering).
+    the largest |M(G)| over the steps, the claimed d, is d(X, ordered).
     Like `d_of_ordering` it spends no search nodes: it never backtracks.
 
     The walk is incremental and works on masks: it keeps the current
@@ -412,8 +425,6 @@ def _mes_certificate(x: SimplicialComplex,
     taken once, when it becomes a facet.  The certificate holds the steps
     as mask pairs, with no `FreePair` built.
     """
-    ordered = ordering.ordered_facets
-
     # (-j, -|G|, G, M(G)), with F_{j+1} the first facet holding G: the
     # current stage's facets sort first, in the order tried
     def entry(g: int) -> tuple[int, int, int, int]:
@@ -429,7 +440,8 @@ def _mes_certificate(x: SimplicialComplex,
     # a collapse keeps every face's first facet or lowers it (G - v lies in
     # every facet that G does), so the stage is the least -j of the facets;
     # a face becomes a facet at most once, so each entry is built once
-    facets = list(x.facets)
+    # `_is_free`, `_new_faces` and the ranking read the facets in any order
+    facets = list(ordered)
     ranked = sorted(map(entry, facets))
     steps: list[tuple[int, int]] = []
     claim = 0
@@ -445,8 +457,9 @@ def _mes_certificate(x: SimplicialComplex,
         if step is None:
             stuck = [list(vertices_of(g)) for j, _, g, _ in ranked
                      if j == stage]
-            raise RuntimeError(f"the mes collapse under {ordering!r} is "
-                               f"stuck at the facets {stuck}")
+            order = [list(vertices_of(f)) for f in ordered]
+            raise RuntimeError(f"the mes collapse under the order {order} "
+                               f"is stuck at the facets {stuck}")
         _, _, g, m = ranked.pop(step)
         steps.append((m, g))
         claim = max(claim, m.bit_count())

@@ -62,7 +62,6 @@ from .hypergraphs import Hypergraph, non_cover_complex
 from .invariants import (
     CollapseCertificate,
     FacetOrdering,
-    canonical_ordering,
     collapsibility_number,
     collapsibility_number_with_certificate,
     d_of_ordering,
@@ -73,6 +72,7 @@ from .invariants import (
     _collapsibility,
     _mes_certificate,
     _MkEngine,
+    _step_masks,
 )
 # instance_to_json stays importable from here: the bench reads it
 from .io import instance_to_json, instance_to_obj  # noqa: F401
@@ -83,23 +83,19 @@ SCHEMA_VERSION = 1
 def certificate_from_obj(obj) -> CollapseCertificate:
     """The collapse certificate a report's witness spells: a dict with
     "steps", a list of [free face, facet] label lists, and "claimed_d", a
-    count.  A missing key, or a step that is no pair, raises ValueError
-    naming it; a bad label or claim raises as `mask_of` and
-    `errors._check_count` have it."""
+    count.  An object that is no dict raises TypeError, a missing key
+    ValueError naming it, and the steps, read by `mask_of`, and the claim
+    raise as `invariants._step_masks` and `errors._check_count` have it."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a collapse certificate is a dict, not "
+                        f"{type(obj).__name__}")
     for key in ("steps", "claimed_d"):
         if key not in obj:
             raise ValueError(f"a collapse certificate has no {key!r}")
     claimed = obj["claimed_d"]
     _check_count(claimed, "claimed_d")
-    steps = []
-    for i, step in enumerate(obj["steps"]):
-        try:
-            gamma, sigma = step
-        except (TypeError, ValueError):
-            raise ValueError(f"step {i}, {step!r}, is not a [free face, "
-                             f"facet] pair") from None
-        steps.append((mask_of(gamma), mask_of(sigma)))
-    return CollapseCertificate._of_masks(tuple(steps), claimed)
+    return CollapseCertificate._of_masks(_step_masks(obj["steps"], mask_of),
+                                         claimed)
 
 
 def _descriptor(inst) -> dict:
@@ -123,7 +119,9 @@ class _Evaluation:
     engine, that complex, its facet order < and the mes collapse under
     that order (`mes_collapse`), built and checked in one walk that always
     finishes (`invariants._mes_certificate`): d_mes is read from its claim
-    d(X, <).
+    d(X, <).  The order is the tuple of X's facet masks (for NC(H),
+    `hypergraphs._nc_facet_order`'s); an empty NC(H)'s is (), so its
+    collapse claims 0 and only nc_d, which names an order, does not apply.
 
     The link cache is the report's one homology pass: the complex's
     closed-face links and their ranks, which the Leray scans, the Betti
@@ -170,18 +168,14 @@ class _Evaluation:
         return non_cover_complex(self.inst) if self.prefix else self.inst
 
     @functools.cached_property
-    def facet_order(self) -> FacetOrdering:
+    def facet_order(self) -> tuple[int, ...]:
         if self.prefix:
             return hg._nc_facet_order(self.inst, self.complex)
-        return canonical_ordering(self.inst)
+        return self.inst.facets
 
     @functools.cached_property
     def mes_collapse(self) -> CollapseCertificate:
-        # an empty NC(H) has no facet order; the empty complex's mes
-        # collapse is the empty one, claiming 0
-        if not self.complex.facets:
-            return CollapseCertificate((), 0)
-        return _mes_certificate(self.complex, self.facet_order)
+        return _mes_certificate(self.facet_order)
 
     @functools.cached_property
     def least(self) -> int:
@@ -189,14 +183,11 @@ class _Evaluation:
 
     @functools.cached_property
     def bounds(self) -> tuple:
-        """C's floor and ceiling when the report asks C, else (None, None).
-        An empty NC(H) has no facet order: its floor meets the claim 0, so
-        `_bounds` reverses none and reads none."""
+        """C's floor and ceiling when the report asks C, else (None, None)."""
         if not self.asks_c:
             return None, None
-        order = self.facet_order if self.complex.facets else None
-        return _bounds(self.complex, order, self.mes_collapse, self.links,
-                       self.least)
+        return _bounds(self.complex, self.facet_order, self.mes_collapse,
+                       self.links, self.least)
 
     def mk(self, k: int) -> int:
         # L <= C <= M_k <= M_0 <= d(X, <') for every order <': a floor
@@ -221,8 +212,10 @@ def _inv_C(ev):
 
 def _inv_d(ev):
     order = ev.facet_order
+    if ev.prefix and not order:
+        raise HypothesisNotMetError("NC(H) is empty; no facet order")
     ev.witnesses[ev.prefix + "facet_ordering"] = [
-        list(f.vertices) for f in order.ordered_facets]
+        list(vertices_of(f)) for f in order]
     # the checked mes collapse claims exactly d(X, order), so no face walk
     return ev.mes_collapse.claimed_d
 
@@ -589,11 +582,11 @@ def _thm_nc_bound(h: Hypergraph, rng, budget) -> str:
     d = d_of_ordering(nc, order)
     # the collapse behind C <= d, C's first ceiling, must replay and claim
     # the face walk's d
-    first = _mes_certificate(nc, order)
+    first = _mes_certificate(order.ordered_facets)
     _chk(first.replay(nc) and first.claimed_d == d,
          h, lambda: f"the mes collapse does not replay at d={d} for {order!r}")
     # the kept cover walk gives C's floor its start, max |D| - 1
-    floor, ceiling = _bounds(nc, order, first, None,
+    floor, ceiling = _bounds(nc, order.ordered_facets, first, None,
                              hg._nc_leray_floor(h, budget.limit))
     c, _ = _collapsibility(nc, budget, ceiling, floor)
     _chk(c <= d <= bound, h, lambda: f"C={c}, d={d}, |V|-gamma_i-1={bound}")

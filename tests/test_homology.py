@@ -163,6 +163,16 @@ def test_homological_connectivity():
     assert not is_homologically_connected(SimplicialComplex(), -1)
 
 
+def test_homological_connectivity_takes_an_int_n():
+    """n is a count like every other: a float or a bool raises TypeError
+    naming it (1.5 read False, True read as 1, 0.5 raised Python's own
+    message); an n below -1 stays vacuously true."""
+    for n in (1.5, True, 0.5, None):
+        with pytest.raises(TypeError, match="n must be an int"):
+            is_homologically_connected(THREE_CYCLE, n)
+    assert is_homologically_connected(THREE_CYCLE, -5)
+
+
 @pytest.mark.parametrize("field", ["Q", 2, 3])
 def test_homological_connectivity_matches_the_full_betti_vector(field):
     for x in all_complexes(4) + [SimplicialComplex(), RP2]:
@@ -1798,7 +1808,7 @@ def test_leray_alone_builds_no_ceiling(monkeypatch):
     # the GF(2) floor is read from a complex report only when the report
     # asks C, which builds the ceiling anyway (a hypergraph report caps
     # its scan at the nc order's claim: see tests/test_hypergraphs.py)
-    def no_ceiling(x, ordering):
+    def no_ceiling(ordered):
         raise AssertionError("the ceiling was built")
 
     monkeypatch.setattr(reports, "_mes_certificate", no_ceiling)

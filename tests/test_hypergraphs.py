@@ -216,6 +216,20 @@ def test_neighbors_exclude_self():
     assert h.isolated_vertices() == {3}
 
 
+def test_neighbors_takes_an_int_vertex():
+    """A vertex that is a bool or no int raises TypeError naming it, as a
+    label does in `mask_of` (True read as 1, 1.5 raised an indexing
+    error); one outside 1..n raises ValueError."""
+    path = Hypergraph(4, [(1, 2), (2, 3), (3, 4)])
+    assert path.neighbors(1) == {2}
+    for v in (True, 1.5, "1", None):
+        with pytest.raises(TypeError, match="not an int"):
+            path.neighbors(v)
+    for v in (0, 5):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            path.neighbors(v)
+
+
 def test_neighbors_set_unions():
     assert C4.neighbors_set((1, 3)) == {2, 4}
 
@@ -535,9 +549,9 @@ def test_nc_leray_alone_caps_its_scan_at_the_nc_orders_claim(monkeypatch):
     built = []
     mes_certificate = reports._mes_certificate
 
-    def recorded(x, ordering):
-        built.append(ordering.ordered_facets)
-        return mes_certificate(x, ordering)
+    def recorded(ordered):
+        built.append(ordered)
+        return mes_certificate(ordered)
 
     monkeypatch.setattr(reports, "_mes_certificate", recorded)
     listed = _count_link_listings(monkeypatch)
@@ -1281,11 +1295,11 @@ def test_nc_bound_theorem_replays_the_mes_collapse(monkeypatch):
     # the probe builds its ceiling through this name and replays it itself
     real = reports._mes_certificate
 
-    def truncated(x, ordering):
-        cert = real(x, ordering)
+    def truncated(ordered):
+        cert = real(ordered)
         return CollapseCertificate(cert.steps[:-1], cert.claimed_d)
 
-    for broken in (lambda x, ordering: CollapseCertificate((), 0),
+    for broken in (lambda ordered: CollapseCertificate((), 0),
                    truncated):
         monkeypatch.setattr(reports, "_mes_certificate", broken)
         with pytest.raises(reports.Counterexample, match="mes collapse"):

@@ -66,7 +66,7 @@ from collapsekit import (
     simplex_on,
     tancer_inequality_check,
 )
-from collapsekit import homology, invariants, reports
+from collapsekit import homology, hypergraphs, invariants, reports
 from collapsekit.complexes import _deletion, _is_free, vertices_of
 from collapsekit.generators import GeneratorSpec, generate, v6f10_6
 from collapsekit.reports import compute, report_json
@@ -200,12 +200,33 @@ def test_a_malformed_certificate_names_its_fault():
                 {"steps": [[[label], [1, 2]]], "claimed_d": 1})
 
 
+def test_a_malformed_argument_to_a_mes_constructor_is_named():
+    """Certificate steps, built or read from a witness, that are no
+    sequence raise TypeError naming them, and a step that is no pair
+    ValueError naming its index, in both constructors; a witness that is
+    no dict and a facet order that is no iterable raise TypeError naming
+    them.  Each raised Python's own message."""
+    for steps in (7, None):
+        with pytest.raises(TypeError, match="not a sequence of"):
+            reports.certificate_from_obj({"steps": steps, "claimed_d": 1})
+        with pytest.raises(TypeError, match="not a sequence of"):
+            CollapseCertificate(steps, 1)
+    for bad in ([(1,)], [7], [(0, 1, 3)]):
+        with pytest.raises(ValueError, match="step 0,"):
+            CollapseCertificate(bad, 1)
+    for obj in (None, [[[], [1]]]):
+        with pytest.raises(TypeError, match="is a dict, not"):
+            reports.certificate_from_obj(obj)
+    with pytest.raises(TypeError, match="not an iterable of facets"):
+        FacetOrdering(THREE_CYCLE, 5)
+
+
 def _contract_certificates():
     """The mes certificates of every complex on <= 4 vertices under the
     canonical and reversed orders, and its d-collapse at d = C."""
     for x in all_complexes(4):
-        yield x, invariants._mes_certificate(x, canonical_ordering(x))
-        yield x, invariants._mes_certificate(x, _reversed_ordering(x))
+        yield x, invariants._mes_certificate(x.facets)
+        yield x, invariants._mes_certificate(x.facets[::-1])
         ok, cert = is_d_collapsible(x, collapsibility_number(x))
         assert ok, x
         yield x, cert
@@ -256,6 +277,33 @@ def test_reports_build_no_free_pair(monkeypatch):
     monkeypatch.setattr(invariants, "FreePair", no_free_pair)
     assert [report_json(compute(inst, which)) for inst, which in asks] == want
     assert '"nc_collapse_certificate":{"claimed_d":4,"steps":[[[1,2,3,5]' in want[1]
+
+
+def test_reports_build_no_facet_ordering(monkeypatch):
+    """Inside the library a facet order is the tuple of its facet masks:
+    with `FacetOrdering` unusable in `invariants` and `hypergraphs`, C with
+    its certificate on every complex on <= 4 vertices, the chain report of
+    v6f10-6, a full hypergraph report and that of a hypergraph whose
+    NC(H) is empty (nc_d not applicable) read as they do with it."""
+    chain = ["leray", "C", "M0", "M1", "M2", "d_mes", "betti"]
+    h = generate(GeneratorSpec(kind="random-hypergraph", seed=0, n=8, m=9,
+                               max_size=3))
+    empty_nc = Hypergraph(3, [(1, 2, 3)])
+    asks = [(v6f10_6(), chain), (h, None), (empty_nc, None)]
+    want = [report_json(compute(inst, which)) for inst, which in asks]
+    small = all_complexes(4)
+    want_c = [collapsibility_number_with_certificate(x) for x in small]
+
+    def no_ordering(*args):
+        raise AssertionError("a FacetOrdering was built")
+
+    monkeypatch.setattr(invariants, "FacetOrdering", no_ordering)
+    monkeypatch.setattr(hypergraphs, "FacetOrdering", no_ordering)
+    assert [collapsibility_number_with_certificate(x)
+            for x in small] == want_c
+    assert [report_json(compute(inst, which)) for inst, which in asks] == want
+    assert ('"not_applicable":{"nc_d":"NC(H) is empty; no facet order"}'
+            in want[2])
 
 
 def test_budget_raises_instead_of_lying():
@@ -503,8 +551,8 @@ def plain_collapsibility_number(x):
 def lower_ceiling(x):
     """C's ceiling: the mes collapse under the canonical order, or under
     its reverse where that claims less (the canonical one on a tie)."""
-    first = invariants._mes_certificate(x, canonical_ordering(x))
-    rev = invariants._mes_certificate(x, _reversed_ordering(x))
+    first = invariants._mes_certificate(x.facets)
+    rev = invariants._mes_certificate(x.facets[::-1])
     return rev if rev.claimed_d < first.claimed_d else first
 
 
@@ -528,7 +576,7 @@ def test_floored_search_matches_the_plain_loop_on_every_small_complex():
 
 def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
         monkeypatch):
-    """`_bounds(x, <, first, links, least)` for every least from 0 to
+    """`_bounds(x, ordered, first, links, least)` for every least from 0 to
     L(x; Q), at most L(x) over every field, gives the floor and ceiling
     it gives from 0, on every complex on <= 5 vertices; where least meets
     the first claim it lists no closed link (`homology._closed_links`)."""
@@ -536,15 +584,14 @@ def test_bounds_from_a_floor_below_the_leray_number_are_the_bounds_from_0(
     for x in all_complexes(5):
         if not x.facets:
             continue
-        order = canonical_ordering(x)
-        first = invariants._mes_certificate(x, order)
-        want = invariants._bounds(x, order, first, None)
+        first = invariants._mes_certificate(x.facets)
+        want = invariants._bounds(x, x.facets, first, None)
         for least in range(leray_number(x, "Q") + 1):
             with monkeypatch.context() as patched:
                 if least >= first.claimed_d:
                     patched.setattr(homology, "_closed_links", None)
                     met += 1
-                got = invariants._bounds(x, order, first, None, least)
+                got = invariants._bounds(x, x.facets, first, None, least)
             assert got == want, (x, least)
     assert met
 
@@ -559,16 +606,16 @@ def test_c_reads_the_lower_of_two_mes_ceilings_on_every_small_complex(
     builds = []
     build = invariants._mes_certificate
 
-    def counted(x, ordering):
-        builds.append(ordering.ordered_facets)
-        return build(x, ordering)
+    def counted(ordered):
+        builds.append(ordered)
+        return build(ordered)
 
     monkeypatch.setattr(invariants, "_mes_certificate", counted)
     monkeypatch.setattr(reports, "_mes_certificate", counted)
     reversed_walks = 0
     for x in all_complexes(5):
         want = [x.facets]
-        if leray_number(x, 2) < build(x, canonical_ordering(x)).claimed_d:
+        if leray_number(x, 2) < build(x.facets).claimed_d:
             want.append(x.facets[::-1])
             reversed_walks += 1
         builds.clear()
@@ -577,8 +624,7 @@ def test_c_reads_the_lower_of_two_mes_ceilings_on_every_small_complex(
         assert cert.claimed_d == c and cert.replay(x), x
         builds.clear()
         report = compute(x, ["C", "d_mes"])
-        # the empty complex's mes collapse is taken without a build
-        assert builds == (want if x.facets else []), x
+        assert builds == want, x
         assert report["values"] == {
             "C": c, "d_mes": d_of_ordering(x, canonical_ordering(x))}, x
         assert report["witnesses"]["collapse_certificate"] == {
@@ -726,7 +772,7 @@ def test_homology_floor_reads_gf2_torsion():
     assert c == 3 and spent == 0 < last
     c, cert = collapsibility_number_with_certificate(rp2)
     assert cert.replay(rp2) and cert == invariants._mes_certificate(
-        rp2, canonical_ordering(rp2))
+        rp2.facets)
 
 
 def test_homology_floor_skips_the_doomed_searches():
@@ -741,7 +787,7 @@ def test_homology_floor_skips_the_doomed_searches():
     c, cert = collapsibility_number_with_certificate(nc)
     assert c == 5 and cert.replay(nc) and cert == lower_ceiling(nc)
     assert _nodes_of_the_last_search(nc) == (5, 0, 19)
-    top = invariants._mes_certificate(nc, canonical_ordering(nc))
+    top = invariants._mes_certificate(nc.facets)
     budget = Budget()
     assert top.claimed_d == 6 and homology._leray(nc, 2, None, 6) == 5
     c, cert = invariants._collapsibility(nc, budget, top, 5)
@@ -761,8 +807,7 @@ def test_c_returns_the_ceiling_when_the_floor_reaches_it(monkeypatch):
         return search(x, d, budget)
 
     monkeypatch.setattr(invariants, "is_d_collapsible", counted)
-    ceiling = invariants._mes_certificate(THREE_CYCLE,
-                                          canonical_ordering(THREE_CYCLE))
+    ceiling = invariants._mes_certificate(THREE_CYCLE.facets)
     for budget in (None, Budget(20)):
         c, cert = collapsibility_number_with_certificate(THREE_CYCLE, budget)
         assert (c, searched, cert) == (2, [], ceiling)
@@ -833,9 +878,9 @@ def test_a_report_builds_the_ceiling_once_and_never_replays_it(
     builds = []
     build = invariants._mes_certificate
 
-    def counted(x, ordering):
-        builds.append((x, ordering.ordered_facets))
-        return build(x, ordering)
+    def counted(ordered):
+        builds.append(ordered)
+        return build(ordered)
 
     def no_replay(self, source):
         raise AssertionError("the ceiling was replayed")
@@ -843,10 +888,11 @@ def test_a_report_builds_the_ceiling_once_and_never_replays_it(
     def orders(x, order):
         """The builds a report asking C and d makes on x, the report's
         complex, under its order."""
-        if leray_number(x, 2) < build(x, order).claimed_d:
-            return [(x, order.ordered_facets),
-                    (x, order.ordered_facets[::-1])]
-        return [(x, order.ordered_facets)]
+        ordered = order.ordered_facets
+        assert order.complex == x
+        if leray_number(x, 2) < build(ordered).claimed_d:
+            return [ordered, ordered[::-1]]
+        return [ordered]
 
     monkeypatch.setattr(invariants, "_mes_certificate", counted)
     monkeypatch.setattr(reports, "_mes_certificate", counted)
@@ -1084,7 +1130,7 @@ def mes_failures(cases):
     bad = []
     for x, order in cases:
         try:
-            cert = invariants._mes_certificate(x, order)
+            cert = invariants._mes_certificate(order.ordered_facets)
         except RuntimeError:
             bad.append((x, order))
             continue
@@ -1136,8 +1182,7 @@ def test_a_stuck_mes_collapse_raises(monkeypatch):
     monkeypatch.setattr(invariants, "_is_free", lambda *args: False)
     stuck = re.escape("stuck at the facets [[2, 3]]")
     with pytest.raises(RuntimeError, match=stuck):
-        invariants._mes_certificate(THREE_CYCLE,
-                                    canonical_ordering(THREE_CYCLE))
+        invariants._mes_certificate(THREE_CYCLE.facets)
     for ask in (lambda: collapsibility_number(THREE_CYCLE),
                 lambda: compute(THREE_CYCLE, ["C"]),
                 lambda: compute(THREE_CYCLE, ["d_mes"])):
@@ -1153,7 +1198,7 @@ def test_mes_certificate_collapses_each_face_at_its_mes():
     facet to the first, which ends as (empty face, F_1)."""
     x = SimplicialComplex([(0, 1, 2), (1, 3), (0, 2, 3, 4)])
     order = FacetOrdering(x, [(0, 1, 2), (1, 3), (0, 2, 3, 4)])
-    cert = invariants._mes_certificate(x, order)
+    cert = invariants._mes_certificate(order.ordered_facets)
     assert cert.replay(x) and cert.claimed_d == d_of_ordering(x, order) == 2
     for pair in cert.steps:
         assert set(mes(pair.facet, order)) == set(pair.free_face.vertices)
